@@ -9,6 +9,7 @@ package index
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"probdb/internal/dist"
@@ -236,7 +237,7 @@ func (ix *Index) RangeThreshold(lo, hi, p float64) ([]int64, Stats) {
 	}
 	ix.walk(0, len(ix.entries), lo, hi, visit, &st)
 	ix.scanOverflow(lo, hi, visit, &st)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, st
 }
 
@@ -248,7 +249,7 @@ func (ix *Index) Candidates(lo, hi float64) []int64 {
 	collect := func(e *entry) { out = append(out, e.rid) }
 	ix.walk(0, len(ix.entries), lo, hi, collect, &st)
 	ix.scanOverflow(lo, hi, collect, &st)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

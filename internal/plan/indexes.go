@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"probdb/internal/btree"
 	"probdb/internal/core"
@@ -16,11 +17,19 @@ import (
 // rowid identity that ties index entries to tuples across DML. All methods
 // follow the catalog's locking discipline — probes under the read lock,
 // maintenance under the write lock.
+//
+// Rowids are assigned in base-table order: Create walks t.Tuples() front to
+// back, INSERT appends to the tail and takes the next rowid, and
+// core.Table.Delete compacts without reordering. Ascending rowid is therefore
+// base-table order, which is what lets Restrict turn an ascending candidate
+// list into base-ordered tuples without looking at the table. Check asserts
+// it.
 type TableIndexes struct {
 	pti map[string]*index.Index
 	bt  map[string]*certIndex
 
 	rowOf map[*core.Tuple]int64
+	tupOf map[int64]*core.Tuple // inverse of rowOf
 	next  int64
 }
 
@@ -32,7 +41,7 @@ type TableIndexes struct {
 type certIndex struct {
 	tree  *btree.Tree
 	keyOf map[int64]int64 // rowid -> key, for rebuild enumeration
-	spill map[int64]bool  // rowids indexed outside the tree
+	spill []int64         // ascending rowids indexed outside the tree
 	dead  map[int64]bool  // tombstoned rowids still present in the tree
 }
 
@@ -42,6 +51,7 @@ func NewTableIndexes() *TableIndexes {
 		pti:   map[string]*index.Index{},
 		bt:    map[string]*certIndex{},
 		rowOf: map[*core.Tuple]int64{},
+		tupOf: map[int64]*core.Tuple{},
 	}
 }
 
@@ -52,6 +62,7 @@ func (ti *TableIndexes) rowid(tup *core.Tuple) int64 {
 	}
 	ti.next++
 	ti.rowOf[tup] = ti.next
+	ti.tupOf[ti.next] = tup
 	return ti.next
 }
 
@@ -70,6 +81,22 @@ func (ti *TableIndexes) Has(col string) bool {
 	_, p := ti.pti[col]
 	_, b := ti.bt[col]
 	return p || b
+}
+
+// namesIndexed reports whether any conjunct compares an indexed column to a
+// literal or thresholds an indexed pdf column.
+func (ti *TableIndexes) namesIndexed(conj []Conjunct) bool {
+	for _, c := range conj {
+		if c.Col != "" && ti.Has(c.Col) {
+			return true
+		}
+		for _, pc := range c.ProbCols {
+			if ti.Has(pc) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Cols returns the indexed column names with their access-path kind
@@ -110,7 +137,7 @@ func (ti *TableIndexes) Create(t *core.Table, col string) error {
 		ti.pti[col] = index.Build(items)
 		return nil
 	}
-	ci := &certIndex{keyOf: map[int64]int64{}, spill: map[int64]bool{}, dead: map[int64]bool{}}
+	ci := &certIndex{keyOf: map[int64]int64{}, dead: map[int64]bool{}}
 	if err := ci.rebuild(); err != nil {
 		return err
 	}
@@ -156,6 +183,7 @@ func (ti *TableIndexes) NoteDelete(tup *core.Tuple) error {
 		return nil
 	}
 	delete(ti.rowOf, tup)
+	delete(ti.tupOf, id)
 	for _, ix := range ti.pti {
 		ix.Delete(id)
 	}
@@ -168,47 +196,89 @@ func (ti *TableIndexes) NoteDelete(tup *core.Tuple) error {
 }
 
 // ProbePTI runs a range-threshold probe against the column's PTI: the
-// returned set holds every rowid whose mass inside [lo, hi] is >= p.
-func (ti *TableIndexes) ProbePTI(col string, lo, hi, p float64) (map[int64]bool, index.Stats, bool) {
+// returned ascending list holds every rowid whose mass inside [lo, hi] is
+// >= p.
+func (ti *TableIndexes) ProbePTI(col string, lo, hi, p float64) ([]int64, index.Stats, bool) {
 	ix, ok := ti.pti[col]
 	if !ok {
 		return nil, index.Stats{}, false
 	}
 	rids, st := ix.RangeThreshold(lo, hi, p)
-	set := make(map[int64]bool, len(rids))
-	for _, r := range rids {
-		set[r] = true
-	}
-	return set, st, true
+	return rids, st, true
 }
 
-// ProbeBTree runs a comparison probe against the column's btree, returning
-// a candidate superset of the rows satisfying "col op v" (spilled rows are
-// always included; the caller re-verifies with the residual predicate).
-func (ti *TableIndexes) ProbeBTree(col string, op region.Op, v core.Value) (map[int64]bool, bool) {
+// ProbeBTree runs one comparison probe against the column's btree: the
+// candidates of ProbeKeys over the keys that can satisfy "col op v". It
+// reports false for a literal no key range stands for (text, say).
+func (ti *TableIndexes) ProbeBTree(col string, op region.Op, v core.Value) ([]int64, bool) {
+	lo, hi, ok := keyBounds(op, v)
+	if !ok {
+		return nil, false
+	}
+	return ti.ProbeKeys(col, lo, hi)
+}
+
+// ProbeKeys scans the column's btree over the inclusive key range [lo, hi]
+// (empty when lo > hi) and returns, in ascending rowid order, a candidate
+// superset of the rows whose value lies in it: the live tree entries plus
+// every spilled row. The caller re-verifies with the residual predicate.
+func (ti *TableIndexes) ProbeKeys(col string, lo, hi int64) ([]int64, bool) {
 	ci, ok := ti.bt[col]
 	if !ok {
 		return nil, false
 	}
-	set, err := ci.probe(op, v)
-	if err != nil {
-		return nil, false
-	}
-	return set, true
+	cand, err := ci.probe(lo, hi)
+	return cand, err == nil
 }
 
-// Restrict walks the table's tuples in base order and keeps those whose
-// rowid is in the candidate set. Tuples the index layer has never seen
-// (defensive: should not happen) are kept — candidates must be a superset.
-func (ti *TableIndexes) Restrict(t *core.Table, cand map[int64]bool) []*core.Tuple {
-	var out []*core.Tuple
-	for _, tup := range t.Tuples() {
-		id, ok := ti.rowOf[tup]
-		if !ok || cand[id] {
-			out = append(out, tup)
-		}
+// Restrict maps an ascending candidate list to its tuples, which by the
+// rowid-order invariant come out in base-table order. It costs one lookup
+// per candidate and never walks the table, so the table argument goes
+// unread; it stays because benchmark/surface.go compiles against this
+// signature.
+func (ti *TableIndexes) Restrict(_ *core.Table, cand []int64) []*core.Tuple {
+	out := make([]*core.Tuple, len(cand))
+	for i, id := range cand {
+		out[i] = ti.tupOf[id]
 	}
 	return out
+}
+
+// Check verifies the rowid bookkeeping against the indexed table: rowOf and
+// tupOf are inverses covering exactly t's tuples, rowids ascend in
+// t.Tuples() order, and every index holds one live entry per tuple.
+func (ti *TableIndexes) Check(t *core.Table) error {
+	if len(ti.pti) == 0 && len(ti.bt) == 0 {
+		return nil
+	}
+	if len(ti.rowOf) != t.Len() || len(ti.tupOf) != t.Len() {
+		return fmt.Errorf("plan: %d rowids and %d inverse entries for %d tuples", len(ti.rowOf), len(ti.tupOf), t.Len())
+	}
+	prev := int64(0)
+	for i, tup := range t.Tuples() {
+		id, ok := ti.rowOf[tup]
+		if !ok || ti.tupOf[id] != tup {
+			return fmt.Errorf("plan: tuple %d: rowid %d (known %v) does not map back to it", i, id, ok)
+		}
+		if id <= prev {
+			return fmt.Errorf("plan: tuple %d: rowid %d after %d breaks base order", i, id, prev)
+		}
+		prev = id
+	}
+	for col, ix := range ti.pti {
+		if ix.Len() != t.Len() {
+			return fmt.Errorf("plan: pti(%s) holds %d entries for %d tuples", col, ix.Len(), t.Len())
+		}
+	}
+	for col, ci := range ti.bt {
+		if n := len(ci.keyOf) - len(ci.dead) + len(ci.spill); n != t.Len() {
+			return fmt.Errorf("plan: btree(%s) holds %d entries for %d tuples", col, n, t.Len())
+		}
+		if !slices.IsSorted(ci.spill) {
+			return fmt.Errorf("plan: btree(%s) spill list is not ascending", col)
+		}
+	}
+	return nil
 }
 
 // Rebuild reconstructs every index from the table's current tuples —
@@ -228,7 +298,7 @@ func (ti *TableIndexes) Rebuild(t *core.Table) error {
 func (ci *certIndex) insert(rowid int64, v core.Value) error {
 	delete(ci.dead, rowid)
 	if v.Kind != core.IntValue {
-		ci.spill[rowid] = true
+		ci.spill = append(ci.spill, rowid) // rowids only grow: stays ascending
 		return nil
 	}
 	ci.keyOf[rowid] = v.I
@@ -236,8 +306,8 @@ func (ci *certIndex) insert(rowid int64, v core.Value) error {
 }
 
 func (ci *certIndex) delete(rowid int64) error {
-	if ci.spill[rowid] {
-		delete(ci.spill, rowid)
+	if i, ok := slices.BinarySearch(ci.spill, rowid); ok {
+		ci.spill = slices.Delete(ci.spill, i, i+1)
 		return nil
 	}
 	if _, ok := ci.keyOf[rowid]; !ok {
@@ -281,53 +351,66 @@ func (ci *certIndex) rebuild() error {
 	return nil
 }
 
-func (ci *certIndex) probe(op region.Op, v core.Value) (map[int64]bool, error) {
-	out := map[int64]bool{}
-	for r := range ci.spill {
-		out[r] = true
-	}
-	add := func(rowid int64) {
-		if !ci.dead[rowid] {
-			out[rowid] = true
-		}
-	}
-	key, intKey := int64(0), false
-	switch v.Kind {
-	case core.IntValue:
-		key, intKey = v.I, true
-	case core.FloatValue:
-		// A float bound still prunes: widen to the enclosing integers.
-		switch op {
-		case region.LT, region.LE:
-			key, intKey = int64(math.Floor(v.F)), true
-		case region.GT, region.GE:
-			key, intKey = int64(math.Ceil(v.F)), true
-		case region.EQ:
-			if v.F == math.Trunc(v.F) {
-				key, intKey = int64(v.F), true
+// probe returns the ascending candidate rowids for the inclusive key range
+// [lo, hi]: live tree entries in range, merged with the spill list.
+func (ci *certIndex) probe(lo, hi int64) ([]int64, error) {
+	var hits []int64
+	if lo <= hi {
+		err := ci.tree.Range(lo, hi, func(_ int64, rid storage.RID) error {
+			if id := rowidOf(rid); !ci.dead[id] {
+				hits = append(hits, id)
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		slices.Sort(hits) // the tree emits key order
+	}
+	return mergeAsc(hits, ci.spill), nil
+}
+
+// mergeAsc merges two ascending rowid lists into a fresh ascending list (a
+// itself when b is empty, so b is never aliased).
+func mergeAsc(a, b []int64) []int64 {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]int64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
 		}
 	}
-	if !intKey {
-		return nil, fmt.Errorf("plan: unindexable literal %s", v.Render())
+	return append(append(out, a...), b...)
+}
+
+// keyBounds maps "col op v" to the inclusive integer key range [lo, hi]
+// holding every integer that satisfies it; lo > hi means none does (a
+// non-integral equality: only spilled rows can match). It reports false for
+// a literal with no such range: non-numeric, or at a magnitude where the
+// engine's float64 comparison no longer tells neighbouring integers apart.
+func keyBounds(op region.Op, v core.Value) (lo, hi int64, ok bool) {
+	f, numeric := v.AsFloat()
+	if !numeric || !(math.Abs(f) < 1<<53) {
+		return 0, 0, false
 	}
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	lo, hi = math.MinInt64, math.MaxInt64
 	switch op {
 	case region.EQ:
-		lo, hi = key, key
-	case region.LT, region.LE:
-		hi = key
-	case region.GT, region.GE:
-		lo = key
+		lo, hi = int64(math.Ceil(f)), int64(math.Floor(f))
+	case region.LT:
+		hi = int64(math.Ceil(f)) - 1
+	case region.LE:
+		hi = int64(math.Floor(f))
+	case region.GT:
+		lo = int64(math.Floor(f)) + 1
+	case region.GE:
+		lo = int64(math.Ceil(f))
 	default:
-		return nil, fmt.Errorf("plan: operator %v has no btree path", op)
+		return 0, 0, false
 	}
-	err := ci.tree.Range(lo, hi, func(_ int64, rid storage.RID) error {
-		add(rowidOf(rid))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return lo, hi, true
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -61,7 +62,7 @@ func (k AccessKind) String() string {
 }
 
 // Plan is the planner's decision for one single-table SELECT: which access
-// path opens the table (and which conjunct it serves), whether that
+// path opens the table (and which conjuncts it serves), whether the probed
 // conjunct is fully consumed by the probe or must be re-verified, and the
 // evaluation order of the residual probability conjuncts. Comparison
 // conjuncts always run in written order — their pdf floors are order-
@@ -70,14 +71,33 @@ func (k AccessKind) String() string {
 type Plan struct {
 	Access   AccessKind
 	Col      string // indexed column ("" for scan)
-	Probe    int    // Orig of the conjunct the probe serves (-1 for scan)
+	Probe    int    // Orig of the (first) conjunct the probe serves (-1 for scan)
 	Consumed bool   // probe answers the conjunct exactly; drop it from residual
+
+	// Btree probes: every probe-able comparison on Col is folded into one
+	// inclusive key range, empty when KeyLo > KeyHi (only spilled rows can
+	// match). Folded counts the conjuncts; all of them stay in the residual.
+	Folded       int
+	KeyLo, KeyHi int64
 
 	ResidualProb []int // Orig order for prob conjuncts (excluding a consumed one)
 
 	EstRows float64 // estimated result cardinality
 	EstCand float64 // estimated candidates surviving the access path
 	Reason  string  // why the planner fell back to a scan ("" when indexed)
+
+	// Fallback marks a scan plan whose WHERE clause compares an indexed
+	// column to a literal or thresholds an indexed pdf column: an index was
+	// there and could not be probed.
+	Fallback bool
+}
+
+// keyRange is the fold of the comparison conjuncts on one btree column: the
+// inclusive integer key range the tree is scanned over.
+type keyRange struct {
+	col     string
+	orig, n int // first conjunct folded, and how many
+	lo, hi  int64
 }
 
 // Counters aggregates planner activity over one or more queries; the
@@ -85,7 +105,7 @@ type Plan struct {
 type Counters struct {
 	IndexProbes      uint64 // index probes executed
 	IndexPruned      uint64 // pdf evaluations avoided by an index
-	PlannerFallbacks uint64 // queries the planner routed to a full scan
+	PlannerFallbacks uint64 // queries that scanned past an index (Plan.Fallback, degraded probes, multi-table FROM)
 	VecTuples        uint64 // filter-kernel tuples evaluated on the vectorized lanes
 	ScalarTuples     uint64 // filter-kernel tuples evaluated on the scalar path
 }
@@ -128,8 +148,10 @@ func Choose(ts *TableStats, ix *TableIndexes, conj []Conjunct, force bool) *Plan
 		orig     int
 		consumed bool
 		sel      float64
+		keys     keyRange
 	}
 	var opts []option
+	var folds []keyRange
 	for _, c := range conj {
 		switch c.Kind {
 		case ConjProbRange:
@@ -150,7 +172,7 @@ func Choose(ts *TableStats, ix *TableIndexes, conj []Conjunct, force bool) *Plan
 			if ts != nil {
 				sel = ts.Col(col).SelectivityProbRange(c.Lo, c.Hi, c.Threshold, ts.Rows)
 			}
-			opts = append(opts, option{AccessPTI, col, c.Orig, c.Op == region.GE, sel})
+			opts = append(opts, option{kind: AccessPTI, col: col, orig: c.Orig, consumed: c.Op == region.GE, sel: sel})
 		case ConjCmp:
 			if force || ix == nil || c.Col == "" || c.ColUncertain {
 				continue
@@ -158,19 +180,38 @@ func Choose(ts *TableStats, ix *TableIndexes, conj []Conjunct, force bool) *Plan
 			if _, ok := ix.bt[c.Col]; !ok {
 				continue
 			}
-			switch c.Op {
-			case region.EQ, region.LT, region.LE, region.GT, region.GE:
-			default:
+			lo, hi, ok := keyBounds(c.Op, c.Val)
+			if !ok {
 				continue
 			}
-			sel := defaultSelectivity
-			if ts != nil {
-				sel = ts.Col(c.Col).SelectivityCmp(c.Op, c.Val)
+			var r *keyRange
+			for i := range folds {
+				if folds[i].col == c.Col {
+					r = &folds[i]
+				}
 			}
-			// The btree candidate set is a superset (spill list, widened
-			// float bounds), so the conjunct always stays in the residual.
-			opts = append(opts, option{AccessBTree, c.Col, c.Orig, false, sel})
+			if r == nil {
+				folds = append(folds, keyRange{col: c.Col, orig: c.Orig, lo: math.MinInt64, hi: math.MaxInt64})
+				r = &folds[len(folds)-1]
+			}
+			r.n++
+			r.lo, r.hi = max(r.lo, lo), min(r.hi, hi)
 		}
+	}
+	// One btree option per column: the intersection of its conjuncts. The
+	// candidate list is a superset (spill list, integer-widened float
+	// bounds), so every folded conjunct stays in the residual.
+	for _, r := range folds {
+		sel := defaultSelectivity
+		switch {
+		case r.lo > r.hi:
+			sel = 0
+		case ts != nil && r.lo == r.hi:
+			sel = ts.Col(r.col).SelectivityCmp(region.EQ, core.Int(r.lo))
+		case ts != nil: // the keys lo..hi lie in [lo, hi+1) on the histogram's axis
+			sel = ts.Col(r.col).SelectivityRange(float64(r.lo), float64(r.hi)+1)
+		}
+		opts = append(opts, option{kind: AccessBTree, col: r.col, orig: r.orig, sel: sel, keys: r})
 	}
 	// Most selective probe wins; PTI breaks ties (pruning pdf evaluations
 	// is worth more than pruning certain comparisons). Position breaks the
@@ -190,6 +231,7 @@ func Choose(ts *TableStats, ix *TableIndexes, conj []Conjunct, force bool) *Plan
 		p.Col = best.col
 		p.Probe = best.orig
 		p.Consumed = best.consumed
+		p.Folded, p.KeyLo, p.KeyHi = best.keys.n, best.keys.lo, best.keys.hi
 		p.EstCand = best.sel * rows
 	} else {
 		p.EstCand = rows
@@ -203,6 +245,7 @@ func Choose(ts *TableStats, ix *TableIndexes, conj []Conjunct, force bool) *Plan
 		default:
 			p.Reason = "no indexable conjunct"
 		}
+		p.Fallback = ix.namesIndexed(conj)
 	}
 
 	// Residual probability conjuncts: cheapest-times-most-selective first.
@@ -258,14 +301,21 @@ func (p *Plan) Describe(conj []Conjunct) string {
 		}
 	default:
 		fmt.Fprintf(&b, "access: %s(%s)", p.Access, p.Col)
-		for _, c := range conj {
-			if c.Orig != p.Probe {
-				continue
-			}
-			if c.Kind == ConjProbRange {
-				fmt.Fprintf(&b, " Pr[%g,%g] %v %g", c.Lo, c.Hi, c.Op, c.Threshold)
-			} else {
-				fmt.Fprintf(&b, " %v %s", c.Op, c.Val.Render())
+		switch {
+		case p.Folded > 1 && p.KeyLo > p.KeyHi:
+			b.WriteString(" []") // contradictory bounds: spilled rows only
+		case p.Folded > 1:
+			fmt.Fprintf(&b, " [%s, %s]", renderKey(p.KeyLo), renderKey(p.KeyHi))
+		default:
+			for _, c := range conj {
+				if c.Orig != p.Probe {
+					continue
+				}
+				if c.Kind == ConjProbRange {
+					fmt.Fprintf(&b, " Pr[%g,%g] %v %g", c.Lo, c.Hi, c.Op, c.Threshold)
+				} else {
+					fmt.Fprintf(&b, " %v %s", c.Op, c.Val.Render())
+				}
 			}
 		}
 		if p.Consumed {
@@ -275,4 +325,16 @@ func (p *Plan) Describe(conj []Conjunct) string {
 		}
 	}
 	return b.String()
+}
+
+// renderKey prints one bound of a folded key range; the int64 extremes are
+// the unbounded sides.
+func renderKey(k int64) string {
+	switch k {
+	case math.MinInt64:
+		return "-inf"
+	case math.MaxInt64:
+		return "+inf"
+	}
+	return fmt.Sprint(k)
 }

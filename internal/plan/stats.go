@@ -221,24 +221,29 @@ func (cs *ColStats) SelectivityCmp(op region.Op, v core.Value) float64 {
 		return defaultSelectivity
 	}
 	f, ok := v.AsFloat()
-	if !ok || cs.Hist == nil {
+	if !ok {
 		return defaultSelectivity
 	}
-	total := cs.Hist.total()
-	if total == 0 {
-		return defaultSelectivity
-	}
-	below := cs.Hist.massBelow(f)
-	var kept float64
 	switch op {
 	case region.LT, region.LE:
-		kept = below
+		return cs.SelectivityRange(math.Inf(-1), f)
 	case region.GT, region.GE:
-		kept = total - below
-	default:
+		return cs.SelectivityRange(f, math.Inf(1))
+	}
+	return defaultSelectivity
+}
+
+// SelectivityRange estimates the fraction of rows whose value on a certain
+// column lies in [lo, hi], as interpolated histogram mass.
+func (cs *ColStats) SelectivityRange(lo, hi float64) float64 {
+	if cs == nil || cs.Uncertain || cs.Hist == nil {
 		return defaultSelectivity
 	}
-	return clamp01(kept / float64(rows))
+	rows := cs.Nulls + nonNullRows(cs)
+	if rows == 0 || cs.Hist.total() == 0 {
+		return defaultSelectivity
+	}
+	return clamp01(cs.Hist.massIn(lo, hi) / float64(rows))
 }
 
 func nonNullRows(cs *ColStats) int64 {

@@ -248,36 +248,48 @@ func (db *DB) execInsert(s Insert) (*Result, error) {
 		return nil, fmt.Errorf("query: no table %q", s.Table)
 	}
 	before := t.Len()
+	err := insertRows(t, s)
+	// The rows ahead of a failing one stay in the table, so the indexes
+	// learn of them on the error path too.
+	if nerr := db.noteInserted(s.Table, t, before); err == nil {
+		err = nerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Message: fmt.Sprintf("inserted %d", len(s.Rows)), Affected: len(s.Rows)}, nil
+}
+
+// insertRows appends the statement's rows to t in order, stopping at the
+// first one it cannot build or insert.
+func insertRows(t *core.Table, s Insert) error {
 	for _, row := range s.Rows {
 		r := core.Row{Values: map[string]core.Value{}}
 		for i, target := range s.Targets {
 			switch e := row[i].(type) {
 			case LitExpr:
 				if target.Group {
-					return nil, fmt.Errorf("query: dependency-set target %v needs a pdf, got literal", target.Cols)
+					return fmt.Errorf("query: dependency-set target %v needs a pdf, got literal", target.Cols)
 				}
 				col, found := t.Schema().Lookup(target.Cols[0])
 				if !found {
-					return nil, fmt.Errorf("query: no column %q in %s", target.Cols[0], s.Table)
+					return fmt.Errorf("query: no column %q in %s", target.Cols[0], s.Table)
 				}
 				if col.Uncertain {
-					return nil, fmt.Errorf("query: column %q is uncertain; supply a pdf literal", col.Name)
+					return fmt.Errorf("query: column %q is uncertain; supply a pdf literal", col.Name)
 				}
 				r.Values[col.Name] = e.V
 			case PDFExpr:
 				r.PDFs = append(r.PDFs, core.PDF{Attrs: target.Cols, Dist: e.D})
 			default:
-				return nil, fmt.Errorf("query: unsupported value expression %T", row[i])
+				return fmt.Errorf("query: unsupported value expression %T", row[i])
 			}
 		}
 		if err := t.Insert(r); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := db.noteInserted(s.Table, t, before); err != nil {
-		return nil, err
-	}
-	return &Result{Message: fmt.Sprintf("inserted %d", len(s.Rows)), Affected: len(s.Rows)}, nil
+	return nil
 }
 
 func (db *DB) execSelect(s SelectStmt) (*Result, error) {
@@ -553,11 +565,13 @@ func (db *DB) execDelete(s Delete) (*Result, error) {
 		removed = append(removed, tup)
 		return true
 	})
+	// The tuples removed ahead of a failing one stay removed, so the indexes
+	// forget them on the error path too.
+	if err := db.noteDeleted(s.Table, removed); evalErr == nil {
+		evalErr = err
+	}
 	if evalErr != nil {
 		return nil, evalErr
-	}
-	if err := db.noteDeleted(s.Table, removed); err != nil {
-		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("deleted %d", n), Affected: n}, nil
 }

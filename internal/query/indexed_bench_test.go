@@ -1,0 +1,85 @@
+package query
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// indexedReadings loads n rows shaped like the end-to-end benchmark's
+// readings table — btree on rid, PTI on value when asked for, score
+// unindexed — and analyzes it. Gaussian means are spread evenly over
+// [20, 80).
+func indexedReadings(tb testing.TB, n int, pti bool) *DB {
+	tb.Helper()
+	db := Open()
+	db.SetParallelism(1)
+	exec := func(sql string) {
+		if _, err := db.Exec(sql); err != nil {
+			tb.Fatalf("exec %.80q: %v", sql, err)
+		}
+	}
+	exec(`CREATE TABLE readings (rid INT, sensor INT, value FLOAT UNCERTAIN, score FLOAT)`)
+	for i := 0; i < n; {
+		var b strings.Builder
+		b.WriteString(`INSERT INTO readings (rid, sensor, value, score) VALUES `)
+		for j := 0; j < 500 && i < n; i, j = i+1, j+1 {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			mean := 20 + float64(i*7919%6000)/100
+			fmt.Fprintf(&b, "(%d, %d, GAUSSIAN(%g, 4), %d.5)", i, i%97, mean, i%1000)
+		}
+		exec(b.String())
+	}
+	exec(`CREATE INDEX ON readings (rid)`)
+	if pti {
+		exec(`CREATE INDEX ON readings (value)`)
+	}
+	exec(`ANALYZE readings`)
+	return db
+}
+
+// The three indexed statement shapes of the benchmark's point_read workload.
+func pointSQL(n, i int) string {
+	return fmt.Sprintf(`SELECT rid, sensor, value, score FROM readings WHERE rid = %d`, i*7919%n)
+}
+
+func range50SQL(n, i int) string {
+	lo := i * 7919 % (n - 50)
+	return fmt.Sprintf(`SELECT rid, value FROM readings WHERE rid >= %d AND rid < %d`, lo, lo+50)
+}
+
+func pti1pctSQL(i int) string {
+	lo := 30 + float64(i*37%4000)/100
+	return fmt.Sprintf(`SELECT rid FROM readings WHERE PROB(value IN [%g, %g]) >= 0.5`, lo, lo+2.74)
+}
+
+// BenchmarkIndexedSelect times the indexed SELECT shapes at the DB level
+// over 25 000 rows: a btree point lookup, a 50-row two-sided btree range,
+// and a PTI range-threshold probe keeping about 1 % of the table.
+func BenchmarkIndexedSelect(b *testing.B) {
+	const n = 25000
+	db := indexedReadings(b, n, true)
+	for _, c := range []struct {
+		name string
+		sql  func(i int) string
+	}{
+		{"point", func(i int) string { return pointSQL(n, i) }},
+		{"range50", func(i int) string { return range50SQL(n, i) }},
+		{"pti1pct", pti1pctSQL},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				r, err := db.Exec(c.sql(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += r.Affected
+			}
+			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"probdb/internal/core"
+	"probdb/internal/index"
 	"probdb/internal/plan"
 )
 
@@ -97,11 +98,11 @@ func (db *DB) execCreateIndex(s CreateIndex) (*Result, error) {
 	ix := db.indexes[s.Table]
 	if ix == nil {
 		ix = plan.NewTableIndexes()
-		db.indexes[s.Table] = ix
 	}
 	if err := ix.Create(t, s.Col); err != nil {
 		return nil, err
 	}
+	db.indexes[s.Table] = ix // only a table with an index has an entry
 	kind := ix.Cols()[s.Col]
 	return &Result{Message: fmt.Sprintf("created %s index %s on %s(%s)", kind, s.Name, s.Table, s.Col)}, nil
 }
@@ -284,14 +285,13 @@ func (db *DB) planAccess(s SelectStmt, base *core.Table) (*core.Table, *pipeline
 
 	acc := t
 	if pl.Access != plan.AccessScan {
-		probed := s.Where[pl.Probe]
-		var cand map[int64]bool
+		var cand []int64
 		ok := false
 		switch pl.Access {
 		case plan.AccessPTI:
-			if set, st, got := ix.ProbePTI(pl.Col, probed.Lo, probed.Hi, probed.Threshold); got {
-				cand, ok = set, true
-				pr.counters.IndexProbes++
+			probed := s.Where[pl.Probe]
+			var st index.Stats
+			if cand, st, ok = ix.ProbePTI(pl.Col, probed.Lo, probed.Hi, probed.Threshold); ok {
 				// Every live pdf the probe did not integrate is work the
 				// naive scan would have done.
 				if skipped := t.Len() - st.Verified; skipped > 0 {
@@ -299,34 +299,25 @@ func (db *DB) planAccess(s SelectStmt, base *core.Table) (*core.Table, *pipeline
 				}
 			}
 		case plan.AccessBTree:
-			lit := probed.Right.Lit
-			op := probed.Op
-			if !probed.Left.IsCol {
-				lit, op = probed.Left.Lit, probed.Op.Flip()
-			}
-			if set, got := ix.ProbeBTree(pl.Col, op, lit); got {
-				cand, ok = set, true
-				pr.counters.IndexProbes++
+			if cand, ok = ix.ProbeKeys(pl.Col, pl.KeyLo, pl.KeyHi); ok {
+				if skipped := t.Len() - len(cand); skipped > 0 {
+					pr.counters.IndexPruned += uint64(skipped)
+				}
 			}
 		}
 		if !ok {
-			// Probe unusable at runtime (e.g. unindexable literal): degrade
-			// to the scan plan — never to a wrong answer.
+			// Probe failed at runtime: degrade to the scan plan — never to
+			// a wrong answer.
 			pl.Access = plan.AccessScan
 			pl.Consumed = false
 			pl.Reason = "probe degraded to scan"
 			pl.ResidualProb = residualAll(conj)
 			pr.counters.PlannerFallbacks++
 		} else {
-			tups := ix.Restrict(t, cand)
-			if pl.Access == plan.AccessBTree {
-				if skipped := t.Len() - len(tups); skipped > 0 {
-					pr.counters.IndexPruned += uint64(skipped)
-				}
-			}
-			acc = t.Restrict(fmt.Sprintf("%s[%s:%s]", t.Name, pl.Access, pl.Col), tups)
+			pr.counters.IndexProbes++
+			acc = t.Restrict(fmt.Sprintf("%s[%s:%s]", t.Name, pl.Access, pl.Col), ix.Restrict(t, cand))
 		}
-	} else if ix != nil && len(s.Where) > 0 {
+	} else if pl.Fallback {
 		pr.counters.PlannerFallbacks++
 	}
 	return acc, pr

@@ -233,6 +233,55 @@ func TestPlannerCountersOnResult(t *testing.T) {
 	if r.Planner.PlannerFallbacks == 0 {
 		t.Error("multi-table query over an indexed table did not count a fallback")
 	}
+	// A single-table scan is a fallback only when its WHERE clause names an
+	// indexed column the planner could not probe.
+	mustExec(t, db, `CREATE INDEX ON sensors (sid)`)
+	for q, want := range map[string]uint64{
+		`SELECT sid FROM sensors WHERE site = 's1' ORDER BY sid LIMIT 3`: 0, // no index on site
+		`SELECT sid FROM sensors WHERE PROB(hum IN [45, 55]) >= 0.3`:     0, // nor on hum
+		`SELECT sid FROM sensors`:                                        0,
+		`SELECT sid FROM sensors WHERE sid = 'x'`:                        1, // unindexable literal
+		`SELECT sid FROM sensors WHERE sid <> 4`:                         1, // operator with no btree path
+		`SELECT sid FROM sensors WHERE PROB(temp IN [20, 24]) < 0.7`:     1, // threshold the PTI cannot serve
+		`SELECT sid FROM sensors WHERE sid = 2.5`:                        0, // served from the spill list
+	} {
+		if got := mustExec(t, db, q).Planner.PlannerFallbacks; got != want {
+			t.Errorf("%s: %d fallbacks, want %d", q, got, want)
+		}
+	}
+	if r = mustExec(t, db, `SELECT sid FROM sensors WHERE sid = 2.5`); r.Planner.IndexProbes != 1 || r.Affected != 0 {
+		t.Errorf("non-integral equality: %+v, %d rows", r.Planner, r.Affected)
+	}
+}
+
+// TestExplainFoldedRange: comparisons on one btree column, literal on either
+// side, fold into one key range on the access line; a lone comparison keeps
+// the line it always had.
+func TestExplainFoldedRange(t *testing.T) {
+	db := Open()
+	plannerFixture(t, db)
+	mustExec(t, db, `CREATE INDEX ON sensors (sid)`)
+	for q, want := range map[string]string{
+		`SELECT sid FROM sensors WHERE sid >= 100 AND sid < 150`:           "access: btree(sid) [100, 149] [re-verified]",
+		`SELECT sid FROM sensors WHERE 5 < sid AND sid <= 9.5`:             "access: btree(sid) [6, 9] [re-verified]",
+		`SELECT sid FROM sensors WHERE sid > 10 AND sid < 5`:               "access: btree(sid) [] [re-verified]",
+		`SELECT sid FROM sensors WHERE site = 's0' AND 30 > sid`:           "access: btree(sid) < 30 [re-verified]",
+		`SELECT sid FROM sensors WHERE sid = 55`:                           "access: btree(sid) = 55 [re-verified]",
+		`SELECT sid FROM sensors WHERE sid = 'x'`:                          "access: scan (no indexable conjunct)",
+		`SELECT sid FROM sensors WHERE sid >= 20 AND PROB(temp) > 0.5`:     "access: btree(sid) >= 20 [re-verified]",
+		`SELECT sid FROM sensors WHERE sid >= 20 AND sid = 25 AND sid < 9`: "access: btree(sid) [] [re-verified]",
+	} {
+		msg := mustExec(t, db, `EXPLAIN `+q).Message
+		if !strings.Contains(msg, want+"\n") {
+			t.Errorf("EXPLAIN %s:\n%s\nwant line %q", q, msg, want)
+		}
+	}
+	// Candidates are the range, not half the table: of 120 rows the probe
+	// keeps the 45 non-NULL sids in [50, 100) and the 11 spilled NULLs.
+	r := mustExec(t, db, `SELECT sid FROM sensors WHERE sid >= 50 AND sid < 100`)
+	if r.Planner.IndexPruned != 120-45-11 || r.Affected != 45 {
+		t.Errorf("two-sided range pruned %d rows and returned %d", r.Planner.IndexPruned, r.Affected)
+	}
 }
 
 func TestParseAnalyzeCreateIndex(t *testing.T) {
