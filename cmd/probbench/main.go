@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	probbench [-exp fig4|fig5|fig6|ablations|parallel|planner|stream|txn|columnar|cluster|all] [-full] [-seed N] [-json out.json]
+//	probbench [-exp fig4|fig5|fig6|ablations|parallel|planner|txn|columnar|cluster|all] [-full] [-seed N] [-json out.json]
 //
 // -full runs Fig. 5 at the paper's 0.5M-3M tuple scale (gigabytes of page
 // files and several minutes); the default sweep is scaled down by 10x while
@@ -37,7 +37,7 @@ type jsonDoc struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig4, fig5, fig6, ablations, parallel, planner, stream, txn, columnar, cluster, all")
+	exp := flag.String("exp", "all", "experiment to run: fig4, fig5, fig6, ablations, parallel, planner, txn, columnar, cluster, all")
 	full := flag.Bool("full", false, "run Fig. 5 at the paper's 0.5M-3M tuple scale")
 	seed := flag.Int64("seed", 0, "override workload seed (0 = per-experiment defaults)")
 	fig6hist := flag.Bool("fig6-hist", false, "run Fig. 6 over histogram pdfs instead of discrete ones")
@@ -150,20 +150,6 @@ func main() {
 		}
 		doc.Experiments["planner"] = rows
 		fmt.Print(bench.FormatPlanner(rows))
-		fmt.Println()
-	}
-	if run("stream") {
-		ok = true
-		cfg := bench.DefaultStream
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		rows, err := bench.Stream(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		doc.Experiments["stream"] = rows
-		fmt.Print(bench.FormatStream(rows))
 		fmt.Println()
 	}
 	if run("txn") {

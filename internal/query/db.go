@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"probdb/internal/core"
 	"probdb/internal/dist"
 	"probdb/internal/exec"
+	"probdb/internal/pipe"
 	"probdb/internal/plan"
 )
 
@@ -31,11 +33,6 @@ type DB struct {
 	stats     map[string]*plan.TableStats
 	indexes   map[string]*plan.TableIndexes
 	forceScan bool
-
-	// legacyExec forces the materializing execution strategy for SELECT
-	// (stream.go builds pipelined operator trees by default). The
-	// differential suite and bench.Stream flip it to compare the two.
-	legacyExec bool
 }
 
 // Open creates an empty database.
@@ -292,63 +289,26 @@ func insertRows(t *core.Table, s Insert) error {
 	return nil
 }
 
-func (db *DB) execSelect(s SelectStmt) (*Result, error) {
-	if db.legacyExec {
-		return db.execSelectLegacy(s)
-	}
-	return db.execSelectPipelined(s)
-}
-
-// execSelectLegacy is the materializing execution strategy: every operator
-// builds its full output table before the next runs. Kept (behind
-// SetLegacyExec) as the differential baseline the pipelined executor must
-// match byte for byte, and as the memory-usage baseline of bench.Stream.
-func (db *DB) execSelectLegacy(s SelectStmt) (*Result, error) {
-	pr, err := db.selectPipeline(s)
-	if err != nil {
-		return nil, err
-	}
-	acc := pr.acc
-	if s.Agg != "" {
-		r, err := execAggregate(s, acc)
-		if err != nil {
-			return nil, err
-		}
-		r.Planner = pr.counters
-		return r, nil
-	}
-	if s.OrderCol != "" {
-		if acc, err = execOrderBy(s, acc); err != nil {
-			return nil, err
-		}
-	}
-	if s.Limit != nil {
-		acc = acc.Head(*s.Limit)
-	}
-	if !s.Star {
-		if acc, err = acc.Project(s.Cols...); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Table: acc, Affected: acc.Len(), Planner: pr.counters}, nil
-}
-
 // execExplain reports the chosen physical plan: the operator chain (the
 // derived table name spells out the applied operators), the access path
 // with estimated vs actual cardinality and index probe/prune counters, the
 // dependency information after closure, phantom attributes, the degree of
-// parallelism, and the pdf-mass cache traffic. It runs the filtering stages
-// (the actual cardinality requires them) but materializes nothing past
-// them: no ordering, no projection of the rows, no aggregation, no
-// rendering.
+// parallelism, and the pdf-mass cache traffic. It drains the same filter
+// tree a SELECT runs (the actual cardinality and the kernel counters require
+// it) but nothing past it: no ordering, no projection of the rows, no
+// aggregation, no rendering.
 func (db *DB) execExplain(s Explain) (*Result, error) {
 	before := db.reg.MassCache().Stats()
 	colHitsBefore, colMissesBefore := db.reg.ColCache().Counters()
-	pr, err := db.selectPipeline(s.Query)
+	root, pr, err := db.buildFilterTree(s.Query)
 	if err != nil {
 		return nil, err
 	}
-	acc := pr.acc
+	acc, err := pipe.Drain(context.Background(), root)
+	if err != nil {
+		return nil, err
+	}
+	pr.harvestKernels()
 	// The dependency/phantom shape needs the projection applied (phantom
 	// retention depends on the surviving tuples' masses), but projection is
 	// pointer work — no pdfs are evaluated and no rows rendered.
@@ -415,64 +375,6 @@ func sqrt(v float64) float64 {
 	return math.Sqrt(v)
 }
 
-// execOrderBy sorts the result by a certain column or by Pr(column) — the
-// latter is the classic most-probable-tuples ranking. Both executors share
-// orderComparator (stream.go), so a stable full sort here and the bounded
-// top-k heap there produce the same ordering, tuple for tuple.
-func execOrderBy(s SelectStmt, acc *core.Table) (*core.Table, error) {
-	less, prep, err := orderComparator(acc, s)
-	if err != nil {
-		return nil, err
-	}
-	if prep != nil {
-		// Precompute probabilities once; fail fast on bad tuples.
-		for _, tup := range acc.Tuples() {
-			if err := prep(tup); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return acc.Sorted(func(_ *core.Table, a, b *core.Tuple) bool {
-		return less(a, b)
-	}), nil
-}
-
-// fromClause resolves the FROM list into one (possibly crossed/joined)
-// table. With multiple tables, every table's columns are exposed as
-// "<alias-or-name>.<column>"; a single table keeps bare names. A certain
-// equality predicate between two adjacent tables upgrades the cross product
-// to a hash equi-join.
-func (db *DB) fromClause(s SelectStmt) (*core.Table, error) {
-	refs := s.From
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("query: empty FROM")
-	}
-	if len(refs) == 1 {
-		return db.resolveRef(refs[0], false)
-	}
-	acc, err := db.resolveRef(refs[0], true)
-	if err != nil {
-		return nil, err
-	}
-	for _, ref := range refs[1:] {
-		next, err := db.resolveRef(ref, true)
-		if err != nil {
-			return nil, err
-		}
-		l, r, joined := equiJoinKeys(s, acc, next)
-		if joined {
-			if acc, err = acc.EquiJoin(next, l, r); err != nil {
-				return nil, err
-			}
-		} else {
-			if acc, err = acc.CrossProduct(next); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return acc, nil
-}
-
 // resolveRef looks up one FROM entry, applying the per-query parallelism
 // view and (for multi-table FROM lists) the "<alias-or-name>." column
 // prefix. The catalog table itself is never mutated under the read lock.
@@ -493,9 +395,9 @@ func (db *DB) resolveRef(ref TableRef, qualify bool) (*core.Table, error) {
 }
 
 // equiJoinKeys finds the first certain = certain WHERE condition with one
-// side in acc and the other in next — the equi-join upgrade both executors
-// apply. Only schemas are consulted, so the streaming builder can make the
-// identical decision from an operator header.
+// side in acc and the other in next — the upgrade of a cross product to a
+// hash equi-join. Only schemas are consulted, so the tree builder decides
+// from an operator header.
 func equiJoinKeys(s SelectStmt, acc, next *core.Table) (left, right string, ok bool) {
 	for _, c := range s.Where {
 		if c.Kind != CondCmp || c.Op.String() != "=" || !c.Left.IsCol || !c.Right.IsCol {

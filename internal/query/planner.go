@@ -140,11 +140,10 @@ func (db *DB) dropPlannerState(name string) {
 	delete(db.indexes, name)
 }
 
-// pipelineResult is the outcome of the filtering stages of a SELECT: the
-// filtered table before aggregation/ordering/projection, plus everything
-// EXPLAIN needs to describe what happened.
+// pipelineResult is the planning record of the filtering stages of a
+// SELECT: the access-path decision, the probe counters and the kernels whose
+// reports EXPLAIN and the Result's planner counters are built from.
 type pipelineResult struct {
-	acc      *core.Table
 	plan     *plan.Plan      // nil when the naive multi-table path ran
 	conj     []plan.Conjunct // planner's view of the WHERE clause
 	hasStats bool
@@ -176,104 +175,11 @@ func (pr *pipelineResult) harvestKernels() {
 	}
 }
 
-// selectPipeline resolves FROM and applies the WHERE clause, routing
-// single-table queries through the planner. Callers hold (at least) the
-// read lock.
-func (db *DB) selectPipeline(s SelectStmt) (*pipelineResult, error) {
-	if len(s.From) == 1 {
-		if t, ok := db.tables[s.From[0].Name]; ok {
-			return db.plannedPipeline(s, t)
-		}
-	}
-	return db.naivePipeline(s)
-}
-
-// naivePipeline is the original execution strategy: full scans, conjuncts
-// in written order. Multi-table queries (joins, cross products) always take
-// it; the fallback counter records when that bypassed an existing index.
-func (db *DB) naivePipeline(s SelectStmt) (*pipelineResult, error) {
-	pr := &pipelineResult{}
-	for _, ref := range s.From {
-		if db.indexes[ref.Name] != nil {
-			pr.counters.PlannerFallbacks++
-			break
-		}
-	}
-	acc, err := db.fromClause(s)
-	if err != nil {
-		return nil, err
-	}
-	var atoms []core.Atom
-	var probConds []Cond
-	for _, c := range s.Where {
-		switch c.Kind {
-		case CondCmp:
-			atoms = append(atoms, core.Cmp(toCoreOperand(c.Left), c.Op, toCoreOperand(c.Right)))
-		default:
-			probConds = append(probConds, c)
-		}
-	}
-	if len(atoms) > 0 {
-		sel, serr := acc.PlanSelect(atoms...)
-		if serr != nil {
-			return nil, serr
-		}
-		pr.kernels = append(pr.kernels, sel)
-		if acc, err = acc.RunSelection(sel); err != nil {
-			return nil, err
-		}
-	}
-	for _, c := range probConds {
-		if acc, err = applyProbCond(pr, acc, c); err != nil {
-			return nil, err
-		}
-	}
-	pr.acc = acc
-	pr.harvestKernels() // materializing path: stages have already run
-	return pr, nil
-}
-
-// plannedPipeline executes a single-table WHERE clause through the planner:
-// index probe (when safe), comparison conjuncts in written order, residual
-// probability conjuncts in the planner's order.
-func (db *DB) plannedPipeline(s SelectStmt, base *core.Table) (*pipelineResult, error) {
-	acc, pr := db.planAccess(s, base)
-	// Comparison conjuncts: written order, one Select call — exactly the
-	// naive path, just over fewer tuples.
-	var atoms []core.Atom
-	for _, c := range s.Where {
-		if c.Kind == CondCmp {
-			atoms = append(atoms, core.Cmp(toCoreOperand(c.Left), c.Op, toCoreOperand(c.Right)))
-		}
-	}
-	var err error
-	if len(atoms) > 0 {
-		sel, serr := acc.PlanSelect(atoms...)
-		if serr != nil {
-			return nil, serr
-		}
-		pr.kernels = append(pr.kernels, sel)
-		if acc, err = acc.RunSelection(sel); err != nil {
-			return nil, err
-		}
-	}
-	for _, orig := range pr.plan.ResidualProb {
-		if acc, err = applyProbCond(pr, acc, s.Where[orig]); err != nil {
-			return nil, err
-		}
-	}
-	pr.acc = acc
-	pr.harvestKernels() // materializing path: stages have already run
-	return pr, nil
-}
-
-// planAccess runs the access-path half of the planned pipeline: choose a
+// planAccess runs the access-path half of a single-table SELECT: choose a
 // plan, probe the index, and narrow the scan to the candidate set. It
 // returns the source table the filter stages run over — the base table for
 // a scan plan, or a Restrict of the index candidates — and the plan record
-// with the probe counters filled in. Both the materializing and the
-// pipelined executor start from here, which is what keeps their access
-// decisions (and therefore their results) identical.
+// with the probe counters filled in.
 func (db *DB) planAccess(s SelectStmt, base *core.Table) (*core.Table, *pipelineResult) {
 	name := s.From[0].Name
 	t := base.WithParallelism(db.par)
@@ -333,20 +239,6 @@ func residualAll(conj []plan.Conjunct) []int {
 		}
 	}
 	return out
-}
-
-func applyProbCond(pr *pipelineResult, acc *core.Table, c Cond) (*core.Table, error) {
-	var sel *core.ProbSelection
-	switch c.Kind {
-	case CondProb:
-		sel = acc.PlanProbSelect(c.ProbCols, c.Op, c.Threshold)
-	case CondProbRange:
-		sel = acc.PlanRangeThreshold(c.ProbCols[0], c.Lo, c.Hi, c.Op, c.Threshold)
-	default:
-		return nil, fmt.Errorf("query: unsupported condition kind %d", c.Kind)
-	}
-	pr.kernels = append(pr.kernels, sel)
-	return acc.RunProbSelection(sel)
 }
 
 // planConjuncts translates the WHERE clause into the planner's view,

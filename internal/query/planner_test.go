@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"probdb/internal/pipe"
 )
 
 // plannerFixture loads a table with a spread of pdf kinds, certain values,
@@ -215,6 +217,57 @@ func TestExplainUsesIndexWithoutMaterializing(t *testing.T) {
 	msg = mustExec(t, db, `EXPLAIN SELECT sid FROM sensors WHERE temp < 25 AND PROB(temp IN [20, 30]) >= 0.6`).Message
 	if !strings.Contains(msg, "access: scan (uncertain column floored by comparison)") {
 		t.Errorf("floored query should scan:\n%s", msg)
+	}
+}
+
+// TestExplainRunsPipelinedTree: EXPLAIN drains the filter tree a SELECT runs,
+// so for the whole corpus its "rows:" line is the statement's row count
+// ahead of ORDER BY / LIMIT and its planner counters (probes, pruned,
+// fallbacks, vectorized and scalar tuples) are the statement's own; a filter
+// stage failing mid-drain closes every operator.
+func TestExplainRunsPipelinedTree(t *testing.T) {
+	queries := append(append([]string{}, differentialQueries...), streamDifferentialQueries...)
+	for _, par := range []int{1, 4} {
+		for _, indexed := range []bool{false, true} {
+			db := Open()
+			db.SetParallelism(par)
+			plannerFixture(t, db)
+			if indexed {
+				mustExec(t, db, `ANALYZE sensors`)
+				mustExec(t, db, `CREATE INDEX ON sensors (temp)`)
+				mustExec(t, db, `CREATE INDEX ON sensors (sid)`)
+			}
+			for _, q := range queries {
+				stmt, err := Parse(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := stmt.(SelectStmt)
+				s.OrderCol, s.Limit, s.Agg, s.Star = "", nil, "", true // the filter stages alone
+				want, err := db.execStmt(s)
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				got := mustExec(t, db, `EXPLAIN `+q)
+				if !strings.Contains(got.Message, fmt.Sprintf("\nrows: %d\n", want.Affected)) {
+					t.Errorf("par=%d indexed=%v EXPLAIN %s: want rows: %d in\n%s", par, indexed, q, want.Affected, got.Message)
+				}
+				if got.Planner != want.Planner {
+					t.Errorf("par=%d indexed=%v EXPLAIN %s: counters %+v, statement's %+v", par, indexed, q, got.Planner, want.Planner)
+				}
+			}
+			for _, q := range []string{
+				`EXPLAIN SELECT * FROM sensors WHERE sid < 90 AND PROB(sid IN [0, 1]) > 0.5`, // threshold over a certain column
+				`EXPLAIN SELECT sid FROM sensors WHERE PROB(temp) > 0.1 AND PROB(nope) > 0.5`,
+			} {
+				if _, err := db.Exec(q); err == nil {
+					t.Errorf("%s: expected the threshold to fail mid-drain", q)
+				}
+			}
+			if n := pipe.OpenOperators(); n != 0 {
+				t.Fatalf("par=%d indexed=%v: pipe.OpenOperators() = %d", par, indexed, n)
+			}
+		}
 	}
 }
 

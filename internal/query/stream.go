@@ -8,13 +8,13 @@ import (
 	"probdb/internal/pipe"
 )
 
-// This file is the pipelined execution strategy: SELECT statements compile
-// to a tree of internal/pipe operators over the same core kernels the
-// materializing path uses, so the two strategies produce byte-identical
-// tables while the pipelined one holds O(batch) rows, stops the scan early
-// under LIMIT, and can stream batches to a sink before the scan finishes.
+// This file is how a SELECT executes: the statement compiles to a tree of
+// internal/pipe operators over the compiled core kernels, which holds
+// O(batch) rows, stops the scan early under LIMIT, and can hand batches to
+// a sink before the scan finishes. Exec drains the tree into a Result
+// table; ExecStream runs the same tree into the caller's sink.
 //
-// Plan shape (mirroring the legacy operator chain exactly):
+// Plan shape:
 //
 //	Scan(access path) → Filter(all comparison atoms, one kernel)
 //	                  → ProbFilter* (planner's residual order)
@@ -22,39 +22,12 @@ import (
 //	                  → Project (breaker; placed after Limit so it buffers
 //	                    at most the limit)
 
-// SetLegacyExec forces the materializing execution strategy for SELECT.
-// Results are identical either way; the knob exists for differential tests
-// and memory benchmarks.
-func (db *DB) SetLegacyExec(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.legacyExec = on
-}
-
-// execSelectPipelined runs a SELECT through the operator tree. Aggregates
-// drain the filter stages (an aggregate consumes its whole input by
-// definition); everything else drains the full tree into a Result table.
-func (db *DB) execSelectPipelined(s SelectStmt) (*Result, error) {
-	root, pr, err := db.buildFilterTree(s)
+// execSelect drains a SELECT's operator tree into a Result table. An
+// aggregate consumes its whole filtered input by definition, so its tree
+// ends at the filter stages and the drained table feeds execAggregate.
+func (db *DB) execSelect(s SelectStmt) (*Result, error) {
+	root, pr, err := db.buildSelectTree(s)
 	if err != nil {
-		return nil, err
-	}
-	if s.Agg != "" {
-		acc, err := pipe.Drain(context.Background(), root)
-		if err != nil {
-			return nil, err
-		}
-		pr.harvestKernels()
-		r, err := execAggregate(s, acc)
-		if err != nil {
-			return nil, err
-		}
-		r.Planner = pr.counters
-		return r, nil
-	}
-	root, err = addOrderStages(root, s)
-	if err != nil {
-		root.Close() //nolint:errcheck
 		return nil, err
 	}
 	acc, err := pipe.Drain(context.Background(), root)
@@ -62,6 +35,14 @@ func (db *DB) execSelectPipelined(s SelectStmt) (*Result, error) {
 		return nil, err
 	}
 	pr.harvestKernels()
+	if s.Agg != "" {
+		r, err := execAggregate(s, acc)
+		if err != nil {
+			return nil, err
+		}
+		r.Planner = pr.counters
+		return r, nil
+	}
 	return &Result{Table: acc, Affected: acc.Len(), Planner: pr.counters}, nil
 }
 
@@ -86,13 +67,8 @@ func (db *DB) ExecStream(ctx context.Context, sql string, sink func(hdr *core.Ta
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	root, pr, err := db.buildFilterTree(s)
+	root, pr, err := db.buildSelectTree(s)
 	if err != nil {
-		return nil, err
-	}
-	root, err = addOrderStages(root, s)
-	if err != nil {
-		root.Close() //nolint:errcheck
 		return nil, err
 	}
 	rows := 0
@@ -105,6 +81,21 @@ func (db *DB) ExecStream(ctx context.Context, sql string, sink func(hdr *core.Ta
 	}
 	pr.harvestKernels()
 	return &Result{Affected: rows, Planner: pr.counters}, nil
+}
+
+// buildSelectTree is the one tree builder behind Exec and ExecStream: the
+// filter tree, then (for everything but an aggregate) ordering, limit and
+// projection. Callers hold (at least) the read lock.
+func (db *DB) buildSelectTree(s SelectStmt) (pipe.Operator, *pipelineResult, error) {
+	root, pr, err := db.buildFilterTree(s)
+	if err != nil || s.Agg != "" {
+		return root, pr, err
+	}
+	if root, err = addOrderStages(root, s); err != nil {
+		root.Close() //nolint:errcheck
+		return nil, nil, err
+	}
+	return root, pr, nil
 }
 
 // buildFilterTree compiles FROM + WHERE into a streaming operator tree:
@@ -122,8 +113,7 @@ func (db *DB) buildFilterTree(s SelectStmt) (pipe.Operator, *pipelineResult, err
 }
 
 // buildPlannedTree is the single-table path: the planner chooses the
-// access path (shared with the legacy executor via planAccess), then the
-// residual conjuncts stream.
+// access path (planAccess), then the residual conjuncts stream.
 func (db *DB) buildPlannedTree(s SelectStmt, base *core.Table) (pipe.Operator, *pipelineResult, error) {
 	src, pr := db.planAccess(s, base)
 	var root pipe.Operator = pipe.NewScan(src)
@@ -150,10 +140,11 @@ func (db *DB) buildPlannedTree(s SelectStmt, base *core.Table) (pipe.Operator, *
 	return root, pr, nil
 }
 
-// buildNaiveTree is the multi-table path: a left-deep join tree replicating
-// fromClause's equi-join upgrade decisions (made on operator headers — the
-// decisions only read schemas), then every comparison atom in one Filter
-// and the probability conjuncts in written order.
+// buildNaiveTree is the multi-table path: a left-deep join tree in FROM
+// order, each step an equi-join when equiJoinKeys finds a certain equality
+// between the two sides and a cross product otherwise, then every
+// comparison atom in one Filter and the probability conjuncts in written
+// order. Every table's columns are exposed as "<alias-or-name>.<column>".
 func (db *DB) buildNaiveTree(s SelectStmt) (pipe.Operator, *pipelineResult, error) {
 	if len(s.From) == 0 {
 		return nil, nil, fmt.Errorf("query: empty FROM")
@@ -259,9 +250,10 @@ func addOrderStages(root pipe.Operator, s SelectStmt) (pipe.Operator, error) {
 	return root, nil
 }
 
-// orderComparator builds the ORDER BY comparator both executors share: a
-// total order (so the stable full sort and the bounded top-k heap agree on
-// every prefix) with NULL keys after all values regardless of direction.
+// orderComparator builds the ORDER BY comparator — by a certain column, or
+// by Pr(column), the classic most-probable-tuples ranking: a total order (so
+// the stable full sort and the bounded top-k heap agree on every prefix)
+// with NULL keys after all values regardless of direction.
 // For ORDER BY PROB(col), prep computes each tuple's probability exactly
 // once before any comparison and fails the query on the first bad tuple.
 func orderComparator(t *core.Table, s SelectStmt) (less func(a, b *core.Tuple) bool, prep func(*core.Tuple) error, err error) {

@@ -82,8 +82,8 @@ type quarantined struct {
 type EngineConfig struct {
 	// Dir is the data directory; empty means an ephemeral in-memory engine.
 	Dir string
-	// PoolPages is the buffer-pool capacity used for write-through pools
-	// and per-query scan pools. Default 64.
+	// PoolPages is the buffer-pool capacity used for checkpoint-snapshot
+	// pools and per-query scan pools. Default 64.
 	PoolPages int
 	// CheckpointBytes auto-checkpoints when the WAL grows past this many
 	// bytes. Default 1 MiB; negative disables auto-checkpointing.
@@ -590,8 +590,9 @@ func isCheckpointSQL(sql string) bool {
 
 // Execute runs one statement on the engine's default session and packages
 // its outcome, including latency, buffer-pool traffic, and WAL bytes, as a
-// wire Result. Network connections each hold their own Session (giving them
-// independent transactions); Execute exists for tests and embedded callers.
+// wire Result (see Session.Execute). Network connections each hold their own
+// Session (giving them independent transactions); Execute exists for tests
+// and embedded callers.
 func (e *Engine) Execute(sql string) (*wire.Result, error) {
 	return e.sess.Execute(sql)
 }
@@ -603,19 +604,10 @@ func (e *Engine) ExecuteStream(ctx context.Context, sql string, sink func(hdr *c
 	return e.sess.ExecuteStream(ctx, sql, sink)
 }
 
-// attachTable copies a query result's relation into the wire Result.
-func attachTable(res *wire.Result, qr *query.Result) {
-	if qr.Table != nil {
-		res.Table = wire.FromTable(qr.Table)
-		res.Stats.Rows = uint64(len(res.Table.Rows))
-	}
-}
-
-// execParsed is the autocommit statement path (no open transaction).
+// execParsed is the autocommit path of every statement but SELECT (no open
+// transaction).
 func (e *Engine) execParsed(sql string, stmt query.Stmt) (*wire.Result, error) {
-	switch s := stmt.(type) {
-	case query.SelectStmt:
-		return e.execSelect(sql, s)
+	switch stmt.(type) {
 	case query.CreateTable, query.Insert, query.Delete, query.Drop,
 		query.Analyze, query.CreateIndex:
 		// ANALYZE and CREATE INDEX mutate the planner catalog (stats,
@@ -633,9 +625,7 @@ func (e *Engine) execParsed(sql string, stmt query.Stmt) (*wire.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := e.finishStatsLocked(d, qr, storage.Stats{}, exec.CacheStats{})
-		attachTable(res, qr)
-		return res, nil
+		return e.finishStatsLocked(d, qr, storage.Stats{}, exec.CacheStats{}), nil
 	}
 }
 
@@ -673,9 +663,7 @@ func (e *Engine) execMutation(sql string, stmt query.Stmt) (*wire.Result, error)
 			return nil, err
 		}
 		e.bumpVersionLocked(stmt)
-		res := e.finishStatsLocked(d, qr, storage.Stats{}, exec.CacheStats{})
-		attachTable(res, qr)
-		return res, nil
+		return e.finishStatsLocked(d, qr, storage.Stats{}, exec.CacheStats{}), nil
 	}
 	if e.broken != nil {
 		err := fmt.Errorf("server: engine is read-only after a durability failure: %w", e.broken)
@@ -711,7 +699,6 @@ func (e *Engine) execMutation(sql string, stmt query.Stmt) (*wire.Result, error)
 		res.Stats.WALFsyncs = 1
 	}
 	res.Stats.WALGroupSize = uint64(ack.GroupSize)
-	attachTable(res, qr)
 	return res, nil
 }
 
@@ -772,10 +759,11 @@ func (e *Engine) maybeCheckpointLocked() {
 	}
 }
 
-// execSelect runs an autocommit SELECT. Snapshot-routed queries (dirty
-// tables) release e.mu before executing: readers scan frozen tables while
-// writers proceed.
-func (e *Engine) execSelect(sql string, s query.SelectStmt) (*wire.Result, error) {
+// execSelectStream runs an autocommit SELECT, plain (rows go to sink) or
+// aggregate (the Result carries the message). For snapshot-routed queries
+// the engine lock is released for the whole scan — the sink (and a slow
+// client behind it) does not block writers.
+func (e *Engine) execSelectStream(ctx context.Context, sql string, s query.SelectStmt, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, error) {
 	e.mu.Lock()
 	d := e.beginStatsLocked()
 	db, io, cacheFn, snap, err := e.selectDBLocked(s)
@@ -783,61 +771,21 @@ func (e *Engine) execSelect(sql string, s query.SelectStmt) (*wire.Result, error
 		e.mu.Unlock()
 		return nil, err
 	}
-	if snap == nil {
-		defer e.mu.Unlock()
-		qr, qerr := db.Exec(sql)
-		if qerr != nil {
-			return nil, qerr
-		}
-		res := e.finishStatsLocked(d, qr, io, cacheFn())
-		attachTable(res, qr)
-		return res, nil
+	if snap != nil {
+		e.mu.Unlock()
 	}
-	e.mu.Unlock()
-	qr, qerr := db.Exec(sql)
-	e.releaseSnap(snap)
+	qr, qerr := db.ExecStream(ctx, sql, sink)
+	if snap != nil {
+		e.releaseSnap(snap)
+		e.mu.Lock()
+	}
+	defer e.mu.Unlock()
 	if qerr != nil {
 		return nil, qerr
 	}
-	e.mu.Lock()
 	res := e.finishStatsLocked(d, qr, io, cacheFn())
-	e.mu.Unlock()
-	attachTable(res, qr)
-	return res, nil
-}
-
-// execSelectStream runs an autocommit streaming SELECT. For snapshot-routed
-// queries the engine lock is released for the whole scan — the sink (and a
-// slow client behind it) no longer blocks writers.
-func (e *Engine) execSelectStream(ctx context.Context, sql string, s query.SelectStmt, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, bool, error) {
-	e.mu.Lock()
-	d := e.beginStatsLocked()
-	db, io, cacheFn, snap, err := e.selectDBLocked(s)
-	if err != nil {
-		e.mu.Unlock()
-		return nil, true, err
-	}
-	if snap == nil {
-		defer e.mu.Unlock()
-		qr, qerr := db.ExecStream(ctx, sql, sink)
-		if qerr != nil {
-			return nil, true, qerr
-		}
-		res := e.finishStatsLocked(d, qr, io, cacheFn())
-		res.Stats.Rows = uint64(qr.Affected)
-		return res, true, nil
-	}
-	e.mu.Unlock()
-	qr, qerr := db.ExecStream(ctx, sql, sink)
-	e.releaseSnap(snap)
-	if qerr != nil {
-		return nil, true, qerr
-	}
-	e.mu.Lock()
-	res := e.finishStatsLocked(d, qr, io, cacheFn())
-	e.mu.Unlock()
 	res.Stats.Rows = uint64(qr.Affected)
-	return res, true, nil
+	return res, nil
 }
 
 // statMarks snapshots the engine counters at statement start; the matching
@@ -860,8 +808,27 @@ func (e *Engine) beginStatsLocked() statMarks {
 	}
 }
 
+// statementResult starts a statement's wire Result from what the query
+// layer reports about it — message, affected count and the planner-derived
+// counters — in or out of a transaction.
+func statementResult(start time.Time, qr *query.Result) *wire.Result {
+	return &wire.Result{
+		Message:  qr.Message,
+		Affected: uint64(qr.Affected),
+		Stats: wire.Stats{
+			LatencyMicros:    uint64(time.Since(start).Microseconds()),
+			IndexProbes:      qr.Planner.IndexProbes,
+			IndexPruned:      qr.Planner.IndexPruned,
+			PlannerFallbacks: qr.Planner.PlannerFallbacks,
+			VecTuples:        qr.Planner.VecTuples,
+			ScalarTuples:     qr.Planner.ScalarTuples,
+		},
+	}
+}
+
 // finishStatsLocked packages a finished statement's outcome and stat deltas
-// as a wire Result (without the table — callers attach rows or row counts).
+// as a wire Result (without rows: a SELECT's went to its sink, and its
+// caller fills in the row count).
 func (e *Engine) finishStatsLocked(d statMarks, qr *query.Result, scratch storage.Stats, scratchCache exec.CacheStats) *wire.Result {
 	delta := e.ioStatsLocked().Sub(d.io).Add(scratch)
 	// Mass-cache traffic: the catalog registry's delta plus whatever a
@@ -873,25 +840,15 @@ func (e *Engine) finishStatsLocked(d statMarks, qr *query.Result, scratch storag
 	if walDelta < 0 {
 		walDelta = 0
 	}
-	return &wire.Result{
-		Message:  qr.Message,
-		Affected: uint64(qr.Affected),
-		Stats: wire.Stats{
-			LatencyMicros:    uint64(time.Since(d.start).Microseconds()),
-			PageReads:        delta.PageReads,
-			PageHits:         delta.Hits,
-			PageWrites:       delta.PageWrites,
-			WALBytes:         uint64(walDelta),
-			MassCacheHits:    cacheDelta.Hits,
-			MassCacheMiss:    cacheDelta.Misses,
-			IndexProbes:      qr.Planner.IndexProbes,
-			IndexPruned:      qr.Planner.IndexPruned,
-			PlannerFallbacks: qr.Planner.PlannerFallbacks,
-			TxnConflicts:     e.conflicts.Load() - d.conflicts,
-			VecTuples:        qr.Planner.VecTuples,
-			ScalarTuples:     qr.Planner.ScalarTuples,
-		},
-	}
+	res := statementResult(d.start, qr)
+	res.Stats.PageReads = delta.PageReads
+	res.Stats.PageHits = delta.Hits
+	res.Stats.PageWrites = delta.PageWrites
+	res.Stats.WALBytes = uint64(walDelta)
+	res.Stats.MassCacheHits = cacheDelta.Hits
+	res.Stats.MassCacheMiss = cacheDelta.Misses
+	res.Stats.TxnConflicts = e.conflicts.Load() - d.conflicts
+	return res
 }
 
 // walSizeLocked returns the WAL's current size — durable plus enqueued
@@ -1241,8 +1198,7 @@ func (e *Engine) shedSnapshot(want int64) int64 {
 // fails only this query. The returned storage.Stats is scan I/O already
 // incurred; the returned function samples scratch mass-cache traffic (zero
 // for catalogs sharing the authoritative registry, which the caller already
-// tracks). Both executors — materializing Exec and streaming ExecStream —
-// share this preparation.
+// tracks).
 func (e *Engine) selectDBLocked(s query.SelectStmt) (*query.DB, storage.Stats, func() exec.CacheStats, *engineSnap, error) {
 	noCache := func() exec.CacheStats { return exec.CacheStats{} }
 	if e.cfg.Dir == "" {

@@ -65,6 +65,17 @@ func TestEngineMassCacheStats(t *testing.T) {
 	if res.Stats.VecTuples == 0 || res.Stats.MassCacheMiss != 0 {
 		t.Fatalf("second run should reuse the warmed columnar encoding: %+v", res.Stats)
 	}
+	// The same SELECT inside a transaction reports the same kernel counters.
+	auto := res.Stats
+	mustExecute(t, e, "BEGIN")
+	res, err = e.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.InTxn || res.Stats.VecTuples != auto.VecTuples || res.Stats.ScalarTuples != auto.ScalarTuples {
+		t.Fatalf("in-txn kernel counters %+v, autocommit %+v", res.Stats, auto)
+	}
+	mustExecute(t, e, "COMMIT")
 }
 
 // TestEnginePersistAndReload verifies the WAL-first write path, cold-scan

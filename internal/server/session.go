@@ -75,53 +75,35 @@ func (s *Session) InTxn() bool {
 	return s.tx != nil
 }
 
-// Execute runs one statement in this session's context.
+// Execute runs one statement in this session's context and returns its
+// whole outcome: ExecuteStream with a sink that gathers a SELECT's batches
+// into the Result's table.
 func (s *Session) Execute(sql string) (*wire.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h := s.e.execHook; h != nil {
-		h(sql)
-	}
-	return s.executeLocked(sql)
-}
-
-func (s *Session) executeLocked(sql string) (*wire.Result, error) {
-	if isCheckpointSQL(sql) {
-		if s.tx != nil {
-			return nil, fmt.Errorf("server: CHECKPOINT is not allowed inside a transaction")
+	var tbl *wire.Table
+	res, streamed, err := s.ExecuteStream(context.Background(), sql, func(hdr *core.Table, batch []*core.Tuple) error {
+		if tbl == nil {
+			tbl = &wire.Table{Name: hdr.Name, Cols: wire.ColumnsOf(hdr), Rows: make([]wire.Row, 0, len(batch))}
 		}
-		return s.e.execCheckpoint()
+		tbl.Rows = append(tbl.Rows, wire.RowsOf(hdr, batch)...)
+		return nil
+	})
+	if err == nil && streamed {
+		res.Table = tbl
 	}
-	if isHealthSQL(sql) {
-		return s.e.execHealth()
-	}
-	stmt, err := query.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	switch stmt.(type) {
-	case query.Begin:
-		return s.beginLocked()
-	case query.Commit:
-		return s.commitLocked()
-	case query.Rollback:
-		return s.rollbackLocked()
-	}
-	if s.tx == nil {
-		return s.e.execParsed(sql, stmt)
-	}
-	return s.execInTxnLocked(sql, stmt)
+	return res, err
 }
 
-// ExecuteStream runs one statement like Execute, but streams a plain
-// SELECT's result batches to sink as the operator tree produces them — the
+// ExecuteStream runs one statement and is the one place a session's
+// statements are classified: CHECKPOINT/HEALTH, transaction control, SELECT,
+// and everything else by whether a transaction is open. A plain SELECT's
+// result batches stream to sink as the operator tree produces them — the
 // first batch reaches the sink before the scan has finished, and the engine
-// never materializes the result relation. It returns streamed=true when the
-// rows went through the sink; the Result then carries only the trailing
-// message/affected-count/stats (its Table is nil). Statements without
-// streamable output — DDL, DML, aggregates, EXPLAIN, CHECKPOINT, and the
-// transaction-control statements — fall back to the Execute path
-// (streamed=false, sink never called) and return a full Result.
+// never materializes the result relation. It returns streamed=true for a
+// plain SELECT, whose rows went through the sink; the Result then carries
+// only the trailing message/affected-count/stats (its Table is nil). Every
+// other statement — DDL, DML, aggregates, EXPLAIN, CHECKPOINT, and the
+// transaction-control statements — never calls sink (streamed=false) and
+// returns a full Result.
 //
 // A snapshot-routed SELECT (dirty tables, no transaction) and every
 // in-transaction SELECT stream without holding the engine mutex: a slow
@@ -129,53 +111,49 @@ func (s *Session) executeLocked(sql string) (*wire.Result, error) {
 // still streams under the engine lock, preserving its per-query page-I/O
 // accounting. ctx aborts the operator tree between batches; sink errors do
 // the same and come back wrapped.
-func (s *Session) ExecuteStream(ctx context.Context, sql string, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, bool, error) {
+func (s *Session) ExecuteStream(ctx context.Context, sql string, sink func(hdr *core.Table, batch []*core.Tuple) error) (res *wire.Result, streamed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h := s.e.execHook; h != nil {
 		h(sql)
 	}
-	if isCheckpointSQL(sql) || isHealthSQL(sql) {
-		res, err := s.executeLocked(sql)
+	if isCheckpointSQL(sql) {
+		if s.tx != nil {
+			return nil, false, fmt.Errorf("server: CHECKPOINT is not allowed inside a transaction")
+		}
+		res, err = s.e.execCheckpoint()
+		return res, false, err
+	}
+	if isHealthSQL(sql) {
+		res, err = s.e.execHealth()
 		return res, false, err
 	}
 	stmt, err := query.Parse(sql)
 	if err != nil {
 		return nil, false, err
 	}
-	sel, ok := stmt.(query.SelectStmt)
-	if !ok || sel.Agg != "" {
-		var res *wire.Result
-		switch stmt.(type) {
-		case query.Begin:
-			res, err = s.beginLocked()
-		case query.Commit:
-			res, err = s.commitLocked()
-		case query.Rollback:
-			res, err = s.rollbackLocked()
-		default:
-			if s.tx == nil {
-				res, err = s.e.execParsed(sql, stmt)
-			} else {
-				res, err = s.execInTxnLocked(sql, stmt)
-			}
+	switch st := stmt.(type) {
+	case query.Begin:
+		res, err = s.beginLocked()
+	case query.Commit:
+		res, err = s.commitLocked()
+	case query.Rollback:
+		res, err = s.rollbackLocked()
+	case query.SelectStmt:
+		streamed = st.Agg == ""
+		if s.tx != nil {
+			res, err = s.selectInTxnLocked(ctx, sql, sink)
+		} else {
+			res, err = s.e.execSelectStream(ctx, sql, st, sink)
 		}
-		return res, false, err
+	default:
+		if s.tx != nil {
+			res, err = s.execInTxnLocked(sql, stmt)
+		} else {
+			res, err = s.e.execParsed(sql, stmt)
+		}
 	}
-	if s.tx != nil {
-		if s.tx.aborted != nil {
-			return nil, true, s.abortedErrLocked()
-		}
-		start := time.Now()
-		qr, qerr := s.tx.db.ExecStream(ctx, sql, sink)
-		if qerr != nil {
-			return nil, true, qerr
-		}
-		res := s.txnResultLocked(start, qr)
-		res.Stats.Rows = uint64(qr.Affected)
-		return res, true, nil
-	}
-	return s.e.execSelectStream(ctx, sql, sel, sink)
+	return res, streamed, err
 }
 
 // beginLocked opens a transaction: a catalog overlay plus the version
@@ -228,24 +206,30 @@ func (s *Session) abortedErrLocked() error {
 // txnResultLocked packages an in-transaction statement outcome (no engine
 // counters: the overlay's scratch registry isn't the tracked one).
 func (s *Session) txnResultLocked(start time.Time, qr *query.Result) *wire.Result {
-	res := &wire.Result{
-		Message:  qr.Message,
-		Affected: uint64(qr.Affected),
-		InTxn:    true,
-		Stats: wire.Stats{
-			LatencyMicros:    uint64(time.Since(start).Microseconds()),
-			IndexProbes:      qr.Planner.IndexProbes,
-			IndexPruned:      qr.Planner.IndexPruned,
-			PlannerFallbacks: qr.Planner.PlannerFallbacks,
-		},
-	}
-	attachTable(res, qr)
+	res := statementResult(start, qr)
+	res.InTxn = true
 	return res
 }
 
-// execInTxnLocked runs one statement inside the open transaction: reads on
-// the overlay, INSERT/DELETE on the overlay plus the commit buffer, and
-// everything else rejected (DDL would need catalog-level undo).
+// selectInTxnLocked runs a SELECT against the transaction's overlay.
+func (s *Session) selectInTxnLocked(ctx context.Context, sql string, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, error) {
+	if s.tx.aborted != nil {
+		return nil, s.abortedErrLocked()
+	}
+	start := time.Now()
+	qr, err := s.tx.db.ExecStream(ctx, sql, sink)
+	if err != nil {
+		return nil, err
+	}
+	res := s.txnResultLocked(start, qr)
+	res.Stats.Rows = uint64(qr.Affected)
+	return res, nil
+}
+
+// execInTxnLocked runs one non-SELECT statement inside the open
+// transaction: catalog reads on the overlay, INSERT/DELETE on the overlay
+// plus the commit buffer, and everything else rejected (DDL would need
+// catalog-level undo).
 func (s *Session) execInTxnLocked(sql string, stmt query.Stmt) (*wire.Result, error) {
 	t := s.tx
 	if t.aborted != nil {
@@ -254,7 +238,7 @@ func (s *Session) execInTxnLocked(sql string, stmt query.Stmt) (*wire.Result, er
 	start := time.Now()
 	var table string
 	switch st := stmt.(type) {
-	case query.SelectStmt, query.Explain, query.ShowTables, query.Describe:
+	case query.Explain, query.ShowTables, query.Describe:
 		qr, err := t.db.Exec(sql)
 		if err != nil {
 			return nil, err

@@ -40,30 +40,9 @@ func SaveTable(t *core.Table, heap *storage.Heap) error {
 	if _, err := heap.Append(hdr); err != nil {
 		return err
 	}
-	if err := appendTuples(heap, t, t.Tuples()); err != nil {
-		return err
-	}
-	return heap.Pool().Flush()
-}
-
-// AppendRows appends tuple records for the given tuples (which must belong
-// to t) to a heap previously initialized by SaveTable for the same table,
-// then flushes — the write-through path a server's INSERT uses, so a row's
-// durability costs one tail-page pin instead of a full rewrite.
-func AppendRows(heap *storage.Heap, t *core.Table, tuples []*core.Tuple) error {
-	if heap.NumPages() == 0 {
-		return fmt.Errorf("store: append to uninitialized heap (no schema record)")
-	}
-	if err := appendTuples(heap, t, tuples); err != nil {
-		return err
-	}
-	return heap.Pool().Flush()
-}
-
-func appendTuples(heap *storage.Heap, t *core.Table, tuples []*core.Tuple) error {
 	deps := t.DepSets()
 	cols := t.Schema().Columns()
-	for _, tup := range tuples {
+	for _, tup := range t.Tuples() {
 		rec := []byte{formatVersion}
 		for _, c := range cols {
 			if c.Uncertain {
@@ -79,7 +58,7 @@ func appendTuples(heap *storage.Heap, t *core.Table, tuples []*core.Tuple) error
 			return fmt.Errorf("store: tuple record: %w", err)
 		}
 	}
-	return nil
+	return heap.Pool().Flush()
 }
 
 // LoadTable reads a table previously written by SaveTable. The loaded
