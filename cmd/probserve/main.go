@@ -34,7 +34,6 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0, "queries queued behind the workers (default 4×workers)")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-query budget: queue wait plus execution")
 	dataDir := flag.String("data-dir", "", "directory for WAL + table heap snapshots (empty: in-memory only)")
-	poolPages := flag.Int("pool-pages", 64, "buffer-pool capacity per table, in pages")
 	ckptBytes := flag.Int64("checkpoint-bytes", 1<<20,
 		"checkpoint (fold the WAL into heap snapshots) when the log exceeds this many bytes; <0 disables auto-checkpointing")
 	parallelism := flag.Int("parallelism", 0,
@@ -66,7 +65,6 @@ func main() {
 		QueueDepth:      *queueDepth,
 		QueryTimeout:    *queryTimeout,
 		DataDir:         *dataDir,
-		PoolPages:       *poolPages,
 		CheckpointBytes: *ckptBytes,
 		Parallelism:     *parallelism,
 		Logf:            log.Printf,

@@ -14,7 +14,6 @@ import (
 	"probdb/internal/query"
 	"probdb/internal/region"
 	"probdb/internal/storage"
-	"probdb/internal/store"
 	"probdb/internal/workload"
 )
 
@@ -44,7 +43,7 @@ func TestSQLPersistReloadQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	heap := storage.NewHeap(storage.NewPool(fp, 32))
-	if err := store.SaveTable(tbl, heap); err != nil {
+	if err := storage.SaveTable(tbl, heap); err != nil {
 		t.Fatal(err)
 	}
 	if err := fp.Sync(); err != nil {
@@ -58,7 +57,7 @@ func TestSQLPersistReloadQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fp2.Close()
-	loaded, err := store.LoadTable(storage.NewHeap(storage.NewPool(fp2, 32)), nil)
+	loaded, err := storage.LoadTable(storage.NewHeap(storage.NewPool(fp2, 32)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

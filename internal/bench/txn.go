@@ -69,7 +69,7 @@ func txnPoint(sessions, commits int) (TxnRow, error) {
 	defer os.RemoveAll(dir) //nolint:errcheck
 	// Auto-checkpointing stays off: a checkpoint mid-sweep would fold the
 	// WAL and pollute the fsync count with snapshot I/O.
-	e, err := server.OpenEngine(server.EngineConfig{Dir: dir, PoolPages: 64, CheckpointBytes: -1})
+	e, err := server.OpenEngine(server.EngineConfig{Dir: dir, CheckpointBytes: -1})
 	if err != nil {
 		return TxnRow{}, err
 	}

@@ -13,8 +13,9 @@ import (
 // a collecting sink, so a fixed statement list run once through each on twin
 // engines must agree on every rendered table, message, count, in-txn flag,
 // stats counter and error text — on an ephemeral engine, on one whose
-// tables are dirty (snapshot-routed SELECTs) and on a checkpointed one (cold
-// scans) — and rows must go through the sink exactly for plain SELECTs.
+// tables are dirty and on a checkpointed one (snapshot-routed SELECTs in all
+// three, until the index at the end) — and rows must go through the sink
+// exactly for plain SELECTs.
 func TestOneDispatchTwoDrivers(t *testing.T) {
 	type step struct {
 		ses     int // two sessions, for the conflicting COMMIT
@@ -62,7 +63,7 @@ func TestOneDispatchTwoDrivers(t *testing.T) {
 			}
 			steps = append(steps, rest...)
 			run := func(stream bool) []string {
-				cfg := EngineConfig{PoolPages: 8, Parallelism: 1, CheckpointBytes: -1}
+				cfg := EngineConfig{Parallelism: 1, CheckpointBytes: -1}
 				if mode != "ephemeral" {
 					cfg.Dir = t.TempDir()
 				}

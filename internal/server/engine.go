@@ -26,7 +26,6 @@ import (
 	"probdb/internal/plan"
 	"probdb/internal/query"
 	"probdb/internal/storage"
-	"probdb/internal/store"
 	"probdb/internal/txn"
 	"probdb/internal/vfs"
 	"probdb/internal/wal"
@@ -58,21 +57,15 @@ const heapExt = ".heap"
 // log whose records are not yet folded into the heap snapshots.
 func walFile(gen uint64) string { return fmt.Sprintf("wal.%d.log", gen) }
 
-// tableFile is one table's checkpointed snapshot on disk: its heap file,
-// the pager over it, and the pool the snapshot was written through. The
-// file is immutable while referenced by the manifest; SELECTs cold-scan it
-// through per-query scratch pools and checkpoints replace it wholesale.
-type tableFile struct {
-	file  string // basename within the data dir
-	path  string
-	pager *storage.FilePager
-	pool  *storage.Pool
-}
+// poolPages is the capacity of the buffer pool a heap file is read or
+// written through. A pool only ever serves one sequential load (recovery) or
+// one sequential save (checkpoint), so there is nothing to tune.
+const poolPages = 64
 
 // quarantined is the health record of a table whose heap file failed to
-// read — a checksum mismatch or any other load error. The table is removed
-// from the catalog but its file and manifest entry are kept (evidence, and
-// a possible manual salvage); only DROP TABLE discards it.
+// load at recovery — a checksum mismatch or any other load error. The table
+// stays out of the catalog but its file and manifest entry are kept
+// (evidence, and a possible manual salvage); only DROP TABLE discards it.
 type quarantined struct {
 	file string
 	err  error
@@ -82,9 +75,6 @@ type quarantined struct {
 type EngineConfig struct {
 	// Dir is the data directory; empty means an ephemeral in-memory engine.
 	Dir string
-	// PoolPages is the buffer-pool capacity used for checkpoint-snapshot
-	// pools and per-query scan pools. Default 64.
-	PoolPages int
 	// CheckpointBytes auto-checkpoints when the WAL grows past this many
 	// bytes. Default 1 MiB; negative disables auto-checkpointing.
 	CheckpointBytes int64
@@ -113,9 +103,6 @@ type EngineConfig struct {
 }
 
 func (c *EngineConfig) fill() {
-	if c.PoolPages < 1 {
-		c.PoolPages = 64
-	}
 	if c.CheckpointBytes == 0 {
 		c.CheckpointBytes = 1 << 20
 	}
@@ -136,24 +123,25 @@ func (c *EngineConfig) fill() {
 // reduces to: load the snapshots the manifest names, replay the intact WAL
 // records on top, and checkpoint — a restart after a crash at any point
 // converges to exactly the committed statements. Heap pages carry CRC32C
-// checksums; a corrupt page quarantines its table instead of killing the
-// server.
+// checksums; a page found corrupt at load quarantines its table instead of
+// killing the server.
 //
-// SELECTs over persisted tables are executed against a cold scan of the
-// heap through a scratch buffer pool, so every query's Result carries the
-// page-read accounting the paper's Fig. 5 is built on — per query, not
-// amortized across a session. (A SELECT referencing tables with WAL-only
-// changes checkpoints them first, so the scan always sees current data.)
+// Heap files are touched only by recovery (one sequential load each) and by
+// checkpoints (one sequential write each); the engine holds none open in
+// between, and a running server never reads one. SELECTs read memory: the
+// live catalog under the engine mutex when a referenced table has an index
+// (index structures exist only there), otherwise a refcounted MVCC snapshot
+// with the mutex released (see selectDBLocked).
 //
-// With an empty data dir path the engine is ephemeral: everything runs on
-// the in-memory catalog and the I/O counters stay zero.
+// With an empty data dir path the engine is ephemeral: nothing is logged or
+// checkpointed and the I/O counters stay zero.
 type Engine struct {
 	mu  sync.Mutex
 	cfg EngineConfig
 	db  *query.DB
 
-	tables     map[string]*tableFile // checkpointed snapshots by table name
-	dirty      map[string]bool       // tables whose memory state is ahead of disk
+	tables     map[string]string // table name → its snapshot's file name in the manifest
+	dirty      map[string]bool   // tables whose memory state is ahead of disk
 	quarantine map[string]*quarantined
 	wal        *wal.Log
 	gen        uint64
@@ -170,10 +158,9 @@ type Engine struct {
 	// bud is the server-wide memory budget (nil = accounting disabled).
 	bud *govern.Budget
 
-	// retired accumulates the final counters of pools that were closed
-	// (DROP, checkpoint rewrite): the engine-wide I/O sum stays monotone so
-	// per-query deltas never underflow.
-	retired storage.Stats
+	// io is the running page-I/O total: every recovery load and checkpoint
+	// save adds its pool's counters.
+	io storage.Stats
 
 	// execHook, when non-nil (tests), runs at the top of every Execute —
 	// the seam fault and panic injection use.
@@ -199,7 +186,7 @@ type Engine struct {
 	// snap is the latest MVCC read snapshot: frozen copy-on-write tables in
 	// a catalog readers scan without holding e.mu. It is built lazily (the
 	// snapStale flag is cheap to set per mutation; freezing is paid by the
-	// first dirty-read after a write) and refcounted under snapMu so a
+	// first snapshot-routed read after a write) and refcounted under snapMu so a
 	// reader mid-scan keeps its snapshot alive across replacement.
 	snap      *engineSnap
 	snapStale bool
@@ -244,7 +231,7 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 	e := &Engine{
 		cfg:        cfg,
 		db:         query.Open(),
-		tables:     map[string]*tableFile{},
+		tables:     map[string]string{},
 		dirty:      map[string]bool{},
 		quarantine: map[string]*quarantined{},
 		ver:        map[string]uint64{},
@@ -259,7 +246,7 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 		// Shed order under server-budget pressure: memoizations first
 		// (losing one costs a recomputation), the columnar encodings second
 		// (losing one costs a re-encode of a 256-tuple batch), the MVCC
-		// snapshot third (rebuilt on the next dirty read). The server layers
+		// snapshot third (rebuilt on the next unindexed read). The server layers
 		// the most expensive victim — cancelling the largest query — on top.
 		e.bud.AddReclaimer(0, func(want int64) int64 {
 			return e.db.Registry().MassCache().Shed(want)
@@ -459,31 +446,48 @@ func (e *Engine) restorePlannerLocked(m *manifest) {
 	}
 }
 
-// loadTableLocked opens one manifest entry's snapshot and attaches it.
+// loadTableLocked reads one manifest entry's snapshot into the catalog. It is
+// the only reader of heap files: recovery loads each once and closes it.
 func (e *Engine) loadTableLocked(ent manifestEntry) error {
 	path := filepath.Join(e.cfg.Dir, ent.File)
 	pager, err := storage.OpenFileFS(e.cfg.FS, path)
 	if err != nil {
 		return err
 	}
-	pool := storage.NewPool(pager, e.cfg.PoolPages)
-	t, err := store.LoadTable(storage.NewHeap(pool), e.db.Registry())
+	defer pager.Close() //nolint:errcheck // only read
+	pool := storage.NewPool(pager, poolPages)
+	t, err := storage.LoadTable(storage.NewHeap(pool), e.db.Registry())
+	e.io = e.io.Add(pool.Stats())
 	if err != nil {
-		pager.Close()
 		return err
 	}
 	if t.Name != ent.Name {
-		pager.Close()
 		return fmt.Errorf("server: %s holds table %q, want %q", path, t.Name, ent.Name)
 	}
 	if err := e.db.Attach(t); err != nil {
-		pager.Close()
 		return err
 	}
-	e.retired = e.retired.Add(pool.Stats())
-	pool.ResetStats()
-	e.tables[ent.Name] = &tableFile{file: ent.File, path: path, pager: pager, pool: pool}
+	e.tables[ent.Name] = ent.File
 	return nil
+}
+
+// saveTableLocked writes t's current state to a fresh heap file at path and
+// makes it durable: create, save, fsync, close.
+func (e *Engine) saveTableLocked(t *core.Table, path string) error {
+	pager, err := storage.CreateFileFS(e.cfg.FS, path)
+	if err != nil {
+		return err
+	}
+	pool := storage.NewPool(pager, poolPages)
+	err = storage.SaveTable(t, storage.NewHeap(pool))
+	e.io = e.io.Add(pool.Stats())
+	if err == nil {
+		err = pager.Sync()
+	}
+	if cerr := pager.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // gcLocked removes files the manifest does not reference: snapshots and
@@ -544,8 +548,8 @@ func (e *Engine) Quarantined() map[string]error {
 	return out
 }
 
-// Close checkpoints (folding any WAL tail into snapshots) and closes every
-// file. After a clean Close the WAL is empty and restart replays nothing.
+// Close checkpoints (folding any WAL tail into snapshots) and closes the
+// log. After a clean Close the WAL is empty and restart replays nothing.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -553,24 +557,20 @@ func (e *Engine) Close() error {
 	if e.cfg.Dir != "" && e.broken == nil {
 		first = e.checkpointLocked()
 	}
-	e.closeFilesLocked()
+	e.closeLogLocked()
 	return first
 }
 
-// Abort closes every file handle without flushing or checkpointing — the
-// crash path, used by recovery tests and failed opens. State on disk stays
-// exactly as the last completed I/O left it.
+// Abort closes the log without flushing or checkpointing — the crash path,
+// used by recovery tests and failed opens. State on disk stays exactly as
+// the last completed I/O left it.
 func (e *Engine) Abort() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.closeFilesLocked()
+	e.closeLogLocked()
 }
 
-func (e *Engine) closeFilesLocked() {
-	for name, tf := range e.tables {
-		tf.pager.Close() //nolint:errcheck
-		delete(e.tables, name)
-	}
+func (e *Engine) closeLogLocked() {
 	if e.wal != nil {
 		e.wal.Close() //nolint:errcheck
 		e.wal = nil
@@ -625,7 +625,7 @@ func (e *Engine) execParsed(sql string, stmt query.Stmt) (*wire.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.finishStatsLocked(d, qr, storage.Stats{}, exec.CacheStats{}), nil
+		return e.finishStatsLocked(d, qr), nil
 	}
 }
 
@@ -638,7 +638,7 @@ func (e *Engine) execCheckpoint() (*wire.Result, error) {
 		return nil, err
 	}
 	qr := &query.Result{Message: fmt.Sprintf("checkpoint complete (generation %d)", e.gen)}
-	return e.finishStatsLocked(d, qr, storage.Stats{}, exec.CacheStats{}), nil
+	return e.finishStatsLocked(d, qr), nil
 }
 
 // execMutation is the autocommit write path. Under e.mu the statement is
@@ -658,12 +658,12 @@ func (e *Engine) execMutation(sql string, stmt query.Stmt) (*wire.Result, error)
 	}
 	if e.cfg.Dir == "" {
 		defer e.mu.Unlock()
-		qr, err := e.applyEphemeralLocked(sql, stmt)
+		qr, err := e.db.Exec(sql)
 		if err != nil {
 			return nil, err
 		}
 		e.bumpVersionLocked(stmt)
-		return e.finishStatsLocked(d, qr, storage.Stats{}, exec.CacheStats{}), nil
+		return e.finishStatsLocked(d, qr), nil
 	}
 	if e.broken != nil {
 		err := fmt.Errorf("server: engine is read-only after a durability failure: %w", e.broken)
@@ -680,7 +680,7 @@ func (e *Engine) execMutation(sql string, stmt query.Stmt) (*wire.Result, error)
 	if aerr == nil {
 		e.bumpVersionLocked(stmt)
 		e.maybeCheckpointLocked()
-		res = e.finishStatsLocked(d, qr, storage.Stats{}, exec.CacheStats{})
+		res = e.finishStatsLocked(d, qr)
 	}
 	e.mu.Unlock()
 
@@ -763,28 +763,35 @@ func (e *Engine) maybeCheckpointLocked() {
 // aggregate (the Result carries the message). For snapshot-routed queries
 // the engine lock is released for the whole scan — the sink (and a slow
 // client behind it) does not block writers.
+//
+// A SELECT does no page I/O, appends no WAL and raises no conflict, so its
+// Result carries none of the engine-wide deltas finishStatsLocked computes:
+// with the lock released those would be other sessions' work.
 func (e *Engine) execSelectStream(ctx context.Context, sql string, s query.SelectStmt, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, error) {
 	e.mu.Lock()
-	d := e.beginStatsLocked()
-	db, io, cacheFn, snap, err := e.selectDBLocked(s)
+	start := time.Now()
+	cache := e.db.Registry().MassCache()
+	before := cache.Stats()
+	db, snap, err := e.selectDBLocked(s)
 	if err != nil {
 		e.mu.Unlock()
 		return nil, err
 	}
 	if snap != nil {
 		e.mu.Unlock()
+		defer e.releaseSnap(snap)
+	} else {
+		defer e.mu.Unlock()
 	}
-	qr, qerr := db.ExecStream(ctx, sql, sink)
-	if snap != nil {
-		e.releaseSnap(snap)
-		e.mu.Lock()
+	qr, err := db.ExecStream(ctx, sql, sink)
+	if err != nil {
+		return nil, err
 	}
-	defer e.mu.Unlock()
-	if qerr != nil {
-		return nil, qerr
-	}
-	res := e.finishStatsLocked(d, qr, io, cacheFn())
+	res := statementResult(start, qr)
 	res.Stats.Rows = uint64(qr.Affected)
+	delta := cache.Stats().Sub(before)
+	res.Stats.MassCacheHits = delta.Hits
+	res.Stats.MassCacheMiss = delta.Misses
 	return res, nil
 }
 
@@ -801,7 +808,7 @@ type statMarks struct {
 func (e *Engine) beginStatsLocked() statMarks {
 	return statMarks{
 		start:     time.Now(),
-		io:        e.ioStatsLocked(),
+		io:        e.io,
 		wal:       e.walSizeLocked(),
 		cache:     e.db.Registry().MassCache().Stats(),
 		conflicts: e.conflicts.Load(),
@@ -826,14 +833,12 @@ func statementResult(start time.Time, qr *query.Result) *wire.Result {
 	}
 }
 
-// finishStatsLocked packages a finished statement's outcome and stat deltas
-// as a wire Result (without rows: a SELECT's went to its sink, and its
-// caller fills in the row count).
-func (e *Engine) finishStatsLocked(d statMarks, qr *query.Result, scratch storage.Stats, scratchCache exec.CacheStats) *wire.Result {
-	delta := e.ioStatsLocked().Sub(d.io).Add(scratch)
-	// Mass-cache traffic: the catalog registry's delta plus whatever a
-	// scratch scan's own registry accumulated before being discarded.
-	cacheDelta := e.db.Registry().MassCache().Stats().Sub(d.cache).Add(scratchCache)
+// finishStatsLocked packages a finished statement's outcome and the engine
+// counters' deltas since d as a wire Result. Its callers hold e.mu from the
+// marks to here, so the deltas are the statement's own work.
+func (e *Engine) finishStatsLocked(d statMarks, qr *query.Result) *wire.Result {
+	delta := e.io.Sub(d.io)
+	cacheDelta := e.db.Registry().MassCache().Stats().Sub(d.cache)
 	// A checkpoint during the statement rolls the WAL and shrinks it below
 	// the starting size; clamp so the per-statement delta never underflows.
 	walDelta := e.walSizeLocked() - d.wal
@@ -860,22 +865,6 @@ func (e *Engine) walSizeLocked() int64 {
 		return 0
 	}
 	return e.gc.Size()
-}
-
-// ioStatsLocked sums the persistent pools' counters plus every retired
-// pool's final reading; the total is monotone non-decreasing.
-func (e *Engine) ioStatsLocked() storage.Stats {
-	s := e.retired
-	for _, tf := range e.tables {
-		s = s.Add(tf.pool.Stats())
-	}
-	return s
-}
-
-// applyEphemeralLocked runs a mutation on a diskless engine.
-func (e *Engine) applyEphemeralLocked(sql string, stmt query.Stmt) (*query.Result, error) {
-	_ = stmt
-	return e.db.Exec(sql)
 }
 
 // precheckLocked rejects statements that must not reach the WAL: writes
@@ -935,13 +924,9 @@ func (e *Engine) applyLocked(sql string, stmt query.Stmt) (*query.Result, error)
 		e.dirty[s.Table] = true
 	case query.Drop:
 		delete(e.dirty, s.Name)
-		if tf, ok := e.tables[s.Name]; ok {
-			e.retired = e.retired.Add(tf.pool.Stats())
-			tf.pager.Close() //nolint:errcheck
-			delete(e.tables, s.Name)
-			// The snapshot file lingers until the next checkpoint's GC; the
-			// WAL's DROP record makes the removal durable in the meantime.
-		}
+		// The snapshot file lingers until the next checkpoint's GC; the
+		// WAL's DROP record makes the removal durable in the meantime.
+		delete(e.tables, s.Name)
 	}
 	return qr, nil
 }
@@ -981,11 +966,10 @@ func (e *Engine) checkpointLocked() error {
 	fsys, dir := e.cfg.FS, e.cfg.Dir
 	gen := e.gen + 1
 
-	newFiles := map[string]*tableFile{}
+	newFiles := map[string]string{} // rewritten table → its fresh snapshot file
 	fail := func(err error) error {
-		for _, tf := range newFiles {
-			tf.pager.Close()     //nolint:errcheck
-			fsys.Remove(tf.path) //nolint:errcheck
+		for _, file := range newFiles {
+			fsys.Remove(filepath.Join(dir, file)) //nolint:errcheck
 		}
 		return err
 	}
@@ -995,18 +979,8 @@ func (e *Engine) checkpointLocked() error {
 			continue // created then dropped within one WAL window
 		}
 		file := fmt.Sprintf("%s.%d%s", name, gen, heapExt)
-		path := filepath.Join(dir, file)
-		pager, err := storage.CreateFileFS(fsys, path)
-		if err != nil {
-			return fail(fmt.Errorf("server: checkpoint %s: %w", name, err))
-		}
-		pool := storage.NewPool(pager, e.cfg.PoolPages)
-		tf := &tableFile{file: file, path: path, pager: pager, pool: pool}
-		newFiles[name] = tf
-		if err := store.SaveTable(t, storage.NewHeap(pool)); err != nil {
-			return fail(fmt.Errorf("server: checkpoint %s: %w", name, err))
-		}
-		if err := pager.Sync(); err != nil {
+		newFiles[name] = file
+		if err := e.saveTableLocked(t, filepath.Join(dir, file)); err != nil {
 			return fail(fmt.Errorf("server: checkpoint %s: %w", name, err))
 		}
 	}
@@ -1016,13 +990,13 @@ func (e *Engine) checkpointLocked() error {
 	}
 
 	m := &manifest{Gen: gen}
-	for name, tf := range e.tables {
+	for name, file := range e.tables {
 		if _, rewritten := newFiles[name]; !rewritten {
-			m.Tables = append(m.Tables, manifestEntry{Name: name, File: tf.file})
+			m.Tables = append(m.Tables, manifestEntry{Name: name, File: file})
 		}
 	}
-	for name, tf := range newFiles {
-		m.Tables = append(m.Tables, manifestEntry{Name: name, File: tf.file})
+	for name, file := range newFiles {
+		m.Tables = append(m.Tables, manifestEntry{Name: name, File: file})
 	}
 	for name, q := range e.quarantine {
 		m.Tables = append(m.Tables, manifestEntry{Name: name, File: q.file})
@@ -1053,12 +1027,8 @@ func (e *Engine) checkpointLocked() error {
 
 	// Committed. Swap in the new snapshots and the new generation's WAL.
 	e.gen = gen
-	for name, tf := range newFiles {
-		if old, ok := e.tables[name]; ok {
-			e.retired = e.retired.Add(old.pool.Stats())
-			old.pager.Close() //nolint:errcheck
-		}
-		e.tables[name] = tf
+	for name, file := range newFiles {
+		e.tables[name] = file
 	}
 	e.dirty = map[string]bool{}
 
@@ -1117,7 +1087,7 @@ func (e *Engine) snapshotLocked() *engineSnap {
 			ns.charge += ft.MemEstimate()
 		}
 		// Charge the frozen working set against the server budget. The
-		// snapshot is mandatory for correctness (a dirty read has nowhere
+		// snapshot is mandatory for correctness (an unindexed read has nowhere
 		// else to go), so a refusal — after Reserve has already shed the
 		// cheaper victims — degrades to an untracked snapshot with a log
 		// line rather than failing reads.
@@ -1159,7 +1129,7 @@ func (e *Engine) releaseSnap(s *engineSnap) {
 // shedSnapshot is the priority-2 budget reclaimer: it drops the engine's
 // own reference to the current MVCC snapshot so its frozen tables (and
 // their budget charge) free as soon as in-flight readers finish. The next
-// dirty read rebuilds a snapshot — correctness is unaffected. TryLock
+// unindexed read rebuilds a snapshot — correctness is unaffected. TryLock
 // avoids self-deadlock: Reserve can run under e.mu (snapshotLocked itself
 // charges), and a reclaimer that blocked there would wedge the engine.
 func (e *Engine) shedSnapshot(want int64) int64 {
@@ -1179,118 +1149,32 @@ func (e *Engine) shedSnapshot(want int64) int64 {
 	return freed
 }
 
-// selectDBLocked picks the catalog a SELECT executes against and prepares
-// it:
+// selectDBLocked is the one place a SELECT's read route is chosen. Both
+// routes read memory, which is always current; one observable fact decides:
 //
-//   - a quarantined table fails the query with the typed error;
-//   - a table with an index routes to the authoritative catalog under e.mu
-//     (index structures exist only there; the trade is no per-query page
-//     I/O accounting);
-//   - a table with WAL-only changes routes to the MVCC snapshot: the query
-//     scans frozen copy-on-write tables with e.mu released, so writers
-//     never wait on readers (the returned *engineSnap is non-nil; the
-//     caller must releaseSnap when done);
-//   - otherwise every referenced table is clean and persisted, and the
-//     query cold-scans the heap files through fresh scratch pools so its
-//     Result reports exactly the pages it touched — the Fig. 5 accounting.
+//   - a referenced table has an index → the authoritative catalog, with e.mu
+//     held for the whole statement (index structures exist only there — a
+//     snapshot would silently plan a full scan);
+//   - otherwise → the MVCC snapshot: frozen copy-on-write tables scanned
+//     with e.mu released, so writers never wait on readers. The returned
+//     *engineSnap is non-nil and the caller must releaseSnap when done.
 //
-// A checksum failure during the cold scan quarantines the damaged table and
-// fails only this query. The returned storage.Stats is scan I/O already
-// incurred; the returned function samples scratch mass-cache traffic (zero
-// for catalogs sharing the authoritative registry, which the caller already
-// tracks).
-func (e *Engine) selectDBLocked(s query.SelectStmt) (*query.DB, storage.Stats, func() exec.CacheStats, *engineSnap, error) {
-	noCache := func() exec.CacheStats { return exec.CacheStats{} }
-	if e.cfg.Dir == "" {
-		return e.db, storage.Stats{}, noCache, nil, nil
-	}
-	anyDirty, indexed := false, false
+// A quarantined table fails the query with the typed error.
+func (e *Engine) selectDBLocked(s query.SelectStmt) (*query.DB, *engineSnap, error) {
+	indexed := false
 	for _, ref := range s.From {
 		if q, ok := e.quarantine[ref.Name]; ok {
-			return nil, storage.Stats{}, noCache, nil, &QuarantinedTableError{Table: ref.Name, Cause: q.err}
-		}
-		if e.dirty[ref.Name] {
-			anyDirty = true
+			return nil, nil, &QuarantinedTableError{Table: ref.Name, Cause: q.err}
 		}
 		if len(e.db.IndexedCols(ref.Name)) > 0 {
 			indexed = true
 		}
 	}
 	if indexed {
-		// Index access paths live only in the authoritative catalog — a
-		// snapshot or scratch scan would silently plan a full scan. The
-		// in-memory state is always current.
-		return e.db, storage.Stats{}, noCache, nil, nil
+		return e.db, nil, nil
 	}
-	if anyDirty {
-		snap := e.snapshotLocked()
-		return snap.db, storage.Stats{}, noCache, snap, nil
-	}
-	if !e.allPersisted(s.From) {
-		return e.db, storage.Stats{}, noCache, nil, nil
-	}
-	scratchDB := query.Open()
-	scratchDB.SetParallelism(e.cfg.Parallelism)
-	scratchCache := func() exec.CacheStats { return scratchDB.Registry().MassCache().Stats() }
-	var io storage.Stats
-	for _, ref := range s.From {
-		if _, dup := scratchDB.Table(ref.Name); dup {
-			continue // same table referenced twice (self-join attempt)
-		}
-		tf := e.tables[ref.Name]
-		// A fresh pool per query = cold scan: the page-read count in the
-		// Result frame is this query's own I/O, as in the Fig. 5 runs.
-		pool := storage.NewPool(tf.pager, e.cfg.PoolPages)
-		t, err := store.LoadTable(storage.NewHeap(pool), scratchDB.Registry())
-		if err != nil {
-			io = io.Add(pool.Stats())
-			if errors.Is(err, storage.ErrCorruptPage) {
-				e.quarantineTableLocked(ref.Name, err)
-			}
-			return nil, io, scratchCache, nil, fmt.Errorf("server: scan %s: %w", ref.Name, err)
-		}
-		io = io.Add(pool.Stats())
-		if err := scratchDB.Attach(t); err != nil {
-			return nil, io, scratchCache, nil, err
-		}
-	}
-	return scratchDB, io, scratchCache, nil, nil
-}
-
-// quarantineTableLocked takes a table out of service after its heap file
-// proved unreadable: the catalog forgets it (queries fail fast with a
-// typed message), the file and manifest entry stay for diagnosis, and the
-// rest of the server keeps running. Restart re-derives the same quarantine
-// from the same corrupt file, so no extra durability work is needed here.
-func (e *Engine) quarantineTableLocked(name string, cause error) {
-	tf, ok := e.tables[name]
-	if !ok {
-		return
-	}
-	e.retired = e.retired.Add(tf.pool.Stats())
-	tf.pager.Close() //nolint:errcheck
-	delete(e.tables, name)
-	delete(e.dirty, name)
-	e.quarantine[name] = &quarantined{file: tf.file, err: cause}
-	if _, inDB := e.db.Table(name); inDB {
-		_, _ = e.db.Exec("DROP TABLE " + name) //nolint:errcheck // catalog detach
-	}
-	// The catalog changed under readers' feet: invalidate the MVCC snapshot
-	// and advance the commit clock so an open transaction that wrote this
-	// table conflicts at COMMIT instead of resurrecting it.
-	e.verSeq++
-	e.ver[name] = e.verSeq
-	e.snapStale = true
-	e.cfg.Logf("probserve: quarantined table %q (%s): %v", name, tf.file, cause)
-}
-
-func (e *Engine) allPersisted(refs []query.TableRef) bool {
-	for _, ref := range refs {
-		if _, ok := e.tables[ref.Name]; !ok {
-			return false
-		}
-	}
-	return true
+	snap := e.snapshotLocked()
+	return snap.db, snap, nil
 }
 
 // ReplayErrors returns the typed errors the last recovery skipped past

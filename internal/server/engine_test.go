@@ -16,7 +16,7 @@ func mustExecute(t *testing.T, e *Engine, sql string) {
 // TestEngineEphemeral: with no data dir everything runs in memory and the
 // I/O counters stay zero.
 func TestEngineEphemeral(t *testing.T) {
-	e, err := OpenEngine(EngineConfig{PoolPages: 8})
+	e, err := OpenEngine(EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEngineEphemeral(t *testing.T) {
 // columnar encode computes every tuple's existence mass), and on a repeat
 // a warmed columnar encoding: vectorized tuples with no new mass misses.
 func TestEngineMassCacheStats(t *testing.T) {
-	e, err := OpenEngine(EngineConfig{PoolPages: 8})
+	e, err := OpenEngine(EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,12 @@ func TestEngineMassCacheStats(t *testing.T) {
 	mustExecute(t, e, "COMMIT")
 }
 
-// TestEnginePersistAndReload verifies the WAL-first write path, cold-scan
-// SELECT accounting, restart recovery, and DROP cleanup.
+// TestEnginePersistAndReload verifies the WAL-first write path, that a SELECT
+// reads memory whether or not the table is checkpointed, restart recovery,
+// and DROP cleanup.
 func TestEnginePersistAndReload(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	e, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +105,15 @@ func TestEnginePersistAndReload(t *testing.T) {
 		t.Fatalf("dirty-table SELECT did page I/O instead of the snapshot: %+v", res.Stats)
 	}
 
-	// After a checkpoint the table is clean and the SELECT cold-scans the
-	// heap file with its own page-read accounting.
+	// A checkpoint changes nothing for readers: the clean table is still
+	// answered from memory, never by re-reading its heap file.
 	mustExecute(t, e, "CHECKPOINT")
 	res, err = e.Execute("SELECT rid FROM readings WHERE value < 20 AND PROB(value) > 0.4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.PageReads == 0 {
-		t.Fatalf("persisted SELECT reported no page reads: %+v", res.Stats)
+	if res.Stats.PageReads != 0 {
+		t.Fatalf("checkpointed-table SELECT read heap pages: %+v", res.Stats)
 	}
 	if got := len(res.Table.Rows); got != 2 {
 		t.Fatalf("rows: %d, want 2\n%s", got, res.Table.Render())
@@ -135,7 +136,7 @@ func TestEnginePersistAndReload(t *testing.T) {
 	}
 
 	// A fresh engine recovers the surviving rows from disk.
-	e2, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	e2, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestEnginePersistAndReload(t *testing.T) {
 // TestEngineStatsMonotone: retiring pools (checkpoint rewrites, drops) must
 // never make a later query's I/O delta underflow.
 func TestEngineStatsMonotone(t *testing.T) {
-	e, err := OpenEngine(EngineConfig{Dir: t.TempDir(), PoolPages: 4})
+	e, err := OpenEngine(EngineConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestEngineStatsMonotone(t *testing.T) {
 // are garbage-collected.
 func TestEngineCheckpointLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	e, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestEngineRejectsLegacyLayout(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "old.heap"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8}); err == nil {
+	if _, err := OpenEngine(EngineConfig{Dir: dir}); err == nil {
 		t.Fatal("engine opened a legacy (manifest-less) layout")
 	}
 }

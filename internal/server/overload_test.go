@@ -91,10 +91,9 @@ func TestOverloadStress(t *testing.T) {
 	// 5MiB; two concurrent queries collide — pressure comes from
 	// concurrency, not from any one query being inherently too large.
 	const memBudget = 5 << 20
-	// DataDir plus disabled auto-checkpointing keeps the table dirty, so
-	// SELECTs take the snapshot route and actually run concurrently —
-	// clean-table cold scans would serialize under the engine mutex and
-	// never contend for memory.
+	// The table has no index, so SELECTs take the snapshot route and
+	// actually run concurrently — indexed reads would serialize under the
+	// engine mutex and never contend for memory.
 	s := startServer(t, Config{
 		Workers: 4, MemBudget: memBudget, QueryTimeout: 20 * time.Second,
 		DataDir: t.TempDir(), CheckpointBytes: -1,

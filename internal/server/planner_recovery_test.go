@@ -60,7 +60,7 @@ func selectKeys(t *testing.T, e *Engine, sql string) []int {
 // probing, pruning, and absorbing post-restart DML.
 func TestPlannerStateSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	e, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPlannerStateSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	re, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPlannerStateSurvivesRestart(t *testing.T) {
 // exists only as WAL records; recovery replay must re-execute it.
 func TestPlannerStateSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8, CheckpointBytes: -1})
+	e, err := OpenEngine(EngineConfig{Dir: dir, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPlannerStateSurvivesCrash(t *testing.T) {
 	want := selectKeys(t, e, plannerProbe)
 	e.Abort() // crash: everything after CREATE TABLE lives in the WAL only
 
-	re, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8, CheckpointBytes: -1})
+	re, err := OpenEngine(EngineConfig{Dir: dir, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPlannerStateSurvivesCrash(t *testing.T) {
 func TestPlannerRecoveryCrashMatrix(t *testing.T) {
 	countDir := t.TempDir()
 	in := faultfs.NewInjector()
-	e, err := OpenEngine(EngineConfig{Dir: countDir, PoolPages: 8, CheckpointBytes: -1, FS: faultfs.New(vfs.OS, in)})
+	e, err := OpenEngine(EngineConfig{Dir: countDir, CheckpointBytes: -1, FS: faultfs.New(vfs.OS, in)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestPlannerRecoveryCrashMatrix(t *testing.T) {
 				dir := filepath.Join(t.TempDir(), fmt.Sprintf("crash%d", k))
 				in := faultfs.NewInjector()
 				e, err := OpenEngine(EngineConfig{
-					Dir: dir, PoolPages: 8, CheckpointBytes: -1,
+					Dir: dir, CheckpointBytes: -1,
 					FS: faultfs.New(vfs.OS, in),
 				})
 				if err != nil {
@@ -198,7 +198,7 @@ func TestPlannerRecoveryCrashMatrix(t *testing.T) {
 				}
 				e.Abort()
 
-				re, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8, CheckpointBytes: -1})
+				re, err := OpenEngine(EngineConfig{Dir: dir, CheckpointBytes: -1})
 				if err != nil {
 					t.Fatalf("op %d (%s): recovery failed: %v", k, mode.name, err)
 				}
@@ -257,7 +257,7 @@ var reopenQueries = []string{
 // on has to survive the commit re-execution and every recovery route.
 func TestPlannerDifferentialReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := EngineConfig{Dir: dir, PoolPages: 8}
+	cfg := EngineConfig{Dir: dir}
 	e, err := OpenEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

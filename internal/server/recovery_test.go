@@ -132,7 +132,7 @@ func TestRecoveryCrashMatrix(t *testing.T) {
 	// Counting run: how many mutating ops does the workload issue?
 	countDir := t.TempDir()
 	in := faultfs.NewInjector()
-	e, err := OpenEngine(EngineConfig{Dir: countDir, PoolPages: 8, CheckpointBytes: -1, FS: faultfs.New(vfs.OS, in)})
+	e, err := OpenEngine(EngineConfig{Dir: countDir, CheckpointBytes: -1, FS: faultfs.New(vfs.OS, in)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestRecoveryCrashMatrix(t *testing.T) {
 				dir := filepath.Join(t.TempDir(), fmt.Sprintf("crash%d", k))
 				in := faultfs.NewInjector()
 				e, err := OpenEngine(EngineConfig{
-					Dir: dir, PoolPages: 8, CheckpointBytes: -1,
+					Dir: dir, CheckpointBytes: -1,
 					FS: faultfs.New(vfs.OS, in),
 				})
 				if err != nil {
@@ -173,7 +173,7 @@ func TestRecoveryCrashMatrix(t *testing.T) {
 				e.Abort() // simulate the process dying: no flush, no checkpoint
 
 				// Recover with a healthy filesystem.
-				re, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8, CheckpointBytes: -1})
+				re, err := OpenEngine(EngineConfig{Dir: dir, CheckpointBytes: -1})
 				if err != nil {
 					t.Fatalf("op %d (%s): recovery failed: %v", k, mode.name, err)
 				}
@@ -198,7 +198,7 @@ func TestRecoveryCrashMatrix(t *testing.T) {
 // (crash) between statements must lose nothing that was acknowledged.
 func TestRecoveryAfterAbortMidWorkload(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	e, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestRecoveryAfterAbortMidWorkload(t *testing.T) {
 	}
 	e.Abort() // no Close, no checkpoint: the rows exist only in the WAL
 
-	re, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	re, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRecoveryAfterAbortMidWorkload(t *testing.T) {
 // writes to the damaged table are refused, and DROP discards it.
 func TestQuarantineCorruptTable(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	e, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestQuarantineCorruptTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	re, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("corrupt table killed the engine: %v", err)
 	}
@@ -292,42 +292,62 @@ func TestQuarantineCorruptTable(t *testing.T) {
 	}
 }
 
-// TestQuarantineDuringScan: corruption that appears while the engine is
-// running (after the table was loaded cleanly) is caught by the scan path's
-// checksum verification and quarantines the table mid-flight.
-func TestQuarantineDuringScan(t *testing.T) {
+// TestCorruptSnapshotAtRest: a running engine never reads a heap file, so
+// corruption that appears in one after a clean load costs nothing while the
+// server is up — SELECTs answer from memory and nothing is quarantined — and
+// a table's next checkpoint heals it by writing a fresh generation. Only a
+// restart that still finds a damaged file quarantines its table.
+func TestCorruptSnapshotAtRest(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	e, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	mustExecute(t, e, "CREATE TABLE s (k INT, x FLOAT UNCERTAIN)")
-	mustExecute(t, e, "INSERT INTO s (k, x) VALUES (1, GAUSSIAN(10, 2))")
-	mustExecute(t, e, "CHECKPOINT") // snapshot on disk, nothing dirty
-
-	heaps, err := filepath.Glob(filepath.Join(dir, "s.*"+heapExt))
-	if err != nil || len(heaps) != 1 {
+	for _, name := range []string{"healed", "rotten"} {
+		mustExecute(t, e, "CREATE TABLE "+name+" (k INT, x FLOAT UNCERTAIN)")
+		mustExecute(t, e, "INSERT INTO "+name+" (k, x) VALUES (1, GAUSSIAN(10, 2))")
+	}
+	mustExecute(t, e, "CHECKPOINT") // snapshots on disk, nothing dirty
+	heaps, err := filepath.Glob(filepath.Join(dir, "*"+heapExt))
+	if err != nil || len(heaps) != 2 {
 		t.Fatalf("heap files: %v (%v)", heaps, err)
 	}
-	raw, err := os.ReadFile(heaps[0])
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range heaps {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[10] ^= 0xFF
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	raw[10] ^= 0xFF
-	if err := os.WriteFile(heaps[0], raw, 0o644); err != nil {
+	for _, name := range []string{"healed", "rotten"} {
+		if res, err := e.Execute("SELECT k FROM " + name); err != nil || len(res.Table.Rows) != 1 {
+			t.Fatalf("SELECT over %s, whose file at rest is corrupt: %v %v", name, res, err)
+		}
+	}
+	if q := e.Quarantined(); len(q) != 0 {
+		t.Fatalf("intact in-memory tables quarantined: %v", q)
+	}
+	// A checkpoint rewrites the tables written since the last one — here one.
+	mustExecute(t, e, "INSERT INTO healed (k, x) VALUES (2, GAUSSIAN(20, 2))")
+	mustExecute(t, e, "CHECKPOINT")
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := e.Execute("SELECT k FROM s"); err == nil {
-		t.Fatal("scan over corrupted page succeeded")
+	re, err := OpenEngine(EngineConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if q := e.Quarantined(); len(q) != 1 {
-		t.Fatalf("table not quarantined after corrupt scan: %v", q)
+	defer re.Close()
+	if q := re.Quarantined(); len(q) != 1 || q["rotten"] == nil {
+		t.Fatalf("quarantine set at reopen: %v, want exactly {rotten}", q)
 	}
-	// The engine survives: other statements keep working.
-	mustExecute(t, e, "CREATE TABLE s2 (k INT)")
-	mustExecute(t, e, "INSERT INTO s2 (k) VALUES (1)")
+	if res, err := re.Execute("SELECT k FROM healed"); err != nil || len(res.Table.Rows) != 2 {
+		t.Fatalf("healed table after reopen: %v %v, want 2 rows", res, err)
+	}
 }
 
 // TestWALReplayQuarantinedTable: when recovery quarantines a table whose
@@ -336,7 +356,7 @@ func TestQuarantineDuringScan(t *testing.T) {
 // caller can enumerate, while the rest of the log replays normally.
 func TestWALReplayQuarantinedTable(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8, CheckpointBytes: -1})
+	e, err := OpenEngine(EngineConfig{Dir: dir, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +393,7 @@ func TestWALReplayQuarantinedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8, CheckpointBytes: -1})
+	re, err := OpenEngine(EngineConfig{Dir: dir, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatalf("recovery died on quarantined replay: %v", err)
 	}
@@ -403,7 +423,7 @@ func TestWALReplayQuarantinedTable(t *testing.T) {
 // the -race build watches, and a durability check at the end.
 func TestConcurrentInsertsWithCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 16})
+	e, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +462,7 @@ func TestConcurrentInsertsWithCheckpoints(t *testing.T) {
 	}
 	e.Abort() // crash without a final checkpoint
 
-	re, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 16})
+	re, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

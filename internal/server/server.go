@@ -40,8 +40,6 @@ type Config struct {
 	QueryTimeout time.Duration
 	// DataDir persists base tables as heap files; empty means ephemeral.
 	DataDir string
-	// PoolPages is the per-table buffer-pool capacity, in pages. Default 64.
-	PoolPages int
 	// CheckpointBytes auto-checkpoints when the WAL exceeds this size.
 	// Default 1 MiB; negative disables auto-checkpointing.
 	CheckpointBytes int64
@@ -239,7 +237,6 @@ func New(cfg Config) (*Server, error) {
 	} else {
 		eng, err = OpenEngine(EngineConfig{
 			Dir:             cfg.DataDir,
-			PoolPages:       cfg.PoolPages,
 			CheckpointBytes: cfg.CheckpointBytes,
 			Parallelism:     cfg.Parallelism,
 			FS:              cfg.FS,

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"probdb/internal/core"
-	"probdb/internal/exec"
 	"probdb/internal/query"
-	"probdb/internal/storage"
 	"probdb/internal/txn"
 	"probdb/internal/wal"
 	"probdb/internal/wire"
@@ -105,12 +103,13 @@ func (s *Session) Execute(sql string) (*wire.Result, error) {
 // transaction-control statements — never calls sink (streamed=false) and
 // returns a full Result.
 //
-// A snapshot-routed SELECT (dirty tables, no transaction) and every
-// in-transaction SELECT stream without holding the engine mutex: a slow
-// consumer no longer blocks writers. Only the clean-table cold-scan path
-// still streams under the engine lock, preserving its per-query page-I/O
-// accounting. ctx aborts the operator tree between batches; sink errors do
-// the same and come back wrapped.
+// A snapshot-routed SELECT (no referenced table has an index, no
+// transaction) and every in-transaction SELECT stream without holding the
+// engine mutex: a slow consumer does not block writers. Only the indexed
+// route — a SELECT referencing a table with an index reads the live catalog,
+// where the index structures are — still streams under the engine lock. ctx
+// aborts the operator tree between batches; sink errors do the same and come
+// back wrapped.
 func (s *Session) ExecuteStream(ctx context.Context, sql string, sink func(hdr *core.Table, batch []*core.Tuple) error) (res *wire.Result, streamed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -353,7 +352,7 @@ func (s *Session) commitLocked() (*wire.Result, error) {
 		Message:  fmt.Sprintf("transaction %d committed (%d statements)", t.id, len(t.stmts)),
 		Affected: t.affected,
 	}
-	res := e.finishStatsLocked(d, qr, storage.Stats{}, exec.CacheStats{})
+	res := e.finishStatsLocked(d, qr)
 	e.mu.Unlock()
 
 	if tk != nil {

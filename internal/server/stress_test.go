@@ -30,7 +30,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 		seedPairs  = 600 // > 2 stream batches, so commits interleave batches
 		partnerGap = 1_000_000
 	)
-	e, err := OpenEngine(EngineConfig{Dir: t.TempDir(), PoolPages: 16})
+	e, err := OpenEngine(EngineConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 // sink and rolling the transaction back must tear down the whole operator
 // tree — repeated cycles leave no goroutines behind.
 func TestRollbackMidStreamNoLeak(t *testing.T) {
-	e, err := OpenEngine(EngineConfig{PoolPages: 8, Parallelism: 4})
+	e, err := OpenEngine(EngineConfig{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // across a crash.
 func TestTxnSessionSemantics(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	e, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTxnSessionSemantics(t *testing.T) {
 	mustSession(s2, "INSERT INTO r (k, x) VALUES (99, GAUSSIAN(9, 1))")
 	e.Abort()
 
-	re, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8})
+	re, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestTxnSessionSemantics(t *testing.T) {
 // table; the second committer gets a typed ConflictError, its transaction
 // is gone, and the engine's conflict counter moves.
 func TestTxnConflict(t *testing.T) {
-	e, err := OpenEngine(EngineConfig{PoolPages: 8})
+	e, err := OpenEngine(EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func runTxnWorkload(e *Engine) (committed, inflight string) {
 func TestTxnCrashMatrix(t *testing.T) {
 	countDir := t.TempDir()
 	in := faultfs.NewInjector()
-	e, err := OpenEngine(EngineConfig{Dir: countDir, PoolPages: 8, CheckpointBytes: -1, FS: faultfs.New(vfs.OS, in)})
+	e, err := OpenEngine(EngineConfig{Dir: countDir, CheckpointBytes: -1, FS: faultfs.New(vfs.OS, in)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestTxnCrashMatrix(t *testing.T) {
 				dir := filepath.Join(t.TempDir(), fmt.Sprintf("crash%d", k))
 				in := faultfs.NewInjector()
 				e, err := OpenEngine(EngineConfig{
-					Dir: dir, PoolPages: 8, CheckpointBytes: -1,
+					Dir: dir, CheckpointBytes: -1,
 					FS: faultfs.New(vfs.OS, in),
 				})
 				if err != nil {
@@ -352,7 +352,7 @@ func TestTxnCrashMatrix(t *testing.T) {
 				committed, inflight := runTxnWorkload(e)
 				e.Abort()
 
-				re, err := OpenEngine(EngineConfig{Dir: dir, PoolPages: 8, CheckpointBytes: -1})
+				re, err := OpenEngine(EngineConfig{Dir: dir, CheckpointBytes: -1})
 				if err != nil {
 					t.Fatalf("op %d (%s): recovery failed: %v", k, mode.name, err)
 				}

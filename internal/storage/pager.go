@@ -48,7 +48,7 @@ type FilePager struct {
 	npages PageID
 
 	// scratch assembles image+trailer for one write; the mutex covers it
-	// and npages for pagers shared by several scratch pools.
+	// and npages for pagers shared by several pools.
 	mu      sync.Mutex
 	scratch [diskPageSize]byte
 }

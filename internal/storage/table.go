@@ -1,16 +1,16 @@
-// Package store persists base probabilistic tables into the page-based
-// storage engine and loads them back: the bridge between the model layer
-// (internal/core) and the heap files (internal/storage). The on-disk layout
-// is a schema record followed by one record per tuple, with pdfs in the
-// dist wire format — so a table of symbolic Gaussians costs 17 bytes per
-// pdf on disk, exactly the representation economics the paper's Fig. 5
-// builds on.
+package storage
+
+// This file persists base probabilistic tables into heap files and loads
+// them back: the bridge between the model layer (internal/core) and the
+// pages. The on-disk layout is a schema record followed by one record per
+// tuple, with pdfs in the dist wire format — so a table of symbolic
+// Gaussians costs 17 bytes per pdf on disk, exactly the representation
+// economics the paper's Fig. 5 builds on.
 //
 // Persistence covers *base* tables: the paper's model derives everything
 // else with operators, and derived tables (with phantom attributes and
 // cross-table histories) are recomputed, not stored. SaveTable rejects
 // tables with phantom attributes.
-package store
 
 import (
 	"encoding/binary"
@@ -19,19 +19,18 @@ import (
 
 	"probdb/internal/core"
 	"probdb/internal/dist"
-	"probdb/internal/storage"
 )
 
 // formatVersion guards the record layout.
 const formatVersion = 1
 
 // SaveTable writes the table into the heap. The heap must be empty.
-func SaveTable(t *core.Table, heap *storage.Heap) error {
+func SaveTable(t *core.Table, heap *Heap) error {
 	if heap.NumPages() != 0 {
-		return fmt.Errorf("store: target heap is not empty")
+		return fmt.Errorf("storage: target heap is not empty")
 	}
 	if ph := t.PhantomAttrs(); len(ph) > 0 {
-		return fmt.Errorf("store: cannot persist derived table with phantom attributes %v", ph)
+		return fmt.Errorf("storage: cannot persist derived table with phantom attributes %v", ph)
 	}
 	hdr, err := encodeSchema(t)
 	if err != nil {
@@ -55,7 +54,7 @@ func SaveTable(t *core.Table, heap *storage.Heap) error {
 			rec = dist.AppendEncode(rec, t.DepDist(tup, i))
 		}
 		if _, err := heap.Append(rec); err != nil {
-			return fmt.Errorf("store: tuple record: %w", err)
+			return fmt.Errorf("storage: tuple record: %w", err)
 		}
 	}
 	return heap.Pool().Flush()
@@ -65,12 +64,12 @@ func SaveTable(t *core.Table, heap *storage.Heap) error {
 // pdfs are re-registered as fresh base pdfs in reg (pass nil for a new
 // registry): on-disk tables are base tables, so histories restart from
 // them (Definition 2).
-func LoadTable(heap *storage.Heap, reg *core.Registry) (*core.Table, error) {
+func LoadTable(heap *Heap, reg *core.Registry) (*core.Table, error) {
 	var t *core.Table
 	var deps [][]string
 	var certainCols []core.Column
 	first := true
-	err := heap.Scan(func(_ storage.RID, rec []byte) error {
+	err := heap.Scan(func(_ RID, rec []byte) error {
 		if first {
 			first = false
 			var err error
@@ -78,14 +77,14 @@ func LoadTable(heap *storage.Heap, reg *core.Registry) (*core.Table, error) {
 			return err
 		}
 		if len(rec) < 1 || rec[0] != formatVersion {
-			return fmt.Errorf("store: bad tuple record version")
+			return fmt.Errorf("storage: bad tuple record version")
 		}
 		rec = rec[1:]
 		row := core.Row{Values: map[string]core.Value{}}
 		for _, c := range certainCols {
 			v, n, err := decodeValue(rec)
 			if err != nil {
-				return fmt.Errorf("store: column %s: %w", c.Name, err)
+				return fmt.Errorf("storage: column %s: %w", c.Name, err)
 			}
 			rec = rec[n:]
 			row.Values[c.Name] = v
@@ -93,13 +92,13 @@ func LoadTable(heap *storage.Heap, reg *core.Registry) (*core.Table, error) {
 		for _, set := range deps {
 			d, n, err := dist.Decode(rec)
 			if err != nil {
-				return fmt.Errorf("store: pdf of %v: %w", set, err)
+				return fmt.Errorf("storage: pdf of %v: %w", set, err)
 			}
 			rec = rec[n:]
 			row.PDFs = append(row.PDFs, core.PDF{Attrs: set, Dist: d})
 		}
 		if len(rec) != 0 {
-			return fmt.Errorf("store: %d trailing bytes in tuple record", len(rec))
+			return fmt.Errorf("storage: %d trailing bytes in tuple record", len(rec))
 		}
 		return t.Insert(row)
 	})
@@ -107,7 +106,7 @@ func LoadTable(heap *storage.Heap, reg *core.Registry) (*core.Table, error) {
 		return nil, err
 	}
 	if t == nil {
-		return nil, fmt.Errorf("store: empty heap (no schema record)")
+		return nil, fmt.Errorf("storage: empty heap (no schema record)")
 	}
 	return t, nil
 }
@@ -139,7 +138,7 @@ func encodeSchema(t *core.Table) ([]byte, error) {
 
 func decodeSchema(rec []byte, reg *core.Registry) (*core.Table, [][]string, []core.Column, error) {
 	if len(rec) < 1 || rec[0] != formatVersion {
-		return nil, nil, nil, fmt.Errorf("store: bad schema record version")
+		return nil, nil, nil, fmt.Errorf("storage: bad schema record version")
 	}
 	rec = rec[1:]
 	name, n, err := decodeString(rec)
@@ -149,7 +148,7 @@ func decodeSchema(rec []byte, reg *core.Registry) (*core.Table, [][]string, []co
 	rec = rec[n:]
 	ncols, n := binary.Uvarint(rec)
 	if n <= 0 || ncols > 1<<16 {
-		return nil, nil, nil, fmt.Errorf("store: bad column count")
+		return nil, nil, nil, fmt.Errorf("storage: bad column count")
 	}
 	rec = rec[n:]
 	cols := make([]core.Column, ncols)
@@ -161,7 +160,7 @@ func decodeSchema(rec []byte, reg *core.Registry) (*core.Table, [][]string, []co
 		}
 		rec = rec[n:]
 		if len(rec) < 2 {
-			return nil, nil, nil, fmt.Errorf("store: truncated column descriptor")
+			return nil, nil, nil, fmt.Errorf("storage: truncated column descriptor")
 		}
 		cols[i] = core.Column{Name: cname, Type: core.AttrType(rec[0]), Uncertain: rec[1] == 1}
 		rec = rec[2:]
@@ -171,14 +170,14 @@ func decodeSchema(rec []byte, reg *core.Registry) (*core.Table, [][]string, []co
 	}
 	ndeps, n := binary.Uvarint(rec)
 	if n <= 0 || ndeps > 1<<16 {
-		return nil, nil, nil, fmt.Errorf("store: bad dependency count")
+		return nil, nil, nil, fmt.Errorf("storage: bad dependency count")
 	}
 	rec = rec[n:]
 	deps := make([][]string, ndeps)
 	for i := range deps {
 		na, n := binary.Uvarint(rec)
 		if n <= 0 || na > 1<<16 {
-			return nil, nil, nil, fmt.Errorf("store: bad dependency set size")
+			return nil, nil, nil, fmt.Errorf("storage: bad dependency set size")
 		}
 		rec = rec[n:]
 		set := make([]string, na)
@@ -212,7 +211,7 @@ func appendString(buf []byte, s string) []byte {
 func decodeString(rec []byte) (string, int, error) {
 	l, n := binary.Uvarint(rec)
 	if n <= 0 || int(l) > len(rec)-n {
-		return "", 0, fmt.Errorf("store: bad string")
+		return "", 0, fmt.Errorf("storage: bad string")
 	}
 	return string(rec[n : n+int(l)]), n + int(l), nil
 }
@@ -246,12 +245,12 @@ func appendValue(buf []byte, v core.Value) []byte {
 		}
 		return append(buf, 0)
 	}
-	panic(fmt.Sprintf("store: unknown value kind %d", v.Kind))
+	panic(fmt.Sprintf("storage: unknown value kind %d", v.Kind))
 }
 
 func decodeValue(rec []byte) (core.Value, int, error) {
 	if len(rec) == 0 {
-		return core.Null, 0, fmt.Errorf("store: truncated value")
+		return core.Null, 0, fmt.Errorf("storage: truncated value")
 	}
 	switch rec[0] {
 	case valNull:
@@ -259,12 +258,12 @@ func decodeValue(rec []byte) (core.Value, int, error) {
 	case valInt:
 		i, n := binary.Varint(rec[1:])
 		if n <= 0 {
-			return core.Null, 0, fmt.Errorf("store: bad int")
+			return core.Null, 0, fmt.Errorf("storage: bad int")
 		}
 		return core.Int(i), 1 + n, nil
 	case valFloat:
 		if len(rec) < 9 {
-			return core.Null, 0, fmt.Errorf("store: bad float")
+			return core.Null, 0, fmt.Errorf("storage: bad float")
 		}
 		return core.Float(math.Float64frombits(binary.LittleEndian.Uint64(rec[1:]))), 9, nil
 	case valString:
@@ -275,9 +274,9 @@ func decodeValue(rec []byte) (core.Value, int, error) {
 		return core.Str(s), 1 + n, nil
 	case valBool:
 		if len(rec) < 2 {
-			return core.Null, 0, fmt.Errorf("store: bad bool")
+			return core.Null, 0, fmt.Errorf("storage: bad bool")
 		}
 		return core.Bool(rec[1] == 1), 2, nil
 	}
-	return core.Null, 0, fmt.Errorf("store: unknown value tag %d", rec[0])
+	return core.Null, 0, fmt.Errorf("storage: unknown value tag %d", rec[0])
 }

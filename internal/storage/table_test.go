@@ -1,4 +1,4 @@
-package store
+package storage
 
 import (
 	"math"
@@ -8,7 +8,6 @@ import (
 	"probdb/internal/core"
 	"probdb/internal/dist"
 	"probdb/internal/region"
-	"probdb/internal/storage"
 )
 
 func buildSample(t *testing.T) *core.Table {
@@ -53,8 +52,8 @@ func buildSample(t *testing.T) *core.Table {
 	return tbl
 }
 
-func memHeap() *storage.Heap {
-	return storage.NewHeap(storage.NewPool(storage.NewMemPager(), 16))
+func memHeap() *Heap {
+	return NewHeap(NewPool(NewMemPager(), 16))
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -110,11 +109,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveLoadOnDisk(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sample.pages")
-	fp, err := storage.OpenFile(path)
+	fp, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap := storage.NewHeap(storage.NewPool(fp, 8))
+	heap := NewHeap(NewPool(fp, 8))
 	tbl := buildSample(t)
 	if err := SaveTable(tbl, heap); err != nil {
 		t.Fatal(err)
@@ -124,12 +123,12 @@ func TestSaveLoadOnDisk(t *testing.T) {
 	}
 	fp.Close()
 
-	fp2, err := storage.OpenFile(path)
+	fp2, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fp2.Close()
-	back, err := LoadTable(storage.NewHeap(storage.NewPool(fp2, 8)), nil)
+	back, err := LoadTable(NewHeap(NewPool(fp2, 8)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
