@@ -9,18 +9,19 @@ import (
 )
 
 // This file routes the filter kernels through the columnar batch
-// representation (internal/colpdf). The executors hand kernels contiguous
-// 256-tuple batches; colBlockFor turns one dependency set of one batch into
-// a colpdf.Block — from the registry's encoding cache when the batch is a
-// verified slice of a base table, re-encoded as per-batch scratch otherwise
-// — and the batch kernels in kernels.go evaluate the block's flat lanes in
-// place of the per-tuple interface walk. The scalar per-tuple path remains
-// the reference implementation: SetVectorizedKernels(false) forces it, and
-// the differential suites prove both paths byte-identical.
+// representation (internal/colpdf). The executor and the whole-table Run*
+// drivers hand kernels contiguous 256-tuple batches; colBlockFor turns one
+// dependency set of one batch into a colpdf.Block — from the registry's
+// encoding cache when the batch is a verified slice of a base table,
+// re-encoded as per-batch scratch otherwise — and the batch kernels in
+// kernels.go evaluate the block's flat lanes in place of the per-tuple
+// interface walk. The scalar per-tuple path remains the reference
+// implementation: SetVectorizedKernels(false) forces it, and the
+// differential suites prove both paths byte-identical.
 
 // colBatchSize is the tuple granularity of cached columnar encodings. It
-// matches pipe.BatchSize so the pipelined executor's scan batches and the
-// legacy whole-table operators share cache entries.
+// matches pipe.BatchSize so the executor's scan batches and the whole-table
+// Run* drivers share cache entries.
 const colBatchSize = 256
 
 // vectorizedOff flips the engine onto the scalar reference path. The zero
@@ -90,7 +91,7 @@ func (s *kernelStats) report(name string) KernelReport {
 // forColBatches splits [0, n) into colBatchSize-aligned batches and runs fn
 // over them on the morsel pool — the vectorized whole-table drivers' outer
 // loop. Alignment to colBatchSize keeps the cached encodings shared between
-// the legacy and pipelined executors regardless of parallelism.
+// those drivers and the executor's scans regardless of parallelism.
 func forColBatches(par, n int, fn func(from, to int) error) error {
 	nb := (n + colBatchSize - 1) / colBatchSize
 	return exec.For(par, nb, func(lo, hi int) error {

@@ -115,6 +115,54 @@ func sameBuiltTuples(t *testing.T, label string, vec, scalar *Table) {
 	}
 }
 
+// TestPassThroughSharesTuples: a certain-only selection changes no tuple, so
+// it returns the input tuples themselves, in table order, on the vectorized
+// and the scalar path, over a cached base table and over an uncached
+// restriction of it; a selection with a floor still builds fresh tuples; and
+// nothing any of them did shows in the base table.
+func TestPassThroughSharesTuples(t *testing.T) {
+	tbl := mixedColTable(t, 600)
+	before := tbl.Render()
+	base := map[*Tuple]bool{}
+	for _, tup := range tbl.tuples {
+		base[tup] = true
+	}
+	for _, par := range []int{1, 8} {
+		vec, scalar := diffRun(t, tbl, par, func() (*Table, error) {
+			return tbl.Select(Cmp(Col("id"), region.GE, LitI(57)), Cmp(LitI(489), region.GT, Col("id")))
+		})
+		sameKeptTuples(t, "σ(id)", vec, scalar)
+		sameKeptTuples(t, "σ(id) vs base", vec, &Table{tuples: tbl.tuples[57:489]})
+
+		sub := tbl.Restrict("sub", tbl.tuples[100:300])
+		vec, scalar = diffRun(t, sub, par, func() (*Table, error) {
+			return sub.Select(Cmp(Col("id"), region.LT, LitI(200)))
+		})
+		sameKeptTuples(t, "σ(sub)", vec, scalar)
+		sameKeptTuples(t, "σ(sub) vs base", vec, &Table{tuples: tbl.tuples[100:200]})
+
+		vec, scalar = diffRun(t, tbl, par, func() (*Table, error) {
+			return tbl.Select(Cmp(Col("id"), region.LT, LitI(300)), Cmp(Col("x"), region.LT, LitF(6)))
+		})
+		if vec.Render() != scalar.Render() {
+			t.Fatalf("par %d: floored selection differs between the vectorized and scalar paths", par)
+		}
+		for _, out := range []*Table{vec, scalar} {
+			if len(out.tuples) == 0 {
+				t.Fatal("the floored selection kept nothing")
+			}
+			for i, tup := range out.tuples {
+				if base[tup] {
+					t.Fatalf("par %d: floored tuple %d is a base-table tuple", par, i)
+				}
+			}
+		}
+	}
+	if after := tbl.Render(); after != before {
+		t.Fatalf("base table changed:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}
+
 func TestSelectDifferential(t *testing.T) {
 	tbl := mixedColTable(t, 600)
 	for _, par := range []int{1, 8} {

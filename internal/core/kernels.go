@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"probdb/internal/colpdf"
 	"probdb/internal/exec"
 	"probdb/internal/region"
 )
@@ -12,10 +11,11 @@ import (
 // Plan* constructor runs an operator's per-table analysis once — schema and
 // dependency-set work, atom classification, the closure Ω — and returns a
 // kernel holding the derived table's shape plus a pure per-tuple function.
-// The Table methods in ops.go call these kernels inside their materializing
-// loops, and internal/pipe's streaming operators call the same kernels one
-// batch at a time, which is what makes the two execution strategies
-// byte-identical: same planning state, same per-tuple floats, same order.
+// internal/pipe's streaming operators — the one executor behind every
+// statement — call these kernels one batch at a time; the Table methods in
+// ops.go run the same kernels over a whole table for core's library API and
+// the test-only reference evaluator. Same planning state, same per-tuple
+// floats, same order, so the two drivers render byte-identically.
 //
 // Planning only reads Σ, Δ, ids and the registry — never the tuples — so a
 // kernel planned against an empty derived table evaluates tuples of any
@@ -30,6 +30,7 @@ type Selection struct {
 	out *Table
 
 	cls          []classified
+	certain      []certainCmp // the atomCertain members of cls, compiled
 	promotedCols map[int]bool
 	plans        []*mergePlan
 	oldToNew     []int
@@ -63,12 +64,16 @@ type crossOp struct {
 // input tuples to output tuples.
 func (t *Table) PlanSelect(atoms ...Atom) (*Selection, error) {
 	cls := make([]classified, len(atoms))
+	var certain []certainCmp
 	for i, a := range atoms {
 		c, err := t.classify(a)
 		if err != nil {
 			return nil, err
 		}
 		cls[i] = c
+		if c.class == atomCertain {
+			certain = append(certain, t.compileCertain(a))
+		}
 	}
 
 	groups, err := t.mergeGroups(cls)
@@ -147,7 +152,7 @@ func (t *Table) PlanSelect(atoms ...Atom) (*Selection, error) {
 	}
 	return &Selection{
 		in: t, out: out,
-		cls: cls, promotedCols: promotedCols, plans: plans,
+		cls: cls, certain: certain, promotedCols: promotedCols, plans: plans,
 		oldToNew: oldToNew, planDep: planDep, floors: floors, crosses: crosses,
 	}, nil
 }
@@ -157,15 +162,26 @@ func (s *Selection) Out() *Table { return s.out }
 
 // Eval evaluates one tuple against the planned atoms: filter, merge, floor,
 // and the final zero-mass check. It returns nil (no error) when the tuple is
-// filtered. Everything it touches is either read-only planning state or the
-// tuple's own nodes, so tuples evaluate independently on worker goroutines.
+// filtered, and the input tuple itself when the selection is pass-through
+// (tuples are immutable once inserted, so derived tables may share them with
+// their base table, as threshold selection always has). Everything it
+// touches is either read-only planning state or the tuple's own nodes, so
+// tuples evaluate independently on worker goroutines.
 func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 	t := s.in
 	// Case 1: certain predicates filter outright.
-	for _, c := range s.cls {
-		if c.class == atomCertain && !t.evalCertain(c.atom, tup) {
+	for i := range s.certain {
+		if !s.certain[i].eval(tup) {
 			return nil, nil
 		}
+	}
+	if s.vectorizable() {
+		for _, n := range tup.nodes {
+			if t.nodeMass(n) <= 0 {
+				return nil, nil
+			}
+		}
+		return tup, nil
 	}
 	// A NULL in a certain column about to be promoted into a joint can
 	// satisfy no predicate: the tuple is filtered, matching SQL's
@@ -219,9 +235,10 @@ func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 func (s *Selection) Report() KernelReport { return s.stats.report(s.out.Name) }
 
 // vectorizable reports whether the selection passes tuples through
-// structurally unchanged: no merges, promotions, floors, or cross floors.
-// Such selections are certain filters plus the zero-mass check, which the
-// columnar mass lane answers without touching any pdf.
+// structurally unchanged: no merges, promotions, floors, or cross floors
+// (oldToNew is the identity). Such selections are certain filters plus the
+// zero-mass check, which the columnar mass lane answers without touching any
+// pdf, and their survivors are the input tuples themselves.
 func (s *Selection) vectorizable() bool {
 	return len(s.plans) == 0 && len(s.floors) == 0 && len(s.crosses) == 0 && len(s.promotedCols) == 0
 }
@@ -243,9 +260,9 @@ func (s *Selection) EvalBatch(in []*Tuple, par int, slots []*Tuple) error {
 	return s.evalBatchAt(in, at, par, slots)
 }
 
-// evalBatchAt is the batch body shared by EvalBatch and the legacy
-// whole-table driver, which passes the batch offset explicitly (at < 0
-// means "not a table slice": evaluate with a scratch encoding).
+// evalBatchAt is the batch body shared by EvalBatch and the whole-table
+// driver RunSelection, which passes the batch offset explicitly (at < 0
+// means "not a table slice").
 func (s *Selection) evalBatchAt(in []*Tuple, at, par int, slots []*Tuple) error {
 	n := len(in)
 	if n == 0 {
@@ -264,42 +281,43 @@ func (s *Selection) evalBatchAt(in []*Tuple, at, par int, slots []*Tuple) error 
 			return nil
 		})
 	}
+	// Pass-through: a compare per atom and a mass read per dependency set,
+	// run inline — spawning workers for a 256-row compare loop costs more
+	// than the loop — and the survivors are the input tuples themselves.
 	t := s.in
-	blocks := make([]*colpdf.Block, len(t.deps))
-	for di := range t.deps {
-		blocks[di] = t.colBlockFor(di, 0, at, in)
-		s.stats.note(blocks[di].StatsIn(0, n), true)
-	}
-	if len(t.deps) == 0 {
-		s.stats.vec.Add(uint64(n)) // certain-only table: nothing to encode
-	}
-	return exec.For(par, n, func(lo, hi int) error {
-	tuples:
-		for i := lo; i < hi; i++ {
-			tup := in[i]
-			for _, c := range s.cls {
-				if c.class == atomCertain && !t.evalCertain(c.atom, tup) {
-					continue tuples // slots[i] stays nil
-				}
-			}
-			// The zero-mass check over the (unchanged) nodes, answered from
-			// the mass lanes. Node order does not matter: a tuple drops iff
-			// any node's mass is ≤ 0, and the lane holds nodeMass's floats.
-			for _, b := range blocks {
-				if b.Mass()[i] <= 0 {
-					continue tuples
-				}
-			}
-			nodes := make([]*PDFNode, len(s.out.deps))
-			for si := range t.deps {
-				if s.oldToNew[si] >= 0 {
-					nodes[s.oldToNew[si]] = tup.nodes[si]
-				}
-			}
-			slots[i] = &Tuple{certain: append([]Value(nil), tup.certain...), nodes: nodes}
+	if t.tid == 0 || at < 0 || len(t.deps) == 0 {
+		// Not a slice of a cached table (an index probe's candidates, a
+		// derived table) or nothing to encode: Eval asks nodeMass for the
+		// floats a mass lane would hold, rather than encoding a scratch
+		// block only to read its mass lane. It cannot fail on this path.
+		s.stats.vec.Add(uint64(n * max(len(t.deps), 1)))
+		for i, tup := range in {
+			slots[i], _ = s.Eval(tup)
 		}
 		return nil
-	})
+	}
+	for i, tup := range in {
+		slots[i] = tup
+		for ci := range s.certain {
+			if !s.certain[ci].eval(tup) {
+				slots[i] = nil
+				break
+			}
+		}
+	}
+	// The zero-mass check over the (unchanged) nodes, answered from the
+	// cached mass lanes, which hold nodeMass's floats. Node order does not
+	// matter: a tuple drops iff any node's mass is ≤ 0.
+	for di := range t.deps {
+		b := t.colBlockFor(di, 0, at, in)
+		s.stats.note(b.StatsIn(0, n), true)
+		for i, m := range b.Mass()[:n] {
+			if m <= 0 {
+				slots[i] = nil
+			}
+		}
+	}
+	return nil
 }
 
 // probKind distinguishes the two probability-value selections: a tuple
@@ -445,8 +463,8 @@ func (p *ProbSelection) KeepBatch(in []*Tuple, par int, keep []bool) error {
 	return p.keepBatchAt(in, at, par, keep)
 }
 
-// keepBatchAt is the batch body shared by KeepBatch and the legacy
-// whole-table driver, which passes the batch offset explicitly (at < 0
+// keepBatchAt is the batch body shared by KeepBatch and the whole-table
+// driver RunProbSelection, which passes the batch offset explicitly (at < 0
 // means "not a table slice": evaluate with a scratch encoding).
 func (p *ProbSelection) keepBatchAt(in []*Tuple, at, par int, keep []bool) error {
 	n := len(in)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -577,5 +578,38 @@ func TestSelectDropsNullPromotion(t *testing.T) {
 	}
 	if r.Len() != 1 {
 		t.Fatalf("rows = %d, want 1 (NULL row dropped)", r.Len())
+	}
+}
+
+// TestCertainCmpSemantics: the compiled certain comparison — column offsets,
+// in-place compares, a float fast path — answers exactly as the Value
+// methods do for every operator over every pairing of NULL, INT, FLOAT, NaN,
+// TEXT and BOOL, column against literal, literal against column and column
+// against column.
+func TestCertainCmpSemantics(t *testing.T) {
+	vals := []Value{Null, Int(2), Int(3), Float(2), Float(2.5), Float(math.NaN()), Str("a"), Str("b"), Bool(false), Bool(true)}
+	want := func(lv Value, op region.Op, rv Value) bool {
+		switch op {
+		case region.EQ:
+			return lv.Equal(rv)
+		case region.NE:
+			return !lv.IsNull() && !rv.IsNull() && !lv.Equal(rv)
+		}
+		cmp, ok := lv.Compare(rv)
+		return ok && op.Eval(float64(cmp), 0)
+	}
+	tbl := MustTable("v", MustSchema(Column{Name: "a", Type: FloatType}, Column{Name: "b", Type: FloatType}), nil, nil)
+	for _, lv := range vals {
+		for _, rv := range vals {
+			tup := &Tuple{certain: []Value{lv, rv}}
+			for _, op := range []region.Op{region.LT, region.LE, region.GT, region.GE, region.EQ, region.NE} {
+				for _, a := range []Atom{Cmp(Col("a"), op, Col("b")), Cmp(Col("a"), op, Lit(rv)), Cmp(Lit(lv), op, Col("b"))} {
+					c := tbl.compileCertain(a)
+					if got, w := c.eval(tup), want(lv, op, rv); got != w {
+						t.Errorf("%s %v %s as %v: got %v, want %v", lv.Render(), op, rv.Render(), a, got, w)
+					}
+				}
+			}
+		}
 	}
 }

@@ -136,31 +136,100 @@ func (t *Table) operandInfo(o Operand) (string, bool, error) {
 	return o.attr, col.Uncertain, nil
 }
 
-// evalCertain evaluates an atom whose operands are all certain-valued on a
-// tuple. NULL comparisons are false (SQL semantics collapsed to boolean).
-func (t *Table) evalCertain(a Atom, tup *Tuple) bool {
-	lv := t.operandValue(a.Left, tup)
-	rv := t.operandValue(a.Right, tup)
-	switch a.Op {
+// certainCmp is a comparison over certain values compiled against a table's
+// schema: each side is a column offset, or (col < 0) a literal. Evaluating it
+// indexes tup.certain and compares in place — no name lookup and no Value
+// copy per row.
+type certainCmp struct {
+	op         region.Op
+	lcol, rcol int
+	llit, rlit Value
+}
+
+// compileCertain resolves the atom's column operands, which the caller has
+// checked exist and are certain, to their offsets.
+func (t *Table) compileCertain(a Atom) certainCmp {
+	c := certainCmp{op: a.Op, lcol: -1, rcol: -1, llit: a.Left.lit, rlit: a.Right.lit}
+	if a.Left.isCol {
+		c.lcol = t.schema.Index(a.Left.attr)
+	}
+	if a.Right.isCol {
+		c.rcol = t.schema.Index(a.Right.attr)
+	}
+	return c
+}
+
+// CertainFilter compiles a conjunction of comparisons over certain columns
+// and literals into one predicate over the table's tuples — the form DELETE
+// evaluates, sharing Select's compiled atoms and their NULL and mixed-kind
+// semantics.
+func (t *Table) CertainFilter(atoms ...Atom) (func(*Tuple) bool, error) {
+	cmps := make([]certainCmp, len(atoms))
+	for i, a := range atoms {
+		for _, o := range []Operand{a.Left, a.Right} {
+			if _, uncertain, err := t.operandInfo(o); err != nil {
+				return nil, err
+			} else if uncertain {
+				return nil, fmt.Errorf("core: column %q is uncertain", o.attr)
+			}
+		}
+		cmps[i] = t.compileCertain(a)
+	}
+	return func(tup *Tuple) bool {
+		for i := range cmps {
+			if !cmps[i].eval(tup) {
+				return false
+			}
+		}
+		return true
+	}, nil
+}
+
+// eval evaluates the comparison on a tuple. NULL comparisons are false (SQL
+// semantics collapsed to boolean), = is Value.Equal, and the orderings are
+// Value.Compare against zero, false when the kinds are incomparable.
+func (c *certainCmp) eval(tup *Tuple) bool {
+	lv, rv := &c.llit, &c.rlit
+	if c.lcol >= 0 {
+		lv = &tup.certain[c.lcol]
+	}
+	if c.rcol >= 0 {
+		rv = &tup.certain[c.rcol]
+	}
+	// Two numbers, the common case, compare as floats. <= and >= are
+	// Compare's three-way result against zero, which a NaN leaves at zero,
+	// hence the negated forms.
+	if lf, ok := lv.AsFloat(); ok {
+		if rf, ok := rv.AsFloat(); ok {
+			switch c.op {
+			case region.EQ:
+				return lf == rf
+			case region.NE:
+				return lf != rf
+			case region.LT:
+				return lf < rf
+			case region.LE:
+				return !(lf > rf)
+			case region.GT:
+				return lf > rf
+			case region.GE:
+				return !(lf < rf)
+			}
+		}
+	}
+	switch c.op {
 	case region.EQ:
-		return lv.Equal(rv)
+		return lv.Equal(*rv)
 	case region.NE:
 		if lv.IsNull() || rv.IsNull() {
 			return false
 		}
-		return !lv.Equal(rv)
+		return !lv.Equal(*rv)
 	default:
-		cmp, ok := lv.Compare(rv)
+		cmp, ok := lv.Compare(*rv)
 		if !ok {
 			return false
 		}
-		return a.Op.Eval(float64(cmp), 0)
+		return c.op.Eval(float64(cmp), 0)
 	}
-}
-
-func (t *Table) operandValue(o Operand, tup *Tuple) Value {
-	if !o.isCol {
-		return o.lit
-	}
-	return tup.certain[t.schema.Index(o.attr)]
 }

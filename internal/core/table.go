@@ -528,8 +528,8 @@ func (t *Table) retainTuple(tup *Tuple) {
 // results to a full scan because tuples, histories, and order are shared.
 func (t *Table) Restrict(name string, tups []*Tuple) *Table {
 	out := t.shallowDerived(name)
+	out.tuples = append([]*Tuple(nil), tups...)
 	for _, tup := range tups {
-		out.tuples = append(out.tuples, tup)
 		out.retainTuple(tup)
 	}
 	return out

@@ -9,13 +9,12 @@
 // Operators do no relational reasoning of their own: the per-tuple work is
 // the compiled kernels of internal/core (Selection, ProbSelection,
 // CrossKernel, EquiJoinKernel), planned once by the query layer against
-// header tables and evaluated here one batch at a time. That shared
-// planning state is what keeps the streaming and materializing executors
-// byte-identical.
+// header tables and evaluated here one batch at a time. core's whole-table
+// methods run the same kernels, which is what keeps this executor
+// byte-identical to the reference evaluator built from them.
 package pipe
 
 import (
-	"container/heap"
 	"context"
 	"sort"
 	"sync/atomic"
@@ -39,7 +38,10 @@ const BatchSize = 256
 //   - Header() is the empty derived table defining the output shape (name,
 //     schema, dependency sets); valid once Open has returned.
 //   - Next returns the next batch: a non-empty slice, or nil when the
-//     stream is exhausted. Batches must not be mutated by callers.
+//     stream is exhausted. Batches must not be mutated by callers, and a
+//     returned batch is valid only until the next Next or Close on that
+//     operator (filters reuse their output buffer): copy out what must
+//     outlive it.
 //   - Close releases resources, closes children, and is idempotent.
 type Operator interface {
 	Header() *core.Table
@@ -161,11 +163,13 @@ type Filter struct {
 	base
 	child Operator
 	sel   *core.Selection
+	par   int
+	slots []*core.Tuple // reused across Next calls; compacted into the output
 }
 
 // NewFilter wraps child with a selection kernel planned against its header.
 func NewFilter(child Operator, sel *core.Selection) *Filter {
-	return &Filter{child: child, sel: sel}
+	return &Filter{child: child, sel: sel, par: sel.Out().Parallelism()}
 }
 
 func (f *Filter) Header() *core.Table { return f.sel.Out() }
@@ -176,7 +180,6 @@ func (f *Filter) Open(ctx context.Context) error {
 }
 
 func (f *Filter) Next() ([]*core.Tuple, error) {
-	par := f.sel.Out().Parallelism()
 	for {
 		if err := f.ctx.Err(); err != nil {
 			return nil, err
@@ -188,8 +191,11 @@ func (f *Filter) Next() ([]*core.Tuple, error) {
 		if in == nil {
 			return nil, nil
 		}
-		slots := make([]*core.Tuple, len(in))
-		if err := f.sel.EvalBatch(in, par, slots); err != nil {
+		if cap(f.slots) < len(in) {
+			f.slots = make([]*core.Tuple, len(in))
+		}
+		slots := f.slots[:len(in)]
+		if err := f.sel.EvalBatch(in, f.par, slots); err != nil {
 			return nil, err
 		}
 		out := slots[:0]
@@ -216,12 +222,15 @@ type ProbFilter struct {
 	base
 	child Operator
 	sel   *core.ProbSelection
+	par   int
+	keep  []bool        // reused across Next calls
+	out   []*core.Tuple // reused across Next calls
 }
 
 // NewProbFilter wraps child with a threshold kernel planned against its
 // header.
 func NewProbFilter(child Operator, sel *core.ProbSelection) *ProbFilter {
-	return &ProbFilter{child: child, sel: sel}
+	return &ProbFilter{child: child, sel: sel, par: sel.Out().Parallelism()}
 }
 
 func (f *ProbFilter) Header() *core.Table { return f.sel.Out() }
@@ -232,7 +241,6 @@ func (f *ProbFilter) Open(ctx context.Context) error {
 }
 
 func (f *ProbFilter) Next() ([]*core.Tuple, error) {
-	par := f.sel.Out().Parallelism()
 	for {
 		if err := f.ctx.Err(); err != nil {
 			return nil, err
@@ -244,18 +252,21 @@ func (f *ProbFilter) Next() ([]*core.Tuple, error) {
 		if in == nil {
 			return nil, nil
 		}
-		keep := make([]bool, len(in))
-		if err := f.sel.KeepBatch(in, par, keep); err != nil {
+		if cap(f.keep) < len(in) {
+			f.keep = make([]bool, len(in))
+		}
+		keep := f.keep[:len(in)]
+		if err := f.sel.KeepBatch(in, f.par, keep); err != nil {
 			return nil, err
 		}
-		var out []*core.Tuple
+		f.out = f.out[:0]
 		for i, tup := range in {
 			if keep[i] {
-				out = append(out, tup)
+				f.out = append(f.out, tup)
 			}
 		}
-		if len(out) > 0 {
-			return out, nil
+		if len(f.out) > 0 {
+			return f.out, nil
 		}
 	}
 }
@@ -458,63 +469,105 @@ func (l *Limit) Close() error {
 	return l.child.Close()
 }
 
-// topkEntry tags a tuple with its arrival sequence number so ties under the
-// comparator resolve to arrival order — exactly what a stable sort of the
-// full input would produce.
-type topkEntry struct {
-	tup *core.Tuple
-	seq int
-}
-
-// TopK is the bounded-heap ORDER BY ... LIMIT k operator: a pipeline
-// breaker that drains its child holding only the k best tuples seen, then
-// emits them in order. With `less` a total order (the query layer's
-// comparator sorts NULLs last and never returns incomparable), the output
-// equals a stable full sort followed by Head(k), tuple for tuple.
-type TopK struct {
-	base
-	child Operator
-	k     int
-	less  func(a, b *core.Tuple) bool
-	prep  func(*core.Tuple) error
-
-	h   topkHeap
+// buffered is the output half of a pipeline breaker: the tuples its Open
+// produced, handed out one batch per Next.
+type buffered struct {
 	out []*core.Tuple
 	pos int
 }
 
-// NewTopK wraps child with a bounded top-k heap. prep, if non-nil, is
-// called once per arriving tuple before any comparison — the ORDER BY
-// PROB(...) path uses it to compute and cache each tuple's probability,
-// failing the query on the first bad tuple just as the sorting path does.
-func NewTopK(child Operator, k int, less func(a, b *core.Tuple) bool, prep func(*core.Tuple) error) *TopK {
-	return &TopK{child: child, k: k, less: less, prep: prep}
+func (b *buffered) Next() ([]*core.Tuple, error) {
+	if b.pos >= len(b.out) {
+		return nil, nil
+	}
+	end := min(b.pos+BatchSize, len(b.out))
+	batch := b.out[b.pos:end]
+	b.pos = end
+	return batch, nil
 }
 
-// before is the strict total order the heap maintains: the comparator
-// first, arrival order as the tiebreak.
-func (t *TopK) before(a, b topkEntry) bool {
-	if t.less(a.tup, b.tup) {
+// keyed is a buffered tuple with its ORDER BY key, extracted once on
+// arrival, and its arrival number, so ties under the key resolve to arrival
+// order — exactly what a stable sort of the full input would produce.
+type keyed struct {
+	key core.OrderKey
+	tup *core.Tuple
+	seq int
+}
+
+// keyedBytes is what one keyed entry adds to a buffered tuple's budget
+// charge: the key, the tuple reference and the arrival number.
+const keyedBytes = 48
+
+// ordering is the ORDER BY both breakers share: key extracts a tuple's key
+// (ORDER BY PROB(col) computes the probability here, failing the query on
+// the first bad tuple) and desc flips the direction; NULL keys sort last in
+// both.
+type ordering struct {
+	key  func(*core.Tuple) (core.OrderKey, error)
+	desc bool
+}
+
+// before is the strict total order: the keys first, arrival as the tiebreak.
+func (o ordering) before(a, b *keyed) bool {
+	if a.key.Before(b.key, o.desc) {
 		return true
 	}
-	if t.less(b.tup, a.tup) {
+	if b.key.Before(a.key, o.desc) {
 		return false
 	}
 	return a.seq < b.seq
 }
 
-// topkHeap is a max-heap under `before`: the root is the worst of the k
-// best, the one a better arrival evicts.
-type topkHeap struct {
-	entries []topkEntry
-	before  func(a, b topkEntry) bool
+// sorted orders the entries and returns their tuples.
+func (o ordering) sorted(es []keyed) []*core.Tuple {
+	sort.Slice(es, func(i, j int) bool { return o.before(&es[i], &es[j]) })
+	out := make([]*core.Tuple, len(es))
+	for i := range es {
+		out[i] = es[i].tup
+	}
+	return out
 }
 
-func (h *topkHeap) Len() int           { return len(h.entries) }
-func (h *topkHeap) Less(i, j int) bool { return h.before(h.entries[j], h.entries[i]) }
-func (h *topkHeap) Swap(i, j int)      { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *topkHeap) Push(x any)         { h.entries = append(h.entries, x.(topkEntry)) }
-func (h *topkHeap) Pop() any           { panic("pipe: topkHeap.Pop unused") }
+// TopK is the bounded-heap ORDER BY ... LIMIT k operator: a pipeline
+// breaker that drains its child holding only the k best tuples seen, then
+// emits them in order. The output equals a stable full sort followed by
+// Head(k), tuple for tuple.
+type TopK struct {
+	base
+	ordering
+	buffered
+	child Operator
+	k     int
+
+	// h is a max-heap under before: the root is the worst of the k best,
+	// the one a better arrival evicts.
+	h []keyed
+}
+
+// NewTopK wraps child with a bounded top-k heap ordered by key.
+func NewTopK(child Operator, k int, key func(*core.Tuple) (core.OrderKey, error), desc bool) *TopK {
+	return &TopK{child: child, k: k, ordering: ordering{key: key, desc: desc}}
+}
+
+// down restores the heap below a replaced root.
+func (t *TopK) down() {
+	h, i := t.h, 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && t.before(&h[c], &h[r]) {
+			c = r
+		}
+		if !t.before(&h[i], &h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
 
 func (t *TopK) Header() *core.Table { return t.child.Header() }
 
@@ -523,8 +576,10 @@ func (t *TopK) Open(ctx context.Context) error {
 	if err := t.child.Open(ctx); err != nil {
 		return err
 	}
-	t.h.before = t.before
-	cost := t.child.Header().TupleCost() + 16 // entry: tuple ref + seq
+	if t.k <= 0 {
+		return nil // LIMIT 0: like Limit, never pull the child
+	}
+	cost := t.child.Header().TupleCost() + keyedBytes
 	seq := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -538,50 +593,41 @@ func (t *TopK) Open(ctx context.Context) error {
 			break
 		}
 		for _, tup := range in {
-			if t.prep != nil {
-				if err := t.prep(tup); err != nil {
-					return err
-				}
+			key, err := t.key(tup)
+			if err != nil {
+				return err
 			}
-			e := topkEntry{tup: tup, seq: seq}
 			seq++
-			if t.k <= 0 {
+			if len(t.h) == t.k {
+				// A full heap rejects on one key comparison: the arrival is
+				// the latest so far, so it evicts the root only with a
+				// strictly better key.
+				if key.Before(t.h[0].key, t.desc) {
+					t.h[0] = keyed{key: key, tup: tup, seq: seq}
+					t.down()
+				}
 				continue
 			}
-			if len(t.h.entries) < t.k {
-				// The heap is bounded by k, but k itself can be huge:
-				// charge each slot as it first fills (replacement reuses
-				// the slot, no new charge).
-				if err := t.charge(cost); err != nil {
-					return err
+			// The heap is bounded by k, but k itself can be huge: charge
+			// each slot as it first fills (replacement reuses the slot, no
+			// new charge).
+			if err := t.charge(cost); err != nil {
+				return err
+			}
+			t.h = append(t.h, keyed{key: key, tup: tup, seq: seq})
+			for i := len(t.h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !t.before(&t.h[p], &t.h[i]) {
+					break
 				}
-				heap.Push(&t.h, e)
-			} else if t.before(e, t.h.entries[0]) {
-				t.h.entries[0] = e
-				heap.Fix(&t.h, 0)
+				t.h[p], t.h[i] = t.h[i], t.h[p]
+				i = p
 			}
 		}
 	}
-	es := t.h.entries
-	sort.Slice(es, func(i, j int) bool { return t.before(es[i], es[j]) })
-	t.out = make([]*core.Tuple, len(es))
-	for i, e := range es {
-		t.out[i] = e.tup
-	}
+	t.out = t.sorted(t.h)
+	t.h = nil
 	return nil
-}
-
-func (t *TopK) Next() ([]*core.Tuple, error) {
-	if t.pos >= len(t.out) {
-		return nil, nil
-	}
-	end := t.pos + BatchSize
-	if end > len(t.out) {
-		end = len(t.out)
-	}
-	b := t.out[t.pos:end]
-	t.pos = end
-	return b, nil
 }
 
 func (t *TopK) Close() error {
@@ -589,22 +635,18 @@ func (t *TopK) Close() error {
 	return t.child.Close()
 }
 
-// Sort is the unbounded ORDER BY breaker: it drains its child and stable-
-// sorts the whole input under the comparator, reproducing Table.Sorted.
+// Sort is the unbounded ORDER BY breaker: it drains its child and sorts the
+// whole input by key, ties in arrival order, reproducing Table.Sorted.
 type Sort struct {
 	base
+	ordering
+	buffered
 	child Operator
-	less  func(a, b *core.Tuple) bool
-	prep  func(*core.Tuple) error
-
-	out []*core.Tuple
-	pos int
 }
 
-// NewSort wraps child with a full stable sort. prep plays the same role as
-// in NewTopK.
-func NewSort(child Operator, less func(a, b *core.Tuple) bool, prep func(*core.Tuple) error) *Sort {
-	return &Sort{child: child, less: less, prep: prep}
+// NewSort wraps child with a full sort ordered by key.
+func NewSort(child Operator, key func(*core.Tuple) (core.OrderKey, error), desc bool) *Sort {
+	return &Sort{child: child, ordering: ordering{key: key, desc: desc}}
 }
 
 func (s *Sort) Header() *core.Table { return s.child.Header() }
@@ -618,7 +660,8 @@ func (s *Sort) Open(ctx context.Context) error {
 	// OOM risk in the executor: charge it batch by batch so a sort that
 	// outgrows its query budget dies alone, before it can take down the
 	// process.
-	cost := s.child.Header().TupleCost()
+	cost := s.child.Header().TupleCost() + keyedBytes
+	var es []keyed
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -630,33 +673,19 @@ func (s *Sort) Open(ctx context.Context) error {
 		if in == nil {
 			break
 		}
-		if s.prep != nil {
-			for _, tup := range in {
-				if err := s.prep(tup); err != nil {
-					return err
-				}
-			}
-		}
 		if err := s.charge(int64(len(in)) * cost); err != nil {
 			return err
 		}
-		s.out = append(s.out, in...)
+		for _, tup := range in {
+			key, err := s.key(tup)
+			if err != nil {
+				return err
+			}
+			es = append(es, keyed{key: key, tup: tup, seq: len(es)})
+		}
 	}
-	sort.SliceStable(s.out, func(i, j int) bool { return s.less(s.out[i], s.out[j]) })
+	s.out = s.sorted(es)
 	return nil
-}
-
-func (s *Sort) Next() ([]*core.Tuple, error) {
-	if s.pos >= len(s.out) {
-		return nil, nil
-	}
-	end := s.pos + BatchSize
-	if end > len(s.out) {
-		end = len(s.out)
-	}
-	b := s.out[s.pos:end]
-	s.pos = end
-	return b, nil
 }
 
 func (s *Sort) Close() error {
@@ -671,11 +700,11 @@ func (s *Sort) Close() error {
 // for LIMIT queries it buffers at most the limit, not the table.
 type Project struct {
 	base
+	buffered
 	child Operator
 	names []string
 
-	t   *core.Table
-	pos int
+	t *core.Table
 }
 
 // NewProject wraps child with Π_names, applied to the drained input.
@@ -714,22 +743,8 @@ func (p *Project) Open(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	p.t = out
+	p.t, p.out = out, out.Tuples()
 	return nil
-}
-
-func (p *Project) Next() ([]*core.Tuple, error) {
-	tups := p.t.Tuples()
-	if p.pos >= len(tups) {
-		return nil, nil
-	}
-	end := p.pos + BatchSize
-	if end > len(tups) {
-		end = len(tups)
-	}
-	b := tups[p.pos:end]
-	p.pos = end
-	return b, nil
 }
 
 func (p *Project) Close() error {
@@ -771,9 +786,9 @@ func Run(ctx context.Context, root Operator, emit func(hdr *core.Table, batch []
 	return nil
 }
 
-// Drain runs the tree and materializes its output as a table — the bridge
-// back to the materializing world (aggregates, EXPLAIN, the legacy Result
-// shape).
+// Drain runs the tree and materializes its output as a table, for the
+// consumers that need all of it at once: aggregates, EXPLAIN and Exec's
+// Result.
 func Drain(ctx context.Context, root Operator) (*core.Table, error) {
 	var hdr *core.Table
 	var tups []*core.Tuple

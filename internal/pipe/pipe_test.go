@@ -55,13 +55,14 @@ func assertRenderEqual(tb testing.TB, want, got *core.Table) {
 	}
 }
 
-// ridLess is the NULLS-LAST total-order comparator over rid the query layer
-// uses: NULLs after every value regardless of direction, ties left to the
-// caller's stable order / sequence tiebreak.
-func ridLess(t *core.Table, desc bool) func(a, b *core.Tuple) bool {
-	return func(a, b *core.Tuple) bool {
-		av, _ := t.Value(a, "rid")
-		bv, _ := t.Value(b, "rid")
+// colLess is the comparator ORDER BY used before keys were extracted, kept
+// as the oracle: Values compared on every call, NULLs after every value
+// regardless of direction, incomparable kinds tied, ties left to the
+// caller's stable order.
+func colLess(t *core.Table, col string, desc bool) func(tb *core.Table, a, b *core.Tuple) bool {
+	return func(_ *core.Table, a, b *core.Tuple) bool {
+		av, _ := t.Value(a, col)
+		bv, _ := t.Value(b, col)
 		if av.IsNull() || bv.IsNull() {
 			return !av.IsNull() && bv.IsNull()
 		}
@@ -74,6 +75,12 @@ func ridLess(t *core.Table, desc bool) func(a, b *core.Tuple) bool {
 		}
 		return c < 0
 	}
+}
+
+// colKey is the key extractor the query layer builds for ORDER BY col.
+func colKey(t *core.Table, col string) func(*core.Tuple) (core.OrderKey, error) {
+	i := t.Schema().Index(col)
+	return func(tup *core.Tuple) (core.OrderKey, error) { return tup.OrderKey(i), nil }
 }
 
 func TestScanBatches(t *testing.T) {
@@ -209,21 +216,163 @@ func TestCrossJoinMatchesLegacy(t *testing.T) {
 	assertRenderEqual(t, want, got)
 }
 
-// TestTopKMatchesSortHead: for every k, the bounded heap equals a stable
-// full sort followed by Head(k) — with NULL keys and duplicate keys in
-// play, both directions.
+// orderTable has one certain column per key shape: rid (INT, NULL every 7th
+// row), grp (INT, heavy duplication), mix (INT and FLOAT values alternating
+// in one column, NULL every 11th row), tag (TEXT, duplicates and NULLs) and
+// flag (BOOL) — plus an uncertain value whose discrete pdfs carry differing
+// masses, for ORDER BY PROB.
+func orderTable(tb testing.TB, n int, seed int64) *core.Table {
+	tb.Helper()
+	r := rand.New(rand.NewSource(seed))
+	schema := core.MustSchema(
+		core.Column{Name: "rid", Type: core.IntType},
+		core.Column{Name: "grp", Type: core.IntType},
+		core.Column{Name: "mix", Type: core.FloatType},
+		core.Column{Name: "tag", Type: core.StringType},
+		core.Column{Name: "flag", Type: core.BoolType},
+		core.Column{Name: "value", Type: core.FloatType, Uncertain: true},
+	)
+	t := core.MustTable("ordered", schema, nil, core.NewRegistry())
+	for i := 0; i < n; i++ {
+		vals := map[string]core.Value{"grp": core.Int(int64(r.Intn(3))), "flag": core.Bool(r.Intn(2) == 0)}
+		if i%7 != 3 {
+			vals["rid"] = core.Int(int64(r.Intn(n)))
+		}
+		switch {
+		case i%11 == 5:
+		case i%2 == 0:
+			vals["mix"] = core.Int(int64(r.Intn(20)))
+		default:
+			vals["mix"] = core.Float(float64(r.Intn(40)) / 2)
+		}
+		if i%5 != 1 {
+			vals["tag"] = core.Str(fmt.Sprintf("t%02d", r.Intn(12)))
+		}
+		mass := float64(1+r.Intn(8)) / 8
+		if err := t.Insert(core.Row{
+			Values: vals,
+			PDFs:   []core.PDF{{Attrs: []string{"value"}, Dist: dist.NewDiscrete([]float64{float64(i)}, []float64{mass})}},
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return t
+}
+
+// TestTopKMatchesSortHead: for every k, key shape and direction, the keyed
+// bounded heap equals the keyed Sort followed by Head(k) equals a stable
+// sort under the Value comparator followed by Head(k) — NULL keys, duplicate
+// keys (ties in arrival order), INT-vs-FLOAT mixed and TEXT columns, and
+// ORDER BY PROB with its first-bad-tuple error.
 func TestTopKMatchesSortHead(t *testing.T) {
-	tbl := testTable(t, 100, 6)
-	for _, desc := range []bool{false, true} {
-		less := ridLess(tbl, desc)
-		sorted := tbl.Sorted(func(tb *core.Table, a, b *core.Tuple) bool { return less(a, b) })
-		for _, k := range []int{0, 1, 7, 50, 100, 150} {
-			want := sorted.Head(k)
-			got := mustDrain(t, NewTopK(NewScan(tbl), k, less, nil))
-			if want.Render() != got.Render() {
-				t.Fatalf("desc=%v k=%d: top-k differs from sort+head:\nsort:\n%s\nheap:\n%s",
-					desc, k, want.Render(), got.Render())
+	tbl := orderTable(t, 100, 6)
+	probKey := func(col string) func(*core.Tuple) (core.OrderKey, error) {
+		return func(tup *core.Tuple) (core.OrderKey, error) {
+			p, err := tbl.Prob(tup, col)
+			return core.FloatKey(p), err
+		}
+	}
+	probLess := func(desc bool) func(*core.Table, *core.Tuple, *core.Tuple) bool {
+		return func(_ *core.Table, a, b *core.Tuple) bool {
+			pa, _ := tbl.Prob(a, "value")
+			pb, _ := tbl.Prob(b, "value")
+			if desc {
+				return pa > pb
 			}
+			return pa < pb
+		}
+	}
+	for _, desc := range []bool{false, true} {
+		type orderCase struct {
+			name string
+			key  func(*core.Tuple) (core.OrderKey, error)
+			less func(*core.Table, *core.Tuple, *core.Tuple) bool
+		}
+		cases := []orderCase{{"PROB(value)", probKey("value"), probLess(desc)}}
+		for _, col := range []string{"rid", "grp", "mix", "tag", "flag"} {
+			cases = append(cases, orderCase{col, colKey(tbl, col), colLess(tbl, col, desc)})
+		}
+		for _, c := range cases {
+			want := tbl.Sorted(c.less)
+			sorted := mustDrain(t, NewSort(NewScan(tbl), c.key, desc))
+			if want.Render() != sorted.Render() {
+				t.Fatalf("%s desc=%v: keyed Sort differs from the comparator sort:\nwant:\n%s\ngot:\n%s",
+					c.name, desc, want.Render(), sorted.Render())
+			}
+			for _, k := range []int{0, 1, 7, 50, 100, 150} {
+				sc := NewScan(tbl)
+				sc.SetBatch(9)
+				got := mustDrain(t, NewTopK(sc, k, c.key, desc))
+				if w := want.Head(k).Render(); w != got.Render() {
+					t.Fatalf("%s desc=%v k=%d: top-k differs from sort+head:\nsort:\n%s\nheap:\n%s",
+						c.name, desc, k, w, got.Render())
+				}
+			}
+		}
+		for _, root := range []Operator{
+			NewTopK(NewScan(tbl), 5, probKey("nope"), desc),
+			NewSort(NewScan(tbl), probKey("nope"), desc),
+		} {
+			if _, err := Drain(context.Background(), root); err == nil {
+				t.Fatalf("desc=%v: ORDER BY PROB of an unknown column must fail on the first tuple", desc)
+			}
+			if n := OpenOperators(); n != 0 {
+				t.Fatalf("OpenOperators() = %d after a failed key", n)
+			}
+		}
+	}
+}
+
+// TestTopKLimitZeroStopsScan: ORDER BY ... LIMIT 0 emits nothing without
+// pulling its child — no scan, and no key (a Prob evaluation per tuple for
+// ORDER BY PROB) extracted to be thrown away.
+func TestTopKLimitZeroStopsScan(t *testing.T) {
+	tbl := testTable(t, 5000, 7)
+	sc := NewScan(tbl)
+	out := mustDrain(t, NewTopK(sc, 0, func(*core.Tuple) (core.OrderKey, error) {
+		t.Fatal("key extracted under LIMIT 0")
+		return core.OrderKey{}, nil
+	}, false))
+	if out.Len() != 0 || sc.Pos() != 0 {
+		t.Fatalf("LIMIT 0: %d rows out, scan advanced to %d of %d", out.Len(), sc.Pos(), tbl.Len())
+	}
+}
+
+// TestFilterBatchReuse: Filter and ProbFilter reuse their output buffers, so
+// a batch is valid only until the next Next. A consumer that copies out of
+// each batch before pulling again sees exactly Table.Select's tuples.
+func TestFilterBatchReuse(t *testing.T) {
+	tbl := testTable(t, 200, 12)
+	atom := core.Cmp(core.Col("grp"), region.NE, core.LitI(1))
+	sel, err := tbl.PlanSelect(atom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScan(tbl)
+	sc.SetBatch(3)
+	root := NewProbFilter(NewFilter(sc, sel), sel.Out().PlanRangeThreshold("value", 20, 80, region.GE, 0.5))
+	var got []*core.Tuple
+	err = Run(context.Background(), root, func(_ *core.Table, b []*core.Tuple) error {
+		got = append(got, b...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filtered, err := tbl.Select(atom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := filtered.SelectRangeThreshold("value", 20, 80, region.GE, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != want.Len() || want.Len() == 0 {
+		t.Fatalf("streamed %d tuples, Table.Select kept %d", len(got), want.Len())
+	}
+	for i, tup := range want.Tuples() {
+		if got[i] != tup {
+			t.Fatalf("tuple %d: the copied-out stream is not Table.Select's tuple", i)
 		}
 	}
 }

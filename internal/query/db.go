@@ -431,31 +431,32 @@ func (db *DB) execDelete(s Delete) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: no table %q", s.Table)
 	}
-	// Validate: DELETE predicates may touch certain columns and probability
+	// DELETE predicates may touch certain columns and probability
 	// thresholds, but not floor pdfs (deletion is base-table maintenance,
-	// not a PWS query).
+	// not a PWS query). The certain comparisons compile to one predicate —
+	// the compiled atoms a SELECT's filter evaluates — and the probability
+	// conjuncts evaluate per tuple behind it.
+	var atoms []core.Atom
+	var probConds []Cond
 	for _, c := range s.Where {
-		if c.Kind != CondCmp {
-			continue
+		if c.Kind == CondCmp {
+			atoms = append(atoms, core.Cmp(toCoreOperand(c.Left), c.Op, toCoreOperand(c.Right)))
+		} else {
+			probConds = append(probConds, c)
 		}
-		for _, o := range []Operand{c.Left, c.Right} {
-			if !o.IsCol {
-				continue
-			}
-			col, found := t.Schema().Lookup(o.Col)
-			if !found {
-				return nil, fmt.Errorf("query: no column %q in %s", o.Col, s.Table)
-			}
-			if col.Uncertain {
-				return nil, fmt.Errorf("query: DELETE cannot compare uncertain column %q; use PROB(...)", o.Col)
-			}
-		}
+	}
+	certain, err := t.CertainFilter(atoms...)
+	if err != nil {
+		return nil, fmt.Errorf("query: DELETE FROM %s compares certain columns only (use PROB(...) on uncertain ones): %w", s.Table, err)
 	}
 	var evalErr error
 	var removed []*core.Tuple
 	n := t.Delete(func(tb *core.Table, tup *core.Tuple) bool {
-		for _, c := range s.Where {
-			ok, err := evalDeleteCond(tb, tup, c)
+		if !certain(tup) {
+			return false
+		}
+		for _, c := range probConds {
+			ok, err := evalDeleteProb(tb, tup, c)
 			if err != nil {
 				evalErr = err
 				return false
@@ -478,25 +479,8 @@ func (db *DB) execDelete(s Delete) (*Result, error) {
 	return &Result{Message: fmt.Sprintf("deleted %d", n), Affected: n}, nil
 }
 
-func evalDeleteCond(t *core.Table, tup *core.Tuple, c Cond) (bool, error) {
+func evalDeleteProb(t *core.Table, tup *core.Tuple, c Cond) (bool, error) {
 	switch c.Kind {
-	case CondCmp:
-		lv, err := deleteOperandValue(t, tup, c.Left)
-		if err != nil {
-			return false, err
-		}
-		rv, err := deleteOperandValue(t, tup, c.Right)
-		if err != nil {
-			return false, err
-		}
-		if lv.IsNull() || rv.IsNull() {
-			return false, nil
-		}
-		cmp, ok := lv.Compare(rv)
-		if !ok {
-			return lv.Equal(rv) == (c.Op.String() == "="), nil
-		}
-		return c.Op.Eval(float64(cmp), 0), nil
 	case CondProb:
 		p, err := t.Prob(tup, c.ProbCols...)
 		if err != nil {
@@ -511,15 +495,4 @@ func evalDeleteCond(t *core.Table, tup *core.Tuple, c Cond) (bool, error) {
 		return c.Op.Eval(p, c.Threshold), nil
 	}
 	return false, fmt.Errorf("query: unsupported DELETE condition")
-}
-
-func deleteOperandValue(t *core.Table, tup *core.Tuple, o Operand) (core.Value, error) {
-	if !o.IsCol {
-		return o.Lit, nil
-	}
-	v, ok := t.Value(tup, o.Col)
-	if !ok {
-		return core.Null, fmt.Errorf("query: cannot read column %q", o.Col)
-	}
-	return v, nil
 }

@@ -12,32 +12,62 @@ import (
 // [20, 80).
 func indexedReadings(tb testing.TB, n int, pti bool) *DB {
 	tb.Helper()
+	db := loadReadings(tb, n, `rid INT, sensor INT, value FLOAT UNCERTAIN, score FLOAT`, `rid, sensor, value, score`, func(i int) string {
+		mean := 20 + float64(i*7919%6000)/100
+		return fmt.Sprintf("(%d, %d, GAUSSIAN(%g, 4), %d.5)", i, i%97, mean, i%1000)
+	})
+	mustExec(tb, db, `CREATE INDEX ON readings (rid)`)
+	if pti {
+		mustExec(tb, db, `CREATE INDEX ON readings (value)`)
+	}
+	mustExec(tb, db, `ANALYZE readings`)
+	return db
+}
+
+// loadReadings creates readings(cols) at parallelism 1 and loads n rows,
+// row(i) rendering the i-th VALUES tuple, in 500-row INSERTs.
+func loadReadings(tb testing.TB, n int, cols, targets string, row func(i int) string) *DB {
+	tb.Helper()
 	db := Open()
 	db.SetParallelism(1)
-	exec := func(sql string) {
-		if _, err := db.Exec(sql); err != nil {
-			tb.Fatalf("exec %.80q: %v", sql, err)
-		}
-	}
-	exec(`CREATE TABLE readings (rid INT, sensor INT, value FLOAT UNCERTAIN, score FLOAT)`)
+	mustExec(tb, db, `CREATE TABLE readings (`+cols+`)`)
 	for i := 0; i < n; {
 		var b strings.Builder
-		b.WriteString(`INSERT INTO readings (rid, sensor, value, score) VALUES `)
+		b.WriteString(`INSERT INTO readings (` + targets + `) VALUES `)
 		for j := 0; j < 500 && i < n; i, j = i+1, j+1 {
 			if j > 0 {
 				b.WriteByte(',')
 			}
-			mean := 20 + float64(i*7919%6000)/100
-			fmt.Fprintf(&b, "(%d, %d, GAUSSIAN(%g, 4), %d.5)", i, i%97, mean, i%1000)
+			b.WriteString(row(i))
 		}
-		exec(b.String())
+		mustExec(tb, db, b.String())
 	}
-	exec(`CREATE INDEX ON readings (rid)`)
-	if pti {
-		exec(`CREATE INDEX ON readings (value)`)
-	}
-	exec(`ANALYZE readings`)
 	return db
+}
+
+// benchShapes runs each statement shape as a sub-benchmark, statement i of
+// a shape drawn by its sql(i), and reports allocations and rows per
+// statement.
+func benchShapes(b *testing.B, db *DB, shapes []stmtShape) {
+	for _, c := range shapes {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				r, err := db.Exec(c.sql(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += r.Affected
+			}
+			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+		})
+	}
+}
+
+type stmtShape struct {
+	name string
+	sql  func(i int) string
 }
 
 // The three indexed statement shapes of the benchmark's point_read workload.
@@ -60,26 +90,9 @@ func pti1pctSQL(i int) string {
 // and a PTI range-threshold probe keeping about 1 % of the table.
 func BenchmarkIndexedSelect(b *testing.B) {
 	const n = 25000
-	db := indexedReadings(b, n, true)
-	for _, c := range []struct {
-		name string
-		sql  func(i int) string
-	}{
+	benchShapes(b, indexedReadings(b, n, true), []stmtShape{
 		{"point", func(i int) string { return pointSQL(n, i) }},
 		{"range50", func(i int) string { return range50SQL(n, i) }},
 		{"pti1pct", pti1pctSQL},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			rows := 0
-			for i := 0; i < b.N; i++ {
-				r, err := db.Exec(c.sql(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows += r.Affected
-			}
-			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
-		})
-	}
+	})
 }

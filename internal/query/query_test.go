@@ -9,7 +9,7 @@ import (
 	"probdb/internal/dist"
 )
 
-func mustExec(t *testing.T, db *DB, sql string) *Result {
+func mustExec(t testing.TB, db *DB, sql string) *Result {
 	t.Helper()
 	r, err := db.Exec(sql)
 	if err != nil {
@@ -172,6 +172,15 @@ func TestDeleteStatement(t *testing.T) {
 	}
 	if _, err := db.Exec("DELETE FROM readings WHERE value < 10"); err == nil {
 		t.Error("uncertain comparison in DELETE should fail")
+	}
+	// DELETE compares with SELECT's compiled atoms: a number is not ordered
+	// against a string (no row qualifies), and a literal-only conjunct is
+	// still a constant.
+	if r = mustExec(t, db, "DELETE FROM readings WHERE rid < 'x'"); r.Affected != 0 {
+		t.Fatalf("incomparable kinds deleted %d", r.Affected)
+	}
+	if r = mustExec(t, db, "DELETE FROM readings WHERE 1 = 1"); r.Affected != 1 {
+		t.Fatalf("constant-true delete removed %d", r.Affected)
 	}
 }
 

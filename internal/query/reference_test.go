@@ -66,14 +66,17 @@ func referenceSelect(t *testing.T, db *DB, sql string) *Result {
 		return r
 	}
 	if s.OrderCol != "" {
-		less, prep, err := orderComparator(acc, s)
+		key, err := orderKey(acc, s)
 		check(err)
 		for _, tup := range acc.Tuples() {
-			if prep != nil {
-				check(prep(tup))
-			}
+			_, err := key(tup)
+			check(err)
 		}
-		acc = acc.Sorted(func(_ *core.Table, a, b *core.Tuple) bool { return less(a, b) })
+		acc = acc.Sorted(func(_ *core.Table, a, b *core.Tuple) bool {
+			ka, _ := key(a)
+			kb, _ := key(b)
+			return ka.Before(kb, s.OrderDesc)
+		})
 	}
 	if s.Limit != nil {
 		acc = acc.Head(*s.Limit)

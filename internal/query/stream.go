@@ -50,8 +50,10 @@ func (db *DB) execSelect(s SelectStmt) (*Result, error) {
 // result batches to sink as they are produced: the first batch arrives
 // before the scan has finished. sink runs under the catalog read lock and
 // is called at least once (with a nil batch when the result is empty), its
-// header argument describing the result shape. A sink error — typically a
-// dead client connection — aborts the tree mid-stream and is returned.
+// header argument describing the result shape; a batch is valid only for
+// the duration of the call (pipe.Operator's batch-lifetime rule). A sink
+// error — typically a dead client connection — aborts the tree mid-stream
+// and is returned.
 //
 // Statements without streamable row output (DDL, DML, aggregates, EXPLAIN)
 // execute normally: the Result carries their message/table and sink is
@@ -232,14 +234,14 @@ func addProbFilter(pr *pipelineResult, root pipe.Operator, c Cond) (pipe.Operato
 // masses), so placing it after the limit bounds what it buffers.
 func addOrderStages(root pipe.Operator, s SelectStmt) (pipe.Operator, error) {
 	if s.OrderCol != "" {
-		less, prep, err := orderComparator(root.Header(), s)
+		key, err := orderKey(root.Header(), s)
 		if err != nil {
 			return root, err
 		}
 		if s.Limit != nil {
-			root = pipe.NewTopK(root, *s.Limit, less, prep)
+			root = pipe.NewTopK(root, *s.Limit, key, s.OrderDesc)
 		} else {
-			root = pipe.NewSort(root, less, prep)
+			root = pipe.NewSort(root, key, s.OrderDesc)
 		}
 	} else if s.Limit != nil {
 		root = pipe.NewLimit(root, *s.Limit)
@@ -250,54 +252,26 @@ func addOrderStages(root pipe.Operator, s SelectStmt) (pipe.Operator, error) {
 	return root, nil
 }
 
-// orderComparator builds the ORDER BY comparator — by a certain column, or
-// by Pr(column), the classic most-probable-tuples ranking: a total order (so
-// the stable full sort and the bounded top-k heap agree on every prefix)
-// with NULL keys after all values regardless of direction.
-// For ORDER BY PROB(col), prep computes each tuple's probability exactly
-// once before any comparison and fails the query on the first bad tuple.
-func orderComparator(t *core.Table, s SelectStmt) (less func(a, b *core.Tuple) bool, prep func(*core.Tuple) error, err error) {
+// orderKey builds the ORDER BY key extractor — a certain column, resolved
+// to its offset here, or Pr(column), the classic most-probable-tuples
+// ranking. The breakers call it once per arriving tuple and compare the
+// keys (NULLs after all values in both directions, ties in arrival order),
+// so ORDER BY PROB(col) computes each probability exactly once and fails the
+// query on the first bad tuple.
+func orderKey(t *core.Table, s SelectStmt) (func(*core.Tuple) (core.OrderKey, error), error) {
 	if s.OrderProb {
-		probs := map[*core.Tuple]float64{}
-		prep = func(tup *core.Tuple) error {
+		return func(tup *core.Tuple) (core.OrderKey, error) {
 			p, err := t.Prob(tup, s.OrderCol)
-			if err != nil {
-				return err
-			}
-			probs[tup] = p
-			return nil
-		}
-		less = func(a, b *core.Tuple) bool {
-			if s.OrderDesc {
-				return probs[a] > probs[b]
-			}
-			return probs[a] < probs[b]
-		}
-		return less, prep, nil
+			return core.FloatKey(p), err
+		}, nil
 	}
 	col, ok := t.Schema().Lookup(s.OrderCol)
 	if !ok {
-		return nil, nil, fmt.Errorf("query: no column %q", s.OrderCol)
+		return nil, fmt.Errorf("query: no column %q", s.OrderCol)
 	}
 	if col.Uncertain {
-		return nil, nil, fmt.Errorf("query: ORDER BY uncertain column %q needs PROB(...)", s.OrderCol)
+		return nil, fmt.Errorf("query: ORDER BY uncertain column %q needs PROB(...)", s.OrderCol)
 	}
-	less = func(a, b *core.Tuple) bool {
-		va, _ := t.Value(a, s.OrderCol)
-		vb, _ := t.Value(b, s.OrderCol)
-		if va.IsNull() || vb.IsNull() {
-			// NULLS LAST in both directions: a sorts first iff it has a
-			// value and b does not.
-			return !va.IsNull() && vb.IsNull()
-		}
-		cmp, comparable := va.Compare(vb)
-		if !comparable {
-			return false
-		}
-		if s.OrderDesc {
-			return cmp > 0
-		}
-		return cmp < 0
-	}
-	return less, nil, nil
+	i := t.Schema().Index(s.OrderCol)
+	return func(tup *core.Tuple) (core.OrderKey, error) { return tup.OrderKey(i), nil }, nil
 }

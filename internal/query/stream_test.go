@@ -242,7 +242,8 @@ func TestExecStreamSinkErrorAborts(t *testing.T) {
 
 // TestOrderByNullsLast: NULL keys sort after every value in both
 // directions, in the operator tree and in the reference, and a LIMIT below
-// the non-NULL count never surfaces a NULL.
+// the non-NULL count never surfaces a NULL; and every key shape orders the
+// same through the keyed breakers as through the reference.
 func TestOrderByNullsLast(t *testing.T) {
 	db := Open()
 	mustExec(t, db, `CREATE TABLE n (k INT, tag TEXT)`)
@@ -274,6 +275,37 @@ func TestOrderByNullsLast(t *testing.T) {
 			if v.IsNull() {
 				t.Fatalf("reference=%v: LIMIT 3 of 3 non-NULL keys surfaced a NULL", mode)
 			}
+		}
+	}
+
+	// Every key shape through the keyed breakers against the reference
+	// evaluator, as a full sort and as a top-k of every size: duplicate
+	// keys (ties in arrival order), a FLOAT column holding INT and FLOAT
+	// values, TEXT keys with NULLs, and ORDER BY PROB over differing masses.
+	mustExec(t, db, `CREATE TABLE o (g INT, f FLOAT, tag TEXT, x FLOAT UNCERTAIN)`)
+	for i := 0; i < 40; i++ {
+		f, tag := fmt.Sprint(i*7%11), fmt.Sprintf(`'t%d'`, i*5%9)
+		if i%2 == 1 {
+			f += ".5"
+		}
+		if i%6 == 4 {
+			f, tag = "NULL", "NULL"
+		}
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO o (g, f, tag, x) VALUES (%d, %s, %s, GAUSSIAN(%d, 4))`, i%3, f, tag, i))
+	}
+	for _, order := range []string{`g`, `f`, `tag`, `PROB(x)`} {
+		for _, dir := range []string{``, ` DESC`} {
+			for _, limit := range []string{``, ` LIMIT 0`, ` LIMIT 1`, ` LIMIT 7`, ` LIMIT 40`, ` LIMIT 99`} {
+				q := `SELECT g, f, tag, x FROM o WHERE x < 20 ORDER BY ` + order + dir + limit
+				if want, got := referenceSelect(t, db, q).String(), mustExec(t, db, q).String(); want != got {
+					t.Fatalf("%s:\nreference:\n%s\nexecutor:\n%s", q, want, got)
+				}
+			}
+		}
+	}
+	for _, q := range []string{`SELECT g FROM o ORDER BY PROB(nope)`, `SELECT g FROM o ORDER BY PROB(nope) DESC LIMIT 3`} {
+		if _, err := db.Exec(q); err == nil || !strings.Contains(err.Error(), `unknown column "nope"`) {
+			t.Fatalf("%s: err = %v, want the first tuple's unknown-column error", q, err)
 		}
 	}
 }
