@@ -1,9 +1,5 @@
 package core
 
-import (
-	"probdb/internal/exec"
-)
-
 // EquiJoin returns t ⋈ o restricted to pairs whose certain key columns are
 // equal, then applies the remaining atoms as a selection. Semantically it
 // equals Join(o, Cmp(Col(leftKey), EQ, Col(rightKey)), atoms...) — a cross
@@ -15,22 +11,13 @@ func (t *Table) EquiJoin(o *Table, leftKey, rightKey string, atoms ...Atom) (*Ta
 	if err != nil {
 		return nil, err
 	}
+	k.Build(o.tuples)
 	out := k.Out()
-	// Probing and pair construction are morsel-parallel over the left
-	// tuples (the kernel's hash index is read-only); per-left-tuple slots
-	// are assembled in order afterwards, reproducing the sequential pair
-	// order.
-	matched := make([][]*Tuple, len(t.tuples))
-	_ = exec.For(t.par, len(t.tuples), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			matched[i] = k.Matches(t.tuples[i])
-		}
-		return nil
-	})
-	for _, pairs := range matched {
-		for _, nt := range pairs {
-			out.Append(nt)
-		}
+	for _, a := range t.tuples {
+		out.tuples = k.AppendMatches(out.tuples, a)
+	}
+	if out.trackHistory {
+		out.reg.retainTuples(out.tuples)
 	}
 	if len(atoms) == 0 {
 		return out, nil

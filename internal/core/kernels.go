@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"probdb/internal/dist"
 	"probdb/internal/exec"
 	"probdb/internal/region"
 )
@@ -209,14 +210,10 @@ func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 		n := nodes[f.dep]
 		nodes[f.dep] = withDist(n, n.Dist.Floor(f.dim, f.keep))
 	}
-	// Case 2b: predicate floors over the merged joint.
+	// Case 2b: comparison floors over the merged joint.
 	for _, c := range s.crosses {
 		n := nodes[c.dep]
-		op := c.op
-		l, r := c.ldim, c.rdim
-		nodes[c.dep] = withDist(n, n.Dist.FloorWhere(func(x []float64) bool {
-			return op.Eval(x[l], x[r])
-		}))
+		nodes[c.dep] = withDist(n, dist.FloorCompare(n.Dist, c.ldim, c.rdim, c.op))
 	}
 	// Remove tuples whose pdfs were completely floored.
 	for _, n := range nodes {
@@ -224,11 +221,16 @@ func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 			return nil, nil
 		}
 	}
-	newCertain := append([]Value(nil), tup.certain...)
-	for ci := range s.promotedCols {
-		newCertain[ci] = Null // value now lives in the joint pdf
+	// Tuples are immutable, so the survivor shares the input's certain
+	// values unless a promotion moves one of them into a joint pdf.
+	certain := tup.certain
+	if len(s.promotedCols) > 0 {
+		certain = append([]Value(nil), tup.certain...)
+		for ci := range s.promotedCols {
+			certain[ci] = Null
+		}
 	}
-	return &Tuple{certain: newCertain, nodes: nodes}, nil
+	return &Tuple{certain: certain, nodes: nodes}, nil
 }
 
 // Report returns the kernel's evaluation summary for EXPLAIN and stats.
@@ -593,18 +595,20 @@ func (k *CrossKernel) Pair(a, b *Tuple) *Tuple {
 }
 
 // EquiJoinKernel is a compiled hash equi-join: the product table's shape and
-// a hash index over the right operand's tuples keyed by the (certain) join
-// column. Matches streams the left side one tuple at a time.
+// a hash index over the build (right) side's tuples keyed by the certain
+// join column. Build fills the index; AppendMatches then streams the left
+// side one tuple at a time.
 type EquiJoinKernel struct {
-	cross *CrossKernel
-	out   *Table
-	index map[string][]*Tuple
-	li    int
+	cross  *CrossKernel
+	out    *Table
+	index  map[OrderKey][]*Tuple
+	li, ri int
 }
 
 // PlanEquiJoin compiles t ⋈ o on certain key columns: the product shape via
-// PlanCross (over an empty right shape, exactly as EquiJoin builds it) and
-// the hash index over o's tuples. NULL keys join nothing.
+// PlanCross, and an empty hash index for Build to fill with o's tuples — or
+// with the subset of them a filter under the join lets through. Only o's
+// shape is read here.
 func (t *Table) PlanEquiJoin(o *Table, leftKey, rightKey string) (*EquiJoinKernel, error) {
 	lcol, ok := t.schema.Lookup(leftKey)
 	if !ok {
@@ -617,62 +621,60 @@ func (t *Table) PlanEquiJoin(o *Table, leftKey, rightKey string) (*EquiJoinKerne
 	if lcol.Uncertain || rcol.Uncertain {
 		return nil, fmt.Errorf("core: EquiJoin keys must be certain columns (use Join for uncertain predicates)")
 	}
-	empty := &Table{Name: o.Name, schema: o.schema, ids: o.ids, deps: o.deps, reg: o.reg, trackHistory: o.trackHistory}
-	cross, err := t.PlanCross(empty)
+	cross, err := t.PlanCross(o)
 	if err != nil {
 		return nil, err
 	}
 	cross.out.Name = fmt.Sprintf("%s⋈%s", t.Name, o.Name)
-
-	index := make(map[string][]*Tuple, o.Len())
-	ri := o.schema.Index(rightKey)
-	for _, tup := range o.tuples {
-		v := tup.certain[ri]
-		if v.IsNull() {
-			continue // NULL joins nothing
-		}
-		index[v.Render()] = append(index[v.Render()], tup)
-	}
 	return &EquiJoinKernel{
 		cross: cross,
 		out:   cross.out,
-		index: index,
+		index: map[OrderKey][]*Tuple{},
 		li:    t.schema.Index(leftKey),
+		ri:    o.schema.Index(rightKey),
 	}, nil
 }
 
 // Out returns the (empty) join result table.
 func (k *EquiJoinKernel) Out() *Table { return k.out }
 
+// Build adds build-side tuples to the hash index, in the order AppendMatches
+// is to pair them. The key is the column's OrderKey — INT and FLOAT folded to
+// one number kind — so two keys collide exactly when Value.Equal holds: 1e6
+// meets 1000000 and -0.0 meets 0, which their renderings would keep apart.
+// NULL keys join nothing.
+func (k *EquiJoinKernel) Build(tups []*Tuple) {
+	for _, tup := range tups {
+		if key := tup.OrderKey(k.ri); key.kind != NullValue {
+			k.index[key] = append(k.index[key], tup)
+		}
+	}
+}
+
 // BuildSize estimates the bytes the hash build side holds: the indexed
 // tuple references plus per-key map overhead. Operators charge it against
-// the query budget when they adopt the kernel.
+// the query budget once they have built the index.
 func (k *EquiJoinKernel) BuildSize() int64 {
 	var n int64
 	for _, bs := range k.index {
 		n += int64(len(bs)) * 24 // slice entry + amortized tuple ref
 	}
-	return n + int64(len(k.index))*64 // map buckets + key strings
+	return n + int64(len(k.index))*64 // map buckets + keys
 }
 
-// Matches returns the product tuples the left tuple contributes, in the
-// right operand's tuple order (the sequential nested-loop pair order), or
-// nil when the key is NULL or unmatched. Safe to call concurrently once the
-// kernel is built: the index is read-only.
-func (k *EquiJoinKernel) Matches(a *Tuple) []*Tuple {
-	v := a.certain[k.li]
-	if v.IsNull() {
-		return nil
+// AppendMatches appends the product tuples the left tuple contributes, in
+// build order (the sequential nested-loop pair order), and returns the
+// extended slice; a NULL or unmatched key appends nothing. Safe to call
+// concurrently once the index is built: it is read-only.
+func (k *EquiJoinKernel) AppendMatches(dst []*Tuple, a *Tuple) []*Tuple {
+	key := a.OrderKey(k.li)
+	if key.kind == NullValue {
+		return dst
 	}
-	bs := k.index[v.Render()]
-	if len(bs) == 0 {
-		return nil
+	for _, b := range k.index[key] {
+		dst = append(dst, k.cross.Pair(a, b))
 	}
-	pairs := make([]*Tuple, len(bs))
-	for j, b := range bs {
-		pairs[j] = k.cross.Pair(a, b)
-	}
-	return pairs
+	return dst
 }
 
 // Append adds a tuple produced by one of the table's kernels (or shared from

@@ -340,10 +340,25 @@ func (t *Table) Join(o *Table, atoms ...Atom) (*Table, error) {
 	return j, nil
 }
 
-// Renamed returns a view of the table with columns renamed per mapping
-// (old name → new name). Attribute identities are preserved, so histories
-// keep working across the rename.
+// Renamed returns a table with columns renamed per mapping (old name → new
+// name). Attribute identities are preserved, so histories keep working
+// across the rename. Like every derived table it holds a registry reference
+// on each ancestor of its tuples.
 func (t *Table) Renamed(mapping map[string]string) (*Table, error) {
+	out, err := t.renamedView(mapping)
+	if err != nil {
+		return nil, err
+	}
+	out.tid, out.ver = 0, 0 // a derived table: its encodings are never cached
+	if out.trackHistory {
+		out.reg.retainTuples(out.tuples)
+	}
+	return out, nil
+}
+
+// renamedView is the rename alone: a read-only view sharing the receiver's
+// tuples, registry and encoding-cache identity, like WithParallelism.
+func (t *Table) renamedView(mapping map[string]string) (*Table, error) {
 	cols := append([]Column(nil), t.schema.Columns()...)
 	for i, c := range cols {
 		if nn, ok := mapping[c.Name]; ok {
@@ -354,15 +369,8 @@ func (t *Table) Renamed(mapping map[string]string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Table{
-		Name:         t.Name,
-		schema:       newSchema,
-		ids:          t.ids,
-		reg:          t.reg,
-		trackHistory: t.trackHistory,
-		par:          t.par,
-		tuples:       t.tuples,
-	}
+	out := *t
+	out.schema = newSchema
 	out.deps = make([]*depSet, len(t.deps))
 	for i, d := range t.deps {
 		nd := d.clone()
@@ -373,20 +381,29 @@ func (t *Table) Renamed(mapping map[string]string) (*Table, error) {
 		}
 		out.deps[i] = nd
 	}
-	for _, tup := range out.tuples {
-		out.retainTuple(tup)
-	}
-	return out, nil
+	return &out, nil
 }
 
 // Prefixed returns the table with every column renamed to prefix+name —
 // the usual way to disambiguate before a join.
 func (t *Table) Prefixed(prefix string) (*Table, error) {
+	return t.Renamed(t.prefixMapping(prefix))
+}
+
+// PrefixedView is Prefixed as a view over the receiver for the length of one
+// statement: it shares the tuples and takes no registry references, so the
+// caller must keep the receiver's base pdfs alive itself — the catalog lock
+// or a Freeze pin — for as long as the view is in use.
+func (t *Table) PrefixedView(prefix string) (*Table, error) {
+	return t.renamedView(t.prefixMapping(prefix))
+}
+
+func (t *Table) prefixMapping(prefix string) map[string]string {
 	m := map[string]string{}
 	for _, c := range t.schema.Columns() {
 		m[c.Name] = prefix + c.Name
 	}
-	return t.Renamed(m)
+	return m
 }
 
 // Prob returns the probability that the tuple has a value for the given

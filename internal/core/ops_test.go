@@ -313,6 +313,38 @@ func TestJoinCertainKeys(t *testing.T) {
 	}
 }
 
+// TestEquiJoinKeysAgreeWithEqual: the hash equi-join pairs exactly the key
+// values Value.Equal calls equal — the pairs Join's cross product followed
+// by the = selection keeps — whatever the two sides' kinds and renderings:
+// INT 1000000 against FLOAT 1e+06, 0 against -0.0, integers beyond 2^53 that
+// collapse to one float, BOOL and TEXT against their own kind only, and NULL
+// against nothing.
+func TestEquiJoinKeysAgreeWithEqual(t *testing.T) {
+	reg := NewRegistry()
+	mk := func(name, col string, vals ...Value) *Table {
+		tb := MustTable(name, MustSchema(Column{Name: col, Type: FloatType}), nil, reg)
+		for _, v := range vals {
+			if err := tb.Insert(Row{Values: map[string]Value{col: v}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tb
+	}
+	a := mk("A", "i", Int(1000000), Int(0), Int(1<<53+1), Int(5), Str("5"), Bool(true), Null, Int(1))
+	b := mk("B", "f", Float(1e6), Float(math.Copysign(0, -1)), Float(1<<53), Int(1<<53), Str("5"), Bool(true), Null, Float(math.NaN()))
+	hash, err := a.EquiJoin(b, "i", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Join(b, Cmp(Col("i"), region.EQ, Col("f")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hash.Len() != 6 || hash.Render() != want.Render() {
+		t.Errorf("EquiJoin:\n%swant the 6 rows of the cross product under i = f:\n%s", hash.Render(), want.Render())
+	}
+}
+
 func TestJoinOnUncertainAttrs(t *testing.T) {
 	// Join predicate across uncertain attributes of two tables merges
 	// dependency sets across the product.

@@ -130,7 +130,7 @@ func collapseProduct(p *Product, opts Options) Dist {
 		total *= a.Cells()
 	}
 	w := outerProduct(weights, total, p.scale)
-	return NewGrid(axes, w)
+	return newGrid(axes, w)
 }
 
 func maxInt(a, b int) int {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"probdb/internal/numeric"
 	"probdb/internal/region"
@@ -60,6 +61,15 @@ func (a Axis) width(i int) float64 {
 	return 0
 }
 
+// bounds returns the closed range of coordinates cell i covers: its two
+// edges, or its point value twice.
+func (a Axis) bounds(i int) (lo, hi float64) {
+	if a.Kind == KindContinuous {
+		return a.Edges[i], a.Edges[i+1]
+	}
+	return a.Values[i], a.Values[i]
+}
+
 // center returns the representative coordinate of cell i.
 func (a Axis) center(i int) float64 {
 	if a.Kind == KindContinuous {
@@ -109,8 +119,13 @@ func (a Axis) validate() error {
 type Grid struct {
 	axes []Axis
 	w    []float64 // row-major cell masses
-	cum  []float64 // cumulative masses for sampling
 	mass float64
+
+	// cum holds the cumulative masses Sample searches, built by the first
+	// Sample: a grid an operator produces is rarely sampled, and a running
+	// sum per cell would double what it costs to hold.
+	cumOnce sync.Once
+	cum     []float64
 }
 
 var _ Dist = (*Grid)(nil)
@@ -132,28 +147,30 @@ func NewGrid(axes []Axis, weights []float64) *Grid {
 	if len(weights) != n {
 		panic(fmt.Sprintf("dist: NewGrid expects %d weights, got %d", n, len(weights)))
 	}
-	w := make([]float64, n)
-	cum := make([]float64, n)
+	return newGrid(append([]Axis(nil), axes...), append([]float64(nil), weights...))
+}
+
+// newGrid is NewGrid for a caller inside the package that hands over axes
+// it took from a grid (or built valid) and a weight slice nothing else
+// holds: neither is copied.
+func newGrid(axes []Axis, w []float64) *Grid {
 	var mass numeric.KahanSum
-	for i, v := range weights {
+	for i, v := range w {
 		if v < 0 {
 			if v > -1e-12 { // tolerate tiny negative float drift
 				v = 0
+				w[i] = 0
 			} else {
 				panic("dist: negative grid weight")
 			}
 		}
-		w[i] = v
 		mass.Add(v)
-		cum[i] = mass.Value()
 	}
 	total := mass.Value()
 	if total > 1+1e-9 {
 		panic(fmt.Sprintf("dist: grid mass %v exceeds 1", total))
 	}
-	ax := make([]Axis, len(axes))
-	copy(ax, axes)
-	return &Grid{axes: ax, w: w, cum: cum, mass: numeric.Clamp01(total)}
+	return &Grid{axes: axes, w: w, mass: numeric.Clamp01(total)}
 }
 
 // NewHistogram builds the paper's 1-D histogram representation: bucket
@@ -478,7 +495,77 @@ func (g *Grid) FloorWhere(pred func([]float64) bool) Dist {
 		}
 		w[flat] = g.w[flat] * g.cellSatisfiedFraction(idx, x, pred)
 	})
-	return NewGrid(g.axes, w)
+	return newGrid(g.axes, w)
+}
+
+// FloorCompare is FloorWhere for the predicate "x[ldim] op x[rdim]" — the
+// floor of a comparison between two attributes of one joint (§III-C case
+// 2b). For the four ordering operators a cell's bounds along the two axes
+// decide the comparison for the whole cell unless they overlap, so a cell on
+// one side of the diagonal keeps its mass and one on the other side loses it
+// without being sampled; only the cells the comparison cuts (and every cell
+// under = and <>) are subsampled, exactly as FloorWhere does it. The weights
+// are bit-identical to FloorWhere's: its sample points lie within the cell's
+// closed bounds, so where the bounds decide, all of them agree and the
+// sampled fraction is exactly 1 or 0.
+func (g *Grid) FloorCompare(ldim, rdim int, op region.Op) Dist {
+	checkDim(ldim, len(g.axes))
+	checkDim(rdim, len(g.axes))
+	pred := func(x []float64) bool { return op.Eval(x[ldim], x[rdim]) }
+	la, ra := g.axes[ldim], g.axes[rdim]
+	w := make([]float64, len(g.w))
+	x := make([]float64, len(g.axes))
+	g.eachCell(func(flat int, idx []int) {
+		if g.w[flat] == 0 {
+			return
+		}
+		llo, lhi := la.bounds(idx[ldim])
+		rlo, rhi := ra.bounds(idx[rdim])
+		switch compareBounds(op, llo, lhi, rlo, rhi) {
+		case cellInside:
+			w[flat] = g.w[flat]
+		case cellCut:
+			w[flat] = g.w[flat] * g.cellSatisfiedFraction(idx, x, pred)
+		}
+	})
+	return newGrid(g.axes, w)
+}
+
+// FloorCompare floors d where "x[ldim] op x[rdim]" is false. It is
+// d.FloorWhere with that predicate — every distribution leaves its closed
+// form for such a floor by collapsing first — except that a joint which
+// collapses to a Grid is floored by Grid.FloorCompare, cell bounds first.
+func FloorCompare(d Dist, ldim, rdim int, op region.Op) Dist {
+	c := Collapse(d, DefaultOptions)
+	if g, ok := c.(*Grid); ok {
+		return g.FloorCompare(ldim, rdim, op)
+	}
+	return c.FloorWhere(func(x []float64) bool { return op.Eval(x[ldim], x[rdim]) })
+}
+
+// cellSide says where a cell lies relative to a comparison's region.
+type cellSide int
+
+const (
+	cellCut     cellSide = iota // the bounds do not decide: sample the cell
+	cellInside                  // every point of the cell satisfies it
+	cellOutside                 // no point of the cell satisfies it
+)
+
+// compareBounds decides "l op r" for every l in [llo, lhi] and r in
+// [rlo, rhi] at once, when the two ranges allow it.
+func compareBounds(op region.Op, llo, lhi, rlo, rhi float64) cellSide {
+	switch op {
+	case region.GT, region.GE: // l > r is r < l
+		op, llo, lhi, rlo, rhi = op.Flip(), rlo, rhi, llo, lhi
+	}
+	switch {
+	case op == region.LT && lhi < rlo, op == region.LE && lhi <= rlo:
+		return cellInside
+	case op == region.LT && llo >= rhi, op == region.LE && llo > rhi:
+		return cellOutside
+	}
+	return cellCut
 }
 
 func (g *Grid) Support() region.Box {
@@ -536,6 +623,14 @@ func (g *Grid) Sample(r *rand.Rand) []float64 {
 	if g.mass <= 0 {
 		panic("dist: Sample of zero-mass Grid distribution")
 	}
+	g.cumOnce.Do(func() {
+		g.cum = make([]float64, len(g.w))
+		var mass numeric.KahanSum
+		for i, v := range g.w {
+			mass.Add(v)
+			g.cum[i] = mass.Value()
+		}
+	})
 	u := r.Float64() * g.mass
 	flat := sort.SearchFloat64s(g.cum, u)
 	if flat >= len(g.w) {

@@ -255,3 +255,111 @@ func TestGridZeroMassAfterTotalFloor(t *testing.T) {
 		t.Errorf("mean of zero-mass grid should be NaN, got %v", f.Mean(0))
 	}
 }
+
+// randomAxis draws a continuous axis with irregular cell widths or a
+// discrete one, its coordinates on a half-unit lattice so that two axes
+// drawn over the same range share edges and values.
+func randomAxis(r *rand.Rand, kind Kind, cells int) Axis {
+	xs := make([]float64, 0, cells+1)
+	x := float64(r.Intn(8))
+	for len(xs) < cells+1 {
+		xs = append(xs, x)
+		x += 0.5 * float64(1+r.Intn(3))
+	}
+	if kind == KindContinuous {
+		return Axis{Kind: KindContinuous, Edges: xs}
+	}
+	return Axis{Kind: KindDiscrete, Values: xs[:cells]}
+}
+
+// TestGridCompareFloorBitIdentical: FloorCompare must produce the float64
+// weights FloorWhere produces with the comparison as an opaque predicate —
+// over continuous and discrete axes in every pairing, with empty cells,
+// cells whose edges touch, equal discrete values, a third axis the
+// comparison does not name, and a dimension compared with itself.
+func TestGridCompareFloorBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	kinds := [][]Kind{
+		{KindContinuous, KindContinuous},
+		{KindContinuous, KindDiscrete},
+		{KindDiscrete, KindContinuous},
+		{KindDiscrete, KindDiscrete},
+		{KindContinuous, KindDiscrete, KindContinuous},
+		{KindDiscrete, KindContinuous, KindContinuous},
+	}
+	ops := []region.Op{region.LT, region.LE, region.GT, region.GE, region.EQ, region.NE}
+	decided := 0
+	for trial := 0; trial < 60; trial++ {
+		ks := kinds[trial%len(kinds)]
+		axes := make([]Axis, len(ks))
+		n := 1
+		for d, k := range ks {
+			axes[d] = randomAxis(r, k, 2+r.Intn(6))
+			n *= axes[d].Cells()
+		}
+		w := make([]float64, n)
+		for i := range w {
+			if r.Intn(4) > 0 { // a quarter of the cells stay empty
+				w[i] = r.Float64() / float64(n)
+			}
+		}
+		g := NewGrid(axes, w)
+		for _, dims := range [][2]int{{0, 1}, {1, 0}, {len(ks) - 1, 0}, {0, 0}} {
+			l, rd := dims[0], dims[1]
+			for _, op := range ops {
+				want := g.FloorWhere(func(x []float64) bool { return op.Eval(x[l], x[rd]) }).(*Grid)
+				got := g.FloorCompare(l, rd, op).(*Grid)
+				for i := range want.w {
+					if math.Float64bits(got.w[i]) != math.Float64bits(want.w[i]) {
+						t.Fatalf("trial %d, x[%d] %v x[%d], cell %d: FloorCompare %v, FloorWhere %v",
+							trial, l, op, rd, i, got.w[i], want.w[i])
+					}
+				}
+				if math.Float64bits(got.mass) != math.Float64bits(want.mass) {
+					t.Fatalf("trial %d, x[%d] %v x[%d]: mass %v, want %v", trial, l, op, rd, got.mass, want.mass)
+				}
+			}
+		}
+		// The bounds must decide most cells, or the floor samples as before.
+		g.eachCell(func(flat int, idx []int) {
+			llo, lhi := axes[0].bounds(idx[0])
+			rlo, rhi := axes[1].bounds(idx[1])
+			if compareBounds(region.LT, llo, lhi, rlo, rhi) != cellCut {
+				decided++
+			}
+		})
+	}
+	if decided == 0 {
+		t.Fatal("no cell was decided by its bounds")
+	}
+}
+
+// TestFloorCompareMatchesFloorWhere: the package-level entry point gives
+// every family FloorWhere's answer, through the Grid route (symbolic and
+// mixed products) and the Discrete one.
+func TestFloorCompareMatchesFloorWhere(t *testing.T) {
+	joints := []Dist{
+		ProductOf(NewGaussianVar(30, 4), NewUniform(27, 33)),
+		ProductOf(NewUniform(0, 10), NewUniform(5, 15)),
+		ProductOf(NewGaussianVar(5, 1).Floor(0, region.Compare(region.GT, 5)), NewDiscrete([]float64{4, 5, 6}, []float64{0.25, 0.5, 0.125})),
+		ProductOf(NewDiscrete([]float64{1, 2, 3}, []float64{0.2, 0.3, 0.5}), NewDiscrete([]float64{2, 3}, []float64{0.5, 0.25})),
+		ProductOf(NewGaussianVar(30, 4), Unit(31)),
+	}
+	for _, d := range joints {
+		for _, op := range []region.Op{region.LT, region.LE, region.GT, region.GE, region.EQ, region.NE} {
+			want := d.FloorWhere(func(x []float64) bool { return op.Eval(x[0], x[1]) })
+			got := FloorCompare(d, 0, 1, op)
+			if math.Float64bits(got.Mass()) != math.Float64bits(want.Mass()) || got.String() != want.String() {
+				t.Errorf("%v, x0 %v x1: FloorCompare %v, FloorWhere %v", d, op, got, want)
+			}
+			if wg, ok := want.(*Grid); ok {
+				gg := got.(*Grid)
+				for i := range wg.w {
+					if math.Float64bits(gg.w[i]) != math.Float64bits(wg.w[i]) {
+						t.Fatalf("%v, x0 %v x1, cell %d: %v, want %v", d, op, i, gg.w[i], wg.w[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"probdb/internal/core"
-	"probdb/internal/exec"
 	"probdb/internal/govern"
 )
 
@@ -276,38 +275,51 @@ func (f *ProbFilter) Close() error {
 	return f.child.Close()
 }
 
-// EquiJoin streams the left child through a compiled hash equi-join kernel
-// (the right side was materialized and indexed at plan time). Pairs come
-// out in the sequential nested-loop order: left tuples in stream order,
-// each matched against the right tuples in table order.
+// EquiJoin is the hash equi-join: Open drains the build (right) child into
+// the kernel's hash index, then the probe (left) child streams through it.
+// Pairs come out in the sequential nested-loop order: left tuples in stream
+// order, each matched against the build tuples in their stream order.
 type EquiJoin struct {
 	base
-	child   Operator
-	k       *core.EquiJoinKernel
+	child, build Operator
+	k            *core.EquiJoinKernel
+
+	// pending[pos:] are the pairs built but not yet handed out.
 	pending []*core.Tuple
-	maxPend int // high-water of pending, already charged
+	pos     int
+	maxPend int  // high-water of pending, already charged
+	done    bool // the probe child is exhausted
 }
 
-// NewEquiJoin wraps the left child with an equi-join kernel.
-func NewEquiJoin(child Operator, k *core.EquiJoinKernel) *EquiJoin {
-	return &EquiJoin{child: child, k: k}
+// NewEquiJoin joins the probe child with the build child through a kernel
+// planned against their two headers.
+func NewEquiJoin(child, build Operator, k *core.EquiJoinKernel) *EquiJoin {
+	return &EquiJoin{child: child, build: build, k: k}
 }
 
 func (j *EquiJoin) Header() *core.Table { return j.k.Out() }
 
 func (j *EquiJoin) Open(ctx context.Context) error {
 	j.open(ctx)
-	// The hash build side was materialized at plan time; the operator
-	// adopting it is where it becomes query working set.
+	if err := drainInto(ctx, j.build, func(b []*core.Tuple) error {
+		j.k.Build(b)
+		return nil
+	}); err != nil {
+		return err
+	}
+	// The hash index is query working set from here on.
 	if err := j.charge(j.k.BuildSize()); err != nil {
 		return err
 	}
 	return j.child.Open(ctx)
 }
 
+// Next hands out up to BatchSize pairs, pulling probe batches until that
+// many are pending: a selective filter under the join leaves a few pairs per
+// input batch, and the kernels downstream (a cross floor per pair) only
+// spread a batch over workers when it is morsel-sized.
 func (j *EquiJoin) Next() ([]*core.Tuple, error) {
-	par := j.k.Out().Parallelism()
-	for len(j.pending) == 0 {
+	for len(j.pending)-j.pos < BatchSize && !j.done {
 		if err := j.ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -316,17 +328,14 @@ func (j *EquiJoin) Next() ([]*core.Tuple, error) {
 			return nil, err
 		}
 		if in == nil {
-			return nil, nil
+			j.done = true
+			break
 		}
-		matched := make([][]*core.Tuple, len(in))
-		_ = exec.For(par, len(in), func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				matched[i] = j.k.Matches(in[i])
-			}
-			return nil
-		})
-		for _, pairs := range matched {
-			j.pending = append(j.pending, pairs...)
+		// The batch handed out last time is dead by now: reuse its space.
+		j.pending = j.pending[:copy(j.pending, j.pending[j.pos:])]
+		j.pos = 0
+		for _, a := range in {
+			j.pending = j.k.AppendMatches(j.pending, a)
 		}
 		// A skewed key can explode one input batch into a huge pending
 		// buffer; charge its high-water mark.
@@ -337,47 +346,50 @@ func (j *EquiJoin) Next() ([]*core.Tuple, error) {
 			j.maxPend = n
 		}
 	}
-	out := j.pending
-	if len(out) > BatchSize {
-		out = out[:BatchSize]
-		j.pending = j.pending[BatchSize:]
-	} else {
-		j.pending = nil
+	if j.pos == len(j.pending) {
+		return nil, nil
 	}
+	end := min(j.pos+BatchSize, len(j.pending))
+	out := j.pending[j.pos:end]
+	j.pos = end
 	return out, nil
 }
 
 func (j *EquiJoin) Close() error {
 	j.close()
-	return j.child.Close()
+	return closeBoth(j.child, j.build)
 }
 
-// CrossJoin streams the left child against a materialized right tuple set,
-// emitting pairs in nested-loop order. Used for FROM lists with no usable
-// equi-join key; the right side is small or the query was going to be
-// quadratic anyway.
+// CrossJoin streams the left child against the materialized output of the
+// right child, emitting pairs in nested-loop order. Used for FROM lists with
+// no usable equi-join key; the right side is small or the query was going to
+// be quadratic anyway.
 type CrossJoin struct {
 	base
-	child Operator
-	k     *core.CrossKernel
-	right []*core.Tuple
+	child, build Operator
+	k            *core.CrossKernel
+	right        []*core.Tuple
 
 	cur []*core.Tuple // current left batch
 	li  int           // index into cur
 	ri  int           // index into right
 }
 
-// NewCrossJoin wraps the left child with a cross-product kernel and the
-// materialized right tuples.
-func NewCrossJoin(child Operator, k *core.CrossKernel, right []*core.Tuple) *CrossJoin {
-	return &CrossJoin{child: child, k: k, right: right}
+// NewCrossJoin crosses the left child with the right (build) child through a
+// kernel planned against their two headers.
+func NewCrossJoin(child, build Operator, k *core.CrossKernel) *CrossJoin {
+	return &CrossJoin{child: child, build: build, k: k}
 }
 
 func (j *CrossJoin) Header() *core.Table { return j.k.Out() }
 
 func (j *CrossJoin) Open(ctx context.Context) error {
 	j.open(ctx)
-	if err := j.charge(int64(len(j.right)) * j.k.Out().TupleCost()); err != nil {
+	cost := j.k.Out().TupleCost()
+	if err := drainInto(ctx, j.build, func(b []*core.Tuple) error {
+		j.right = append(j.right, b...)
+		return j.charge(int64(len(b)) * cost)
+	}); err != nil {
 		return err
 	}
 	return j.child.Open(ctx)
@@ -420,7 +432,37 @@ func (j *CrossJoin) Next() ([]*core.Tuple, error) {
 
 func (j *CrossJoin) Close() error {
 	j.close()
-	return j.child.Close()
+	return closeBoth(j.child, j.build)
+}
+
+// drainInto opens a join's build child and feeds every batch it produces to
+// add. The child stays open — its batches may alias its table — until the
+// join closes it.
+func drainInto(ctx context.Context, build Operator, add func([]*core.Tuple) error) error {
+	if err := build.Open(ctx); err != nil {
+		return err
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		b, err := build.Next()
+		if err != nil || b == nil {
+			return err
+		}
+		if err := add(b); err != nil {
+			return err
+		}
+	}
+}
+
+// closeBoth closes a join's two children and returns the first error.
+func closeBoth(child, build Operator) error {
+	err := child.Close()
+	if berr := build.Close(); err == nil {
+		err = berr
+	}
+	return err
 }
 
 // Limit passes through at most n tuples and then stops pulling its child —

@@ -183,7 +183,7 @@ func TestEquiJoinMatchesLegacy(t *testing.T) {
 	}
 	sc := NewScan(left)
 	sc.SetBatch(7)
-	got := mustDrain(t, NewEquiJoin(sc, k))
+	got := mustDrain(t, NewEquiJoin(sc, NewScan(right), k))
 	assertRenderEqual(t, want, got)
 }
 
@@ -212,7 +212,7 @@ func TestCrossJoinMatchesLegacy(t *testing.T) {
 	}
 	sc := NewScan(left)
 	sc.SetBatch(11)
-	got := mustDrain(t, NewCrossJoin(sc, k, right.Tuples()))
+	got := mustDrain(t, NewCrossJoin(sc, NewScan(right), k))
 	assertRenderEqual(t, want, got)
 }
 

@@ -377,7 +377,11 @@ func sqrt(v float64) float64 {
 
 // resolveRef looks up one FROM entry, applying the per-query parallelism
 // view and (for multi-table FROM lists) the "<alias-or-name>." column
-// prefix. The catalog table itself is never mutated under the read lock.
+// prefix. The result is a view for the length of the statement: it shares
+// the catalog table's tuples and takes no registry references — the
+// statement's read lock (or the snapshot's Freeze pin) is what keeps their
+// base pdfs alive — so a join leaves nothing behind for a later DELETE to
+// trip over.
 func (db *DB) resolveRef(ref TableRef, qualify bool) (*core.Table, error) {
 	t, ok := db.tables[ref.Name]
 	if !ok {
@@ -391,7 +395,7 @@ func (db *DB) resolveRef(ref TableRef, qualify bool) (*core.Table, error) {
 	if ref.Alias != "" {
 		prefix = ref.Alias
 	}
-	return t.Prefixed(prefix + ".")
+	return t.PrefixedView(prefix + ".")
 }
 
 // equiJoinKeys finds the first certain = certain WHERE condition with one

@@ -145,6 +145,7 @@ func (db *DB) dropPlannerState(name string) {
 // reports EXPLAIN and the Result's planner counters are built from.
 type pipelineResult struct {
 	plan     *plan.Plan      // nil when the naive multi-table path ran
+	join     *joinPlan       // the multi-table path's conjunct placement, else nil
 	conj     []plan.Conjunct // planner's view of the WHERE clause
 	hasStats bool
 	counters plan.Counters
@@ -292,6 +293,7 @@ func describePlan(pr *pipelineResult) string {
 	var b strings.Builder
 	if pr.plan == nil {
 		b.WriteString("access: scan (multi-table: planner handles single-table queries)")
+		b.WriteString(pr.join.describe())
 	} else {
 		b.WriteString(pr.plan.Describe(pr.conj))
 		if pr.hasStats {

@@ -3,6 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 
 	"probdb/internal/core"
 	"probdb/internal/pipe"
@@ -118,96 +120,229 @@ func (db *DB) buildFilterTree(s SelectStmt) (pipe.Operator, *pipelineResult, err
 // access path (planAccess), then the residual conjuncts stream.
 func (db *DB) buildPlannedTree(s SelectStmt, base *core.Table) (pipe.Operator, *pipelineResult, error) {
 	src, pr := db.planAccess(s, base)
-	var root pipe.Operator = pipe.NewScan(src)
-	var atoms []core.Atom
-	for _, c := range s.Where {
+	var at []int
+	for i, c := range s.Where {
 		if c.Kind == CondCmp {
+			at = append(at, i)
+		}
+	}
+	root, err := addConjuncts(pr, pipe.NewScan(src), s.Where, append(at, pr.plan.ResidualProb...), false)
+	return root, pr, err
+}
+
+// joinEntry is one FROM entry of a multi-table statement: its qualified
+// view and the WHERE conjuncts (by position) that run under the join, over
+// this entry alone.
+type joinEntry struct {
+	name   string
+	view   *core.Table
+	pushed []int
+}
+
+// joinPlan records where each WHERE conjunct of a multi-table statement
+// runs, for EXPLAIN.
+type joinPlan struct {
+	where   []Cond
+	entries []joinEntry
+	above   []int // conjuncts left above the join, in written order
+}
+
+// describe renders the placement for EXPLAIN: one line per FROM entry with
+// the conjuncts that run under the join, then the ones left above it.
+func (jp *joinPlan) describe() string {
+	conds := func(at []int) string {
+		if len(at) == 0 {
+			return "-"
+		}
+		parts := make([]string, len(at))
+		for i, w := range at {
+			var err error
+			if parts[i], err = renderCond(jp.where[w]); err != nil {
+				parts[i] = "?"
+			}
+		}
+		return strings.Join(parts, " AND ")
+	}
+	var b strings.Builder
+	for _, e := range jp.entries {
+		fmt.Fprintf(&b, "\n  under the join, on %s: %s", e.name, conds(e.pushed))
+	}
+	fmt.Fprintf(&b, "\n  above the join: %s", conds(jp.above))
+	return b.String()
+}
+
+// planJoin resolves the FROM entries and decides, per WHERE conjunct,
+// whether it runs under the join. A conjunct moves under the join when it
+// names columns of exactly one entry and cannot change a pdf: a comparison
+// over certain columns, or a probability threshold over an entry whose pdfs
+// no conjunct left above floors or merges (a threshold written after such a
+// conjunct reads the changed pdf). Filtering an entry before it is paired
+// yields the pairs the filter would have kept afterwards, in the same
+// order. Everything else — every comparison naming an uncertain column,
+// whose floors are order-sensitive at the bit level, and anything spanning
+// two entries — stays above, in written order.
+func (db *DB) planJoin(s SelectStmt) (*joinPlan, error) {
+	jp := &joinPlan{where: s.Where, entries: make([]joinEntry, len(s.From))}
+	for i, ref := range s.From {
+		view, err := db.resolveRef(ref, true)
+		if err != nil {
+			return nil, err
+		}
+		jp.entries[i] = joinEntry{name: ref.Name, view: view}
+		if ref.Alias != "" {
+			jp.entries[i].name = ref.Alias
+		}
+	}
+	// owner reports the one entry holding all the named columns (-1 when
+	// they span entries, or none is named) and whether all are certain. An
+	// unknown column answers (-1, false): the conjunct stays above, where
+	// planning it reports the name.
+	owner := func(cols ...string) (entry int, certain bool) {
+		entry, certain = -1, true
+		spans := false
+		for n, name := range cols {
+			at := -1
+			for i := range jp.entries {
+				if col, ok := jp.entries[i].view.Schema().Lookup(name); ok {
+					at, certain = i, certain && !col.Uncertain
+					break
+				}
+			}
+			if at < 0 {
+				return -1, false
+			}
+			spans = spans || (n > 0 && at != entry)
+			entry = at
+		}
+		if spans {
+			entry = -1
+		}
+		return entry, certain
+	}
+	// changed marks the entries whose pdfs a comparison left above the join
+	// may floor or merge: it names an uncertain column, and any column it
+	// names may end up in the merged joint.
+	changed := make([]bool, len(jp.entries))
+	var thresholds []int
+	for i, c := range s.Where {
+		if c.Kind != CondCmp {
+			thresholds = append(thresholds, i)
+			continue
+		}
+		var cols []string
+		for _, o := range []Operand{c.Left, c.Right} {
+			if o.IsCol {
+				cols = append(cols, o.Col)
+			}
+		}
+		e, certain := owner(cols...)
+		if e >= 0 && certain {
+			jp.entries[e].pushed = append(jp.entries[e].pushed, i)
+			continue
+		}
+		jp.above = append(jp.above, i)
+		for _, name := range cols {
+			if e, _ := owner(name); e >= 0 && !certain {
+				changed[e] = true
+			}
+		}
+	}
+	for _, i := range thresholds {
+		if e, _ := owner(s.Where[i].ProbCols...); e >= 0 && !changed[e] {
+			jp.entries[e].pushed = append(jp.entries[e].pushed, i)
+		} else {
+			jp.above = append(jp.above, i)
+		}
+	}
+	sort.Ints(jp.above)
+	return jp, nil
+}
+
+// addConjuncts wraps the tree with the WHERE conjuncts at the given
+// positions: the comparisons in one Filter kernel, then a ProbFilter per
+// probability threshold, each kind in the order at lists it. alwaysFilter
+// plans the Filter even with no comparison to put in it, for its zero-mass
+// check.
+func addConjuncts(pr *pipelineResult, root pipe.Operator, where []Cond, at []int, alwaysFilter bool) (pipe.Operator, error) {
+	var atoms []core.Atom
+	for _, i := range at {
+		if c := where[i]; c.Kind == CondCmp {
 			atoms = append(atoms, core.Cmp(toCoreOperand(c.Left), c.Op, toCoreOperand(c.Right)))
 		}
 	}
-	if len(atoms) > 0 {
-		sel, err := src.PlanSelect(atoms...)
+	if len(atoms) > 0 || alwaysFilter {
+		sel, err := root.Header().PlanSelect(atoms...)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pr.kernels = append(pr.kernels, sel)
 		root = pipe.NewFilter(root, sel)
 	}
-	for _, orig := range pr.plan.ResidualProb {
-		var err error
-		if root, err = addProbFilter(pr, root, s.Where[orig]); err != nil {
-			return nil, nil, err
+	for _, i := range at {
+		if c := where[i]; c.Kind != CondCmp {
+			var err error
+			if root, err = addProbFilter(pr, root, c); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return root, pr, nil
+	return root, nil
 }
 
 // buildNaiveTree is the multi-table path: a left-deep join tree in FROM
-// order, each step an equi-join when equiJoinKeys finds a certain equality
-// between the two sides and a cross product otherwise, then every
-// comparison atom in one Filter and the probability conjuncts in written
-// order. Every table's columns are exposed as "<alias-or-name>.<column>".
+// order, each entry a Scan under the conjuncts planJoin moved to it, each
+// step an equi-join when equiJoinKeys finds a certain equality between the
+// two sides and a cross product otherwise, then the conjuncts left above.
+// Every table's columns are exposed as "<alias-or-name>.<column>".
 func (db *DB) buildNaiveTree(s SelectStmt) (pipe.Operator, *pipelineResult, error) {
 	if len(s.From) == 0 {
 		return nil, nil, fmt.Errorf("query: empty FROM")
 	}
-	pr := &pipelineResult{}
+	jp, err := db.planJoin(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	pr := &pipelineResult{join: jp}
 	for _, ref := range s.From {
 		if db.indexes[ref.Name] != nil {
 			pr.counters.PlannerFallbacks++
 			break
 		}
 	}
-	multi := len(s.From) > 1
-	first, err := db.resolveRef(s.From[0], multi)
-	if err != nil {
-		return nil, nil, err
-	}
-	var root pipe.Operator = pipe.NewScan(first)
-	for _, ref := range s.From[1:] {
-		next, err := db.resolveRef(ref, true)
+	var root pipe.Operator
+	for i, e := range jp.entries {
+		next, err := addConjuncts(pr, pipe.NewScan(e.view), s.Where, e.pushed, false)
 		if err != nil {
 			return nil, nil, err
+		}
+		if i == 0 {
+			root = next
+			continue
 		}
 		hdr := root.Header()
-		if l, r, ok := equiJoinKeys(s, hdr, next); ok {
-			k, err := hdr.PlanEquiJoin(next, l, r)
+		if l, r, ok := equiJoinKeys(s, hdr, next.Header()); ok {
+			k, err := hdr.PlanEquiJoin(next.Header(), l, r)
 			if err != nil {
 				return nil, nil, err
 			}
-			root = pipe.NewEquiJoin(root, k)
+			root = pipe.NewEquiJoin(root, next, k)
 		} else {
-			k, err := hdr.PlanCross(next)
+			k, err := hdr.PlanCross(next.Header())
 			if err != nil {
 				return nil, nil, err
 			}
-			root = pipe.NewCrossJoin(root, k, next.Tuples())
+			root = pipe.NewCrossJoin(root, next, k)
 		}
 	}
-	var atoms []core.Atom
-	var probConds []Cond
+	// A statement that wrote a comparison keeps a Filter above the join even
+	// when every comparison moved under it: the Filter's zero-mass check is
+	// what drops a pair whose other side carries an all-zero pdf.
+	wroteCmp := false
 	for _, c := range s.Where {
-		switch c.Kind {
-		case CondCmp:
-			atoms = append(atoms, core.Cmp(toCoreOperand(c.Left), c.Op, toCoreOperand(c.Right)))
-		default:
-			probConds = append(probConds, c)
-		}
+		wroteCmp = wroteCmp || c.Kind == CondCmp
 	}
-	if len(atoms) > 0 {
-		sel, err := root.Header().PlanSelect(atoms...)
-		if err != nil {
-			return nil, nil, err
-		}
-		pr.kernels = append(pr.kernels, sel)
-		root = pipe.NewFilter(root, sel)
-	}
-	for _, c := range probConds {
-		if root, err = addProbFilter(pr, root, c); err != nil {
-			return nil, nil, err
-		}
-	}
-	return root, pr, nil
+	root, err = addConjuncts(pr, root, s.Where, jp.above, wroteCmp)
+	return root, pr, err
 }
 
 // addProbFilter wraps the tree with one probability-threshold conjunct,
