@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,11 +30,18 @@ type harness struct {
 
 func newHarness(t *testing.T, nshards int) *harness {
 	t.Helper()
+	return newHarnessVia(t, nshards, func(_ int, addr string) string { return addr })
+}
+
+// newHarnessVia is newHarness with the router reaching shard i at
+// route(i, its address) — a proxy in front of it, say.
+func newHarnessVia(t *testing.T, nshards int, route func(i int, addr string) string) *harness {
+	t.Helper()
 	h := &harness{t: t, dir: t.TempDir()}
 	for i := 0; i < nshards; i++ {
 		s := startShard(t, t.TempDir())
 		h.shards = append(h.shards, s)
-		h.specs = append(h.specs, cluster.ShardSpec{Addr: s.Addr().String()})
+		h.specs = append(h.specs, cluster.ShardSpec{Addr: route(i, s.Addr().String())})
 	}
 	h.router = startRouter(t, h.dir, h.specs)
 	h.ref = startShard(t, t.TempDir())
@@ -320,13 +330,86 @@ func (h *harness) killShard(i int) {
 	h.shards[i] = nil
 }
 
+// streamGate is a TCP proxy in front of one shard that can hold the shard's
+// result stream. Once armed, it forwards the first RowBatch frame the shard
+// sends and then drains every later frame without forwarding it, so the
+// router has seen the stream start and can never see it end. When the shard
+// dies the proxy closes the router's side of the connection.
+type streamGate struct {
+	ln     net.Listener
+	target string
+	armed  atomic.Bool
+	held   chan struct{} // closed once an armed gate forwarded a batch
+	once   sync.Once
+}
+
+func newStreamGate(t *testing.T, target string) *streamGate {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &streamGate{ln: ln, target: target, held: make(chan struct{})}
+	t.Cleanup(func() { ln.Close() }) //nolint:errcheck
+	go func() {
+		for {
+			router, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			shard, err := net.Dial("tcp", g.target)
+			if err != nil {
+				router.Close() //nolint:errcheck
+				continue
+			}
+			go func() {
+				io.Copy(shard, router) //nolint:errcheck
+				shard.Close()          //nolint:errcheck
+			}()
+			go g.pipe(shard, router)
+		}
+	}()
+	return g
+}
+
+// pipe forwards the shard's frames to the router until an armed gate has
+// let one batch through, and drains them after that.
+func (g *streamGate) pipe(shard, router net.Conn) {
+	defer router.Close() //nolint:errcheck
+	holding := false
+	for {
+		ft, payload, err := wire.ReadFrame(shard)
+		if err != nil {
+			return
+		}
+		if holding {
+			continue
+		}
+		if err := wire.WriteFrame(router, ft, payload); err != nil {
+			return
+		}
+		if ft == wire.FrameRowBatch && g.armed.Load() {
+			holding = true
+			g.once.Do(func() { close(g.held) })
+		}
+	}
+}
+
 // TestClusterShardDeathMidStream kills one shard while a scatter-gather is
 // mid-stream and asserts the client sees a typed, retryable
-// ErrShardUnavailable — never a silent truncation. The rows are wide
-// (~0.5 KB) and numerous enough that each shard's remaining frames cannot
-// hide in socket buffers when the shard dies.
+// ErrShardUnavailable — never a silent truncation. The doomed shard sits
+// behind a streamGate that holds its stream after the first batch, so the
+// kill always lands before the router has seen that shard's result end: the
+// stream cannot finish first, however much the socket buffers hold.
 func TestClusterShardDeathMidStream(t *testing.T) {
-	h := newHarness(t, 3)
+	var gate *streamGate
+	h := newHarnessVia(t, 3, func(i int, addr string) string {
+		if i != 1 {
+			return addr
+		}
+		gate = newStreamGate(t, addr)
+		return gate.ln.Addr().String()
+	})
 	c, err := wire.Dial(h.router.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -350,15 +433,20 @@ func TestClusterShardDeathMidStream(t *testing.T) {
 		}
 	}
 
+	gate.armed.Store(true)
 	st, err := c.QueryStream(`SELECT * FROM big`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pull one batch so the stream is demonstrably underway, then kill a
-	// shard out from under it.
-	if _, err := st.NextBatch(); err != nil {
-		t.Fatal(err)
+	// Wait until shard 1's stream is demonstrably underway and held, then
+	// kill the shard out from under it. The gate stops accepting first, so
+	// later dials to shard 1 are refused exactly as they are by a dead shard.
+	select {
+	case <-gate.held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("shard 1 never sent a batch")
 	}
+	gate.ln.Close() //nolint:errcheck
 	h.killShard(1)
 	var got error
 	for {

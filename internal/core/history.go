@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,27 +21,15 @@ type NodeID uint64
 // just the pdf's own ID.
 type AncestorSet []NodeID
 
-// newAncestorSet normalizes ids into a sorted, deduplicated set.
-func newAncestorSet(ids ...NodeID) AncestorSet {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make(AncestorSet, len(ids))
-	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:1]
-	for _, id := range out[1:] {
-		if id != dedup[len(dedup)-1] {
-			dedup = append(dedup, id)
-		}
-	}
-	return dedup
-}
-
 // Union merges two ancestor sets (Definition 2: a derived pdf's history is
 // the union of its sources' histories).
 func (a AncestorSet) Union(b AncestorSet) AncestorSet {
-	return newAncestorSet(append(append(AncestorSet{}, a...), b...)...)
+	if len(a)+len(b) == 0 {
+		return nil
+	}
+	out := append(append(make(AncestorSet, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Intersect returns the common ancestors of two sets.
@@ -85,16 +74,24 @@ func (a AncestorSet) Contains(id NodeID) bool {
 	return i < len(a) && a[i] == id
 }
 
-// baseRecord is the registry entry for one base pdf: the attributes it is
-// jointly distributed over, the original (unfloored, complete) distribution,
-// and a reference count. When the owning tuple is deleted while derived
-// tuples still reference the record, it survives as a phantom node until the
-// count reaches zero (§II-C).
+// baseRecord is the registry entry for one base pdf: the original
+// (unfloored, complete) distribution and a reference count. When the owning
+// tuple is deleted while derived tuples still reference the record, it
+// survives as a phantom node until the count reaches zero (§II-C).
 type baseRecord struct {
-	attrs   []AttrID
 	d       dist.Dist
 	refs    int
 	phantom bool // owning tuple deleted; record kept for derived tuples
+}
+
+// baseNode is everything Insert allocates for one pdf, as one block: the
+// registry record, the tuple's node, the node's history (its own ID alone,
+// Definition 2) and — for the common one-dimensional pdf — its variable map.
+type baseNode struct {
+	rec  baseRecord
+	node PDFNode
+	anc  [1]NodeID
+	vars [1]varRef
 }
 
 // Registry is the database-wide store of base pdfs. All tables produced
@@ -126,30 +123,45 @@ func (r *Registry) MassCache() *exec.MassCache { return r.mass }
 // ColCache returns the registry's columnar-encoding cache.
 func (r *Registry) ColCache() *colpdf.Cache { return r.colenc }
 
-// register records a new base pdf over the given attributes and returns its
-// ID. The initial reference count 1 belongs to the inserting tuple's own
-// node.
-func (r *Registry) register(attrs []AttrID, d dist.Dist) NodeID {
+// register records rec as a new base pdf and returns its ID. The initial
+// reference count 1 belongs to the registering node.
+func (r *Registry) register(rec *baseRecord) NodeID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id := r.next
 	r.next++
-	a := make([]AttrID, len(attrs))
-	copy(a, attrs)
-	r.base[id] = &baseRecord{attrs: a, d: d, refs: 1}
+	rec.refs = 1
+	r.base[id] = rec
 	return id
 }
 
-// lookup returns the base record for id. It panics on unknown IDs — a
+// registerNode registers d as a fresh base pdf and returns the node that
+// owns it: pristine, its own only ancestor, one variable per dimension.
+func (r *Registry) registerNode(d dist.Dist) *PDFNode {
+	b := &baseNode{rec: baseRecord{d: d}}
+	id := r.register(&b.rec)
+	b.anc[0] = id
+	vars := b.vars[:]
+	if k := d.Dim(); k != 1 {
+		vars = make([]varRef, k)
+	}
+	for dim := range vars {
+		vars[dim] = varRef{base: id, dim: dim}
+	}
+	b.node = PDFNode{Dist: d, Anc: b.anc[:], vars: vars, self: id, pristine: true}
+	return &b.node
+}
+
+// lookup returns the base distribution for id. It panics on unknown IDs — a
 // registry/table mismatch is a programming error, not a data condition.
-func (r *Registry) lookup(id NodeID) (attrs []AttrID, d dist.Dist) {
+func (r *Registry) lookup(id NodeID) dist.Dist {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec, ok := r.base[id]
 	if !ok {
 		panic(fmt.Sprintf("core: unknown base pdf %d", id))
 	}
-	return rec.attrs, rec.d
+	return rec.d
 }
 
 // retain adds one reference to every listed ancestor.

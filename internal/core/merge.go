@@ -126,12 +126,11 @@ func (t *Table) mergeTupleNodes(plan *mergePlan, tup *Tuple) (*PDFNode, error) {
 	// Promoted certain attributes: identity pdf f0, fresh base.
 	if len(promotedVals) > 0 {
 		unit := dist.Unit(promotedVals...)
-		ids := plan.merged.ids[len(plan.merged.ids)-len(promotedVals):]
 		joint = dist.ProductOf(joint, unit)
 		var unitID NodeID
 		if t.trackHistory {
-			unitID = t.reg.register(ids, unit)
-			anc = anc.Union(newAncestorSet(unitID))
+			unitID = t.reg.register(&baseRecord{d: unit})
+			anc = anc.Union(AncestorSet{unitID})
 		}
 		for i := range promotedVals {
 			vars = append(vars, varRef{base: unitID, dim: i})
@@ -206,7 +205,7 @@ func (t *Table) buildDependent(nodes []*PDFNode) (dist.Dist, []varRef, AncestorS
 	var factors []dist.Dist
 	var vars []varRef
 	for _, aid := range anc {
-		_, base := t.reg.lookup(aid)
+		base := t.reg.lookup(aid)
 		var keepDims []int
 		for dim := 0; dim < base.Dim(); dim++ {
 			if indexOfVar(allVars, varRef{base: aid, dim: dim}) >= 0 {

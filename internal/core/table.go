@@ -350,7 +350,9 @@ type Row struct {
 // exactly one PDF whose attribute list matches the declared order and whose
 // dimensionality matches; partial pdfs (mass < 1) are allowed and mean the
 // tuple itself is uncertain (§II-B). The pdf is registered as a base pdf
-// and becomes its own ancestor (Definition 2).
+// and becomes its own ancestor (Definition 2). Insert keeps the row's
+// distributions but not its Values map or PDFs slice, which the caller may
+// reuse for the next row.
 func (t *Table) Insert(row Row) error {
 	tup := &Tuple{certain: make([]Value, t.schema.Len()), nodes: make([]*PDFNode, len(t.deps))}
 	for name, v := range row.Values {
@@ -378,12 +380,7 @@ func (t *Table) Insert(row Row) error {
 			return fmt.Errorf("core: insert into %s: %v needs %d dims, distribution has %d",
 				t.Name, p.Attrs, len(t.deps[di].ids), p.Dist.Dim())
 		}
-		id := t.reg.register(t.deps[di].ids, p.Dist)
-		vars := make([]varRef, p.Dist.Dim())
-		for dim := range vars {
-			vars[dim] = varRef{base: id, dim: dim}
-		}
-		tup.nodes[di] = &PDFNode{Dist: p.Dist, Anc: newAncestorSet(id), vars: vars, self: id, pristine: true}
+		tup.nodes[di] = t.reg.registerNode(p.Dist)
 	}
 	for di, n := range tup.nodes {
 		if n == nil {

@@ -322,10 +322,17 @@ func (d *decoder) decode() (Dist, error) {
 		if dim < 1 {
 			return nil, d.err("discrete dim %d", dim)
 		}
+		// One coordinate block for every point, owned by the result: the
+		// points arrive sorted and merged (Encode wrote them that way), so
+		// newDiscrete validates them in place without copying or sorting.
+		if n*(dim+1)*8 > len(d.buf)-d.off {
+			return nil, d.err("unexpected end of buffer")
+		}
+		xs := make([]float64, n*dim)
 		pts := make([]Point, n)
 		var mass float64
 		for i := range pts {
-			x := make([]float64, dim)
+			x := xs[i*dim : (i+1)*dim : (i+1)*dim]
 			for j := range x {
 				if x[j], err = d.float(); err != nil {
 					return nil, err
@@ -349,7 +356,7 @@ func (d *decoder) decode() (Dist, error) {
 		if mass > 1+1e-10 {
 			return nil, d.err("discrete mass %v exceeds 1", mass)
 		}
-		return NewDiscreteJoint(dim, pts), nil
+		return newDiscrete(dim, pts), nil
 	case tagGrid:
 		na, err := d.count()
 		if err != nil {

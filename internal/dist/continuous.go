@@ -41,8 +41,10 @@ func (s symCont) MassIn(b region.Box) float64 {
 	if len(b) != 1 {
 		panic("dist: MassIn box dimensionality mismatch")
 	}
-	return intervalMassCont(s.m, b[0])
+	return s.massIv(b[0])
 }
+
+func (s symCont) massIv(iv region.Interval) float64 { return intervalMassCont(s.m, iv) }
 
 // intervalMassCont returns the mass of a continuous model inside iv.
 // Endpoint openness is irrelevant for continuous distributions.
@@ -82,8 +84,10 @@ func (s symCont) FloorWhere(pred func([]float64) bool) Dist {
 	return Collapse(s, DefaultOptions).FloorWhere(pred)
 }
 
-func (s symCont) Support() region.Box {
-	return region.Box{truncatedSupport(s.m, DefaultOptions.TailEps)}
+func (s symCont) Support() region.Box { return region.Box{s.supportIv()} }
+
+func (s symCont) supportIv() region.Interval {
+	return truncatedSupport(s.m, DefaultOptions.TailEps)
 }
 
 // truncatedSupport clips an unbounded natural support at negligible tail

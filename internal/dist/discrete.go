@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -38,11 +39,12 @@ func NewDiscrete(values, probs []float64) *Discrete {
 	if len(values) != len(probs) {
 		panic("dist: NewDiscrete length mismatch")
 	}
+	xs := append([]float64(nil), values...)
 	pts := make([]Point, len(values))
-	for i, v := range values {
-		pts[i] = Point{X: []float64{v}, P: probs[i]}
+	for i := range pts {
+		pts[i] = Point{X: xs[i : i+1 : i+1], P: probs[i]}
 	}
-	return NewDiscreteJoint(1, pts)
+	return newDiscrete(1, pts)
 }
 
 // NewDiscreteJoint builds a dim-dimensional discrete distribution from
@@ -53,8 +55,26 @@ func NewDiscreteJoint(dim int, points []Point) *Discrete {
 	if dim <= 0 {
 		panic("dist: NewDiscreteJoint requires dim >= 1")
 	}
-	pts := make([]Point, 0, len(points))
-	for _, p := range points {
+	xs := make([]float64, 0, dim*len(points))
+	pts := make([]Point, len(points))
+	for i, p := range points {
+		if len(p.X) != dim {
+			panic(fmt.Sprintf("dist: point has %d coordinates, want %d", len(p.X), dim))
+		}
+		xs = append(xs, p.X...)
+		pts[i] = Point{X: xs[len(xs)-dim : len(xs) : len(xs)], P: p.P}
+	}
+	return newDiscrete(dim, pts)
+}
+
+// newDiscrete is NewDiscreteJoint over points the caller hands over: pts
+// and the coordinate slices it references are owned by the result and
+// nothing else may hold them. Every point is validated; zero-probability
+// points are dropped and the rest sorted (skipped when already in order, as
+// the codec's are) and merged in place.
+func newDiscrete(dim int, pts []Point) *Discrete {
+	kept := pts[:0]
+	for _, p := range pts {
 		if len(p.X) != dim {
 			panic(fmt.Sprintf("dist: point has %d coordinates, want %d", len(p.X), dim))
 		}
@@ -66,14 +86,14 @@ func NewDiscreteJoint(dim int, points []Point) *Discrete {
 		if p.P < 0 {
 			panic("dist: negative point probability")
 		}
-		if p.P == 0 {
-			continue
+		if p.P != 0 {
+			kept = append(kept, p)
 		}
-		x := make([]float64, dim)
-		copy(x, p.X)
-		pts = append(pts, Point{X: x, P: p.P})
 	}
-	sort.Slice(pts, func(i, j int) bool { return lexLess(pts[i].X, pts[j].X) })
+	pts = kept
+	if !slices.IsSortedFunc(pts, cmpPoint) {
+		slices.SortFunc(pts, cmpPoint)
+	}
 	// Merge duplicates.
 	merged := pts[:0]
 	for _, p := range pts {
@@ -111,6 +131,17 @@ func lexLess(a, b []float64) bool {
 	return false
 }
 
+// cmpPoint orders points lexicographically by coordinates.
+func cmpPoint(a, b Point) int {
+	switch {
+	case lexLess(a.X, b.X):
+		return -1
+	case lexLess(b.X, a.X):
+		return 1
+	}
+	return 0
+}
+
 func lexEqual(a, b []float64) bool {
 	for i := range a {
 		if a[i] != b[i] {
@@ -143,9 +174,23 @@ func (d *Discrete) MassIn(b region.Box) float64 {
 	if len(b) != d.dim {
 		panic("dist: MassIn box dimensionality mismatch")
 	}
+	if d.dim == 1 {
+		return d.massIv(b[0])
+	}
 	var s numeric.KahanSum
 	for _, p := range d.pts {
 		if b.Contains(p.X) {
+			s.Add(p.P)
+		}
+	}
+	return numeric.Clamp01(s.Value())
+}
+
+// massIv is MassIn of a one-dimensional Discrete.
+func (d *Discrete) massIv(iv region.Interval) float64 {
+	var s numeric.KahanSum
+	for _, p := range d.pts {
+		if iv.Contains(p.X[0]) {
 			s.Add(p.P)
 		}
 	}
@@ -191,6 +236,15 @@ func (d *Discrete) FloorWhere(pred func([]float64) bool) Dist {
 		}
 	}
 	return NewDiscreteJoint(d.dim, pts)
+}
+
+// supportIv is Support()[0] of a one-dimensional Discrete: its points are
+// sorted, so the first and last bound them.
+func (d *Discrete) supportIv() region.Interval {
+	if len(d.pts) == 0 {
+		return region.Point(0)
+	}
+	return region.Closed(d.pts[0].X[0], d.pts[len(d.pts)-1].X[0])
 }
 
 func (d *Discrete) Support() region.Box {

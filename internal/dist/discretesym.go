@@ -44,6 +44,8 @@ func (s symDisc) Marginal(keep []int) Dist                 { checkKeep(keep, 1);
 func (s symDisc) Floor(dim int, keep region.Set) Dist      { return s.backing.Floor(dim, keep) }
 func (s symDisc) FloorWhere(p func([]float64) bool) Dist   { return s.backing.FloorWhere(p) }
 func (s symDisc) Support() region.Box                      { return s.backing.Support() }
+func (s symDisc) massIv(iv region.Interval) float64        { return s.backing.massIv(iv) }
+func (s symDisc) supportIv() region.Interval               { return s.backing.supportIv() }
 func (s symDisc) Mean(dim int) float64                     { return s.backing.Mean(dim) }
 func (s symDisc) Variance(dim int) float64                 { return s.backing.Variance(dim) }
 func (s symDisc) Sample(r *rand.Rand) []float64            { return s.backing.Sample(r) }

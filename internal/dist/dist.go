@@ -202,7 +202,7 @@ func CDF(d Dist, x float64) float64 {
 	if d.Dim() != 1 {
 		panic("dist: CDF requires a one-dimensional distribution")
 	}
-	return d.MassIn(region.Box{region.Below(x, false)})
+	return massIv(d, region.Below(x, false))
 }
 
 // MassInterval returns the mass of the 1-D distribution d inside [lo, hi].
@@ -210,7 +210,7 @@ func MassInterval(d Dist, lo, hi float64) float64 {
 	if d.Dim() != 1 {
 		panic("dist: MassInterval requires a one-dimensional distribution")
 	}
-	return d.MassIn(region.Box{region.Closed(lo, hi)})
+	return massIv(d, region.Closed(lo, hi))
 }
 
 // MassInSet returns the mass of the 1-D distribution d inside the region s.
@@ -220,7 +220,7 @@ func MassInSet(d Dist, s region.Set) float64 {
 	}
 	var total float64
 	for _, iv := range s.Intervals() {
-		total += d.MassIn(region.Box{iv})
+		total += massIv(d, iv)
 	}
 	if total > 1 {
 		total = 1

@@ -60,9 +60,13 @@ func (f Floored) MassIn(b region.Box) float64 {
 	if len(b) != 1 {
 		panic("dist: MassIn box dimensionality mismatch")
 	}
+	return f.massIv(b[0])
+}
+
+func (f Floored) massIv(q region.Interval) float64 {
 	var mass numeric.KahanSum
 	for _, iv := range f.keep.Intervals() {
-		mass.Add(intervalMassCont(f.m, iv.Intersect(b[0])))
+		mass.Add(intervalMassCont(f.m, iv.Intersect(q)))
 	}
 	return numeric.Clamp01(mass.Value())
 }
@@ -88,11 +92,13 @@ func (f Floored) FloorWhere(pred func([]float64) bool) Dist {
 	return Collapse(f, DefaultOptions).FloorWhere(pred)
 }
 
-func (f Floored) Support() region.Box {
+func (f Floored) Support() region.Box { return region.Box{f.supportIv()} }
+
+func (f Floored) supportIv() region.Interval {
 	base := truncatedSupport(f.m, DefaultOptions.TailEps)
 	ivs := f.keep.Intervals()
 	if len(ivs) == 0 {
-		return region.Box{region.Point(f.m.mean())} // zero-mass: degenerate box
+		return region.Point(f.m.mean()) // zero-mass: degenerate box
 	}
 	lo, hi := ivs[0].Lo, ivs[len(ivs)-1].Hi
 	// Infinite keep endpoints clip to the truncated base support. Finite
@@ -113,7 +119,7 @@ func (f Floored) Support() region.Box {
 	if lo > hi {
 		lo, hi = base.Lo, base.Hi
 	}
-	return region.Box{region.Closed(lo, hi)}
+	return region.Closed(lo, hi)
 }
 
 // Mean returns the conditional mean given existence, integrating the base

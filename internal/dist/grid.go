@@ -247,6 +247,9 @@ func (g *Grid) MassIn(b region.Box) float64 {
 	if len(b) != len(g.axes) {
 		panic("dist: MassIn box dimensionality mismatch")
 	}
+	if len(g.axes) == 1 {
+		return g.massIv(b[0])
+	}
 	// Per-axis inclusion fraction of every cell.
 	fr := make([][]float64, len(g.axes))
 	for d, a := range g.axes {
@@ -269,6 +272,22 @@ func (g *Grid) MassIn(b region.Box) float64 {
 		}
 		s.Add(f)
 	})
+	return numeric.Clamp01(s.Value())
+}
+
+// massIv is MassIn of a one-dimensional Grid: the same weight × fraction
+// products summed in the same order, without the per-axis fraction table.
+func (g *Grid) massIv(iv region.Interval) float64 {
+	a := g.axes[0]
+	var s numeric.KahanSum
+	for i, w := range g.w {
+		if w == 0 {
+			continue
+		}
+		if f := w * cellFraction(a, i, iv); f != 0 {
+			s.Add(f)
+		}
+	}
 	return numeric.Clamp01(s.Value())
 }
 
@@ -571,13 +590,20 @@ func compareBounds(op region.Op, llo, lhi, rlo, rhi float64) cellSide {
 func (g *Grid) Support() region.Box {
 	b := make(region.Box, len(g.axes))
 	for d, a := range g.axes {
-		if a.Kind == KindContinuous {
-			b[d] = region.Closed(a.Edges[0], a.Edges[len(a.Edges)-1])
-		} else {
-			b[d] = region.Closed(a.Values[0], a.Values[len(a.Values)-1])
-		}
+		b[d] = a.span()
 	}
 	return b
+}
+
+// supportIv is Support()[0] of a one-dimensional Grid.
+func (g *Grid) supportIv() region.Interval { return g.axes[0].span() }
+
+// span returns the closed range of coordinates the axis covers.
+func (a Axis) span() region.Interval {
+	if a.Kind == KindContinuous {
+		return region.Closed(a.Edges[0], a.Edges[len(a.Edges)-1])
+	}
+	return region.Closed(a.Values[0], a.Values[len(a.Values)-1])
 }
 
 func (g *Grid) Mean(dim int) float64 {

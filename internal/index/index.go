@@ -8,16 +8,17 @@
 package index
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"probdb/internal/dist"
 )
 
 // quantGrid is the probability grid of the stored x-bounds. Conservative
-// pruning rounds the query threshold down to a grid point.
-var quantGrid = []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
+// pruning rounds the query threshold down to a grid point. It is symmetric
+// (quantGrid[len-1-i] = 1 - quantGrid[i]), which the upper-side prune uses.
+var quantGrid = [...]float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
 
 // Item is one uncertain value to index.
 type Item struct {
@@ -30,8 +31,10 @@ type Item struct {
 type entry struct {
 	rid    int64
 	lo, hi float64
-	leftQ  []float64 // leftQ[i]: the quantGrid[i]-quantile of the pdf
-	d      dist.Dist
+	// leftQ[i] is the x-bound dist.Quantile(d, quantGrid[i]): the smallest x
+	// with CDF(x) >= quantGrid[i]·Mass, so every x below it has less.
+	leftQ [len(quantGrid)]float64
+	d     dist.Dist
 }
 
 // Index is a probabilistic threshold index over 1-D uncertain values. The
@@ -61,9 +64,20 @@ func Build(items []Item) *Index {
 	return buildFrom(es)
 }
 
+// buildFrom lays es out sorted by lo. It sorts a permutation and gathers
+// once: an entry is 128 bytes, and sorting them in place copied two per
+// comparison.
 func buildFrom(es []entry) *Index {
-	sort.Slice(es, func(i, j int) bool { return es[i].lo < es[j].lo })
-	ix := &Index{entries: es, maxHi: make([]float64, len(es))}
+	order := make([]int32, len(es))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(es[a].lo, es[b].lo) })
+	sorted := make([]entry, len(es))
+	for i, j := range order {
+		sorted[i] = es[j]
+	}
+	ix := &Index{entries: sorted, maxHi: make([]float64, len(es))}
 	ix.buildMax(0, len(es))
 	return ix
 }
@@ -73,11 +87,10 @@ func makeEntry(it Item) entry {
 	if it.Dist.Dim() != 1 {
 		panic("index: requires one-dimensional distributions")
 	}
-	sup := it.Dist.Support()[0]
+	sup := dist.SupportInterval(it.Dist)
 	e := entry{rid: it.RID, lo: sup.Lo, hi: sup.Hi, d: it.Dist}
-	e.leftQ = make([]float64, len(quantGrid))
 	for i, q := range quantGrid {
-		e.leftQ[i] = quantileOf(it.Dist, sup.Lo, sup.Hi, q)
+		e.leftQ[i] = dist.Quantile(it.Dist, q)
 	}
 	return e
 }
@@ -169,24 +182,6 @@ func (ix *Index) buildMax(lo, hi int) float64 {
 	return m
 }
 
-// quantileOf computes the q-quantile of a 1-D distribution by bisection on
-// its CDF over the truncated support.
-func quantileOf(d dist.Dist, lo, hi, q float64) float64 {
-	target := q * d.Mass()
-	if target <= 0 {
-		return lo
-	}
-	for i := 0; i < 60 && hi-lo > 1e-12*(1+math.Abs(hi)); i++ {
-		mid := lo + (hi-lo)/2
-		if dist.CDF(d, mid) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2
-}
-
 // Len returns the number of live indexed items (tombstones excluded).
 func (ix *Index) Len() int { return len(ix.entries) - len(ix.dead) + len(ix.overflow) }
 
@@ -215,15 +210,17 @@ func (ix *Index) RangeThreshold(lo, hi, p float64) ([]int64, Stats) {
 		}
 	}
 	visit := func(e *entry) {
-		// x-bound pruning (both one-sided events bound the range mass):
-		// mass[lo,hi] <= CDF(hi), so CDF(hi) <= q < p prunes — detectable
-		// as hi < quantile(q) for a grid q < p. Symmetrically via 1-q.
+		// x-bound pruning (both one-sided events bound the range mass).
+		// The x-bounds are exact (dist.Quantile), so both rules hold for
+		// every pdf, point masses included. Lower side: hi < leftQ[gi]
+		// means CDF(hi) < q·M, and mass[lo,hi] <= CDF(hi) < q < p.
 		if gi >= 0 {
 			if hi < e.leftQ[gi] {
 				st.Pruned++
 				return
 			}
-			// upper bound: mass[lo,hi] <= 1 - CDF(lo).
+			// Upper side: lo > leftQ[ui] leaves at least (1-q)·M of mass
+			// strictly below lo, so mass[lo,hi] <= q·M < p.
 			ui := len(quantGrid) - 1 - gi // quantGrid[ui] = 1 - quantGrid[gi]
 			if lo > e.leftQ[ui] {
 				st.Pruned++

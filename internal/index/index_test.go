@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -143,6 +144,34 @@ func TestRandomizedAgainstBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: [%v,%v] p=%v: got %v want %v", trial, lo, hi, p, got, want)
 		}
 	}
+
+	// The edges the x-bounds must be exact at: query bounds on a discrete
+	// support point and one ulp either side of it, thresholds exactly on a
+	// grid point and one ulp above it, over the benchmark's family mix.
+	items := buildMixedItems(400)
+	ix := Build(items)
+	var ps []float64
+	for _, q := range quantGrid {
+		ps = append(ps, q, math.Nextafter(q, 1))
+	}
+	for trial := 0; trial < 300; trial++ {
+		pts, ok := items[r.Intn(len(items))].Dist.(*dist.Discrete)
+		for !ok {
+			pts, ok = items[r.Intn(len(items))].Dist.(*dist.Discrete)
+		}
+		x := pts.Points()[r.Intn(len(pts.Points()))].X[0]
+		at := []float64{math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1))}
+		b := at[r.Intn(3)]
+		lo, hi := b, b+r.Float64()*10
+		if r.Intn(2) == 0 {
+			lo, hi = b-r.Float64()*10, b
+		}
+		p := ps[r.Intn(len(ps))]
+		got, _ := ix.RangeThreshold(lo, hi, p)
+		if want := bruteForce(items, lo, hi, p); !equalIDs(got, want) {
+			t.Fatalf("edge trial %d: [%v,%v] p=%v: got %v want %v", trial, lo, hi, p, got, want)
+		}
+	}
 }
 
 // TestInterleavedDML drives a randomized insert/delete/query sequence against
@@ -235,4 +264,79 @@ func TestInterleavedDML(t *testing.T) {
 	if ix.Delete(1 << 40) {
 		t.Error("Delete of unknown RID reported true")
 	}
+}
+
+// TestPTIDiscreteEdge: a query bound that falls just below a discrete support
+// point must not prune the pdf. The x-bounds used to be bisected to ~1e-12
+// relative width and came to rest up to ~1e-11·|x| below the point, so the
+// upper-side prune (lo > leftQ[ui]) dropped rows whose bound fell in that gap:
+// the repro below returned no row with the index and one without.
+func TestPTIDiscreteEdge(t *testing.T) {
+	for _, x := range []float64{20, 1, 37.5, 0.3, 1000} {
+		items := []Item{{RID: 1, Dist: dist.NewDiscrete([]float64{x / 2, x}, []float64{0.5, 0.5})}}
+		ix := Build(items)
+		below := []float64{math.Nextafter(x, math.Inf(-1)), x - 1e-12*x, x - 3e-12*x, x - 1e-11*x, x}
+		if x == 20 {
+			below = append(below, 19.99999999999929) // the issue's repro bound
+		}
+		for _, p := range []float64{0.5, math.Nextafter(0.5, 1), 0.4, 0.25} {
+			for _, lo := range below {
+				got, _ := ix.RangeThreshold(lo, 2*x, p)
+				if want := bruteForce(items, lo, 2*x, p); !equalIDs(got, want) {
+					t.Errorf("x=%v [%v, %v] p=%v: index %v, scan %v", x, lo, 2*x, p, got, want)
+				}
+				// The mirror: an upper bound at the point keeps both points.
+				got, _ = ix.RangeThreshold(0, lo, p)
+				if want := bruteForce(items, 0, lo, p); !equalIDs(got, want) {
+					t.Errorf("x=%v [0, %v] p=%v: index %v, scan %v", x, lo, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPTIBuildAllocsDoNotScale: Build allocates a constant number of blocks
+// (the entry array, the max array, the index) however many items it holds —
+// x-bounds are inline in the entry and computed without allocating.
+func TestPTIBuildAllocsDoNotScale(t *testing.T) {
+	small, large := buildMixedItems(1000), buildMixedItems(10000)
+	a := testing.AllocsPerRun(3, func() { Build(small) })
+	b := testing.AllocsPerRun(3, func() { Build(large) })
+	if b-a > 4 {
+		t.Errorf("Build allocations: %v at 1 000 items, %v at 10 000", a, b)
+	}
+}
+
+// buildMixedItems draws n items in the benchmark's family mix: Gaussian,
+// Uniform, full and partial three-point DISCRETE.
+func buildMixedItems(n int) []Item {
+	r := rand.New(rand.NewSource(int64(n)))
+	items := make([]Item, n)
+	for i := range items {
+		m := 20 + 60*r.Float64()
+		var d dist.Dist
+		switch u := r.Float64(); {
+		case u < 0.6:
+			d = dist.NewGaussianVar(m, 4+32*r.Float64())
+		case u < 0.8:
+			w := 1 + 9*r.Float64()
+			d = dist.NewUniform(m-w, m+w)
+		case u < 0.9:
+			d = dist.NewDiscrete([]float64{m - 1, m, m + 1.5}, []float64{0.25, 0.5, 0.25})
+		default:
+			d = dist.NewDiscrete([]float64{m - 1, m, m + 1.5}, []float64{0.25, 0.25, 0.125})
+		}
+		items[i] = Item{RID: int64(i), Dist: d}
+	}
+	return items
+}
+
+func BenchmarkPTIBuild(b *testing.B) {
+	items := buildMixedItems(25000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Build(items)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(items)), "ns/entry")
 }

@@ -125,6 +125,11 @@ func (ti *TableIndexes) Create(t *core.Table, col string) error {
 	if ti.Has(col) {
 		return fmt.Errorf("plan: column %q is already indexed", col)
 	}
+	if len(ti.rowOf) == 0 {
+		// The first index names every tuple: size the rowid maps once.
+		ti.rowOf = make(map[*core.Tuple]int64, t.Len())
+		ti.tupOf = make(map[int64]*core.Tuple, t.Len())
+	}
 	if c.Uncertain {
 		items := make([]index.Item, 0, t.Len())
 		for _, tup := range t.Tuples() {
@@ -137,7 +142,7 @@ func (ti *TableIndexes) Create(t *core.Table, col string) error {
 		ti.pti[col] = index.Build(items)
 		return nil
 	}
-	ci := &certIndex{keyOf: map[int64]int64{}, dead: map[int64]bool{}}
+	ci := &certIndex{keyOf: make(map[int64]int64, t.Len()), dead: map[int64]bool{}}
 	if err := ci.rebuild(); err != nil {
 		return err
 	}

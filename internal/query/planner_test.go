@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -134,6 +136,37 @@ func TestPlannerDifferentialUnderDML(t *testing.T) {
 				1000+round*10+i, 15+i))
 		}
 		check()
+	}
+}
+
+// TestPTIDiscreteEdgeThroughSQL is internal/index's TestPTIDiscreteEdge
+// through the SQL surface: a PTI probe whose lower bound falls on or just
+// below a discrete support point keeps the row, exactly as the forced scan
+// does. Before the x-bounds were exact the probe returned no row.
+func TestPTIDiscreteEdgeThroughSQL(t *testing.T) {
+	for _, x := range []float64{20, 1, 37.5, 0.3, 1000} {
+		db := Open()
+		mustExec(t, db, `CREATE TABLE r (rid INT, v FLOAT UNCERTAIN)`)
+		f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO r (rid, v) VALUES (1, DISCRETE(%s:0.5, %s:0.5))`, f(x/2), f(x)))
+		mustExec(t, db, `CREATE INDEX ON r (v)`)
+		bounds := []float64{x, math.Nextafter(x, math.Inf(-1)), x - 3e-12*x}
+		if x == 20 {
+			bounds = append(bounds, 19.99999999999929) // the recorded repro
+		}
+		for _, lo := range bounds {
+			q := fmt.Sprintf(`SELECT rid FROM r WHERE PROB(v IN [%s, %s]) >= 0.5`, f(lo), f(2*x))
+			got := mustExec(t, db, q)
+			if got.Planner.IndexProbes == 0 {
+				t.Fatalf("%s: the PTI was not probed", q)
+			}
+			db.SetForceScan(true)
+			want := renderRows(mustExec(t, db, q))
+			db.SetForceScan(false)
+			if renderRows(got) != want || got.Table.Len() != 1 {
+				t.Errorf("%s:\nindex (%d rows): %s\nscan: %s", q, got.Table.Len(), renderRows(got), want)
+			}
+		}
 	}
 }
 

@@ -69,6 +69,9 @@ func LoadTable(heap *Heap, reg *core.Registry) (*core.Table, error) {
 	var deps [][]string
 	var certainCols []core.Column
 	first := true
+	// One Row serves every record: Insert copies the values and keeps only
+	// the pdfs, so the map and the PDF slice are reset, not reallocated.
+	row := core.Row{Values: map[string]core.Value{}}
 	err := heap.Scan(func(_ RID, rec []byte) error {
 		if first {
 			first = false
@@ -80,7 +83,8 @@ func LoadTable(heap *Heap, reg *core.Registry) (*core.Table, error) {
 			return fmt.Errorf("storage: bad tuple record version")
 		}
 		rec = rec[1:]
-		row := core.Row{Values: map[string]core.Value{}}
+		clear(row.Values)
+		row.PDFs = row.PDFs[:0]
 		for _, c := range certainCols {
 			v, n, err := decodeValue(rec)
 			if err != nil {
