@@ -6,13 +6,10 @@ package main_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"probdb/internal/bench"
-	"probdb/internal/core"
 	"probdb/internal/dist"
-	"probdb/internal/region"
 	"probdb/internal/workload"
 )
 
@@ -61,62 +58,6 @@ func BenchmarkFig5DiscretizedPDFs(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkFigJoinParallel is the join benchmark of the parallelism work:
-// a hash equi-join whose residual atom compares the two sides' uncertain
-// attributes (forcing per-pair floor/merge work), probed sequentially and
-// morsel-parallel. Identical result cardinality is asserted every run.
-func BenchmarkFigJoinParallel(b *testing.B) {
-	build := func(name string, reg *core.Registry, r *rand.Rand, n int) *core.Table {
-		schema := core.MustSchema(
-			core.Column{Name: "k", Type: core.IntType},
-			core.Column{Name: "x", Type: core.FloatType, Uncertain: true},
-		)
-		t := core.MustTable(name, schema, nil, reg)
-		for i := 0; i < n; i++ {
-			if err := t.Insert(core.Row{
-				Values: map[string]core.Value{"k": core.Int(int64(r.Intn(n / 2)))},
-				PDFs: []core.PDF{{Attrs: []string{"x"}, Dist: dist.NewGaussian(
-					r.Float64()*50, 1+r.Float64()*4)}},
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return t
-	}
-	const n = 600
-	for _, par := range []int{1, 0} {
-		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			want := -1
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				r := rand.New(rand.NewSource(9))
-				reg := core.NewRegistry()
-				l, err := build("L", reg, r, n).Prefixed("l.")
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt, err := build("R", reg, r, n).Prefixed("r.")
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := l.WithParallelism(par).EquiJoin(rt, "l.k", "r.k",
-					core.Cmp(core.Col("l.x"), region.LT, core.Col("r.x")))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if want == -1 {
-					want = res.Len()
-					b.ReportMetric(float64(want), "pairs")
-				} else if res.Len() != want {
-					b.Fatalf("cardinality changed: %d vs %d", res.Len(), want)
-				}
-			}
-		})
 	}
 }
 

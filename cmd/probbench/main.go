@@ -1,12 +1,11 @@
 // Command probbench regenerates the paper's evaluation (§IV): one
-// experiment per figure, plus the ablation studies of DESIGN.md and the
-// operator-parallelism speedup sweep. Output is the textual table behind
-// each plot; -json additionally writes every executed experiment's rows as
-// a machine-readable document.
+// experiment per figure, plus the ablation studies of DESIGN.md. Output is
+// the textual table behind each plot; -json additionally writes every
+// executed experiment's rows as a machine-readable document.
 //
 // Usage:
 //
-//	probbench [-exp fig4|fig5|fig6|ablations|parallel|planner|txn|columnar|cluster|all] [-full] [-seed N] [-json out.json]
+//	probbench [-exp fig4|fig5|fig6|ablations|all] [-full] [-seed N] [-json out.json]
 //
 // -full runs Fig. 5 at the paper's 0.5M-3M tuple scale (gigabytes of page
 // files and several minutes); the default sweep is scaled down by 10x while
@@ -37,7 +36,7 @@ type jsonDoc struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig4, fig5, fig6, ablations, parallel, planner, txn, columnar, cluster, all")
+	exp := flag.String("exp", "all", "experiment to run: fig4, fig5, fig6, ablations, all")
 	full := flag.Bool("full", false, "run Fig. 5 at the paper's 0.5M-3M tuple scale")
 	seed := flag.Int64("seed", 0, "override workload seed (0 = per-experiment defaults)")
 	fig6hist := flag.Bool("fig6-hist", false, "run Fig. 6 over histogram pdfs instead of discrete ones")
@@ -123,76 +122,6 @@ func main() {
 		}
 		fmt.Print(bench.FormatAblations(fl, mg, rp, bp))
 		fmt.Print(bench.FormatAblationDepth(depth))
-	}
-	if run("parallel") {
-		ok = true
-		cfg := bench.DefaultParallel
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		rows, err := bench.Parallel(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		doc.Experiments["parallel"] = rows
-		fmt.Print(bench.FormatParallel(rows))
-		fmt.Println()
-	}
-	if run("planner") {
-		ok = true
-		cfg := bench.DefaultPlanner
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		rows, err := bench.Planner(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		doc.Experiments["planner"] = rows
-		fmt.Print(bench.FormatPlanner(rows))
-		fmt.Println()
-	}
-	if run("txn") {
-		ok = true
-		cfg := bench.DefaultTxn
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		rows, err := bench.Txn(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		doc.Experiments["txn"] = rows
-		fmt.Print(bench.FormatTxn(rows))
-		fmt.Println()
-	}
-	if run("columnar") {
-		ok = true
-		cfg := bench.DefaultColumnar
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		rows, err := bench.Columnar(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		doc.Experiments["columnar"] = rows
-		fmt.Print(bench.FormatColumnar(rows))
-		fmt.Println()
-	}
-	if run("cluster") {
-		ok = true
-		cfg := bench.DefaultCluster
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		rows, err := bench.Cluster(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		doc.Experiments["cluster"] = rows
-		fmt.Print(bench.FormatCluster(rows))
-		fmt.Println()
 	}
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)

@@ -213,9 +213,8 @@ func (r *remoteExec) execScript(sql string) error {
 		r.inTxn = res.InTxn
 		if r.stats {
 			s := res.Stats
-			fmt.Printf("-- %d rows, %dµs, %d page reads, %d hits, %d writes, %d WAL bytes, mass cache %d/%d\n",
-				s.Rows, s.LatencyMicros, s.PageReads, s.PageHits, s.PageWrites, s.WALBytes,
-				s.MassCacheHits, s.MassCacheHits+s.MassCacheMiss)
+			fmt.Printf("-- %d rows, %dµs, %d page reads, %d hits, %d writes, %d WAL bytes\n",
+				s.Rows, s.LatencyMicros, s.PageReads, s.PageHits, s.PageWrites, s.WALBytes)
 			fmt.Printf("-- planner: %d index probes, %d pruned, %d fallbacks\n",
 				s.IndexProbes, s.IndexPruned, s.PlannerFallbacks)
 			if s.VecTuples > 0 || s.ScalarTuples > 0 {

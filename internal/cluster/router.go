@@ -932,8 +932,6 @@ func addStats(dst *wire.Stats, src wire.Stats) {
 	dst.PageHits += src.PageHits
 	dst.PageWrites += src.PageWrites
 	dst.WALBytes += src.WALBytes
-	dst.MassCacheHits += src.MassCacheHits
-	dst.MassCacheMiss += src.MassCacheMiss
 	dst.IndexProbes += src.IndexProbes
 	dst.IndexPruned += src.IndexPruned
 	dst.PlannerFallbacks += src.PlannerFallbacks

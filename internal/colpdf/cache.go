@@ -24,17 +24,17 @@ type cacheEntry struct {
 	cost int64
 }
 
-// Cache holds columnar encodings keyed by table version. Like the pdf-mass
-// cache it is nil-safe (a nil *Cache ignores every call), optionally charged
-// to a govern budget, and sheddable under memory pressure. The encoding is
-// pure acceleration state: dropping any entry only forces a re-encode.
+// Cache holds columnar encodings keyed by table version. It is nil-safe (a
+// nil *Cache ignores every call), optionally charged to a govern budget, and
+// sheddable under memory pressure. The encoding is pure acceleration state:
+// dropping any entry only forces a re-encode.
 type Cache struct {
 	mu    sync.Mutex
 	m     map[CacheKey]cacheEntry
 	bytes int64
 	// bud, when set, is charged per entry by estimated block cost. The
-	// server registers Shed between the mass cache and the cached MVCC
-	// snapshot in the reclaim order.
+	// server registers Shed first in the reclaim order, ahead of the cached
+	// MVCC snapshot.
 	bud    atomic.Pointer[govern.Budget]
 	hits   atomic.Uint64
 	misses atomic.Uint64

@@ -130,8 +130,8 @@ func (t *Table) batchAt(at int, in []*Tuple) bool {
 // t.tuples, or -1 for a batch that is not a slice of the table — cached in
 // the registry's encoding cache in the first case (keyed by table identity,
 // DML version, dep, dim, and batch range), per-call scratch in the second.
-// The existence-mass lane goes through nodeMass, so it is memoized exactly
-// like the scalar path's and the floats agree bit for bit.
+// The existence-mass lane holds each node's Dist.Mass(), the float the
+// scalar path reads, so the two agree bit for bit.
 func (t *Table) colBlockFor(di, dim, at int, in []*Tuple) *colpdf.Block {
 	var key colpdf.CacheKey
 	cached := t.tid != 0 && at >= 0
@@ -150,7 +150,7 @@ func (t *Table) colBlockFor(di, dim, at int, in []*Tuple) *colpdf.Block {
 	for i, tup := range in {
 		n := tup.nodes[di]
 		dists[i] = n.Dist
-		mass[i] = t.nodeMass(n)
+		mass[i] = n.Dist.Mass()
 	}
 	b := colpdf.Encode(dists, dim, mass)
 	if cached {

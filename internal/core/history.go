@@ -8,7 +8,6 @@ import (
 
 	"probdb/internal/colpdf"
 	"probdb/internal/dist"
-	"probdb/internal/exec"
 )
 
 // NodeID identifies a base pdf in the registry. Base pdfs are the
@@ -101,10 +100,6 @@ type Registry struct {
 	mu   sync.Mutex
 	next NodeID
 	base map[NodeID]*baseRecord
-	// mass memoizes mass/CDF/interval evaluations of pristine base pdfs,
-	// keyed by NodeID (never reused, so entries can't alias a later pdf).
-	// Records freed by release evict their entries.
-	mass *exec.MassCache
 	// colenc caches columnar encodings of base tables, keyed by table
 	// identity + DML version (see columnar.go). Invalidated by version
 	// bumps; sheddable under memory pressure.
@@ -113,12 +108,8 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{next: 1, base: make(map[NodeID]*baseRecord), mass: exec.NewMassCache(), colenc: colpdf.NewCache()}
+	return &Registry{next: 1, base: make(map[NodeID]*baseRecord), colenc: colpdf.NewCache()}
 }
-
-// MassCache returns the registry's pdf-evaluation memoization cache (its
-// hit/miss counters feed EXPLAIN and the server's per-query stats).
-func (r *Registry) MassCache() *exec.MassCache { return r.mass }
 
 // ColCache returns the registry's columnar-encoding cache.
 func (r *Registry) ColCache() *colpdf.Cache { return r.colenc }
@@ -188,7 +179,6 @@ func (r *Registry) release(ids AncestorSet) {
 		rec.refs--
 		if rec.refs <= 0 {
 			delete(r.base, id)
-			r.mass.Invalidate(uint64(id))
 		}
 	}
 }
@@ -225,7 +215,6 @@ func (r *Registry) releaseTuples(tups []*Tuple) {
 				rec.refs--
 				if rec.refs <= 0 {
 					delete(r.base, id)
-					r.mass.Invalidate(uint64(id))
 				}
 			}
 		}
@@ -234,14 +223,14 @@ func (r *Registry) releaseTuples(tups []*Tuple) {
 
 // Clone returns a private copy of the registry: the same node IDs mapped to
 // fresh records (sharing the immutable attr slices and distributions, with
-// independent reference counts), the same next-ID counter, and a fresh mass
-// cache. A transaction overlay clones the registry so its speculative
-// inserts and deletes never touch the authoritative refcounts — discarding
-// the overlay is then free.
+// independent reference counts), the same next-ID counter, and a fresh
+// columnar cache. A transaction overlay clones the registry so its
+// speculative inserts and deletes never touch the authoritative refcounts —
+// discarding the overlay is then free.
 func (r *Registry) Clone() *Registry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := &Registry{next: r.next, base: make(map[NodeID]*baseRecord, len(r.base)), mass: exec.NewMassCache(), colenc: colpdf.NewCache()}
+	c := &Registry{next: r.next, base: make(map[NodeID]*baseRecord, len(r.base)), colenc: colpdf.NewCache()}
 	for id, rec := range r.base {
 		cp := *rec
 		c.base[id] = &cp

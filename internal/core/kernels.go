@@ -178,7 +178,7 @@ func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 	}
 	if s.vectorizable() {
 		for _, n := range tup.nodes {
-			if t.nodeMass(n) <= 0 {
+			if n.Dist.Mass() <= 0 {
 				return nil, nil
 			}
 		}
@@ -217,7 +217,7 @@ func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 	}
 	// Remove tuples whose pdfs were completely floored.
 	for _, n := range nodes {
-		if t.nodeMass(n) <= 0 {
+		if n.Dist.Mass() <= 0 {
 			return nil, nil
 		}
 	}
@@ -289,9 +289,9 @@ func (s *Selection) evalBatchAt(in []*Tuple, at, par int, slots []*Tuple) error 
 	t := s.in
 	if t.tid == 0 || at < 0 || len(t.deps) == 0 {
 		// Not a slice of a cached table (an index probe's candidates, a
-		// derived table) or nothing to encode: Eval asks nodeMass for the
-		// floats a mass lane would hold, rather than encoding a scratch
-		// block only to read its mass lane. It cannot fail on this path.
+		// derived table) or nothing to encode: Eval reads the masses a mass
+		// lane would hold, rather than encoding a scratch block only to
+		// read its mass lane. It cannot fail on this path.
 		s.stats.vec.Add(uint64(n * max(len(t.deps), 1)))
 		for i, tup := range in {
 			slots[i], _ = s.Eval(tup)
@@ -308,8 +308,8 @@ func (s *Selection) evalBatchAt(in []*Tuple, at, par int, slots []*Tuple) error 
 		}
 	}
 	// The zero-mass check over the (unchanged) nodes, answered from the
-	// cached mass lanes, which hold nodeMass's floats. Node order does not
-	// matter: a tuple drops iff any node's mass is ≤ 0.
+	// cached mass lanes, which hold each node's Dist.Mass(). Node order
+	// does not matter: a tuple drops iff any node's mass is ≤ 0.
 	for di := range t.deps {
 		b := t.colBlockFor(di, 0, at, in)
 		s.stats.note(b.StatsIn(0, n), true)
@@ -428,8 +428,7 @@ func (p *ProbSelection) Out() *Table { return p.out }
 
 // Keep reports whether the tuple's probability value satisfies the
 // threshold — the scalar reference path. Safe to call concurrently: it
-// reads only planning state, the tuple, and the registry's (sharded,
-// locked) mass cache.
+// reads only planning state and the tuple.
 func (p *ProbSelection) Keep(tup *Tuple) (bool, error) {
 	var pr float64
 	var err error

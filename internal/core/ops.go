@@ -424,7 +424,7 @@ func (t *Table) Prob(tup *Tuple, attrs ...string) (float64, error) {
 		di := t.depOf(t.idOf(a))
 		if !seen[di] {
 			seen[di] = true
-			p *= t.nodeMass(tup.nodes[di])
+			p *= tup.nodes[di].Dist.Mass()
 		}
 	}
 	return p, nil
@@ -474,38 +474,13 @@ func (t *Table) RunProbSelection(sel *ProbSelection) (*Table, error) {
 
 // ProbInRange returns the probability that the uncertain attribute falls in
 // [lo, hi] for the tuple — the probabilistic threshold range query
-// primitive the paper's experiments evaluate. Evaluations over pristine
-// base pdfs are memoized in the registry's mass cache keyed by base-pdf
-// identity, marginal dimension, and interval, so repeated threshold queries
-// over a stored table skip both the marginalization and the integration.
+// primitive the paper's experiments evaluate.
 func (t *Table) ProbInRange(tup *Tuple, attr string, lo, hi float64) (float64, error) {
-	id := t.idOf(attr)
-	if id == 0 {
-		return 0, fmt.Errorf("core: unknown column %q", attr)
-	}
-	di := t.depOf(id)
-	if di < 0 {
-		return 0, fmt.Errorf("core: column %q is certain", attr)
-	}
-	node := tup.nodes[di]
-	var key exec.MassKey
-	memo := node.self != 0 && node.pristine
-	if memo {
-		dim := t.deps[di].dimOf(id)
-		key = exec.MassKey{ID: uint64(node.self), Dim: int32(dim), Kind: exec.EvalInterval, Lo: lo, Hi: hi}
-		if v, ok := t.reg.mass.Get(key); ok {
-			return v, nil
-		}
-	}
 	d, err := t.DistOf(tup, attr)
 	if err != nil {
 		return 0, err
 	}
-	v := dist.MassInterval(d, lo, hi)
-	if memo {
-		t.reg.mass.Put(key, v)
-	}
-	return v, nil
+	return dist.MassInterval(d, lo, hi), nil
 }
 
 // SelectRangeThreshold keeps tuples with Pr(attr ∈ [lo, hi]) op p — a

@@ -34,6 +34,68 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
+// TestFailedInsertRegistersNothing: a row rejected for any reason leaves
+// the registry as it found it, even when the problem is found only after a
+// valid pdf for another dependency set.
+func TestFailedInsertRegistersNothing(t *testing.T) {
+	schema := MustSchema(
+		Column{Name: "a", Type: FloatType, Uncertain: true},
+		Column{Name: "b", Type: FloatType, Uncertain: true},
+	)
+	tbl := MustTable("T", schema, [][]string{{"a"}, {"b"}}, nil)
+	a := PDF{Attrs: []string{"a"}, Dist: dist.NewGaussian(0, 1)}
+	for name, row := range map[string]Row{
+		"unassigned":     {PDFs: []PDF{a}},
+		"assigned-twice": {PDFs: []PDF{a, a}},
+		"unknown-set":    {PDFs: []PDF{a, {Attrs: []string{"zz"}, Dist: dist.NewGaussian(0, 1)}}},
+		"nil-dist":       {PDFs: []PDF{a, {Attrs: []string{"b"}}}},
+		"dims":           {PDFs: []PDF{a, {Attrs: []string{"b"}, Dist: dist.ProductOf(dist.NewGaussian(0, 1), dist.NewGaussian(0, 1))}}},
+		"zero-mass":      {PDFs: []PDF{a, {Attrs: []string{"b"}, Dist: dist.NewDiscrete([]float64{1}, []float64{0})}}},
+		"unknown-col":    {Values: map[string]Value{"nope": Int(1)}, PDFs: []PDF{a}},
+	} {
+		if err := tbl.Insert(row); err == nil {
+			t.Errorf("%s: insert should fail", name)
+		}
+		if n := tbl.Registry().Len(); n != 0 {
+			t.Errorf("%s: failed insert left %d base pdfs registered", name, n)
+		}
+	}
+	if err := tbl.Insert(Row{PDFs: []PDF{a, {Attrs: []string{"b"}, Dist: dist.NewGaussian(1, 1)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != 1 || tbl.Registry().Len() != 2 {
+		t.Errorf("valid insert: %d tuples, %d base pdfs; want 1 and 2", tbl.Len(), tbl.Registry().Len())
+	}
+}
+
+// TestInsertRejectsZeroMass: a pdf with no mass describes a tuple that
+// cannot exist, so Insert refuses it and names the columns it
+// was for; any positive mass, however small, is a partial pdf and stays.
+func TestInsertRejectsZeroMass(t *testing.T) {
+	schema := MustSchema(
+		Column{Name: "id", Type: IntType},
+		Column{Name: "x", Type: FloatType, Uncertain: true},
+		Column{Name: "y", Type: FloatType, Uncertain: true},
+	)
+	tbl := MustTable("T", schema, [][]string{{"x", "y"}}, nil)
+	for _, d := range []dist.Dist{
+		dist.NewDiscreteJoint(2, []dist.Point{{X: []float64{1, 2}, P: 0}}),
+		dist.ProductOf(dist.NewGaussian(0, 1), dist.NewGaussian(0, 1)).Floor(0, region.Set{}),
+	} {
+		err := tbl.Insert(Row{PDFs: []PDF{{Attrs: []string{"x", "y"}, Dist: d}}})
+		if err == nil || !strings.Contains(err.Error(), "[x y]") || !strings.Contains(err.Error(), "mass") {
+			t.Errorf("%v: err = %v, want a zero-mass error naming [x y]", d, err)
+		}
+	}
+	partial := dist.NewDiscreteJoint(2, []dist.Point{{X: []float64{1, 2}, P: 1e-300}})
+	if err := tbl.Insert(Row{PDFs: []PDF{{Attrs: []string{"x", "y"}, Dist: partial}}}); err != nil {
+		t.Fatalf("partial pdf: %v", err)
+	}
+	if tbl.Len() != 1 || tbl.Registry().Len() != 1 {
+		t.Errorf("%d tuples, %d base pdfs; want the partial row alone", tbl.Len(), tbl.Registry().Len())
+	}
+}
+
 func TestSchemaValidation(t *testing.T) {
 	if _, err := NewSchema([]Column{{Name: "", Type: IntType}}); err == nil {
 		t.Error("empty name should fail")

@@ -156,8 +156,7 @@ func TestParallelCrossProductDifferential(t *testing.T) {
 }
 
 // TestParallelThresholdDifferential: the probability-value selections
-// (§III-E) are identical across parallelism, with and without the mass
-// cache warm.
+// (§III-E) are identical across parallelism.
 func TestParallelThresholdDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(204))
 	for trial := 0; trial < 40; trial++ {
@@ -170,14 +169,11 @@ func TestParallelThresholdDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Second run hits the warmed mass cache; results must not change.
-		for rep := 0; rep < 2; rep++ {
-			par, err := tbl.WithParallelism(8).SelectRangeThreshold("x", lo, hi, region.GE, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertTablesIdentical(t, seq, par)
+		par, err := tbl.WithParallelism(8).SelectRangeThreshold("x", lo, hi, region.GE, p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertTablesIdentical(t, seq, par)
 
 		seqP, err := tbl.WithParallelism(1).SelectWhereProb([]string{"a"}, region.LE, p)
 		if err != nil {
@@ -188,62 +184,5 @@ func TestParallelThresholdDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertTablesIdentical(t, seqP, parP)
-	}
-}
-
-// TestMassCacheConsistency: cached evaluations equal direct evaluations
-// bitwise, and hits actually accrue on repetition.
-func TestMassCacheConsistency(t *testing.T) {
-	r := rand.New(rand.NewSource(205))
-	tbl := randomMixedTable(r)
-	h0 := tbl.Registry().MassCache().Stats()
-	var first []float64
-	for _, tup := range tbl.Tuples() {
-		pr, err := tbl.ProbInRange(tup, "x", 10, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first = append(first, pr)
-	}
-	for i, tup := range tbl.Tuples() {
-		pr, err := tbl.ProbInRange(tup, "x", 10, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(pr) != math.Float64bits(first[i]) {
-			t.Fatalf("cached value differs: %v vs %v", pr, first[i])
-		}
-		// The cache must also agree with a direct, uncached evaluation.
-		d, err := tbl.DistOf(tup, "x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := dist.MassInterval(d, 10, 60)
-		if math.Float64bits(pr) != math.Float64bits(direct) {
-			t.Fatalf("cache diverges from direct evaluation: %v vs %v", pr, direct)
-		}
-	}
-	h1 := tbl.Registry().MassCache().Stats()
-	if h1.Hits <= h0.Hits {
-		t.Fatalf("no cache hits accrued: %+v -> %+v", h0, h1)
-	}
-}
-
-// TestMassCacheEvictionOnDelete: deleting base tuples frees registry
-// records and must evict their memoized evaluations.
-func TestMassCacheEvictionOnDelete(t *testing.T) {
-	r := rand.New(rand.NewSource(206))
-	tbl := randomMixedTable(r)
-	for _, tup := range tbl.Tuples() {
-		if _, err := tbl.ProbInRange(tup, "x", 0, 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tbl.Registry().MassCache().Len() == 0 {
-		t.Fatal("expected cached entries")
-	}
-	tbl.Delete(func(*Table, *Tuple) bool { return true })
-	if n := tbl.Registry().MassCache().Len(); n != 0 {
-		t.Fatalf("%d stale cache entries survived deletion", n)
 	}
 }

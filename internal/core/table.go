@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
 	"probdb/internal/dist"
-	"probdb/internal/exec"
 )
 
 // AttrID is the internal identity of an attribute. Identities survive
@@ -348,11 +348,13 @@ type Row struct {
 
 // Insert adds a probabilistic tuple. Each dependency set must be covered by
 // exactly one PDF whose attribute list matches the declared order and whose
-// dimensionality matches; partial pdfs (mass < 1) are allowed and mean the
-// tuple itself is uncertain (§II-B). The pdf is registered as a base pdf
-// and becomes its own ancestor (Definition 2). Insert keeps the row's
-// distributions but not its Values map or PDFs slice, which the caller may
-// reuse for the next row.
+// dimensionality matches; partial pdfs (0 < mass < 1) are allowed and mean
+// the tuple itself is uncertain (§II-B), but a pdf with no mass is rejected:
+// a tuple that exists with probability 0 is not stored. The whole row is
+// checked before any pdf is registered, so a rejected row leaves the
+// registry untouched. Each pdf is registered as a base pdf and becomes its
+// own ancestor (Definition 2). Insert keeps the row's distributions but not
+// its Values map or PDFs slice, which the caller may reuse for the next row.
 func (t *Table) Insert(row Row) error {
 	tup := &Tuple{certain: make([]Value, t.schema.Len()), nodes: make([]*PDFNode, len(t.deps))}
 	for name, v := range row.Values {
@@ -365,13 +367,15 @@ func (t *Table) Insert(row Row) error {
 		}
 		tup.certain[t.schema.Index(name)] = v
 	}
-	for _, p := range row.PDFs {
+	for i, p := range row.PDFs {
 		di := t.matchDepSet(p.Attrs)
 		if di < 0 {
 			return fmt.Errorf("core: insert into %s: %v does not match a dependency set (Δ = %v)", t.Name, p.Attrs, t.DepSets())
 		}
-		if tup.nodes[di] != nil {
-			return fmt.Errorf("core: insert into %s: dependency set %v assigned twice", t.Name, p.Attrs)
+		for _, q := range row.PDFs[:i] {
+			if t.matchDepSet(q.Attrs) == di {
+				return fmt.Errorf("core: insert into %s: dependency set %v assigned twice", t.Name, p.Attrs)
+			}
 		}
 		if p.Dist == nil {
 			return fmt.Errorf("core: insert into %s: nil distribution for %v", t.Name, p.Attrs)
@@ -380,12 +384,21 @@ func (t *Table) Insert(row Row) error {
 			return fmt.Errorf("core: insert into %s: %v needs %d dims, distribution has %d",
 				t.Name, p.Attrs, len(t.deps[di].ids), p.Dist.Dim())
 		}
-		tup.nodes[di] = t.reg.registerNode(p.Dist)
-	}
-	for di, n := range tup.nodes {
-		if n == nil {
-			return fmt.Errorf("core: insert into %s: dependency set %v not assigned", t.Name, t.deps[di].names)
+		if m := p.Dist.Mass(); !(m > 0) {
+			return fmt.Errorf("core: insert into %s: distribution for %v has mass %v; a tuple needs existence probability > 0", t.Name, p.Attrs, m)
 		}
+	}
+	// Every PDF matched a distinct set, so a short row is one that left a
+	// set unassigned.
+	if len(row.PDFs) < len(t.deps) {
+		for di, d := range t.deps {
+			if !slices.ContainsFunc(row.PDFs, func(p PDF) bool { return t.matchDepSet(p.Attrs) == di }) {
+				return fmt.Errorf("core: insert into %s: dependency set %v not assigned", t.Name, d.names)
+			}
+		}
+	}
+	for _, p := range row.PDFs {
+		tup.nodes[t.matchDepSet(p.Attrs)] = t.reg.registerNode(p.Dist)
 	}
 	t.tuples = append(t.tuples, tup)
 	t.bumpVersion()
@@ -467,27 +480,9 @@ func (t *Table) DepDist(tup *Tuple, i int) dist.Dist { return tup.nodes[i].Dist 
 func (t *Table) ExistenceProb(tup *Tuple) float64 {
 	p := 1.0
 	for _, n := range tup.nodes {
-		p *= t.nodeMass(n)
+		p *= n.Dist.Mass()
 	}
 	return p
-}
-
-// nodeMass returns n.Dist.Mass(), memoized through the registry's mass
-// cache when the node is pristine — i.e. its distribution is exactly the
-// registered base pdf, so the node's base ID is a stable identity for the
-// float. Floored/derived nodes are evaluated directly: their distribution
-// is unique to the derivation and would never repeat a key.
-func (t *Table) nodeMass(n *PDFNode) float64 {
-	if n.self == 0 || !n.pristine {
-		return n.Dist.Mass()
-	}
-	key := exec.MassKey{ID: uint64(n.self), Dim: -1, Kind: exec.EvalMass}
-	if v, ok := t.reg.mass.Get(key); ok {
-		return v
-	}
-	v := n.Dist.Mass()
-	t.reg.mass.Put(key, v)
-	return v
 }
 
 // shallowDerived returns a new empty table sharing schema identity,

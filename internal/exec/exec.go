@@ -1,7 +1,6 @@
 // Package exec is the shared parallel-execution layer of the engine: a
 // morsel-style parallel loop used by the relational operators and the
-// Monte-Carlo sampler, plus a sharded memoization cache for repeated
-// pdf mass/CDF evaluations.
+// Monte-Carlo sampler.
 //
 // The design goal is determinism: parallel execution must be byte-identical
 // to sequential execution. For makes that easy to guarantee — callers give

@@ -293,12 +293,11 @@ func insertRows(t *core.Table, s Insert) error {
 // derived table name spells out the applied operators), the access path
 // with estimated vs actual cardinality and index probe/prune counters, the
 // dependency information after closure, phantom attributes, the degree of
-// parallelism, and the pdf-mass cache traffic. It drains the same filter
+// parallelism, and the columnar-cache traffic. It drains the same filter
 // tree a SELECT runs (the actual cardinality and the kernel counters require
 // it) but nothing past it: no ordering, no projection of the rows, no
 // aggregation, no rendering.
 func (db *DB) execExplain(s Explain) (*Result, error) {
-	before := db.reg.MassCache().Stats()
 	colHitsBefore, colMissesBefore := db.reg.ColCache().Counters()
 	root, pr, err := db.buildFilterTree(s.Query)
 	if err != nil {
@@ -320,11 +319,9 @@ func (db *DB) execExplain(s Explain) (*Result, error) {
 		}
 		chain = "π(" + chain + ")"
 	}
-	delta := db.reg.MassCache().Stats().Sub(before)
 	colHits, colMisses := db.reg.ColCache().Counters()
-	footer := fmt.Sprintf("parallelism: %d\nmass cache: %d hits, %d misses\ncol cache: %d hits, %d misses",
-		exec.Resolve(db.par), delta.Hits, delta.Misses,
-		colHits-colHitsBefore, colMisses-colMissesBefore)
+	footer := fmt.Sprintf("parallelism: %d\ncol cache: %d hits, %d misses",
+		exec.Resolve(db.par), colHits-colHitsBefore, colMisses-colMissesBefore)
 
 	msg := fmt.Sprintf("plan: %s\n%s", chain, describePlan(pr))
 	if s.Query.Agg != "" {

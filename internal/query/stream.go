@@ -126,7 +126,7 @@ func (db *DB) buildPlannedTree(s SelectStmt, base *core.Table) (pipe.Operator, *
 			at = append(at, i)
 		}
 	}
-	root, err := addConjuncts(pr, pipe.NewScan(src), s.Where, append(at, pr.plan.ResidualProb...), false)
+	root, err := addConjuncts(pr, pipe.NewScan(src), s.Where, append(at, pr.plan.ResidualProb...))
 	return root, pr, err
 }
 
@@ -260,17 +260,15 @@ func (db *DB) planJoin(s SelectStmt) (*joinPlan, error) {
 
 // addConjuncts wraps the tree with the WHERE conjuncts at the given
 // positions: the comparisons in one Filter kernel, then a ProbFilter per
-// probability threshold, each kind in the order at lists it. alwaysFilter
-// plans the Filter even with no comparison to put in it, for its zero-mass
-// check.
-func addConjuncts(pr *pipelineResult, root pipe.Operator, where []Cond, at []int, alwaysFilter bool) (pipe.Operator, error) {
+// probability threshold, each kind in the order at lists it.
+func addConjuncts(pr *pipelineResult, root pipe.Operator, where []Cond, at []int) (pipe.Operator, error) {
 	var atoms []core.Atom
 	for _, i := range at {
 		if c := where[i]; c.Kind == CondCmp {
 			atoms = append(atoms, core.Cmp(toCoreOperand(c.Left), c.Op, toCoreOperand(c.Right)))
 		}
 	}
-	if len(atoms) > 0 || alwaysFilter {
+	if len(atoms) > 0 {
 		sel, err := root.Header().PlanSelect(atoms...)
 		if err != nil {
 			return nil, err
@@ -311,7 +309,7 @@ func (db *DB) buildNaiveTree(s SelectStmt) (pipe.Operator, *pipelineResult, erro
 	}
 	var root pipe.Operator
 	for i, e := range jp.entries {
-		next, err := addConjuncts(pr, pipe.NewScan(e.view), s.Where, e.pushed, false)
+		next, err := addConjuncts(pr, pipe.NewScan(e.view), s.Where, e.pushed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -334,14 +332,7 @@ func (db *DB) buildNaiveTree(s SelectStmt) (pipe.Operator, *pipelineResult, erro
 			root = pipe.NewCrossJoin(root, next, k)
 		}
 	}
-	// A statement that wrote a comparison keeps a Filter above the join even
-	// when every comparison moved under it: the Filter's zero-mass check is
-	// what drops a pair whose other side carries an all-zero pdf.
-	wroteCmp := false
-	for _, c := range s.Where {
-		wroteCmp = wroteCmp || c.Kind == CondCmp
-	}
-	root, err = addConjuncts(pr, root, s.Where, jp.above, wroteCmp)
+	root, err = addConjuncts(pr, root, s.Where, jp.above)
 	return root, pr, err
 }
 

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"probdb/internal/core"
-	"probdb/internal/exec"
 	"probdb/internal/govern"
 	"probdb/internal/plan"
 	"probdb/internal/query"
@@ -85,11 +84,11 @@ type EngineConfig struct {
 	// FS is the filesystem the persistence path runs on. Default the real
 	// OS; tests substitute a fault-injecting implementation.
 	FS vfs.FS
-	// Budget, when set, is the server-wide memory budget: the mass cache
-	// charges its entries against it (and sheds first under pressure), MVCC
-	// snapshots charge their frozen tables (and shed second), and query
-	// budgets created by the server parent into it. Nil disables
-	// accounting entirely — a no-op engine, byte-identical results.
+	// Budget, when set, is the server-wide memory budget: the columnar
+	// encoding cache charges its blocks against it (and sheds first under
+	// pressure), MVCC snapshots charge their frozen tables (and shed
+	// second), and query budgets created by the server parent into it. Nil
+	// disables accounting entirely — a no-op engine, byte-identical results.
 	Budget *govern.Budget
 	// ShipWAL retains every WAL generation (checkpoints stop deleting rolled
 	// logs) and serves them to replicas through FetchWAL. The replication LSN
@@ -241,20 +240,16 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 	e.db.SetParallelism(cfg.Parallelism)
 	if cfg.Budget != nil {
 		e.bud = cfg.Budget
-		e.db.Registry().MassCache().SetBudget(e.bud)
 		e.db.Registry().ColCache().SetBudget(e.bud)
-		// Shed order under server-budget pressure: memoizations first
-		// (losing one costs a recomputation), the columnar encodings second
-		// (losing one costs a re-encode of a 256-tuple batch), the MVCC
-		// snapshot third (rebuilt on the next unindexed read). The server layers
-		// the most expensive victim — cancelling the largest query — on top.
+		// Shed order under server-budget pressure: the columnar encodings
+		// first (losing one costs a re-encode of a 256-tuple batch), the MVCC
+		// snapshot second (rebuilt on the next unindexed read). The server
+		// layers the most expensive victim — cancelling the largest query —
+		// on top.
 		e.bud.AddReclaimer(0, func(want int64) int64 {
-			return e.db.Registry().MassCache().Shed(want)
-		})
-		e.bud.AddReclaimer(1, func(want int64) int64 {
 			return e.db.Registry().ColCache().Shed(want)
 		})
-		e.bud.AddReclaimer(2, e.shedSnapshot)
+		e.bud.AddReclaimer(1, e.shedSnapshot)
 	}
 	if cfg.Dir == "" {
 		return e, nil
@@ -770,8 +765,6 @@ func (e *Engine) maybeCheckpointLocked() {
 func (e *Engine) execSelectStream(ctx context.Context, sql string, s query.SelectStmt, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, error) {
 	e.mu.Lock()
 	start := time.Now()
-	cache := e.db.Registry().MassCache()
-	before := cache.Stats()
 	db, snap, err := e.selectDBLocked(s)
 	if err != nil {
 		e.mu.Unlock()
@@ -789,9 +782,6 @@ func (e *Engine) execSelectStream(ctx context.Context, sql string, s query.Selec
 	}
 	res := statementResult(start, qr)
 	res.Stats.Rows = uint64(qr.Affected)
-	delta := cache.Stats().Sub(before)
-	res.Stats.MassCacheHits = delta.Hits
-	res.Stats.MassCacheMiss = delta.Misses
 	return res, nil
 }
 
@@ -801,7 +791,6 @@ type statMarks struct {
 	start     time.Time
 	io        storage.Stats
 	wal       int64
-	cache     exec.CacheStats
 	conflicts uint64
 }
 
@@ -810,7 +799,6 @@ func (e *Engine) beginStatsLocked() statMarks {
 		start:     time.Now(),
 		io:        e.io,
 		wal:       e.walSizeLocked(),
-		cache:     e.db.Registry().MassCache().Stats(),
 		conflicts: e.conflicts.Load(),
 	}
 }
@@ -838,7 +826,6 @@ func statementResult(start time.Time, qr *query.Result) *wire.Result {
 // marks to here, so the deltas are the statement's own work.
 func (e *Engine) finishStatsLocked(d statMarks, qr *query.Result) *wire.Result {
 	delta := e.io.Sub(d.io)
-	cacheDelta := e.db.Registry().MassCache().Stats().Sub(d.cache)
 	// A checkpoint during the statement rolls the WAL and shrinks it below
 	// the starting size; clamp so the per-statement delta never underflows.
 	walDelta := e.walSizeLocked() - d.wal
@@ -850,8 +837,6 @@ func (e *Engine) finishStatsLocked(d statMarks, qr *query.Result) *wire.Result {
 	res.Stats.PageHits = delta.Hits
 	res.Stats.PageWrites = delta.PageWrites
 	res.Stats.WALBytes = uint64(walDelta)
-	res.Stats.MassCacheHits = cacheDelta.Hits
-	res.Stats.MassCacheMiss = cacheDelta.Misses
 	res.Stats.TxnConflicts = e.conflicts.Load() - d.conflicts
 	return res
 }
@@ -1126,7 +1111,7 @@ func (e *Engine) releaseSnap(s *engineSnap) {
 	}
 }
 
-// shedSnapshot is the priority-2 budget reclaimer: it drops the engine's
+// shedSnapshot is the priority-1 budget reclaimer: it drops the engine's
 // own reference to the current MVCC snapshot so its frozen tables (and
 // their budget charge) free as soon as in-flight readers finish. The next
 // unindexed read rebuilds a snapshot — correctness is unaffected. TryLock

@@ -32,8 +32,7 @@ const maxColumns = 1 << 12
 // frame: result cardinality, wall latency, and the buffer-pool traffic the
 // statement caused (storage.Stats deltas) — the Fig. 5 quantities — plus
 // the bytes the statement appended to the write-ahead log (the durability
-// cost of a mutation; zero for reads and for checkpointed-away windows) and
-// the statement's traffic against the engine's pdf-mass memoization cache.
+// cost of a mutation; zero for reads and for checkpointed-away windows).
 // The planner trio accounts for the statement's use of access paths:
 // IndexProbes is how many index lookups answered part of the WHERE clause,
 // IndexPruned how many tuples those probes excluded without evaluating
@@ -58,12 +57,15 @@ const maxColumns = 1 << 12
 // per-tuple reference path (odd distributions, non-vectorizable selections,
 // or vectorization disabled).
 type Stats struct {
-	Rows             uint64
-	LatencyMicros    uint64
-	PageReads        uint64
-	PageHits         uint64
-	PageWrites       uint64
-	WALBytes         uint64
+	Rows          uint64
+	LatencyMicros uint64
+	PageReads     uint64
+	PageHits      uint64
+	PageWrites    uint64
+	WALBytes      uint64
+	// MassCacheHits and MassCacheMiss are always 0: the pdf-mass cache they
+	// counted is gone, and the positional layout keeps their slots so
+	// existing clients still decode the frame.
 	MassCacheHits    uint64
 	MassCacheMiss    uint64
 	IndexProbes      uint64
