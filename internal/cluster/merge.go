@@ -197,13 +197,15 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 	var (
 		out     []wire.Row
 		nextSeq uint64
+		frame   []byte // reused from batch to batch
 	)
 	flush := func() error {
 		b := &wire.RowBatch{Seq: nextSeq, Rows: out}
 		if nextSeq == 0 {
 			b.Name, b.Cols = name, header
 		}
-		if !s.writeFrame(wire.FrameRowBatch, wire.EncodeRowBatch(b)) {
+		frame = wire.AppendRowBatch(frame[:0], b)
+		if !s.writeFrame(wire.FrameRowBatch, frame) {
 			return errClientGone
 		}
 		nextSeq++

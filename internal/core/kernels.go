@@ -20,9 +20,14 @@ import (
 //
 // Planning only reads Σ, Δ, ids and the registry — never the tuples — so a
 // kernel planned against an empty derived table evaluates tuples of any
-// table sharing that shape. (Project is the exception: its phantom-retention
-// mode depends on the tuples' masses, so it stays a whole-table operator and
-// the streaming executor materializes before projecting.)
+// table sharing that shape. Projection too: a streamed projection keeps
+// every invisible dependency set as phantoms, and a table that materializes
+// the rows drops the ones no row needed (View/Restrict), which is the only
+// part of §III-B that reads tuples.
+//
+// Kernels take no registry references: the tuples they produce live for one
+// statement, under its catalog lock or snapshot pin. Only a table that owns
+// its rows (Restrict, and the whole-table methods built on Append) does.
 
 // Selection is a compiled Select: the derived table shape and the planned
 // atoms (certain filters, rectangular floors, closure merges, joint floors).
@@ -518,6 +523,126 @@ func (p *ProbSelection) keepBatchAt(in []*Tuple, at, par int, keep []bool) error
 	return nil
 }
 
+// Projection is a compiled Project (§III-B): the derived shape and, per
+// output column, the input offset its certain value comes from. With history
+// tracking on, every dependency set is kept whole — the projected-out
+// attributes of an overlapping set, and every attribute of an invisible one,
+// become phantoms with fresh identities — so a projected tuple shares its
+// input's pdf nodes and only the visible certain values are copied. With
+// tracking off, overlapping sets are marginalized onto the visible
+// attributes per tuple and invisible ones dropped (Fig. 6's baseline).
+type Projection struct {
+	out  *Table
+	cols []int // input schema offset of each output column
+	// marg is nil with tracking on; otherwise marg[si] lists the visible
+	// dimensions input set si is marginalized onto (nil: the set is dropped).
+	marg [][]int
+}
+
+// PlanProject compiles Π_names against the table's header.
+func (t *Table) PlanProject(names ...string) (*Projection, error) {
+	schema, err := t.schema.Project(names)
+	if err != nil {
+		return nil, err
+	}
+	p := &Projection{cols: make([]int, len(names))}
+	ids := make([]AttrID, len(names))
+	visible := map[AttrID]bool{}
+	for i, n := range names {
+		p.cols[i] = t.schema.Index(n)
+		ids[i] = t.ids[p.cols[i]]
+		visible[ids[i]] = true
+	}
+	p.out = &Table{
+		Name:         fmt.Sprintf("π(%s)", t.Name),
+		schema:       schema,
+		ids:          ids,
+		reg:          t.reg,
+		trackHistory: t.trackHistory,
+		par:          t.par,
+	}
+	if !t.trackHistory {
+		p.marg = make([][]int, len(t.deps))
+	}
+	for si, d := range t.deps {
+		if t.trackHistory {
+			// Phantom positions get fresh attribute identities: the column
+			// label is gone from the visible schema, and reusing the old id
+			// would collide when two projections of the same table meet in a
+			// cross product. The node's vars keep the true variable identity.
+			nd := d.clone()
+			for dim, id := range nd.ids {
+				if !visible[id] {
+					nd.ids[dim] = newAttrID()
+				}
+			}
+			p.out.deps = append(p.out.deps, nd)
+			continue
+		}
+		nd := &depSet{}
+		for dim, id := range d.ids {
+			if visible[id] {
+				p.marg[si] = append(p.marg[si], dim)
+				nd.ids = append(nd.ids, id)
+				nd.names = append(nd.names, d.names[dim])
+				nd.types = append(nd.types, d.types[dim])
+			}
+		}
+		if len(nd.ids) > 0 {
+			p.out.deps = append(p.out.deps, nd)
+		}
+	}
+	return p, nil
+}
+
+// Out returns the (empty) derived table the projection produces tuples for.
+func (p *Projection) Out() *Table { return p.out }
+
+// AppendBatch appends the projections of in to dst and returns the extended
+// slice. With tracking on it allocates twice per call however many tuples
+// there are — the output tuples, and their certain values, each as one
+// block. Safe to call concurrently: it reads only planning state and the
+// input tuples.
+func (p *Projection) AppendBatch(dst, in []*Tuple) []*Tuple {
+	k := len(p.cols)
+	tups := make([]Tuple, len(in))
+	vals := make([]Value, len(in)*k)
+	for i, tup := range in {
+		certain := vals[i*k : (i+1)*k : (i+1)*k]
+		for j, c := range p.cols {
+			certain[j] = tup.certain[c]
+		}
+		tups[i] = Tuple{certain: certain, nodes: tup.nodes}
+		if p.marg != nil {
+			tups[i].nodes = p.marginalize(tup)
+		}
+		dst = append(dst, &tups[i])
+	}
+	return dst
+}
+
+// marginalize builds a tuple's nodes with history tracking off: each kept
+// set's pdf marginalized onto its visible dimensions, without history.
+func (p *Projection) marginalize(tup *Tuple) []*PDFNode {
+	var nodes []*PDFNode
+	for si, dims := range p.marg {
+		if dims == nil {
+			continue
+		}
+		n := tup.nodes[si]
+		d := n.Dist
+		if len(dims) != d.Dim() {
+			d = d.Marginal(dims)
+		}
+		vars := make([]varRef, len(dims))
+		for i, dim := range dims {
+			vars[i] = n.vars[dim]
+		}
+		nodes = append(nodes, &PDFNode{Dist: d, vars: vars})
+	}
+	return nodes
+}
+
 // CrossKernel is a compiled cross product: the product table's shape (built
 // once, with the identity-collision analysis of §III-D) and a pair function
 // concatenating one left and one right tuple.
@@ -678,8 +803,8 @@ func (k *EquiJoinKernel) AppendMatches(dst []*Tuple, a *Tuple) []*Tuple {
 
 // Append adds a tuple produced by one of the table's kernels (or shared from
 // the kernel's input, for pure filters) to the table, retaining its pdf
-// ancestry. It is the assembly half of the streaming executor: kernels
-// produce tuples, Append owns them.
+// ancestry. It is the assembly half of the whole-table drivers
+// (RunSelection, RunProbSelection), whose results own their rows.
 func (t *Table) Append(tup *Tuple) {
 	t.tuples = append(t.tuples, tup)
 	t.retainTuple(tup)

@@ -182,115 +182,16 @@ func (t *Table) mergeGroups(cls []classified) ([]mergeGroup, error) {
 // With tracking off, overlapping sets are eagerly marginalized onto the
 // visible attributes and everything else is dropped (the incorrect baseline
 // of Fig. 6). Duplicate elimination is not performed, per the paper.
+//
+// The per-tuple work is the Projection kernel (kernels.go); the one decision
+// that needs every tuple — which invisible sets are partial anywhere — is
+// Restrict's, as for every table that owns its rows.
 func (t *Table) Project(names ...string) (*Table, error) {
-	newSchema, err := t.schema.Project(names)
+	p, err := t.PlanProject(names...)
 	if err != nil {
 		return nil, err
 	}
-	newIDs := make([]AttrID, len(names))
-	visible := map[AttrID]bool{}
-	for i, n := range names {
-		newIDs[i] = t.idOf(n)
-		visible[newIDs[i]] = true
-	}
-
-	out := &Table{
-		Name:         fmt.Sprintf("π(%s)", t.Name),
-		schema:       newSchema,
-		ids:          newIDs,
-		reg:          t.reg,
-		trackHistory: t.trackHistory,
-		par:          t.par,
-	}
-
-	type keepMode int
-	const (
-		dropSet keepMode = iota
-		keepFull
-		marginalize
-	)
-	modes := make([]keepMode, len(t.deps))
-	margDims := make([][]int, len(t.deps))
-	for si, d := range t.deps {
-		var vis []int
-		for dim, id := range d.ids {
-			if visible[id] {
-				vis = append(vis, dim)
-			}
-		}
-		switch {
-		case len(vis) == 0:
-			// Invisible set: keep as phantom only when some tuple's pdf is
-			// partial (its mass is tuple-existence information).
-			modes[si] = dropSet
-			if t.trackHistory {
-				for _, tup := range t.tuples {
-					if tup.nodes[si].Dist.Mass() < 1 {
-						modes[si] = keepFull
-						break
-					}
-				}
-			}
-		case t.trackHistory:
-			modes[si] = keepFull
-		default:
-			modes[si] = marginalize
-			margDims[si] = vis
-		}
-		if modes[si] == keepFull {
-			// Phantom positions get fresh attribute identities: the column
-			// label is gone from the visible schema, and reusing the old id
-			// would collide when two projections of the same table meet in a
-			// cross product. The node's vars keep the true variable identity.
-			nd := d.clone()
-			for dim, id := range nd.ids {
-				if !visible[id] {
-					nd.ids[dim] = newAttrID()
-				}
-			}
-			out.deps = append(out.deps, nd)
-		} else if modes[si] == marginalize {
-			nd := &depSet{}
-			for _, dim := range vis {
-				nd.ids = append(nd.ids, d.ids[dim])
-				nd.names = append(nd.names, d.names[dim])
-				nd.types = append(nd.types, d.types[dim])
-			}
-			out.deps = append(out.deps, nd)
-		}
-	}
-
-	for _, tup := range t.tuples {
-		certain := make([]Value, len(names))
-		for i, n := range names {
-			oi := t.schema.Index(n)
-			certain[i] = tup.certain[oi]
-		}
-		var nodes []*PDFNode
-		for si := range t.deps {
-			switch modes[si] {
-			case keepFull:
-				nodes = append(nodes, tup.nodes[si])
-			case marginalize:
-				n := tup.nodes[si]
-				var d dist.Dist
-				if len(margDims[si]) == n.Dist.Dim() {
-					d = n.Dist
-				} else {
-					d = n.Dist.Marginal(margDims[si])
-				}
-				vars := make([]varRef, len(margDims[si]))
-				for i, dim := range margDims[si] {
-					vars[i] = n.vars[dim]
-				}
-				nodes = append(nodes, &PDFNode{Dist: d, vars: vars})
-			}
-		}
-		nt := &Tuple{certain: certain, nodes: nodes}
-		out.tuples = append(out.tuples, nt)
-		out.retainTuple(nt)
-	}
-	return out, nil
+	return p.out.Restrict(p.out.Name, p.AppendBatch(make([]*Tuple, 0, len(t.tuples)), t.tuples)), nil
 }
 
 // CrossProduct returns t × o (§III-D). Both tables must share a registry

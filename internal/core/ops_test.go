@@ -60,6 +60,25 @@ func TestFailedInsertRegistersNothing(t *testing.T) {
 			t.Errorf("%s: failed insert left %d base pdfs registered", name, n)
 		}
 	}
+	// The positional form a loader uses checks the same, plus the layout.
+	g := dist.NewGaussian(0, 1)
+	for name, in := range map[string]struct {
+		certain []Value
+		pdfs    []dist.Dist
+	}{
+		"unassigned": {make([]Value, 2), []dist.Dist{g, nil}},
+		"dims":       {make([]Value, 2), []dist.Dist{g, dist.ProductOf(g, g)}},
+		"zero-mass":  {make([]Value, 2), []dist.Dist{g, dist.NewDiscrete([]float64{1}, []float64{0})}},
+		"short":      {make([]Value, 2), []dist.Dist{g}},
+		"value-at-a": {[]Value{Int(1), Null}, []dist.Dist{g, g}},
+	} {
+		if err := tbl.InsertValues(in.certain, in.pdfs); err == nil {
+			t.Errorf("positional %s: insert should fail", name)
+		}
+		if n := tbl.Registry().Len(); n != 0 {
+			t.Errorf("positional %s: failed insert left %d base pdfs registered", name, n)
+		}
+	}
 	if err := tbl.Insert(Row{PDFs: []PDF{a, {Attrs: []string{"b"}, Dist: dist.NewGaussian(1, 1)}}}); err != nil {
 		t.Fatal(err)
 	}

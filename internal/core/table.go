@@ -356,51 +356,71 @@ type Row struct {
 // own ancestor (Definition 2). Insert keeps the row's distributions but not
 // its Values map or PDFs slice, which the caller may reuse for the next row.
 func (t *Table) Insert(row Row) error {
-	tup := &Tuple{certain: make([]Value, t.schema.Len()), nodes: make([]*PDFNode, len(t.deps))}
+	certain := make([]Value, t.schema.Len())
 	for name, v := range row.Values {
-		col, ok := t.schema.Lookup(name)
-		if !ok {
+		i := t.schema.Index(name)
+		if i < 0 {
 			return fmt.Errorf("core: insert into %s: unknown column %q", t.Name, name)
 		}
-		if col.Uncertain {
-			return fmt.Errorf("core: insert into %s: column %q is uncertain; supply a PDF", t.Name, name)
-		}
-		tup.certain[t.schema.Index(name)] = v
+		certain[i] = v
 	}
-	for i, p := range row.PDFs {
+	pdfs := make([]dist.Dist, len(t.deps))
+	for _, p := range row.PDFs {
 		di := t.matchDepSet(p.Attrs)
 		if di < 0 {
 			return fmt.Errorf("core: insert into %s: %v does not match a dependency set (Δ = %v)", t.Name, p.Attrs, t.DepSets())
 		}
-		for _, q := range row.PDFs[:i] {
-			if t.matchDepSet(q.Attrs) == di {
-				return fmt.Errorf("core: insert into %s: dependency set %v assigned twice", t.Name, p.Attrs)
-			}
+		if pdfs[di] != nil {
+			return fmt.Errorf("core: insert into %s: dependency set %v assigned twice", t.Name, p.Attrs)
 		}
 		if p.Dist == nil {
 			return fmt.Errorf("core: insert into %s: nil distribution for %v", t.Name, p.Attrs)
 		}
-		if p.Dist.Dim() != len(t.deps[di].ids) {
+		pdfs[di] = p.Dist
+	}
+	return t.insert(certain, pdfs)
+}
+
+// InsertValues is Insert by position, for a loader that reads rows in the
+// table's own layout: certain holds one value per schema column (NULL at
+// the uncertain ones) and pdfs one distribution per dependency set, in
+// DepSets order. The checks are Insert's; the table copies certain and
+// keeps the distributions, so the caller may reuse both slices.
+func (t *Table) InsertValues(certain []Value, pdfs []dist.Dist) error {
+	if len(certain) != t.schema.Len() || len(pdfs) != len(t.deps) {
+		return fmt.Errorf("core: insert into %s: %d values and %d pdfs for %d columns and %d dependency sets",
+			t.Name, len(certain), len(pdfs), t.schema.Len(), len(t.deps))
+	}
+	return t.insert(append([]Value(nil), certain...), pdfs)
+}
+
+// insert checks the row — no value at an uncertain column, and one pdf per
+// dependency set, present, of the set's dimensionality, with mass — then
+// registers the pdfs and appends the tuple, which keeps certain.
+func (t *Table) insert(certain []Value, pdfs []dist.Dist) error {
+	for i, c := range t.schema.Columns() {
+		if c.Uncertain && !certain[i].IsNull() {
+			return fmt.Errorf("core: insert into %s: column %q is uncertain; supply a PDF", t.Name, c.Name)
+		}
+	}
+	for di, d := range pdfs {
+		names := t.deps[di].names
+		if d == nil {
+			return fmt.Errorf("core: insert into %s: dependency set %v not assigned", t.Name, names)
+		}
+		if d.Dim() != len(names) {
 			return fmt.Errorf("core: insert into %s: %v needs %d dims, distribution has %d",
-				t.Name, p.Attrs, len(t.deps[di].ids), p.Dist.Dim())
+				t.Name, names, len(names), d.Dim())
 		}
-		if m := p.Dist.Mass(); !(m > 0) {
-			return fmt.Errorf("core: insert into %s: distribution for %v has mass %v; a tuple needs existence probability > 0", t.Name, p.Attrs, m)
-		}
-	}
-	// Every PDF matched a distinct set, so a short row is one that left a
-	// set unassigned.
-	if len(row.PDFs) < len(t.deps) {
-		for di, d := range t.deps {
-			if !slices.ContainsFunc(row.PDFs, func(p PDF) bool { return t.matchDepSet(p.Attrs) == di }) {
-				return fmt.Errorf("core: insert into %s: dependency set %v not assigned", t.Name, d.names)
-			}
+		if m := d.Mass(); !(m > 0) {
+			return fmt.Errorf("core: insert into %s: distribution for %v has mass %v; a tuple needs existence probability > 0", t.Name, names, m)
 		}
 	}
-	for _, p := range row.PDFs {
-		tup.nodes[t.matchDepSet(p.Attrs)] = t.reg.registerNode(p.Dist)
+	nodes := make([]*PDFNode, len(pdfs))
+	for di, d := range pdfs {
+		nodes[di] = t.reg.registerNode(d)
 	}
-	t.tuples = append(t.tuples, tup)
+	t.tuples = append(t.tuples, &Tuple{certain: certain, nodes: nodes})
 	t.bumpVersion()
 	return nil
 }
@@ -448,12 +468,44 @@ func (t *Table) DistOf(tup *Tuple, name string) (dist.Dist, error) {
 	if di < 0 {
 		return nil, fmt.Errorf("core: column %q is certain", name)
 	}
-	node := tup.nodes[di]
-	dim := t.deps[di].dimOf(id)
-	if node.Dist.Dim() == 1 {
-		return node.Dist, nil
+	return Locator{dep: di, dim: t.deps[di].dimOf(id)}.Dist(tup), nil
+}
+
+// Locator is where one visible column's cell lives in a table's tuples,
+// resolved once per header so that reading a row's cells does no name
+// lookups: a certain column's offset, or an uncertain column's dependency
+// set and dimension.
+type Locator struct {
+	col, dep, dim int // dep < 0: a certain column
+}
+
+// Locators resolves every visible column, in schema order.
+func (t *Table) Locators() []Locator {
+	locs := make([]Locator, len(t.ids))
+	for i, id := range t.ids {
+		locs[i] = Locator{col: i, dep: -1}
+		if di := t.depOf(id); di >= 0 {
+			locs[i].dep, locs[i].dim = di, t.deps[di].dimOf(id)
+		}
 	}
-	return node.Dist.Marginal([]int{dim}), nil
+	return locs
+}
+
+// Uncertain reports whether the column is uncertain (read it with Dist) or
+// certain (read it with Value).
+func (l Locator) Uncertain() bool { return l.dep >= 0 }
+
+// Value returns a certain column's value in the tuple.
+func (l Locator) Value(tup *Tuple) Value { return tup.certain[l.col] }
+
+// Dist returns an uncertain column's marginal pdf in the tuple — the
+// marginal of a partial pdf keeps the tuple's existence probability.
+func (l Locator) Dist(tup *Tuple) dist.Dist {
+	d := tup.nodes[l.dep].Dist
+	if d.Dim() == 1 {
+		return d
+	}
+	return d.Marginal([]int{l.dim})
 }
 
 // NodeOf returns the PDFNode holding the named uncertain column's
@@ -512,19 +564,73 @@ func (t *Table) retainTuple(tup *Tuple) {
 	}
 }
 
-// Restrict returns a derived table holding exactly the given tuples, which
-// must belong to the receiver and be listed in the receiver's tuple order.
-// It is the index-access-path entry point: a planner that has identified a
-// candidate subset via an index materializes it here, then applies the
-// residual predicate with the ordinary operators — producing byte-identical
-// results to a full scan because tuples, histories, and order are shared.
-func (t *Table) Restrict(name string, tups []*Tuple) *Table {
+// View returns a derived table of the given tuples — rows of the receiver's
+// shape, such as an index probe's candidates or the batches an operator tree
+// produced — for the length of one statement. It takes no registry
+// references: the statement's catalog lock or snapshot pin keeps the base
+// pdfs alive, as for PrefixedView. The view keeps tups, which the caller must
+// not use afterwards.
+func (t *Table) View(name string, tups []*Tuple) *Table {
 	out := t.shallowDerived(name)
-	out.tuples = append([]*Tuple(nil), tups...)
-	for _, tup := range tups {
-		out.retainTuple(tup)
+	out.tuples = tups
+	out.settle()
+	return out
+}
+
+// Restrict returns a derived table holding the given tuples that owns them:
+// it may outlive the statement, so it takes one registry reference per
+// ancestor of every tuple, and the base pdfs stay alive — as phantoms once
+// their tuples are deleted — for as long as the process runs. Exec's result
+// table is built here; everything that ends with its statement is a View.
+func (t *Table) Restrict(name string, tups []*Tuple) *Table {
+	out := t.View(name, append([]*Tuple(nil), tups...))
+	if out.trackHistory {
+		out.reg.retainTuples(out.tuples)
 	}
 	return out
+}
+
+// settle drops the dependency sets a table holding all of its rows can tell
+// it does not need: a set with no visible attribute whose pdf has mass 1 in
+// every tuple carries neither a value nor tuple-existence probability
+// (§III-B). A streamed projection keeps every such set as phantoms, since a
+// later row may be partial; a materialized result decides.
+func (t *Table) settle() {
+	var drop []bool
+	dropped := 0
+	for si, d := range t.deps {
+		if slices.ContainsFunc(d.ids, t.visibleID) ||
+			slices.ContainsFunc(t.tuples, func(tup *Tuple) bool { return tup.nodes[si].Dist.Mass() < 1 }) {
+			continue
+		}
+		if drop == nil {
+			drop = make([]bool, len(t.deps))
+		}
+		drop[si] = true
+		dropped++
+	}
+	if dropped == 0 {
+		return
+	}
+	deps := make([]*depSet, 0, len(t.deps)-dropped)
+	for si, d := range t.deps {
+		if !drop[si] {
+			deps = append(deps, d)
+		}
+	}
+	tups := make([]Tuple, len(t.tuples))
+	nodes := make([]*PDFNode, 0, len(t.tuples)*len(deps))
+	for i, tup := range t.tuples {
+		at := len(nodes)
+		for si, n := range tup.nodes {
+			if !drop[si] {
+				nodes = append(nodes, n)
+			}
+		}
+		tups[i] = Tuple{certain: tup.certain, nodes: nodes[at:len(nodes):len(nodes)]}
+		t.tuples[i] = &tups[i]
+	}
+	t.deps = deps
 }
 
 // Render formats the table for display: visible columns plus the marginal

@@ -8,10 +8,10 @@
 //
 // Operators do no relational reasoning of their own: the per-tuple work is
 // the compiled kernels of internal/core (Selection, ProbSelection,
-// CrossKernel, EquiJoinKernel), planned once by the query layer against
-// header tables and evaluated here one batch at a time. core's whole-table
-// methods run the same kernels, which is what keeps this executor
-// byte-identical to the reference evaluator built from them.
+// Projection, CrossKernel, EquiJoinKernel), planned once by the query layer
+// against header tables and evaluated here one batch at a time. core's
+// whole-table methods run the same kernels, which is what keeps this
+// executor byte-identical to the reference evaluator built from them.
 package pipe
 
 import (
@@ -31,9 +31,9 @@ const BatchSize = 256
 
 // Operator is one node of a physical plan. The contract:
 //
-//   - Open(ctx) acquires resources; pipeline breakers (TopK, Sort, Project)
-//     drain their child here. Open must be called exactly once, before
-//     Next, and balanced by Close even when it fails.
+//   - Open(ctx) acquires resources; pipeline breakers (TopK, Sort) drain
+//     their child here. Open must be called exactly once, before Next, and
+//     balanced by Close even when it fails.
 //   - Header() is the empty derived table defining the output shape (name,
 //     schema, dependency sets); valid once Open has returned.
 //   - Next returns the next batch: a non-empty slice, or nil when the
@@ -104,7 +104,7 @@ func (b *base) close() {
 
 // Scan is the leaf operator: it hands out a table's tuples in order, one
 // batch per Next. The table is whatever the access path produced — the base
-// table for a full scan, or a Restrict of the index candidates for a PTI or
+// table for a full scan, or a View of the index candidates for a PTI or
 // btree probe — so Header is the table itself and downstream kernels plan
 // against it directly.
 type Scan struct {
@@ -735,58 +735,60 @@ func (s *Sort) Close() error {
 	return s.child.Close()
 }
 
-// Project is a pipeline breaker by necessity: core.Project's decision to
-// retain an invisible dependency set as phantoms inspects every tuple's
-// mass (tuple-existence information), so the projection cannot be planned
-// from the header alone. The planner places it last — after any Limit — so
-// for LIMIT queries it buffers at most the limit, not the table.
+// Project applies a compiled projection kernel batch by batch. It hands out
+// full BatchSize batches, pulling input until that many are pending, as
+// EquiJoin does: a selective filter under it leaves a few rows per input
+// batch, and every batch a streamed SELECT emits costs its client a frame.
+// It holds at most two batches of row pointers, so it charges no budget.
 type Project struct {
 	base
-	buffered
 	child Operator
-	names []string
+	k     *core.Projection
 
-	t *core.Table
+	// pending[pos:] are the projected rows not yet handed out.
+	pending []*core.Tuple
+	pos     int
+	done    bool // the child is exhausted
 }
 
-// NewProject wraps child with Π_names, applied to the drained input.
-func NewProject(child Operator, names []string) *Project {
-	return &Project{child: child, names: names}
+// NewProject wraps child with a projection kernel planned against its
+// header.
+func NewProject(child Operator, k *core.Projection) *Project {
+	return &Project{child: child, k: k}
 }
 
-func (p *Project) Header() *core.Table { return p.t }
+func (p *Project) Header() *core.Table { return p.k.Out() }
 
 func (p *Project) Open(ctx context.Context) error {
 	p.open(ctx)
-	if err := p.child.Open(ctx); err != nil {
-		return err
-	}
-	cost := p.child.Header().TupleCost()
-	var tups []*core.Tuple
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
+	return p.child.Open(ctx)
+}
+
+func (p *Project) Next() ([]*core.Tuple, error) {
+	for len(p.pending)-p.pos < BatchSize && !p.done {
+		if err := p.ctx.Err(); err != nil {
+			return nil, err
 		}
 		in, err := p.child.Next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if in == nil {
+			p.done = true
 			break
 		}
-		if err := p.charge(int64(len(in)) * cost); err != nil {
-			return err
-		}
-		tups = append(tups, in...)
+		// The batch handed out last time is dead by now: reuse its space.
+		p.pending = p.pending[:copy(p.pending, p.pending[p.pos:])]
+		p.pos = 0
+		p.pending = p.k.AppendBatch(p.pending, in)
 	}
-	hdr := p.child.Header()
-	acc := hdr.Restrict(hdr.Name, tups)
-	out, err := acc.Project(p.names...)
-	if err != nil {
-		return err
+	if p.pos == len(p.pending) {
+		return nil, nil
 	}
-	p.t, p.out = out, out.Tuples()
-	return nil
+	end := min(p.pos+BatchSize, len(p.pending))
+	out := p.pending[p.pos:end]
+	p.pos = end
+	return out, nil
 }
 
 func (p *Project) Close() error {
@@ -828,19 +830,34 @@ func Run(ctx context.Context, root Operator, emit func(hdr *core.Table, batch []
 	return nil
 }
 
-// Drain runs the tree and materializes its output as a table, for the
-// consumers that need all of it at once: aggregates, EXPLAIN and Exec's
-// Result.
+// Drain runs the tree and materializes its output as a table that owns its
+// rows (core.Table.Restrict): the one result that outlives its statement,
+// Exec's Result.
 func Drain(ctx context.Context, root Operator) (*core.Table, error) {
-	var hdr *core.Table
-	var tups []*core.Tuple
-	err := Run(ctx, root, func(h *core.Table, b []*core.Tuple) error {
-		hdr = h
-		tups = append(tups, b...)
-		return nil
-	})
+	hdr, tups, err := collect(ctx, root)
 	if err != nil {
 		return nil, err
 	}
 	return hdr.Restrict(hdr.Name, tups), nil
+}
+
+// DrainView runs the tree and gathers its output as a view
+// (core.Table.View), for the consumers done with it before their statement
+// ends — aggregates and EXPLAIN. It takes no registry references.
+func DrainView(ctx context.Context, root Operator) (*core.Table, error) {
+	hdr, tups, err := collect(ctx, root)
+	if err != nil {
+		return nil, err
+	}
+	return hdr.View(hdr.Name, tups), nil
+}
+
+// collect runs the tree and gathers its header and every row.
+func collect(ctx context.Context, root Operator) (hdr *core.Table, tups []*core.Tuple, err error) {
+	err = Run(ctx, root, func(h *core.Table, b []*core.Tuple) error {
+		hdr = h
+		tups = append(tups, b...)
+		return nil
+	})
+	return hdr, tups, err
 }

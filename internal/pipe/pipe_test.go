@@ -445,15 +445,20 @@ func TestCancellationClosesTree(t *testing.T) {
 	cancel()
 }
 
-// TestProjectMatchesLegacy: the Project breaker (drain + core.Project)
-// matches the materializing path, phantom retention included.
+// TestProjectMatchesLegacy: the streaming Project, drained, matches the
+// materializing path, phantom retention included — and hands out full
+// batches however few rows each filtered input batch kept.
 func TestProjectMatchesLegacy(t *testing.T) {
-	tbl := testTable(t, 150, 10)
-	sel, err := tbl.PlanSelect(core.Cmp(core.Col("value"), region.LE, core.LitF(55)))
+	tbl := testTable(t, 1500, 10)
+	atoms := []core.Atom{
+		core.Cmp(core.Col("value"), region.LE, core.LitF(55)),
+		core.Cmp(core.Col("grp"), region.EQ, core.LitI(1)),
+	}
+	sel, err := tbl.PlanSelect(atoms...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacySel, err := tbl.Select(core.Cmp(core.Col("value"), region.LE, core.LitF(55)))
+	legacySel, err := tbl.Select(atoms...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,6 +466,26 @@ func TestProjectMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mustDrain(t, NewProject(NewFilter(NewScan(tbl), sel), []string{"rid", "grp"}))
+	k, err := sel.Out().PlanProject("rid", "grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := mustDrain(t, NewProject(NewFilter(NewScan(tbl), sel), k))
 	assertRenderEqual(t, want, got)
+
+	var sizes []int
+	if err := Run(context.Background(), NewProject(NewFilter(NewScan(tbl), sel), k), func(_ *core.Table, b []*core.Tuple) error {
+		sizes = append(sizes, len(b))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range sizes {
+		if n != BatchSize && i != len(sizes)-1 {
+			t.Fatalf("batch %d of %d holds %d rows, want %d: %v", i, len(sizes), n, BatchSize, sizes)
+		}
+	}
+	if nb := (want.Len() + BatchSize - 1) / BatchSize; len(sizes) != nb || nb < 2 {
+		t.Fatalf("%d batches for %d rows, want %d", len(sizes), want.Len(), nb)
+	}
 }

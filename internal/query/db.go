@@ -295,35 +295,30 @@ func insertRows(t *core.Table, s Insert) error {
 // dependency information after closure, phantom attributes, the degree of
 // parallelism, and the columnar-cache traffic. It drains the same filter
 // tree a SELECT runs (the actual cardinality and the kernel counters require
-// it) but nothing past it: no ordering, no projection of the rows, no
-// aggregation, no rendering.
+// it) and its projection — the dependency/phantom shape is the projected
+// view's, which drops the phantom sets no surviving row needs — but no
+// ordering, no aggregation and no rendering, into a view of the rows.
 func (db *DB) execExplain(s Explain) (*Result, error) {
 	colHitsBefore, colMissesBefore := db.reg.ColCache().Counters()
 	root, pr, err := db.buildFilterTree(s.Query)
+	if err == nil && !s.Query.Star && s.Query.Agg == "" {
+		if root, err = addProjection(root, s.Query.Cols); err != nil {
+			root.Close() //nolint:errcheck
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	acc, err := pipe.Drain(context.Background(), root)
+	shape, err := pipe.DrainView(context.Background(), root)
 	if err != nil {
 		return nil, err
 	}
 	pr.harvestKernels()
-	// The dependency/phantom shape needs the projection applied (phantom
-	// retention depends on the surviving tuples' masses), but projection is
-	// pointer work — no pdfs are evaluated and no rows rendered.
-	shape := acc
-	chain := acc.Name
-	if !s.Query.Star && s.Query.Agg == "" {
-		if shape, err = acc.Project(s.Query.Cols...); err != nil {
-			return nil, err
-		}
-		chain = "π(" + chain + ")"
-	}
 	colHits, colMisses := db.reg.ColCache().Counters()
 	footer := fmt.Sprintf("parallelism: %d\ncol cache: %d hits, %d misses",
 		exec.Resolve(db.par), colHits-colHitsBefore, colMisses-colMissesBefore)
 
-	msg := fmt.Sprintf("plan: %s\n%s", chain, describePlan(pr))
+	msg := fmt.Sprintf("plan: %s\n%s", shape.Name, describePlan(pr))
 	if s.Query.Agg != "" {
 		label := s.Query.Agg + "(" + s.Query.AggCol + ")"
 		if s.Query.Agg == "COUNT" && s.Query.AggCol == "" {
@@ -335,7 +330,7 @@ func (db *DB) execExplain(s Explain) (*Result, error) {
 	if ph := shape.PhantomAttrs(); len(ph) > 0 {
 		msg += fmt.Sprintf("\nphantom: %v", ph)
 	}
-	msg += fmt.Sprintf("\nrows: %d\n%s", acc.Len(), footer)
+	msg += fmt.Sprintf("\nrows: %d\n%s", shape.Len(), footer)
 	return &Result{Message: msg, Planner: pr.counters}, nil
 }
 

@@ -179,8 +179,8 @@ func (pr *pipelineResult) harvestKernels() {
 // planAccess runs the access-path half of a single-table SELECT: choose a
 // plan, probe the index, and narrow the scan to the candidate set. It
 // returns the source table the filter stages run over — the base table for
-// a scan plan, or a Restrict of the index candidates — and the plan record
-// with the probe counters filled in.
+// a scan plan, or a view of the index candidates — and the plan record with
+// the probe counters filled in.
 func (db *DB) planAccess(s SelectStmt, base *core.Table) (*core.Table, *pipelineResult) {
 	name := s.From[0].Name
 	t := base.WithParallelism(db.par)
@@ -222,7 +222,7 @@ func (db *DB) planAccess(s SelectStmt, base *core.Table) (*core.Table, *pipeline
 			pr.counters.PlannerFallbacks++
 		} else {
 			pr.counters.IndexProbes++
-			acc = t.Restrict(fmt.Sprintf("%s[%s:%s]", t.Name, pl.Access, pl.Col), ix.Restrict(t, cand))
+			acc = t.View(fmt.Sprintf("%s[%s:%s]", t.Name, pl.Access, pl.Col), ix.Restrict(t, cand))
 		}
 	} else if pl.Fallback {
 		pr.counters.PlannerFallbacks++

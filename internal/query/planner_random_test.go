@@ -1,10 +1,14 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"probdb/internal/core"
+	"probdb/internal/wire"
 )
 
 // randomDMLQueries is the fixed set re-checked after every step of the
@@ -178,5 +182,40 @@ func TestCertainScanAllocsDoNotScale(t *testing.T) {
 	}
 	if d := bigCount - smallCount; d > 8 || d < -8 {
 		t.Errorf("COUNT(*) scan: %v allocs at 2 000 rows, %v at 20 000", smallCount, bigCount)
+	}
+}
+
+// TestStreamedProjectionAllocsDoNotScale: a streamed SELECT rid ... WHERE
+// PROB(...), encoded the way the server ships it, allocates per batch and
+// not per row — at 10 000 survivors at most eight allocations per extra
+// batch more than at 1 000 (five today: the threshold kernel's lane and
+// worker closure, the projection's two blocks, the filter's output). A
+// projection that rebuilds every tuple, a registry reference per row or a
+// wire.Row per row shows up here as thousands.
+func TestStreamedProjectionAllocsDoNotScale(t *testing.T) {
+	const sql = `SELECT rid FROM readings WHERE PROB(value IN [0, 100]) >= 0.5`
+	allocs := func(n int) float64 {
+		db := indexedReadings(t, n, false)
+		var frame []byte
+		return testing.AllocsPerRun(10, func() {
+			var enc *wire.BatchEncoder
+			rows := 0
+			_, err := db.ExecStream(context.Background(), sql, func(hdr *core.Table, b []*core.Tuple) error {
+				if enc == nil {
+					enc = wire.NewBatchEncoder(hdr)
+				}
+				frame = enc.AppendNext(frame[:0], b)
+				rows += len(b)
+				return nil
+			})
+			if err != nil || rows != n {
+				t.Fatalf("%s: %d of %d rows, %v", sql, rows, n, err)
+			}
+		})
+	}
+	small, big := allocs(1000), allocs(10000)
+	extra := float64((10000+255)/256 - (1000+255)/256)
+	if d := big - small; d > 8*extra || d < -8*extra {
+		t.Errorf("streamed projection: %v allocs at 1 000 survivors, %v at 10 000 (%v more batches)", small, big, extra)
 	}
 }

@@ -21,18 +21,28 @@ import (
 //	Scan(access path) → Filter(all comparison atoms, one kernel)
 //	                  → ProbFilter* (planner's residual order)
 //	                  → TopK(k) | Sort | Limit
-//	                  → Project (breaker; placed after Limit so it buffers
-//	                    at most the limit)
+//	                  → Project (streams full batches, by column offset)
+//
+// Ownership: the tuples the tree produces share the base tables' pdf nodes
+// and take no registry references, which is sound while the statement holds
+// the catalog read lock or its snapshot's Freeze pin — ExecStream's sink,
+// an aggregate and EXPLAIN are all done before it ends. Only Exec's Result
+// table outlives its statement, so only Drain takes references.
 
 // execSelect drains a SELECT's operator tree into a Result table. An
 // aggregate consumes its whole filtered input by definition, so its tree
-// ends at the filter stages and the drained table feeds execAggregate.
+// ends at the filter stages and a view of the drained rows feeds
+// execAggregate.
 func (db *DB) execSelect(s SelectStmt) (*Result, error) {
 	root, pr, err := db.buildSelectTree(s)
 	if err != nil {
 		return nil, err
 	}
-	acc, err := pipe.Drain(context.Background(), root)
+	drain := pipe.Drain
+	if s.Agg != "" {
+		drain = pipe.DrainView
+	}
+	acc, err := drain(context.Background(), root)
 	if err != nil {
 		return nil, err
 	}
@@ -356,8 +366,7 @@ func addProbFilter(pr *pipelineResult, root pipe.Operator, c Cond) (pipe.Operato
 // addOrderStages appends ORDER BY / LIMIT / projection to the tree. ORDER
 // BY with LIMIT becomes the bounded top-k heap; ORDER BY alone a full
 // sort; LIMIT alone an early-terminating pass-through. Projection runs
-// last — it is a pipeline breaker (phantom retention inspects tuple
-// masses), so placing it after the limit bounds what it buffers.
+// last, so the ORDER BY key may name a column the SELECT list drops.
 func addOrderStages(root pipe.Operator, s SelectStmt) (pipe.Operator, error) {
 	if s.OrderCol != "" {
 		key, err := orderKey(root.Header(), s)
@@ -372,10 +381,19 @@ func addOrderStages(root pipe.Operator, s SelectStmt) (pipe.Operator, error) {
 	} else if s.Limit != nil {
 		root = pipe.NewLimit(root, *s.Limit)
 	}
-	if !s.Star {
-		root = pipe.NewProject(root, s.Cols)
+	if s.Star {
+		return root, nil
 	}
-	return root, nil
+	return addProjection(root, s.Cols)
+}
+
+// addProjection wraps the tree with Π_cols, planned against its header.
+func addProjection(root pipe.Operator, cols []string) (pipe.Operator, error) {
+	k, err := root.Header().PlanProject(cols...)
+	if err != nil {
+		return root, err
+	}
+	return pipe.NewProject(root, k), nil
 }
 
 // orderKey builds the ORDER BY key extractor — a certain column, resolved

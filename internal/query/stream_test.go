@@ -313,3 +313,50 @@ func TestOrderByNullsLast(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamedSelectTakesNoRegistryReferences: streamed SELECTs — btree
+// point and range probes, a PTI probe, PROB and floor scans, projections
+// that keep partial pdfs as phantoms, ordering — and aggregates and EXPLAIN,
+// which end with their statement, take no registry references, so deleting
+// the rows afterwards frees every base pdf. The projection they ran through
+// (Restrict, then core.Project) took two references per ancestor per result
+// row and nothing released them.
+func TestStreamedSelectTakesNoRegistryReferences(t *testing.T) {
+	db := Open()
+	plannerFixture(t, db)
+	mustExec(t, db, `ANALYZE sensors`)
+	mustExec(t, db, `CREATE INDEX ON sensors (sid)`)
+	mustExec(t, db, `CREATE INDEX ON sensors (temp)`)
+	reg := db.Registry()
+	if reg.Len() != 240 || reg.PhantomCount() != 0 {
+		t.Fatalf("fixture: %d base pdfs, %d phantom", reg.Len(), reg.PhantomCount())
+	}
+	rows := 0
+	for _, q := range []string{
+		`SELECT sid FROM sensors WHERE sid = 12`,
+		`SELECT sid, temp FROM sensors WHERE sid >= 10 AND sid < 40`,
+		`SELECT sid FROM sensors WHERE PROB(temp IN [20, 30]) >= 0.5`,
+		`SELECT site, hum FROM sensors WHERE PROB(hum IN [45, 60]) > 0.3`,
+		`SELECT sid, temp FROM sensors WHERE temp < 25`,
+		`SELECT sid FROM sensors WHERE temp < 25 ORDER BY PROB(temp) DESC LIMIT 7`,
+		`SELECT * FROM sensors WHERE hum > 50 LIMIT 30`,
+		`SELECT COUNT(*) FROM sensors WHERE PROB(temp IN [20, 30]) >= 0.5`,
+		`SELECT SUM(temp) FROM sensors WHERE sid < 50`,
+	} {
+		if _, err := db.ExecStream(context.Background(), q, func(_ *core.Table, b []*core.Tuple) error {
+			rows += len(b)
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("the SELECTs returned nothing")
+	}
+	mustExec(t, db, `EXPLAIN SELECT sid FROM sensors WHERE temp < 25`)
+	mustExec(t, db, `EXPLAIN SELECT sid FROM sensors WHERE sid = 12`)
+	mustExec(t, db, `DELETE FROM sensors`)
+	if reg.Len() != 0 || reg.PhantomCount() != 0 {
+		t.Errorf("after the SELECTs and DELETE: %d base pdfs left, %d of them phantom", reg.Len(), reg.PhantomCount())
+	}
+}

@@ -61,7 +61,7 @@ func TestHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"mode: read-write", "memory: ", "colpdf-cache: ", "admission: read ", "sessions: 1/"} {
+	for _, want := range []string{"mode: read-write", "memory: ", "colpdf-cache: ", "history registry: 0 base pdfs, 0 phantom\n", "admission: read ", "sessions: 1/"} {
 		if !strings.Contains(res.Message, want) {
 			t.Errorf("HEALTH missing %q in:\n%s", want, res.Message)
 		}
@@ -77,6 +77,35 @@ func TestHealth(t *testing.T) {
 	if !strings.Contains(eres.Message, "mode: read-write") {
 		t.Errorf("embedded HEALTH: %q", eres.Message)
 	}
+
+	// The registry gauge follows the rows: a deleted row's pdf stays a
+	// phantom only while the cached snapshot that froze it is in use, and
+	// the next snapshot read lets it go.
+	registry := func(want string) {
+		t.Helper()
+		res, err := c.Query("HEALTH")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Message, "history registry: "+want+"\n") {
+			t.Errorf("HEALTH registry line: want %q in:\n%s", want, res.Message)
+		}
+	}
+	for _, q := range []string{
+		"CREATE TABLE r (rid INT, v FLOAT UNCERTAIN)",
+		"INSERT INTO r (rid, v) VALUES (1, GAUSSIAN(1, 1)), (2, GAUSSIAN(2, 1)), (3, GAUSSIAN(3, 1))",
+		"SELECT rid FROM r WHERE rid = 2",
+		"DELETE FROM r WHERE rid = 2",
+	} {
+		if _, err := c.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	registry("3 base pdfs, 1 phantom")
+	if _, err := c.Query("SELECT rid FROM r"); err != nil {
+		t.Fatal(err)
+	}
+	registry("2 base pdfs, 0 phantom")
 }
 
 // TestOverloadStress: greedy concurrent sorts against a deliberately small
@@ -87,10 +116,13 @@ func TestHealth(t *testing.T) {
 func TestOverloadStress(t *testing.T) {
 	before := runtime.NumGoroutine()
 	opsBefore := pipe.OpenOperators()
-	// A single query (~2.3MiB) plus the cached snapshot (~1.2MiB) fits in
-	// 5MiB; two concurrent queries collide — pressure comes from
-	// concurrency, not from any one query being inherently too large.
-	const memBudget = 5 << 20
+	// Three queries (~4.1MiB each) plus the cached snapshot (~3.3MiB) fit
+	// in 17.5MiB; all four workers' queries at once collide — pressure
+	// comes from concurrency, not from any one query being inherently too
+	// large. A tighter budget starves them instead: the budget sheds the
+	// largest running query first, so sorts that two or three at once
+	// overflow can cancel one another until none finishes.
+	const memBudget = 35 << 19
 	// The table has no index, so SELECTs take the snapshot route and
 	// actually run concurrently — indexed reads would serialize under the
 	// engine mutex and never contend for memory.
@@ -107,10 +139,14 @@ func TestOverloadStress(t *testing.T) {
 	if _, err := setup.Query("CREATE TABLE big (k INT, v INT)"); err != nil {
 		t.Fatal(err)
 	}
-	// ~6000 tuples at 192 bytes of accounted cost each: one ORDER BY holds
-	// ~2.3MiB across its Sort and Project breakers for the whole streaming
-	// phase, so two overlapping queries bust the 5MiB budget.
-	for lo := 0; lo < 6000; lo += 500 {
+	// 18000 tuples at 192 bytes of accounted cost each, plus 48 per sort
+	// key: one ORDER BY holds ~4.1MiB in its Sort breaker for the whole
+	// streaming phase (the projection after it streams), so four
+	// overlapping queries bust the 17.5MiB budget. The table is large
+	// enough that a sort outlasts a scheduler time slice: with one CPU,
+	// queries over a smaller one can run back to back and never collide.
+	const rows = 18000
+	for lo := 0; lo < rows; lo += 500 {
 		var b strings.Builder
 		b.WriteString("INSERT INTO big (k, v) VALUES ")
 		for i := lo; i < lo+500; i++ {

@@ -661,20 +661,14 @@ func (s *Server) execute(tk *task) (res *wire.Result, streamed bool, err error) 
 			}
 		}()
 	}
-	var seq uint64
-	sink := func(hdr *core.Table, batch []*core.Tuple) error {
-		b := &wire.RowBatch{Seq: seq, Rows: wire.RowsOf(hdr, batch)}
-		if seq == 0 {
-			b.Name = hdr.Name
-			b.Cols = wire.ColumnsOf(hdr)
-		}
-		if !s.writeFrame(tk.conn, tk.bw, wire.FrameRowBatch, wire.EncodeRowBatch(b)) {
+	var frame []byte
+	sink := batchSink(&frame, func(payload []byte) error {
+		if !s.writeFrame(tk.conn, tk.bw, wire.FrameRowBatch, payload) {
 			return errClientGone
 		}
-		seq++
 		streamed = true
 		return nil
-	}
+	})
 	res, engStreamed, err := tk.ses.ExecuteStream(ctx, tk.sql, sink)
 	if err != nil && ctx.Err() != nil {
 		// A cancellation injected by the shed reclaimer carries the budget
@@ -687,6 +681,21 @@ func (s *Server) execute(tk *task) (res *wire.Result, streamed bool, err error) 
 	}
 	streamed = streamed || (engStreamed && err == nil)
 	return res, streamed, err
+}
+
+// batchSink is the sink a streamed SELECT's batches go through: each batch
+// is encoded as a RowBatch payload into *frame — one buffer per statement,
+// reused from batch to batch — and handed to write; the encoder resolves the
+// header's columns on the first batch.
+func batchSink(frame *[]byte, write func(payload []byte) error) func(hdr *core.Table, batch []*core.Tuple) error {
+	var enc *wire.BatchEncoder
+	return func(hdr *core.Table, batch []*core.Tuple) error {
+		if enc == nil {
+			enc = wire.NewBatchEncoder(hdr)
+		}
+		*frame = enc.AppendNext((*frame)[:0], batch)
+		return write(*frame)
+	}
 }
 
 func isDisconnect(err error) bool {

@@ -201,3 +201,48 @@ func TestServerStreamNonSelectUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamFramesAreFull: a streamed result ships ⌈rows/256⌉ RowBatch
+// frames, every one but the last full, however few rows each scanned batch
+// kept — the projection coalesces what the filters thin out.
+func TestStreamFramesAreFull(t *testing.T) {
+	s := startServer(t, Config{Workers: 2})
+	defer shutdownServer(t, s)
+	c, err := wire.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fillTable(t, c, "t", 3000)
+	for _, q := range []string{
+		"SELECT k FROM t WHERE PROB(x IN [0, 20]) >= 0.5",
+		"SELECT k, x FROM t WHERE x < 10 AND k < 2900",
+		"SELECT x FROM t WHERE k >= 100 LIMIT 700",
+	} {
+		st, err := c.QueryStream(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var sizes []int
+		rows := 0
+		for {
+			b, err := st.NextBatch()
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if b == nil {
+				break
+			}
+			sizes = append(sizes, len(b))
+			rows += len(b)
+		}
+		if rows < 600 || len(sizes) != (rows+pipe.BatchSize-1)/pipe.BatchSize {
+			t.Fatalf("%s: %d rows in %d frames %v, want ⌈rows/%d⌉", q, rows, len(sizes), sizes, pipe.BatchSize)
+		}
+		for _, n := range sizes[:len(sizes)-1] {
+			if n != pipe.BatchSize {
+				t.Fatalf("%s: a frame short of %d rows: %v", q, pipe.BatchSize, sizes)
+			}
+		}
+	}
+}

@@ -69,42 +69,49 @@ func LoadTable(heap *Heap, reg *core.Registry) (*core.Table, error) {
 	var deps [][]string
 	var certainCols []core.Column
 	first := true
-	// One Row serves every record: Insert copies the values and keeps only
-	// the pdfs, so the map and the PDF slice are reset, not reallocated.
-	row := core.Row{Values: map[string]core.Value{}}
+	// One row layout serves every record: InsertValues copies the values
+	// and keeps only the pdfs, so both slices are refilled, not reallocated.
+	var certain []core.Value
+	var at []int // schema offset of each certain column
+	var pdfs []dist.Dist
 	err := heap.Scan(func(_ RID, rec []byte) error {
 		if first {
 			first = false
 			var err error
-			t, deps, certainCols, err = decodeSchema(rec, reg)
-			return err
+			if t, deps, certainCols, err = decodeSchema(rec, reg); err != nil {
+				return err
+			}
+			certain = make([]core.Value, t.Schema().Len())
+			for _, c := range certainCols {
+				at = append(at, t.Schema().Index(c.Name))
+			}
+			pdfs = make([]dist.Dist, len(deps))
+			return nil
 		}
 		if len(rec) < 1 || rec[0] != formatVersion {
 			return fmt.Errorf("storage: bad tuple record version")
 		}
 		rec = rec[1:]
-		clear(row.Values)
-		row.PDFs = row.PDFs[:0]
-		for _, c := range certainCols {
+		for i, c := range certainCols {
 			v, n, err := decodeValue(rec)
 			if err != nil {
 				return fmt.Errorf("storage: column %s: %w", c.Name, err)
 			}
 			rec = rec[n:]
-			row.Values[c.Name] = v
+			certain[at[i]] = v
 		}
-		for _, set := range deps {
+		for i, set := range deps {
 			d, n, err := dist.Decode(rec)
 			if err != nil {
 				return fmt.Errorf("storage: pdf of %v: %w", set, err)
 			}
 			rec = rec[n:]
-			row.PDFs = append(row.PDFs, core.PDF{Attrs: set, Dist: d})
+			pdfs[i] = d
 		}
 		if len(rec) != 0 {
 			return fmt.Errorf("storage: %d trailing bytes in tuple record", len(rec))
 		}
-		return t.Insert(row)
+		return t.InsertValues(certain, pdfs)
 	})
 	if err != nil {
 		return nil, err

@@ -208,47 +208,57 @@ func ColumnsOf(t *core.Table) []Column {
 	return out
 }
 
-// RowsOf converts a batch of tuples from t into wire rows. The streaming
-// server calls it once per operator batch, so a query's rows cross the
-// conversion boundary O(batch) at a time rather than all at once.
+// RowsOf converts a batch of tuples from t into wire rows, resolving where
+// each column lives once per call (core.Table.Locators).
 func RowsOf(t *core.Table, tups []*core.Tuple) []Row {
-	cols := t.Schema().Columns()
+	locs := t.Locators()
 	rows := make([]Row, 0, len(tups))
 	for _, tup := range tups {
-		row := Row{Exists: t.ExistenceProb(tup), Cells: make([]Cell, len(cols))}
-		for i, c := range cols {
-			if c.Uncertain {
-				d, err := t.DistOf(tup, c.Name)
-				if err != nil {
-					row.Cells[i] = Cell{Kind: CellNone}
-				} else {
-					row.Cells[i] = Cell{Kind: CellPDF, PDF: d}
-				}
-			} else {
-				v, ok := t.Value(tup, c.Name)
-				if !ok {
-					row.Cells[i] = Cell{Kind: CellNone}
-				} else {
-					row.Cells[i] = Cell{Kind: CellValue, Value: v}
-				}
-			}
-		}
-		rows = append(rows, row)
+		rows = append(rows, rowOf(t, locs, tup, make([]Cell, len(locs))))
 	}
 	return rows
 }
 
-// encodeDist serializes a pdf with the dist codec. Representations outside
-// the codec (e.g. affine-transformed views) are collapsed to their generic
-// grid/discrete form first — the same fallback the paper's storage layer
-// uses for non-closed-form results.
-func encodeDist(d dist.Dist) (b []byte) {
+// rowOf fills cells with the tuple's visible columns, read through the
+// header's locators, and returns the row.
+func rowOf(t *core.Table, locs []core.Locator, tup *core.Tuple, cells []Cell) Row {
+	for i, l := range locs {
+		if l.Uncertain() {
+			cells[i] = Cell{Kind: CellPDF, PDF: l.Dist(tup)}
+		} else {
+			cells[i] = Cell{Kind: CellValue, Value: l.Value(tup)}
+		}
+	}
+	return Row{Exists: t.ExistenceProb(tup), Cells: cells}
+}
+
+// appendDist appends a pdf cell's payload — the dist codec's encoding behind
+// its uvarint length — without an intermediate buffer: the encoding is
+// appended first and shifted right by the width of its length. Shapes
+// outside the codec (e.g. affine-transformed views) are collapsed to their
+// generic grid/discrete form first — the same fallback the paper's storage
+// layer uses for non-closed-form results.
+func appendDist(buf []byte, d dist.Dist) []byte {
+	start := len(buf)
+	buf = appendEncoded(buf, d)
+	n := len(buf) - start
+	var hdr [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(hdr[:], uint64(n))
+	buf = append(buf, hdr[:w]...)
+	copy(buf[start+w:], buf[start:start+n])
+	copy(buf[start:], hdr[:w])
+	return buf
+}
+
+// appendEncoded appends d's codec encoding, collapsing a shape the codec
+// does not know (it panics on those) after dropping what it had appended.
+func appendEncoded(buf []byte, d dist.Dist) (out []byte) {
 	defer func() {
 		if recover() != nil {
-			b = dist.Encode(dist.Collapse(d, dist.Options{}))
+			out = dist.AppendEncode(buf, dist.Collapse(d, dist.Options{}))
 		}
 	}()
-	return dist.Encode(d)
+	return dist.AppendEncode(buf, d)
 }
 
 // EncodeResult serializes a Result frame payload.
@@ -316,15 +326,14 @@ func appendColumns(buf []byte, cols []Column) []byte {
 // cell per column.
 func appendRow(buf []byte, row Row) []byte {
 	buf = appendFloat(buf, row.Exists)
-	for _, cell := range row.Cells {
+	for i := range row.Cells {
+		cell := &row.Cells[i]
 		buf = append(buf, byte(cell.Kind))
 		switch cell.Kind {
 		case CellValue:
 			buf = appendValue(buf, cell.Value)
 		case CellPDF:
-			enc := encodeDist(cell.PDF)
-			buf = binary.AppendUvarint(buf, uint64(len(enc)))
-			buf = append(buf, enc...)
+			buf = appendDist(buf, cell.PDF)
 		}
 	}
 	return buf

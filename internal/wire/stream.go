@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+
+	"probdb/internal/core"
 )
 
 // This file is the streamed-result half of the protocol. A server executing
@@ -45,24 +47,71 @@ type RowBatch struct {
 // EncodeRowBatch serializes a RowBatch frame payload. The header (name and
 // columns) is included iff b.Cols is non-nil, which the protocol requires
 // exactly on Seq 0.
-func EncodeRowBatch(b *RowBatch) []byte {
-	buf := []byte{resultVersion}
-	buf = binary.AppendUvarint(buf, b.Seq)
-	if b.Cols != nil {
-		buf = append(buf, batchHasHeader)
-		buf = appendString(buf, b.Name)
-		buf = appendColumns(buf, b.Cols)
-	} else {
-		buf = append(buf, 0)
-		ncols := 0
-		if len(b.Rows) > 0 {
-			ncols = len(b.Rows[0].Cells)
-		}
-		buf = binary.AppendUvarint(buf, uint64(ncols))
+func EncodeRowBatch(b *RowBatch) []byte { return AppendRowBatch(nil, b) }
+
+// AppendRowBatch appends EncodeRowBatch's payload to buf and returns the
+// extended slice — the form for a caller that reuses one frame buffer.
+func AppendRowBatch(buf []byte, b *RowBatch) []byte {
+	ncols := 0
+	if len(b.Rows) > 0 {
+		ncols = len(b.Rows[0].Cells)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.Rows)))
+	buf = appendBatchHead(buf, b.Seq, b.Name, b.Cols, ncols, len(b.Rows))
 	for _, row := range b.Rows {
 		buf = appendRow(buf, row)
+	}
+	return buf
+}
+
+// appendBatchHead appends a RowBatch payload's leading fields: the header
+// when cols is non-nil, else the column count alone, then the row count.
+func appendBatchHead(buf []byte, seq uint64, name string, cols []Column, ncols, nrows int) []byte {
+	buf = append(buf, resultVersion)
+	buf = binary.AppendUvarint(buf, seq)
+	if cols != nil {
+		buf = append(buf, batchHasHeader)
+		buf = appendString(buf, name)
+		buf = appendColumns(buf, cols)
+	} else {
+		buf = append(buf, 0)
+		buf = binary.AppendUvarint(buf, uint64(ncols))
+	}
+	return binary.AppendUvarint(buf, uint64(nrows))
+}
+
+// BatchEncoder encodes the batches of one streamed result as RowBatch
+// payloads straight from the executor's tuples, header on the first: where
+// each column lives is resolved once, and every row is appended into the
+// caller's buffer through one reused row. The bytes are EncodeRowBatch's for
+// the same batch of RowsOf(hdr, tups).
+type BatchEncoder struct {
+	hdr   *core.Table
+	cols  []Column
+	locs  []core.Locator
+	cells []Cell
+	seq   uint64
+}
+
+// NewBatchEncoder returns the encoder for a result with the given header.
+func NewBatchEncoder(hdr *core.Table) *BatchEncoder {
+	locs := hdr.Locators()
+	return &BatchEncoder{hdr: hdr, cols: ColumnsOf(hdr), locs: locs, cells: make([]Cell, len(locs))}
+}
+
+// AppendNext appends the payload of the result's next batch to buf and
+// returns the extended slice.
+func (e *BatchEncoder) AppendNext(buf []byte, tups []*core.Tuple) []byte {
+	var cols []Column
+	ncols := 0
+	if e.seq == 0 {
+		cols = e.cols
+	} else if len(tups) > 0 {
+		ncols = len(e.cols)
+	}
+	buf = appendBatchHead(buf, e.seq, e.hdr.Name, cols, ncols, len(tups))
+	e.seq++
+	for _, tup := range tups {
+		buf = appendRow(buf, rowOf(e.hdr, e.locs, tup, e.cells))
 	}
 	return buf
 }
