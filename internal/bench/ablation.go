@@ -64,11 +64,16 @@ func AblationSymbolicFloors(n int, seed int64) AblationFloorsRow {
 // leaves the choice to the implementation; DESIGN.md ablation 2). The
 // workload applies a single-attribute selection to a table with two
 // independent uncertain attributes: lazy evaluation floors the attribute's
-// own small pdf; eager merging pays for the joint first.
+// own small pdf; eager merging pays for the joint first. The support points
+// of the pdfs the selection floored are the work measure (times are too
+// short to compare reliably): an 8-point marginal per row lazily, its 64-point
+// joint with the other attribute eagerly.
 type AblationMergeRow struct {
-	N         int
-	LazyTime  time.Duration
-	EagerTime time.Duration
+	N           int
+	LazyTime    time.Duration
+	EagerTime   time.Duration
+	LazyPoints  int
+	EagerPoints int
 }
 
 // AblationLazyEagerMerge measures the cost of merging dependency sets
@@ -99,7 +104,8 @@ func AblationLazyEagerMerge(n int, seed int64) (AblationMergeRow, error) {
 	sel := core.Cmp(core.Col("x"), region.LT, core.LitF(50))
 
 	start := time.Now()
-	if _, err := tbl.Select(sel); err != nil {
+	lazy, err := tbl.Select(sel)
+	if err != nil {
 		return row, err
 	}
 	row.LazyTime = time.Since(start)
@@ -109,11 +115,37 @@ func AblationLazyEagerMerge(n int, seed int64) (AblationMergeRow, error) {
 	if err != nil {
 		return row, err
 	}
-	if _, err := merged.Select(sel); err != nil {
+	eager, err := merged.Select(sel)
+	if err != nil {
 		return row, err
 	}
 	row.EagerTime = time.Since(start)
+
+	floored := func(tbl *core.Table) (n int) {
+		for _, tup := range tbl.Tuples() {
+			nd, _ := tbl.NodeOf(tup, "x")
+			n += supportPoints(nd.Dist)
+		}
+		return n
+	}
+	row.LazyPoints, row.EagerPoints = floored(lazy), floored(eager)
 	return row, nil
+}
+
+// supportPoints counts the support points of a discrete pdf: a factored
+// product has as many as the joint it stands for.
+func supportPoints(d dist.Dist) int {
+	switch v := d.(type) {
+	case *dist.Discrete:
+		return len(v.Points())
+	case *dist.Product:
+		n := 1
+		for _, f := range v.Factors() {
+			n *= supportPoints(f)
+		}
+		return n
+	}
+	return 1
 }
 
 // AblationReplayRow compares the model's symbolic floor composition against
@@ -121,9 +153,11 @@ func AblationLazyEagerMerge(n int, seed int64) (AblationMergeRow, error) {
 // all prior operations "is very inefficient and will not scale with ... the
 // number of operations"). Depth is the length of the selection chain.
 type AblationReplayRow struct {
-	Depth        int
-	ComposedTime time.Duration // incremental Floored composition (ours)
-	ReplayTime   time.Duration // re-applying all i floors at step i
+	Depth          int
+	ComposedTime   time.Duration // incremental Floored composition (ours)
+	ReplayTime     time.Duration // re-applying all i floors at step i
+	ComposedFloors int           // Floor calls each strategy made: the work
+	ReplayFloors   int           // measure, where times are too short to compare
 }
 
 // AblationHistoryReplay measures floor-composition scaling for chained
@@ -146,17 +180,20 @@ func AblationHistoryReplay(n int, depths []int, seed int64) []AblationReplayRow 
 
 	rows := make([]AblationReplayRow, 0, len(depths))
 	for _, depth := range depths {
-		var composed, replay time.Duration
+		row := AblationReplayRow{Depth: depth}
+		floors := 0
 		start := time.Now()
 		for _, rd := range readings {
 			d := rd.Value
 			for i := 0; i < depth; i++ {
 				d = d.Floor(0, cuts[i]) // Floored ∘ Floored intersects regions
+				floors++
 			}
 			_ = d.Mass()
 		}
-		composed = time.Since(start)
+		row.ComposedTime, row.ComposedFloors = time.Since(start), floors
 
+		floors = 0
 		start = time.Now()
 		for _, rd := range readings {
 			// Replay: at every step rebuild from the base pdf by
@@ -165,12 +202,13 @@ func AblationHistoryReplay(n int, depths []int, seed int64) []AblationReplayRow 
 				d := rd.Value
 				for i := 0; i < step; i++ {
 					d = d.Floor(0, cuts[i])
+					floors++
 				}
 				_ = d.Mass()
 			}
 		}
-		replay = time.Since(start)
-		rows = append(rows, AblationReplayRow{Depth: depth, ComposedTime: composed, ReplayTime: replay})
+		row.ReplayTime, row.ReplayFloors = time.Since(start), floors
+		rows = append(rows, row)
 	}
 	return rows
 }
@@ -238,12 +276,12 @@ func FormatAblations(fl AblationFloorsRow, mg AblationMergeRow, rp []AblationRep
 		fl.N, fl.SymbolicTime.Round(time.Microsecond), fl.SymbolicErr,
 		fl.CollapsedTime.Round(time.Microsecond), fl.CollapsedErr)
 	s += "Ablation 2 — lazy vs eager dependency merging (single-attribute selection)\n"
-	s += fmt.Sprintf("  n=%d  lazy: %v   eager: %v\n",
-		mg.N, mg.LazyTime.Round(time.Microsecond), mg.EagerTime.Round(time.Microsecond))
+	s += fmt.Sprintf("  n=%d  lazy: %v (%d support points floored)   eager: %v (%d)\n",
+		mg.N, mg.LazyTime.Round(time.Microsecond), mg.LazyPoints, mg.EagerTime.Round(time.Microsecond), mg.EagerPoints)
 	s += "Ablation 3 — floor composition vs operation replay (selection chains)\n"
 	for _, r := range rp {
-		s += fmt.Sprintf("  depth=%-3d composed: %-12v replay: %v\n",
-			r.Depth, r.ComposedTime.Round(time.Microsecond), r.ReplayTime.Round(time.Microsecond))
+		s += fmt.Sprintf("  depth=%-3d composed: %-12v replay: %-12v floors: %d vs %d\n",
+			r.Depth, r.ComposedTime.Round(time.Microsecond), r.ReplayTime.Round(time.Microsecond), r.ComposedFloors, r.ReplayFloors)
 	}
 	s += "Ablation 4 — buffer pool sensitivity (warm scan)\n"
 	for _, r := range bp {

@@ -23,10 +23,10 @@ func TestAblationLazyEagerMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eager merging materializes 64-point joints before a selection that
-	// only needed an 8-point pdf: it must cost more.
-	if r.EagerTime <= r.LazyTime {
-		t.Errorf("eager (%v) should cost more than lazy (%v)", r.EagerTime, r.LazyTime)
+	// Eager merging floors 64-point joints where the selection only needed
+	// an 8-point pdf: eight times the support points.
+	if r.LazyPoints == 0 || r.EagerPoints != 8*r.LazyPoints {
+		t.Errorf("eager floored %d support points, lazy %d; want 8 times as many", r.EagerPoints, r.LazyPoints)
 	}
 }
 
@@ -35,11 +35,12 @@ func TestAblationHistoryReplay(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Replay is quadratic in depth; at depth 8 it must exceed composition.
-	last := rows[len(rows)-1]
-	if last.ReplayTime <= last.ComposedTime {
-		t.Errorf("replay (%v) should exceed composition (%v) at depth %d",
-			last.ReplayTime, last.ComposedTime, last.Depth)
+	// Replay is quadratic in depth, composition linear: depth·(depth+1)/2
+	// floors per reading against depth.
+	for _, r := range rows {
+		if r.ComposedFloors != 100*r.Depth || r.ReplayFloors != 100*r.Depth*(r.Depth+1)/2 {
+			t.Errorf("depth %d: %d floors composed, %d replayed", r.Depth, r.ComposedFloors, r.ReplayFloors)
+		}
 	}
 }
 

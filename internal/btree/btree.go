@@ -82,6 +82,81 @@ func Create(pool *storage.Pool) (*Tree, error) {
 	return &Tree{pool: pool, root: rootID}, nil
 }
 
+// Build creates a tree in an empty pager over the entries keys[i]→rids[i],
+// which must be sorted by key, duplicates in the order Range is to return
+// them. It lays the tree out bottom-up — full leaves in key order, then each
+// internal level over the one below — instead of descending from the root
+// once per entry, and Range and Insert answer on it as on a tree built by
+// inserting the same entries in order.
+func Build(pool *storage.Pool, keys []int64, rids []storage.RID) (*Tree, error) {
+	t, err := Create(pool)
+	if err != nil || len(keys) == 0 {
+		return t, err
+	}
+	type node struct {
+		id  storage.PageID
+		min int64
+	}
+	var level []node
+	var prev *storage.Page // the previous leaf, pinned until it links to this one
+	for lo := 0; lo < len(keys); lo += maxLeafEntries {
+		var id storage.PageID
+		var p *storage.Page
+		if lo == 0 {
+			id = t.root
+			p, err = pool.Pin(id)
+		} else {
+			id, p, err = pool.PinNew()
+		}
+		if err != nil {
+			return nil, err
+		}
+		initLeaf(p)
+		hi := min(lo+maxLeafEntries, len(keys))
+		for i := lo; i < hi; i++ {
+			setLeafEntry(p, i-lo, keys[i], rids[i])
+		}
+		setNodeCount(p, hi-lo)
+		if prev != nil {
+			setLeafNext(prev, id)
+			if err := pool.Unpin(level[len(level)-1].id, true); err != nil {
+				return nil, err
+			}
+		}
+		prev = p
+		level = append(level, node{id, keys[lo]})
+	}
+	if err := pool.Unpin(level[len(level)-1].id, true); err != nil {
+		return nil, err
+	}
+	for len(level) > 1 {
+		var up []node
+		for lo := 0; lo < len(level); lo += maxInnerKeys + 1 {
+			id, p, err := pool.PinNew()
+			if err != nil {
+				return nil, err
+			}
+			initInner(p)
+			hi := min(lo+maxInnerKeys+1, len(level))
+			for i := lo; i < hi; i++ {
+				setInnerChild(p, i-lo, level[i].id)
+				if i > lo {
+					setInnerKey(p, i-lo-1, level[i].min)
+				}
+			}
+			setNodeCount(p, hi-lo-1)
+			if err := pool.Unpin(id, true); err != nil {
+				return nil, err
+			}
+			up = append(up, node{id, level[lo].min})
+		}
+		level = up
+		t.height++
+	}
+	t.root = level[0].id
+	return t, t.writeMeta()
+}
+
 // Open loads an existing tree from its pager.
 func Open(pool *storage.Pool) (*Tree, error) {
 	meta, err := pool.Pin(0)
@@ -409,14 +484,23 @@ func (t *Tree) Range(lo, hi int64, fn func(key int64, rid storage.RID) error) er
 		}
 		id = next
 	}
-	// Walk the leaf chain.
-	for id != 0 {
+	// Walk the leaf chain, starting the first leaf at its first entry >= lo
+	// (a binary search: a leaf holds hundreds of entries).
+	for first := true; id != 0; first = false {
 		p, err := t.pool.Pin(id)
 		if err != nil {
 			return err
 		}
 		n := nodeCount(p)
-		for i := 0; i < n; i++ {
+		i := 0
+		for b := n; first && i < b; {
+			if mid := (i + b) / 2; leafKey(p, mid) < lo {
+				i = mid + 1
+			} else {
+				b = mid
+			}
+		}
+		for ; i < n; i++ {
 			k := leafKey(p, i)
 			if k < lo {
 				continue

@@ -281,3 +281,87 @@ func TestRandomizedAgainstSortedMap(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildMatchesInserts: a tree laid out bottom-up answers every Range —
+// keys in order, duplicates in their given order — as the tree that
+// inserting the same sorted entries builds, and keeps doing so as both take
+// further inserts (splits of full leaves included), at zero, one and two
+// internal levels.
+func TestBuildMatchesInserts(t *testing.T) {
+	type kv struct {
+		k int64
+		r storage.RID
+	}
+	scan := func(tr *Tree, lo, hi int64) []kv {
+		var out []kv
+		if err := tr.Range(lo, hi, func(k int64, r storage.RID) error {
+			out = append(out, kv{k, r})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	same := func(a, b []kv) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{0, 1, maxLeafEntries, maxLeafEntries + 1, 20 * maxLeafEntries, (maxInnerKeys + 2) * maxLeafEntries} {
+		r := rand.New(rand.NewSource(int64(n)))
+		keys := make([]int64, n)
+		rids := make([]storage.RID, n)
+		for i := range keys {
+			keys[i] = int64(r.Intn(n/3+1) - n/6) // duplicates, negatives
+			rids[i] = rid(i)
+		}
+		sort.SliceStable(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		built, err := Build(storage.NewPool(storage.NewMemPager(), 64), keys, rids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]kv, n)
+		for i := range keys {
+			want[i] = kv{keys[i], rids[i]}
+		}
+		if got := scan(built, minInt64, maxInt64); !same(got, want) {
+			t.Fatalf("n=%d: Build holds %d entries out of order or lost", n, len(got))
+		}
+		if n > 50*maxLeafEntries {
+			if built.Height() != 2 {
+				t.Fatalf("n=%d: height %d, want 2", n, built.Height())
+			}
+			continue // the insert-built twin of the two-level tree is too slow to grow
+		}
+		inserted := memTree(t)
+		for i := range keys {
+			if err := inserted.Insert(keys[i], rids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			for q := 0; q < 50; q++ {
+				lo := int64(r.Intn(n/3+3) - n/6 - 1)
+				hi := lo + int64(r.Intn(n/10+2))
+				if a, b := scan(built, lo, hi), scan(inserted, lo, hi); !same(a, b) {
+					t.Fatalf("n=%d round %d: Range(%d, %d) gives %d entries built, %d inserted", n, round, lo, hi, len(a), len(b))
+				}
+			}
+			for i := 0; i < n/2+5; i++ {
+				k, rd := int64(r.Intn(n/3+1)-n/6), rid(n+i)
+				if err := built.Insert(k, rd); err != nil {
+					t.Fatal(err)
+				}
+				if err := inserted.Insert(k, rd); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}

@@ -134,7 +134,7 @@ func TestPassThroughSharesTuples(t *testing.T) {
 		sameKeptTuples(t, "σ(id)", vec, scalar)
 		sameKeptTuples(t, "σ(id) vs base", vec, &Table{tuples: tbl.tuples[57:489]})
 
-		sub := tbl.Restrict("sub", tbl.tuples[100:300])
+		sub := tbl.View("sub", tbl.tuples[100:300])
 		vec, scalar = diffRun(t, sub, par, func() (*Table, error) {
 			return sub.Select(Cmp(Col("id"), region.LT, LitI(200)))
 		})

@@ -16,9 +16,6 @@ func (t *Table) EquiJoin(o *Table, leftKey, rightKey string, atoms ...Atom) (*Ta
 	for _, a := range t.tuples {
 		out.tuples = k.AppendMatches(out.tuples, a)
 	}
-	if out.trackHistory {
-		out.reg.retainTuples(out.tuples)
-	}
 	if len(atoms) == 0 {
 		return out, nil
 	}

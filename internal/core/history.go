@@ -2,15 +2,16 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"probdb/internal/colpdf"
 	"probdb/internal/dist"
 )
 
-// NodeID identifies a base pdf in the registry. Base pdfs are the
+// NodeID identifies a base pdf, minted by its registry. Base pdfs are the
 // "top-level ancestors" of §II-C: every derived pdf points back at the base
 // pdfs it came from.
 type NodeID uint64
@@ -73,33 +74,33 @@ func (a AncestorSet) Contains(id NodeID) bool {
 	return i < len(a) && a[i] == id
 }
 
-// baseRecord is the registry entry for one base pdf: the original
-// (unfloored, complete) distribution and a reference count. When the owning
-// tuple is deleted while derived tuples still reference the record, it
-// survives as a phantom node until the count reaches zero (§II-C).
+// baseRecord is one base pdf: its identity in the history Λ and its
+// original (unfloored, complete) distribution. Records are immutable. Every
+// node carrying one of the pdf's variables points at its record, so a
+// deleted tuple's record lives on as a phantom (§II-C) exactly while some
+// derived tuple still reaches it, and the collector frees it after. Each
+// record is an allocation of its own: the runtime never finalizes a block
+// that points into itself, as a baseNode does, so only a separate record
+// can be watched (WatchBase).
 type baseRecord struct {
-	d       dist.Dist
-	refs    int
-	phantom bool // owning tuple deleted; record kept for derived tuples
+	id NodeID
+	d  dist.Dist
 }
 
-// baseNode is everything Insert allocates for one pdf, as one block: the
-// registry record, the tuple's node, the node's history (its own ID alone,
-// Definition 2) and — for the common one-dimensional pdf — its variable map.
+// baseNode is the rest of what Insert allocates for one pdf, as one block:
+// the tuple's node, its history (its own ID alone, Definition 2) and — for
+// the common one-dimensional pdf — its variable map.
 type baseNode struct {
-	rec  baseRecord
 	node PDFNode
 	anc  [1]NodeID
 	vars [1]varRef
 }
 
-// Registry is the database-wide store of base pdfs. All tables produced
-// from one another share a registry so that histories remain meaningful
-// across operations.
+// Registry mints the IDs of base pdfs and holds the columnar-encoding cache.
+// All tables produced from one another share a registry so that histories
+// remain meaningful across operations: IDs from one registry never collide.
 type Registry struct {
-	mu   sync.Mutex
-	next NodeID
-	base map[NodeID]*baseRecord
+	last atomic.Uint64
 	// colenc caches columnar encodings of base tables, keyed by table
 	// identity + DML version (see columnar.go). Invalidated by version
 	// bumps; sheddable under memory pressure.
@@ -107,164 +108,47 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{next: 1, base: make(map[NodeID]*baseRecord), colenc: colpdf.NewCache()}
-}
+func NewRegistry() *Registry { return &Registry{colenc: colpdf.NewCache()} }
 
 // ColCache returns the registry's columnar-encoding cache.
 func (r *Registry) ColCache() *colpdf.Cache { return r.colenc }
 
-// register records rec as a new base pdf and returns its ID. The initial
-// reference count 1 belongs to the registering node.
-func (r *Registry) register(rec *baseRecord) NodeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := r.next
-	r.next++
-	rec.refs = 1
-	r.base[id] = rec
-	return id
+// newBase returns a fresh base record for d.
+func (r *Registry) newBase(d dist.Dist) *baseRecord {
+	return &baseRecord{id: NodeID(r.last.Add(1)), d: d}
 }
 
 // registerNode registers d as a fresh base pdf and returns the node that
 // owns it: pristine, its own only ancestor, one variable per dimension.
 func (r *Registry) registerNode(d dist.Dist) *PDFNode {
-	b := &baseNode{rec: baseRecord{d: d}}
-	id := r.register(&b.rec)
-	b.anc[0] = id
+	rec := r.newBase(d)
+	b := &baseNode{anc: [1]NodeID{rec.id}}
 	vars := b.vars[:]
 	if k := d.Dim(); k != 1 {
 		vars = make([]varRef, k)
 	}
 	for dim := range vars {
-		vars[dim] = varRef{base: id, dim: dim}
+		vars[dim] = varRef{base: rec, dim: dim}
 	}
-	b.node = PDFNode{Dist: d, Anc: b.anc[:], vars: vars, self: id, pristine: true}
+	b.node = PDFNode{Dist: d, Anc: b.anc[:], vars: vars, pristine: true}
 	return &b.node
 }
 
-// lookup returns the base distribution for id. It panics on unknown IDs — a
-// registry/table mismatch is a programming error, not a data condition.
-func (r *Registry) lookup(id NodeID) dist.Dist {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rec, ok := r.base[id]
-	if !ok {
-		panic(fmt.Sprintf("core: unknown base pdf %d", id))
+// WatchBase arranges for fn to run once the base pdf behind the named
+// uncertain column of tup is unreachable: its own tuple is gone and no
+// derived tuple carries its variables any more. It is how tests observe the
+// phantom rule; fn runs on the runtime's finalizer goroutine, after a
+// collection. Watch each base pdf at most once.
+func (t *Table) WatchBase(tup *Tuple, col string, fn func()) error {
+	id := t.idOf(col)
+	di := t.depOf(id)
+	if id == 0 || di < 0 {
+		return fmt.Errorf("core: %q is not an uncertain column of %s", col, t.Name)
 	}
-	return rec.d
-}
-
-// retain adds one reference to every listed ancestor.
-func (r *Registry) retain(ids AncestorSet) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, id := range ids {
-		if rec, ok := r.base[id]; ok {
-			rec.refs++
-		}
+	rec := tup.nodes[di].vars[t.deps[di].dimOf(id)].base
+	if rec == nil {
+		return fmt.Errorf("core: column %q carries no base pdf", col)
 	}
-}
-
-// release drops one reference from every listed ancestor, deleting records
-// that reach zero references.
-func (r *Registry) release(ids AncestorSet) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, id := range ids {
-		rec, ok := r.base[id]
-		if !ok {
-			continue
-		}
-		rec.refs--
-		if rec.refs <= 0 {
-			delete(r.base, id)
-		}
-	}
-}
-
-// retainTuples adds one reference to every ancestor of every pdf node in
-// tups, under a single lock acquisition. Freeze uses it so a snapshot can
-// pin the base pdfs its tuples derive from against concurrent deletes.
-func (r *Registry) retainTuples(tups []*Tuple) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, tup := range tups {
-		for _, n := range tup.nodes {
-			for _, id := range n.Anc {
-				if rec, ok := r.base[id]; ok {
-					rec.refs++
-				}
-			}
-		}
-	}
-}
-
-// releaseTuples drops the references retainTuples took, freeing records
-// whose counts reach zero.
-func (r *Registry) releaseTuples(tups []*Tuple) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, tup := range tups {
-		for _, n := range tup.nodes {
-			for _, id := range n.Anc {
-				rec, ok := r.base[id]
-				if !ok {
-					continue
-				}
-				rec.refs--
-				if rec.refs <= 0 {
-					delete(r.base, id)
-				}
-			}
-		}
-	}
-}
-
-// Clone returns a private copy of the registry: the same node IDs mapped to
-// fresh records (sharing the immutable attr slices and distributions, with
-// independent reference counts), the same next-ID counter, and a fresh
-// columnar cache. A transaction overlay clones the registry so its
-// speculative inserts and deletes never touch the authoritative refcounts —
-// discarding the overlay is then free.
-func (r *Registry) Clone() *Registry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := &Registry{next: r.next, base: make(map[NodeID]*baseRecord, len(r.base)), colenc: colpdf.NewCache()}
-	for id, rec := range r.base {
-		cp := *rec
-		c.base[id] = &cp
-	}
-	return c
-}
-
-// markPhantom flags the record as belonging to a deleted base tuple. The
-// record stays alive while derived tuples reference it.
-func (r *Registry) markPhantom(id NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rec, ok := r.base[id]; ok {
-		rec.phantom = true
-	}
-}
-
-// Len returns the number of live base records (including phantoms).
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.base)
-}
-
-// PhantomCount returns the number of phantom records kept alive by derived
-// references.
-func (r *Registry) PhantomCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, rec := range r.base {
-		if rec.phantom {
-			n++
-		}
-	}
-	return n
+	runtime.SetFinalizer(rec, func(*baseRecord) { fn() })
+	return nil
 }

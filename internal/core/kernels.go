@@ -22,12 +22,11 @@ import (
 // kernel planned against an empty derived table evaluates tuples of any
 // table sharing that shape. Projection too: a streamed projection keeps
 // every invisible dependency set as phantoms, and a table that materializes
-// the rows drops the ones no row needed (View/Restrict), which is the only
-// part of §III-B that reads tuples.
+// the rows drops the ones no row needed (View), which is the only part of
+// §III-B that reads tuples.
 //
-// Kernels take no registry references: the tuples they produce live for one
-// statement, under its catalog lock or snapshot pin. Only a table that owns
-// its rows (Restrict, and the whole-table methods built on Append) does.
+// A produced tuple's nodes point at the base pdfs they derive from (history
+// Λ), so a tuple keeps what it needs alive however long it is held.
 
 // Selection is a compiled Select: the derived table shape and the planned
 // atoms (certain filters, rectangular floors, closure merges, joint floors).
@@ -802,10 +801,6 @@ func (k *EquiJoinKernel) AppendMatches(dst []*Tuple, a *Tuple) []*Tuple {
 }
 
 // Append adds a tuple produced by one of the table's kernels (or shared from
-// the kernel's input, for pure filters) to the table, retaining its pdf
-// ancestry. It is the assembly half of the whole-table drivers
-// (RunSelection, RunProbSelection), whose results own their rows.
-func (t *Table) Append(tup *Tuple) {
-	t.tuples = append(t.tuples, tup)
-	t.retainTuple(tup)
-}
+// the kernel's input, for pure filters) to the table. It is the assembly
+// half of the whole-table drivers (RunSelection, RunProbSelection).
+func (t *Table) Append(tup *Tuple) { t.tuples = append(t.tuples, tup) }

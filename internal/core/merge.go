@@ -10,9 +10,10 @@ import (
 // pdf dimensions are the same variable exactly when their varRefs are equal;
 // this is what lets two projections of the same base tuple recognize that
 // "their" a and b are the same a and b when they meet again in a join
-// (Fig. 3).
+// (Fig. 3). The pointer is also what keeps the base pdf alive for the
+// dependent-product reconstruction, however long ago its tuple was deleted.
 type varRef struct {
-	base NodeID
+	base *baseRecord
 	dim  int
 }
 
@@ -79,8 +80,9 @@ func (t *Table) planMerge(setIdxs, promoted []int) (*mergePlan, error) {
 // Inputs that share variables outright (two projections of the same base
 // joint, as in Fig. 3) contribute each shared variable once; every input's
 // floors still apply. Promoted certain attributes enter as the identity pdf
-// f0 (§III-C case 2(b)) and are registered as fresh base pdfs. Finally the
-// joint is marginalized onto the plan's target attributes, dropping the
+// f0 (§III-C case 2(b)) as fresh base pdfs, which live as long as the node.
+// Finally the joint is marginalized onto the plan's target attributes,
+// dropping the
 // phantom dimensions whose floors have just been folded in.
 func (t *Table) mergeTupleNodes(plan *mergePlan, tup *Tuple) (*PDFNode, error) {
 	nodes := make([]*PDFNode, len(plan.setIdxs))
@@ -127,13 +129,13 @@ func (t *Table) mergeTupleNodes(plan *mergePlan, tup *Tuple) (*PDFNode, error) {
 	if len(promotedVals) > 0 {
 		unit := dist.Unit(promotedVals...)
 		joint = dist.ProductOf(joint, unit)
-		var unitID NodeID
+		var rec *baseRecord
 		if t.trackHistory {
-			unitID = t.reg.register(&baseRecord{d: unit})
-			anc = anc.Union(AncestorSet{unitID})
+			rec = t.reg.newBase(unit)
+			anc = anc.Union(AncestorSet{rec.id})
 		}
 		for i := range promotedVals {
-			vars = append(vars, varRef{base: unitID, dim: i})
+			vars = append(vars, varRef{base: rec, dim: i})
 		}
 	}
 
@@ -199,21 +201,23 @@ func (t *Table) buildDependent(nodes []*PDFNode) (dist.Dist, []varRef, AncestorS
 	}
 
 	// Base reconstruction: one factor per ancestor that still contributes
-	// variables, marginalized onto the needed dimensions. Ancestors whose
-	// variables were all dropped by earlier merges influence the result only
-	// through the inputs' floors below.
+	// variables, in ancestor order, marginalized onto the needed dimensions.
+	// Ancestors whose variables were all dropped by earlier merges influence
+	// the result only through the inputs' floors below, which is why nothing
+	// needs to keep their base pdfs.
 	var factors []dist.Dist
 	var vars []varRef
 	for _, aid := range anc {
-		base := t.reg.lookup(aid)
+		rec := recordOf(allVars, aid)
+		if rec == nil {
+			continue
+		}
+		base := rec.d
 		var keepDims []int
 		for dim := 0; dim < base.Dim(); dim++ {
-			if indexOfVar(allVars, varRef{base: aid, dim: dim}) >= 0 {
+			if indexOfVar(allVars, varRef{base: rec, dim: dim}) >= 0 {
 				keepDims = append(keepDims, dim)
 			}
-		}
-		if len(keepDims) == 0 {
-			continue
 		}
 		f := base
 		if len(keepDims) != base.Dim() {
@@ -221,7 +225,7 @@ func (t *Table) buildDependent(nodes []*PDFNode) (dist.Dist, []varRef, AncestorS
 		}
 		factors = append(factors, f)
 		for _, dim := range keepDims {
-			vars = append(vars, varRef{base: aid, dim: dim})
+			vars = append(vars, varRef{base: rec, dim: dim})
 		}
 	}
 	if len(vars) != len(allVars) {
@@ -260,6 +264,17 @@ func floorByNodeSupport(joint dist.Dist, n *PDFNode, dims []int) dist.Dist {
 		}
 		return n.Dist.At(sub) > 0
 	})
+}
+
+// recordOf returns the base record of ancestor id among vars' variables, or
+// nil when none of them is one of its dimensions.
+func recordOf(vars []varRef, id NodeID) *baseRecord {
+	for _, v := range vars {
+		if v.base != nil && v.base.id == id {
+			return v.base
+		}
+	}
+	return nil
 }
 
 func indexOfVar(vars []varRef, v varRef) int {

@@ -68,7 +68,6 @@ func (t *Table) MergeDeps(names ...string) (*Table, error) {
 		nodes[mergedAt] = n
 		nt := &Tuple{certain: tup.certain, nodes: nodes}
 		out.tuples = append(out.tuples, nt)
-		out.retainTuple(nt)
 	}
 	return out, nil
 }

@@ -13,7 +13,7 @@ import (
 // ancestors carry over (selection copies histories, §III-C); the node is no
 // longer pristine.
 func withDist(n *PDFNode, d dist.Dist) *PDFNode {
-	return &PDFNode{Dist: d, Anc: n.Anc, vars: n.vars, self: n.self}
+	return &PDFNode{Dist: d, Anc: n.Anc, vars: n.vars}
 }
 
 // Select evaluates the conjunction of atoms over the table and returns the
@@ -185,13 +185,13 @@ func (t *Table) mergeGroups(cls []classified) ([]mergeGroup, error) {
 //
 // The per-tuple work is the Projection kernel (kernels.go); the one decision
 // that needs every tuple — which invisible sets are partial anywhere — is
-// Restrict's, as for every table that owns its rows.
+// View's, as for every table that holds all of its rows.
 func (t *Table) Project(names ...string) (*Table, error) {
 	p, err := t.PlanProject(names...)
 	if err != nil {
 		return nil, err
 	}
-	return p.out.Restrict(p.out.Name, p.AppendBatch(make([]*Tuple, 0, len(t.tuples)), t.tuples)), nil
+	return p.out.View(p.out.Name, p.AppendBatch(make([]*Tuple, 0, len(t.tuples)), t.tuples)), nil
 }
 
 // CrossProduct returns t × o (§III-D). Both tables must share a registry
@@ -220,9 +220,6 @@ func (t *Table) CrossProduct(o *Table) (*Table, error) {
 			return nil
 		})
 		out.tuples = pairs
-		for _, nt := range pairs {
-			out.retainTuple(nt)
-		}
 	}
 	return out, nil
 }
@@ -243,23 +240,9 @@ func (t *Table) Join(o *Table, atoms ...Atom) (*Table, error) {
 
 // Renamed returns a table with columns renamed per mapping (old name → new
 // name). Attribute identities are preserved, so histories keep working
-// across the rename. Like every derived table it holds a registry reference
-// on each ancestor of its tuples.
+// across the rename. It is a read-only view sharing the receiver's tuples,
+// registry and encoding-cache identity, like WithParallelism.
 func (t *Table) Renamed(mapping map[string]string) (*Table, error) {
-	out, err := t.renamedView(mapping)
-	if err != nil {
-		return nil, err
-	}
-	out.tid, out.ver = 0, 0 // a derived table: its encodings are never cached
-	if out.trackHistory {
-		out.reg.retainTuples(out.tuples)
-	}
-	return out, nil
-}
-
-// renamedView is the rename alone: a read-only view sharing the receiver's
-// tuples, registry and encoding-cache identity, like WithParallelism.
-func (t *Table) renamedView(mapping map[string]string) (*Table, error) {
 	cols := append([]Column(nil), t.schema.Columns()...)
 	for i, c := range cols {
 		if nn, ok := mapping[c.Name]; ok {
@@ -286,25 +269,13 @@ func (t *Table) renamedView(mapping map[string]string) (*Table, error) {
 }
 
 // Prefixed returns the table with every column renamed to prefix+name —
-// the usual way to disambiguate before a join.
+// the usual way to disambiguate before a join. Like Renamed, it is a view.
 func (t *Table) Prefixed(prefix string) (*Table, error) {
-	return t.Renamed(t.prefixMapping(prefix))
-}
-
-// PrefixedView is Prefixed as a view over the receiver for the length of one
-// statement: it shares the tuples and takes no registry references, so the
-// caller must keep the receiver's base pdfs alive itself — the catalog lock
-// or a Freeze pin — for as long as the view is in use.
-func (t *Table) PrefixedView(prefix string) (*Table, error) {
-	return t.renamedView(t.prefixMapping(prefix))
-}
-
-func (t *Table) prefixMapping(prefix string) map[string]string {
 	m := map[string]string{}
 	for _, c := range t.schema.Columns() {
 		m[c.Name] = prefix + c.Name
 	}
-	return m
+	return t.Renamed(m)
 }
 
 // Prob returns the probability that the tuple has a value for the given
@@ -392,9 +363,9 @@ func (t *Table) SelectRangeThreshold(attr string, lo, hi float64, op region.Op, 
 }
 
 // Delete removes the tuples for which filter returns true and returns how
-// many were removed. Base pdfs of removed tuples that are still referenced
-// by derived tables survive as phantom nodes until their reference counts
-// fall to zero (§II-C); unreferenced ones are freed.
+// many were removed. The base pdfs of removed tuples survive as phantoms for
+// as long as a derived tuple still reaches them (§II-C); the collector frees
+// the rest.
 func (t *Table) Delete(filter func(*Table, *Tuple) bool) int {
 	// Compact into a fresh slice rather than in place: frozen snapshots
 	// (Freeze) share the old backing array and must keep seeing the
@@ -407,12 +378,6 @@ func (t *Table) Delete(filter func(*Table, *Tuple) bool) int {
 			continue
 		}
 		removed++
-		for _, n := range tup.nodes {
-			if n.self != 0 {
-				t.reg.markPhantom(n.self)
-			}
-			t.reg.release(n.Anc)
-		}
 	}
 	t.tuples = kept
 	if removed > 0 {

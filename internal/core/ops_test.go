@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,9 +35,10 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
-// TestFailedInsertRegistersNothing: a row rejected for any reason leaves
-// the registry as it found it, even when the problem is found only after a
-// valid pdf for another dependency set.
+// TestFailedInsertRegistersNothing: a row rejected for any reason mints no
+// base pdf, even when the problem is found only after a valid pdf for
+// another dependency set; a row that is inserted and then deleted leaves
+// none of its base pdfs reachable.
 func TestFailedInsertRegistersNothing(t *testing.T) {
 	schema := MustSchema(
 		Column{Name: "a", Type: FloatType, Uncertain: true},
@@ -56,8 +58,8 @@ func TestFailedInsertRegistersNothing(t *testing.T) {
 		if err := tbl.Insert(row); err == nil {
 			t.Errorf("%s: insert should fail", name)
 		}
-		if n := tbl.Registry().Len(); n != 0 {
-			t.Errorf("%s: failed insert left %d base pdfs registered", name, n)
+		if n := tbl.reg.last.Load(); n != 0 {
+			t.Errorf("%s: failed insert registered %d base pdfs", name, n)
 		}
 	}
 	// The positional form a loader uses checks the same, plus the layout.
@@ -75,15 +77,21 @@ func TestFailedInsertRegistersNothing(t *testing.T) {
 		if err := tbl.InsertValues(in.certain, in.pdfs); err == nil {
 			t.Errorf("positional %s: insert should fail", name)
 		}
-		if n := tbl.Registry().Len(); n != 0 {
-			t.Errorf("positional %s: failed insert left %d base pdfs registered", name, n)
+		if n := tbl.reg.last.Load(); n != 0 {
+			t.Errorf("positional %s: failed insert registered %d base pdfs", name, n)
 		}
 	}
 	if err := tbl.Insert(Row{PDFs: []PDF{a, {Attrs: []string{"b"}, Dist: dist.NewGaussian(1, 1)}}}); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Len() != 1 || tbl.Registry().Len() != 2 {
-		t.Errorf("valid insert: %d tuples, %d base pdfs; want 1 and 2", tbl.Len(), tbl.Registry().Len())
+	if tbl.Len() != 1 || tbl.reg.last.Load() != 2 {
+		t.Errorf("valid insert: %d tuples, %d base pdfs; want 1 and 2", tbl.Len(), tbl.reg.last.Load())
+	}
+	var f freed
+	f.watch(t, tbl, tbl.Tuples()...)
+	tbl.Delete(func(*Table, *Tuple) bool { return true })
+	if n := f.after(2); n != 2 {
+		t.Errorf("after DELETE: %d of the row's 2 base pdfs freed", n)
 	}
 }
 
@@ -110,8 +118,8 @@ func TestInsertRejectsZeroMass(t *testing.T) {
 	if err := tbl.Insert(Row{PDFs: []PDF{{Attrs: []string{"x", "y"}, Dist: partial}}}); err != nil {
 		t.Fatalf("partial pdf: %v", err)
 	}
-	if tbl.Len() != 1 || tbl.Registry().Len() != 1 {
-		t.Errorf("%d tuples, %d base pdfs; want the partial row alone", tbl.Len(), tbl.Registry().Len())
+	if tbl.Len() != 1 || tbl.reg.last.Load() != 1 {
+		t.Errorf("%d tuples, %d base pdfs; want the partial row alone", tbl.Len(), tbl.reg.last.Load())
 	}
 }
 
@@ -286,13 +294,13 @@ func TestSelectRangeThreshold(t *testing.T) {
 	}
 }
 
-func TestDeletePhantomRefcounts(t *testing.T) {
+// TestDeletePhantomReachability is the phantom rule (§II-C): a deleted
+// tuple's base pdf lives on exactly while a derived tuple still reaches it,
+// and the collector frees it once none does.
+func TestDeletePhantomReachability(t *testing.T) {
 	tbl := sensorTable(t)
-	reg := tbl.Registry()
-	if reg.Len() != 3 {
-		t.Fatalf("base records = %d", reg.Len())
-	}
-	// Derive a table referencing sensor 1's pdf.
+	var f freed
+	f.watch(t, tbl, tbl.Tuples()...)
 	derived, err := tbl.Select(Cmp(Col("id"), region.EQ, LitI(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -300,36 +308,29 @@ func TestDeletePhantomRefcounts(t *testing.T) {
 	if derived.Len() != 1 {
 		t.Fatal("derivation missing")
 	}
-	// Delete sensor 1 from the base table: its pdf must survive as phantom.
-	n := tbl.Delete(func(tb *Table, tup *Tuple) bool {
-		v, _ := tb.Value(tup, "id")
-		return v.I == 1
-	})
-	if n != 1 || tbl.Len() != 2 {
+	sensor := func(id int64) func(*Table, *Tuple) bool {
+		return func(tb *Table, tup *Tuple) bool {
+			v, _ := tb.Value(tup, "id")
+			return v.I == id
+		}
+	}
+	if n := tbl.Delete(sensor(1)); n != 1 || tbl.Len() != 2 {
 		t.Fatalf("deleted %d, remaining %d", n, tbl.Len())
 	}
-	if reg.PhantomCount() != 1 {
-		t.Errorf("phantom count = %d, want 1", reg.PhantomCount())
+	if n := f.after(0); n != 0 {
+		t.Errorf("%d base pdfs freed while the derived tuple reaches sensor 1's", n)
 	}
-	if reg.Len() != 3 {
-		t.Errorf("record count = %d, want 3 (phantom kept)", reg.Len())
-	}
-	// Deleting the derived tuple drops the last reference.
+	// Deleting the derived tuple leaves nothing reaching the phantom.
 	derived.Delete(func(*Table, *Tuple) bool { return true })
-	if reg.Len() != 2 {
-		t.Errorf("record count after release = %d, want 2", reg.Len())
+	if n := f.after(1); n != 1 {
+		t.Errorf("after the derived tuple's delete: %d base pdfs freed, want 1", n)
 	}
-	if reg.PhantomCount() != 0 {
-		t.Errorf("phantoms = %d, want 0", reg.PhantomCount())
+	// Nothing derived reaches sensor 2: its delete frees its pdf.
+	tbl.Delete(sensor(2))
+	if n := f.after(2); n != 2 {
+		t.Errorf("after sensor 2's delete: %d base pdfs freed, want 2", n)
 	}
-	// Deleting an unreferenced base frees it immediately.
-	tbl.Delete(func(tb *Table, tup *Tuple) bool {
-		v, _ := tb.Value(tup, "id")
-		return v.I == 2
-	})
-	if reg.Len() != 1 {
-		t.Errorf("record count = %d, want 1", reg.Len())
-	}
+	runtime.KeepAlive(tbl)
 }
 
 func TestCrossProductErrors(t *testing.T) {

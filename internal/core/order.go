@@ -9,9 +9,6 @@ func (t *Table) Sorted(less func(tb *Table, a, b *Tuple) bool) *Table {
 	out := t.shallowDerived(t.Name)
 	out.tuples = append([]*Tuple(nil), t.tuples...)
 	sort.SliceStable(out.tuples, func(i, j int) bool { return less(t, out.tuples[i], out.tuples[j]) })
-	for _, tup := range out.tuples {
-		out.retainTuple(tup)
-	}
 	return out
 }
 
@@ -26,9 +23,6 @@ func (t *Table) Head(n int) *Table {
 	}
 	out := t.shallowDerived(t.Name)
 	out.tuples = append([]*Tuple(nil), t.tuples[:n]...)
-	for _, tup := range out.tuples {
-		out.retainTuple(tup)
-	}
 	return out
 }
 

@@ -58,9 +58,6 @@ type PDFNode struct {
 	// which base pdf and which of its dimensions. Variable identity is what
 	// lets joins recognize two derivations of the same base pdf (Fig. 3).
 	vars []varRef
-	// self is the base registry ID when this node was directly inserted
-	// (Definition 2: a fresh node is its own ancestor), 0 for derived nodes.
-	self NodeID
 	// pristine marks a node whose Dist is still exactly the registered base
 	// distribution — no floors applied — letting the dependent-product
 	// reconstruction skip a redundant floor-propagation pass.
@@ -98,9 +95,9 @@ type Table struct {
 	// execution are byte-identical — tuple order and floats included.
 	par int
 	// tid identifies the table for the registry's columnar-encoding cache.
-	// Base tables (NewTable) and transaction overlays (CloneInto) get a
-	// fresh nonzero identity; derived tables stay 0, meaning their
-	// encodings are per-batch scratch, never cached.
+	// Base tables (NewTable) get a fresh nonzero identity; derived tables
+	// and transaction overlays (Clone) stay 0, meaning their encodings are
+	// per-batch scratch, never cached.
 	tid uint64
 	// ver counts the table's DML mutations. It keys cached columnar
 	// encodings, so a cached block can never serve a table state it wasn't
@@ -213,38 +210,25 @@ func (t *Table) MemEstimate() int64 {
 }
 
 // Freeze returns an immutable copy-on-write snapshot of the table. The
-// snapshot shares the current tuple pointers (capped so no append can leak
-// into it) and pins every base pdf its tuples derive from with an extra
-// registry reference, so concurrent Deletes on the live table cannot free a
-// record a snapshot reader still needs. Callers must pair every Freeze with
-// exactly one ReleaseFrozen once no reader uses the snapshot. Delete
-// compacts into fresh slices (never in place) to keep frozen views intact.
+// snapshot shares the current tuple pointers, capped so no append can leak
+// into it; Delete compacts into fresh slices (never in place) to keep frozen
+// views intact. The tuples reach their base pdfs, so a snapshot keeps every
+// pdf it can read alive for as long as a reader holds it.
 func (t *Table) Freeze() *Table {
 	c := *t
 	c.tuples = t.tuples[:len(t.tuples):len(t.tuples)]
-	c.reg.retainTuples(c.tuples)
 	return &c
 }
 
-// ReleaseFrozen drops the registry references a Freeze took. Call it on the
-// frozen table exactly once, after the last reader is done.
-func (t *Table) ReleaseFrozen() { t.reg.releaseTuples(t.tuples) }
-
-// CloneInto returns a mutable copy of the table bound to reg — a clone
-// obtained from Registry.Clone of this table's registry. The copy owns a
-// fresh tuple slice, so Inserts and Deletes on it (which maintain refcounts
-// in reg, not the original registry) never disturb the original table. It
-// is the building block of transaction overlays.
-func (t *Table) CloneInto(reg *Registry) *Table {
-	c := *t
-	c.reg = reg
-	c.tuples = append([]*Tuple(nil), t.tuples...)
-	// A fresh identity: the clone mutates independently of the original, so
-	// sharing (tid, ver) cache keys would let one table's encodings serve
-	// the other's diverged state.
-	c.tid = newTableID()
-	c.ver = 0
-	return &c
+// Clone returns a mutable copy of the table — the building block of
+// transaction overlays. It shares the tuples copy-on-write, as Freeze does,
+// so Inserts and Deletes on it never disturb the original. Its encodings are
+// never cached: sharing the original's (tid, ver) keys would let one table's
+// encodings serve the other's diverged state.
+func (t *Table) Clone() *Table {
+	c := t.Freeze()
+	c.tid, c.ver = 0, 0
+	return c
 }
 
 // SetTrackHistory toggles history (Λ) maintenance for subsequently derived
@@ -351,9 +335,9 @@ type Row struct {
 // dimensionality matches; partial pdfs (0 < mass < 1) are allowed and mean
 // the tuple itself is uncertain (§II-B), but a pdf with no mass is rejected:
 // a tuple that exists with probability 0 is not stored. The whole row is
-// checked before any pdf is registered, so a rejected row leaves the
-// registry untouched. Each pdf is registered as a base pdf and becomes its
-// own ancestor (Definition 2). Insert keeps the row's distributions but not
+// checked before any pdf is registered, so a rejected row leaves nothing
+// behind. Each pdf is registered as a base pdf and becomes its own ancestor
+// (Definition 2). Insert keeps the row's distributions but not
 // its Values map or PDFs slice, which the caller may reuse for the next row.
 func (t *Table) Insert(row Row) error {
 	certain := make([]Value, t.schema.Len())
@@ -553,40 +537,14 @@ func (t *Table) shallowDerived(name string) *Table {
 	return d
 }
 
-// retainTuple bumps registry references for all ancestors of all nodes, for
-// a tuple being added to a derived table.
-func (t *Table) retainTuple(tup *Tuple) {
-	if !t.trackHistory {
-		return
-	}
-	for _, n := range tup.nodes {
-		t.reg.retain(n.Anc)
-	}
-}
-
 // View returns a derived table of the given tuples — rows of the receiver's
 // shape, such as an index probe's candidates or the batches an operator tree
-// produced — for the length of one statement. It takes no registry
-// references: the statement's catalog lock or snapshot pin keeps the base
-// pdfs alive, as for PrefixedView. The view keeps tups, which the caller must
-// not use afterwards.
+// produced. The view keeps tups and never writes to it, so the caller must
+// not write to it afterwards either.
 func (t *Table) View(name string, tups []*Tuple) *Table {
 	out := t.shallowDerived(name)
 	out.tuples = tups
 	out.settle()
-	return out
-}
-
-// Restrict returns a derived table holding the given tuples that owns them:
-// it may outlive the statement, so it takes one registry reference per
-// ancestor of every tuple, and the base pdfs stay alive — as phantoms once
-// their tuples are deleted — for as long as the process runs. Exec's result
-// table is built here; everything that ends with its statement is a View.
-func (t *Table) Restrict(name string, tups []*Tuple) *Table {
-	out := t.View(name, append([]*Tuple(nil), tups...))
-	if out.trackHistory {
-		out.reg.retainTuples(out.tuples)
-	}
 	return out
 }
 
@@ -619,6 +577,7 @@ func (t *Table) settle() {
 		}
 	}
 	tups := make([]Tuple, len(t.tuples))
+	ptrs := make([]*Tuple, len(t.tuples))
 	nodes := make([]*PDFNode, 0, len(t.tuples)*len(deps))
 	for i, tup := range t.tuples {
 		at := len(nodes)
@@ -628,9 +587,9 @@ func (t *Table) settle() {
 			}
 		}
 		tups[i] = Tuple{certain: tup.certain, nodes: nodes[at:len(nodes):len(nodes)]}
-		t.tuples[i] = &tups[i]
+		ptrs[i] = &tups[i]
 	}
-	t.deps = deps
+	t.tuples, t.deps = ptrs, deps
 }
 
 // Render formats the table for display: visible columns plus the marginal

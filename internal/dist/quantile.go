@@ -79,6 +79,44 @@ func Quantile(d Dist, q float64) float64 {
 	return search(cdf, target, sup.Lo, sup.Hi)
 }
 
+// QuantileGrid is a fixed probability grid whose quantiles are wanted for
+// many pdfs — an index's x-bounds. It computes the standard normal quantile
+// of each grid point once, which is where every Gaussian's quantile starts.
+type QuantileGrid struct {
+	q, z []float64
+}
+
+// NewQuantileGrid returns the grid of the given probabilities.
+func NewQuantileGrid(q ...float64) *QuantileGrid {
+	g := &QuantileGrid{q: q, z: make([]float64, len(q))}
+	for i, p := range q {
+		if p > 0 && p < 1 {
+			g.z[i] = numeric.NormalQuantile(p, 0, 1)
+		}
+	}
+	return g
+}
+
+// Quantiles writes Quantile(d, q) for each grid point q to out, which must
+// have one slot per point. A Gaussian starts each polish from µ + σ·z, the
+// very float Quantile starts from, so the results are Quantile's to the bit.
+func (g *QuantileGrid) Quantiles(d Dist, out []float64) {
+	sc, ok := d.(symCont)
+	gm, gauss := Gaussian{}, false
+	if ok {
+		gm, gauss = sc.m.(Gaussian)
+	}
+	cdf := func(x float64) float64 { return CDF(d, x) }
+	for i, p := range g.q {
+		if gauss && p > 0 && p < 1 {
+			x := gm.Mu + gm.Sigma*g.z[i]
+			out[i] = search(cdf, p, x, x)
+			continue
+		}
+		out[i] = Quantile(d, p)
+	}
+}
+
 // quantile is Quantile of a one-dimensional Discrete: the first support
 // point whose running mass — the very sum CDF's prefix walk produces —
 // reaches target. No polish: CDF is a step function that jumps there.

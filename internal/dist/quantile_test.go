@@ -145,3 +145,29 @@ func TestQuantileAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantileGridMatchesQuantile: the grid's Gaussian shortcut starts each
+// polish where Quantile does, so every family's grid quantiles are
+// Quantile's to the bit.
+func TestQuantileGridMatchesQuantile(t *testing.T) {
+	g := NewQuantileGrid(quantGridQ...)
+	out := make([]float64, len(quantGridQ))
+	ds := []Dist{
+		NewGaussian(0, 1), NewGaussian(-3.5, 1e-3), NewGaussianVar(47.1234, 35.9), NewGaussian(1e6, 250),
+		NewUniform(20, 31.5), NewExponential(0.7),
+		NewDiscrete([]float64{1, 2, 3.5}, []float64{0.25, 0.25, 0.125}),
+		NewGaussian(50, 4).Floor(0, region.Compare(region.LT, 49)),
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		ds = append(ds, NewGaussianVar(math.Round((20+60*r.Float64())*1e4)/1e4, 4+32*r.Float64()))
+	}
+	for _, d := range ds {
+		g.Quantiles(d, out)
+		for i, q := range quantGridQ {
+			if want := Quantile(d, q); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Fatalf("%v at %v: grid %v, Quantile %v", d, q, out[i], want)
+			}
+		}
+	}
+}

@@ -13,12 +13,16 @@ import (
 	"slices"
 
 	"probdb/internal/dist"
+	"probdb/internal/exec"
 )
 
 // quantGrid is the probability grid of the stored x-bounds. Conservative
 // pruning rounds the query threshold down to a grid point. It is symmetric
 // (quantGrid[len-1-i] = 1 - quantGrid[i]), which the upper-side prune uses.
 var quantGrid = [...]float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
+
+// xBounds computes quantGrid's x-bounds of a pdf.
+var xBounds = dist.NewQuantileGrid(quantGrid[:]...)
 
 // Item is one uncertain value to index.
 type Item struct {
@@ -56,11 +60,20 @@ type Index struct {
 }
 
 // Build constructs the index. Items' distributions must be 1-dimensional.
+// The entries' x-bounds, most of a build's cost, are computed in parallel:
+// each item fills its own slot, so the index is identical at any degree of
+// parallelism.
 func Build(items []Item) *Index {
-	es := make([]entry, 0, len(items))
 	for _, it := range items {
-		es = append(es, makeEntry(it))
+		checkDim(it)
 	}
+	es := make([]entry, len(items))
+	_ = exec.For(0, len(items), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			es[i] = makeEntry(items[i])
+		}
+		return nil
+	})
 	return buildFrom(es)
 }
 
@@ -82,16 +95,17 @@ func buildFrom(es []entry) *Index {
 	return ix
 }
 
-// makeEntry truncates the item's support and precomputes its x-bounds.
-func makeEntry(it Item) entry {
+func checkDim(it Item) {
 	if it.Dist.Dim() != 1 {
 		panic("index: requires one-dimensional distributions")
 	}
+}
+
+// makeEntry truncates the item's support and precomputes its x-bounds.
+func makeEntry(it Item) entry {
 	sup := dist.SupportInterval(it.Dist)
 	e := entry{rid: it.RID, lo: sup.Lo, hi: sup.Hi, d: it.Dist}
-	for i, q := range quantGrid {
-		e.leftQ[i] = dist.Quantile(it.Dist, q)
-	}
+	xBounds.Quantiles(it.Dist, e.leftQ[:])
 	return e
 }
 
@@ -99,6 +113,7 @@ func makeEntry(it Item) entry {
 // (with its x-bounds computed once, as at Build) and is immediately visible
 // to queries; a fragmentation-triggered rebuild folds it into the tree.
 func (ix *Index) Insert(it Item) {
+	checkDim(it)
 	e := makeEntry(it)
 	if ix.dead[e.rid] {
 		// Reusing a tombstoned RID revives it with the new pdf.

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -304,6 +305,21 @@ func TestPTIBuildAllocsDoNotScale(t *testing.T) {
 	b := testing.AllocsPerRun(3, func() { Build(large) })
 	if b-a > 4 {
 		t.Errorf("Build allocations: %v at 1 000 items, %v at 10 000", a, b)
+	}
+}
+
+// TestPTIBuildParallelIdentical: Build computes entries on every CPU, each
+// into its own slot, so the index is the one a sequential build lays out —
+// entries, x-bounds and segment maxima alike. CI runs it at -cpu=1,4.
+func TestPTIBuildParallelIdentical(t *testing.T) {
+	items := buildMixedItems(5000)
+	es := make([]entry, len(items))
+	for i, it := range items {
+		es[i] = makeEntry(it)
+	}
+	want, got := buildFrom(es), Build(items)
+	if !reflect.DeepEqual(got.entries, want.entries) || !reflect.DeepEqual(got.maxHi, want.maxHi) {
+		t.Fatal("parallel Build differs from the sequential layout")
 	}
 }
 

@@ -830,34 +830,18 @@ func Run(ctx context.Context, root Operator, emit func(hdr *core.Table, batch []
 	return nil
 }
 
-// Drain runs the tree and materializes its output as a table that owns its
-// rows (core.Table.Restrict): the one result that outlives its statement,
-// Exec's Result.
+// Drain runs the tree and materializes its output as a table
+// (core.Table.View): Exec's Result, an aggregate's input, EXPLAIN's rows.
 func Drain(ctx context.Context, root Operator) (*core.Table, error) {
-	hdr, tups, err := collect(ctx, root)
-	if err != nil {
-		return nil, err
-	}
-	return hdr.Restrict(hdr.Name, tups), nil
-}
-
-// DrainView runs the tree and gathers its output as a view
-// (core.Table.View), for the consumers done with it before their statement
-// ends — aggregates and EXPLAIN. It takes no registry references.
-func DrainView(ctx context.Context, root Operator) (*core.Table, error) {
-	hdr, tups, err := collect(ctx, root)
-	if err != nil {
-		return nil, err
-	}
-	return hdr.View(hdr.Name, tups), nil
-}
-
-// collect runs the tree and gathers its header and every row.
-func collect(ctx context.Context, root Operator) (hdr *core.Table, tups []*core.Tuple, err error) {
-	err = Run(ctx, root, func(h *core.Table, b []*core.Tuple) error {
+	var hdr *core.Table
+	var tups []*core.Tuple
+	err := Run(ctx, root, func(h *core.Table, b []*core.Tuple) error {
 		hdr = h
 		tups = append(tups, b...)
 		return nil
 	})
-	return hdr, tups, err
+	if err != nil {
+		return nil, err
+	}
+	return hdr.View(hdr.Name, tups), nil
 }

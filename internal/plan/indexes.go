@@ -143,14 +143,17 @@ func (ti *TableIndexes) Create(t *core.Table, col string) error {
 		return nil
 	}
 	ci := &certIndex{keyOf: make(map[int64]int64, t.Len()), dead: map[int64]bool{}}
+	loc := t.Locators()[t.Schema().Index(col)]
+	for _, tup := range t.Tuples() {
+		rowid := ti.rowid(tup)
+		if v := loc.Value(tup); v.Kind == core.IntValue {
+			ci.keyOf[rowid] = v.I
+		} else {
+			ci.spill = append(ci.spill, rowid) // rowids only grow: stays ascending
+		}
+	}
 	if err := ci.rebuild(); err != nil {
 		return err
-	}
-	for _, tup := range t.Tuples() {
-		v, _ := t.Value(tup, col)
-		if err := ci.insert(ti.rowid(tup), v); err != nil {
-			return err
-		}
 	}
 	ti.bt[col] = ci
 	return nil
@@ -335,20 +338,32 @@ func (ci *certIndex) compact() error {
 	}
 	ci.keyOf = live
 	ci.dead = map[int64]bool{}
-	if err := ci.rebuild(); err != nil {
-		return err
-	}
-	for rowid, key := range live {
-		if err := ci.tree.Insert(key, ridOf(rowid)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ci.rebuild()
 }
 
+// rebuild lays a fresh tree out over keyOf, bottom-up from its entries
+// sorted by key (rowid within a key).
 func (ci *certIndex) rebuild() error {
-	pool := storage.NewPool(storage.NewMemPager(), 1024)
-	tree, err := btree.Create(pool)
+	type entry struct{ key, rowid int64 }
+	es := make([]entry, 0, len(ci.keyOf))
+	for rowid, key := range ci.keyOf {
+		es = append(es, entry{key, rowid})
+	}
+	slices.SortFunc(es, func(a, b entry) int {
+		switch {
+		case a.key < b.key || a.key == b.key && a.rowid < b.rowid:
+			return -1
+		case a == b:
+			return 0
+		}
+		return 1
+	})
+	keys := make([]int64, len(es))
+	rids := make([]storage.RID, len(es))
+	for i, e := range es {
+		keys[i], rids[i] = e.key, ridOf(e.rowid)
+	}
+	tree, err := btree.Build(storage.NewPool(storage.NewMemPager(), 1024), keys, rids)
 	if err != nil {
 		return err
 	}

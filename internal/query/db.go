@@ -20,7 +20,7 @@ import (
 // and DML statements take the catalog's write lock, while SELECT, EXPLAIN
 // and the introspection statements run under the read lock, so concurrent
 // readers proceed in parallel and never observe a half-applied mutation
-// (the base-pdf registry below carries its own finer-grained lock).
+// (the base-pdf registry below mints IDs atomically and needs no lock).
 type DB struct {
 	mu     sync.RWMutex
 	reg    *core.Registry
@@ -41,9 +41,9 @@ func Open() *DB {
 }
 
 // OpenWith creates an empty database over an existing base-pdf registry.
-// The server uses it to build MVCC snapshot catalogs (frozen tables share
-// the authoritative registry) and transaction overlays (cloned tables over
-// a cloned registry).
+// The server uses it to build MVCC snapshot catalogs (frozen tables) and
+// transaction overlays (cloned tables), both over the authoritative
+// registry.
 func OpenWith(reg *core.Registry) *DB {
 	return &DB{
 		reg:     reg,
@@ -309,7 +309,7 @@ func (db *DB) execExplain(s Explain) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	shape, err := pipe.DrainView(context.Background(), root)
+	shape, err := pipe.Drain(context.Background(), root)
 	if err != nil {
 		return nil, err
 	}
@@ -370,10 +370,7 @@ func sqrt(v float64) float64 {
 // resolveRef looks up one FROM entry, applying the per-query parallelism
 // view and (for multi-table FROM lists) the "<alias-or-name>." column
 // prefix. The result is a view for the length of the statement: it shares
-// the catalog table's tuples and takes no registry references — the
-// statement's read lock (or the snapshot's Freeze pin) is what keeps their
-// base pdfs alive — so a join leaves nothing behind for a later DELETE to
-// trip over.
+// the catalog table's tuples.
 func (db *DB) resolveRef(ref TableRef, qualify bool) (*core.Table, error) {
 	t, ok := db.tables[ref.Name]
 	if !ok {
@@ -387,7 +384,7 @@ func (db *DB) resolveRef(ref TableRef, qualify bool) (*core.Table, error) {
 	if ref.Alias != "" {
 		prefix = ref.Alias
 	}
-	return t.PrefixedView(prefix + ".")
+	return t.Prefixed(prefix + ".")
 }
 
 // equiJoinKeys finds the first certain = certain WHERE condition with one

@@ -182,15 +182,14 @@ func TestEquiJoinKeysAgreeWithEqual(t *testing.T) {
 }
 
 // TestJoinTakesNoRegistryReferences: a join statement reads its FROM entries
-// as views, so once it has run, deleting the rows frees their base pdfs. The
-// renamed copies it used to make held a reference on every ancestor of every
-// input tuple, and nothing released them.
+// as views, so once it has run, deleting the rows leaves none of their base
+// pdfs reachable.
 func TestJoinTakesNoRegistryReferences(t *testing.T) {
 	db := Open()
 	pushdownFixture(t, db)
-	reg := db.Registry()
-	if reg.Len() != 60+13+4+2 || reg.PhantomCount() != 0 {
-		t.Fatalf("fixture: %d base pdfs, %d phantom", reg.Len(), reg.PhantomCount())
+	var f freed
+	if n := f.watchTables(t, db, "r", "s", "z", "e"); n != 60+13+4+2 {
+		t.Fatalf("fixture: %d base pdfs", n)
 	}
 	rows := 0
 	for _, q := range []string{
@@ -207,14 +206,12 @@ func TestJoinTakesNoRegistryReferences(t *testing.T) {
 	if rows == 0 {
 		t.Fatal("the joins returned nothing")
 	}
-	// Exec materializes its result, which pins the survivors' ancestors
-	// (ROADMAP 4(a)); a join whose pushed conjunct empties a side has none.
-	mustExec(t, db, `SELECT r.rid FROM r, s WHERE r.k = s.sid AND r.score < -1`)
+	mustExec(t, db, `SELECT r.rid FROM r, s WHERE r.k = s.sid AND r.score < 60`)
 	for _, tbl := range []string{"r", "s", "z", "e"} {
 		mustExec(t, db, `DELETE FROM `+tbl)
 	}
-	if reg.Len() != 0 || reg.PhantomCount() != 0 {
-		t.Errorf("after join and DELETE: %d base pdfs left, %d of them phantom", reg.Len(), reg.PhantomCount())
+	if n := f.after(79); n != 79 {
+		t.Errorf("after join and DELETE: %d of 79 base pdfs freed", n)
 	}
 }
 
@@ -222,7 +219,7 @@ func TestJoinTakesNoRegistryReferences(t *testing.T) {
 // cross floor over the pairs and a certain cut on the probe side — builds
 // pairs for the rows the cut keeps, not for the table: at a fixed number of
 // survivors it allocates the same at 2 000 and at 20 000 probe rows. A pair
-// built per probe row, or a registry reference per input tuple, shows up here
+// built per probe row, or a copy of every input tuple, shows up here
 // as tens of thousands.
 func TestJoinPairsFollowSurvivors(t *testing.T) {
 	allocs := func(n int) float64 {

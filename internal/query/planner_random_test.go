@@ -190,7 +190,7 @@ func TestCertainScanAllocsDoNotScale(t *testing.T) {
 // not per row — at 10 000 survivors at most eight allocations per extra
 // batch more than at 1 000 (five today: the threshold kernel's lane and
 // worker closure, the projection's two blocks, the filter's output). A
-// projection that rebuilds every tuple, a registry reference per row or a
+// projection that rebuilds every tuple, a copy of every row or a
 // wire.Row per row shows up here as thousands.
 func TestStreamedProjectionAllocsDoNotScale(t *testing.T) {
 	const sql = `SELECT rid FROM readings WHERE PROB(value IN [0, 100]) >= 0.5`

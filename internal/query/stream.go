@@ -23,26 +23,19 @@ import (
 //	                  → TopK(k) | Sort | Limit
 //	                  → Project (streams full batches, by column offset)
 //
-// Ownership: the tuples the tree produces share the base tables' pdf nodes
-// and take no registry references, which is sound while the statement holds
-// the catalog read lock or its snapshot's Freeze pin — ExecStream's sink,
-// an aggregate and EXPLAIN are all done before it ends. Only Exec's Result
-// table outlives its statement, so only Drain takes references.
+// Ownership: the tuples the tree produces share the base tables' pdf nodes,
+// which point at their base pdfs, so a result row keeps its history alive
+// however long the caller holds it and nothing is released by hand.
 
 // execSelect drains a SELECT's operator tree into a Result table. An
 // aggregate consumes its whole filtered input by definition, so its tree
-// ends at the filter stages and a view of the drained rows feeds
-// execAggregate.
+// ends at the filter stages and the drained rows feed execAggregate.
 func (db *DB) execSelect(s SelectStmt) (*Result, error) {
 	root, pr, err := db.buildSelectTree(s)
 	if err != nil {
 		return nil, err
 	}
-	drain := pipe.Drain
-	if s.Agg != "" {
-		drain = pipe.DrainView
-	}
-	acc, err := drain(context.Background(), root)
+	acc, err := pipe.Drain(context.Background(), root)
 	if err != nil {
 		return nil, err
 	}

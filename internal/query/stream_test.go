@@ -167,7 +167,7 @@ func TestExecStreamMatchesExec(t *testing.T) {
 	if res.Affected != want.Table.Len() {
 		t.Fatalf("Affected = %d, want %d", res.Affected, want.Table.Len())
 	}
-	if w, g := want.Table.Render(), hdr.Restrict(hdr.Name, got).Render(); w != g {
+	if w, g := want.Table.Render(), hdr.View(hdr.Name, got).Render(); w != g {
 		t.Fatalf("streamed rows differ:\nexec:\n%s\nstream:\n%s", w, g)
 	}
 	if n := pipe.OpenOperators(); n != 0 {
@@ -314,22 +314,19 @@ func TestOrderByNullsLast(t *testing.T) {
 	}
 }
 
-// TestStreamedSelectTakesNoRegistryReferences: streamed SELECTs — btree
-// point and range probes, a PTI probe, PROB and floor scans, projections
-// that keep partial pdfs as phantoms, ordering — and aggregates and EXPLAIN,
-// which end with their statement, take no registry references, so deleting
-// the rows afterwards frees every base pdf. The projection they ran through
-// (Restrict, then core.Project) took two references per ancestor per result
-// row and nothing released them.
+// TestStreamedSelectTakesNoRegistryReferences: every read shape — index
+// probes, PROB filters, floors, top-k, LIMIT, aggregates and EXPLAIN — leaves
+// nothing behind that reaches the rows it read, so deleting the rows
+// afterwards leaves none of their base pdfs reachable.
 func TestStreamedSelectTakesNoRegistryReferences(t *testing.T) {
 	db := Open()
 	plannerFixture(t, db)
 	mustExec(t, db, `ANALYZE sensors`)
 	mustExec(t, db, `CREATE INDEX ON sensors (sid)`)
 	mustExec(t, db, `CREATE INDEX ON sensors (temp)`)
-	reg := db.Registry()
-	if reg.Len() != 240 || reg.PhantomCount() != 0 {
-		t.Fatalf("fixture: %d base pdfs, %d phantom", reg.Len(), reg.PhantomCount())
+	var f freed
+	if n := f.watchTables(t, db, "sensors"); n != 240 {
+		t.Fatalf("fixture: %d base pdfs", n)
 	}
 	rows := 0
 	for _, q := range []string{
@@ -356,7 +353,7 @@ func TestStreamedSelectTakesNoRegistryReferences(t *testing.T) {
 	mustExec(t, db, `EXPLAIN SELECT sid FROM sensors WHERE temp < 25`)
 	mustExec(t, db, `EXPLAIN SELECT sid FROM sensors WHERE sid = 12`)
 	mustExec(t, db, `DELETE FROM sensors`)
-	if reg.Len() != 0 || reg.PhantomCount() != 0 {
-		t.Errorf("after the SELECTs and DELETE: %d base pdfs left, %d of them phantom", reg.Len(), reg.PhantomCount())
+	if n := f.after(240); n != 240 {
+		t.Errorf("after the SELECTs and DELETE: %d of 240 base pdfs freed", n)
 	}
 }

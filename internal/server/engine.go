@@ -210,12 +210,11 @@ type Engine struct {
 
 // engineSnap is one published MVCC snapshot: a read-only catalog of frozen
 // tables. refs (guarded by the engine's snapMu) counts the engine's own
-// reference plus one per in-flight reader; the frozen tables' pinned base
-// pdfs are released when it reaches zero.
+// reference plus one per in-flight reader; the budget charge is released
+// when it reaches zero.
 type engineSnap struct {
-	db     *query.DB
-	tables []*core.Table
-	refs   int
+	db   *query.DB
+	refs int
 	// charge is what this snapshot reserved against the server budget when
 	// built; released when the last reference drops.
 	charge int64
@@ -1051,25 +1050,21 @@ func (e *Engine) checkpointLocked() error {
 
 // snapshotLocked returns the current MVCC read snapshot with one reader
 // reference added, rebuilding it first if mutations invalidated it.
-// Freezing is a shallow per-table copy plus one registry pass that pins the
-// tuples' base pdfs; the caller scans without e.mu and must releaseSnap.
+// Freezing is a shallow per-table copy; the caller scans without e.mu and
+// must releaseSnap.
 func (e *Engine) snapshotLocked() *engineSnap {
 	if e.snap == nil || e.snapStale {
 		sdb := query.OpenWith(e.db.Registry())
 		sdb.SetParallelism(e.cfg.Parallelism)
-		var frozen []*core.Table
+		ns := &engineSnap{db: sdb, refs: 1}
 		for _, name := range e.db.TableNames() {
 			t, ok := e.db.Table(name)
 			if !ok {
 				continue
 			}
 			ft := t.Freeze()
-			frozen = append(frozen, ft)
-			sdb.Attach(ft) //nolint:errcheck // names are unique by construction
-		}
-		ns := &engineSnap{db: sdb, tables: frozen, refs: 1}
-		for _, ft := range frozen {
 			ns.charge += ft.MemEstimate()
+			sdb.Attach(ft) //nolint:errcheck // names are unique by construction
 		}
 		// Charge the frozen working set against the server budget. The
 		// snapshot is mandatory for correctness (an unindexed read has nowhere
@@ -1096,17 +1091,14 @@ func (e *Engine) snapshotLocked() *engineSnap {
 	return s
 }
 
-// releaseSnap drops one reference; the last one unpins the frozen tables'
-// base pdfs from the registry.
+// releaseSnap drops one reference; the last one releases the snapshot's
+// budget charge.
 func (e *Engine) releaseSnap(s *engineSnap) {
 	e.snapMu.Lock()
 	s.refs--
 	drop := s.refs == 0
 	e.snapMu.Unlock()
 	if drop {
-		for _, t := range s.tables {
-			t.ReleaseFrozen()
-		}
 		e.bud.Release(s.charge)
 	}
 }

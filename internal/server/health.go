@@ -84,12 +84,6 @@ type EngineHealth struct {
 	ColPDFHits   uint64
 	ColPDFMisses uint64
 	ColPDFShed   int64
-	// The history registry (§II-C): base pdfs alive, and how many of those
-	// are phantoms — records of deleted tuples kept for derived tables.
-	// Only a snapshot's pin keeps a phantom alive in a server, so between
-	// snapshot rebuilds the count returns to 0.
-	RegistryBase    int
-	RegistryPhantom int
 }
 
 // Health snapshots the engine's degradation state.
@@ -112,8 +106,6 @@ func (e *Engine) Health() EngineHealth {
 	h.ColPDFBytes = colenc.Bytes()
 	h.ColPDFHits, h.ColPDFMisses = colenc.Counters()
 	h.ColPDFShed = colenc.ShedTotal()
-	reg := e.db.Registry()
-	h.RegistryBase, h.RegistryPhantom = reg.Len(), reg.PhantomCount()
 	for name := range e.quarantine {
 		h.Quarantined = append(h.Quarantined, name)
 	}
@@ -149,7 +141,6 @@ func renderEngineHealth(b *strings.Builder, h EngineHealth) {
 	fmt.Fprintf(b, "tables: %d (generation %d), txn conflicts: %d\n", h.Tables, h.Generation, h.Conflicts)
 	fmt.Fprintf(b, "colpdf-cache: %d bytes, %d hits, %d misses, shed %d\n",
 		h.ColPDFBytes, h.ColPDFHits, h.ColPDFMisses, h.ColPDFShed)
-	fmt.Fprintf(b, "history registry: %d base pdfs, %d phantom\n", h.RegistryBase, h.RegistryPhantom)
 	if len(h.Quarantined) > 0 {
 		fmt.Fprintf(b, "quarantined: %s\n", strings.Join(h.Quarantined, ", "))
 	}

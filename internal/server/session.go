@@ -22,9 +22,9 @@ import (
 // the engine's own commit critical section.
 //
 // Transactions are snapshot-isolated with first-writer-wins conflict
-// detection. BEGIN clones the catalog into a private overlay (cloned tables
-// over a cloned base-pdf registry — cheap, sharing tuple pointers and
-// distributions) and records every table's commit version. In-transaction
+// detection. BEGIN clones the catalog into a private overlay (copy-on-write
+// table clones over the shared base-pdf registry — a slice header per
+// table) and records every table's commit version. In-transaction
 // INSERT/DELETE execute against the overlay (read-your-writes) and are
 // buffered as SQL; SELECT reads the overlay. COMMIT re-validates the
 // written tables' versions under the engine mutex — if another writer
@@ -164,12 +164,11 @@ func (s *Session) beginLocked() (*wire.Result, error) {
 	e := s.e
 	start := time.Now()
 	e.mu.Lock()
-	reg := e.db.Registry().Clone()
-	odb := query.OpenWith(reg)
+	odb := query.OpenWith(e.db.Registry())
 	odb.SetParallelism(e.cfg.Parallelism)
 	for _, name := range e.db.TableNames() {
 		if t, ok := e.db.Table(name); ok {
-			odb.Attach(t.CloneInto(reg)) //nolint:errcheck // names are unique
+			odb.Attach(t.Clone()) //nolint:errcheck // names are unique
 		}
 	}
 	versions := make(map[string]uint64, len(e.ver))
@@ -203,7 +202,7 @@ func (s *Session) abortedErrLocked() error {
 }
 
 // txnResultLocked packages an in-transaction statement outcome (no engine
-// counters: the overlay's scratch registry isn't the tracked one).
+// counters: an overlay statement does no I/O and writes no WAL).
 func (s *Session) txnResultLocked(start time.Time, qr *query.Result) *wire.Result {
 	res := statementResult(start, qr)
 	res.InTxn = true

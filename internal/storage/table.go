@@ -40,15 +40,15 @@ func SaveTable(t *core.Table, heap *Heap) error {
 		return err
 	}
 	deps := t.DepSets()
-	cols := t.Schema().Columns()
+	locs := t.Locators()
+	// One buffer serves every record: the heap copies each into its page.
+	var rec []byte
 	for _, tup := range t.Tuples() {
-		rec := []byte{formatVersion}
-		for _, c := range cols {
-			if c.Uncertain {
-				continue
+		rec = append(rec[:0], formatVersion)
+		for _, l := range locs {
+			if !l.Uncertain() {
+				rec = appendValue(rec, l.Value(tup))
 			}
-			v, _ := t.Value(tup, c.Name)
-			rec = appendValue(rec, v)
 		}
 		for i := range deps {
 			rec = dist.AppendEncode(rec, t.DepDist(tup, i))

@@ -198,7 +198,22 @@ func TestLoadSharesRegistry(t *testing.T) {
 	if a.Registry() != reg {
 		t.Error("registry not shared")
 	}
-	if reg.Len() == 0 {
+	// Every loaded pdf is a base pdf of reg: its own only ancestor, with an
+	// ID of its own.
+	seen := map[core.NodeID]bool{}
+	for _, tup := range a.Tuples() {
+		for _, set := range a.DepSets() {
+			n, err := a.NodeOf(tup, set[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(n.Anc) != 1 || seen[n.Anc[0]] {
+				t.Fatalf("loaded pdf has history %v", n.Anc)
+			}
+			seen[n.Anc[0]] = true
+		}
+	}
+	if len(seen) == 0 {
 		t.Error("loaded pdfs should be registered as bases")
 	}
 }
