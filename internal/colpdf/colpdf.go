@@ -117,6 +117,9 @@ type Block struct {
 	// thresholds vectorize regardless of family.
 	mass []float64
 	runs []Run
+	// stats is StatsIn over the whole block, computed once when the block is
+	// built: the filter kernels report it for every batch they evaluate.
+	stats RangeStats
 }
 
 // Len returns the number of tuples encoded.
@@ -248,6 +251,7 @@ func Encode(dists []dist.Dist, dim int, mass []float64) *Block {
 			cur.FB = append(cur.FB, d)
 		}
 	}
+	b.stats = b.rangeStats(0, b.n)
 	return b
 }
 
@@ -260,8 +264,17 @@ type RangeStats struct {
 	FamMask       uint16
 }
 
-// StatsIn computes RangeStats for the tuple range [from, to).
+// StatsIn returns RangeStats for the tuple range [from, to). The whole block
+// is answered from the stats computed when it was built.
 func (b *Block) StatsIn(from, to int) RangeStats {
+	if from == 0 && to == b.n {
+		return b.stats
+	}
+	return b.rangeStats(from, to)
+}
+
+// rangeStats walks the runs overlapping [from, to).
+func (b *Block) rangeStats(from, to int) RangeStats {
 	var s RangeStats
 	for i := range b.runs {
 		r := &b.runs[i]

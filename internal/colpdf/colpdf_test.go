@@ -273,6 +273,25 @@ func TestStatsInAndFamilyNames(t *testing.T) {
 	if s = b.StatsIn(5, 5); s != (RangeStats{}) {
 		t.Errorf("empty range stats = %+v", s)
 	}
+	// The whole block is answered from the stats Encode computed, which
+	// equal a fresh walk of the runs, and a decoded block carries the same.
+	if whole, walked := b.StatsIn(0, b.Len()), b.rangeStats(0, b.Len()); whole != walked {
+		t.Errorf("whole-block stats %+v, run walk %+v", whole, walked)
+	}
+	buf, err := Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Unmarshal(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dec.StatsIn(0, dec.Len()), b.StatsIn(0, b.Len()); got != want {
+		t.Errorf("decoded block stats %+v, encoded %+v", got, want)
+	}
+	if got := Encode(nil, 0, nil).StatsIn(0, 0); got != (RangeStats{}) {
+		t.Errorf("empty block stats = %+v", got)
+	}
 }
 
 // TestEncodeOverflowParamsStayScalar: parameters outside the codec's decode

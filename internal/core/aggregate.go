@@ -98,18 +98,9 @@ func (t *Table) AggregateCount(opts AggOptions) (dist.Dist, error) {
 		return dist.Unit(0), nil
 	}
 	if n+1 <= opts.MaxExactSupport {
-		// DP over P[count = k].
-		pk := make([]float64, n+1)
-		pk[0] = 1
-		for _, p := range probs {
-			for k := len(pk) - 1; k >= 1; k-- {
-				pk[k] = pk[k]*(1-p) + pk[k-1]*p
-			}
-			pk[0] *= 1 - p
-		}
 		vals := make([]float64, 0, n+1)
 		masses := make([]float64, 0, n+1)
-		for k, p := range pk {
+		for k, p := range poissonBinomial(probs) {
 			if p > 0 {
 				vals = append(vals, float64(k))
 				masses = append(masses, p)
@@ -126,6 +117,39 @@ func (t *Table) AggregateCount(opts AggOptions) (dist.Dist, error) {
 		return dist.Unit(mean), nil
 	}
 	return dist.NewGaussian(mean, math.Sqrt(variance)), nil
+}
+
+// poissonBinomial returns P[count = k] for k = 0..len(probs), by dynamic
+// programming over the rows' existence probabilities. A row that exists for
+// certain only shifts the array up by one, exactly (x·0 + y·1 = y, and every
+// entry is ≥ +0), and a row with probability 0 changes nothing, so only the
+// uncertain rows run the quadratic update and the certain ones shift the
+// result once at the end. Each update stops at the rows folded in so far: the
+// entries above are still zero, and stay zero bit for bit.
+func poissonBinomial(probs []float64) []float64 {
+	pk := make([]float64, len(probs)+1)
+	pk[0] = 1
+	certain, m := 0, 0
+	for _, p := range probs {
+		if p == 1 {
+			certain++
+			continue
+		}
+		if p == 0 {
+			continue
+		}
+		q := 1 - p
+		m++
+		for k := m; k >= 1; k-- {
+			pk[k] = pk[k]*q + pk[k-1]*p
+		}
+		pk[0] *= q
+	}
+	if certain > 0 {
+		copy(pk[certain:], pk[:m+1])
+		clear(pk[:certain])
+	}
+	return pk
 }
 
 // AggregateAvg returns the distribution of (Σ attr)/N with N the table's

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"probdb/internal/dist"
 	"probdb/internal/exec"
@@ -42,6 +43,10 @@ type Selection struct {
 	planDep      []int
 	floors       []floorOp
 	crosses      []crossOp
+	// depFloors[dep] lists the floors on output set dep (indexes into floors,
+	// in written order), and floorDeps the sets that have any.
+	depFloors [][]int
+	floorDeps []int
 
 	// cursor tracks where the next streamed batch is expected to start in
 	// the input table, so EvalBatch can serve cached columnar encodings.
@@ -155,10 +160,19 @@ func (t *Table) PlanSelect(atoms ...Atom) (*Selection, error) {
 			crosses = append(crosses, crossOp{dep: ldep, ldim: ldim, rdim: rdim, op: c.atom.Op})
 		}
 	}
+	depFloors := make([][]int, len(out.deps))
+	var floorDeps []int
+	for fi, f := range floors {
+		if len(depFloors[f.dep]) == 0 {
+			floorDeps = append(floorDeps, f.dep)
+		}
+		depFloors[f.dep] = append(depFloors[f.dep], fi)
+	}
 	return &Selection{
 		in: t, out: out,
 		cls: cls, certain: certain, promotedCols: promotedCols, plans: plans,
 		oldToNew: oldToNew, planDep: planDep, floors: floors, crosses: crosses,
+		depFloors: depFloors, floorDeps: floorDeps,
 	}, nil
 }
 
@@ -180,7 +194,7 @@ func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 			return nil, nil
 		}
 	}
-	if s.vectorizable() {
+	if s.filtersOnly() && len(s.floors) == 0 {
 		for _, n := range tup.nodes {
 			if n.Dist.Mass() <= 0 {
 				return nil, nil
@@ -240,20 +254,26 @@ func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 // Report returns the kernel's evaluation summary for EXPLAIN and stats.
 func (s *Selection) Report() KernelReport { return s.stats.report(s.out.Name) }
 
-// vectorizable reports whether the selection passes tuples through
-// structurally unchanged: no merges, promotions, floors, or cross floors
-// (oldToNew is the identity). Such selections are certain filters plus the
-// zero-mass check, which the columnar mass lane answers without touching any
-// pdf, and their survivors are the input tuples themselves.
-func (s *Selection) vectorizable() bool {
-	return len(s.plans) == 0 && len(s.floors) == 0 && len(s.crosses) == 0 && len(s.promotedCols) == 0
+// filtersOnly reports whether the selection is certain filters and floors
+// only — no merge plans (hence no promotions) and no cross atoms — so the
+// output dependency sets are the input's, and a batch can be evaluated to
+// pending masses before any tuple is built (pending.go).
+func (s *Selection) filtersOnly() bool {
+	return len(s.plans) == 0 && len(s.crosses) == 0
 }
 
-// EvalBatch evaluates one streamed batch, writing the produced tuple (or
-// nil for a filtered one) into slots[i] for in[i]. Batches arrive in table
-// order from the pipelined executor, so a sequential cursor locates them in
-// the input table for encoding-cache reuse.
-func (s *Selection) EvalBatch(in []*Tuple, par int, slots []*Tuple) error {
+// MassesFirst reports whether EvalBatch evaluates batches to pending masses
+// and builds only the survivors, so that a consumer reading only masses can
+// take them from EvalPending instead. Otherwise (merges, cross atoms, or the
+// scalar reference forced by SetVectorizedKernels(false)) every tuple goes
+// through Eval.
+func (s *Selection) MassesFirst() bool { return VectorizedKernels() && s.filtersOnly() }
+
+// batchOffset locates a streamed batch in the input table for encoding-cache
+// reuse: batches arrive in table order from the pipelined executor, so a
+// sequential cursor finds them. It returns -1 for a batch that is not a
+// slice of the table.
+func (s *Selection) batchOffset(in []*Tuple) int {
 	at := -1
 	if s.in.batchAt(s.cursor, in) {
 		at = s.cursor
@@ -263,18 +283,26 @@ func (s *Selection) EvalBatch(in []*Tuple, par int, slots []*Tuple) error {
 	if at >= 0 {
 		s.cursor = at + len(in)
 	}
-	return s.evalBatchAt(in, at, par, slots)
+	return at
+}
+
+// EvalBatch evaluates one streamed batch, writing the produced tuple (or
+// nil for a filtered one) into slots[i] for in[i]. p is the caller's
+// scratch, reused across batches.
+func (s *Selection) EvalBatch(in []*Tuple, par int, p *Pending, slots []*Tuple) error {
+	return s.evalBatchAt(in, s.batchOffset(in), par, p, slots)
 }
 
 // evalBatchAt is the batch body shared by EvalBatch and the whole-table
 // driver RunSelection, which passes the batch offset explicitly (at < 0
-// means "not a table slice").
-func (s *Selection) evalBatchAt(in []*Tuple, at, par int, slots []*Tuple) error {
+// means "not a table slice"): pending masses, then the survivors built, or
+// Eval per tuple when the masses cannot come first.
+func (s *Selection) evalBatchAt(in []*Tuple, at, par int, p *Pending, slots []*Tuple) error {
 	n := len(in)
 	if n == 0 {
 		return nil
 	}
-	if !VectorizedKernels() || !s.vectorizable() {
+	if !s.MassesFirst() {
 		s.stats.scalar.Add(uint64(n))
 		return exec.For(par, n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
@@ -287,43 +315,10 @@ func (s *Selection) evalBatchAt(in []*Tuple, at, par int, slots []*Tuple) error 
 			return nil
 		})
 	}
-	// Pass-through: a compare per atom and a mass read per dependency set,
-	// run inline — spawning workers for a 256-row compare loop costs more
-	// than the loop — and the survivors are the input tuples themselves.
-	t := s.in
-	if t.tid == 0 || at < 0 || len(t.deps) == 0 {
-		// Not a slice of a cached table (an index probe's candidates, a
-		// derived table) or nothing to encode: Eval reads the masses a mass
-		// lane would hold, rather than encoding a scratch block only to
-		// read its mass lane. It cannot fail on this path.
-		s.stats.vec.Add(uint64(n * max(len(t.deps), 1)))
-		for i, tup := range in {
-			slots[i], _ = s.Eval(tup)
-		}
-		return nil
+	if err := s.evalPendingAt(in, at, par, p); err != nil {
+		return err
 	}
-	for i, tup := range in {
-		slots[i] = tup
-		for ci := range s.certain {
-			if !s.certain[ci].eval(tup) {
-				slots[i] = nil
-				break
-			}
-		}
-	}
-	// The zero-mass check over the (unchanged) nodes, answered from the
-	// cached mass lanes, which hold each node's Dist.Mass(). Node order
-	// does not matter: a tuple drops iff any node's mass is ≤ 0.
-	for di := range t.deps {
-		b := t.colBlockFor(di, 0, at, in)
-		s.stats.note(b.StatsIn(0, n), true)
-		for i, m := range b.Mass()[:n] {
-			if m <= 0 {
-				slots[i] = nil
-			}
-		}
-	}
-	return nil
+	return s.build(in, p, par, slots)
 }
 
 // probKind distinguishes the two probability-value selections: a tuple
@@ -381,22 +376,29 @@ func (t *Table) PlanProbSelect(attrs []string, op region.Op, p float64) *ProbSel
 		kind:  probMass,
 		attrs: append([]string(nil), attrs...),
 	}
-	seen := map[int]bool{}
+	ps.deps, ps.resolveErr = t.ProbDeps(attrs...)
+	return ps
+}
+
+// ProbDeps resolves Pr(attrs) against the table: the distinct dependency
+// sets of its uncertain columns in first-occurrence order, the order
+// Table.Prob multiplies their masses in (certain columns contribute 1). It
+// fails on an unknown column, as Prob does.
+func (t *Table) ProbDeps(attrs ...string) ([]int, error) {
+	var deps []int
 	for _, a := range attrs {
 		col, ok := t.schema.Lookup(a)
 		if !ok {
-			ps.resolveErr = fmt.Errorf("core: unknown column %q", a)
-			break
+			return nil, fmt.Errorf("core: unknown column %q", a)
 		}
 		if !col.Uncertain {
 			continue
 		}
-		if di := t.depOf(t.idOf(a)); !seen[di] {
-			seen[di] = true
-			ps.deps = append(ps.deps, di)
+		if di := t.depOf(t.idOf(a)); !slices.Contains(deps, di) {
+			deps = append(deps, di)
 		}
 	}
-	return ps
+	return deps, nil
 }
 
 // PlanRangeThreshold compiles "keep tuples with Pr(attr ∈ [lo, hi]) op p".

@@ -45,12 +45,12 @@ func (t *Table) RunSelection(sel *Selection) (*Table, error) {
 	// Morsel-parallel evaluation into index-aligned slots, then in-order
 	// assembly of the survivors: parallel output is byte-identical to
 	// sequential output (same tuples, same floats, same order). The
-	// vectorized driver morsels over encoding-aligned batches so workers
+	// pending-mass driver morsels over encoding-aligned batches so workers
 	// share cached columnar blocks; the scalar reference walks tuples.
 	slots := make([]*Tuple, len(t.tuples))
-	if VectorizedKernels() && sel.vectorizable() {
+	if sel.MassesFirst() {
 		err = forColBatches(t.par, len(t.tuples), func(from, to int) error {
-			return sel.evalBatchAt(t.tuples[from:to], from, 1, slots[from:to])
+			return sel.evalBatchAt(t.tuples[from:to], from, 1, &Pending{}, slots[from:to])
 		})
 	} else {
 		sel.stats.scalar.Add(uint64(len(t.tuples)))

@@ -1,0 +1,249 @@
+package core
+
+import (
+	"probdb/internal/colpdf"
+	"probdb/internal/dist"
+	"probdb/internal/exec"
+)
+
+// This file is the batch body of a selection made of certain filters and
+// floors (Selection.MassesFirst): probabilities before tuples. A floor stays
+// symbolic (§III-A), so the probability it leaves is one CDF of the unfloored
+// pdf over the kept region, and a batch is first evaluated to pending masses
+// — which rows survive and, per dependency set, the mass its pdf keeps —
+// without building a floored pdf, a node or a tuple. Consumers that read
+// only masses (ORDER BY PROB … LIMIT k in internal/pipe) rank on them and
+// build only the rows they keep; everything else builds the survivors of
+// each batch in slabs.
+
+// Pending is one batch evaluated to pending masses. It is the caller's
+// scratch, reused across batches; its contents are valid until the next
+// evaluation into it.
+type Pending struct {
+	keep []bool
+	mass [][]float64 // per output dependency set, per row (valid where keep)
+	rows []int       // rows whose mass dist.FloorMass computes
+	idx  []int       // survivor positions, for build
+}
+
+// Kept reports whether row i of the batch survives the selection.
+func (p *Pending) Kept(i int) bool { return p.keep[i] }
+
+// Mass returns the mass row i's pdf of output dependency set dep keeps
+// after the floors: the Dist.Mass() of the node Eval would build.
+func (p *Pending) Mass(dep, i int) float64 { return p.mass[dep][i] }
+
+func (p *Pending) reset(n, deps int) {
+	if cap(p.keep) < n {
+		p.keep = make([]bool, n)
+	}
+	p.keep = p.keep[:n]
+	if len(p.mass) < deps {
+		p.mass = make([][]float64, deps)
+	}
+	for di := range p.mass[:deps] {
+		if cap(p.mass[di]) < n {
+			p.mass[di] = make([]float64, n)
+		}
+		p.mass[di] = p.mass[di][:n]
+	}
+}
+
+// EvalPending evaluates one streamed batch to pending masses into p. The
+// selection must be MassesFirst.
+func (s *Selection) EvalPending(in []*Tuple, par int, p *Pending) error {
+	return s.evalPendingAt(in, s.batchOffset(in), par, p)
+}
+
+// evalPendingAt evaluates the batch at offset at of the input table (at < 0:
+// not a table slice). The certain filters run inline. A set with no floor
+// reads the mass lane of its cached block. A set with one single-interval
+// floor reads the block's closed-form lanes (Gaussian, Uniform, Exponential:
+// colpdf's transcription of the CDF difference newFloored sums) and sends
+// every other run through dist.FloorMass. Several floors on one set, a keep
+// region of several intervals, and an uncached input (an index probe's
+// candidates, a transaction overlay) go through dist.FloorMass per row, after
+// building all but the set's last floor. A row survives when it passes the
+// certain filters and every set keeps positive mass, exactly when Eval
+// returns a tuple.
+func (s *Selection) evalPendingAt(in []*Tuple, at, par int, p *Pending) error {
+	n := len(in)
+	t := s.in
+	p.reset(n, len(t.deps))
+	for i, tup := range in {
+		p.keep[i] = true
+		for ci := range s.certain {
+			if !s.certain[ci].eval(tup) {
+				p.keep[i] = false
+				break
+			}
+		}
+	}
+	cached := t.tid != 0 && at >= 0
+	if len(t.deps) == 0 {
+		s.stats.vec.Add(uint64(n))
+	}
+	for di := range t.deps {
+		m := p.mass[di]
+		fl := s.depFloors[di]
+		p.rows = p.rows[:0]
+		switch {
+		case len(fl) == 0 && cached:
+			b := t.colBlockFor(di, 0, at, in)
+			copy(m, b.Mass()[:n])
+			s.stats.note(b.StatsIn(0, n), true)
+		case len(fl) == 0:
+			for i, tup := range in {
+				m[i] = tup.nodes[di].Dist.Mass()
+			}
+			s.stats.vec.Add(uint64(n))
+		case len(fl) == 1 && cached && len(s.floors[fl[0]].keep.Intervals()) == 1:
+			f := s.floors[fl[0]]
+			b := t.colBlockFor(di, f.dim, at, in)
+			iv := f.keep.Intervals()[0]
+			for r := 0; r < b.NumRuns(); r++ {
+				run := b.RunAt(r)
+				switch run.Fam {
+				case colpdf.FamGaussian, colpdf.FamUniform, colpdf.FamExponential:
+					b.EvalIntervalRun(r, 0, n, iv, m, 0)
+				default:
+					p.keptRows(run.Start, run.Start+run.N)
+				}
+			}
+			if err := s.floorMasses(in, p, di, par); err != nil {
+				return err
+			}
+			rs := b.StatsIn(0, n)
+			s.stats.note(colpdf.RangeStats{Vec: n - len(p.rows), Fallback: len(p.rows), Runs: rs.Runs, FamMask: rs.FamMask}, false)
+		default:
+			p.keptRows(0, n)
+			if err := s.floorMasses(in, p, di, par); err != nil {
+				return err
+			}
+			s.stats.scalar.Add(uint64(n))
+		}
+	}
+	for i := range in {
+		for di := 0; p.keep[i] && di < len(t.deps); di++ {
+			if p.mass[di][i] <= 0 {
+				p.keep[i] = false
+			}
+		}
+	}
+	return nil
+}
+
+// keptRows appends to p.rows the rows in [lo, hi) that pass the certain
+// filters.
+func (p *Pending) keptRows(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if p.keep[i] {
+			p.rows = append(p.rows, i)
+		}
+	}
+}
+
+// floorMasses fills the pending mass of set di for the rows p.rows lists,
+// through dist.FloorMass: the set's floors but the last are built (as Eval
+// builds them, in written order), the last is not.
+func (s *Selection) floorMasses(in []*Tuple, p *Pending, di, par int) error {
+	fl := s.depFloors[di]
+	last := s.floors[fl[len(fl)-1]]
+	m, rows := p.mass[di], p.rows
+	if len(rows) == 0 {
+		return nil
+	}
+	return exec.For(par, len(rows), func(a, b int) error {
+		for _, i := range rows[a:b] {
+			d := in[i].nodes[di].Dist
+			for _, fi := range fl[:len(fl)-1] {
+				d = d.Floor(s.floors[fi].dim, s.floors[fi].keep)
+			}
+			m[i] = dist.FloorMass(d, last.dim, last.keep)
+		}
+		return nil
+	})
+}
+
+// build writes the survivors of a pending batch into slots (nil for the rows
+// that drop). A selection with no floor changes no tuple, so its survivors
+// are the input tuples themselves. Otherwise the batch's survivors are built
+// exactly as Eval builds them — the same certain values, the input's nodes
+// with each floored set's pdf floored in written order — out of three slabs
+// per batch (their tuples, node pointers and floored nodes), so a batch costs
+// three allocations plus one floored pdf per floored set per survivor. A
+// slab lives as long as any of its rows: operators that keep a few rows of a
+// batch past the batch (Limit, TopK) copy them out with Detach.
+func (s *Selection) build(in []*Tuple, p *Pending, par int, slots []*Tuple) error {
+	p.idx = p.idx[:0]
+	for i, tup := range in {
+		slots[i] = nil
+		if p.keep[i] {
+			if len(s.floors) == 0 {
+				slots[i] = tup
+			}
+			p.idx = append(p.idx, i)
+		}
+	}
+	m := len(p.idx)
+	if len(s.floors) == 0 || m == 0 {
+		return nil
+	}
+	d, fd := len(s.out.deps), len(s.floorDeps)
+	tups := make([]Tuple, m)
+	ptrs := make([]*PDFNode, m*d)
+	nodes := make([]PDFNode, m*fd)
+	return exec.For(par, m, func(lo, hi int) error {
+		for j := lo; j < hi; j++ {
+			tup := in[p.idx[j]]
+			np := ptrs[j*d : (j+1)*d : (j+1)*d]
+			copy(np, tup.nodes)
+			for k, di := range s.floorDeps {
+				src := tup.nodes[di]
+				pd := src.Dist
+				if fl := s.depFloors[di]; len(fl) == 1 {
+					// The pending mass is this floor's: build it around it.
+					pd = dist.FloorWithMass(pd, s.floors[fl[0]].dim, s.floors[fl[0]].keep, p.mass[di][p.idx[j]])
+				} else {
+					for _, fi := range fl {
+						pd = pd.Floor(s.floors[fi].dim, s.floors[fi].keep)
+					}
+				}
+				nodes[j*fd+k] = PDFNode{Dist: pd, Anc: src.Anc, vars: src.vars}
+				np[di] = &nodes[j*fd+k]
+			}
+			tups[j] = Tuple{certain: tup.certain, nodes: np}
+			slots[p.idx[j]] = &tups[j]
+		}
+		return nil
+	})
+}
+
+// Detach returns copies of tups that share no allocation with any tuple
+// outside them: the same certain values and pdf nodes (node contents copied,
+// pdfs shared), in four allocations for the lot. A tuple built in a batch
+// slab keeps every row of that batch alive, so an operator that keeps a few
+// rows of a batch past the batch detaches them, and the rest of the batch —
+// with the base pdfs its rows reach — becomes garbage.
+func Detach(tups []*Tuple) []*Tuple {
+	d := 0
+	for _, tup := range tups {
+		d += len(tup.nodes)
+	}
+	ts := make([]Tuple, len(tups))
+	ptrs := make([]*PDFNode, d)
+	nodes := make([]PDFNode, d)
+	out := make([]*Tuple, len(tups))
+	k := 0
+	for i, tup := range tups {
+		np := ptrs[k : k+len(tup.nodes) : k+len(tup.nodes)]
+		for j, n := range tup.nodes {
+			nodes[k+j] = *n
+			np[j] = &nodes[k+j]
+		}
+		k += len(tup.nodes)
+		ts[i] = Tuple{certain: tup.certain, nodes: np}
+		out[i] = &ts[i]
+	}
+	return out
+}

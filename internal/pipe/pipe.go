@@ -16,6 +16,7 @@ package pipe
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -154,15 +155,17 @@ func (s *Scan) Close() error {
 	return nil
 }
 
-// Filter applies a compiled Selection kernel batch by batch. Within a batch
-// the evaluation is morsel-parallel into index-aligned slots, compacted in
-// order — the same discipline Table.Select uses over the whole table, so
-// the surviving tuples and their floats are bitwise identical.
+// Filter applies a compiled Selection kernel batch by batch: pending masses,
+// then the survivors built (core/pending.go). Within a batch the evaluation
+// is morsel-parallel into index-aligned slots, compacted in order — the same
+// discipline Table.Select uses over the whole table, so the surviving tuples
+// and their floats are bitwise identical.
 type Filter struct {
 	base
 	child Operator
 	sel   *core.Selection
 	par   int
+	pend  core.Pending  // reused across Next calls
 	slots []*core.Tuple // reused across Next calls; compacted into the output
 }
 
@@ -194,7 +197,7 @@ func (f *Filter) Next() ([]*core.Tuple, error) {
 			f.slots = make([]*core.Tuple, len(in))
 		}
 		slots := f.slots[:len(in)]
-		if err := f.sel.EvalBatch(in, f.par, slots); err != nil {
+		if err := f.sel.EvalBatch(in, f.par, &f.pend, slots); err != nil {
 			return nil, err
 		}
 		out := slots[:0]
@@ -207,6 +210,23 @@ func (f *Filter) Next() ([]*core.Tuple, error) {
 			return out, nil
 		}
 	}
+}
+
+// nextPending pulls the child's next batch and evaluates it to pending
+// masses only, building nothing: the input batch (nil when exhausted) and
+// its masses, valid until the next call. The selection must be MassesFirst.
+func (f *Filter) nextPending() ([]*core.Tuple, *core.Pending, error) {
+	if err := f.ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	in, err := f.child.Next()
+	if err != nil || in == nil {
+		return nil, nil, err
+	}
+	if err := f.sel.EvalPending(in, f.par, &f.pend); err != nil {
+		return nil, nil, err
+	}
+	return in, &f.pend, nil
 }
 
 func (f *Filter) Close() error {
@@ -499,7 +519,11 @@ func (l *Limit) Next() ([]*core.Tuple, error) {
 		return nil, nil
 	}
 	if len(in) >= l.n {
-		in = in[:l.n]
+		if len(in) > l.n {
+			// The rest of the batch is dropped: copy the kept rows out of
+			// their batch's slabs, which would keep it all alive.
+			in = core.Detach(in[:l.n])
+		}
 		l.done = true
 	}
 	l.n -= len(in)
@@ -575,12 +599,21 @@ func (o ordering) sorted(es []keyed) []*core.Tuple {
 // breaker that drains its child holding only the k best tuples seen, then
 // emits them in order. The output equals a stable full sort followed by
 // Head(k), tuple for tuple.
+//
+// Ordered by PROB(cols) directly above a Filter whose batches evaluate to
+// pending masses, it ranks the input rows on those masses — the key is the
+// product Table.Prob takes, and only surviving rows count as arrivals — and
+// the selection builds just the k rows left in the heap once the input is
+// drained.
 type TopK struct {
 	base
 	ordering
 	buffered
 	child Operator
 	k     int
+	// probCols are the PROB(...) arguments when the order is by
+	// probability (NewProbTopK), nil otherwise.
+	probCols []string
 
 	// h is a max-heap under before: the root is the worst of the k best,
 	// the one a better arrival evicts.
@@ -590,6 +623,23 @@ type TopK struct {
 // NewTopK wraps child with a bounded top-k heap ordered by key.
 func NewTopK(child Operator, k int, key func(*core.Tuple) (core.OrderKey, error), desc bool) *TopK {
 	return &TopK{child: child, k: k, ordering: ordering{key: key, desc: desc}}
+}
+
+// NewProbTopK wraps child with a bounded top-k heap ordered by PROB(cols).
+func NewProbTopK(child Operator, k int, cols []string, desc bool) *TopK {
+	t := NewTopK(child, k, ProbKey(child.Header(), cols), desc)
+	t.probCols = cols
+	return t
+}
+
+// ProbKey is the ORDER BY PROB(cols) key over rows of hdr's shape: the
+// row's Pr(cols), computed once per arriving row; an unknown column fails
+// the query on the first row.
+func ProbKey(hdr *core.Table, cols []string) func(*core.Tuple) (core.OrderKey, error) {
+	return func(tup *core.Tuple) (core.OrderKey, error) {
+		p, err := hdr.Prob(tup, cols...)
+		return core.FloatKey(p), err
+	}
 }
 
 // down restores the heap below a replaced root.
@@ -622,6 +672,11 @@ func (t *TopK) Open(ctx context.Context) error {
 		return nil // LIMIT 0: like Limit, never pull the child
 	}
 	cost := t.child.Header().TupleCost() + keyedBytes
+	if f, ok := t.child.(*Filter); ok && t.probCols != nil && f.sel.MassesFirst() {
+		if deps, err := f.sel.Out().ProbDeps(t.probCols...); err == nil {
+			return t.openPending(f, deps, cost)
+		}
+	}
 	seq := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -640,35 +695,85 @@ func (t *TopK) Open(ctx context.Context) error {
 				return err
 			}
 			seq++
-			if len(t.h) == t.k {
-				// A full heap rejects on one key comparison: the arrival is
-				// the latest so far, so it evicts the root only with a
-				// strictly better key.
-				if key.Before(t.h[0].key, t.desc) {
-					t.h[0] = keyed{key: key, tup: tup, seq: seq}
-					t.down()
-				}
-				continue
-			}
-			// The heap is bounded by k, but k itself can be huge: charge
-			// each slot as it first fills (replacement reuses the slot, no
-			// new charge).
-			if err := t.charge(cost); err != nil {
+			if err := t.offer(keyed{key: key, tup: tup, seq: seq}, cost); err != nil {
 				return err
-			}
-			t.h = append(t.h, keyed{key: key, tup: tup, seq: seq})
-			for i := len(t.h) - 1; i > 0; {
-				p := (i - 1) / 2
-				if !t.before(&t.h[p], &t.h[i]) {
-					break
-				}
-				t.h[p], t.h[i] = t.h[i], t.h[p]
-				i = p
 			}
 		}
 	}
+	// The heap's rows come from up to k batches: copy them out of their
+	// batches' slabs, which would keep every other row of them alive.
+	t.out = core.Detach(t.sorted(t.h))
+	t.h = nil
+	return nil
+}
+
+// openPending drains a Filter by pending masses: the heap holds input rows
+// keyed by the mass product over deps (Table.Prob's order, from 1), and the
+// selection builds only the k rows left in it.
+func (t *TopK) openPending(f *Filter, deps []int, cost int64) error {
+	seq := 0
+	for {
+		in, pend, err := f.nextPending()
+		if err != nil {
+			return err
+		}
+		if in == nil {
+			break
+		}
+		for i, tup := range in {
+			if !pend.Kept(i) {
+				continue
+			}
+			p := 1.0
+			for _, di := range deps {
+				p *= pend.Mass(di, i)
+			}
+			seq++
+			if err := t.offer(keyed{key: core.FloatKey(p), tup: tup, seq: seq}, cost); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range t.h {
+		nt, err := f.sel.Eval(t.h[i].tup)
+		if err != nil {
+			return err
+		}
+		if nt == nil {
+			return fmt.Errorf("pipe: internal: a pending survivor of %s did not survive", f.sel.Out().Name)
+		}
+		t.h[i].tup = nt
+	}
 	t.out = t.sorted(t.h)
 	t.h = nil
+	return nil
+}
+
+// offer puts one arrival to the heap. A full heap rejects on one key
+// comparison: the arrival is the latest so far, so it evicts the root only
+// with a strictly better key. The heap is bounded by k, but k itself can be
+// huge: each slot is charged as it first fills (replacement reuses the
+// slot, no new charge).
+func (t *TopK) offer(e keyed, cost int64) error {
+	if len(t.h) == t.k {
+		if e.key.Before(t.h[0].key, t.desc) {
+			t.h[0] = e
+			t.down()
+		}
+		return nil
+	}
+	if err := t.charge(cost); err != nil {
+		return err
+	}
+	t.h = append(t.h, e)
+	for i := len(t.h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !t.before(&t.h[p], &t.h[i]) {
+			break
+		}
+		t.h[p], t.h[i] = t.h[i], t.h[p]
+		i = p
+	}
 	return nil
 }
 

@@ -128,3 +128,48 @@ func TestExecResultKeepsItsRowsUntilDropped(t *testing.T) {
 		t.Errorf("after dropping the result: %d of 40 base pdfs freed", n)
 	}
 }
+
+// TestHeldLimitedResultFreesTheRestOfItsBatch: a floor builds its batch's
+// survivors in shared slabs, so a held result keeping a few rows of a batch
+// — LIMIT, ORDER BY a certain column LIMIT k, ORDER BY PROB LIMIT k — must
+// not keep the rest of the batch reachable: after a DELETE, the base pdf of
+// every row the result does not hold is freed.
+func TestHeldLimitedResultFreesTheRestOfItsBatch(t *testing.T) {
+	for _, c := range []struct {
+		sql  string
+		keep int
+	}{
+		{`SELECT rid, x FROM t WHERE x < 50 LIMIT 1`, 1},
+		{`SELECT rid, x FROM t WHERE x < 50 ORDER BY rid DESC LIMIT 2`, 2},
+		{`SELECT rid, x FROM t WHERE x < 50 ORDER BY PROB(x) DESC LIMIT 3`, 3},
+	} {
+		db := Open()
+		mustExec(t, db, `CREATE TABLE t (rid INT, x FLOAT UNCERTAIN)`)
+		var b strings.Builder
+		b.WriteString(`INSERT INTO t (rid, x) VALUES `)
+		for i := 0; i < 40; i++ {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%d, GAUSSIAN(%d, 4))", i, 30+i)
+		}
+		mustExec(t, db, b.String())
+		var f freed
+		f.watchTables(t, db, "t")
+		res := mustExec(t, db, c.sql)
+		if res.Table.Len() != c.keep {
+			t.Fatalf("%s: %d rows, want %d", c.sql, res.Table.Len(), c.keep)
+		}
+		mustExec(t, db, `DELETE FROM t`)
+		if n, want := f.after(int64(40-c.keep)), int64(40-c.keep); n != want {
+			t.Errorf("%s held: %d base pdfs freed, want the %d rows it does not hold", c.sql, n, want)
+		}
+		if got := res.Table.Render(); strings.Count(got, "x=") != c.keep {
+			t.Errorf("%s: the held result lost rows:\n%s", c.sql, got)
+		}
+		res = nil
+		if n := f.after(40); n != 40 {
+			t.Errorf("%s dropped: %d of 40 base pdfs freed", c.sql, n)
+		}
+	}
+}

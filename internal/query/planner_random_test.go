@@ -159,11 +159,12 @@ func TestIndexedSelectAllocsDoNotScale(t *testing.T) {
 
 // TestCertainScanAllocsDoNotScale: a certain-column scan into a bounded heap
 // and one into an aggregate allocate the same at 2 000 and at 20 000 rows,
-// give or take the doublings of the buffers that hold the survivors.
-// Per-batch scratch is allowed; anything per row or per survivor shows up
-// here as thousands.
+// give or take the doublings of the buffers that hold the survivors. So does
+// a top-k by PROB over a floor, which ranks pending masses and builds only
+// its k rows. Per-batch scratch is allowed; anything per row or per survivor
+// shows up here as thousands.
 func TestCertainScanAllocsDoNotScale(t *testing.T) {
-	allocs := func(n int) (topk, count float64) {
+	allocs := func(n int) (topk, count, topkProb float64) {
 		db := indexedReadings(t, n, false)
 		run := func(sql string) float64 {
 			return testing.AllocsPerRun(20, func() {
@@ -173,15 +174,19 @@ func TestCertainScanAllocsDoNotScale(t *testing.T) {
 			})
 		}
 		return run(`SELECT rid, score FROM readings WHERE score < 500 ORDER BY score DESC LIMIT 10`),
-			run(`SELECT COUNT(*) FROM readings WHERE score < 100`)
+			run(`SELECT COUNT(*) FROM readings WHERE score < 100`),
+			run(`SELECT rid FROM readings WHERE value < 50 ORDER BY PROB(value) DESC LIMIT 10`)
 	}
-	smallTopK, smallCount := allocs(2000)
-	bigTopK, bigCount := allocs(20000)
+	smallTopK, smallCount, smallProb := allocs(2000)
+	bigTopK, bigCount, bigProb := allocs(20000)
 	if d := bigTopK - smallTopK; d > 8 || d < -8 {
 		t.Errorf("top-k scan: %v allocs at 2 000 rows, %v at 20 000", smallTopK, bigTopK)
 	}
 	if d := bigCount - smallCount; d > 8 || d < -8 {
 		t.Errorf("COUNT(*) scan: %v allocs at 2 000 rows, %v at 20 000", smallCount, bigCount)
+	}
+	if d := bigProb - smallProb; d > 8 || d < -8 {
+		t.Errorf("top-k by PROB over a floor: %v allocs at 2 000 rows, %v at 20 000", smallProb, bigProb)
 	}
 }
 

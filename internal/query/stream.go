@@ -366,7 +366,9 @@ func addOrderStages(root pipe.Operator, s SelectStmt) (pipe.Operator, error) {
 		if err != nil {
 			return root, err
 		}
-		if s.Limit != nil {
+		if s.Limit != nil && s.OrderProb {
+			root = pipe.NewProbTopK(root, *s.Limit, []string{s.OrderCol}, s.OrderDesc)
+		} else if s.Limit != nil {
 			root = pipe.NewTopK(root, *s.Limit, key, s.OrderDesc)
 		} else {
 			root = pipe.NewSort(root, key, s.OrderDesc)
@@ -397,10 +399,7 @@ func addProjection(root pipe.Operator, cols []string) (pipe.Operator, error) {
 // query on the first bad tuple.
 func orderKey(t *core.Table, s SelectStmt) (func(*core.Tuple) (core.OrderKey, error), error) {
 	if s.OrderProb {
-		return func(tup *core.Tuple) (core.OrderKey, error) {
-			p, err := t.Prob(tup, s.OrderCol)
-			return core.FloatKey(p), err
-		}, nil
+		return pipe.ProbKey(t, []string{s.OrderCol}), nil
 	}
 	col, ok := t.Schema().Lookup(s.OrderCol)
 	if !ok {

@@ -382,12 +382,8 @@ func DecodeResult(payload []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for ri := 0; ri < nrows; ri++ {
-		row, err := d.row(len(t.Cols))
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, row)
+	if t.Rows, err = d.rows(nrows, len(t.Cols)); err != nil {
+		return nil, err
 	}
 	if d.off != len(d.buf) {
 		return nil, d.err("%d trailing bytes", len(d.buf)-d.off)
@@ -435,48 +431,66 @@ func (d *rdecoder) rowCount(ncols int) (int, error) {
 	return nrows, nil
 }
 
-// row parses one row of ncols cells.
-func (d *rdecoder) row(ncols int) (Row, error) {
-	row := Row{Cells: make([]Cell, ncols)}
+// rows parses nrows rows of ncols cells into one presized slice. The rows'
+// cells are cut from one slab with full-slice expressions, so an append to
+// one row's cells reallocates rather than overwriting the next row's.
+func (d *rdecoder) rows(nrows, ncols int) ([]Row, error) {
+	if nrows == 0 {
+		return nil, nil
+	}
+	rows := make([]Row, nrows)
+	cells := make([]Cell, nrows*ncols)
+	for i := range rows {
+		lo, hi := i*ncols, (i+1)*ncols
+		if err := d.row(&rows[i], cells[lo:hi:hi]); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// row parses one row into row, its cells into cells.
+func (d *rdecoder) row(row *Row, cells []Cell) error {
+	row.Cells = cells
 	var err error
 	if row.Exists, err = d.float(); err != nil {
-		return Row{}, err
+		return err
 	}
-	for i := range row.Cells {
+	for i := range cells {
 		kind, err := d.byte()
 		if err != nil {
-			return Row{}, err
+			return err
 		}
 		switch CellKind(kind) {
 		case CellValue:
-			if row.Cells[i].Value, err = d.value(); err != nil {
-				return Row{}, err
+			if cells[i].Value, err = d.value(); err != nil {
+				return err
 			}
-			row.Cells[i].Kind = CellValue
+			cells[i].Kind = CellValue
 		case CellPDF:
 			n, err := d.count(MaxPayload)
 			if err != nil {
-				return Row{}, err
+				return err
 			}
 			if n > len(d.buf)-d.off {
-				return Row{}, d.err("pdf length %d exceeds buffer", n)
+				return d.err("pdf length %d exceeds buffer", n)
 			}
 			pd, used, err := dist.Decode(d.buf[d.off : d.off+n])
 			if err != nil {
-				return Row{}, fmt.Errorf("wire: pdf: %w", err)
+				return fmt.Errorf("wire: pdf: %w", err)
 			}
 			if used != n {
-				return Row{}, d.err("pdf has %d trailing bytes", n-used)
+				return d.err("pdf has %d trailing bytes", n-used)
 			}
 			d.off += n
-			row.Cells[i] = Cell{Kind: CellPDF, PDF: pd}
+			cells[i] = Cell{Kind: CellPDF, PDF: pd}
 		case CellNone:
-			row.Cells[i].Kind = CellNone
+			cells[i].Kind = CellNone
 		default:
-			return Row{}, d.err("unknown cell kind %d", kind)
+			return d.err("unknown cell kind %d", kind)
 		}
 	}
-	return row, nil
+	return nil
 }
 
 // Value wire tags (certain cells).

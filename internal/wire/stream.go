@@ -155,12 +155,8 @@ func DecodeRowBatch(payload []byte) (*RowBatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < nrows; i++ {
-		row, err := d.row(ncols)
-		if err != nil {
-			return nil, err
-		}
-		b.Rows = append(b.Rows, row)
+	if b.Rows, err = d.rows(nrows, ncols); err != nil {
+		return nil, err
 	}
 	if d.off != len(d.buf) {
 		return nil, d.err("%d trailing bytes", len(d.buf)-d.off)
