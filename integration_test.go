@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"probdb/internal/btree"
 	"probdb/internal/core"
 	"probdb/internal/index"
 	"probdb/internal/query"
@@ -176,55 +175,4 @@ func mustExec(t *testing.T, db *query.DB, sql string) *query.Result {
 func mustExecf(t *testing.T, db *query.DB, format string, args ...any) *query.Result {
 	t.Helper()
 	return mustExec(t, db, fmt.Sprintf(format, args...))
-}
-
-// TestBTreeOverReadingsHeap builds a B+-tree keyed by rid over a persisted
-// readings heap and checks point lookups against a full scan.
-func TestBTreeOverReadingsHeap(t *testing.T) {
-	heap := storage.NewHeap(storage.NewPool(storage.NewMemPager(), 32))
-	gen := workload.NewGen(1001)
-	for _, rd := range gen.Readings(5000) {
-		if _, err := heap.Append(workload.EncodeReading(rd)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	idxPool := storage.NewPool(storage.NewMemPager(), 32)
-	tree, err := btree.Create(idxPool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := heap.Scan(func(r storage.RID, rec []byte) error {
-		rd, err := workload.DecodeReading(rec)
-		if err != nil {
-			return err
-		}
-		return tree.Insert(rd.RID, r)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []int64{0, 1, 2500, 4999} {
-		rids, err := tree.Get(want)
-		if err != nil || len(rids) != 1 {
-			t.Fatalf("Get(%d) = %v, %v", want, rids, err)
-		}
-		rec, err := heap.Get(rids[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd, err := workload.DecodeReading(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rd.RID != want {
-			t.Fatalf("looked up rid %d, got %d", want, rd.RID)
-		}
-	}
-	// Range scan over the index covers a contiguous rid band.
-	n := 0
-	if err := tree.Range(100, 199, func(int64, storage.RID) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 100 {
-		t.Errorf("range matched %d, want 100", n)
-	}
 }

@@ -340,29 +340,63 @@ type Row struct {
 // (Definition 2). Insert keeps the row's distributions but not
 // its Values map or PDFs slice, which the caller may reuse for the next row.
 func (t *Table) Insert(row Row) error {
+	return t.InsertRows(1, func(int) (Row, error) { return row, nil })
+}
+
+// InsertRows inserts a statement's n rows, all or nothing: row(i) supplies
+// the i-th, and every row is laid out and checked before any is stored, so
+// a rejected row, or an error from row, leaves the table as it was. The
+// stored rows move the DML version once. Like Insert it keeps no Values map
+// or PDFs slice, so row may hand out the same ones each time.
+func (t *Table) InsertRows(n int, row func(i int) (Row, error)) error {
+	k := len(t.deps)
+	certain := make([][]Value, n)
+	pdfs := make([]dist.Dist, n*k)
+	for i := range certain {
+		r, err := row(i)
+		if err == nil {
+			certain[i], err = t.layout(r, pdfs[i*k:(i+1)*k])
+		}
+		if err == nil {
+			err = t.check(certain[i], pdfs[i*k:(i+1)*k])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	for i, c := range certain {
+		t.store(c, pdfs[i*k:(i+1)*k])
+	}
+	t.bumpVersion()
+	return nil
+}
+
+// layout maps a row into table order: it returns one value per schema
+// column and fills pdfs with one distribution per dependency set, in
+// DepSets order.
+func (t *Table) layout(row Row, pdfs []dist.Dist) ([]Value, error) {
 	certain := make([]Value, t.schema.Len())
 	for name, v := range row.Values {
 		i := t.schema.Index(name)
 		if i < 0 {
-			return fmt.Errorf("core: insert into %s: unknown column %q", t.Name, name)
+			return nil, fmt.Errorf("core: insert into %s: unknown column %q", t.Name, name)
 		}
 		certain[i] = v
 	}
-	pdfs := make([]dist.Dist, len(t.deps))
 	for _, p := range row.PDFs {
 		di := t.matchDepSet(p.Attrs)
 		if di < 0 {
-			return fmt.Errorf("core: insert into %s: %v does not match a dependency set (Δ = %v)", t.Name, p.Attrs, t.DepSets())
+			return nil, fmt.Errorf("core: insert into %s: %v does not match a dependency set (Δ = %v)", t.Name, p.Attrs, t.DepSets())
 		}
 		if pdfs[di] != nil {
-			return fmt.Errorf("core: insert into %s: dependency set %v assigned twice", t.Name, p.Attrs)
+			return nil, fmt.Errorf("core: insert into %s: dependency set %v assigned twice", t.Name, p.Attrs)
 		}
 		if p.Dist == nil {
-			return fmt.Errorf("core: insert into %s: nil distribution for %v", t.Name, p.Attrs)
+			return nil, fmt.Errorf("core: insert into %s: nil distribution for %v", t.Name, p.Attrs)
 		}
 		pdfs[di] = p.Dist
 	}
-	return t.insert(certain, pdfs)
+	return certain, nil
 }
 
 // InsertValues is Insert by position, for a loader that reads rows in the
@@ -375,13 +409,18 @@ func (t *Table) InsertValues(certain []Value, pdfs []dist.Dist) error {
 		return fmt.Errorf("core: insert into %s: %d values and %d pdfs for %d columns and %d dependency sets",
 			t.Name, len(certain), len(pdfs), t.schema.Len(), len(t.deps))
 	}
-	return t.insert(append([]Value(nil), certain...), pdfs)
+	if err := t.check(certain, pdfs); err != nil {
+		return err
+	}
+	t.store(append([]Value(nil), certain...), pdfs)
+	t.bumpVersion()
+	return nil
 }
 
-// insert checks the row — no value at an uncertain column, and one pdf per
-// dependency set, present, of the set's dimensionality, with mass — then
-// registers the pdfs and appends the tuple, which keeps certain.
-func (t *Table) insert(certain []Value, pdfs []dist.Dist) error {
+// check checks a row in table layout: no value at an uncertain column, and
+// one pdf per dependency set, present, of the set's dimensionality, with
+// mass.
+func (t *Table) check(certain []Value, pdfs []dist.Dist) error {
 	for i, c := range t.schema.Columns() {
 		if c.Uncertain && !certain[i].IsNull() {
 			return fmt.Errorf("core: insert into %s: column %q is uncertain; supply a PDF", t.Name, c.Name)
@@ -400,13 +439,17 @@ func (t *Table) insert(certain []Value, pdfs []dist.Dist) error {
 			return fmt.Errorf("core: insert into %s: distribution for %v has mass %v; a tuple needs existence probability > 0", t.Name, names, m)
 		}
 	}
+	return nil
+}
+
+// store registers a checked row's pdfs and appends the tuple, which keeps
+// certain.
+func (t *Table) store(certain []Value, pdfs []dist.Dist) {
 	nodes := make([]*PDFNode, len(pdfs))
 	for di, d := range pdfs {
 		nodes[di] = t.reg.registerNode(d)
 	}
 	t.tuples = append(t.tuples, &Tuple{certain: certain, nodes: nodes})
-	t.bumpVersion()
-	return nil
 }
 
 // matchDepSet returns the index of the dependency set whose names equal

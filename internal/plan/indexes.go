@@ -5,18 +5,16 @@ import (
 	"math"
 	"slices"
 
-	"probdb/internal/btree"
 	"probdb/internal/core"
 	"probdb/internal/index"
 	"probdb/internal/region"
-	"probdb/internal/storage"
 )
 
 // TableIndexes is the access-path state of one table: a PTI per indexed
-// uncertain column, a btree per indexed certain column, and the stable
-// rowid identity that ties index entries to tuples across DML. All methods
-// follow the catalog's locking discipline — probes under the read lock,
-// maintenance under the write lock.
+// uncertain column, a sorted key index (the "btree" access path) per indexed
+// certain column, and the stable rowid identity that ties index entries to
+// tuples across DML. All methods follow the catalog's locking discipline —
+// probes under the read lock, maintenance under the write lock.
 //
 // Rowids are assigned in base-table order: Create walks t.Tuples() front to
 // back, INSERT appends to the tail and takes the next rowid, and
@@ -33,16 +31,28 @@ type TableIndexes struct {
 	next  int64
 }
 
-// certIndex is a btree access path over a certain column. Only integer
-// values become btree keys; rows whose value is NULL or non-integer land on
-// the spill list and are candidates for every probe (candidates must be a
-// superset — the residual predicate re-verifies them). Deletes tombstone;
-// crossing the same fragmentation threshold as the PTI triggers a rebuild.
+// certIndex is the btree access path over a certain column: one slice of
+// (key, rowid) entries sorted by key, then rowid, so a key range is one
+// contiguous run. Only integer values become keys; rows whose value is NULL
+// or non-integer land on the spill list and are candidates for every probe
+// (candidates must be a superset — the residual predicate re-verifies them).
 type certIndex struct {
-	tree  *btree.Tree
-	keyOf map[int64]int64 // rowid -> key, for rebuild enumeration
-	spill []int64         // ascending rowids indexed outside the tree
-	dead  map[int64]bool  // tombstoned rowids still present in the tree
+	loc     core.Locator // the column, read again to find a deleted row's entry
+	entries []certEntry  // sorted by (key, rowid)
+	spill   []int64      // ascending rowids of the rows without a key
+}
+
+type certEntry struct{ key, rowid int64 }
+
+// compareEntries orders entries by key, then rowid.
+func compareEntries(a, b certEntry) int {
+	switch {
+	case a.key < b.key || a.key == b.key && a.rowid < b.rowid:
+		return -1
+	case a == b:
+		return 0
+	}
+	return 1
 }
 
 // NewTableIndexes creates an empty index set.
@@ -65,13 +75,6 @@ func (ti *TableIndexes) rowid(tup *core.Tuple) int64 {
 	ti.tupOf[ti.next] = tup
 	return ti.next
 }
-
-// ridOf packs a rowid into the btree's payload type.
-func ridOf(rowid int64) storage.RID {
-	return storage.RID{Page: storage.PageID(rowid >> 16), Slot: uint16(rowid & 0xffff)}
-}
-
-func rowidOf(r storage.RID) int64 { return int64(r.Page)<<16 | int64(r.Slot) }
 
 // Has reports whether any index exists on the column.
 func (ti *TableIndexes) Has(col string) bool {
@@ -142,19 +145,16 @@ func (ti *TableIndexes) Create(t *core.Table, col string) error {
 		ti.pti[col] = index.Build(items)
 		return nil
 	}
-	ci := &certIndex{keyOf: make(map[int64]int64, t.Len()), dead: map[int64]bool{}}
-	loc := t.Locators()[t.Schema().Index(col)]
+	ci := &certIndex{loc: t.Locators()[t.Schema().Index(col)], entries: make([]certEntry, 0, t.Len())}
 	for _, tup := range t.Tuples() {
 		rowid := ti.rowid(tup)
-		if v := loc.Value(tup); v.Kind == core.IntValue {
-			ci.keyOf[rowid] = v.I
+		if v := ci.loc.Value(tup); v.Kind == core.IntValue {
+			ci.entries = append(ci.entries, certEntry{v.I, rowid})
 		} else {
 			ci.spill = append(ci.spill, rowid) // rowids only grow: stays ascending
 		}
 	}
-	if err := ci.rebuild(); err != nil {
-		return err
-	}
+	slices.SortFunc(ci.entries, compareEntries)
 	ti.bt[col] = ci
 	return nil
 }
@@ -172,11 +172,8 @@ func (ti *TableIndexes) NoteInsert(t *core.Table, tup *core.Tuple) error {
 		}
 		ix.Insert(index.Item{RID: id, Dist: d})
 	}
-	for col, ci := range ti.bt {
-		v, _ := t.Value(tup, col)
-		if err := ci.insert(id, v); err != nil {
-			return err
-		}
+	for _, ci := range ti.bt {
+		ci.insert(id, ci.loc.Value(tup))
 	}
 	return nil
 }
@@ -196,9 +193,7 @@ func (ti *TableIndexes) NoteDelete(tup *core.Tuple) error {
 		ix.Delete(id)
 	}
 	for _, ci := range ti.bt {
-		if err := ci.delete(id); err != nil {
-			return err
-		}
+		ci.delete(id, ci.loc.Value(tup))
 	}
 	return nil
 }
@@ -228,15 +223,14 @@ func (ti *TableIndexes) ProbeBTree(col string, op region.Op, v core.Value) ([]in
 
 // ProbeKeys scans the column's btree over the inclusive key range [lo, hi]
 // (empty when lo > hi) and returns, in ascending rowid order, a candidate
-// superset of the rows whose value lies in it: the live tree entries plus
+// superset of the rows whose value lies in it: the entries in range plus
 // every spilled row. The caller re-verifies with the residual predicate.
 func (ti *TableIndexes) ProbeKeys(col string, lo, hi int64) ([]int64, bool) {
 	ci, ok := ti.bt[col]
 	if !ok {
 		return nil, false
 	}
-	cand, err := ci.probe(lo, hi)
-	return cand, err == nil
+	return ci.probe(lo, hi), true
 }
 
 // Restrict maps an ascending candidate list to its tuples, which by the
@@ -254,7 +248,9 @@ func (ti *TableIndexes) Restrict(_ *core.Table, cand []int64) []*core.Tuple {
 
 // Check verifies the rowid bookkeeping against the indexed table: rowOf and
 // tupOf are inverses covering exactly t's tuples, rowids ascend in
-// t.Tuples() order, and every index holds one live entry per tuple.
+// t.Tuples() order, and every index holds one entry per tuple — a btree's
+// sorted by (key, rowid), each under its row's value, and its spill list
+// ascending and keyless.
 func (ti *TableIndexes) Check(t *core.Table) error {
 	if len(ti.pti) == 0 && len(ti.bt) == 0 {
 		return nil
@@ -279,11 +275,31 @@ func (ti *TableIndexes) Check(t *core.Table) error {
 		}
 	}
 	for col, ci := range ti.bt {
-		if n := len(ci.keyOf) - len(ci.dead) + len(ci.spill); n != t.Len() {
+		if n := len(ci.entries) + len(ci.spill); n != t.Len() {
 			return fmt.Errorf("plan: btree(%s) holds %d entries for %d tuples", col, n, t.Len())
 		}
-		if !slices.IsSorted(ci.spill) {
-			return fmt.Errorf("plan: btree(%s) spill list is not ascending", col)
+		// keyOf reads a row's key; ok is false for an unknown rowid.
+		keyOf := func(id int64) (v core.Value, ok bool) {
+			if tup := ti.tupOf[id]; tup != nil {
+				return ci.loc.Value(tup), true
+			}
+			return v, false
+		}
+		for i, e := range ci.entries {
+			if i > 0 && compareEntries(ci.entries[i-1], e) >= 0 {
+				return fmt.Errorf("plan: btree(%s) entry %d %v does not follow %v in (key, rowid) order", col, i, e, ci.entries[i-1])
+			}
+			if v, ok := keyOf(e.rowid); !ok || v.Kind != core.IntValue || v.I != e.key {
+				return fmt.Errorf("plan: btree(%s) entry %v does not match its row (known %v, value %v)", col, e, ok, v)
+			}
+		}
+		for i, id := range ci.spill {
+			if i > 0 && ci.spill[i-1] >= id {
+				return fmt.Errorf("plan: btree(%s) spill list is not ascending at %d", col, i)
+			}
+			if v, ok := keyOf(id); !ok || v.Kind == core.IntValue {
+				return fmt.Errorf("plan: btree(%s) spills row %d (known %v), whose value %v has a key", col, id, ok, v)
+			}
 		}
 	}
 	return nil
@@ -303,91 +319,44 @@ func (ti *TableIndexes) Rebuild(t *core.Table) error {
 	return nil
 }
 
-func (ci *certIndex) insert(rowid int64, v core.Value) error {
-	delete(ci.dead, rowid)
+func (ci *certIndex) insert(rowid int64, v core.Value) {
 	if v.Kind != core.IntValue {
 		ci.spill = append(ci.spill, rowid) // rowids only grow: stays ascending
-		return nil
+		return
 	}
-	ci.keyOf[rowid] = v.I
-	return ci.tree.Insert(v.I, ridOf(rowid))
+	e := certEntry{v.I, rowid}
+	i, _ := slices.BinarySearchFunc(ci.entries, e, compareEntries)
+	ci.entries = slices.Insert(ci.entries, i, e)
 }
 
-func (ci *certIndex) delete(rowid int64) error {
-	if i, ok := slices.BinarySearch(ci.spill, rowid); ok {
-		ci.spill = slices.Delete(ci.spill, i, i+1)
-		return nil
-	}
-	if _, ok := ci.keyOf[rowid]; !ok {
-		return nil
-	}
-	ci.dead[rowid] = true
-	if len(ci.dead) >= 32 && 4*len(ci.dead) >= len(ci.keyOf) {
-		return ci.compact()
-	}
-	return nil
-}
-
-// compact rebuilds the tree without tombstoned entries.
-func (ci *certIndex) compact() error {
-	live := make(map[int64]int64, len(ci.keyOf)-len(ci.dead))
-	for rowid, key := range ci.keyOf {
-		if !ci.dead[rowid] {
-			live[rowid] = key
+// delete removes the row's entry; v is the row's value, which says where
+// the entry is.
+func (ci *certIndex) delete(rowid int64, v core.Value) {
+	if v.Kind != core.IntValue {
+		if i, ok := slices.BinarySearch(ci.spill, rowid); ok {
+			ci.spill = slices.Delete(ci.spill, i, i+1)
 		}
+		return
 	}
-	ci.keyOf = live
-	ci.dead = map[int64]bool{}
-	return ci.rebuild()
-}
-
-// rebuild lays a fresh tree out over keyOf, bottom-up from its entries
-// sorted by key (rowid within a key).
-func (ci *certIndex) rebuild() error {
-	type entry struct{ key, rowid int64 }
-	es := make([]entry, 0, len(ci.keyOf))
-	for rowid, key := range ci.keyOf {
-		es = append(es, entry{key, rowid})
+	if i, ok := slices.BinarySearchFunc(ci.entries, certEntry{v.I, rowid}, compareEntries); ok {
+		ci.entries = slices.Delete(ci.entries, i, i+1)
 	}
-	slices.SortFunc(es, func(a, b entry) int {
-		switch {
-		case a.key < b.key || a.key == b.key && a.rowid < b.rowid:
-			return -1
-		case a == b:
-			return 0
-		}
-		return 1
-	})
-	keys := make([]int64, len(es))
-	rids := make([]storage.RID, len(es))
-	for i, e := range es {
-		keys[i], rids[i] = e.key, ridOf(e.rowid)
-	}
-	tree, err := btree.Build(storage.NewPool(storage.NewMemPager(), 1024), keys, rids)
-	if err != nil {
-		return err
-	}
-	ci.tree = tree
-	return nil
 }
 
 // probe returns the ascending candidate rowids for the inclusive key range
-// [lo, hi]: live tree entries in range, merged with the spill list.
-func (ci *certIndex) probe(lo, hi int64) ([]int64, error) {
+// [lo, hi]: the entries in range, merged with the spill list.
+func (ci *certIndex) probe(lo, hi int64) []int64 {
 	var hits []int64
 	if lo <= hi {
-		err := ci.tree.Range(lo, hi, func(_ int64, rid storage.RID) error {
-			if id := rowidOf(rid); !ci.dead[id] {
-				hits = append(hits, id)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		i, _ := slices.BinarySearchFunc(ci.entries, certEntry{lo, math.MinInt64}, compareEntries)
+		j, _ := slices.BinarySearchFunc(ci.entries, certEntry{hi, math.MaxInt64}, compareEntries)
+		hits = make([]int64, j-i)
+		for k, e := range ci.entries[i:j] {
+			hits[k] = e.rowid
 		}
-		slices.Sort(hits) // the tree emits key order
+		slices.Sort(hits) // the run is in key order
 	}
-	return mergeAsc(hits, ci.spill), nil
+	return mergeAsc(hits, ci.spill)
 }
 
 // mergeAsc merges two ascending rowid lists into a fresh ascending list (a

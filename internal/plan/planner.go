@@ -93,7 +93,7 @@ type Plan struct {
 }
 
 // keyRange is the fold of the comparison conjuncts on one btree column: the
-// inclusive integer key range the tree is scanned over.
+// inclusive integer key range the index is scanned over.
 type keyRange struct {
 	col     string
 	orig, n int // first conjunct folded, and how many

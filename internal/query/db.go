@@ -245,48 +245,45 @@ func (db *DB) execInsert(s Insert) (*Result, error) {
 		return nil, fmt.Errorf("query: no table %q", s.Table)
 	}
 	before := t.Len()
-	err := insertRows(t, s)
-	// The rows ahead of a failing one stay in the table, so the indexes
-	// learn of them on the error path too.
-	if nerr := db.noteInserted(s.Table, t, before); err == nil {
-		err = nerr
+	if err := t.InsertRows(len(s.Rows), insertRow(t, s)); err != nil {
+		return nil, err
 	}
-	if err != nil {
+	if err := db.noteInserted(s.Table, t, before); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("inserted %d", len(s.Rows)), Affected: len(s.Rows)}, nil
 }
 
-// insertRows appends the statement's rows to t in order, stopping at the
-// first one it cannot build or insert.
-func insertRows(t *core.Table, s Insert) error {
-	for _, row := range s.Rows {
-		r := core.Row{Values: map[string]core.Value{}}
+// insertRow returns the builder of the statement's rows that
+// core.Table.InsertRows calls, which checks and stores them all or none.
+// Every row is built into the same Row.
+func insertRow(t *core.Table, s Insert) func(int) (core.Row, error) {
+	r := core.Row{Values: map[string]core.Value{}}
+	return func(ri int) (core.Row, error) {
+		clear(r.Values)
+		r.PDFs = r.PDFs[:0]
 		for i, target := range s.Targets {
-			switch e := row[i].(type) {
+			switch e := s.Rows[ri][i].(type) {
 			case LitExpr:
 				if target.Group {
-					return fmt.Errorf("query: dependency-set target %v needs a pdf, got literal", target.Cols)
+					return core.Row{}, fmt.Errorf("query: dependency-set target %v needs a pdf, got literal", target.Cols)
 				}
 				col, found := t.Schema().Lookup(target.Cols[0])
 				if !found {
-					return fmt.Errorf("query: no column %q in %s", target.Cols[0], s.Table)
+					return core.Row{}, fmt.Errorf("query: no column %q in %s", target.Cols[0], s.Table)
 				}
 				if col.Uncertain {
-					return fmt.Errorf("query: column %q is uncertain; supply a pdf literal", col.Name)
+					return core.Row{}, fmt.Errorf("query: column %q is uncertain; supply a pdf literal", col.Name)
 				}
 				r.Values[col.Name] = e.V
 			case PDFExpr:
 				r.PDFs = append(r.PDFs, core.PDF{Attrs: target.Cols, Dist: e.D})
 			default:
-				return fmt.Errorf("query: unsupported value expression %T", row[i])
+				return core.Row{}, fmt.Errorf("query: unsupported value expression %T", s.Rows[ri][i])
 			}
 		}
-		if err := t.Insert(r); err != nil {
-			return err
-		}
+		return r, nil
 	}
-	return nil
 }
 
 // execExplain reports the chosen physical plan: the operator chain (the

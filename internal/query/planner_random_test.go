@@ -55,9 +55,9 @@ func randomInsert(rng *rand.Rand, rows int) string {
 
 // TestPlannerDifferentialRandomDML interleaves seeded random INSERTs and
 // DELETEs — the deletes crossing the 32-entry / quarter-of-the-table
-// compaction threshold of both index kinds — with a CREATE INDEX on the
-// already-indexed table and multi-row INSERTs that fail on their last row,
-// leaving the rows ahead of it in the table. After every step each query must answer
+// compaction threshold of the PTI — with a CREATE INDEX on the
+// already-indexed table and multi-row INSERTs that fail on their last row
+// and so insert nothing. After every step each query must answer
 // byte-identically, row order included, with and without index access paths,
 // and the rowid bookkeeping must still mirror the table.
 func TestPlannerDifferentialRandomDML(t *testing.T) {
@@ -98,11 +98,11 @@ func TestPlannerDifferentialRandomDML(t *testing.T) {
 					sql = `CREATE INDEX ON m (g)` // rowids already have holes
 				case step%10 == 5:
 					// The last row has a literal where a pdf belongs: the
-					// statement fails, the rows ahead of it are in.
+					// statement fails, and the rows ahead of it are not in.
 					sql = randomInsert(rng, 1+rng.Intn(5)) + `, (57, 1, 5)`
 					tb, _ := db.Table("m")
 					before := tb.Len()
-					if _, err := db.Exec(sql); err == nil || tb.Len() == before {
+					if _, err := db.Exec(sql); err == nil || tb.Len() != before {
 						t.Fatalf("%s: err = %v, table %d -> %d rows", sql, err, before, tb.Len())
 					}
 					check(sql)
@@ -113,8 +113,9 @@ func TestPlannerDifferentialRandomDML(t *testing.T) {
 					lo := rng.Intn(180)
 					sql = fmt.Sprintf(`DELETE FROM m WHERE k >= %d AND k < %d`, lo, lo+1+rng.Intn(12))
 				case r < 9:
-					// A third or more of the table at once: tombstones pass
-					// both the floor of 32 and a quarter of the entries.
+					// A third or more of the table at once: the PTI's
+					// tombstones pass both the floor of 32 and a quarter of
+					// its entries.
 					lo := rng.Intn(100)
 					sql = fmt.Sprintf(`DELETE FROM m WHERE k >= %d AND k < %d`, lo, lo+70)
 				default:

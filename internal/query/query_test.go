@@ -58,6 +58,38 @@ func TestInsertRejectsZeroMass(t *testing.T) {
 	mustExec(t, db, "INSERT INTO readings (rid, value) VALUES (4, DISCRETE(14:0.5))")
 }
 
+// TestMultiRowInsertIsAtomic: a multi-row INSERT whose later row is refused
+// — by the statement's target checks or by the table's row checks — stores
+// none of its rows, in the table or in its index.
+func TestMultiRowInsertIsAtomic(t *testing.T) {
+	for _, bad := range []string{
+		"(2, 5)",              // a literal where a pdf belongs
+		"(2, DISCRETE(14:0))", // a pdf with no mass
+	} {
+		db := Open()
+		mustExec(t, db, "CREATE TABLE t (k INT, v FLOAT UNCERTAIN)")
+		mustExec(t, db, "CREATE INDEX t_k ON t (k)")
+		sql := "INSERT INTO t (k, v) VALUES (1, GAUSSIAN(0, 1)), " + bad
+		if _, err := db.Exec(sql); err == nil {
+			t.Fatalf("%s: no error", sql)
+		}
+		if n := mustExec(t, db, "SELECT * FROM t").Table.Len(); n != 0 {
+			t.Errorf("%s: table holds %d rows, want 0", sql, n)
+		}
+		if n := mustExec(t, db, "SELECT k FROM t WHERE k = 1").Table.Len(); n != 0 {
+			t.Errorf("%s: the k index finds %d rows, want 0", sql, n)
+		}
+		tb, _ := db.Table("t")
+		if err := db.indexes["t"].Check(tb); err != nil {
+			t.Errorf("%s: %v", sql, err)
+		}
+		mustExec(t, db, "INSERT INTO t (k, v) VALUES (1, GAUSSIAN(0, 1)), (2, GAUSSIAN(5, 1))")
+		if n := mustExec(t, db, "SELECT k FROM t WHERE k = 1").Table.Len(); n != 1 {
+			t.Errorf("%s: after a good INSERT the k index finds %d rows, want 1", sql, n)
+		}
+	}
+}
+
 func TestSelectFloorsUncertain(t *testing.T) {
 	db := sensorDB(t)
 	r := mustExec(t, db, "SELECT rid, value FROM readings WHERE value < 25")

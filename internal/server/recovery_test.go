@@ -222,6 +222,43 @@ func TestRecoveryAfterAbortMidWorkload(t *testing.T) {
 	}
 }
 
+// TestRecoveryAfterFailedMultiRowInsert: a multi-row INSERT refused on its
+// last row stores nothing, and replaying its WAL record after a crash stores
+// nothing either — not in the table, not in the index.
+func TestRecoveryAfterFailedMultiRowInsert(t *testing.T) {
+	dir := t.TempDir()
+	e, err := OpenEngine(EngineConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExecute(t, e, "CREATE TABLE t (k INT, v FLOAT UNCERTAIN)")
+	mustExecute(t, e, "CREATE INDEX t_k ON t (k)")
+	if _, err := e.Execute("INSERT INTO t (k, v) VALUES (1, GAUSSIAN(0, 1)), (2, 5)"); err == nil {
+		t.Fatal("INSERT with a literal for an uncertain column succeeded")
+	}
+	check := func(e *Engine, when string) {
+		t.Helper()
+		for _, sql := range []string{"SELECT k FROM t", "SELECT k FROM t WHERE k = 1"} {
+			if ks := selectKeys(t, e, sql); len(ks) != 0 {
+				t.Errorf("%s: %s = %v, want no rows", when, sql, ks)
+			}
+		}
+	}
+	check(e, "before the crash")
+	e.Abort() // the failed statement's record is in the WAL; replay re-runs it
+
+	re, err := OpenEngine(EngineConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, "after recovery")
+	mustExecute(t, re, "INSERT INTO t (k, v) VALUES (1, GAUSSIAN(0, 1))")
+	if ks := selectKeys(t, re, "SELECT k FROM t WHERE k = 1"); len(ks) != 1 {
+		t.Errorf("after a good INSERT: %v, want [1]", ks)
+	}
+}
+
 // TestQuarantineCorruptTable: flipping bytes in one table's heap file must
 // quarantine that table on the next load — the sibling table keeps serving,
 // writes to the damaged table are refused, and DROP discards it.

@@ -49,9 +49,9 @@ type sessionTxn struct {
 	written  map[string]bool
 	affected int
 	// aborted poisons the transaction after an in-transaction statement
-	// error: the overlay may have partially applied it, so the only honest
-	// exits are ROLLBACK (or a COMMIT that reports the abort and rolls
-	// back), never a commit of half a statement.
+	// error: a failed statement ends the transaction's right to commit, so
+	// the only exits are ROLLBACK or a COMMIT that reports the abort and
+	// rolls back.
 	aborted error
 }
 
@@ -260,9 +260,8 @@ func (s *Session) execInTxnLocked(sql string, stmt query.Stmt) (*wire.Result, er
 	}
 	qr, err := t.db.Exec(sql)
 	if err != nil {
-		// The overlay may hold a partial application (a multi-row INSERT
-		// that failed midway): poison the transaction rather than commit
-		// a state no replay could reproduce.
+		// A failed statement ends the transaction's right to commit:
+		// poison it, so COMMIT reports the error and rolls back.
 		t.aborted = err
 		return nil, fmt.Errorf("server: transaction %d aborted: %w", t.id, err)
 	}

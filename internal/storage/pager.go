@@ -34,9 +34,9 @@ var ErrCorruptPage = errors.New("storage: corrupt page")
 
 // diskPageSize is a page's on-disk footprint: the 8 KiB image followed by a
 // CRC32C (Castagnoli) trailer. The checksum lives outside the page image so
-// every page consumer — slotted heaps, raw B+-tree nodes — keeps the full
-// PageSize bytes and stays oblivious to it; torn-write detection is a
-// property of the storage medium, not of the page layout.
+// every page consumer — the slotted heaps — keeps the full PageSize bytes
+// and stays oblivious to it; torn-write detection is a property of the
+// storage medium, not of the page layout.
 const diskPageSize = PageSize + 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
