@@ -9,7 +9,8 @@ import (
 
 // CacheKey identifies one cached columnar encoding: the owning table's
 // identity and DML version, the dependency set and marginal dimension the
-// encoding covers, and the tuple batch [From, From+N) it was built over —
+// encoding covers (a certain column's Lane takes Dep -1-col), and the tuple
+// batch [From, From+N) it was built over —
 // executors encode per batch, so a LIMIT query never pays for encoding
 // tuples it will not read. Versions bump on every Insert/Delete, so a stale
 // entry can never be read — invalidation only reclaims its memory early.
@@ -19,8 +20,12 @@ type CacheKey struct {
 	From, N    int32
 }
 
+// cached is what the cache holds: a pdf column's Block or a certain
+// column's Lane.
+type cached interface{ MemCost() int64 }
+
 type cacheEntry struct {
-	val  *Block
+	val  cached
 	cost int64
 }
 
@@ -68,22 +73,40 @@ func (c *Cache) Get(k CacheKey) *Block {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	e, ok := c.m[k]
-	c.mu.Unlock()
+	v, ok := c.get(k)
 	if !ok {
 		c.misses.Add(1)
 		return nil
 	}
 	c.hits.Add(1)
-	return e.val
+	b, _ := v.(*Block)
+	return b
+}
+
+// GetLane returns the cached certain-column lane for k, or nil. Lane
+// lookups are not counted: the hit and miss totals (EXPLAIN's col cache
+// line, HEALTH) describe the pdf encodings.
+func (c *Cache) GetLane(k CacheKey) *Lane {
+	v, _ := c.get(k)
+	l, _ := v.(*Lane)
+	return l
+}
+
+func (c *Cache) get(k CacheKey) (cached, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	e, ok := c.m[k]
+	c.mu.Unlock()
+	return e.val, ok
 }
 
 // Put caches v with the given cost estimate. It reports false when the
 // budget rejects the charge (the caller keeps its scratch encoding and
 // nothing is cached — governance stays inert when unconfigured because a
 // nil budget accepts everything).
-func (c *Cache) Put(k CacheKey, v *Block, cost int64) bool {
+func (c *Cache) Put(k CacheKey, v cached, cost int64) bool {
 	if c == nil {
 		return false
 	}

@@ -374,7 +374,7 @@ func Unmarshal(buf []byte) (*Block, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	b.stats = b.rangeStats(0, n)
+	b.finish()
 	return b, nil
 }
 

@@ -120,6 +120,9 @@ type Block struct {
 	// stats is StatsIn over the whole block, computed once when the block is
 	// built: the filter kernels report it for every batch they evaluate.
 	stats RangeStats
+	// massPos records, once when the block is built, that every mass in the
+	// lane is > 0 (a base table's always are).
+	massPos bool
 }
 
 // Len returns the number of tuples encoded.
@@ -136,6 +139,19 @@ func (b *Block) RunAt(r int) *Run { return &b.runs[r] }
 
 // Mass returns the per-tuple existence-mass lane. Read-only.
 func (b *Block) Mass() []float64 { return b.mass }
+
+// MassPositive reports whether every mass in the lane is > 0.
+func (b *Block) MassPositive() bool { return b.massPos }
+
+// finish computes what a block records once it is built: its whole-range
+// statistics and whether its masses are all positive.
+func (b *Block) finish() {
+	b.stats = b.rangeStats(0, b.n)
+	b.massPos = true
+	for _, m := range b.mass {
+		b.massPos = b.massPos && m > 0
+	}
+}
 
 // MemCost estimates the bytes the block holds — the value charged against a
 // govern budget by the encoding cache. Deliberately coarse but stable.
@@ -251,7 +267,7 @@ func Encode(dists []dist.Dist, dim int, mass []float64) *Block {
 			cur.FB = append(cur.FB, d)
 		}
 	}
-	b.stats = b.rangeStats(0, b.n)
+	b.finish()
 	return b
 }
 

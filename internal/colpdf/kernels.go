@@ -45,10 +45,17 @@ func (b *Block) MassVec(from, to int, out []float64) {
 }
 
 // RunRange returns the half-open run index range [r0, r1) overlapping the
-// tuple range [from, to) — the unit the morsel pool parallelizes over.
+// tuple range [from, to) — the unit the morsel pool parallelizes over. The
+// first run is found by binary search: a morsel is a few rows of a block
+// that may hold a hundred short runs.
 func (b *Block) RunRange(from, to int) (r0, r1 int) {
-	for r0 < len(b.runs) && b.runs[r0].Start+b.runs[r0].N <= from {
-		r0++
+	for hi := len(b.runs); r0 < hi; {
+		m := int(uint(r0+hi) >> 1)
+		if b.runs[m].Start+b.runs[m].N <= from {
+			r0 = m + 1
+		} else {
+			hi = m
+		}
 	}
 	r1 = r0
 	for r1 < len(b.runs) && b.runs[r1].Start < to {

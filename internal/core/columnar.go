@@ -158,3 +158,27 @@ func (t *Table) colBlockFor(di, dim, at int, in []*Tuple) *colpdf.Block {
 	}
 	return b
 }
+
+// certainLane returns the value lane of certain column col over the batch
+// in, a verified slice of the table at offset at, from the registry's
+// encoding cache (keyed as a block is, with Dep -1-col) or built and cached
+// there. The lane holds each row's Value.AsFloat, the floats the scalar
+// filter compares, so the two agree bit for bit.
+func (t *Table) certainLane(col, at int, in []*Tuple) *colpdf.Lane {
+	key := colpdf.CacheKey{
+		Table: t.tid, Ver: t.ver,
+		Dep:  -1 - int32(col),
+		From: int32(at), N: int32(len(in)),
+	}
+	if l := t.reg.colenc.GetLane(key); l != nil {
+		return l
+	}
+	vals := make([]float64, len(in))
+	num := make([]bool, len(in))
+	for i, tup := range in {
+		vals[i], num[i] = tup.certain[col].AsFloat()
+	}
+	l := colpdf.NewLane(vals, num)
+	t.reg.colenc.Put(key, l, l.MemCost())
+	return l
+}

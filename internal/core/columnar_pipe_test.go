@@ -101,7 +101,7 @@ func TestPipelinedDMLMidScanDifferential(t *testing.T) {
 			break
 		}
 		keep := make([]bool, len(batch))
-		if err := sel.KeepBatch(batch, 1, keep); err != nil {
+		if err := sel.KeepBatch(batch, 1, keep, make([]float64, len(batch))); err != nil {
 			t.Fatal(err)
 		}
 		for i, tup := range batch {
@@ -126,10 +126,12 @@ func TestPipelinedDMLMidScanDifferential(t *testing.T) {
 		case 4:
 			// Delete mid-scan: later tuples shift, so the cursor's batch
 			// offsets no longer line up and the kernel must re-verify.
-			tbl.Delete(func(tb *core.Table, tup *core.Tuple) bool {
+			if _, err := tbl.Delete(func(tb *core.Table, tup *core.Tuple) (bool, error) {
 				v, _ := tb.Value(tup, "id")
-				return v.I%7 == 3
-			})
+				return v.I%7 == 3, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if pulled < 6 {

@@ -314,11 +314,11 @@ func TestDMLInvalidationDifferential(t *testing.T) {
 
 	// Deleting from the middle shifts every later tuple into a different
 	// batch slot — a stale encoding would evaluate the wrong pdfs.
-	if removed := tbl.Delete(func(tb *Table, tup *Tuple) bool {
+	if removed, err := tbl.Delete(func(tb *Table, tup *Tuple) (bool, error) {
 		v, _ := tb.Value(tup, "id")
-		return v.I%5 == 2
-	}); removed == 0 {
-		t.Fatal("delete removed nothing")
+		return v.I%5 == 2, nil
+	}); err != nil || removed == 0 {
+		t.Fatalf("delete removed %d (%v)", removed, err)
 	}
 	if tbl.reg.colenc.Len() != 0 {
 		t.Fatalf("delete left %d stale encodings cached", tbl.reg.colenc.Len())

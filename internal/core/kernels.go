@@ -37,6 +37,7 @@ type Selection struct {
 
 	cls          []classified
 	certain      []certainCmp // the atomCertain members of cls, compiled
+	laneFilters  bool         // some member of certain reads value lanes
 	promotedCols map[int]bool
 	plans        []*mergePlan
 	oldToNew     []int
@@ -168,9 +169,13 @@ func (t *Table) PlanSelect(atoms ...Atom) (*Selection, error) {
 		}
 		depFloors[f.dep] = append(depFloors[f.dep], fi)
 	}
+	laneFilters := false
+	for _, c := range certain {
+		laneFilters = laneFilters || c.lanes
+	}
 	return &Selection{
 		in: t, out: out,
-		cls: cls, certain: certain, promotedCols: promotedCols, plans: plans,
+		cls: cls, certain: certain, laneFilters: laneFilters, promotedCols: promotedCols, plans: plans,
 		oldToNew: oldToNew, planDep: planDep, floors: floors, crosses: crosses,
 		depFloors: depFloors, floorDeps: floorDeps,
 	}, nil
@@ -453,11 +458,12 @@ func (p *ProbSelection) Keep(tup *Tuple) (bool, error) {
 func (p *ProbSelection) Report() KernelReport { return p.stats.report(p.out.Name) }
 
 // KeepBatch evaluates one streamed batch, writing keep decisions into keep
-// (len(keep) == len(in)). It serves the pipelined executor: batches arrive
-// in table order, so a sequential cursor locates them in the input table
-// for encoding-cache reuse; a batch that is not a verified slice of the
-// table still vectorizes, with a scratch encoding.
-func (p *ProbSelection) KeepBatch(in []*Tuple, par int, keep []bool) error {
+// (len(keep) == len(in)); vals is the caller's scratch for the batch's
+// probabilities, of the same length. It serves the pipelined executor:
+// batches arrive in table order, so a sequential cursor locates them in the
+// input table for encoding-cache reuse; a batch that is not a verified
+// slice of the table still vectorizes, with a scratch encoding.
+func (p *ProbSelection) KeepBatch(in []*Tuple, par int, keep []bool, vals []float64) error {
 	at := -1
 	if p.in.batchAt(p.cursor, in) {
 		at = p.cursor
@@ -467,13 +473,13 @@ func (p *ProbSelection) KeepBatch(in []*Tuple, par int, keep []bool) error {
 	if at >= 0 {
 		p.cursor = at + len(in)
 	}
-	return p.keepBatchAt(in, at, par, keep)
+	return p.keepBatchAt(in, at, par, keep, vals)
 }
 
 // keepBatchAt is the batch body shared by KeepBatch and the whole-table
 // driver RunProbSelection, which passes the batch offset explicitly (at < 0
 // means "not a table slice": evaluate with a scratch encoding).
-func (p *ProbSelection) keepBatchAt(in []*Tuple, at, par int, keep []bool) error {
+func (p *ProbSelection) keepBatchAt(in []*Tuple, at, par int, keep []bool, vals []float64) error {
 	n := len(in)
 	if n == 0 {
 		return nil
@@ -491,7 +497,7 @@ func (p *ProbSelection) keepBatchAt(in []*Tuple, at, par int, keep []bool) error
 			return nil
 		})
 	}
-	vals := make([]float64, n)
+	vals = vals[:n]
 	if p.kind == probMass {
 		for i := range vals {
 			vals[i] = 1

@@ -317,8 +317,9 @@ func (t *Table) RunProbSelection(sel *ProbSelection) (*Table, error) {
 	keep := make([]bool, len(t.tuples))
 	var err error
 	if VectorizedKernels() && sel.resolveErr == nil {
+		vals := make([]float64, len(t.tuples))
 		err = forColBatches(t.par, len(t.tuples), func(from, to int) error {
-			return sel.keepBatchAt(t.tuples[from:to], from, 1, keep[from:to])
+			return sel.keepBatchAt(t.tuples[from:to], from, 1, keep[from:to], vals[from:to])
 		})
 	} else {
 		sel.stats.scalar.Add(uint64(len(t.tuples)))
@@ -363,17 +364,24 @@ func (t *Table) SelectRangeThreshold(attr string, lo, hi float64, op region.Op, 
 }
 
 // Delete removes the tuples for which filter returns true and returns how
-// many were removed. The base pdfs of removed tuples survive as phantoms for
-// as long as a derived tuple still reaches them (§II-C); the collector frees
-// the rest.
-func (t *Table) Delete(filter func(*Table, *Tuple) bool) int {
+// many were removed. It is all or nothing: when filter fails on some tuple,
+// Delete returns its error and leaves the table — tuples and version —
+// untouched. The base pdfs of removed tuples survive as phantoms for as long
+// as a derived tuple still reaches them (§II-C); the collector frees the
+// rest.
+func (t *Table) Delete(filter func(*Table, *Tuple) (bool, error)) (int, error) {
 	// Compact into a fresh slice rather than in place: frozen snapshots
 	// (Freeze) share the old backing array and must keep seeing the
-	// pre-delete tuple pointers.
+	// pre-delete tuple pointers, and a failing filter must leave the table
+	// as it was.
 	kept := make([]*Tuple, 0, len(t.tuples))
 	removed := 0
 	for _, tup := range t.tuples {
-		if !filter(t, tup) {
+		del, err := filter(t, tup)
+		if err != nil {
+			return 0, err
+		}
+		if !del {
 			kept = append(kept, tup)
 			continue
 		}
@@ -383,5 +391,5 @@ func (t *Table) Delete(filter func(*Table, *Tuple) bool) int {
 	if removed > 0 {
 		t.bumpVersion()
 	}
-	return removed
+	return removed, nil
 }

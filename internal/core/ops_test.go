@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -89,7 +90,9 @@ func TestFailedInsertRegistersNothing(t *testing.T) {
 	}
 	var f freed
 	f.watch(t, tbl, tbl.Tuples()...)
-	tbl.Delete(func(*Table, *Tuple) bool { return true })
+	if _, err := tbl.Delete(func(*Table, *Tuple) (bool, error) { return true, nil }); err != nil {
+		t.Fatal(err)
+	}
 	if n := f.after(2); n != 2 {
 		t.Errorf("after DELETE: %d of the row's 2 base pdfs freed", n)
 	}
@@ -297,6 +300,43 @@ func TestSelectRangeThreshold(t *testing.T) {
 // TestDeletePhantomReachability is the phantom rule (§II-C): a deleted
 // tuple's base pdf lives on exactly while a derived tuple still reaches it,
 // and the collector frees it once none does.
+// TestDeleteFailingFilterChangesNothing: a DELETE filter that fails on row
+// 3, after accepting rows 1 and 2, leaves the table's length, tuples and
+// version as they were, and Delete returns the filter's error.
+func TestDeleteFailingFilterChangesNothing(t *testing.T) {
+	schema := MustSchema(Column{Name: "id", Type: IntType}, Column{Name: "x", Type: FloatType, Uncertain: true})
+	tbl := MustTable("r", schema, nil, nil)
+	for id := int64(1); id <= 5; id++ {
+		if err := tbl.Insert(Row{
+			Values: map[string]Value{"id": Int(id)},
+			PDFs:   []PDF{{Attrs: []string{"x"}, Dist: dist.NewGaussian(float64(id), 1)}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := append([]*Tuple(nil), tbl.Tuples()...)
+	ver := tbl.ver
+	boom := errors.New("boom")
+	n, err := tbl.Delete(func(tb *Table, tup *Tuple) (bool, error) {
+		v, _ := tb.Value(tup, "id")
+		if v.I == 3 {
+			return false, boom
+		}
+		return true, nil
+	})
+	if !errors.Is(err, boom) || n != 0 {
+		t.Fatalf("Delete = %d, %v; want 0 and the filter's error", n, err)
+	}
+	if tbl.Len() != len(before) || tbl.ver != ver {
+		t.Fatalf("after a failed Delete: %d rows at version %d, want %d at %d", tbl.Len(), tbl.ver, len(before), ver)
+	}
+	for i, tup := range tbl.Tuples() {
+		if tup != before[i] {
+			t.Fatalf("row %d changed by a failed Delete", i)
+		}
+	}
+}
+
 func TestDeletePhantomReachability(t *testing.T) {
 	tbl := sensorTable(t)
 	var f freed
@@ -308,25 +348,29 @@ func TestDeletePhantomReachability(t *testing.T) {
 	if derived.Len() != 1 {
 		t.Fatal("derivation missing")
 	}
-	sensor := func(id int64) func(*Table, *Tuple) bool {
-		return func(tb *Table, tup *Tuple) bool {
+	sensor := func(id int64) func(*Table, *Tuple) (bool, error) {
+		return func(tb *Table, tup *Tuple) (bool, error) {
 			v, _ := tb.Value(tup, "id")
-			return v.I == id
+			return v.I == id, nil
 		}
 	}
-	if n := tbl.Delete(sensor(1)); n != 1 || tbl.Len() != 2 {
-		t.Fatalf("deleted %d, remaining %d", n, tbl.Len())
+	if n, err := tbl.Delete(sensor(1)); err != nil || n != 1 || tbl.Len() != 2 {
+		t.Fatalf("deleted %d (%v), remaining %d", n, err, tbl.Len())
 	}
 	if n := f.after(0); n != 0 {
 		t.Errorf("%d base pdfs freed while the derived tuple reaches sensor 1's", n)
 	}
 	// Deleting the derived tuple leaves nothing reaching the phantom.
-	derived.Delete(func(*Table, *Tuple) bool { return true })
+	if _, err := derived.Delete(func(*Table, *Tuple) (bool, error) { return true, nil }); err != nil {
+		t.Fatal(err)
+	}
 	if n := f.after(1); n != 1 {
 		t.Errorf("after the derived tuple's delete: %d base pdfs freed, want 1", n)
 	}
 	// Nothing derived reaches sensor 2: its delete frees its pdf.
-	tbl.Delete(sensor(2))
+	if _, err := tbl.Delete(sensor(2)); err != nil {
+		t.Fatal(err)
+	}
 	if n := f.after(2); n != 2 {
 		t.Errorf("after sensor 2's delete: %d base pdfs freed, want 2", n)
 	}

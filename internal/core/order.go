@@ -39,6 +39,10 @@ type OrderKey struct {
 // FloatKey is the key of a computed number, such as ORDER BY PROB(col).
 func FloatKey(f float64) OrderKey { return OrderKey{kind: IntValue, f: f} }
 
+// Number returns the key's number and whether it is one (INT, FLOAT or a
+// computed number).
+func (k OrderKey) Number() (float64, bool) { return k.f, k.kind == IntValue }
+
 // OrderKey returns the ordering key of the certain column at schema offset
 // col.
 func (tup *Tuple) OrderKey(col int) OrderKey {

@@ -22,8 +22,13 @@ import (
 type Pending struct {
 	keep []bool
 	mass [][]float64 // per output dependency set, per row (valid where keep)
+	pos  []bool      // per set: every mass of the batch is known > 0
 	rows []int       // rows whose mass dist.FloorMass computes
 	idx  []int       // survivor positions, for build
+	// src and at locate the batch in its base table (at < 0: not a cached
+	// slice of one), for Lane.
+	src *Table
+	at  int
 }
 
 // Kept reports whether row i of the batch survives the selection.
@@ -33,11 +38,26 @@ func (p *Pending) Kept(i int) bool { return p.keep[i] }
 // after the floors: the Dist.Mass() of the node Eval would build.
 func (p *Pending) Mass(dep, i int) float64 { return p.mass[dep][i] }
 
+// Lane returns the value lane of certain column col over the batch in last
+// evaluated into p, or nil when the column is not numeric or the batch is no
+// cached slice of a base table (an index probe's candidates, a transaction
+// overlay).
+func (p *Pending) Lane(col int, in []*Tuple) *colpdf.Lane {
+	if p.at < 0 || !p.src.schema.Columns()[col].Type.Numeric() {
+		return nil
+	}
+	return p.src.certainLane(col, p.at, in)
+}
+
 func (p *Pending) reset(n, deps int) {
 	if cap(p.keep) < n {
 		p.keep = make([]bool, n)
 	}
 	p.keep = p.keep[:n]
+	if cap(p.pos) < deps {
+		p.pos = make([]bool, deps)
+	}
+	p.pos = p.pos[:deps]
 	if len(p.mass) < deps {
 		p.mass = make([][]float64, deps)
 	}
@@ -56,30 +76,41 @@ func (s *Selection) EvalPending(in []*Tuple, par int, p *Pending) error {
 }
 
 // evalPendingAt evaluates the batch at offset at of the input table (at < 0:
-// not a table slice). The certain filters run inline. A set with no floor
-// reads the mass lane of its cached block. A set with one single-interval
-// floor reads the block's closed-form lanes (Gaussian, Uniform, Exponential:
-// colpdf's transcription of the CDF difference newFloored sums) and sends
-// every other run through dist.FloorMass. Several floors on one set, a keep
-// region of several intervals, and an uncached input (an index probe's
-// candidates, a transaction overlay) go through dist.FloorMass per row, after
-// building all but the set's last floor. A row survives when it passes the
-// certain filters and every set keeps positive mass, exactly when Eval
-// returns a tuple.
+// not a table slice). The certain filters of a cached batch read its value
+// lanes (certainLanes); otherwise they run inline, per row. A set with no
+// floor reads the mass lane of its cached block, and skips the final
+// positive-mass check when the block records its masses all positive. A set
+// with one single-interval floor reads the block's closed-form lanes
+// (Gaussian, Uniform, Exponential: colpdf's transcription of the CDF
+// difference newFloored sums) and sends every other run through
+// dist.FloorMass. Several floors on one set, a keep region of several
+// intervals, and an uncached input (an index probe's candidates, a
+// transaction overlay) go through dist.FloorMass per row, after building all
+// but the set's last floor. A row survives when it passes the certain
+// filters and every set keeps positive mass, exactly when Eval returns a
+// tuple.
 func (s *Selection) evalPendingAt(in []*Tuple, at, par int, p *Pending) error {
 	n := len(in)
 	t := s.in
 	p.reset(n, len(t.deps))
-	for i, tup := range in {
-		p.keep[i] = true
-		for ci := range s.certain {
-			if !s.certain[ci].eval(tup) {
-				p.keep[i] = false
-				break
+	cached := t.tid != 0 && at >= 0
+	p.src, p.at = t, -1
+	if cached {
+		p.at = at
+	}
+	if cached && s.laneFilters {
+		s.certainLanes(in, at, p.keep)
+	} else {
+		for i, tup := range in {
+			p.keep[i] = true
+			for ci := range s.certain {
+				if !s.certain[ci].eval(tup) {
+					p.keep[i] = false
+					break
+				}
 			}
 		}
 	}
-	cached := t.tid != 0 && at >= 0
 	if len(t.deps) == 0 {
 		s.stats.vec.Add(uint64(n))
 	}
@@ -87,10 +118,12 @@ func (s *Selection) evalPendingAt(in []*Tuple, at, par int, p *Pending) error {
 		m := p.mass[di]
 		fl := s.depFloors[di]
 		p.rows = p.rows[:0]
+		p.pos[di] = false
 		switch {
 		case len(fl) == 0 && cached:
 			b := t.colBlockFor(di, 0, at, in)
 			copy(m, b.Mass()[:n])
+			p.pos[di] = b.MassPositive()
 			s.stats.note(b.StatsIn(0, n), true)
 		case len(fl) == 0:
 			for i, tup := range in {
@@ -123,14 +156,68 @@ func (s *Selection) evalPendingAt(in []*Tuple, at, par int, p *Pending) error {
 			s.stats.scalar.Add(uint64(n))
 		}
 	}
-	for i := range in {
-		for di := 0; p.keep[i] && di < len(t.deps); di++ {
-			if p.mass[di][i] <= 0 {
+	for di := range t.deps {
+		if p.pos[di] {
+			continue
+		}
+		for i, m := range p.mass[di] {
+			if m <= 0 {
 				p.keep[i] = false
 			}
 		}
 	}
 	return nil
+}
+
+// certainLanes evaluates the certain filters of a cached batch into keep:
+// each comparison over numeric operands as one loop over its columns' value
+// lanes, the rows outside their numeric masks through the scalar eval, and
+// the other comparisons per row. The filters are pure and conjunctive, so
+// the order they narrow keep in does not matter.
+func (s *Selection) certainLanes(in []*Tuple, at int, keep []bool) {
+	t := s.in
+	for i := range keep {
+		keep[i] = true
+	}
+	for ci := range s.certain {
+		c := &s.certain[ci]
+		if !c.lanes {
+			continue
+		}
+		var l, r *colpdf.Lane
+		switch {
+		case c.lcol >= 0 && c.rcol >= 0:
+			l, r = t.certainLane(c.lcol, at, in), t.certainLane(c.rcol, at, in)
+			l.KeepLane(c.op, r, keep)
+		case c.lcol >= 0:
+			l = t.certainLane(c.lcol, at, in)
+			f, _ := c.rlit.AsFloat()
+			l.KeepConst(c.op, f, keep)
+		default:
+			l = t.certainLane(c.rcol, at, in)
+			f, _ := c.llit.AsFloat()
+			l.KeepConst(c.op.Flip(), f, keep)
+		}
+		if l.AllNum && (r == nil || r.AllNum) {
+			continue
+		}
+		for i, tup := range in {
+			if keep[i] && !(l.Num[i] && (r == nil || r.Num[i])) {
+				keep[i] = c.eval(tup)
+			}
+		}
+	}
+	for ci := range s.certain {
+		c := &s.certain[ci]
+		if c.lanes {
+			continue
+		}
+		for i, tup := range in {
+			if keep[i] && !c.eval(tup) {
+				keep[i] = false
+			}
+		}
+	}
 }
 
 // keptRows appends to p.rows the rows in [lo, hi) that pass the certain

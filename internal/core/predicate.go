@@ -144,6 +144,10 @@ type certainCmp struct {
 	op         region.Op
 	lcol, rcol int
 	llit, rlit Value
+	// lanes marks a comparison whose sides are numeric columns or numeric
+	// literals, at least one a column: a cached batch evaluates it over the
+	// columns' value lanes (pending.go).
+	lanes bool
 }
 
 // compileCertain resolves the atom's column operands, which the caller has
@@ -156,7 +160,18 @@ func (t *Table) compileCertain(a Atom) certainCmp {
 	if a.Right.isCol {
 		c.rcol = t.schema.Index(a.Right.attr)
 	}
+	c.lanes = (c.lcol >= 0 || c.rcol >= 0) && t.numericOperand(a.Left) && t.numericOperand(a.Right)
 	return c
+}
+
+// numericOperand reports whether o is a numeric column or a numeric literal.
+func (t *Table) numericOperand(o Operand) bool {
+	if o.isCol {
+		col, _ := t.schema.Lookup(o.attr)
+		return col.Type.Numeric()
+	}
+	_, ok := o.lit.AsFloat()
+	return ok
 }
 
 // CertainFilter compiles a conjunction of comparisons over certain columns

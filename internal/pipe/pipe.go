@@ -20,6 +20,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"probdb/internal/colpdf"
 	"probdb/internal/core"
 	"probdb/internal/govern"
 )
@@ -243,6 +244,7 @@ type ProbFilter struct {
 	sel   *core.ProbSelection
 	par   int
 	keep  []bool        // reused across Next calls
+	vals  []float64     // reused across Next calls: the batch's probabilities
 	out   []*core.Tuple // reused across Next calls
 }
 
@@ -273,9 +275,10 @@ func (f *ProbFilter) Next() ([]*core.Tuple, error) {
 		}
 		if cap(f.keep) < len(in) {
 			f.keep = make([]bool, len(in))
+			f.vals = make([]float64, len(in))
 		}
 		keep := f.keep[:len(in)]
-		if err := f.sel.KeepBatch(in, f.par, keep); err != nil {
+		if err := f.sel.KeepBatch(in, f.par, keep, f.vals[:len(in)]); err != nil {
 			return nil, err
 		}
 		f.out = f.out[:0]
@@ -600,11 +603,12 @@ func (o ordering) sorted(es []keyed) []*core.Tuple {
 // emits them in order. The output equals a stable full sort followed by
 // Head(k), tuple for tuple.
 //
-// Ordered by PROB(cols) directly above a Filter whose batches evaluate to
-// pending masses, it ranks the input rows on those masses — the key is the
-// product Table.Prob takes, and only surviving rows count as arrivals — and
-// the selection builds just the k rows left in the heap once the input is
-// drained.
+// Ordered by PROB(cols) or by a certain column directly above a Filter
+// whose batches evaluate to pending masses, it ranks the input rows before
+// any is built — on those masses (the key is the product Table.Prob takes),
+// or on the column's cached value lane — with only surviving rows counting
+// as arrivals, and the selection builds just the k rows left in the heap
+// once the input is drained.
 type TopK struct {
 	base
 	ordering
@@ -614,6 +618,9 @@ type TopK struct {
 	// probCols are the PROB(...) arguments when the order is by
 	// probability (NewProbTopK), nil otherwise.
 	probCols []string
+	// col is the schema offset of the certain column the order is by
+	// (NewColumnTopK), -1 otherwise.
+	col int
 
 	// h is a max-heap under before: the root is the worst of the k best,
 	// the one a better arrival evicts.
@@ -622,7 +629,20 @@ type TopK struct {
 
 // NewTopK wraps child with a bounded top-k heap ordered by key.
 func NewTopK(child Operator, k int, key func(*core.Tuple) (core.OrderKey, error), desc bool) *TopK {
-	return &TopK{child: child, k: k, ordering: ordering{key: key, desc: desc}}
+	return &TopK{child: child, k: k, col: -1, ordering: ordering{key: key, desc: desc}}
+}
+
+// NewColumnTopK wraps child with a bounded top-k heap ordered by the certain
+// column at schema offset col.
+func NewColumnTopK(child Operator, k, col int, desc bool) *TopK {
+	t := NewTopK(child, k, ColumnKey(col), desc)
+	t.col = col
+	return t
+}
+
+// ColumnKey is the ORDER BY key of the certain column at schema offset col.
+func ColumnKey(col int) func(*core.Tuple) (core.OrderKey, error) {
+	return func(tup *core.Tuple) (core.OrderKey, error) { return tup.OrderKey(col), nil }
 }
 
 // NewProbTopK wraps child with a bounded top-k heap ordered by PROB(cols).
@@ -672,9 +692,14 @@ func (t *TopK) Open(ctx context.Context) error {
 		return nil // LIMIT 0: like Limit, never pull the child
 	}
 	cost := t.child.Header().TupleCost() + keyedBytes
-	if f, ok := t.child.(*Filter); ok && t.probCols != nil && f.sel.MassesFirst() {
-		if deps, err := f.sel.Out().ProbDeps(t.probCols...); err == nil {
-			return t.openPending(f, deps, cost)
+	if f, ok := t.child.(*Filter); ok && f.sel.MassesFirst() {
+		if t.col >= 0 {
+			return t.openPending(f, nil, cost)
+		}
+		if t.probCols != nil {
+			if deps, err := f.sel.Out().ProbDeps(t.probCols...); err == nil {
+				return t.openPending(f, deps, cost)
+			}
 		}
 	}
 	seq := 0
@@ -708,10 +733,16 @@ func (t *TopK) Open(ctx context.Context) error {
 }
 
 // openPending drains a Filter by pending masses: the heap holds input rows
-// keyed by the mass product over deps (Table.Prob's order, from 1), and the
-// selection builds only the k rows left in it.
+// keyed by the order column's value — read from the batch's value lane, or
+// through Tuple.OrderKey for a row outside it or a batch without one — or,
+// ordered by probability, by the mass product over deps (Table.Prob's order,
+// from 1). The selection builds only the k rows left in it.
 func (t *TopK) openPending(f *Filter, deps []int, cost int64) error {
 	seq := 0
+	// Once the heap is full with a number at its root, a lane value enters
+	// only by beating bound (offer's test, on floats).
+	var bound float64
+	bounded := false
 	for {
 		in, pend, err := f.nextPending()
 		if err != nil {
@@ -720,17 +751,37 @@ func (t *TopK) openPending(f *Filter, deps []int, cost int64) error {
 		if in == nil {
 			break
 		}
+		var lane *colpdf.Lane
+		if t.col >= 0 {
+			lane = pend.Lane(t.col, in)
+		}
 		for i, tup := range in {
 			if !pend.Kept(i) {
 				continue
 			}
-			p := 1.0
-			for _, di := range deps {
-				p *= pend.Mass(di, i)
-			}
 			seq++
-			if err := t.offer(keyed{key: core.FloatKey(p), tup: tup, seq: seq}, cost); err != nil {
+			var key core.OrderKey
+			switch {
+			case t.col < 0:
+				p := 1.0
+				for _, di := range deps {
+					p *= pend.Mass(di, i)
+				}
+				key = core.FloatKey(p)
+			case lane != nil && lane.Num[i]:
+				v := lane.Vals[i]
+				if bounded && !(t.desc && v > bound || !t.desc && v < bound) {
+					continue
+				}
+				key = core.FloatKey(v)
+			default:
+				key = tup.OrderKey(t.col)
+			}
+			if err := t.offer(keyed{key: key, tup: tup, seq: seq}, cost); err != nil {
 				return err
+			}
+			if len(t.h) == t.k {
+				bound, bounded = t.h[0].key.Number()
 			}
 		}
 	}

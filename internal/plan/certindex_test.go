@@ -100,13 +100,15 @@ func TestCertIndexDifferential(t *testing.T) {
 					victim := tb.Tuples()[rng.Intn(tb.Len())]
 					all := rng.Intn(3) == 0
 					var gone []*core.Tuple
-					tb.Delete(func(_ *core.Table, tup *core.Tuple) bool {
+					if _, err := tb.Delete(func(_ *core.Table, tup *core.Tuple) (bool, error) {
 						if tup == victim || all && key(tup) == key(victim) {
 							gone = append(gone, tup)
-							return true
+							return true, nil
 						}
-						return false
-					})
+						return false, nil
+					}); err != nil {
+						t.Fatal(err)
+					}
 					for _, tup := range gone {
 						if err := ix.NoteDelete(tup); err != nil {
 							t.Fatal(err)

@@ -158,10 +158,12 @@ func TestIndexDML(t *testing.T) {
 	// Delete the first 10 tuples, tell the index, and verify probes exclude
 	// them while the rest stay reachable.
 	victims := append([]*core.Tuple(nil), tb.Tuples()[:10]...)
-	tb.Delete(func(t *core.Table, tup *core.Tuple) bool {
+	if _, err := tb.Delete(func(t *core.Table, tup *core.Tuple) (bool, error) {
 		v, _ := t.Value(tup, "rid")
-		return v.I < 10
-	})
+		return v.I < 10, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for _, tup := range victims {
 		if err := ix.NoteDelete(tup); err != nil {
 			t.Fatal(err)
@@ -440,14 +442,16 @@ func TestRowidOrderInvariant(t *testing.T) {
 	del := func(pred func(rid int64) bool) {
 		t.Helper()
 		var gone []*core.Tuple
-		tb.Delete(func(tb *core.Table, tup *core.Tuple) bool {
+		if _, err := tb.Delete(func(tb *core.Table, tup *core.Tuple) (bool, error) {
 			v, _ := tb.Value(tup, "rid")
 			if pred(v.I) {
 				gone = append(gone, tup)
-				return true
+				return true, nil
 			}
-			return false
-		})
+			return false, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for _, tup := range gone {
 			if err := ix.NoteDelete(tup); err != nil {
 				t.Fatal(err)

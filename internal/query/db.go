@@ -439,32 +439,25 @@ func (db *DB) execDelete(s Delete) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: DELETE FROM %s compares certain columns only (use PROB(...) on uncertain ones): %w", s.Table, err)
 	}
-	var evalErr error
 	var removed []*core.Tuple
-	n := t.Delete(func(tb *core.Table, tup *core.Tuple) bool {
+	n, err := t.Delete(func(tb *core.Table, tup *core.Tuple) (bool, error) {
 		if !certain(tup) {
-			return false
+			return false, nil
 		}
 		for _, c := range probConds {
 			ok, err := evalDeleteProb(tb, tup, c)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				return false
+			if err != nil || !ok {
+				return false, err
 			}
 		}
 		removed = append(removed, tup)
-		return true
+		return true, nil
 	})
-	// The tuples removed ahead of a failing one stay removed, so the indexes
-	// forget them on the error path too.
-	if err := db.noteDeleted(s.Table, removed); evalErr == nil {
-		evalErr = err
+	if err != nil {
+		return nil, err
 	}
-	if evalErr != nil {
-		return nil, evalErr
+	if err := db.noteDeleted(s.Table, removed); err != nil {
+		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("deleted %d", n), Affected: n}, nil
 }

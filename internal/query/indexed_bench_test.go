@@ -80,19 +80,27 @@ func range50SQL(n, i int) string {
 	return fmt.Sprintf(`SELECT rid, value FROM readings WHERE rid >= %d AND rid < %d`, lo, lo+50)
 }
 
+// topkSQL is the benchmark's topk class: a score cut keeping 20–100 % of
+// the table, ranked by score.
+func topkSQL(i int) string {
+	return fmt.Sprintf(`SELECT rid, score FROM readings WHERE score < %g ORDER BY score DESC LIMIT 10`, 200+float64(i*37%8000)/10)
+}
+
 func pti1pctSQL(i int) string {
 	lo := 30 + float64(i*37%4000)/100
 	return fmt.Sprintf(`SELECT rid FROM readings WHERE PROB(value IN [%g, %g]) >= 0.5`, lo, lo+2.74)
 }
 
-// BenchmarkIndexedSelect times the indexed SELECT shapes at the DB level
-// over 25 000 rows: a btree point lookup, a 50-row two-sided btree range,
-// and a PTI range-threshold probe keeping about 1 % of the table.
+// BenchmarkIndexedSelect times the point_read statement shapes at the DB
+// level over 25 000 rows: a btree point lookup, a 50-row two-sided btree
+// range, a PTI range-threshold probe keeping about 1 % of the table, and a
+// top-10 by the unindexed score under a score cut.
 func BenchmarkIndexedSelect(b *testing.B) {
 	const n = 25000
 	benchShapes(b, indexedReadings(b, n, true), []stmtShape{
 		{"point", func(i int) string { return pointSQL(n, i) }},
 		{"range50", func(i int) string { return range50SQL(n, i) }},
 		{"pti1pct", pti1pctSQL},
+		{"topk", topkSQL},
 	})
 }

@@ -369,7 +369,7 @@ func addOrderStages(root pipe.Operator, s SelectStmt) (pipe.Operator, error) {
 		if s.Limit != nil && s.OrderProb {
 			root = pipe.NewProbTopK(root, *s.Limit, []string{s.OrderCol}, s.OrderDesc)
 		} else if s.Limit != nil {
-			root = pipe.NewTopK(root, *s.Limit, key, s.OrderDesc)
+			root = pipe.NewColumnTopK(root, *s.Limit, root.Header().Schema().Index(s.OrderCol), s.OrderDesc)
 		} else {
 			root = pipe.NewSort(root, key, s.OrderDesc)
 		}
@@ -408,6 +408,5 @@ func orderKey(t *core.Table, s SelectStmt) (func(*core.Tuple) (core.OrderKey, er
 	if col.Uncertain {
 		return nil, fmt.Errorf("query: ORDER BY uncertain column %q needs PROB(...)", s.OrderCol)
 	}
-	i := t.Schema().Index(s.OrderCol)
-	return func(tup *core.Tuple) (core.OrderKey, error) { return tup.OrderKey(i), nil }, nil
+	return pipe.ColumnKey(t.Schema().Index(s.OrderCol)), nil
 }
