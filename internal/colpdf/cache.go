@@ -38,8 +38,8 @@ type Cache struct {
 	m     map[CacheKey]cacheEntry
 	bytes int64
 	// bud, when set, is charged per entry by estimated block cost. The
-	// server registers Shed first in the reclaim order, ahead of the cached
-	// MVCC snapshot.
+	// server registers Shed first in the reclaim order, ahead of cancelling
+	// the hungriest query.
 	bud    atomic.Pointer[govern.Budget]
 	hits   atomic.Uint64
 	misses atomic.Uint64

@@ -38,8 +38,9 @@ func (f *freed) after(want int64) int64 {
 	return f.n.Load()
 }
 
-// BenchmarkFreeze times one MVCC snapshot of a 30 000-row table with two
-// pdfs per row: a shallow copy, whatever the table holds.
+// BenchmarkFreeze times one frozen copy of a 30 000-row table with two
+// pdfs per row — what every SELECT's build step takes per FROM table: a
+// shallow copy, whatever the table holds.
 func BenchmarkFreeze(b *testing.B) {
 	schema := MustSchema(
 		Column{Name: "rid", Type: IntType},

@@ -203,12 +203,6 @@ func (t *Table) TupleCost() int64 {
 	return 96 + 48*int64(t.schema.Len()+len(t.deps))
 }
 
-// MemEstimate returns the accounting estimate for the table's tuples —
-// the value a snapshot clone or join build side charges against a budget.
-func (t *Table) MemEstimate() int64 {
-	return int64(len(t.tuples)) * t.TupleCost()
-}
-
 // Freeze returns an immutable copy-on-write snapshot of the table. The
 // snapshot shares the current tuple pointers, capped so no append can leak
 // into it; Delete compacts into fresh slices (never in place) to keep frozen
@@ -250,17 +244,13 @@ func (t *Table) SetParallelism(n int) { t.par = n }
 // hardware default).
 func (t *Table) Parallelism() int { return t.par }
 
-// WithParallelism returns a view of the table whose operators run at the
-// given degree of parallelism. The view shares the receiver's tuples and
-// registry — it is a cheap per-query wrapper, not a copy — so it must not
-// outlive base-table mutations the caller isn't serialized against.
+// WithParallelism returns a frozen copy of the table (see Freeze) whose
+// operators run at the given degree of parallelism. Like any snapshot it
+// reads the tuples present at the call, however the receiver mutates after.
 func (t *Table) WithParallelism(n int) *Table {
-	if n == t.par {
-		return t
-	}
-	c := *t
+	c := t.Freeze()
 	c.par = n
-	return &c
+	return c
 }
 
 // DepSets returns the dependency information Δ as attribute-name groups,

@@ -17,10 +17,12 @@ import (
 
 // DB is a catalog of probabilistic tables sharing one base-pdf registry,
 // with a SQL-ish Exec interface. It is safe for concurrent sessions: DDL
-// and DML statements take the catalog's write lock, while SELECT, EXPLAIN
-// and the introspection statements run under the read lock, so concurrent
-// readers proceed in parallel and never observe a half-applied mutation
-// (the base-pdf registry below mints IDs atomically and needs no lock).
+// and DML statements take the catalog's write lock, EXPLAIN and the
+// introspection statements run under the read lock, and a SELECT is planned
+// under the read lock against frozen tables and runs with none
+// (PrepareSelect), so readers never observe a half-applied mutation and a
+// running SELECT never blocks a writer (the base-pdf registry below mints
+// IDs atomically and needs no lock).
 type DB struct {
 	mu     sync.RWMutex
 	reg    *core.Registry
@@ -41,9 +43,8 @@ func Open() *DB {
 }
 
 // OpenWith creates an empty database over an existing base-pdf registry.
-// The server uses it to build MVCC snapshot catalogs (frozen tables) and
-// transaction overlays (cloned tables), both over the authoritative
-// registry.
+// The server uses it to build transaction overlays (cloned tables) over the
+// authoritative registry.
 func OpenWith(reg *core.Registry) *DB {
 	return &DB{
 		reg:     reg,
@@ -152,10 +153,12 @@ func (db *DB) ExecScript(sql string) ([]*Result, error) {
 }
 
 func (db *DB) execStmt(stmt Stmt) (*Result, error) {
-	// Read-only statements share the catalog under the read lock; anything
+	// A SELECT takes the read lock for its build step only. The other
+	// read-only statements share the catalog under the read lock; anything
 	// that mutates a table or the catalog map takes the write lock.
 	switch stmt.(type) {
-	case SelectStmt, Explain, ShowTables, Describe:
+	case SelectStmt:
+	case Explain, ShowTables, Describe:
 		db.mu.RLock()
 		defer db.mu.RUnlock()
 	default:
@@ -364,10 +367,9 @@ func sqrt(v float64) float64 {
 	return math.Sqrt(v)
 }
 
-// resolveRef looks up one FROM entry, applying the per-query parallelism
-// view and (for multi-table FROM lists) the "<alias-or-name>." column
-// prefix. The result is a view for the length of the statement: it shares
-// the catalog table's tuples.
+// resolveRef looks up one FROM entry as a frozen copy at the catalog's
+// parallelism, with (for multi-table FROM lists) the "<alias-or-name>."
+// column prefix.
 func (db *DB) resolveRef(ref TableRef, qualify bool) (*core.Table, error) {
 	t, ok := db.tables[ref.Name]
 	if !ok {

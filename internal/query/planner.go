@@ -178,9 +178,9 @@ func (pr *pipelineResult) harvestKernels() {
 
 // planAccess runs the access-path half of a single-table SELECT: choose a
 // plan, probe the index, and narrow the scan to the candidate set. It
-// returns the source table the filter stages run over — the base table for
-// a scan plan, or a view of the index candidates — and the plan record with
-// the probe counters filled in.
+// returns the source table the filter stages run over — a frozen copy of
+// the base table for a scan plan, or a view of the index candidates Restrict
+// copied — and the plan record with the probe counters filled in.
 func (db *DB) planAccess(s SelectStmt, base *core.Table) (*core.Table, *pipelineResult) {
 	name := s.From[0].Name
 	t := base.WithParallelism(db.par)

@@ -27,15 +27,62 @@ import (
 // which point at their base pdfs, so a result row keeps its history alive
 // however long the caller holds it and nothing is released by hand.
 
-// execSelect drains a SELECT's operator tree into a Result table. An
-// aggregate consumes its whole filtered input by definition, so its tree
-// ends at the filter stages and the drained rows feed execAggregate.
+// PrepareSelect is the build step of a SELECT, and the one place a SELECT
+// is planned. Under the catalog read lock it resolves every FROM table to a
+// frozen copy (core.Table.WithParallelism), chooses the access paths, probes
+// the indexes and builds the operator tree; the run func it returns is the
+// run step and takes no lock.
+//
+// Invariant: once PrepareSelect returns, the tree reads only the frozen
+// tables, the index candidates TableIndexes.Restrict copied, and the
+// mutex-guarded, version-keyed colpdf cache — never the catalog, a live
+// table or an index — so run may go on while other sessions write this DB,
+// and it sees exactly the rows present at the build. A caller that
+// serializes statements above the catalog (the server's engine lock) calls
+// PrepareSelect under that lock, so no reader plans between two statements
+// of one commit.
+//
+// run must be called exactly once; it closes the tree. A plain SELECT
+// streams its result batches to sink as ExecStream describes. An aggregate
+// consumes its whole filtered input by definition: its tree ends at the
+// filter stages, run folds the drained rows and returns the aggregate's
+// message without calling sink.
+func (db *DB) PrepareSelect(s SelectStmt) (run func(ctx context.Context, sink func(hdr *core.Table, batch []*core.Tuple) error) (*Result, error), err error) {
+	root, pr, err := db.buildSelectTree(s)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, sink func(hdr *core.Table, batch []*core.Tuple) error) (*Result, error) {
+		if s.Agg != "" {
+			return drainSelect(ctx, s, root, pr)
+		}
+		rows := 0
+		err := pipe.Run(ctx, root, func(hdr *core.Table, batch []*core.Tuple) error {
+			rows += len(batch)
+			return sink(hdr, batch)
+		})
+		if err != nil {
+			return nil, err
+		}
+		pr.harvestKernels()
+		return &Result{Affected: rows, Planner: pr.counters}, nil
+	}, nil
+}
+
+// execSelect is Exec's SELECT: the build step, then the tree drained with
+// no lock held into a Result table, or folded by execAggregate.
 func (db *DB) execSelect(s SelectStmt) (*Result, error) {
 	root, pr, err := db.buildSelectTree(s)
 	if err != nil {
 		return nil, err
 	}
-	acc, err := pipe.Drain(context.Background(), root)
+	return drainSelect(context.Background(), s, root, pr)
+}
+
+// drainSelect is the run step that materializes: it drains a built tree
+// into a Result table, or for an aggregate into the aggregate's message.
+func drainSelect(ctx context.Context, s SelectStmt, root pipe.Operator, pr *pipelineResult) (*Result, error) {
+	acc, err := pipe.Drain(ctx, root)
 	if err != nil {
 		return nil, err
 	}
@@ -53,12 +100,14 @@ func (db *DB) execSelect(s SelectStmt) (*Result, error) {
 
 // ExecStream parses and executes one statement, streaming a SELECT's
 // result batches to sink as they are produced: the first batch arrives
-// before the scan has finished. sink runs under the catalog read lock and
-// is called at least once (with a nil batch when the result is empty), its
-// header argument describing the result shape; a batch is valid only for
-// the duration of the call (pipe.Operator's batch-lifetime rule). A sink
-// error — typically a dead client connection — aborts the tree mid-stream
-// and is returned.
+// before the scan has finished. The SELECT is planned under the catalog
+// read lock (PrepareSelect) and runs with no lock held, so sink may itself
+// write this DB; the stream still sees exactly the rows present when the
+// statement was planned. sink is called at least once (with a nil batch
+// when the result is empty), its header argument describing the result
+// shape; a batch is valid only for the duration of the call
+// (pipe.Operator's batch-lifetime rule). A sink error — typically a dead
+// client connection — aborts the tree mid-stream and is returned.
 //
 // Statements without streamable row output (DDL, DML, aggregates, EXPLAIN)
 // execute normally: the Result carries their message/table and sink is
@@ -69,31 +118,22 @@ func (db *DB) ExecStream(ctx context.Context, sql string, sink func(hdr *core.Ta
 		return nil, err
 	}
 	s, ok := stmt.(SelectStmt)
-	if !ok || s.Agg != "" {
+	if !ok {
 		return db.execStmt(stmt)
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	root, pr, err := db.buildSelectTree(s)
+	run, err := db.PrepareSelect(s)
 	if err != nil {
 		return nil, err
 	}
-	rows := 0
-	err = pipe.Run(ctx, root, func(hdr *core.Table, batch []*core.Tuple) error {
-		rows += len(batch)
-		return sink(hdr, batch)
-	})
-	if err != nil {
-		return nil, err
-	}
-	pr.harvestKernels()
-	return &Result{Affected: rows, Planner: pr.counters}, nil
+	return run(ctx, sink)
 }
 
-// buildSelectTree is the one tree builder behind Exec and ExecStream: the
-// filter tree, then (for everything but an aggregate) ordering, limit and
-// projection. Callers hold (at least) the read lock.
+// buildSelectTree is the build step behind Exec and ExecStream: under the
+// catalog read lock, the filter tree, then (for everything but an
+// aggregate) ordering, limit and projection.
 func (db *DB) buildSelectTree(s SelectStmt) (pipe.Operator, *pipelineResult, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	root, pr, err := db.buildFilterTree(s)
 	if err != nil || s.Agg != "" {
 		return root, pr, err

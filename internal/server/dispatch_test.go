@@ -13,7 +13,7 @@ import (
 // a collecting sink, so a fixed statement list run once through each on twin
 // engines must agree on every rendered table, message, count, in-txn flag,
 // stats counter and error text — on an ephemeral engine, on one whose
-// tables are dirty and on a checkpointed one (snapshot-routed SELECTs in all
+// tables are dirty and on a checkpointed one (unindexed SELECTs in all
 // three, until the index at the end) — and rows must go through the sink
 // exactly for plain SELECTs.
 func TestOneDispatchTwoDrivers(t *testing.T) {

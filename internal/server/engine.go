@@ -86,9 +86,9 @@ type EngineConfig struct {
 	FS vfs.FS
 	// Budget, when set, is the server-wide memory budget: the columnar
 	// encoding cache charges its blocks against it (and sheds first under
-	// pressure), MVCC snapshots charge their frozen tables (and shed
-	// second), and query budgets created by the server parent into it. Nil
-	// disables accounting entirely — a no-op engine, byte-identical results.
+	// pressure), and query budgets created by the server parent into it.
+	// Nil disables accounting entirely — a no-op engine, byte-identical
+	// results.
 	Budget *govern.Budget
 	// ShipWAL retains every WAL generation (checkpoints stop deleting rolled
 	// logs) and serves them to replicas through FetchWAL. The replication LSN
@@ -127,10 +127,10 @@ func (c *EngineConfig) fill() {
 //
 // Heap files are touched only by recovery (one sequential load each) and by
 // checkpoints (one sequential write each); the engine holds none open in
-// between, and a running server never reads one. SELECTs read memory: the
-// live catalog under the engine mutex when a referenced table has an index
-// (index structures exist only there), otherwise a refcounted MVCC snapshot
-// with the mutex released (see selectDBLocked).
+// between, and a running server never reads one. SELECTs read memory by one
+// route: planned under the engine mutex against frozen copies of the tables
+// (index probes included), then streamed with no lock held (see
+// execSelectStream).
 //
 // With an empty data dir path the engine is ephemeral: nothing is logged or
 // checkpointed and the I/O counters stay zero.
@@ -182,15 +182,6 @@ type Engine struct {
 	// conflicts counts first-writer-wins aborts engine-wide.
 	conflicts atomic.Uint64
 
-	// snap is the latest MVCC read snapshot: frozen copy-on-write tables in
-	// a catalog readers scan without holding e.mu. It is built lazily (the
-	// snapStale flag is cheap to set per mutation; freezing is paid by the
-	// first snapshot-routed read after a write) and refcounted under snapMu so a
-	// reader mid-scan keeps its snapshot alive across replacement.
-	snap      *engineSnap
-	snapStale bool
-	snapMu    sync.Mutex
-
 	// replayErrs collects the typed per-record errors recovery chose to
 	// skip past (e.g. WAL records for quarantined tables).
 	replayErrs []error
@@ -206,18 +197,6 @@ type Engine struct {
 	// delegate to it, so tests and embedded callers get BEGIN/COMMIT for
 	// free while network connections hold their own Session.
 	sess *Session
-}
-
-// engineSnap is one published MVCC snapshot: a read-only catalog of frozen
-// tables. refs (guarded by the engine's snapMu) counts the engine's own
-// reference plus one per in-flight reader; the budget charge is released
-// when it reaches zero.
-type engineSnap struct {
-	db   *query.DB
-	refs int
-	// charge is what this snapshot reserved against the server budget when
-	// built; released when the last reference drops.
-	charge int64
 }
 
 // OpenEngine creates an engine over cfg.Dir, recovering any previously
@@ -241,14 +220,12 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 		e.bud = cfg.Budget
 		e.db.Registry().ColCache().SetBudget(e.bud)
 		// Shed order under server-budget pressure: the columnar encodings
-		// first (losing one costs a re-encode of a 256-tuple batch), the MVCC
-		// snapshot second (rebuilt on the next unindexed read). The server
-		// layers the most expensive victim — cancelling the largest query —
-		// on top.
+		// first (losing one costs a re-encode of a 256-tuple batch). The
+		// server layers the expensive victim — cancelling the largest query
+		// — on top.
 		e.bud.AddReclaimer(0, func(want int64) int64 {
 			return e.db.Registry().ColCache().Shed(want)
 		})
-		e.bud.AddReclaimer(1, e.shedSnapshot)
 	}
 	if cfg.Dir == "" {
 		return e, nil
@@ -730,15 +707,14 @@ func (e *Engine) writtenTablesLocked(stmt query.Stmt) []string {
 	return nil
 }
 
-// bumpVersionLocked advances the commit clock, stamps the tables stmt
-// wrote, and invalidates the MVCC read snapshot.
+// bumpVersionLocked advances the commit clock and stamps the tables stmt
+// wrote.
 func (e *Engine) bumpVersionLocked(stmt query.Stmt) {
 	names := e.writtenTablesLocked(stmt)
 	e.verSeq++
 	for _, n := range names {
 		e.ver[n] = e.verSeq
 	}
-	e.snapStale = true
 }
 
 // maybeCheckpointLocked auto-checkpoints once the WAL (durable plus
@@ -754,28 +730,28 @@ func (e *Engine) maybeCheckpointLocked() {
 }
 
 // execSelectStream runs an autocommit SELECT, plain (rows go to sink) or
-// aggregate (the Result carries the message). For snapshot-routed queries
-// the engine lock is released for the whole scan — the sink (and a slow
-// client behind it) does not block writers.
+// aggregate (the Result carries the message), indexed or not, by the one
+// read route: under e.mu it refuses a quarantined table and builds the
+// statement against frozen tables (query.DB.PrepareSelect), then it unlocks
+// and runs — the sink (and a slow client behind it) never blocks writers,
+// and a commit's statements are applied whole before or after the build.
 //
 // A SELECT does no page I/O, appends no WAL and raises no conflict, so its
 // Result carries none of the engine-wide deltas finishStatsLocked computes:
 // with the lock released those would be other sessions' work.
-func (e *Engine) execSelectStream(ctx context.Context, sql string, s query.SelectStmt, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, error) {
+func (e *Engine) execSelectStream(ctx context.Context, s query.SelectStmt, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, error) {
 	e.mu.Lock()
 	start := time.Now()
-	db, snap, err := e.selectDBLocked(s)
-	if err != nil {
+	if err := e.precheckLocked(s); err != nil {
 		e.mu.Unlock()
 		return nil, err
 	}
-	if snap != nil {
-		e.mu.Unlock()
-		defer e.releaseSnap(snap)
-	} else {
-		defer e.mu.Unlock()
+	run, err := e.db.PrepareSelect(s)
+	e.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	qr, err := db.ExecStream(ctx, sql, sink)
+	qr, err := run(ctx, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -851,9 +827,9 @@ func (e *Engine) walSizeLocked() int64 {
 	return e.gc.Size()
 }
 
-// precheckLocked rejects statements that must not reach the WAL: writes
-// against quarantined tables (their disk state is unknown) and table names
-// that cannot map to a heap file.
+// precheckLocked rejects statements that must not run: any statement on a
+// quarantined table (its disk state is unknown) and table names that cannot
+// map to a heap file.
 func (e *Engine) precheckLocked(stmt query.Stmt) error {
 	quarantineErr := func(name string) error {
 		if q, ok := e.quarantine[name]; ok {
@@ -877,6 +853,12 @@ func (e *Engine) precheckLocked(stmt query.Stmt) error {
 		}
 	case query.CreateIndex:
 		return quarantineErr(s.Table)
+	case query.SelectStmt:
+		for _, ref := range s.From {
+			if err := quarantineErr(ref.Name); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -1046,112 +1028,6 @@ func (e *Engine) checkpointLocked() error {
 	}
 	e.gcLocked(m)
 	return nil
-}
-
-// snapshotLocked returns the current MVCC read snapshot with one reader
-// reference added, rebuilding it first if mutations invalidated it.
-// Freezing is a shallow per-table copy; the caller scans without e.mu and
-// must releaseSnap.
-func (e *Engine) snapshotLocked() *engineSnap {
-	if e.snap == nil || e.snapStale {
-		sdb := query.OpenWith(e.db.Registry())
-		sdb.SetParallelism(e.cfg.Parallelism)
-		ns := &engineSnap{db: sdb, refs: 1}
-		for _, name := range e.db.TableNames() {
-			t, ok := e.db.Table(name)
-			if !ok {
-				continue
-			}
-			ft := t.Freeze()
-			ns.charge += ft.MemEstimate()
-			sdb.Attach(ft) //nolint:errcheck // names are unique by construction
-		}
-		// Charge the frozen working set against the server budget. The
-		// snapshot is mandatory for correctness (an unindexed read has nowhere
-		// else to go), so a refusal — after Reserve has already shed the
-		// cheaper victims — degrades to an untracked snapshot with a log
-		// line rather than failing reads.
-		if err := e.bud.Reserve(ns.charge); err != nil {
-			e.cfg.Logf("probserve: snapshot uncharged under memory pressure: %v", err)
-			ns.charge = 0
-		}
-		e.snapMu.Lock()
-		old := e.snap
-		e.snap = ns
-		e.snapMu.Unlock()
-		e.snapStale = false
-		if old != nil {
-			e.releaseSnap(old) // drop the engine's reference to the old snapshot
-		}
-	}
-	s := e.snap
-	e.snapMu.Lock()
-	s.refs++
-	e.snapMu.Unlock()
-	return s
-}
-
-// releaseSnap drops one reference; the last one releases the snapshot's
-// budget charge.
-func (e *Engine) releaseSnap(s *engineSnap) {
-	e.snapMu.Lock()
-	s.refs--
-	drop := s.refs == 0
-	e.snapMu.Unlock()
-	if drop {
-		e.bud.Release(s.charge)
-	}
-}
-
-// shedSnapshot is the priority-1 budget reclaimer: it drops the engine's
-// own reference to the current MVCC snapshot so its frozen tables (and
-// their budget charge) free as soon as in-flight readers finish. The next
-// unindexed read rebuilds a snapshot — correctness is unaffected. TryLock
-// avoids self-deadlock: Reserve can run under e.mu (snapshotLocked itself
-// charges), and a reclaimer that blocked there would wedge the engine.
-func (e *Engine) shedSnapshot(want int64) int64 {
-	_ = want // all-or-nothing: one snapshot, one drop
-	if !e.mu.TryLock() {
-		return 0
-	}
-	defer e.mu.Unlock()
-	if e.snap == nil {
-		return 0
-	}
-	old := e.snap
-	e.snap = nil
-	e.snapStale = true
-	freed := old.charge
-	e.releaseSnap(old)
-	return freed
-}
-
-// selectDBLocked is the one place a SELECT's read route is chosen. Both
-// routes read memory, which is always current; one observable fact decides:
-//
-//   - a referenced table has an index → the authoritative catalog, with e.mu
-//     held for the whole statement (index structures exist only there — a
-//     snapshot would silently plan a full scan);
-//   - otherwise → the MVCC snapshot: frozen copy-on-write tables scanned
-//     with e.mu released, so writers never wait on readers. The returned
-//     *engineSnap is non-nil and the caller must releaseSnap when done.
-//
-// A quarantined table fails the query with the typed error.
-func (e *Engine) selectDBLocked(s query.SelectStmt) (*query.DB, *engineSnap, error) {
-	indexed := false
-	for _, ref := range s.From {
-		if q, ok := e.quarantine[ref.Name]; ok {
-			return nil, nil, &QuarantinedTableError{Table: ref.Name, Cause: q.err}
-		}
-		if len(e.db.IndexedCols(ref.Name)) > 0 {
-			indexed = true
-		}
-	}
-	if indexed {
-		return e.db, nil, nil
-	}
-	snap := e.snapshotLocked()
-	return snap.db, snap, nil
 }
 
 // ReplayErrors returns the typed errors the last recovery skipped past

@@ -93,8 +93,8 @@ func TestEnginePersistAndReload(t *testing.T) {
 		t.Fatalf("insert reported no WAL bytes: %+v", res.Stats)
 	}
 
-	// While the table is dirty (uncheckpointed WAL tail) the SELECT routes
-	// through the MVCC snapshot and does no page I/O.
+	// While the table is dirty (uncheckpointed WAL tail) the SELECT reads
+	// memory and does no page I/O.
 	res, err := e.Execute("SELECT rid FROM readings WHERE value < 20 AND PROB(value) > 0.4")
 	if err != nil {
 		t.Fatal(err)

@@ -92,16 +92,14 @@ func TestHealth(t *testing.T) {
 func TestOverloadStress(t *testing.T) {
 	before := runtime.NumGoroutine()
 	opsBefore := pipe.OpenOperators()
-	// Three queries (~4.1MiB each) plus the cached snapshot (~3.3MiB) fit
-	// in 17.5MiB; all four workers' queries at once collide — pressure
-	// comes from concurrency, not from any one query being inherently too
-	// large. A tighter budget starves them instead: the budget sheds the
-	// largest running query first, so sorts that two or three at once
-	// overflow can cancel one another until none finishes.
-	const memBudget = 35 << 19
-	// The table has no index, so SELECTs take the snapshot route and
-	// actually run concurrently — indexed reads would serialize under the
-	// engine mutex and never contend for memory.
+	// Three queries (~4.1MiB each) fit in 16MiB; all four workers' queries
+	// at once (~16.5MiB) collide — pressure comes from concurrency,
+	// not from any one query being inherently too large. A tighter budget
+	// starves them instead: the budget sheds the largest running query
+	// first, so sorts that two or three at once overflow can cancel one
+	// another until none finishes. Every SELECT streams with the engine
+	// mutex released, so the workers' sorts really do overlap.
+	const memBudget = 32 << 19
 	s := startServer(t, Config{
 		Workers: 4, MemBudget: memBudget, QueryTimeout: 20 * time.Second,
 		DataDir: t.TempDir(), CheckpointBytes: -1,
@@ -118,7 +116,7 @@ func TestOverloadStress(t *testing.T) {
 	// 18000 tuples at 192 bytes of accounted cost each, plus 48 per sort
 	// key: one ORDER BY holds ~4.1MiB in its Sort breaker for the whole
 	// streaming phase (the projection after it streams), so four
-	// overlapping queries bust the 17.5MiB budget. The table is large
+	// overlapping queries bust the 16MiB budget. The table is large
 	// enough that a sort outlasts a scheduler time slice: with one CPU,
 	// queries over a smaller one can run back to back and never collide.
 	const rows = 18000
@@ -189,12 +187,9 @@ func TestOverloadStress(t *testing.T) {
 		t.Fatalf("budget high-water %d exceeded the %d limit", hw, memBudget)
 	}
 
-	// Quiesced: once the cached MVCC snapshot (which legitimately holds
-	// its charge between queries) is shed, every reservation must have
-	// been returned.
+	// Quiesced: every reservation must have been returned.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.eng.shedSnapshot(1 << 30)
 		if s.bud.Used() == 0 {
 			break
 		}

@@ -13,14 +13,13 @@ import (
 
 // TestRegistryTracksLiveRows is the history soak. Statements of every read
 // shape — point, range, PTI, PROB, floor, a comparison with a certain column,
-// aggregate and EXPLAIN — run on the live (indexed), snapshot and
-// transaction routes, streamed through the server's sink, with a second
-// session reading alongside; then every row they read is deleted. Every
-// inserted row's base pdfs are watched, and after a collection exactly the
-// deleted rows' pdfs are unreachable: nothing a statement read outlives it,
-// and the live rows keep theirs. The one thing allowed to reach a deleted
-// row is the engine's cached MVCC snapshot, which the next snapshot-route
-// read replaces, so each check runs after one.
+// aggregate and EXPLAIN — run over an indexed and an unindexed table, in
+// autocommit and in a transaction, streamed through the server's sink, with
+// a second session reading alongside; then every row they read is deleted.
+// Every inserted row's base pdfs are watched, and after a collection exactly
+// the deleted rows' pdfs are unreachable: nothing a statement read outlives
+// it, the live rows keep theirs, and nothing the engine keeps between
+// statements reaches a deleted row.
 func TestRegistryTracksLiveRows(t *testing.T) {
 	e, err := OpenEngine(EngineConfig{Dir: t.TempDir()})
 	if err != nil {
@@ -53,7 +52,6 @@ func TestRegistryTracksLiveRows(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		run(ses, `SELECT COUNT(*) FROM snap`) // replaces the cached snapshot
 		live := int64(0)
 		for _, name := range e.DB().TableNames() {
 			tbl, _ := e.DB().Table(name)
@@ -74,10 +72,10 @@ func TestRegistryTracksLiveRows(t *testing.T) {
 	// The three-row repro: a point read, then deleting the row it read.
 	for _, q := range []string{
 		`CREATE TABLE r (rid INT, v FLOAT UNCERTAIN)`,
-		`CREATE TABLE snap (rid INT, score FLOAT, v FLOAT UNCERTAIN, w FLOAT UNCERTAIN)`,
-		`CREATE TABLE live (rid INT, score FLOAT, v FLOAT UNCERTAIN, w FLOAT UNCERTAIN)`,
-		`CREATE INDEX ON live (rid)`,
-		`CREATE INDEX ON live (v)`,
+		`CREATE TABLE plain (rid INT, score FLOAT, v FLOAT UNCERTAIN, w FLOAT UNCERTAIN)`,
+		`CREATE TABLE indexed (rid INT, score FLOAT, v FLOAT UNCERTAIN, w FLOAT UNCERTAIN)`,
+		`CREATE INDEX ON indexed (rid)`,
+		`CREATE INDEX ON indexed (v)`,
 	} {
 		run(ses, q)
 	}
@@ -89,7 +87,7 @@ func TestRegistryTracksLiveRows(t *testing.T) {
 	const perRound = 200
 	for round := 0; round < 3; round++ {
 		lo := round * perRound
-		for _, tbl := range []string{"snap", "live"} {
+		for _, tbl := range []string{"plain", "indexed"} {
 			var b strings.Builder
 			fmt.Fprintf(&b, `INSERT INTO %s (rid, score, v, w) VALUES `, tbl)
 			for i := lo; i < lo+perRound; i++ {
@@ -119,21 +117,21 @@ func TestRegistryTracksLiveRows(t *testing.T) {
 				fmt.Sprintf(`EXPLAIN SELECT rid FROM %s WHERE v < 40 AND rid < %d`, tbl, lo+100),
 			}
 		}
-		// A second session streams snapshot reads while this one works.
+		// A second session streams reads while this one works.
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			other := e.NewSession()
 			defer other.Close()
-			for _, q := range reads("snap") {
+			for _, q := range reads("plain") {
 				var frame []byte
 				if _, _, err := other.ExecuteStream(context.Background(), q, batchSink(&frame, func([]byte) error { return nil })); err != nil {
 					t.Errorf("%s: %v", q, err)
 				}
 			}
 		}()
-		for _, tbl := range []string{"snap", "live"} {
+		for _, tbl := range []string{"plain", "indexed"} {
 			for _, q := range reads(tbl) {
 				run(ses, q)
 			}
@@ -149,7 +147,7 @@ func TestRegistryTracksLiveRows(t *testing.T) {
 		wg.Wait()
 		// Every row any round read goes but this round's last 50, which the
 		// next round reads again and deletes.
-		for _, tbl := range []string{"snap", "live"} {
+		for _, tbl := range []string{"plain", "indexed"} {
 			run(ses, fmt.Sprintf(`DELETE FROM %s WHERE rid < %d`, tbl, lo+150))
 		}
 		check(fmt.Sprintf("round %d", round))

@@ -16,11 +16,11 @@ import (
 )
 
 // writeFromSink returns a streaming sink that hands every batch to onBatch
-// and, on the first one, runs write (nil: nothing) — statements on other
-// sessions — failing if it does not return promptly, which it cannot while
-// the streaming SELECT holds the engine mutex.
+// and, on the first one, runs write — statements on other sessions —
+// failing if it does not return promptly, which it could not if the
+// streaming SELECT held the engine mutex.
 func writeFromSink(write func() error, onBatch func(*core.Table, []*core.Tuple)) func(*core.Table, []*core.Tuple) error {
-	probed := write == nil
+	probed := false
 	return func(hdr *core.Table, b []*core.Tuple) error {
 		onBatch(hdr, b)
 		if probed {
@@ -41,10 +41,9 @@ func writeFromSink(write func() error, onBatch func(*core.Table, []*core.Tuple))
 // TestSelectRoutes: a SELECT reads memory in every storage state. The
 // TestOneDispatchTwoDrivers SELECT corpus renders identically on ephemeral,
 // dirty, checkpointed and reopened tables, indexed or not, and never reads a
-// page. Unindexed cells take the snapshot route, proven by a sink that writes
-// through a second session mid-stream; indexed cells read the live catalog
-// and still hold e.mu while streaming (ROADMAP item 4), so they skip that
-// probe.
+// page. Every cell streams with the engine mutex released — indexed reads
+// probe at plan time and run on frozen tables like the rest — proven by a
+// sink that writes through a second session mid-stream.
 func TestSelectRoutes(t *testing.T) {
 	loads := []string{
 		"CREATE TABLE r (k INT, x FLOAT UNCERTAIN)",
@@ -101,12 +100,9 @@ func TestSelectRoutes(t *testing.T) {
 						}
 						tbl.Rows = append(tbl.Rows, wire.RowsOf(hdr, b)...)
 					}
-					var write func() error
-					if !indexed {
-						write = func() error {
-							_, err := e.NewSession().Execute("INSERT INTO w (k) VALUES (1)")
-							return err
-						}
+					write := func() error {
+						_, err := e.NewSession().Execute("INSERT INTO w (k) VALUES (1)")
+						return err
 					}
 					res, _, err := e.ExecuteStream(context.Background(), sql, writeFromSink(write, sink))
 					if err != nil {
@@ -131,10 +127,17 @@ func TestSelectRoutes(t *testing.T) {
 	}
 }
 
-// TestSelectStatsOwnWorkOnly: a snapshot-routed SELECT releases e.mu while it
-// streams, so other sessions commit, checkpoint and conflict meanwhile. None
-// of that is the SELECT's work and none of it may show up in its Stats.
+// TestSelectStatsOwnWorkOnly: a SELECT, over an indexed table or not,
+// releases e.mu while it streams, so other sessions commit, checkpoint and
+// conflict meanwhile. None of that is the SELECT's work and none of it may
+// show up in its Stats.
 func TestSelectStatsOwnWorkOnly(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("indexed=%v", indexed), func(t *testing.T) { selectStatsOwnWorkOnly(t, indexed) })
+	}
+}
+
+func selectStatsOwnWorkOnly(t *testing.T, indexed bool) {
 	// The set-up stays under the auto-checkpoint threshold, the INSERT that
 	// lands mid-scan crosses it: WAL bytes and page writes, all another
 	// session's.
@@ -145,6 +148,9 @@ func TestSelectStatsOwnWorkOnly(t *testing.T) {
 	defer e.Close()
 	mustExecute(t, e, "CREATE TABLE r (k INT, x FLOAT UNCERTAIN)")
 	mustExecute(t, e, "INSERT INTO r (k, x) VALUES (1, GAUSSIAN(10, 4))")
+	if indexed {
+		mustExecute(t, e, "CREATE INDEX ON r (k)")
+	}
 	loser := e.NewSession()
 	for _, sql := range []string{"BEGIN", "INSERT INTO r (k, x) VALUES (2, GAUSSIAN(1, 1))"} {
 		if _, err := loser.Execute(sql); err != nil {
@@ -161,10 +167,13 @@ func TestSelectStatsOwnWorkOnly(t *testing.T) {
 		}
 		return nil
 	}
-	res, _, err := e.ExecuteStream(context.Background(), "SELECT k FROM r",
+	res, _, err := e.ExecuteStream(context.Background(), "SELECT k FROM r WHERE k = 1",
 		writeFromSink(others, func(*core.Table, []*core.Tuple) {}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if probes := res.Stats.IndexProbes; indexed != (probes == 1) {
+		t.Fatalf("indexed=%v: %d index probes", indexed, probes)
 	}
 	if e.Conflicts() != 1 {
 		t.Fatalf("engine conflicts %d, want 1: the probe did not run", e.Conflicts())

@@ -51,7 +51,7 @@ type Config struct {
 	// Logf, when set, receives server lifecycle and session errors.
 	Logf func(format string, args ...any)
 
-	// MemBudget caps the bytes the server's operators, caches and snapshots
+	// MemBudget caps the bytes the server's operators and columnar cache
 	// may hold at once. 0 disables memory accounting entirely (unless
 	// SessionMem or QueryMem is set): the governance path becomes a no-op
 	// and execution is byte-identical to an ungoverned server.
@@ -262,13 +262,13 @@ func New(cfg Config) (*Server, error) {
 		bud:     bud,
 		queries: map[*task]*runningQuery{},
 	}
-	// Last-resort reclaimer: after the engine has shed its cache (pri 0)
-	// and MVCC snapshot (pri 1), cancel the hungriest running query.
-	bud.AddReclaimer(2, s.shedLargestQuery)
+	// Last-resort reclaimer: after the engine has shed its columnar cache
+	// (pri 0), cancel the hungriest running query.
+	bud.AddReclaimer(1, s.shedLargestQuery)
 	return s, nil
 }
 
-// shedLargestQuery is the priority-2 reclaimer on the server budget: it
+// shedLargestQuery is the priority-1 reclaimer on the server budget: it
 // cancels the running query holding the most reserved memory, with the
 // budget shortfall as the cancellation cause. The victim's reservations
 // release as its operator tree closes, so the freed estimate is its current

@@ -103,11 +103,10 @@ func (s *Session) Execute(sql string) (*wire.Result, error) {
 // transaction-control statements — never calls sink (streamed=false) and
 // returns a full Result.
 //
-// A snapshot-routed SELECT (no referenced table has an index, no
-// transaction) and every in-transaction SELECT stream without holding the
-// engine mutex: a slow consumer does not block writers. Only the indexed
-// route — a SELECT referencing a table with an index reads the live catalog,
-// where the index structures are — still streams under the engine lock. ctx
+// Every SELECT — plain or aggregate, indexed or not, autocommit or in a
+// transaction — is planned against frozen tables and streams without
+// holding the engine mutex or the catalog lock: a slow consumer does not
+// block writers, and a sink may itself write through another session. ctx
 // aborts the operator tree between batches; sink errors do the same and come
 // back wrapped.
 func (s *Session) ExecuteStream(ctx context.Context, sql string, sink func(hdr *core.Table, batch []*core.Tuple) error) (res *wire.Result, streamed bool, err error) {
@@ -143,7 +142,7 @@ func (s *Session) ExecuteStream(ctx context.Context, sql string, sink func(hdr *
 		if s.tx != nil {
 			res, err = s.selectInTxnLocked(ctx, sql, sink)
 		} else {
-			res, err = s.e.execSelectStream(ctx, sql, st, sink)
+			res, err = s.e.execSelectStream(ctx, st, sink)
 		}
 	default:
 		if s.tx != nil {
@@ -342,7 +341,6 @@ func (s *Session) commitLocked() (*wire.Result, error) {
 	for _, n := range names {
 		e.ver[n] = e.verSeq
 	}
-	e.snapStale = true
 	if e.cfg.Dir != "" {
 		e.maybeCheckpointLocked()
 	}

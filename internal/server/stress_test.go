@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,13 +23,23 @@ import (
 // half — even though commits land between the stream's batches. Writers
 // retry on first-writer-wins conflicts, so the test also hammers the
 // conflict/retry path under -race.
-func TestSnapshotIsolationStress(t *testing.T) {
+func TestSnapshotIsolationStress(t *testing.T) { snapshotIsolationStress(t, false) }
+
+// TestSnapshotIsolationStressIndexed is the same stress over an indexed
+// table: readers alternate a full scan and a btree range probe, both planned
+// at build time and streamed while the writers commit.
+func TestSnapshotIsolationStressIndexed(t *testing.T) { snapshotIsolationStress(t, true) }
+
+func snapshotIsolationStress(t *testing.T, indexed bool) {
 	const (
 		writers    = 4
 		perWriter  = 20
 		readers    = 3
 		seedPairs  = 600 // > 2 stream batches, so commits interleave batches
 		partnerGap = 1_000_000
+		// rangeHi bounds the range reads: every low half, and the high
+		// halves of the seed pairs and of writers 0 and 1.
+		rangeHi = partnerGap + 12_000
 	)
 	e, err := OpenEngine(EngineConfig{Dir: t.TempDir()})
 	if err != nil {
@@ -45,6 +56,9 @@ func TestSnapshotIsolationStress(t *testing.T) {
 			sql += fmt.Sprintf("(%d), (%d)", i, i+partnerGap)
 		}
 		mustExecute(t, e, sql)
+	}
+	if indexed {
+		mustExecute(t, e, "CREATE INDEX ON pairs (k)")
 	}
 
 	var (
@@ -96,7 +110,11 @@ func TestSnapshotIsolationStress(t *testing.T) {
 			defer wg.Done()
 			s := e.NewSession()
 			defer s.Close()
-			for !stop.Load() {
+			for n := 0; !stop.Load(); n++ {
+				query, hi := "SELECT k FROM pairs", int64(math.MaxInt64)
+				if indexed && n%2 == 1 {
+					query, hi = fmt.Sprintf("SELECT k FROM pairs WHERE k < %d", rangeHi), rangeHi
+				}
 				seen := map[int64]bool{}
 				sink := func(hdr *core.Table, batch []*core.Tuple) error {
 					for _, tup := range batch {
@@ -106,12 +124,17 @@ func TestSnapshotIsolationStress(t *testing.T) {
 					}
 					return nil
 				}
-				if _, _, err := s.ExecuteStream(context.Background(), "SELECT k FROM pairs", sink); err != nil {
+				res, _, err := s.ExecuteStream(context.Background(), query, sink)
+				if err != nil {
 					failures <- fmt.Errorf("reader %d: %w", r, err)
 					return
 				}
+				if probed := res.Stats.IndexProbes == 1; probed != (hi < math.MaxInt64) {
+					failures <- fmt.Errorf("reader %d: %q made %d index probes", r, query, res.Stats.IndexProbes)
+					return
+				}
 				for k := range seen {
-					if k < partnerGap && !seen[k+partnerGap] {
+					if k < partnerGap && k+partnerGap < hi && !seen[k+partnerGap] {
 						failures <- fmt.Errorf("reader %d: torn snapshot: saw %d without its partner", r, k)
 						return
 					}
