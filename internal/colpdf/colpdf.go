@@ -1,20 +1,25 @@
 // Package colpdf is the columnar batch representation of uncertain columns.
 // A Block holds one distribution per tuple, re-organized for vectorized
-// evaluation: consecutive tuples of the same closed-form family form a Run
-// whose parameters live in contiguous float lanes (Gaussian mu/sigma,
-// Uniform lo/hi, Exponential rate), discrete families (Poisson, Geometric)
-// and grids dictionary-share their expanded representation across tuples
-// with equal parameters, and anything without a closed form lands in a
-// per-tuple fallback slot — so correctness never depends on encodability.
+// evaluation. Its parameter lanes are block-wide and indexed by row: two
+// float lanes for the closed-form families (Gaussian mu/sigma, Uniform
+// lo/hi, Exponential rate) and a point lane for discrete samplings — the
+// generic one-dimensional *dist.Discrete of §II-A, full or partial — whose
+// row i owns the points between two offsets. Consecutive tuples of one
+// family form a Run, which records where it lies and keeps the slots the
+// rarer families need: Poisson, Geometric and grids dictionary-share their
+// expanded representation across tuples with equal parameters, and anything
+// without a columnar form lands in a per-tuple fallback slot — so
+// correctness never depends on encodability. A counting pass sizes every
+// lane before the encoder fills them, so a block costs a constant number of
+// allocations however many runs it has.
 //
 // The batch kernels (kernels.go) switch on family once per run and then loop
-// over the flat lanes with no interface dispatch and no per-tuple
-// allocation. They replicate the scalar reference arithmetic of
-// internal/dist operation for operation — same cdf calls, same Kahan
-// summation, same clamping, same NaN/±Inf handling through
-// region.Interval.Empty/Contains — so vectorized results are bit-identical
-// to the per-tuple path. The differential suites in this package and in
-// internal/core enforce that contract.
+// over the lanes with no interface dispatch and no per-tuple allocation.
+// They replicate the scalar reference arithmetic of internal/dist operation
+// for operation — same cdf calls, same Kahan summation, same clamping, same
+// NaN/±Inf handling through region.Interval.Empty/Contains — so vectorized
+// results are bit-identical to the per-tuple path. The differential suites
+// in this package and in internal/core enforce that contract.
 package colpdf
 
 import (
@@ -37,7 +42,19 @@ const (
 	FamPoisson
 	FamGeometric
 	FamGrid
+	// FamDiscrete is a one-dimensional *dist.Discrete, full or partial,
+	// whose points live in the block's point lane.
+	FamDiscrete
 	famCount
+)
+
+const (
+	// maxLambda bounds the Poisson parameters a dictionary slot holds: the
+	// enumerated support has about lambda points, and larger lambdas stay
+	// scalar, as the hardened dist decoder bounds its enumeration.
+	maxLambda = 1e4
+	// minGeomP mirrors the dist decoder's denormal-p overflow guard.
+	minGeomP = 1e-6
 )
 
 // String returns the family name used in EXPLAIN kernel-strategy lines.
@@ -57,44 +74,36 @@ func (f Family) String() string {
 		return "geometric"
 	case FamGrid:
 		return "grid"
+	case FamDiscrete:
+		return "discrete"
 	}
 	return "unknown"
 }
 
-// lanes returns how many per-tuple parameter lanes the family stores.
-func (f Family) lanes() int {
-	switch f {
-	case FamGaussian, FamUniform:
-		return 2
-	case FamExponential, FamPoisson, FamGeometric:
-		return 1
-	}
-	return 0
+// params reports whether the family's rows store their parameters in the
+// block's two float lanes.
+func (f Family) params() bool {
+	return f == FamGaussian || f == FamUniform || f == FamExponential
 }
 
-// dictionary reports whether the family shares an expanded representation
-// across tuples with equal parameters.
-func (f Family) dictionary() bool {
-	return f == FamPoisson || f == FamGeometric || f == FamGrid
-}
-
-// Run is one maximal stretch of consecutive tuples sharing a family.
+// Run is one maximal stretch of consecutive tuples sharing a family. The
+// closed-form and discrete-sampling families keep their parameters in the
+// block's lanes, so their runs are only a position; the rarer families keep
+// their per-tuple storage in Slots.
 type Run struct {
 	Fam   Family
 	Start int // first tuple index (within the Block)
 	N     int // tuple count
+	// Slots is nil for the lane families.
+	*Slots
+}
 
-	// Lanes holds the per-tuple parameters, one slice per lane, each of
-	// length N: Gaussian {mu, sigma}, Uniform {lo, hi}, Exponential {rate},
-	// Poisson {lambda}, Geometric {p}. Empty for Grid and Fallback runs.
-	Lanes [][]float64
-
-	// DictIdx maps each tuple of a dictionary family to its dictionary
-	// slot (length N). Tuples with equal parameters share a slot.
+// Slots is what a dictionary or fallback run stores per tuple.
+type Slots struct {
+	// DictIdx maps each tuple of a dictionary family (Poisson, Geometric,
+	// Grid) to its dictionary slot (length N). Tuples with equal parameters
+	// share a slot.
 	DictIdx []int32
-	// Params is the dictionary parameter per slot for Poisson (lambda) and
-	// Geometric (p) runs — the canonical value the codec serializes.
-	Params []float64
 	// Pts is the shared enumerated point support per dictionary slot
 	// (Poisson, Geometric). Enumeration from the parameter is
 	// deterministic, so the shared points are element-wise identical to
@@ -116,7 +125,17 @@ type Block struct {
 	// present for every tuple including fallback ones — so PROB(col)
 	// thresholds vectorize regardless of family.
 	mass []float64
-	runs []Run
+	// p0 and p1 are the parameter lanes, indexed by row: Gaussian {mu,
+	// sigma}, Uniform {lo, hi}, Exponential {rate, 0}, zero in rows of
+	// other families. Both are nil when no row has a closed form.
+	p0, p1 []float64
+	// off, px and pp are the point lane of the FamDiscrete rows: row i's
+	// points, in the pdf's sorted order, are (px[k], pp[k]) for k in
+	// [off[i], off[i+1]). off has length n+1, and is nil when no row is
+	// FamDiscrete.
+	off    []int32
+	px, pp []float64
+	runs   []Run
 	// stats is StatsIn over the whole block, computed once when the block is
 	// built: the filter kernels report it for every batch they evaluate.
 	stats RangeStats
@@ -143,26 +162,17 @@ func (b *Block) Mass() []float64 { return b.mass }
 // MassPositive reports whether every mass in the lane is > 0.
 func (b *Block) MassPositive() bool { return b.massPos }
 
-// finish computes what a block records once it is built: its whole-range
-// statistics and whether its masses are all positive.
-func (b *Block) finish() {
-	b.stats = b.rangeStats(0, b.n)
-	b.massPos = true
-	for _, m := range b.mass {
-		b.massPos = b.massPos && m > 0
-	}
-}
-
 // MemCost estimates the bytes the block holds — the value charged against a
 // govern budget by the encoding cache. Deliberately coarse but stable.
 func (b *Block) MemCost() int64 {
-	c := int64(64) + 8*int64(len(b.mass)) + 96*int64(len(b.runs))
+	c := int64(64) + 8*int64(len(b.mass)+len(b.p0)+len(b.p1)+len(b.px)+len(b.pp)) +
+		4*int64(len(b.off)) + 32*int64(len(b.runs))
 	for i := range b.runs {
 		r := &b.runs[i]
-		for _, l := range r.Lanes {
-			c += 8 * int64(len(l))
+		if r.Slots == nil {
+			continue
 		}
-		c += 4*int64(len(r.DictIdx)) + 8*int64(len(r.Params))
+		c += 4 * int64(len(r.DictIdx))
 		for _, p := range r.Pts {
 			c += 40 * int64(len(p))
 		}
@@ -172,8 +182,9 @@ func (b *Block) MemCost() int64 {
 	return c
 }
 
-// classify maps one distribution to its family and parameters. pts/grid are
-// set for dictionary families.
+// classify maps one distribution to its family and parameters (for Poisson
+// and Geometric, the dictionary key). pts is set for the discrete-sampling
+// and dictionary families, grid for grids.
 func classify(d dist.Dist) (fam Family, p0, p1 float64, pts []dist.Point, grid *dist.Grid) {
 	switch m := dist.Model(d).(type) {
 	case dist.Gaussian:
@@ -183,9 +194,6 @@ func classify(d dist.Dist) (fam Family, p0, p1 float64, pts []dist.Point, grid *
 	case dist.Exponential:
 		return FamExponential, m.Rate, 0, nil, nil
 	case dist.Poisson:
-		// Parameters outside the codec's decode limits (maxLambda mirrors
-		// the hardened dist decoder's enumeration bound) stay scalar so
-		// Marshal and Unmarshal accept exactly the same blocks.
 		if !(m.Lambda <= maxLambda) {
 			break
 		}
@@ -196,8 +204,15 @@ func classify(d dist.Dist) (fam Family, p0, p1 float64, pts []dist.Point, grid *
 		}
 		return FamGeometric, m.P, 0, dist.BackingPoints(d), nil
 	}
-	if g, ok := d.(*dist.Grid); ok && g.Dim() == 1 {
-		return FamGrid, 0, 0, nil, g
+	switch v := d.(type) {
+	case *dist.Discrete:
+		if v.Dim() == 1 {
+			return FamDiscrete, 0, 0, v.Points(), nil
+		}
+	case *dist.Grid:
+		if v.Dim() == 1 {
+			return FamGrid, 0, 0, nil, v
+		}
 	}
 	return FamFallback, 0, 0, nil, nil
 }
@@ -207,12 +222,42 @@ func classify(d dist.Dist) (fam Family, p0, p1 float64, pts []dist.Point, grid *
 // (the same reduction Table.DistOf performs on the scalar path). mass, when
 // non-nil, supplies the per-tuple existence-mass lane (length len(dists));
 // when nil the lane is computed from each distribution directly.
+//
+// A counting pass finds the runs and the sizes of the lanes first, so the
+// mass, parameter and point lanes share one float allocation and the runs
+// another; only dictionary and fallback runs allocate their own Slots.
 func Encode(dists []dist.Dist, dim int, mass []float64) *Block {
-	b := &Block{n: len(dists), dim: dim}
+	n := len(dists)
+	nruns, npts, params, points := 0, 0, false, false
+	prev := famCount
+	for _, d := range dists {
+		fam, _, _, pts, _ := classify(d)
+		if fam != prev {
+			nruns, prev = nruns+1, fam
+		}
+		params = params || fam.params()
+		if fam == FamDiscrete {
+			points = true
+			npts += len(pts)
+		}
+	}
+	np := 0
+	if params {
+		np = n
+	}
+	floats := make([]float64, n+2*np+2*npts)
+	b := &Block{n: n, dim: dim, runs: make([]Run, 0, nruns)}
+	b.mass, floats = floats[:n:n], floats[n:]
+	if params {
+		b.p0, b.p1, floats = floats[:n:n], floats[n:2*n:2*n], floats[2*n:]
+	}
+	b.px, b.pp = floats[:npts:npts], floats[npts:]
+	if points {
+		b.off = make([]int32, n+1)
+	}
 	if mass != nil {
-		b.mass = append([]float64(nil), mass...)
+		copy(b.mass, mass)
 	} else {
-		b.mass = make([]float64, len(dists))
 		for i, d := range dists {
 			b.mass[i] = d.Mass()
 		}
@@ -223,39 +268,42 @@ func Encode(dists []dist.Dist, dim int, mass []float64) *Block {
 	// as distinct stable keys.
 	var dict map[uint64]int32
 	var gdict map[*dist.Grid]int32
+	k := int32(0)
 	for i, d := range dists {
 		fam, p0, p1, pts, grid := classify(d)
 		if cur == nil || cur.Fam != fam {
 			b.runs = append(b.runs, Run{Fam: fam, Start: i})
 			cur = &b.runs[len(b.runs)-1]
-			if ln := fam.lanes(); ln > 0 {
-				cur.Lanes = make([][]float64, ln)
+			if !fam.params() && fam != FamDiscrete {
+				cur.Slots = &Slots{}
 			}
 			dict, gdict = nil, nil
-			if fam.dictionary() {
-				dict = make(map[uint64]int32)
-				gdict = make(map[*dist.Grid]int32)
-			}
 		}
 		cur.N++
 		switch fam {
-		case FamGaussian, FamUniform:
-			cur.Lanes[0] = append(cur.Lanes[0], p0)
-			cur.Lanes[1] = append(cur.Lanes[1], p1)
-		case FamExponential:
-			cur.Lanes[0] = append(cur.Lanes[0], p0)
+		case FamGaussian, FamUniform, FamExponential:
+			b.p0[i], b.p1[i] = p0, p1
+		case FamDiscrete:
+			for _, p := range pts {
+				b.px[k], b.pp[k] = p.X[0], p.P
+				k++
+			}
 		case FamPoisson, FamGeometric:
-			cur.Lanes[0] = append(cur.Lanes[0], p0)
+			if dict == nil {
+				dict = make(map[uint64]int32)
+			}
 			key := math.Float64bits(p0)
 			slot, ok := dict[key]
 			if !ok {
 				slot = int32(len(cur.Pts))
 				dict[key] = slot
 				cur.Pts = append(cur.Pts, pts)
-				cur.Params = append(cur.Params, p0)
 			}
 			cur.DictIdx = append(cur.DictIdx, slot)
 		case FamGrid:
+			if gdict == nil {
+				gdict = make(map[*dist.Grid]int32)
+			}
 			slot, ok := gdict[grid]
 			if !ok {
 				slot = int32(len(cur.Grids))
@@ -266,9 +314,22 @@ func Encode(dists []dist.Dist, dim int, mass []float64) *Block {
 		default:
 			cur.FB = append(cur.FB, d)
 		}
+		if points {
+			b.off[i+1] = k
+		}
 	}
 	b.finish()
 	return b
+}
+
+// finish computes what a block records once it is built: its whole-range
+// statistics and whether its masses are all positive.
+func (b *Block) finish() {
+	b.stats = b.rangeStats(0, b.n)
+	b.massPos = true
+	for _, m := range b.mass {
+		b.massPos = b.massPos && m > 0
+	}
 }
 
 // RangeStats summarizes how a tuple range [from, to) would evaluate:

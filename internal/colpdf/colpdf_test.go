@@ -2,6 +2,7 @@ package colpdf
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"probdb/internal/dist"
@@ -10,9 +11,9 @@ import (
 
 // mixedDists builds a batch covering every family the encoder knows plus the
 // fallback slot: runs of Gaussians, Uniforms, Exponentials, dictionary-shared
-// Poissons and Geometrics, shared grids, and a tail of odd distributions
-// (triangular, floored, generic discrete) that only evaluate through the
-// per-tuple interface.
+// Poissons and Geometrics, shared grids, odd distributions (triangular,
+// floored) that only evaluate through the per-tuple interface, and a generic
+// discrete sampling in the point lane.
 func mixedDists() []dist.Dist {
 	sharedGrid := dist.NewHistogram([]float64{0, 1, 2, 4}, []float64{0.2, 0.5, 0.3})
 	ds := []dist.Dist{
@@ -80,7 +81,7 @@ func TestEncodeRunStructure(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", b.Len(), len(ds))
 	}
 	wantFams := []Family{FamGaussian, FamUniform, FamExponential, FamPoisson,
-		FamGeometric, FamGrid, FamFallback}
+		FamGeometric, FamGrid, FamFallback, FamDiscrete}
 	if b.NumRuns() != len(wantFams) {
 		t.Fatalf("NumRuns = %d, want %d", b.NumRuns(), len(wantFams))
 	}
@@ -100,8 +101,8 @@ func TestEncodeRunStructure(t *testing.T) {
 	}
 	// The Poisson dictionary shares the repeated lambda=4 slot.
 	pois := b.RunAt(3)
-	if len(pois.Params) != 2 || pois.DictIdx[0] != pois.DictIdx[2] {
-		t.Errorf("poisson dictionary not shared: params=%v idx=%v", pois.Params, pois.DictIdx)
+	if len(pois.Pts) != 2 || pois.DictIdx[0] != pois.DictIdx[2] {
+		t.Errorf("poisson dictionary not shared: %d slots, idx=%v", len(pois.Pts), pois.DictIdx)
 	}
 	// The grid dictionary shares by pointer identity.
 	grid := b.RunAt(5)
@@ -245,17 +246,17 @@ func TestStatsInAndFamilyNames(t *testing.T) {
 	ds := mixedDists()
 	b := Encode(ds, 0, nil)
 	s := b.StatsIn(0, b.Len())
-	if s.Fallback != 3 {
-		t.Errorf("Fallback = %d, want 3", s.Fallback)
+	if s.Fallback != 2 {
+		t.Errorf("Fallback = %d, want 2", s.Fallback)
 	}
-	if s.Vec != b.Len()-3 {
-		t.Errorf("Vec = %d, want %d", s.Vec, b.Len()-3)
+	if s.Vec != b.Len()-2 {
+		t.Errorf("Vec = %d, want %d", s.Vec, b.Len()-2)
 	}
 	if s.Runs != b.NumRuns() {
 		t.Errorf("Runs = %d, want %d", s.Runs, b.NumRuns())
 	}
 	names := FamilyNames(s.FamMask)
-	want := []string{"fallback", "gaussian", "uniform", "exponential", "poisson", "geometric", "grid"}
+	want := []string{"fallback", "gaussian", "uniform", "exponential", "poisson", "geometric", "grid", "discrete"}
 	if len(names) != len(want) {
 		t.Fatalf("FamilyNames = %v", names)
 	}
@@ -274,29 +275,18 @@ func TestStatsInAndFamilyNames(t *testing.T) {
 		t.Errorf("empty range stats = %+v", s)
 	}
 	// The whole block is answered from the stats Encode computed, which
-	// equal a fresh walk of the runs, and a decoded block carries the same.
+	// equal a fresh walk of the runs.
 	if whole, walked := b.StatsIn(0, b.Len()), b.rangeStats(0, b.Len()); whole != walked {
 		t.Errorf("whole-block stats %+v, run walk %+v", whole, walked)
-	}
-	buf, err := Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := dec.StatsIn(0, dec.Len()), b.StatsIn(0, b.Len()); got != want {
-		t.Errorf("decoded block stats %+v, encoded %+v", got, want)
 	}
 	if got := Encode(nil, 0, nil).StatsIn(0, 0); got != (RangeStats{}) {
 		t.Errorf("empty block stats = %+v", got)
 	}
 }
 
-// TestEncodeOverflowParamsStayScalar: parameters outside the codec's decode
-// limits must not be encoded into runs Marshal would refuse or Unmarshal
-// would reject — they fall back to per-tuple evaluation.
+// TestEncodeOverflowParamsStayScalar: parameters outside the dist decoder's
+// enumeration limits are not dictionary-encoded — they fall back to
+// per-tuple evaluation.
 func TestEncodeOverflowParamsStayScalar(t *testing.T) {
 	// A geometric p below minGeomP is not even constructible (enumeration
 	// overflows first), so the oversized lambda is the reachable case.
@@ -332,4 +322,77 @@ func TestEncodeExplicitMassLane(t *testing.T) {
 	if b.MemCost() <= 0 {
 		t.Errorf("MemCost = %d", b.MemCost())
 	}
+}
+
+// benchMix draws n pdfs in the end-to-end benchmark's family mix: 60 %
+// Gaussian, 20 % Uniform, 10 % full and 10 % partial three-point discrete
+// samplings.
+func benchMix(rng *rand.Rand, n int) []dist.Dist {
+	ds := make([]dist.Dist, n)
+	for i := range ds {
+		m := 20 + 60*rng.Float64()
+		switch u := rng.Float64(); {
+		case u < 0.6:
+			ds[i] = dist.NewGaussian(m, 2+4*rng.Float64())
+		case u < 0.8:
+			w := 1 + 9*rng.Float64()
+			ds[i] = dist.NewUniform(m-w, m+w)
+		default:
+			ps := []float64{0.25, 0.5, 0.25}
+			if u >= 0.9 {
+				ps = []float64{0.25, 0.25, 0.125}
+			}
+			ds[i] = dist.NewDiscrete([]float64{m - 1, m, m + 1}, ps)
+		}
+	}
+	return ds
+}
+
+// TestEncodeAllocsDoNotScaleWithRuns: the lanes are block-wide, so a
+// 256-row block whose family changes on every row — 256 runs over the
+// closed-form families and discrete samplings — allocates at most a small
+// constant more than a block of one Gaussian run.
+func TestEncodeAllocsDoNotScaleWithRuns(t *testing.T) {
+	const n = 256
+	one := make([]dist.Dist, n)
+	mixed := make([]dist.Dist, n)
+	for i := range mixed {
+		x := float64(i)
+		one[i] = dist.NewGaussian(x, 1)
+		switch i % 4 {
+		case 0:
+			mixed[i] = dist.NewGaussian(x, 1)
+		case 1:
+			mixed[i] = dist.NewUniform(x, x+2)
+		case 2:
+			mixed[i] = dist.NewExponential(1 + x)
+		default:
+			mixed[i] = dist.NewDiscrete([]float64{x, x + 1}, []float64{0.5, 0.25})
+		}
+	}
+	if runs := Encode(mixed, 0, nil).NumRuns(); runs != n {
+		t.Fatalf("mixed block has %d runs, want %d", runs, n)
+	}
+	base := testing.AllocsPerRun(20, func() { Encode(one, 0, nil) })
+	got := testing.AllocsPerRun(20, func() { Encode(mixed, 0, nil) })
+	if got > base+2 {
+		t.Fatalf("256 runs cost %v allocations, one run %v", got, base)
+	}
+}
+
+// encoded keeps BenchmarkEncode's result live.
+var encoded *Block
+
+// BenchmarkEncode encodes 256-row blocks of the end-to-end benchmark's
+// family mix.
+func BenchmarkEncode(b *testing.B) {
+	ds := benchMix(rand.New(rand.NewSource(1)), 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for from := 0; from < len(ds); from += 256 {
+			encoded = Encode(ds[from:from+256], 0, nil)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ds)), "ns/tuple")
 }

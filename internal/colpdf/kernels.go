@@ -8,13 +8,21 @@ import (
 )
 
 // This file holds the vectorized batch kernels. Each kernel switches on
-// family once per run and then loops over the flat parameter lanes. The
-// per-element arithmetic is a verbatim transcription of the scalar reference
-// in internal/dist — intervalMassCont for the continuous families,
-// Discrete.MassIn (Kahan summation over Interval.Contains) for the discrete
-// ones, Grid.MassIn called directly for grids — so the floats coming out are
-// bit-identical to the per-tuple interface path, including the NaN and ±Inf
-// corner semantics that region.Interval.Empty/Contains define.
+// family once per run and then loops over the block-wide lanes, indexed by
+// row. The per-element arithmetic is a verbatim transcription of the scalar
+// reference in internal/dist — intervalMassCont for the continuous families,
+// Discrete.massIv (Kahan summation over Interval.Contains, then clamped) for
+// the point lane and the dictionary-shared supports, Grid.MassIn called
+// directly for grids — so the floats coming out are bit-identical to the
+// per-tuple interface path, including the NaN and ±Inf corner semantics that
+// region.Interval.Empty/Contains define. Over a single interval,
+// Discrete.floorMass sums the same points in the same order, so the lanes
+// also serve pending floor masses (dist.FloorMass).
+//
+// EvalIntervalBounded serves a threshold test "mass op p": a Gaussian row
+// whose interval reaches less than z = ThresholdZ(p) standard deviations
+// past its mean on either side holds mass below p, which the tail bound
+// decides without a CDF.
 
 // MassIntervalVec writes Pr(X ∈ [lo, hi]) for each tuple in [from, to) into
 // out (out[i-from] for tuple i). It is the batch form of dist.MassInterval.
@@ -69,6 +77,45 @@ func (b *Block) RunRange(from, to int) (r0, r1 int) {
 // disjoint out regions, so workers evaluate runs concurrently without
 // synchronization.
 func (b *Block) EvalIntervalRun(r, from, to int, iv region.Interval, out []float64, off int) {
+	b.evalRun(r, from, to, iv, math.Inf(-1), out, off)
+}
+
+// EvalInterval evaluates Pr(X ∈ iv) for every tuple in [from, to), writing
+// into out[i-off] for tuple i. Overlapping runs evaluate sequentially;
+// morsel workers hand each other disjoint [from, to) ranges, so the same
+// call serves both the serial and the parallel drivers.
+func (b *Block) EvalInterval(from, to int, iv region.Interval, out []float64, off int) {
+	b.EvalIntervalBounded(from, to, iv, math.Inf(-1), out, off)
+}
+
+// EvalIntervalBounded is EvalInterval for a caller that only compares each
+// mass with a threshold p > 0 and passes z = ThresholdZ(p). A Gaussian row
+// with iv.Hi−µ < zσ or µ−iv.Lo < zσ has mass at most min(Φ(z_hi), 1−Φ(z_lo))
+// < p, and reads 0 without a CDF: a comparison with p decides 0 as it
+// decides any mass below p. Every other row is evaluated exactly.
+func (b *Block) EvalIntervalBounded(from, to int, iv region.Interval, z float64, out []float64, off int) {
+	r0, r1 := b.RunRange(from, to)
+	for r := r0; r < r1; r++ {
+		b.evalRun(r, from, to, iv, z, out, off)
+	}
+}
+
+// ThresholdZ returns the tail bound EvalIntervalBounded takes for a
+// threshold p: Φ⁻¹ of p less a safety margin of p·2⁻³⁰ and 2⁻⁴⁸, which
+// covers the rounding of the quantile and of the CDF difference the kernel
+// would compute, so a row the bound decides has computed mass below p too.
+// It returns -Inf, which decides no row, unless 0 < p < 1 and p exceeds the
+// margin.
+func ThresholdZ(p float64) float64 {
+	pl := p*(1-0x1p-30) - 0x1p-48
+	if !(pl > 0 && p < 1) {
+		return math.Inf(-1)
+	}
+	return numeric.NormalQuantile(pl, 0, 1)
+}
+
+// evalRun evaluates run r over [from, to) with tail bound z (-Inf: none).
+func (b *Block) evalRun(r, from, to int, iv region.Interval, z float64, out []float64, off int) {
 	run := &b.runs[r]
 	lo, hi := max(from, run.Start), min(to, run.Start+run.N)
 	if lo >= hi {
@@ -76,7 +123,9 @@ func (b *Block) EvalIntervalRun(r, from, to int, iv region.Interval, out []float
 	}
 	switch run.Fam {
 	case FamGaussian, FamUniform, FamExponential:
-		evalContinuous(run, lo, hi, iv, out, off)
+		b.evalContinuous(run.Fam, lo, hi, iv, z, out, off)
+	case FamDiscrete:
+		b.evalPoints(lo, hi, iv, out, off)
 	case FamPoisson, FamGeometric:
 		evalDiscrete(run, lo, hi, iv, out, off)
 	case FamGrid:
@@ -86,21 +135,11 @@ func (b *Block) EvalIntervalRun(r, from, to int, iv region.Interval, out []float
 	}
 }
 
-// EvalInterval evaluates Pr(X ∈ iv) for every tuple in [from, to), writing
-// into out[i-off] for tuple i. Overlapping runs evaluate sequentially;
-// morsel workers hand each other disjoint [from, to) ranges, so the same
-// call serves both the serial and the parallel drivers.
-func (b *Block) EvalInterval(from, to int, iv region.Interval, out []float64, off int) {
-	r0, r1 := b.RunRange(from, to)
-	for r := r0; r < r1; r++ {
-		b.EvalIntervalRun(r, from, to, iv, out, off)
-	}
-}
-
 // evalContinuous is the flat-lane transcription of intervalMassCont: empty
 // interval → 0, infinite endpoints pin the cdf at 0/1, result clamped.
-// Tuples repeating the previous tuple's parameters reuse its result.
-func evalContinuous(run *Run, lo, hi int, iv region.Interval, out []float64, off int) {
+// Tuples repeating the previous tuple's parameters reuse its result, and
+// Gaussian rows the tail bound z decides read 0.
+func (b *Block) evalContinuous(fam Family, lo, hi int, iv region.Interval, z float64, out []float64, off int) {
 	if iv.Empty() {
 		for i := lo; i < hi; i++ {
 			out[i-off] = 0
@@ -109,58 +148,73 @@ func evalContinuous(run *Run, lo, hi int, iv region.Interval, out []float64, off
 	}
 	loInf := math.IsInf(iv.Lo, -1)
 	hiInf := math.IsInf(iv.Hi, 1)
-	switch run.Fam {
+	switch fam {
 	case FamGaussian:
-		mu, sg := run.Lanes[0], run.Lanes[1]
+		mu, sg := b.p0, b.p1
 		for i := lo; i < hi; i++ {
-			j := i - run.Start
-			if i > lo && mu[j] == mu[j-1] && sg[j] == sg[j-1] {
+			if i > lo && mu[i] == mu[i-1] && sg[i] == sg[i-1] {
 				out[i-off] = out[i-off-1]
+				continue
+			}
+			if zs := z * sg[i]; iv.Hi-mu[i] < zs || mu[i]-iv.Lo < zs {
+				out[i-off] = 0
 				continue
 			}
 			cl, ch := 0.0, 1.0
 			if !loInf {
-				cl = numeric.NormalCDF(iv.Lo, mu[j], sg[j])
+				cl = numeric.NormalCDF(iv.Lo, mu[i], sg[i])
 			}
 			if !hiInf {
-				ch = numeric.NormalCDF(iv.Hi, mu[j], sg[j])
+				ch = numeric.NormalCDF(iv.Hi, mu[i], sg[i])
 			}
 			out[i-off] = numeric.Clamp01(ch - cl)
 		}
 	case FamUniform:
-		ul, uh := run.Lanes[0], run.Lanes[1]
+		ul, uh := b.p0, b.p1
 		for i := lo; i < hi; i++ {
-			j := i - run.Start
-			if i > lo && ul[j] == ul[j-1] && uh[j] == uh[j-1] {
+			if i > lo && ul[i] == ul[i-1] && uh[i] == uh[i-1] {
 				out[i-off] = out[i-off-1]
 				continue
 			}
 			cl, ch := 0.0, 1.0
 			if !loInf {
-				cl = uniformCDF(iv.Lo, ul[j], uh[j])
+				cl = uniformCDF(iv.Lo, ul[i], uh[i])
 			}
 			if !hiInf {
-				ch = uniformCDF(iv.Hi, ul[j], uh[j])
+				ch = uniformCDF(iv.Hi, ul[i], uh[i])
 			}
 			out[i-off] = numeric.Clamp01(ch - cl)
 		}
 	case FamExponential:
-		rate := run.Lanes[0]
+		rate := b.p0
 		for i := lo; i < hi; i++ {
-			j := i - run.Start
-			if i > lo && rate[j] == rate[j-1] {
+			if i > lo && rate[i] == rate[i-1] {
 				out[i-off] = out[i-off-1]
 				continue
 			}
 			cl, ch := 0.0, 1.0
 			if !loInf {
-				cl = expCDF(iv.Lo, rate[j])
+				cl = expCDF(iv.Lo, rate[i])
 			}
 			if !hiInf {
-				ch = expCDF(iv.Hi, rate[j])
+				ch = expCDF(iv.Hi, rate[i])
 			}
 			out[i-off] = numeric.Clamp01(ch - cl)
 		}
+	}
+}
+
+// evalPoints is Discrete.massIv over the point lane: Kahan summation over
+// the row's points the interval contains, in sorted order, clamped.
+func (b *Block) evalPoints(lo, hi int, iv region.Interval, out []float64, off int) {
+	for i := lo; i < hi; i++ {
+		var s numeric.KahanSum
+		for k := b.off[i]; k < b.off[i+1]; k++ {
+			if iv.Contains(b.px[k]) {
+				s.Add(b.pp[k])
+			}
+		}
+		out[i-off] = numeric.Clamp01(s.Value())
 	}
 }
 
@@ -186,7 +240,7 @@ func expCDF(x, rate float64) float64 {
 }
 
 // evalDiscrete walks the dictionary-shared point support exactly as
-// Discrete.MassIn does: Kahan summation over the points the interval
+// Discrete.massIv does: Kahan summation over the points the interval
 // contains, clamped. Each dictionary slot is evaluated once per call when
 // the dictionary is small relative to the run; otherwise tuples repeating
 // the previous slot reuse its result.

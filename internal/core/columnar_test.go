@@ -10,7 +10,8 @@ import (
 )
 
 // mixedColTable builds a base table whose uncertain column x cycles through
-// every kernel family plus fallback distributions (triangular, floored). The
+// every kernel family — full and partial discrete samplings included — plus
+// fallback distributions (triangular, floored). The
 // first half interleaves families row by row (maximal run fragmentation);
 // the second half holds runs of 23 equal-family rows (the vectorized sweet
 // spot) — so every batch crosses vectorized/fallback boundaries both ways.
@@ -22,9 +23,9 @@ func mixedColTable(t testing.TB, n int) *Table {
 	)
 	tbl := MustTable("T", schema, [][]string{{"x"}}, NewRegistry())
 	for i := 0; i < n; i++ {
-		fam := i % 7
+		fam := i % 8
 		if i >= n/2 {
-			fam = (i / 23) % 7
+			fam = (i / 23) % 8
 		}
 		var d dist.Dist
 		switch fam {
@@ -40,9 +41,14 @@ func mixedColTable(t testing.TB, n int) *Table {
 			d = dist.NewGeometric(0.2 + 0.1*float64(i%5))
 		case 5:
 			d = dist.NewTriangular(0, float64(2+i%3), 10) // fallback
-		default:
+		case 6:
 			// Floored pdf: fallback family with partial existence mass.
 			d = dist.NewGaussian(float64(i%30), 4).Floor(0, region.Compare(region.LT, float64(10+i%20)))
+		default:
+			// Discrete sampling over -0 and negative values, partial in
+			// every other row.
+			c := float64(i%12) - 2
+			d = dist.NewDiscrete([]float64{math.Copysign(0, -1), c, c + 2.5}, []float64{0.25, 0.5, 0.25 - 0.125*float64(i%2)})
 		}
 		if err := tbl.Insert(Row{
 			Values: map[string]Value{"id": Int(int64(i))},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"probdb/internal/colpdf"
 	"probdb/internal/dist"
 	"probdb/internal/exec"
 	"probdb/internal/region"
@@ -354,11 +355,13 @@ type ProbSelection struct {
 	attrs []string
 	deps  []int
 
-	// probRange: the target column and its location.
+	// probRange: the target column and its location, and the tail bound
+	// (colpdf.ThresholdZ of p) that decides Gaussian rows without a CDF.
 	attr   string
 	dep    int
 	dim    int
 	lo, hi float64
+	z      float64
 
 	// resolveErr records a plan-time resolution failure (unknown or certain
 	// column). The scalar path reproduces the identical per-tuple error, so
@@ -417,6 +420,7 @@ func (t *Table) PlanRangeThreshold(attr string, lo, hi float64, op region.Op, p 
 		attr: attr,
 		lo:   lo,
 		hi:   hi,
+		z:    colpdf.ThresholdZ(p),
 	}
 	id := t.idOf(attr)
 	if id == 0 {
@@ -517,7 +521,7 @@ func (p *ProbSelection) keepBatchAt(in []*Tuple, at, par int, keep []bool, vals 
 		b := p.in.colBlockFor(p.dep, p.dim, at, in)
 		iv := region.Closed(p.lo, p.hi)
 		if err := exec.For(par, n, func(lo, hi int) error {
-			b.EvalInterval(lo, hi, iv, vals[lo:hi], lo)
+			b.EvalIntervalBounded(lo, hi, iv, p.z, vals[lo:hi], lo)
 			return nil
 		}); err != nil {
 			return err

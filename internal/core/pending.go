@@ -80,10 +80,10 @@ func (s *Selection) EvalPending(in []*Tuple, par int, p *Pending) error {
 // lanes (certainLanes); otherwise they run inline, per row. A set with no
 // floor reads the mass lane of its cached block, and skips the final
 // positive-mass check when the block records its masses all positive. A set
-// with one single-interval floor reads the block's closed-form lanes
-// (Gaussian, Uniform, Exponential: colpdf's transcription of the CDF
-// difference newFloored sums) and sends every other run through
-// dist.FloorMass. Several floors on one set, a keep region of several
+// with one single-interval floor reads the block's lanes — the closed-form
+// families (colpdf's transcription of the CDF difference newFloored sums)
+// and the discrete ones (the Kahan sum Discrete.floorMass takes over the
+// kept points) — and sends grid and fallback runs through dist.FloorMass. Several floors on one set, a keep region of several
 // intervals, and an uncached input (an index probe's candidates, a
 // transaction overlay) go through dist.FloorMass per row, after building all
 // but the set's last floor. A row survives when it passes the certain
@@ -137,7 +137,8 @@ func (s *Selection) evalPendingAt(in []*Tuple, at, par int, p *Pending) error {
 			for r := 0; r < b.NumRuns(); r++ {
 				run := b.RunAt(r)
 				switch run.Fam {
-				case colpdf.FamGaussian, colpdf.FamUniform, colpdf.FamExponential:
+				case colpdf.FamGaussian, colpdf.FamUniform, colpdf.FamExponential,
+					colpdf.FamDiscrete, colpdf.FamPoisson, colpdf.FamGeometric:
 					b.EvalIntervalRun(r, 0, n, iv, m, 0)
 				default:
 					p.keptRows(run.Start, run.Start+run.N)

@@ -212,18 +212,3 @@ func MassInterval(d Dist, lo, hi float64) float64 {
 	}
 	return massIv(d, region.Closed(lo, hi))
 }
-
-// MassInSet returns the mass of the 1-D distribution d inside the region s.
-func MassInSet(d Dist, s region.Set) float64 {
-	if d.Dim() != 1 {
-		panic("dist: MassInSet requires a one-dimensional distribution")
-	}
-	var total float64
-	for _, iv := range s.Intervals() {
-		total += massIv(d, iv)
-	}
-	if total > 1 {
-		total = 1
-	}
-	return total
-}

@@ -26,19 +26,6 @@ func NormalCDF(x, mu, sigma float64) float64 {
 	return 1 - 0.5*math.Erfc(z*invSqrt2)
 }
 
-// NormalInterval returns P[lo <= X <= hi] for X ~ Normal(mu, sigma^2). It is
-// exact up to floating point for lo <= hi and returns 0 when lo > hi.
-func NormalInterval(lo, hi, mu, sigma float64) float64 {
-	if lo > hi {
-		return 0
-	}
-	p := NormalCDF(hi, mu, sigma) - NormalCDF(lo, mu, sigma)
-	if p < 0 {
-		return 0
-	}
-	return p
-}
-
 // NormalQuantile returns the p-quantile of Normal(mu, sigma^2), i.e. the x
 // with NormalCDF(x, mu, sigma) = p. It panics if p is outside (0, 1).
 //

@@ -80,20 +80,6 @@ func TestNormalCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestNormalInterval(t *testing.T) {
-	// One, two, three sigma coverage of N(0,1).
-	for i, want := range []float64{0.6826894921370859, 0.9544997361036416, 0.9973002039367398} {
-		z := float64(i + 1)
-		got := NormalInterval(-z, z, 0, 1)
-		if !almostEqual(got, want, 1e-12) {
-			t.Errorf("NormalInterval(±%v) = %v, want %v", z, got, want)
-		}
-	}
-	if NormalInterval(5, 3, 0, 1) != 0 {
-		t.Error("inverted interval should yield 0")
-	}
-}
-
 func TestNormalQuantileRoundTrip(t *testing.T) {
 	for _, p := range []float64{1e-12, 1e-6, 0.01, 0.025, 0.3, 0.5, 0.7, 0.975, 0.99, 1 - 1e-6} {
 		x := NormalQuantile(p, 0, 1)
@@ -126,7 +112,7 @@ func TestNormalQuantilePanicsOutOfRange(t *testing.T) {
 
 func TestIntegrateNormalPDFMatchesCDF(t *testing.T) {
 	got := Integrate(func(x float64) float64 { return NormalPDF(x, 20, math.Sqrt(5)) }, 15, 25, 1e-12)
-	want := NormalInterval(15, 25, 20, math.Sqrt(5))
+	want := NormalCDF(25, 20, math.Sqrt(5)) - NormalCDF(15, 20, math.Sqrt(5))
 	if !almostEqual(got, want, 1e-10) {
 		t.Errorf("integral = %v, CDF difference = %v", got, want)
 	}

@@ -41,35 +41,3 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fb, m, fm, whole, tol fl
 	return adaptiveSimpson(f, a, m, fa, fm, lm, flm, left, tol/2, depth-1) +
 		adaptiveSimpson(f, m, b, fm, fb, rm, frm, right, tol/2, depth-1)
 }
-
-// Bisect finds a root of f in [a, b] assuming f(a) and f(b) bracket one
-// (have opposite signs). It returns the midpoint of the final bracket after
-// shrinking it below tol, or panics if the root is not bracketed.
-func Bisect(f func(float64) float64, a, b, tol float64) float64 {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a
-	}
-	if fb == 0 {
-		return b
-	}
-	if (fa > 0) == (fb > 0) {
-		panic("numeric: Bisect requires a sign change over [a,b]")
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	for i := 0; i < 200 && b-a > tol; i++ {
-		m := a + (b-a)/2
-		fm := f(m)
-		if fm == 0 {
-			return m
-		}
-		if (fm > 0) == (fa > 0) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return a + (b-a)/2
-}

@@ -182,22 +182,3 @@ func TestIntegrateSharpPeak(t *testing.T) {
 		t.Errorf("sharp peak integral = %v, want 1", got)
 	}
 }
-
-func TestBisect(t *testing.T) {
-	root := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-13)
-	if !almostEqual(root, math.Sqrt2, 1e-12) {
-		t.Errorf("root = %v, want sqrt(2)", root)
-	}
-	if got := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-13); got != 0 {
-		t.Errorf("exact endpoint root = %v, want 0", got)
-	}
-}
-
-func TestBisectPanicsWithoutBracket(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Bisect without sign change should panic")
-		}
-	}()
-	Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12)
-}
