@@ -1,33 +1,11 @@
 package colpdf
 
-import (
-	"testing"
-
-	"probdb/internal/dist"
-	"probdb/internal/govern"
-)
-
-func testBlock() *Block {
-	return Encode([]dist.Dist{dist.NewGaussian(0, 1), dist.NewUniform(0, 1)}, 0, nil)
-}
-
-func key(tid, ver uint64, from int32) CacheKey {
-	return CacheKey{Table: tid, Ver: ver, From: from, N: 2}
-}
+import "testing"
 
 func TestCacheNilSafety(t *testing.T) {
 	var c *Cache
-	c.SetBudget(govern.NewBudget("x", 1))
-	if c.Get(key(1, 1, 0)) != nil {
-		t.Error("nil cache returned a block")
-	}
-	if c.Put(key(1, 1, 0), testBlock(), 10) {
-		t.Error("nil cache accepted a Put")
-	}
-	c.InvalidateTable(1)
-	if c.Shed(1) != 0 || c.Bytes() != 0 || c.Len() != 0 {
-		t.Error("nil cache reported state")
-	}
+	c.Note(true)
+	c.Note(false)
 	if h, m := c.Counters(); h != 0 || m != 0 {
 		t.Error("nil cache reported counters")
 	}
@@ -35,114 +13,10 @@ func TestCacheNilSafety(t *testing.T) {
 
 func TestCacheHitMissCounters(t *testing.T) {
 	c := NewCache()
-	k := key(1, 1, 0)
-	if c.Get(k) != nil {
-		t.Fatal("empty cache hit")
-	}
-	b := testBlock()
-	if !c.Put(k, b, b.MemCost()) {
-		t.Fatal("unbudgeted Put rejected")
-	}
-	if c.Get(k) != b {
-		t.Fatal("cached block not returned")
-	}
-	if h, m := c.Counters(); h != 1 || m != 1 {
+	c.Note(false)
+	c.Note(true)
+	c.Note(true)
+	if h, m := c.Counters(); h != 2 || m != 1 {
 		t.Fatalf("counters = %d hits, %d misses", h, m)
-	}
-	if c.Len() != 1 || c.Bytes() != b.MemCost() {
-		t.Fatalf("len=%d bytes=%d", c.Len(), c.Bytes())
-	}
-	// Replacing the same key swaps the charge instead of accumulating it.
-	if !c.Put(k, b, 5) {
-		t.Fatal("replace rejected")
-	}
-	if c.Len() != 1 || c.Bytes() != 5 {
-		t.Fatalf("after replace len=%d bytes=%d", c.Len(), c.Bytes())
-	}
-}
-
-func TestCacheInvalidateTable(t *testing.T) {
-	c := NewCache()
-	c.Put(key(1, 1, 0), testBlock(), 10)
-	c.Put(key(1, 1, 256), testBlock(), 10)
-	c.Put(key(2, 1, 0), testBlock(), 10)
-	c.InvalidateTable(1)
-	if c.Get(key(1, 1, 0)) != nil || c.Get(key(1, 1, 256)) != nil {
-		t.Error("invalidated entries survive")
-	}
-	if c.Get(key(2, 1, 0)) == nil {
-		t.Error("other table's entry dropped")
-	}
-	if c.Bytes() != 10 || c.Len() != 1 {
-		t.Errorf("bytes=%d len=%d after invalidate", c.Bytes(), c.Len())
-	}
-}
-
-func TestCacheShed(t *testing.T) {
-	c := NewCache()
-	for i := int32(0); i < 8; i++ {
-		c.Put(key(1, 1, i*256), testBlock(), 10)
-	}
-	if freed := c.Shed(15); freed < 15 {
-		t.Errorf("Shed(15) freed %d", freed)
-	}
-	before := c.Bytes()
-	if before >= 80 {
-		t.Errorf("nothing shed: %d bytes", before)
-	}
-	// want <= 0 empties the cache.
-	if freed := c.Shed(-1); freed != before {
-		t.Errorf("Shed(-1) freed %d, want %d", freed, before)
-	}
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Errorf("cache not empty after full shed: len=%d bytes=%d", c.Len(), c.Bytes())
-	}
-}
-
-// TestCacheBudget: a govern budget caps what the cache may pin; rejected
-// Puts cache nothing, and invalidation releases the charge back.
-func TestCacheBudget(t *testing.T) {
-	bud := govern.NewBudget("col", 25)
-	c := NewCache()
-	c.SetBudget(bud)
-	if !c.Put(key(1, 1, 0), testBlock(), 10) || !c.Put(key(1, 1, 256), testBlock(), 10) {
-		t.Fatal("within-budget Put rejected")
-	}
-	if bud.Used() != 20 {
-		t.Fatalf("budget used = %d, want 20", bud.Used())
-	}
-	if c.Put(key(1, 1, 512), testBlock(), 10) {
-		t.Fatal("over-budget Put accepted")
-	}
-	if c.Get(key(1, 1, 512)) != nil {
-		t.Fatal("rejected Put still cached")
-	}
-	// Shedding and invalidation hand the charge back to the budget.
-	c.InvalidateTable(1)
-	if bud.Used() != 0 {
-		t.Fatalf("budget used = %d after invalidate, want 0", bud.Used())
-	}
-	if !c.Put(key(1, 2, 0), testBlock(), 20) {
-		t.Fatal("Put after release rejected")
-	}
-	if freed := c.Shed(-1); freed != 20 {
-		t.Fatalf("Shed freed %d, want 20", freed)
-	}
-	if bud.Used() != 0 {
-		t.Fatalf("budget used = %d after shed, want 0", bud.Used())
-	}
-}
-
-func TestCacheEvictsAtMaxEntries(t *testing.T) {
-	c := NewCache()
-	b := testBlock()
-	for i := 0; i < maxEntries+64; i++ {
-		c.Put(CacheKey{Table: 1, Ver: 1, From: int32(i)}, b, 1)
-	}
-	if c.Len() > maxEntries {
-		t.Fatalf("cache grew to %d entries (cap %d)", c.Len(), maxEntries)
-	}
-	if int64(c.Len()) != c.Bytes() {
-		t.Fatalf("bytes accounting drifted: len=%d bytes=%d", c.Len(), c.Bytes())
 	}
 }

@@ -162,8 +162,8 @@ func (b *Block) Mass() []float64 { return b.mass }
 // MassPositive reports whether every mass in the lane is > 0.
 func (b *Block) MassPositive() bool { return b.massPos }
 
-// MemCost estimates the bytes the block holds — the value charged against a
-// govern budget by the encoding cache. Deliberately coarse but stable.
+// MemCost estimates the bytes the block holds — what a base table's
+// encoded-bytes report sums. Deliberately coarse but stable.
 func (b *Block) MemCost() int64 {
 	c := int64(64) + 8*int64(len(b.mass)+len(b.p0)+len(b.p1)+len(b.px)+len(b.pp)) +
 		4*int64(len(b.off)) + 32*int64(len(b.runs))

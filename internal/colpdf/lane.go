@@ -5,8 +5,8 @@ import "probdb/internal/region"
 // Lane is the columnar form of one certain column over a batch of tuples:
 // each row's value as a float (core.Value.AsFloat) and a mask of the rows
 // that are numeric at all. NULL, string and boolean rows are outside the
-// mask and keep the scalar per-tuple path. It lives in the encoding cache
-// beside the pdf columns' Blocks, under the same batch keys.
+// mask and keep the scalar per-tuple path. A base table keeps it with the
+// batch it encodes, beside the pdf columns' Blocks.
 type Lane struct {
 	Vals []float64 // valid where Num
 	Num  []bool
@@ -24,7 +24,7 @@ func NewLane(vals []float64, num []bool) *Lane {
 	return l
 }
 
-// MemCost estimates the bytes the lane holds, for the cache's budget charge.
+// MemCost estimates the bytes the lane holds, as Block.MemCost does.
 func (l *Lane) MemCost() int64 { return 64 + 9*int64(len(l.Vals)) }
 
 // KeepConst narrows keep to the rows whose value v satisfies "v op c", for

@@ -169,29 +169,6 @@ func (t *Table) AggregateAvg(attr string, opts AggOptions) (dist.Dist, error) {
 	return dist.Affine(s, 1/float64(n), 0), nil
 }
 
-// ExpectedValue returns the existence-weighted expectation of the attribute
-// over one tuple: mass · E[X | exists] for uncertain attributes, the value
-// itself for certain numeric ones.
-func (t *Table) ExpectedValue(tup *Tuple, attr string) (float64, error) {
-	col, ok := t.schema.Lookup(attr)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown column %q", attr)
-	}
-	if !col.Uncertain {
-		v, _ := t.Value(tup, attr)
-		f, numeric := v.AsFloat()
-		if !numeric {
-			return 0, fmt.Errorf("core: column %q is not numeric", attr)
-		}
-		return f, nil
-	}
-	d, err := t.DistOf(tup, attr)
-	if err != nil {
-		return 0, err
-	}
-	return d.Mass() * d.Mean(0), nil
-}
-
 // sumContributions returns one 1-D distribution per tuple: the marginal of
 // the attribute (certain values become point masses) with the tuple's
 // *other* dependency sets' masses folded in, so that each contribution's

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"probdb/internal/dist"
-	"probdb/internal/region"
 )
 
 func discreteTable(t *testing.T, rows [][2][]float64) *Table {
@@ -211,27 +210,6 @@ func TestAggregateErrors(t *testing.T) {
 	}
 	if _, err := tbl.AggregateSum("s", AggOptions{}); err == nil {
 		t.Error("string column should fail")
-	}
-}
-
-func TestExpectedValue(t *testing.T) {
-	tbl := sensorTable(t)
-	sel, err := tbl.Select(Cmp(Col("x"), region.LT, LitF(20)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sensor 1 floored at its mean: mass 0.5, conditional mean < 20, so the
-	// existence-weighted expectation is below 10.
-	ev, err := sel.ExpectedValue(sel.Tuples()[0], "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(ev > 5 && ev < 10) {
-		t.Errorf("weighted expectation = %v", ev)
-	}
-	id, err := sel.ExpectedValue(sel.Tuples()[0], "id")
-	if err != nil || id != 1 {
-		t.Errorf("certain expectation = %v, %v", id, err)
 	}
 }
 

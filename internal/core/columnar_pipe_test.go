@@ -116,7 +116,8 @@ func TestPipelinedDMLMidScanDifferential(t *testing.T) {
 		pulled++
 		switch pulled {
 		case 2:
-			// Append mid-scan: the version bump retires cached encodings.
+			// Append mid-scan: the last batch grows, so its encodings no
+			// longer cover it and are rebuilt.
 			if err := tbl.Insert(core.Row{
 				Values: map[string]core.Value{"id": core.Int(999)},
 				PDFs:   []core.PDF{{Attrs: []string{"x"}, Dist: dist.NewGaussian(4, 1)}},

@@ -248,16 +248,16 @@ func TestResolveErrorDifferential(t *testing.T) {
 }
 
 // TestDerivedTableDifferential runs the threshold kernels over a derived
-// table (tid 0, floored post-selection pdfs, no cacheable identity): the
-// scratch-encoding path must match the scalar reference exactly.
+// table (floored post-selection pdfs, no batch slots): the scratch-encoding
+// path must match the scalar reference exactly.
 func TestDerivedTableDifferential(t *testing.T) {
 	tbl := mixedColTable(t, 400)
 	der, err := tbl.Select(Cmp(Col("x"), region.LT, LitF(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if der.tid != 0 {
-		t.Fatalf("derived table has base identity %d", der.tid)
+	if der.enc != nil {
+		t.Fatalf("derived table has %d batch slots", len(der.enc))
 	}
 	for _, par := range []int{1, 8} {
 		vec, scalar := diffRun(t, der, par, func() (*Table, error) {
@@ -305,17 +305,17 @@ func TestJointMarginalDifferential(t *testing.T) {
 	}
 }
 
-// TestDMLInvalidationDifferential: DML between queries bumps the table
-// version and drops its cached encodings, so a repeat query re-encodes the
-// new tuple layout instead of serving stale blocks.
+// TestDMLInvalidationDifferential: a Delete between queries gives the
+// batches it moved fresh slots, so a repeat query re-encodes the new tuple
+// layout instead of serving stale blocks.
 func TestDMLInvalidationDifferential(t *testing.T) {
 	tbl := mixedColTable(t, 300)
 	q := func() (*Table, error) { return tbl.SelectRangeThreshold("x", 2, 9, region.GE, 0.3) }
 
 	vec, scalar := diffRun(t, tbl, 4, q)
 	sameKeptTuples(t, "pre-DML", vec, scalar)
-	if tbl.reg.colenc.Len() == 0 {
-		t.Fatal("vectorized run did not warm the encoding cache")
+	if tbl.EncodedBytes() == 0 {
+		t.Fatal("vectorized run did not encode the table's batches")
 	}
 
 	// Deleting from the middle shifts every later tuple into a different
@@ -326,8 +326,8 @@ func TestDMLInvalidationDifferential(t *testing.T) {
 	}); err != nil || removed == 0 {
 		t.Fatalf("delete removed %d (%v)", removed, err)
 	}
-	if tbl.reg.colenc.Len() != 0 {
-		t.Fatalf("delete left %d stale encodings cached", tbl.reg.colenc.Len())
+	if n := tbl.EncodedBytes(); n != 0 {
+		t.Fatalf("delete from row 2 left %d bytes of stale encodings", n)
 	}
 	if err := tbl.Insert(Row{
 		Values: map[string]Value{"id": Int(1000)},

@@ -96,21 +96,20 @@ type baseNode struct {
 	vars [1]varRef
 }
 
-// Registry mints the IDs of base pdfs and holds the columnar-encoding cache.
+// Registry mints the IDs of base pdfs and counts the columnar-encoding hits.
 // All tables produced from one another share a registry so that histories
 // remain meaningful across operations: IDs from one registry never collide.
 type Registry struct {
 	last atomic.Uint64
-	// colenc caches columnar encodings of base tables, keyed by table
-	// identity + DML version (see columnar.go). Invalidated by version
-	// bumps; sheddable under memory pressure.
+	// colenc counts how often a base table's batch encodings were found
+	// built (columnar.go); the encodings live on the tables.
 	colenc *colpdf.Cache
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{colenc: colpdf.NewCache()} }
 
-// ColCache returns the registry's columnar-encoding cache.
+// ColCache returns the registry's columnar-encoding hit/miss counters.
 func (r *Registry) ColCache() *colpdf.Cache { return r.colenc }
 
 // newBase returns a fresh base record for d.

@@ -51,7 +51,7 @@ type Selection struct {
 	floorDeps []int
 
 	// cursor tracks where the next streamed batch is expected to start in
-	// the input table, so EvalBatch can serve cached columnar encodings.
+	// the input table, so EvalBatch can find its batch slot (slotOf).
 	// Touched only by the (single-threaded) batch driver.
 	cursor int
 	stats  kernelStats
@@ -275,35 +275,18 @@ func (s *Selection) filtersOnly() bool {
 // through Eval.
 func (s *Selection) MassesFirst() bool { return VectorizedKernels() && s.filtersOnly() }
 
-// batchOffset locates a streamed batch in the input table for encoding-cache
-// reuse: batches arrive in table order from the pipelined executor, so a
-// sequential cursor finds them. It returns -1 for a batch that is not a
-// slice of the table.
-func (s *Selection) batchOffset(in []*Tuple) int {
-	at := -1
-	if s.in.batchAt(s.cursor, in) {
-		at = s.cursor
-	} else if s.cursor != 0 && s.in.batchAt(0, in) {
-		at = 0 // the source was re-scanned from the top
-	}
-	if at >= 0 {
-		s.cursor = at + len(in)
-	}
-	return at
-}
-
 // EvalBatch evaluates one streamed batch, writing the produced tuple (or
 // nil for a filtered one) into slots[i] for in[i]. p is the caller's
 // scratch, reused across batches.
 func (s *Selection) EvalBatch(in []*Tuple, par int, p *Pending, slots []*Tuple) error {
-	return s.evalBatchAt(in, s.batchOffset(in), par, p, slots)
+	return s.evalBatchAt(in, s.in.slotOf(&s.cursor, in), par, p, slots)
 }
 
 // evalBatchAt is the batch body shared by EvalBatch and the whole-table
-// driver RunSelection, which passes the batch offset explicitly (at < 0
-// means "not a table slice"): pending masses, then the survivors built, or
-// Eval per tuple when the masses cannot come first.
-func (s *Selection) evalBatchAt(in []*Tuple, at, par int, p *Pending, slots []*Tuple) error {
+// driver RunSelection, which passes the batch's slot explicitly (nil: no
+// slot, encode scratch): pending masses, then the survivors built, or Eval
+// per tuple when the masses cannot come first.
+func (s *Selection) evalBatchAt(in []*Tuple, slot encSlot, par int, p *Pending, slots []*Tuple) error {
 	n := len(in)
 	if n == 0 {
 		return nil
@@ -321,7 +304,7 @@ func (s *Selection) evalBatchAt(in []*Tuple, at, par int, p *Pending, slots []*T
 			return nil
 		})
 	}
-	if err := s.evalPendingAt(in, at, par, p); err != nil {
+	if err := s.evalPendingAt(in, slot, par, p); err != nil {
 		return err
 	}
 	return s.build(in, p, par, slots)
@@ -464,26 +447,17 @@ func (p *ProbSelection) Report() KernelReport { return p.stats.report(p.out.Name
 // KeepBatch evaluates one streamed batch, writing keep decisions into keep
 // (len(keep) == len(in)); vals is the caller's scratch for the batch's
 // probabilities, of the same length. It serves the pipelined executor:
-// batches arrive in table order, so a sequential cursor locates them in the
-// input table for encoding-cache reuse; a batch that is not a verified
-// slice of the table still vectorizes, with a scratch encoding.
+// batches arrive in table order, so a sequential cursor locates their slots
+// in the input table; a batch that is not a verified slice of a base table
+// still vectorizes, with a scratch encoding.
 func (p *ProbSelection) KeepBatch(in []*Tuple, par int, keep []bool, vals []float64) error {
-	at := -1
-	if p.in.batchAt(p.cursor, in) {
-		at = p.cursor
-	} else if p.cursor != 0 && p.in.batchAt(0, in) {
-		at = 0 // the source was re-scanned from the top
-	}
-	if at >= 0 {
-		p.cursor = at + len(in)
-	}
-	return p.keepBatchAt(in, at, par, keep, vals)
+	return p.keepBatchAt(in, p.in.slotOf(&p.cursor, in), par, keep, vals)
 }
 
 // keepBatchAt is the batch body shared by KeepBatch and the whole-table
-// driver RunProbSelection, which passes the batch offset explicitly (at < 0
-// means "not a table slice": evaluate with a scratch encoding).
-func (p *ProbSelection) keepBatchAt(in []*Tuple, at, par int, keep []bool, vals []float64) error {
+// driver RunProbSelection, which passes the batch's slot explicitly (nil:
+// no slot, evaluate with a scratch encoding).
+func (p *ProbSelection) keepBatchAt(in []*Tuple, slot encSlot, par int, keep []bool, vals []float64) error {
 	n := len(in)
 	if n == 0 {
 		return nil
@@ -507,7 +481,7 @@ func (p *ProbSelection) keepBatchAt(in []*Tuple, at, par int, keep []bool, vals 
 			vals[i] = 1
 		}
 		for _, di := range p.deps {
-			b := p.in.colBlockFor(di, 0, at, in)
+			b := p.in.colBlockFor(di, 0, slot, in)
 			m := b.Mass()
 			for i := 0; i < n; i++ {
 				vals[i] *= m[i]
@@ -518,7 +492,7 @@ func (p *ProbSelection) keepBatchAt(in []*Tuple, at, par int, keep []bool, vals 
 			p.stats.vec.Add(uint64(n)) // Pr over certain columns is 1
 		}
 	} else {
-		b := p.in.colBlockFor(p.dep, p.dim, at, in)
+		b := p.in.colBlockFor(p.dep, p.dim, slot, in)
 		iv := region.Closed(p.lo, p.hi)
 		if err := exec.For(par, n, func(lo, hi int) error {
 			b.EvalIntervalBounded(lo, hi, iv, p.z, vals[lo:hi], lo)

@@ -46,11 +46,11 @@ func (t *Table) RunSelection(sel *Selection) (*Table, error) {
 	// assembly of the survivors: parallel output is byte-identical to
 	// sequential output (same tuples, same floats, same order). The
 	// pending-mass driver morsels over encoding-aligned batches so workers
-	// share cached columnar blocks; the scalar reference walks tuples.
+	// read the table's batch slots; the scalar reference walks tuples.
 	slots := make([]*Tuple, len(t.tuples))
 	if sel.MassesFirst() {
 		err = forColBatches(t.par, len(t.tuples), func(from, to int) error {
-			return sel.evalBatchAt(t.tuples[from:to], from, 1, &Pending{}, slots[from:to])
+			return sel.evalBatchAt(t.tuples[from:to], t.slotAt(from, to-from), 1, &Pending{}, slots[from:to])
 		})
 	} else {
 		sel.stats.scalar.Add(uint64(len(t.tuples)))
@@ -241,7 +241,7 @@ func (t *Table) Join(o *Table, atoms ...Atom) (*Table, error) {
 // Renamed returns a table with columns renamed per mapping (old name → new
 // name). Attribute identities are preserved, so histories keep working
 // across the rename. It is a read-only view sharing the receiver's tuples,
-// registry and encoding-cache identity, like WithParallelism.
+// registry and batch encodings, like WithParallelism.
 func (t *Table) Renamed(mapping map[string]string) (*Table, error) {
 	cols := append([]Column(nil), t.schema.Columns()...)
 	for i, c := range cols {
@@ -253,7 +253,7 @@ func (t *Table) Renamed(mapping map[string]string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := *t
+	out := *t.Freeze()
 	out.schema = newSchema
 	out.deps = make([]*depSet, len(t.deps))
 	for i, d := range t.deps {
@@ -319,7 +319,7 @@ func (t *Table) RunProbSelection(sel *ProbSelection) (*Table, error) {
 	if VectorizedKernels() && sel.resolveErr == nil {
 		vals := make([]float64, len(t.tuples))
 		err = forColBatches(t.par, len(t.tuples), func(from, to int) error {
-			return sel.keepBatchAt(t.tuples[from:to], from, 1, keep[from:to], vals[from:to])
+			return sel.keepBatchAt(t.tuples[from:to], t.slotAt(from, to-from), 1, keep[from:to], vals[from:to])
 		})
 	} else {
 		sel.stats.scalar.Add(uint64(len(t.tuples)))
@@ -365,31 +365,41 @@ func (t *Table) SelectRangeThreshold(attr string, lo, hi float64, op region.Op, 
 
 // Delete removes the tuples for which filter returns true and returns how
 // many were removed. It is all or nothing: when filter fails on some tuple,
-// Delete returns its error and leaves the table — tuples and version —
-// untouched. The base pdfs of removed tuples survive as phantoms for as long
-// as a derived tuple still reaches them (§II-C); the collector frees the
-// rest.
+// Delete returns its error and leaves the table untouched. The base pdfs of
+// removed tuples survive as phantoms for as long as a derived tuple still
+// reaches them (§II-C); the collector frees the rest.
 func (t *Table) Delete(filter func(*Table, *Tuple) (bool, error)) (int, error) {
 	// Compact into a fresh slice rather than in place: frozen snapshots
 	// (Freeze) share the old backing array and must keep seeing the
 	// pre-delete tuple pointers, and a failing filter must leave the table
 	// as it was.
 	kept := make([]*Tuple, 0, len(t.tuples))
-	removed := 0
-	for _, tup := range t.tuples {
+	first := -1 // the first removed row
+	for i, tup := range t.tuples {
 		del, err := filter(t, tup)
 		if err != nil {
 			return 0, err
 		}
 		if !del {
 			kept = append(kept, tup)
-			continue
+		} else if first < 0 {
+			first = i
 		}
-		removed++
 	}
+	if first < 0 {
+		return 0, nil
+	}
+	removed := len(t.tuples) - len(kept)
 	t.tuples = kept
-	if removed > 0 {
-		t.bumpVersion()
+	if t.enc != nil {
+		// Rows from the first removed one's batch on have moved: those
+		// batches get fresh slots, the ones before keep their encodings.
+		b := first / colBatchSize
+		enc := append(make([]encSlot, 0, (len(kept)+colBatchSize-1)/colBatchSize), t.enc[:b]...)
+		for len(enc)*colBatchSize < len(kept) {
+			enc = append(enc, t.newSlot())
+		}
+		t.enc = enc
 	}
 	return removed, nil
 }

@@ -302,7 +302,7 @@ func TestSelectRangeThreshold(t *testing.T) {
 // and the collector frees it once none does.
 // TestDeleteFailingFilterChangesNothing: a DELETE filter that fails on row
 // 3, after accepting rows 1 and 2, leaves the table's length, tuples and
-// version as they were, and Delete returns the filter's error.
+// batch slots as they were, and Delete returns the filter's error.
 func TestDeleteFailingFilterChangesNothing(t *testing.T) {
 	schema := MustSchema(Column{Name: "id", Type: IntType}, Column{Name: "x", Type: FloatType, Uncertain: true})
 	tbl := MustTable("r", schema, nil, nil)
@@ -315,7 +315,7 @@ func TestDeleteFailingFilterChangesNothing(t *testing.T) {
 		}
 	}
 	before := append([]*Tuple(nil), tbl.Tuples()...)
-	ver := tbl.ver
+	enc := append([]encSlot(nil), tbl.enc...)
 	boom := errors.New("boom")
 	n, err := tbl.Delete(func(tb *Table, tup *Tuple) (bool, error) {
 		v, _ := tb.Value(tup, "id")
@@ -327,8 +327,12 @@ func TestDeleteFailingFilterChangesNothing(t *testing.T) {
 	if !errors.Is(err, boom) || n != 0 {
 		t.Fatalf("Delete = %d, %v; want 0 and the filter's error", n, err)
 	}
-	if tbl.Len() != len(before) || tbl.ver != ver {
-		t.Fatalf("after a failed Delete: %d rows at version %d, want %d at %d", tbl.Len(), tbl.ver, len(before), ver)
+	sameSlots := len(tbl.enc) == len(enc)
+	for i := 0; sameSlots && i < len(enc); i++ {
+		sameSlots = &tbl.enc[i][0] == &enc[i][0]
+	}
+	if tbl.Len() != len(before) || !sameSlots {
+		t.Fatalf("after a failed Delete: %d rows, %d slots, want %d rows and the same %d slots", tbl.Len(), len(tbl.enc), len(before), len(enc))
 	}
 	for i, tup := range tbl.Tuples() {
 		if tup != before[i] {
@@ -663,50 +667,6 @@ func TestProbOfMultipleSets(t *testing.T) {
 	}
 	if !almostEqual(p, 0.2, 1e-12) {
 		t.Errorf("Pr(x,y) = %v, want 0.2", p)
-	}
-}
-
-func TestInsertAlternativesXTuple(t *testing.T) {
-	schema := MustSchema(
-		Column{Name: "id", Type: IntType},
-		Column{Name: "city", Type: IntType, Uncertain: true},
-		Column{Name: "zip", Type: IntType, Uncertain: true},
-	)
-	tbl := MustTable("X", schema, [][]string{{"city", "zip"}}, nil)
-	err := tbl.InsertAlternatives(
-		map[string]Value{"id": Int(1)},
-		[]Alternative{
-			{Values: map[string]float64{"city": 0, "zip": 47906}, Prob: 0.7},
-			{Values: map[string]float64{"city": 2, "zip": 60601}, Prob: 0.2},
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.ExistenceProb(tbl.Tuples()[0]); !almostEqual(got, 0.9, 1e-12) {
-		t.Errorf("existence = %v, want 0.9 (maybe x-tuple)", got)
-	}
-	n, _ := tbl.NodeOf(tbl.Tuples()[0], "city")
-	if got := n.Dist.At([]float64{0, 47906}); !almostEqual(got, 0.7, 1e-12) {
-		t.Errorf("P(alt 1) = %v", got)
-	}
-	// Errors: missing attr value, excess attrs, bad Δ shape.
-	if err := tbl.InsertAlternatives(nil, []Alternative{{Values: map[string]float64{"city": 1}, Prob: 0.5}}); err == nil {
-		t.Error("missing zip should fail")
-	}
-	if err := tbl.InsertAlternatives(nil, []Alternative{
-		{Values: map[string]float64{"city": 1, "zip": 2, "bogus": 3}, Prob: 0.5},
-	}); err == nil {
-		t.Error("unknown attr should fail")
-	}
-	if err := tbl.InsertAlternatives(nil, []Alternative{
-		{Values: map[string]float64{"city": 1, "zip": 2}, Prob: 1.5},
-	}); err == nil {
-		t.Error("probability above 1 should fail")
-	}
-	split := MustTable("Y", schema, [][]string{{"city"}, {"zip"}}, nil)
-	if err := split.InsertAlternatives(nil, nil); err == nil {
-		t.Error("split dependency sets should fail")
 	}
 }
 

@@ -25,10 +25,10 @@ type Pending struct {
 	pos  []bool      // per set: every mass of the batch is known > 0
 	rows []int       // rows whose mass dist.FloorMass computes
 	idx  []int       // survivor positions, for build
-	// src and at locate the batch in its base table (at < 0: not a cached
+	// src and slot locate the batch in its base table (slot nil: not a
 	// slice of one), for Lane.
-	src *Table
-	at  int
+	src  *Table
+	slot encSlot
 }
 
 // Kept reports whether row i of the batch survives the selection.
@@ -39,14 +39,14 @@ func (p *Pending) Kept(i int) bool { return p.keep[i] }
 func (p *Pending) Mass(dep, i int) float64 { return p.mass[dep][i] }
 
 // Lane returns the value lane of certain column col over the batch in last
-// evaluated into p, or nil when the column is not numeric or the batch is no
-// cached slice of a base table (an index probe's candidates, a transaction
-// overlay).
+// evaluated into p, or nil when the column is not numeric or the batch has
+// no slot — it is no slice of a base table or of a transaction overlay (an
+// index probe's candidates, a derived table).
 func (p *Pending) Lane(col int, in []*Tuple) *colpdf.Lane {
-	if p.at < 0 || !p.src.schema.Columns()[col].Type.Numeric() {
+	if p.slot == nil || !p.src.schema.Columns()[col].Type.Numeric() {
 		return nil
 	}
-	return p.src.certainLane(col, p.at, in)
+	return p.src.certainLane(col, p.slot, in)
 }
 
 func (p *Pending) reset(n, deps int) {
@@ -72,34 +72,31 @@ func (p *Pending) reset(n, deps int) {
 // EvalPending evaluates one streamed batch to pending masses into p. The
 // selection must be MassesFirst.
 func (s *Selection) EvalPending(in []*Tuple, par int, p *Pending) error {
-	return s.evalPendingAt(in, s.batchOffset(in), par, p)
+	return s.evalPendingAt(in, s.in.slotOf(&s.cursor, in), par, p)
 }
 
-// evalPendingAt evaluates the batch at offset at of the input table (at < 0:
-// not a table slice). The certain filters of a cached batch read its value
+// evalPendingAt evaluates a batch of the input table whose slot is slot
+// (nil: no slot). The certain filters of a batch with a slot read its value
 // lanes (certainLanes); otherwise they run inline, per row. A set with no
-// floor reads the mass lane of its cached block, and skips the final
+// floor reads the mass lane of its block, and skips the final
 // positive-mass check when the block records its masses all positive. A set
 // with one single-interval floor reads the block's lanes — the closed-form
 // families (colpdf's transcription of the CDF difference newFloored sums)
 // and the discrete ones (the Kahan sum Discrete.floorMass takes over the
-// kept points) — and sends grid and fallback runs through dist.FloorMass. Several floors on one set, a keep region of several
-// intervals, and an uncached input (an index probe's candidates, a
-// transaction overlay) go through dist.FloorMass per row, after building all
-// but the set's last floor. A row survives when it passes the certain
+// kept points) — and sends grid and fallback runs through dist.FloorMass.
+// Several floors on one set, a keep region of several intervals, and a
+// batch with no slot (an index probe's candidates, a derived table) go
+// through dist.FloorMass per row, after building all but the set's last
+// floor. A row survives when it passes the certain
 // filters and every set keeps positive mass, exactly when Eval returns a
 // tuple.
-func (s *Selection) evalPendingAt(in []*Tuple, at, par int, p *Pending) error {
+func (s *Selection) evalPendingAt(in []*Tuple, slot encSlot, par int, p *Pending) error {
 	n := len(in)
 	t := s.in
 	p.reset(n, len(t.deps))
-	cached := t.tid != 0 && at >= 0
-	p.src, p.at = t, -1
-	if cached {
-		p.at = at
-	}
-	if cached && s.laneFilters {
-		s.certainLanes(in, at, p.keep)
+	p.src, p.slot = t, slot
+	if slot != nil && s.laneFilters {
+		s.certainLanes(in, slot, p.keep)
 	} else {
 		for i, tup := range in {
 			p.keep[i] = true
@@ -120,8 +117,8 @@ func (s *Selection) evalPendingAt(in []*Tuple, at, par int, p *Pending) error {
 		p.rows = p.rows[:0]
 		p.pos[di] = false
 		switch {
-		case len(fl) == 0 && cached:
-			b := t.colBlockFor(di, 0, at, in)
+		case len(fl) == 0 && slot != nil:
+			b := t.colBlockFor(di, 0, slot, in)
 			copy(m, b.Mass()[:n])
 			p.pos[di] = b.MassPositive()
 			s.stats.note(b.StatsIn(0, n), true)
@@ -130,9 +127,9 @@ func (s *Selection) evalPendingAt(in []*Tuple, at, par int, p *Pending) error {
 				m[i] = tup.nodes[di].Dist.Mass()
 			}
 			s.stats.vec.Add(uint64(n))
-		case len(fl) == 1 && cached && len(s.floors[fl[0]].keep.Intervals()) == 1:
+		case len(fl) == 1 && slot != nil && len(s.floors[fl[0]].keep.Intervals()) == 1:
 			f := s.floors[fl[0]]
-			b := t.colBlockFor(di, f.dim, at, in)
+			b := t.colBlockFor(di, f.dim, slot, in)
 			iv := f.keep.Intervals()[0]
 			for r := 0; r < b.NumRuns(); r++ {
 				run := b.RunAt(r)
@@ -170,12 +167,12 @@ func (s *Selection) evalPendingAt(in []*Tuple, at, par int, p *Pending) error {
 	return nil
 }
 
-// certainLanes evaluates the certain filters of a cached batch into keep:
+// certainLanes evaluates the certain filters of a batch with a slot into keep:
 // each comparison over numeric operands as one loop over its columns' value
 // lanes, the rows outside their numeric masks through the scalar eval, and
 // the other comparisons per row. The filters are pure and conjunctive, so
 // the order they narrow keep in does not matter.
-func (s *Selection) certainLanes(in []*Tuple, at int, keep []bool) {
+func (s *Selection) certainLanes(in []*Tuple, slot encSlot, keep []bool) {
 	t := s.in
 	for i := range keep {
 		keep[i] = true
@@ -188,14 +185,14 @@ func (s *Selection) certainLanes(in []*Tuple, at int, keep []bool) {
 		var l, r *colpdf.Lane
 		switch {
 		case c.lcol >= 0 && c.rcol >= 0:
-			l, r = t.certainLane(c.lcol, at, in), t.certainLane(c.rcol, at, in)
+			l, r = t.certainLane(c.lcol, slot, in), t.certainLane(c.rcol, slot, in)
 			l.KeepLane(c.op, r, keep)
 		case c.lcol >= 0:
-			l = t.certainLane(c.lcol, at, in)
+			l = t.certainLane(c.lcol, slot, in)
 			f, _ := c.rlit.AsFloat()
 			l.KeepConst(c.op, f, keep)
 		default:
-			l = t.certainLane(c.rcol, at, in)
+			l = t.certainLane(c.rcol, slot, in)
 			f, _ := c.llit.AsFloat()
 			l.KeepConst(c.op.Flip(), f, keep)
 		}

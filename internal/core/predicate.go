@@ -145,7 +145,7 @@ type certainCmp struct {
 	lcol, rcol int
 	llit, rlit Value
 	// lanes marks a comparison whose sides are numeric columns or numeric
-	// literals, at least one a column: a cached batch evaluates it over the
+	// literals, at least one a column: a batch with a slot evaluates it over the
 	// columns' value lanes (pending.go).
 	lanes bool
 }

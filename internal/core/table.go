@@ -94,30 +94,11 @@ type Table struct {
 	// execution. Derived tables inherit it. Parallel and sequential
 	// execution are byte-identical — tuple order and floats included.
 	par int
-	// tid identifies the table for the registry's columnar-encoding cache.
-	// Base tables (NewTable) get a fresh nonzero identity; derived tables
-	// and transaction overlays (Clone) stay 0, meaning their encodings are
-	// per-batch scratch, never cached.
-	tid uint64
-	// ver counts the table's DML mutations. It keys cached columnar
-	// encodings, so a cached block can never serve a table state it wasn't
-	// built from. Read-only views (Freeze, WithParallelism) share it.
-	ver uint64
-}
-
-var tableIDCounter atomic.Uint64
-
-func newTableID() uint64 { return tableIDCounter.Add(1) }
-
-// bumpVersion advances the DML version and reclaims cached columnar
-// encodings of the previous version. Derived tables (tid 0) are never
-// cached, so they skip the bump.
-func (t *Table) bumpVersion() {
-	if t.tid == 0 {
-		return
-	}
-	t.ver++
-	t.reg.colenc.InvalidateTable(t.tid)
+	// enc holds the columnar encodings of a base table, one slot per
+	// colBatchSize-row batch (columnar.go). It is nil for derived tables,
+	// whose batches encode into per-batch scratch, and non-nil — even when
+	// empty — for a base table, so store knows to keep it in step.
+	enc []encSlot
 }
 
 // NewTable creates an empty table with the given visible schema and
@@ -129,7 +110,7 @@ func NewTable(name string, schema *Schema, deps [][]string, reg *Registry) (*Tab
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	t := &Table{Name: name, schema: schema, reg: reg, trackHistory: true, tid: newTableID()}
+	t := &Table{Name: name, schema: schema, reg: reg, trackHistory: true, enc: []encSlot{}}
 	t.ids = make([]AttrID, schema.Len())
 	for i := range t.ids {
 		t.ids[i] = newAttrID()
@@ -204,24 +185,28 @@ func (t *Table) TupleCost() int64 {
 }
 
 // Freeze returns an immutable copy-on-write snapshot of the table. The
-// snapshot shares the current tuple pointers, capped so no append can leak
-// into it; Delete compacts into fresh slices (never in place) to keep frozen
-// views intact. The tuples reach their base pdfs, so a snapshot keeps every
-// pdf it can read alive for as long as a reader holds it.
+// snapshot shares the current tuple pointers and batch encodings, both capped
+// so no append can leak into it; Delete compacts into fresh slices (never in
+// place) to keep frozen views intact. The tuples reach their base pdfs, so a
+// snapshot keeps every pdf it can read alive for as long as a reader holds it.
 func (t *Table) Freeze() *Table {
 	c := *t
 	c.tuples = t.tuples[:len(t.tuples):len(t.tuples)]
+	c.enc = t.enc[:len(t.enc):len(t.enc)]
 	return &c
 }
 
 // Clone returns a mutable copy of the table — the building block of
 // transaction overlays. It shares the tuples copy-on-write, as Freeze does,
-// so Inserts and Deletes on it never disturb the original. Its encodings are
-// never cached: sharing the original's (tid, ver) keys would let one table's
-// encodings serve the other's diverged state.
+// so Inserts and Deletes on it never disturb the original, and shares the
+// encodings of every full batch. A partial last batch gets a fresh slot:
+// the original and the clone may each append different rows to it.
 func (t *Table) Clone() *Table {
 	c := t.Freeze()
-	c.tid, c.ver = 0, 0
+	if n := len(t.tuples); n%colBatchSize != 0 && t.enc != nil {
+		c.enc = append(make([]encSlot, 0, len(t.enc)), t.enc...)
+		c.enc[len(c.enc)-1] = t.newSlot()
+	}
 	return c
 }
 
@@ -335,9 +320,9 @@ func (t *Table) Insert(row Row) error {
 
 // InsertRows inserts a statement's n rows, all or nothing: row(i) supplies
 // the i-th, and every row is laid out and checked before any is stored, so
-// a rejected row, or an error from row, leaves the table as it was. The
-// stored rows move the DML version once. Like Insert it keeps no Values map
-// or PDFs slice, so row may hand out the same ones each time.
+// a rejected row, or an error from row, leaves the table as it was. Like
+// Insert it keeps no Values map or PDFs slice, so row may hand out the same
+// ones each time.
 func (t *Table) InsertRows(n int, row func(i int) (Row, error)) error {
 	k := len(t.deps)
 	certain := make([][]Value, n)
@@ -357,7 +342,6 @@ func (t *Table) InsertRows(n int, row func(i int) (Row, error)) error {
 	for i, c := range certain {
 		t.store(c, pdfs[i*k:(i+1)*k])
 	}
-	t.bumpVersion()
 	return nil
 }
 
@@ -403,7 +387,6 @@ func (t *Table) InsertValues(certain []Value, pdfs []dist.Dist) error {
 		return err
 	}
 	t.store(append([]Value(nil), certain...), pdfs)
-	t.bumpVersion()
 	return nil
 }
 
@@ -433,13 +416,16 @@ func (t *Table) check(certain []Value, pdfs []dist.Dist) error {
 }
 
 // store registers a checked row's pdfs and appends the tuple, which keeps
-// certain.
+// certain. A base table's row that opens a batch gets the batch a slot.
 func (t *Table) store(certain []Value, pdfs []dist.Dist) {
 	nodes := make([]*PDFNode, len(pdfs))
 	for di, d := range pdfs {
 		nodes[di] = t.reg.registerNode(d)
 	}
 	t.tuples = append(t.tuples, &Tuple{certain: certain, nodes: nodes})
+	if t.enc != nil && len(t.enc)*colBatchSize < len(t.tuples) {
+		t.enc = append(t.enc, t.newSlot())
+	}
 }
 
 // matchDepSet returns the index of the dependency set whose names equal

@@ -109,7 +109,7 @@ func TestThresholdPruneDifferential(t *testing.T) {
 		}
 		if z := colpdf.ThresholdZ(p); p > 1e-12 && p < 1 {
 			n := min(tbl.Len(), 256)
-			b := tbl.colBlockFor(0, 0, 0, tbl.tuples[:n])
+			b := tbl.colBlockFor(0, 0, tbl.slotAt(0, n), tbl.tuples[:n])
 			iv := region.Closed(lo, hi)
 			exact, bounded := make([]float64, n), make([]float64, n)
 			b.EvalInterval(0, n, iv, exact, 0)

@@ -179,19 +179,6 @@ func NewHistogram(edges, masses []float64) *Grid {
 	return NewGrid([]Axis{{Kind: KindContinuous, Edges: edges}}, masses)
 }
 
-// NewHistogramDensity builds a 1-D histogram from per-bucket densities
-// (mass = density × width), the form in which the paper stores Hist pdfs.
-func NewHistogramDensity(edges, densities []float64) *Grid {
-	if len(densities) != len(edges)-1 {
-		panic("dist: NewHistogramDensity expects len(edges)-1 densities")
-	}
-	masses := make([]float64, len(densities))
-	for i, d := range densities {
-		masses[i] = d * (edges[i+1] - edges[i])
-	}
-	return NewHistogram(edges, masses)
-}
-
 // Axes returns the grid's axes. The returned slice must not be modified.
 func (g *Grid) Axes() []Axis { return g.axes }
 

@@ -52,16 +52,6 @@ func TestHistogramMassInInterpolates(t *testing.T) {
 	}
 }
 
-func TestHistogramDensityConstructor(t *testing.T) {
-	h := NewHistogramDensity([]float64{0, 1, 3}, []float64{0.5, 0.25})
-	if !almostEqual(h.Mass(), 1, 1e-12) {
-		t.Errorf("mass = %v", h.Mass())
-	}
-	if got := h.At([]float64{2}); !almostEqual(got, 0.25, 1e-12) {
-		t.Errorf("density = %v", got)
-	}
-}
-
 func TestGridFloorExactRefinement(t *testing.T) {
 	h := uniformHist(0, 10, 5)
 	// Floor at x < 3: boundary 3 lies inside bucket [2,4), so the bucket
@@ -212,7 +202,6 @@ func TestGridConstructorPanics(t *testing.T) {
 		func() { NewGrid([]Axis{{Kind: KindContinuous, Edges: []float64{0, 1}}}, []float64{2}) },
 		func() { NewGrid([]Axis{{Kind: KindDiscrete, Values: nil}}, nil) },
 		func() { NewGrid([]Axis{{Kind: KindDiscrete, Values: []float64{2, 1}}}, []float64{0.5, 0.5}) },
-		func() { NewHistogramDensity([]float64{0, 1}, []float64{1, 1}) },
 	}
 	for i, f := range cases {
 		func() {

@@ -9,13 +9,12 @@
 // level on the path to the root and fails with a typed *BudgetError at the
 // first level whose limit would be exceeded — so a greedy query dies alone
 // when it busts its own budget, and only busts the server budget after the
-// root has shed cheaper victims (reclaimers registered in priority order:
-// caches first, snapshots next, the largest running query last).
+// root's shed hook has had one chance to free memory (the server's cancels
+// the largest running query).
 package govern
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -44,11 +43,6 @@ func (e *BudgetError) Retryable() bool { return true }
 // cancelling a query whose operators release on close).
 type Reclaimer func(want int64) (freed int64)
 
-type reclaimer struct {
-	pri int
-	f   Reclaimer
-}
-
 // Budget is one node of the accounting tree. The zero value is unusable;
 // construct roots with NewBudget and descendants with Child. A nil *Budget
 // is a valid "unlimited, untracked" budget: every method no-ops.
@@ -59,9 +53,9 @@ type Budget struct {
 	used   atomic.Int64
 	high   atomic.Int64 // high-water mark of used
 
-	mu         sync.Mutex
-	reclaimers []reclaimer
-	shed       atomic.Int64 // cumulative bytes reclaimers reported freed
+	mu        sync.Mutex
+	reclaimer Reclaimer    // this level's shed hook, or nil
+	shed      atomic.Int64 // cumulative bytes the hook reported freed
 }
 
 // NewBudget returns a root budget. limit <= 0 means unlimited (the budget
@@ -112,7 +106,7 @@ func (b *Budget) HighWater() int64 {
 	return b.high.Load()
 }
 
-// ShedBytes returns the cumulative bytes this level's reclaimers reported
+// ShedBytes returns the cumulative bytes this level's shed hook reported
 // freeing under pressure.
 func (b *Budget) ShedBytes() int64 {
 	if b == nil {
@@ -121,15 +115,14 @@ func (b *Budget) ShedBytes() int64 {
 	return b.shed.Load()
 }
 
-// AddReclaimer registers a shed hook at this level. Lower priorities run
-// first ("cheapest victim first"); registration order breaks ties.
-func (b *Budget) AddReclaimer(pri int, f Reclaimer) {
+// OnPressure makes f this level's shed hook, replacing any earlier one:
+// Reserve calls it once when this level refuses a charge.
+func (b *Budget) OnPressure(f Reclaimer) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
-	b.reclaimers = append(b.reclaimers, reclaimer{pri: pri, f: f})
-	sort.SliceStable(b.reclaimers, func(i, j int) bool { return b.reclaimers[i].pri < b.reclaimers[j].pri })
+	b.reclaimer = f
 	b.mu.Unlock()
 }
 
@@ -148,30 +141,26 @@ func (b *Budget) tryAdd(n int64) bool {
 	}
 }
 
-// reclaim runs this level's shed hooks in priority order until they report
-// enough freed bytes or run out. It returns true if any hook freed
-// anything (worth one retry).
+// reclaim asks this level's shed hook for want bytes. It returns true if
+// the hook freed anything (worth one retry).
 func (b *Budget) reclaim(want int64) bool {
 	b.mu.Lock()
-	hooks := append([]reclaimer(nil), b.reclaimers...)
+	f := b.reclaimer
 	b.mu.Unlock()
-	var freed int64
-	for _, r := range hooks {
-		got := r.f(want - freed)
-		if got > 0 {
-			b.shed.Add(got)
-			freed += got
-		}
-		if freed >= want {
-			break
-		}
+	if f == nil {
+		return false
 	}
-	return freed > 0
+	got := f(want)
+	if got <= 0 {
+		return false
+	}
+	b.shed.Add(got)
+	return true
 }
 
 // Reserve charges n bytes against this budget and every ancestor. On the
 // first level whose limit would be exceeded the partial charges roll back;
-// if that level has reclaimers they shed and the walk retries once. The
+// if that level has a shed hook it sheds and the walk retries once. The
 // final refusal is a typed *BudgetError naming the refusing level.
 func (b *Budget) Reserve(n int64) error {
 	if b == nil || n <= 0 {

@@ -65,21 +65,12 @@ func TestBudgetReclaim(t *testing.T) {
 	if err := root.Reserve(90); err != nil {
 		t.Fatalf("reserve 90: %v", err)
 	}
-	var order []int
-	root.AddReclaimer(1, func(want int64) int64 {
-		order = append(order, 1)
-		return 0
-	})
-	root.AddReclaimer(0, func(want int64) int64 {
-		order = append(order, 0)
-		root.Release(50) // the "cache" gives back memory
+	root.OnPressure(func(want int64) int64 {
+		root.Release(50) // a victim gives back memory
 		return 50
 	})
 	if err := root.Reserve(40); err != nil {
 		t.Fatalf("reserve after shed: %v", err)
-	}
-	if len(order) == 0 || order[0] != 0 {
-		t.Fatalf("reclaimers ran out of priority order: %v", order)
 	}
 	if root.ShedBytes() != 50 {
 		t.Fatalf("shed bytes = %d, want 50", root.ShedBytes())
@@ -109,7 +100,7 @@ func TestBudgetNilSafe(t *testing.T) {
 		t.Fatalf("nil budget must be unlimited: %v", err)
 	}
 	b.Release(5)
-	b.AddReclaimer(0, func(int64) int64 { return 0 })
+	b.OnPressure(func(int64) int64 { return 0 })
 	if b.Drain() != 0 || b.Used() != 0 || b.HighWater() != 0 {
 		t.Fatal("nil budget accessors must return zero")
 	}

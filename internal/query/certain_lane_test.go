@@ -101,10 +101,10 @@ func laneFingerprint(t *testing.T, r *Result) string {
 }
 
 // TestCertainLaneDifferential: certain filters and ORDER BY a certain column
-// … LIMIT k, which read cached value lanes and build only the k rows, return
+// … LIMIT k, which read batch value lanes and build only the k rows, return
 // the rows, order, probabilities, pdfs and wire bytes of the scalar reference
 // (SetVectorizedKernels(false)), over a scanned base table, a btree probe's
-// candidates and a transaction overlay (no cached lanes) — and a filter
+// candidates (no lanes) and a transaction overlay — and a filter
 // driven batch by batch keeps matching the per-tuple Eval while INSERT and
 // DELETE land mid-scan.
 func TestCertainLaneDifferential(t *testing.T) {
@@ -138,11 +138,12 @@ func TestCertainLaneDifferential(t *testing.T) {
 		}
 	}
 	check("scan", db, laneQueries())
-	if db.Registry().ColCache().Len() == 0 {
-		t.Fatal("the scan cached no lanes")
+	if tbl.EncodedBytes() == 0 {
+		t.Fatal("the scan built no lanes")
 	}
 
-	// A transaction overlay is a clone with no cache identity.
+	// A transaction overlay is a clone: it shares the full batches' lanes and
+	// builds its own for the partial last batch, which it appends to.
 	odb := OpenWith(db.Registry())
 	if err := odb.Attach(tbl.Clone()); err != nil {
 		t.Fatal(err)
@@ -207,7 +208,7 @@ func TestCertainLaneDifferential(t *testing.T) {
 }
 
 // TestCertainLaneTopKAllocsDoNotScale: a top-k by a certain column over
-// certain filters ranks cached lane values and builds only its k rows, so
+// certain filters ranks batch lane values and builds only its k rows, so
 // its allocations at 20 000 rows are those at 2 000 — ascending and
 // descending, by the filtered column or another, literal on either side.
 // The larger table has 71 more batches, so one allocation per batch would

@@ -475,8 +475,8 @@ func TestExplain(t *testing.T) {
 	}
 
 	// An explicitly sequential database reports parallelism 1, renders the
-	// filter kernel's strategy, and a repeated range-probability query hits
-	// the warmed columnar encoding cache.
+	// filter kernel's strategy, and a repeated range-probability query reads
+	// the batch encodings the first one built.
 	db.SetParallelism(1)
 	r = mustExec(t, db, "EXPLAIN SELECT rid FROM readings WHERE PROB(value IN [10, 30]) >= 0.2")
 	if !strings.Contains(r.Message, "parallelism: 1") {
@@ -487,7 +487,7 @@ func TestExplain(t *testing.T) {
 	}
 	r = mustExec(t, db, "EXPLAIN SELECT rid FROM readings WHERE PROB(value IN [10, 30]) >= 0.2")
 	if strings.Contains(r.Message, "col cache: 0 hits") {
-		t.Errorf("second run should hit the columnar encoding cache: %q", r.Message)
+		t.Errorf("second run should find the batch encodings built: %q", r.Message)
 	}
 
 	// With vectorization forced off, the same query reports the scalar

@@ -34,10 +34,11 @@ import (
 // run step and takes no lock.
 //
 // Invariant: once PrepareSelect returns, the tree reads only the frozen
-// tables, the index candidates TableIndexes.Restrict copied, and the
-// mutex-guarded, version-keyed colpdf cache — never the catalog, a live
-// table or an index — so run may go on while other sessions write this DB,
-// and it sees exactly the rows present at the build. A caller that
+// tables (with the batch encodings they share, which cover only rows every
+// sharer agrees on) and the index candidates TableIndexes.Restrict copied —
+// never the catalog, a live table or an index — so run may go on while
+// other sessions write this DB, and it sees exactly the rows present at the
+// build. A caller that
 // serializes statements above the catalog (the server's engine lock) calls
 // PrepareSelect under that lock, so no reader plans between two statements
 // of one commit.

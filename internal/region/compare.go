@@ -34,25 +34,6 @@ func (op Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(op))
 }
 
-// Negate returns the complementary operator (e.g. LT -> GE).
-func (op Op) Negate() Op {
-	switch op {
-	case LT:
-		return GE
-	case LE:
-		return GT
-	case GT:
-		return LE
-	case GE:
-		return LT
-	case EQ:
-		return NE
-	case NE:
-		return EQ
-	}
-	panic("region: unknown Op")
-}
-
 // Flip returns the operator with its operands swapped (e.g. a < b becomes
 // b > a).
 func (op Op) Flip() Op {

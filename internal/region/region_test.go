@@ -213,14 +213,11 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestOpNegateFlipEval(t *testing.T) {
+func TestOpFlipEval(t *testing.T) {
 	ops := []Op{LT, LE, GT, GE, EQ, NE}
 	pairs := [][2]float64{{1, 2}, {2, 1}, {3, 3}}
 	for _, op := range ops {
 		for _, p := range pairs {
-			if op.Eval(p[0], p[1]) == op.Negate().Eval(p[0], p[1]) {
-				t.Errorf("%v and its negation agree on %v", op, p)
-			}
 			if op.Eval(p[0], p[1]) != op.Flip().Eval(p[1], p[0]) {
 				t.Errorf("%v flip mismatch on %v", op, p)
 			}

@@ -84,9 +84,8 @@ type EngineConfig struct {
 	// FS is the filesystem the persistence path runs on. Default the real
 	// OS; tests substitute a fault-injecting implementation.
 	FS vfs.FS
-	// Budget, when set, is the server-wide memory budget: the columnar
-	// encoding cache charges its blocks against it (and sheds first under
-	// pressure), and query budgets created by the server parent into it.
+	// Budget, when set, is the server-wide memory budget: query budgets
+	// created by the server parent into it.
 	// Nil disables accounting entirely — a no-op engine, byte-identical
 	// results.
 	Budget *govern.Budget
@@ -216,17 +215,7 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e.sess = &Session{e: e}
 	e.db.SetParallelism(cfg.Parallelism)
-	if cfg.Budget != nil {
-		e.bud = cfg.Budget
-		e.db.Registry().ColCache().SetBudget(e.bud)
-		// Shed order under server-budget pressure: the columnar encodings
-		// first (losing one costs a re-encode of a 256-tuple batch). The
-		// server layers the expensive victim — cancelling the largest query
-		// — on top.
-		e.bud.AddReclaimer(0, func(want int64) int64 {
-			return e.db.Registry().ColCache().Shed(want)
-		})
-	}
+	e.bud = cfg.Budget
 	if cfg.Dir == "" {
 		return e, nil
 	}

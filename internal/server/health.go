@@ -77,13 +77,12 @@ type EngineHealth struct {
 	ReplayErrs  []string // typed errors the last recovery skipped past
 	Generation  uint64   // checkpoint generation
 	Tables      int      // catalog size
-	// The columnar-encoding cache's state: resident bytes, lifetime
-	// hit/miss totals, and the cumulative bytes memory pressure has shed
-	// from it (each shed costs later queries a re-encode).
+	// The catalog's columnar batch encodings: the bytes its tables hold,
+	// and the lifetime totals of encodings found built (hits) and built
+	// (misses).
 	ColPDFBytes  int64
 	ColPDFHits   uint64
 	ColPDFMisses uint64
-	ColPDFShed   int64
 }
 
 // Health snapshots the engine's degradation state.
@@ -102,10 +101,12 @@ func (e *Engine) Health() EngineHealth {
 	h.BudgetHigh = e.bud.HighWater()
 	h.ShedBytes = e.bud.ShedBytes()
 	h.Conflicts = e.conflicts.Load()
-	colenc := e.db.Registry().ColCache()
-	h.ColPDFBytes = colenc.Bytes()
-	h.ColPDFHits, h.ColPDFMisses = colenc.Counters()
-	h.ColPDFShed = colenc.ShedTotal()
+	for _, name := range e.db.TableNames() {
+		if t, ok := e.db.Table(name); ok {
+			h.ColPDFBytes += t.EncodedBytes()
+		}
+	}
+	h.ColPDFHits, h.ColPDFMisses = e.db.Registry().ColCache().Counters()
 	for name := range e.quarantine {
 		h.Quarantined = append(h.Quarantined, name)
 	}
@@ -139,8 +140,8 @@ func renderEngineHealth(b *strings.Builder, h EngineHealth) {
 		fmt.Fprintf(b, "memory: unlimited (used %d bytes)\n", h.BudgetUsed)
 	}
 	fmt.Fprintf(b, "tables: %d (generation %d), txn conflicts: %d\n", h.Tables, h.Generation, h.Conflicts)
-	fmt.Fprintf(b, "colpdf-cache: %d bytes, %d hits, %d misses, shed %d\n",
-		h.ColPDFBytes, h.ColPDFHits, h.ColPDFMisses, h.ColPDFShed)
+	fmt.Fprintf(b, "colpdf-cache: %d bytes, %d hits, %d misses\n",
+		h.ColPDFBytes, h.ColPDFHits, h.ColPDFMisses)
 	if len(h.Quarantined) > 0 {
 		fmt.Fprintf(b, "quarantined: %s\n", strings.Join(h.Quarantined, ", "))
 	}

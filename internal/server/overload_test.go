@@ -82,6 +82,29 @@ func TestHealth(t *testing.T) {
 	if strings.Contains(res.Message, "registry") {
 		t.Errorf("HEALTH still reports a history registry:\n%s", res.Message)
 	}
+
+	// A scan encodes the table's batches, and HEALTH counts their bytes.
+	for _, q := range []string{
+		"CREATE TABLE r (k INT, x FLOAT UNCERTAIN)",
+		"INSERT INTO r (k, x) VALUES (1, GAUSSIAN(10, 4)), (2, UNIFORM(0, 30)), (3, GAUSSIAN(25, 1))",
+		"SELECT k FROM r WHERE PROB(x IN [5, 15]) >= 0.3",
+	} {
+		if _, err := c.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if h := s.Engine().Health(); h.ColPDFBytes <= 0 || h.ColPDFMisses == 0 {
+		t.Fatalf("after a scan: %d encoded bytes, %d misses", h.ColPDFBytes, h.ColPDFMisses)
+	}
+	res, err = c.Query("HEALTH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(res.Message, "\n") {
+		if strings.HasPrefix(line, "colpdf-cache: ") && (strings.HasPrefix(line, "colpdf-cache: 0 bytes") || strings.Contains(line, "shed")) {
+			t.Errorf("HEALTH after a scan: %q", line)
+		}
+	}
 }
 
 // TestOverloadStress: greedy concurrent sorts against a deliberately small

@@ -191,8 +191,8 @@ type Server struct {
 	adm *govern.Admission
 	bud *govern.Budget
 
-	// qmu guards the running-query registry the budget's last-resort
-	// reclaimer scans for the largest victim.
+	// qmu guards the running-query registry the budget's shed hook scans
+	// for the largest victim.
 	qmu     sync.Mutex
 	queries map[*task]*runningQuery
 
@@ -262,17 +262,15 @@ func New(cfg Config) (*Server, error) {
 		bud:     bud,
 		queries: map[*task]*runningQuery{},
 	}
-	// Last-resort reclaimer: after the engine has shed its columnar cache
-	// (pri 0), cancel the hungriest running query.
-	bud.AddReclaimer(1, s.shedLargestQuery)
+	// Under server-budget pressure, cancel the hungriest running query.
+	bud.OnPressure(s.shedLargestQuery)
 	return s, nil
 }
 
-// shedLargestQuery is the priority-1 reclaimer on the server budget: it
-// cancels the running query holding the most reserved memory, with the
-// budget shortfall as the cancellation cause. The victim's reservations
-// release as its operator tree closes, so the freed estimate is its current
-// usage.
+// shedLargestQuery is the server budget's shed hook: it cancels the running
+// query holding the most reserved memory, with the budget shortfall as the
+// cancellation cause. The victim's reservations release as its operator
+// tree closes, so the freed estimate is its current usage.
 func (s *Server) shedLargestQuery(want int64) int64 {
 	s.qmu.Lock()
 	var victim *runningQuery
@@ -643,7 +641,7 @@ func (s *Server) execute(tk *task) (res *wire.Result, streamed bool, err error) 
 	if tk.sesBud != nil {
 		// The query's own budget rides the context down to the operators;
 		// registering it makes this query a candidate victim for the
-		// server budget's last-resort reclaimer.
+		// server budget's shed hook.
 		qb = tk.sesBud.Child("query", s.cfg.QueryMem)
 		ctx = govern.WithBudget(ctx, qb)
 		s.qmu.Lock()

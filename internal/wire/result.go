@@ -47,8 +47,8 @@ const maxColumns = 1 << 12
 // engine-wide during the statement (normally 0 or, for a failed COMMIT, 1).
 // The governance trio (version 7) makes overload behavior observable:
 // Rejections is the server's cumulative admission-rejection count,
-// ShedBytes the cumulative memory the server budget reclaimed from caches
-// and snapshots under pressure (both monotone server-wide gauges sampled at
+// ShedBytes the cumulative memory the server budget reclaimed by cancelling
+// queries under pressure (both monotone server-wide gauges sampled at
 // statement end), and QueueWaitMicros how long this statement sat in the
 // admission queue before a worker picked it up.
 // The kernel pair (version 8) makes the execution strategy of the filter

@@ -133,22 +133,6 @@ func EncodeReading(rd Reading) []byte {
 	return dist.AppendEncode(buf, rd.Value)
 }
 
-// DecodeReading parses a reading record.
-func DecodeReading(rec []byte) (Reading, error) {
-	rid, n := binary.Varint(rec)
-	if n <= 0 {
-		return Reading{}, fmt.Errorf("workload: bad rid varint")
-	}
-	d, used, err := dist.Decode(rec[n:])
-	if err != nil {
-		return Reading{}, err
-	}
-	if n+used != len(rec) {
-		return Reading{}, fmt.Errorf("workload: %d trailing bytes in reading record", len(rec)-n-used)
-	}
-	return Reading{RID: rid, Value: d}, nil
-}
-
 // DecodeReadingValue parses only the pdf of a reading record — the hot path
 // of storage scans, avoiding the struct when the rid is not needed.
 func DecodeReadingValue(rec []byte) (dist.Dist, error) {

@@ -77,34 +77,21 @@ func TestReadingCodecRoundTrip(t *testing.T) {
 			dist.Discretize(rd.Value, 25),
 		} {
 			rec := EncodeReading(Reading{RID: rd.RID, Value: repr})
-			back, err := DecodeReading(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if back.RID != rd.RID {
-				t.Errorf("rid %d != %d", back.RID, rd.RID)
-			}
-			if back.Value.String() != repr.String() {
-				t.Errorf("pdf %v != %v", back.Value, repr)
-			}
 			d, err := DecodeReadingValue(rec)
 			if err != nil || d.String() != repr.String() {
-				t.Errorf("value-only decode mismatch: %v, %v", d, err)
+				t.Errorf("decoded pdf %v (%v), want %v", d, err, repr)
 			}
 		}
 	}
 }
 
 func TestDecodeReadingErrors(t *testing.T) {
-	if _, err := DecodeReading(nil); err == nil {
+	if _, err := DecodeReadingValue(nil); err == nil {
 		t.Error("empty record should fail")
 	}
 	rec := EncodeReading(Reading{RID: 1, Value: dist.NewGaussian(0, 1)})
-	if _, err := DecodeReading(rec[:5]); err == nil {
+	if _, err := DecodeReadingValue(rec[:5]); err == nil {
 		t.Error("truncated record should fail")
-	}
-	if _, err := DecodeReading(append(rec, 0)); err == nil {
-		t.Error("trailing bytes should fail")
 	}
 }
 
