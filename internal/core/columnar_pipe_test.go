@@ -127,10 +127,13 @@ func TestPipelinedDMLMidScanDifferential(t *testing.T) {
 		case 4:
 			// Delete mid-scan: later tuples shift, so the cursor's batch
 			// offsets no longer line up and the kernel must re-verify.
-			if _, err := tbl.Delete(func(tb *core.Table, tup *core.Tuple) (bool, error) {
-				v, _ := tb.Value(tup, "id")
-				return v.I%7 == 3, nil
-			}); err != nil {
+			var gone []*core.Tuple
+			for _, tup := range tbl.Tuples() {
+				if v, _ := tbl.Value(tup, "id"); v.I%7 == 3 {
+					gone = append(gone, tup)
+				}
+			}
+			if _, err := tbl.Delete(gone); err != nil {
 				t.Fatal(err)
 			}
 		}

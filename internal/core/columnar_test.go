@@ -320,10 +320,7 @@ func TestDMLInvalidationDifferential(t *testing.T) {
 
 	// Deleting from the middle shifts every later tuple into a different
 	// batch slot — a stale encoding would evaluate the wrong pdfs.
-	if removed, err := tbl.Delete(func(tb *Table, tup *Tuple) (bool, error) {
-		v, _ := tb.Value(tup, "id")
-		return v.I%5 == 2, nil
-	}); err != nil || removed == 0 {
+	if removed, err := tbl.Delete(rowsWhere(tbl, func(id int64) bool { return id%5 == 2 })); err != nil || removed == 0 {
 		t.Fatalf("delete removed %d (%v)", removed, err)
 	}
 	if n := tbl.EncodedBytes(); n != 0 {

@@ -110,10 +110,7 @@ func TestSlotSurvivalDifferential(t *testing.T) {
 	misses("base beside the overlay", tbl, 0)
 
 	const r = 1000 // in batch 3
-	if n, err := tbl.Delete(func(tb *Table, tup *Tuple) (bool, error) {
-		v, _ := tb.Value(tup, "id")
-		return v.I == r, nil
-	}); err != nil || n != 1 {
+	if n, err := tbl.Delete(rowsWhere(tbl, func(id int64) bool { return id == r })); err != nil || n != 1 {
 		t.Fatalf("delete removed %d (%v)", n, err)
 	}
 	misses("after a delete at row 1000", tbl, 5) // batches 3 to 7
@@ -136,10 +133,7 @@ func TestSharedSlotStressDifferential(t *testing.T) {
 		for op := 0; op < 150; op++ {
 			mu.Lock()
 			if op%10 == 9 {
-				if _, err := base.Delete(func(tb *Table, tup *Tuple) (bool, error) {
-					v, _ := tb.Value(tup, "id")
-					return v.I%37 == int64(op%37), nil
-				}); err != nil {
+				if _, err := base.Delete(rowsWhere(base, func(id int64) bool { return id%37 == int64(op%37) })); err != nil {
 					t.Error(err)
 				}
 			} else if err := appendRows(base, 10000+op*3, 1+op%3, func(i int) dist.Dist { return dist.NewGaussian(float64(i%11), 1+float64(i%3)) }); err != nil {

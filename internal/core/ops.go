@@ -363,33 +363,37 @@ func (t *Table) SelectRangeThreshold(attr string, lo, hi float64, op region.Op, 
 	return t.RunProbSelection(t.PlanRangeThreshold(attr, lo, hi, op, p))
 }
 
-// Delete removes the tuples for which filter returns true and returns how
-// many were removed. It is all or nothing: when filter fails on some tuple,
-// Delete returns its error and leaves the table untouched. The base pdfs of
-// removed tuples survive as phantoms for as long as a derived tuple still
-// reaches them (§II-C); the collector frees the rest.
-func (t *Table) Delete(filter func(*Table, *Tuple) (bool, error)) (int, error) {
-	// Compact into a fresh slice rather than in place: frozen snapshots
-	// (Freeze) share the old backing array and must keep seeing the
-	// pre-delete tuple pointers, and a failing filter must leave the table
-	// as it was.
-	kept := make([]*Tuple, 0, len(t.tuples))
-	first := -1 // the first removed row
-	for i, tup := range t.tuples {
-		del, err := filter(t, tup)
-		if err != nil {
-			return 0, err
-		}
-		if !del {
-			kept = append(kept, tup)
-		} else if first < 0 {
-			first = i
-		}
-	}
-	if first < 0 {
+// Delete removes rows, which must be tuples of t in table order — what a
+// filter tree over t (or over index candidates Restrict mapped back to t's
+// tuples) yields — and returns how many it removed. It is all or nothing:
+// when some row is not t's or is out of order, Delete returns an error and
+// leaves the table untouched. The base pdfs of removed tuples survive as
+// phantoms for as long as a derived tuple still reaches them (§II-C); the
+// collector frees the rest.
+func (t *Table) Delete(rows []*Tuple) (int, error) {
+	if len(rows) == 0 {
 		return 0, nil
 	}
-	removed := len(t.tuples) - len(kept)
+	// Compact into a fresh slice rather than in place: frozen snapshots
+	// (Freeze) share the old backing array and must keep seeing the
+	// pre-delete tuple pointers, and a rejected call must leave the table
+	// as it was. The capacity stays the old length, so the INSERT that
+	// follows a small delete appends without regrowing.
+	kept := make([]*Tuple, 0, len(t.tuples))
+	first, j := -1, 0 // the first removed row; the next row to remove
+	for i, tup := range t.tuples {
+		if j < len(rows) && rows[j] == tup {
+			if first < 0 {
+				first = i
+			}
+			j++
+			continue
+		}
+		kept = append(kept, tup)
+	}
+	if j < len(rows) {
+		return 0, fmt.Errorf("core: delete from %s: row %d of %d is not a row of the table in table order", t.Name, j, len(rows))
+	}
 	t.tuples = kept
 	if t.enc != nil {
 		// Rows from the first removed one's batch on have moved: those
@@ -401,5 +405,5 @@ func (t *Table) Delete(filter func(*Table, *Tuple) (bool, error)) (int, error) {
 		}
 		t.enc = enc
 	}
-	return removed, nil
+	return len(rows), nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -90,7 +89,7 @@ func TestFailedInsertRegistersNothing(t *testing.T) {
 	}
 	var f freed
 	f.watch(t, tbl, tbl.Tuples()...)
-	if _, err := tbl.Delete(func(*Table, *Tuple) (bool, error) { return true, nil }); err != nil {
+	if _, err := tbl.Delete(tbl.Tuples()); err != nil {
 		t.Fatal(err)
 	}
 	if n := f.after(2); n != 2 {
@@ -300,43 +299,56 @@ func TestSelectRangeThreshold(t *testing.T) {
 // TestDeletePhantomReachability is the phantom rule (§II-C): a deleted
 // tuple's base pdf lives on exactly while a derived tuple still reaches it,
 // and the collector frees it once none does.
-// TestDeleteFailingFilterChangesNothing: a DELETE filter that fails on row
-// 3, after accepting rows 1 and 2, leaves the table's length, tuples and
-// batch slots as they were, and Delete returns the filter's error.
-func TestDeleteFailingFilterChangesNothing(t *testing.T) {
+// rowsWhere returns t's tuples whose id satisfies keep, in table order — the
+// rows a DELETE's filter tree hands Table.Delete.
+func rowsWhere(t *Table, keep func(id int64) bool) []*Tuple {
+	var out []*Tuple
+	for _, tup := range t.Tuples() {
+		if v, _ := t.Value(tup, "id"); keep(v.I) {
+			out = append(out, tup)
+		}
+	}
+	return out
+}
+
+// TestDeleteRejectsBadRowsChangesNothing: rows out of table order, a
+// repeated row and a row of another table each make Delete fail, leaving
+// the table's length, tuples and batch slots as they were.
+func TestDeleteRejectsBadRowsChangesNothing(t *testing.T) {
 	schema := MustSchema(Column{Name: "id", Type: IntType}, Column{Name: "x", Type: FloatType, Uncertain: true})
 	tbl := MustTable("r", schema, nil, nil)
+	other := MustTable("o", schema, nil, nil)
 	for id := int64(1); id <= 5; id++ {
-		if err := tbl.Insert(Row{
-			Values: map[string]Value{"id": Int(id)},
-			PDFs:   []PDF{{Attrs: []string{"x"}, Dist: dist.NewGaussian(float64(id), 1)}},
-		}); err != nil {
-			t.Fatal(err)
+		for _, tb := range []*Table{tbl, other} {
+			if err := tb.Insert(Row{
+				Values: map[string]Value{"id": Int(id)},
+				PDFs:   []PDF{{Attrs: []string{"x"}, Dist: dist.NewGaussian(float64(id), 1)}},
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	before := append([]*Tuple(nil), tbl.Tuples()...)
 	enc := append([]encSlot(nil), tbl.enc...)
-	boom := errors.New("boom")
-	n, err := tbl.Delete(func(tb *Table, tup *Tuple) (bool, error) {
-		v, _ := tb.Value(tup, "id")
-		if v.I == 3 {
-			return false, boom
+	for name, rows := range map[string][]*Tuple{
+		"out of order": {before[0], before[3], before[2]},
+		"repeated":     {before[1], before[1]},
+		"foreign":      {before[0], other.Tuples()[2], before[4]},
+	} {
+		if n, err := tbl.Delete(rows); err == nil || n != 0 {
+			t.Fatalf("%s: Delete = %d, %v; want 0 and an error", name, n, err)
 		}
-		return true, nil
-	})
-	if !errors.Is(err, boom) || n != 0 {
-		t.Fatalf("Delete = %d, %v; want 0 and the filter's error", n, err)
-	}
-	sameSlots := len(tbl.enc) == len(enc)
-	for i := 0; sameSlots && i < len(enc); i++ {
-		sameSlots = &tbl.enc[i][0] == &enc[i][0]
-	}
-	if tbl.Len() != len(before) || !sameSlots {
-		t.Fatalf("after a failed Delete: %d rows, %d slots, want %d rows and the same %d slots", tbl.Len(), len(tbl.enc), len(before), len(enc))
-	}
-	for i, tup := range tbl.Tuples() {
-		if tup != before[i] {
-			t.Fatalf("row %d changed by a failed Delete", i)
+		sameSlots := len(tbl.enc) == len(enc)
+		for i := 0; sameSlots && i < len(enc); i++ {
+			sameSlots = &tbl.enc[i][0] == &enc[i][0]
+		}
+		if tbl.Len() != len(before) || !sameSlots {
+			t.Fatalf("%s: after a failed Delete: %d rows, %d slots, want %d rows and the same %d slots", name, tbl.Len(), len(tbl.enc), len(before), len(enc))
+		}
+		for i, tup := range tbl.Tuples() {
+			if tup != before[i] {
+				t.Fatalf("%s: row %d changed by a failed Delete", name, i)
+			}
 		}
 	}
 }
@@ -352,11 +364,8 @@ func TestDeletePhantomReachability(t *testing.T) {
 	if derived.Len() != 1 {
 		t.Fatal("derivation missing")
 	}
-	sensor := func(id int64) func(*Table, *Tuple) (bool, error) {
-		return func(tb *Table, tup *Tuple) (bool, error) {
-			v, _ := tb.Value(tup, "id")
-			return v.I == id, nil
-		}
+	sensor := func(id int64) []*Tuple {
+		return rowsWhere(tbl, func(v int64) bool { return v == id })
 	}
 	if n, err := tbl.Delete(sensor(1)); err != nil || n != 1 || tbl.Len() != 2 {
 		t.Fatalf("deleted %d (%v), remaining %d", n, err, tbl.Len())
@@ -365,7 +374,7 @@ func TestDeletePhantomReachability(t *testing.T) {
 		t.Errorf("%d base pdfs freed while the derived tuple reaches sensor 1's", n)
 	}
 	// Deleting the derived tuple leaves nothing reaching the phantom.
-	if _, err := derived.Delete(func(*Table, *Tuple) (bool, error) { return true, nil }); err != nil {
+	if _, err := derived.Delete(derived.Tuples()); err != nil {
 		t.Fatal(err)
 	}
 	if n := f.after(1); n != 1 {

@@ -174,30 +174,23 @@ func (t *Table) numericOperand(o Operand) bool {
 	return ok
 }
 
-// CertainFilter compiles a conjunction of comparisons over certain columns
-// and literals into one predicate over the table's tuples — the form DELETE
-// evaluates, sharing Select's compiled atoms and their NULL and mixed-kind
-// semantics.
-func (t *Table) CertainFilter(atoms ...Atom) (func(*Tuple) bool, error) {
-	cmps := make([]certainCmp, len(atoms))
-	for i, a := range atoms {
-		for _, o := range []Operand{a.Left, a.Right} {
-			if _, uncertain, err := t.operandInfo(o); err != nil {
-				return nil, err
-			} else if uncertain {
-				return nil, fmt.Errorf("core: column %q is uncertain", o.attr)
-			}
+// FoldCertain checks that every column a names is a certain column of t —
+// the comparisons DELETE accepts. An atom that names no column is a
+// constant, which a Selection refuses to plan: lit reports one and holds is
+// its value under the compiled atoms' NULL, mixed-kind and NaN semantics.
+func (t *Table) FoldCertain(a Atom) (lit, holds bool, err error) {
+	for _, o := range []Operand{a.Left, a.Right} {
+		if _, uncertain, err := t.operandInfo(o); err != nil {
+			return false, false, err
+		} else if uncertain {
+			return false, false, fmt.Errorf("core: column %q is uncertain", o.attr)
 		}
-		cmps[i] = t.compileCertain(a)
 	}
-	return func(tup *Tuple) bool {
-		for i := range cmps {
-			if !cmps[i].eval(tup) {
-				return false
-			}
-		}
-		return true
-	}, nil
+	if a.Left.isCol || a.Right.isCol {
+		return false, false, nil
+	}
+	c := t.compileCertain(a)
+	return true, c.eval(nil), nil
 }
 
 // eval evaluates the comparison on a tuple. NULL comparisons are false (SQL

@@ -156,12 +156,6 @@ func (ix *Index) Delete(rid int64) bool {
 // tombstone checks are cheaper than recomputing every entry's x-bounds.
 const rebuildFloor = 32
 
-// Fragmentation reports the index's incremental debris: entries awaiting a
-// fold into the tree and tombstoned slots awaiting reclamation.
-func (ix *Index) Fragmentation() (overflow, dead int) {
-	return len(ix.overflow), len(ix.dead)
-}
-
 // maybeRebuild folds overflow and tombstones back into a fresh static tree
 // once either exceeds both the floor and a quarter of the live entry count.
 func (ix *Index) maybeRebuild() {
@@ -251,18 +245,6 @@ func (ix *Index) RangeThreshold(lo, hi, p float64) ([]int64, Stats) {
 	ix.scanOverflow(lo, hi, visit, &st)
 	slices.Sort(out)
 	return out, st
-}
-
-// Candidates returns the RIDs whose support intervals overlap [lo, hi],
-// without probability filtering.
-func (ix *Index) Candidates(lo, hi float64) []int64 {
-	var out []int64
-	var st Stats
-	collect := func(e *entry) { out = append(out, e.rid) }
-	ix.walk(0, len(ix.entries), lo, hi, collect, &st)
-	ix.scanOverflow(lo, hi, collect, &st)
-	slices.Sort(out)
-	return out
 }
 
 // scanOverflow linearly visits overflow entries overlapping [lo, hi].

@@ -100,13 +100,12 @@ func TestCertIndexDifferential(t *testing.T) {
 					victim := tb.Tuples()[rng.Intn(tb.Len())]
 					all := rng.Intn(3) == 0
 					var gone []*core.Tuple
-					if _, err := tb.Delete(func(_ *core.Table, tup *core.Tuple) (bool, error) {
+					for _, tup := range tb.Tuples() {
 						if tup == victim || all && key(tup) == key(victim) {
 							gone = append(gone, tup)
-							return true, nil
 						}
-						return false, nil
-					}); err != nil {
+					}
+					if _, err := tb.Delete(gone); err != nil {
 						t.Fatal(err)
 					}
 					for _, tup := range gone {

@@ -158,10 +158,7 @@ func TestIndexDML(t *testing.T) {
 	// Delete the first 10 tuples, tell the index, and verify probes exclude
 	// them while the rest stay reachable.
 	victims := append([]*core.Tuple(nil), tb.Tuples()[:10]...)
-	if _, err := tb.Delete(func(t *core.Table, tup *core.Tuple) (bool, error) {
-		v, _ := t.Value(tup, "rid")
-		return v.I < 10, nil
-	}); err != nil {
+	if _, err := tb.Delete(victims); err != nil {
 		t.Fatal(err)
 	}
 	for _, tup := range victims {
@@ -442,14 +439,12 @@ func TestRowidOrderInvariant(t *testing.T) {
 	del := func(pred func(rid int64) bool) {
 		t.Helper()
 		var gone []*core.Tuple
-		if _, err := tb.Delete(func(tb *core.Table, tup *core.Tuple) (bool, error) {
-			v, _ := tb.Value(tup, "rid")
-			if pred(v.I) {
+		for _, tup := range tb.Tuples() {
+			if v, _ := tb.Value(tup, "rid"); pred(v.I) {
 				gone = append(gone, tup)
-				return true, nil
 			}
-			return false, nil
-		}); err != nil {
+		}
+		if _, err := tb.Delete(gone); err != nil {
 			t.Fatal(err)
 		}
 		for _, tup := range gone {

@@ -122,7 +122,9 @@ func analyzeCertain(t *core.Table, name string) *ColStats {
 			continue
 		}
 		distinct[v] = struct{}{}
-		if f, ok := v.AsFloat(); ok {
+		// A NaN or an infinity has no bucket in a finite domain (the SQL
+		// parser refuses both; the core API does not).
+		if f, ok := v.AsFloat(); ok && !math.IsNaN(f) && !math.IsInf(f, 0) {
 			vals = append(vals, f)
 		}
 	}

@@ -418,66 +418,58 @@ func toCoreOperand(o Operand) core.Operand {
 	return core.Lit(o.Lit)
 }
 
+// execDelete is a SELECT whose output is removed. It builds the filter tree
+// a single-table SELECT with the same WHERE plans — the access path, one
+// Filter holding every comparison, the ProbFilters in the planner's residual
+// order — and drains it under the write lock the caller holds. A selection
+// that floors no pdf and a ProbFilter both pass their input tuples through,
+// and Restrict maps index candidates to the base tuples in base order, so
+// the drained rows are t's own rows in table order: what Table.Delete takes.
 func (db *DB) execDelete(s Delete) (*Result, error) {
 	t, ok := db.tables[s.Table]
 	if !ok {
 		return nil, fmt.Errorf("query: no table %q", s.Table)
 	}
-	// DELETE predicates may touch certain columns and probability
-	// thresholds, but not floor pdfs (deletion is base-table maintenance,
-	// not a PWS query). The certain comparisons compile to one predicate —
-	// the compiled atoms a SELECT's filter evaluates — and the probability
-	// conjuncts evaluate per tuple behind it.
-	var atoms []core.Atom
-	var probConds []Cond
+	// DELETE compares certain columns only (deletion is base-table
+	// maintenance, not a PWS query), so no pdf is floored. A literal-only
+	// conjunct, which a SELECT refuses to plan, folds here: a true one drops
+	// out, a false one deletes nothing once every comparison is checked.
+	sel := SelectStmt{From: []TableRef{{Name: s.Table}}}
+	holds := true
 	for _, c := range s.Where {
 		if c.Kind == CondCmp {
-			atoms = append(atoms, core.Cmp(toCoreOperand(c.Left), c.Op, toCoreOperand(c.Right)))
-		} else {
-			probConds = append(probConds, c)
-		}
-	}
-	certain, err := t.CertainFilter(atoms...)
-	if err != nil {
-		return nil, fmt.Errorf("query: DELETE FROM %s compares certain columns only (use PROB(...) on uncertain ones): %w", s.Table, err)
-	}
-	var removed []*core.Tuple
-	n, err := t.Delete(func(tb *core.Table, tup *core.Tuple) (bool, error) {
-		if !certain(tup) {
-			return false, nil
-		}
-		for _, c := range probConds {
-			ok, err := evalDeleteProb(tb, tup, c)
-			if err != nil || !ok {
-				return false, err
+			lit, ok, err := t.FoldCertain(core.Cmp(toCoreOperand(c.Left), c.Op, toCoreOperand(c.Right)))
+			if err != nil {
+				return nil, fmt.Errorf("query: DELETE FROM %s compares certain columns only (use PROB(...) on uncertain ones): %w", s.Table, err)
+			}
+			if lit {
+				holds = holds && ok
+				continue
 			}
 		}
-		removed = append(removed, tup)
-		return true, nil
-	})
+		sel.Where = append(sel.Where, c)
+	}
+	if !holds {
+		return &Result{Message: "deleted 0"}, nil
+	}
+	root, pr, err := db.buildPlannedTree(sel, t)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.noteDeleted(s.Table, removed); err != nil {
+	var rows []*core.Tuple
+	if err := pipe.Run(context.Background(), root, func(_ *core.Table, b []*core.Tuple) error {
+		rows = append(rows, b...)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	return &Result{Message: fmt.Sprintf("deleted %d", n), Affected: n}, nil
-}
-
-func evalDeleteProb(t *core.Table, tup *core.Tuple, c Cond) (bool, error) {
-	switch c.Kind {
-	case CondProb:
-		p, err := t.Prob(tup, c.ProbCols...)
-		if err != nil {
-			return false, err
-		}
-		return c.Op.Eval(p, c.Threshold), nil
-	case CondProbRange:
-		p, err := t.ProbInRange(tup, c.ProbCols[0], c.Lo, c.Hi)
-		if err != nil {
-			return false, err
-		}
-		return c.Op.Eval(p, c.Threshold), nil
+	pr.harvestKernels()
+	n, err := t.Delete(rows)
+	if err != nil {
+		return nil, err
 	}
-	return false, fmt.Errorf("query: unsupported DELETE condition")
+	if err := db.noteDeleted(s.Table, rows); err != nil {
+		return nil, err
+	}
+	return &Result{Message: fmt.Sprintf("deleted %d", n), Affected: n, Planner: pr.counters}, nil
 }

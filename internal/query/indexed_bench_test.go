@@ -12,16 +12,19 @@ import (
 // [20, 80).
 func indexedReadings(tb testing.TB, n int, pti bool) *DB {
 	tb.Helper()
-	db := loadReadings(tb, n, `rid INT, sensor INT, value FLOAT UNCERTAIN, score FLOAT`, `rid, sensor, value, score`, func(i int) string {
-		mean := 20 + float64(i*7919%6000)/100
-		return fmt.Sprintf("(%d, %d, GAUSSIAN(%g, 4), %d.5)", i, i%97, mean, i%1000)
-	})
+	db := loadReadings(tb, n, `rid INT, sensor INT, value FLOAT UNCERTAIN, score FLOAT`, `rid, sensor, value, score`, indexedRow)
 	mustExec(tb, db, `CREATE INDEX ON readings (rid)`)
 	if pti {
 		mustExec(tb, db, `CREATE INDEX ON readings (value)`)
 	}
 	mustExec(tb, db, `ANALYZE readings`)
 	return db
+}
+
+// indexedRow renders indexedReadings' i-th VALUES tuple.
+func indexedRow(i int) string {
+	mean := 20 + float64(i*7919%6000)/100
+	return fmt.Sprintf("(%d, %d, GAUSSIAN(%g, 4), %d.5)", i, i%97, mean, i%1000)
 }
 
 // loadReadings creates readings(cols) at parallelism 1 and loads n rows,
@@ -94,13 +97,25 @@ func pti1pctSQL(i int) string {
 // BenchmarkIndexedSelect times the point_read statement shapes at the DB
 // level over 25 000 rows: a btree point lookup, a 50-row two-sided btree
 // range, a PTI range-threshold probe keeping about 1 % of the table, and a
-// top-10 by the unindexed score under a score cut.
+// top-10 by the unindexed score under a score cut. delete_rid deletes one
+// row by its indexed rid and re-inserts it, so the table keeps its size.
 func BenchmarkIndexedSelect(b *testing.B) {
 	const n = 25000
-	benchShapes(b, indexedReadings(b, n, true), []stmtShape{
+	db := indexedReadings(b, n, true)
+	benchShapes(b, db, []stmtShape{
 		{"point", func(i int) string { return pointSQL(n, i) }},
 		{"range50", func(i int) string { return range50SQL(n, i) }},
 		{"pti1pct", pti1pctSQL},
 		{"topk", topkSQL},
+	})
+	b.Run("delete_rid", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i * 7919 % n
+			if r := mustExec(b, db, fmt.Sprintf(`DELETE FROM readings WHERE rid = %d`, k)); r.Affected != 1 {
+				b.Fatalf("rid = %d: deleted %d", k, r.Affected)
+			}
+			mustExec(b, db, `INSERT INTO readings (rid, sensor, value, score) VALUES `+indexedRow(k))
+		}
 	})
 }

@@ -1027,17 +1027,5 @@ func (e *Engine) ReplayErrors() []error {
 	return append([]error(nil), e.replayErrs...)
 }
 
-// GroupCommitStats returns the cumulative group-commit counters (zero for
-// ephemeral engines).
-func (e *Engine) GroupCommitStats() txn.Stats {
-	e.mu.Lock()
-	gc := e.gc
-	e.mu.Unlock()
-	if gc == nil {
-		return txn.Stats{}
-	}
-	return gc.Stats()
-}
-
 // Conflicts returns the engine-wide count of first-writer-wins aborts.
 func (e *Engine) Conflicts() uint64 { return e.conflicts.Load() }

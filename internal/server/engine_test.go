@@ -1,8 +1,10 @@
 package server
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -182,6 +184,48 @@ func TestEngineStatsMonotone(t *testing.T) {
 	// An underflow would show up as a delta near 2^64.
 	if res.Stats.PageReads > 1<<40 || res.Stats.PageWrites > 1<<40 {
 		t.Fatalf("stats delta underflowed: %+v", res.Stats)
+	}
+}
+
+// TestDeleteUsesIndex: a DELETE by key plans like the SELECT with its WHERE,
+// so on a btree-indexed n-row table it probes the index once, skips the
+// other n-1 rows, and reports both on the wire; and the replayed WAL
+// removes the same row.
+func TestDeleteUsesIndex(t *testing.T) {
+	const n = 300
+	dir := t.TempDir()
+	e, err := OpenEngine(EngineConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExecute(t, e, "CREATE TABLE t (rid INT, x FLOAT UNCERTAIN)")
+	var b strings.Builder
+	b.WriteString("INSERT INTO t (rid, x) VALUES ")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, GAUSSIAN(%d, 2))", i, i%50)
+	}
+	mustExecute(t, e, b.String())
+	mustExecute(t, e, "CREATE INDEX ON t (rid)")
+	res, err := e.Execute("DELETE FROM t WHERE rid = 123")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := res.Stats; res.Affected != 1 || s.IndexProbes != 1 || s.IndexPruned != n-1 {
+		t.Fatalf("DELETE … WHERE rid = 123: %d rows, %d index probes, %d pruned; want 1, 1 and %d", res.Affected, s.IndexProbes, s.IndexPruned, n-1)
+	}
+	e.Close()
+
+	if e, err = OpenEngine(EngineConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for sql, want := range map[string]int{"SELECT rid FROM t": n - 1, "SELECT rid FROM t WHERE rid = 123": 0} {
+		if res, err := e.Execute(sql); err != nil || len(res.Table.Rows) != want {
+			t.Fatalf("after replay, %s: %v, want %d rows", sql, err, want)
+		}
 	}
 }
 

@@ -165,7 +165,7 @@ func snapshotIsolationStress(t *testing.T, indexed bool) {
 	if got := len(res.Table.Rows); got != want {
 		t.Fatalf("final row count %d, want %d", got, want)
 	}
-	gst := e.GroupCommitStats()
+	gst := e.gc.Stats()
 	if gst.Records == 0 {
 		t.Fatal("group committer saw no records")
 	}
