@@ -81,7 +81,7 @@ func (db *DB) Table(name string) (*core.Table, bool) {
 }
 
 // Attach installs an externally built table (for example one loaded from a
-// heap file by internal/store) into the catalog under its own name. The
+// heap file by internal/storage) into the catalog under its own name. The
 // table's base pdfs must be registered in this database's Registry().
 func (db *DB) Attach(t *core.Table) error {
 	db.mu.Lock()
@@ -131,7 +131,7 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.execStmt(stmt)
+	return db.ExecStmt(stmt)
 }
 
 // ExecScript executes a semicolon-separated script, stopping at the first
@@ -143,7 +143,7 @@ func (db *DB) ExecScript(sql string) ([]*Result, error) {
 	}
 	results := make([]*Result, 0, len(stmts))
 	for _, s := range stmts {
-		r, err := db.execStmt(s)
+		r, err := db.ExecStmt(s)
 		if err != nil {
 			return results, err
 		}
@@ -152,7 +152,9 @@ func (db *DB) ExecScript(sql string) ([]*Result, error) {
 	return results, nil
 }
 
-func (db *DB) execStmt(stmt Stmt) (*Result, error) {
+// ExecStmt executes one already-parsed statement. Execution does not modify
+// stmt, so a caller may run the same statement on more than one catalog.
+func (db *DB) ExecStmt(stmt Stmt) (*Result, error) {
 	// A SELECT takes the read lock for its build step only. The other
 	// read-only statements share the catalog under the read lock; anything
 	// that mutates a table or the catalog map takes the write lock.

@@ -277,7 +277,7 @@ func TestExplainRunsPipelinedTree(t *testing.T) {
 				}
 				s := stmt.(SelectStmt)
 				s.OrderCol, s.Limit, s.Agg, s.Star = "", nil, "", true // the filter stages alone
-				want, err := db.execStmt(s)
+				want, err := db.ExecStmt(s)
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)
 				}

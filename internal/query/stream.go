@@ -120,7 +120,7 @@ func (db *DB) ExecStream(ctx context.Context, sql string, sink func(hdr *core.Ta
 	}
 	s, ok := stmt.(SelectStmt)
 	if !ok {
-		return db.execStmt(stmt)
+		return db.ExecStmt(stmt)
 	}
 	run, err := db.PrepareSelect(s)
 	if err != nil {

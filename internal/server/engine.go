@@ -114,15 +114,16 @@ func (c *EngineConfig) fill() {
 
 // Engine executes statements for the server: an authoritative in-memory
 // catalog (query.DB) persisted under a data directory with full crash
-// safety. Every mutating statement is appended to a checksummed write-ahead
-// log and fsync'd *before* it executes; heap files hold checkpointed
-// snapshots and are replaced atomically (fresh generation-named file, then
-// an fsync'd manifest rename), never modified in place. Recovery therefore
-// reduces to: load the snapshots the manifest names, replay the intact WAL
-// records on top, and checkpoint — a restart after a crash at any point
-// converges to exactly the committed statements. Heap pages carry CRC32C
-// checksums; a page found corrupt at load quarantines its table instead of
-// killing the server.
+// safety. Every write is one commit unit (publish): under the engine mutex
+// it is enqueued to a checksummed write-ahead log and applied, and it is
+// acknowledged only after a group-commit flush has fsync'd it. Heap files
+// hold checkpointed snapshots and are replaced atomically (fresh
+// generation-named file, then an fsync'd manifest rename), never modified
+// in place. Recovery therefore reduces to: load the snapshots the manifest
+// names, replay the WAL's whole units on top, and checkpoint — a restart
+// after a crash at any point converges to exactly the committed statements.
+// Heap pages carry CRC32C checksums; a page found corrupt at load
+// quarantines its table instead of killing the server.
 //
 // Heap files are touched only by recovery (one sequential load each) and by
 // checkpoints (one sequential write each); the engine holds none open in
@@ -170,13 +171,15 @@ type Engine struct {
 	gc *txn.GroupCommitter
 
 	// ver is the per-table commit version: verSeq advances on every
-	// committed mutation and stamps the tables it wrote. A transaction
-	// records these at BEGIN and COMMIT compares them for the tables it
-	// wrote — first-writer-wins conflict detection in O(written tables).
+	// committed unit and stamps the tables it wrote (stampLocked). A
+	// transaction records these at BEGIN and COMMIT compares them for the
+	// tables it wrote — first-writer-wins conflict detection in O(written
+	// tables).
 	ver    map[string]uint64
 	verSeq uint64
-	// nextTxn allocates transaction IDs; recovery seeds it past every ID
-	// seen in the replayed log so an unrolled log never collides.
+	// nextTxn allocates transaction IDs, from 1 (0 is an autocommit unit in
+	// the log). Replay never matches units by ID across the log, so IDs may
+	// repeat after a restart.
 	nextTxn uint64
 	// conflicts counts first-writer-wins aborts engine-wide.
 	conflicts atomic.Uint64
@@ -298,70 +301,13 @@ func (e *Engine) recoverLocked() error {
 		}
 	}
 
-	// Replay. Autocommit records apply immediately; transaction statements
-	// buffer by ID and apply only at their commit marker — a transaction
-	// whose marker never became durable was never acknowledged, so it is
-	// discarded whole (the atomicity half of crash recovery).
-	replayed := 0
-	apply := func(sql string) {
-		stmt, perr := query.Parse(sql)
-		if perr != nil {
-			e.cfg.Logf("probserve: recovery: unparseable WAL statement %q: %v", sql, perr)
-			return
-		}
-		if qerr := e.precheckLocked(stmt); qerr != nil {
-			var qe *QuarantinedTableError
-			if errors.As(qerr, &qe) {
-				e.replayErrs = append(e.replayErrs, qe)
-			}
-			e.cfg.Logf("probserve: recovery: skipping WAL statement %q: %v", sql, qerr)
-			return
-		}
-		if _, aerr := e.applyLocked(sql, stmt); aerr != nil {
-			// A statement that failed when first executed fails identically
-			// here; either way the catalog matches the pre-crash state.
-			e.cfg.Logf("probserve: recovery: replayed statement failed (as it may have originally): %v", aerr)
-		}
+	// Replay the log's whole units (Open cut a torn tail unit); the reader
+	// discards a marker-less unit mid-log, which was never acknowledged.
+	var rd wal.Reader
+	replayed := e.replay(&rd, recs)
+	if rd.Discarded > 0 {
+		e.cfg.Logf("probserve: recovery: discarded %d uncommitted transaction(s)", rd.Discarded)
 	}
-	pending := map[uint64][]string{}
-	var maxTxn uint64
-	for _, r := range recs {
-		switch r.Type {
-		case wal.TypeStatement:
-			apply(string(r.Data))
-			replayed++
-		case wal.TypeTxnStmt:
-			id, sql, derr := wal.DecodeTxn(r.Data)
-			if derr != nil {
-				e.cfg.Logf("probserve: recovery: %v", derr)
-				continue
-			}
-			if id > maxTxn {
-				maxTxn = id
-			}
-			pending[id] = append(pending[id], sql)
-		case wal.TypeTxnCommit:
-			id, _, derr := wal.DecodeTxn(r.Data)
-			if derr != nil {
-				e.cfg.Logf("probserve: recovery: %v", derr)
-				continue
-			}
-			if id > maxTxn {
-				maxTxn = id
-			}
-			for _, sql := range pending[id] {
-				apply(sql)
-				replayed++
-			}
-			delete(pending, id)
-		default:
-			e.cfg.Logf("probserve: recovery: skipping unknown WAL record type %d", r.Type)
-		}
-	}
-	if len(pending) > 0 {
-		e.cfg.Logf("probserve: recovery: discarded %d uncommitted transaction(s)", len(pending))
-	}
-	e.nextTxn = maxTxn + 1
 	e.gcLocked(m)
 	if replayed > 0 || len(e.dirty) > 0 {
 		e.cfg.Logf("probserve: recovery: replayed %d WAL statement(s) at generation %d", replayed, e.gen)
@@ -574,14 +520,14 @@ func (e *Engine) execParsed(sql string, stmt query.Stmt) (*wire.Result, error) {
 		// index definitions); WAL-logging them makes that state as
 		// durable as the data, with the manifest carrying it across
 		// checkpoints.
-		return e.execMutation(sql, stmt)
+		return e.publish(commitUnit{sqls: []string{sql}, stmts: []query.Stmt{stmt}})
 	default:
 		// EXPLAIN, SHOW TABLES, DESCRIBE and anything new run directly
 		// on the in-memory catalog.
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		d := e.beginStatsLocked()
-		qr, err := e.db.Exec(sql)
+		qr, err := e.db.ExecStmt(stmt)
 		if err != nil {
 			return nil, err
 		}
@@ -601,77 +547,127 @@ func (e *Engine) execCheckpoint() (*wire.Result, error) {
 	return e.finishStatsLocked(d, qr), nil
 }
 
-// execMutation is the autocommit write path. Under e.mu the statement is
-// enqueued for group commit and applied to the catalog — enqueue order is
-// apply order, so the log and memory always agree on history — and the new
-// state becomes visible to other statements immediately. The client is
-// acked only after the statement's ticket reports its records durable; if
-// the flush fails, memory is ahead of the log and the engine latches
-// read-only until a restart recovers.
-func (e *Engine) execMutation(sql string, stmt query.Stmt) (*wire.Result, error) {
+// commitUnit is one write on its way through publish: an autocommit
+// statement (txn 0) or a transaction's buffered statements.
+type commitUnit struct {
+	txn   uint64
+	sqls  []string
+	stmts []query.Stmt
+	// versions, for a transaction, are the commit versions it observed at
+	// BEGIN: publish refuses the unit if a table it writes has moved since.
+	versions map[string]uint64
+}
+
+// publish is the one step every write takes. Under e.mu it checks the gates
+// (gateLocked), enqueues the unit's records for group commit, applies its
+// statements — enqueue order is apply order, so the log and memory agree on
+// history, and a statement that fails here fails identically on replay —
+// stamps the tables they wrote, and runs the auto-checkpoint; the new state
+// is visible at once. It then unlocks and acks only once the unit is
+// durable; if the flush fails, memory is ahead of the log and the engine
+// latches read-only until a restart recovers to the durable prefix.
+func (e *Engine) publish(u commitUnit) (*wire.Result, error) {
 	e.mu.Lock()
 	d := e.beginStatsLocked()
-	if e.readOnly != nil {
-		err := e.readOnly
+	if err := e.gateLocked(u); err != nil {
 		e.mu.Unlock()
 		return nil, err
 	}
-	if e.cfg.Dir == "" {
-		defer e.mu.Unlock()
-		qr, err := e.db.Exec(sql)
+	var tk *txn.Ticket
+	if e.gc != nil {
+		tk = e.gc.Enqueue(wal.EncodeUnit(u.txn, u.sqls))
+	}
+	var (
+		qr       *query.Result
+		applyErr error
+		written  []string
+		affected int
+	)
+	for i, stmt := range u.stmts {
+		r, err := e.applyLocked(stmt)
 		if err != nil {
-			return nil, err
+			if u.txn != 0 { // a bug after the version check; replay keeps going too
+				e.cfg.Logf("probserve: commit txn %d: statement %q failed unexpectedly: %v", u.txn, u.sqls[i], err)
+			}
+			if applyErr == nil {
+				applyErr = err
+			}
+			continue
 		}
-		e.bumpVersionLocked(stmt)
-		return e.finishStatsLocked(d, qr), nil
+		qr = r
+		affected += r.Affected
+		written = append(written, e.writtenTablesLocked(stmt)...)
 	}
-	if e.broken != nil {
-		err := fmt.Errorf("server: engine is read-only after a durability failure: %w", e.broken)
-		e.mu.Unlock()
-		return nil, err
-	}
-	if err := e.precheckLocked(stmt); err != nil {
-		e.mu.Unlock()
-		return nil, err
-	}
-	tk := e.gc.Enqueue([]wal.Record{{Type: wal.TypeStatement, Data: []byte(sql)}})
-	qr, aerr := e.applyLocked(sql, stmt)
-	var res *wire.Result
-	if aerr == nil {
-		e.bumpVersionLocked(stmt)
+	e.stampLocked(written)
+	if e.gc != nil {
 		e.maybeCheckpointLocked()
+	}
+	if u.txn != 0 {
+		qr = &query.Result{
+			Message:  fmt.Sprintf("transaction %d committed (%d statements)", u.txn, len(u.stmts)),
+			Affected: affected,
+		}
+	}
+	var res *wire.Result
+	if qr != nil {
 		res = e.finishStatsLocked(d, qr)
 	}
 	e.mu.Unlock()
 
-	ack, werr := tk.Wait()
-	if aerr != nil {
-		// The WAL record stays: replay re-executes the statement against
-		// the same state and fails identically, so disk and memory agree.
-		return nil, aerr
+	var werr error
+	if tk != nil {
+		var ack txn.Ack
+		if ack, werr = tk.Wait(); werr != nil {
+			e.mu.Lock()
+			if e.broken == nil {
+				e.broken = fmt.Errorf("server: WAL flush failed (memory may be ahead of the log): %w", werr)
+				e.cfg.Logf("probserve: %v", e.broken)
+			}
+			e.mu.Unlock()
+		} else if res != nil {
+			res.Stats.LatencyMicros = uint64(time.Since(d.start).Microseconds())
+			if ack.Led {
+				res.Stats.WALFsyncs = 1
+			}
+			res.Stats.WALGroupSize = uint64(ack.GroupSize)
+		}
 	}
-	if werr != nil {
-		e.latchBroken(werr)
+	switch {
+	case applyErr != nil && u.txn == 0:
+		return nil, applyErr
+	case applyErr != nil:
+		return nil, fmt.Errorf("server: transaction %d commit applied with errors: %w", u.txn, applyErr)
+	case werr != nil && u.txn == 0:
 		return nil, fmt.Errorf("server: statement not durable: %w", werr)
+	case werr != nil:
+		return nil, fmt.Errorf("server: transaction %d not durable: %w", u.txn, werr)
 	}
-	res.Stats.LatencyMicros = uint64(time.Since(d.start).Microseconds())
-	if ack.Led {
-		res.Stats.WALFsyncs = 1
-	}
-	res.Stats.WALGroupSize = uint64(ack.GroupSize)
 	return res, nil
 }
 
-// latchBroken marks the engine read-only after a WAL flush failure: the
-// in-memory catalog may be ahead of the durable log, so no further write
-// can be ordered safely. Restart recovers to the durable prefix.
-func (e *Engine) latchBroken(err error) {
-	e.mu.Lock()
-	if e.broken == nil {
-		e.broken = fmt.Errorf("server: WAL flush failed (memory may be ahead of the log): %w", err)
-		e.cfg.Logf("probserve: %v", e.broken)
+// gateLocked refuses a unit that must not publish: the engine is declared
+// read-only or latched after a durability failure, a statement touches a
+// quarantined table, or — for a transaction — a table it writes was
+// committed by another writer since its BEGIN.
+func (e *Engine) gateLocked(u commitUnit) error {
+	if e.readOnly != nil {
+		return e.readOnly
 	}
-	e.mu.Unlock()
+	if e.gc != nil && e.broken != nil {
+		return fmt.Errorf("server: engine is read-only after a durability failure: %w", e.broken)
+	}
+	for _, stmt := range u.stmts {
+		if err := e.precheckLocked(stmt); err != nil {
+			return err
+		}
+		for _, name := range e.writtenTablesLocked(stmt) {
+			if u.versions != nil && e.ver[name] != u.versions[name] {
+				e.conflicts.Add(1)
+				return &txn.ConflictError{Table: name}
+			}
+		}
+	}
+	return nil
 }
 
 // writtenTables names the tables a mutation statement writes.
@@ -696,10 +692,9 @@ func (e *Engine) writtenTablesLocked(stmt query.Stmt) []string {
 	return nil
 }
 
-// bumpVersionLocked advances the commit clock and stamps the tables stmt
-// wrote.
-func (e *Engine) bumpVersionLocked(stmt query.Stmt) {
-	names := e.writtenTablesLocked(stmt)
+// stampLocked advances the commit clock once for a unit and stamps the
+// tables its statements wrote.
+func (e *Engine) stampLocked(names []string) {
 	e.verSeq++
 	for _, n := range names {
 		e.ver[n] = e.verSeq
@@ -817,36 +812,25 @@ func (e *Engine) walSizeLocked() int64 {
 }
 
 // precheckLocked rejects statements that must not run: any statement on a
-// quarantined table (its disk state is unknown) and table names that cannot
-// map to a heap file.
+// quarantined table (its disk state is unknown) — except the DROP that
+// discards it — and table names that cannot map to a heap file.
 func (e *Engine) precheckLocked(stmt query.Stmt) error {
-	quarantineErr := func(name string) error {
-		if q, ok := e.quarantine[name]; ok {
-			return &QuarantinedTableError{Table: name, Cause: q.err}
-		}
-		return nil
-	}
+	names := e.writtenTablesLocked(stmt)
 	switch s := stmt.(type) {
 	case query.CreateTable:
 		if !validTableName(s.Name) {
 			return fmt.Errorf("server: table name %q not persistable", s.Name)
 		}
-		return quarantineErr(s.Name)
-	case query.Insert:
-		return quarantineErr(s.Table)
-	case query.Delete:
-		return quarantineErr(s.Table)
-	case query.Analyze:
-		if s.Table != "" {
-			return quarantineErr(s.Table)
-		}
-	case query.CreateIndex:
-		return quarantineErr(s.Table)
+	case query.Drop:
+		return nil
 	case query.SelectStmt:
 		for _, ref := range s.From {
-			if err := quarantineErr(ref.Name); err != nil {
-				return err
-			}
+			names = append(names, ref.Name)
+		}
+	}
+	for _, name := range names {
+		if q, ok := e.quarantine[name]; ok {
+			return &QuarantinedTableError{Table: name, Cause: q.err}
 		}
 	}
 	return nil
@@ -854,9 +838,9 @@ func (e *Engine) precheckLocked(stmt query.Stmt) error {
 
 // applyLocked executes an already-logged mutation against the catalog and
 // updates the engine's dirty-table bookkeeping. It is the single code path
-// shared by live execution and recovery replay, so both walk identical
-// state transitions.
-func (e *Engine) applyLocked(sql string, stmt query.Stmt) (*query.Result, error) {
+// shared by publish and replay (recovery and the replica), so all walk
+// identical state transitions.
+func (e *Engine) applyLocked(stmt query.Stmt) (*query.Result, error) {
 	if s, ok := stmt.(query.Drop); ok {
 		if q, qok := e.quarantine[s.Name]; qok {
 			// Dropping a quarantined table discards its damaged file; the
@@ -866,7 +850,7 @@ func (e *Engine) applyLocked(sql string, stmt query.Stmt) (*query.Result, error)
 			return &query.Result{Message: fmt.Sprintf("dropped quarantined table %s", s.Name)}, nil
 		}
 	}
-	qr, err := e.db.Exec(sql)
+	qr, err := e.db.ExecStmt(stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -884,6 +868,48 @@ func (e *Engine) applyLocked(sql string, stmt query.Stmt) (*query.Result, error)
 		delete(e.tables, s.Name)
 	}
 	return qr, nil
+}
+
+// replay feeds recs through rd and applies every unit it completes through
+// applyLocked, stamping its tables as publish does: recovery's and the
+// replica's one apply path. It returns how many statements the units held.
+// A statement that fails here failed identically when first executed, so
+// it is logged, not fatal (and kept for ReplayErrors if quarantined).
+func (e *Engine) replay(rd *wal.Reader, recs []wal.Record) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	replayed := 0
+	for _, rec := range recs {
+		unit, err := rd.Next(rec)
+		if err != nil {
+			e.cfg.Logf("probserve: replay: %v", err)
+		}
+		if len(unit) == 0 {
+			continue
+		}
+		var written []string
+		for _, sql := range unit {
+			stmt, err := query.Parse(sql)
+			if err == nil {
+				err = e.precheckLocked(stmt)
+			}
+			if err == nil {
+				_, err = e.applyLocked(stmt)
+			}
+			if err != nil {
+				var qe *QuarantinedTableError
+				if errors.As(err, &qe) {
+					e.replayErrs = append(e.replayErrs, qe)
+				}
+				e.cfg.Logf("probserve: replay: statement %q failed (as it may have originally): %v", sql, err)
+				continue
+			}
+			written = append(written, e.writtenTablesLocked(stmt)...)
+		}
+		e.stampLocked(written)
+		replayed += len(unit)
+	}
+	return replayed
 }
 
 // checkpointLocked folds the WAL into fresh heap snapshots:

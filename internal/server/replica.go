@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"probdb/internal/govern"
-	"probdb/internal/query"
 	"probdb/internal/vfs"
 	"probdb/internal/wal"
 	"probdb/internal/wire"
@@ -56,22 +55,22 @@ func (c *ReplicaConfig) fill() {
 }
 
 // Replica tails a leader's WAL over the wire protocol and applies committed
-// work to an ephemeral engine serving read-only queries. The apply rules
-// are recovery's, with one deliberate difference: a transaction whose
-// statements have arrived but whose commit marker has not is *pending*, not
-// discarded — the marker is simply later in the stream. Pending work
-// survives segment boundaries and replica restarts (the local log replays
-// it back into the buffer) and only ever applies at its commit record, so
-// the replica exposes exactly the leader's committed prefix, at
-// commit-unit granularity.
+// work to an ephemeral engine serving read-only queries, through the
+// ordinary recovery path: the same wal.Reader and Engine.replay. The
+// leader ships only fsync-acknowledged bytes, so the stream holds whole
+// commit units; a fetch may still end inside one, and that unit stays open
+// in the reader until its commit marker arrives. At restart the local log
+// is cut back to its last whole unit like any WAL, and the partial tail is
+// re-fetched — so the replica exposes exactly the leader's committed
+// prefix, at commit-unit granularity.
 type Replica struct {
 	cfg ReplicaConfig
 	eng *Engine
 	log *wal.Log
 
-	mu      sync.Mutex
-	lsn     int64
-	pending map[uint64][]string
+	mu  sync.Mutex
+	lsn int64
+	rd  wal.Reader // holds the unit a fetch boundary split
 
 	quit chan struct{}
 	done chan struct{}
@@ -106,8 +105,8 @@ func OpenReplica(cfg ReplicaConfig) (*Replica, error) {
 			err = cfg.FS.SyncDir(cfg.Dir)
 		}
 	} else {
-		// Open truncates a torn tail (a crash mid-append): those bytes were
-		// never applied and never acknowledged upstream, and the next fetch
+		// Open truncates a torn tail (a crash mid-append) and a unit whose
+		// marker had not arrived: neither was applied, and the next fetch
 		// simply re-pulls them from the leader.
 		log, recs, err = wal.Open(cfg.FS, path)
 	}
@@ -115,15 +114,14 @@ func OpenReplica(cfg ReplicaConfig) (*Replica, error) {
 		return nil, fmt.Errorf("server: replica log: %w", err)
 	}
 	r := &Replica{
-		cfg:     cfg,
-		eng:     eng,
-		log:     log,
-		lsn:     log.StreamLen(),
-		pending: map[uint64][]string{},
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:  cfg,
+		eng:  eng,
+		log:  log,
+		lsn:  log.StreamLen(),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	r.applyRecords(recs)
+	eng.replay(&r.rd, recs) // past the read-only gate: the replica's one writer
 	if len(recs) > 0 {
 		cfg.Logf("probserve: replica: replayed %d local WAL record(s), resuming at LSN %d", len(recs), r.lsn)
 	}
@@ -241,66 +239,7 @@ func (r *Replica) ingest(seg *wire.WALSegment) error {
 	if err := r.log.AppendBatch(recs); err != nil {
 		return fmt.Errorf("local log: %w", err)
 	}
-	r.applyRecords(recs)
+	r.eng.replay(&r.rd, recs)
 	r.lsn += n
-	return nil
-}
-
-// applyRecords walks decoded records through the commit-unit buffer. Called
-// with r.mu held (or before the tail loop starts).
-func (r *Replica) applyRecords(recs []wal.Record) {
-	for _, rec := range recs {
-		switch rec.Type {
-		case wal.TypeStatement:
-			r.applyStmt(string(rec.Data))
-		case wal.TypeTxnStmt:
-			id, sql, err := wal.DecodeTxn(rec.Data)
-			if err != nil {
-				r.cfg.Logf("probserve: replica: %v", err)
-				continue
-			}
-			r.pending[id] = append(r.pending[id], sql)
-		case wal.TypeTxnCommit:
-			id, _, err := wal.DecodeTxn(rec.Data)
-			if err != nil {
-				r.cfg.Logf("probserve: replica: %v", err)
-				continue
-			}
-			for _, sql := range r.pending[id] {
-				r.applyStmt(sql)
-			}
-			delete(r.pending, id)
-		default:
-			r.cfg.Logf("probserve: replica: skipping unknown WAL record type %d", rec.Type)
-		}
-	}
-}
-
-func (r *Replica) applyStmt(sql string) {
-	if err := r.eng.ApplyReplicated(sql); err != nil {
-		// A statement that failed on the leader fails identically here —
-		// the catalogs agree either way.
-		r.cfg.Logf("probserve: replica: statement failed (as it may have on the leader): %v", err)
-	}
-}
-
-// ApplyReplicated executes one leader-logged statement on a replica's
-// ephemeral catalog, bypassing the declared read-only gate — replication
-// apply is the one writer a replica has. Refused on persistent engines:
-// their writes must go through the WAL path.
-func (e *Engine) ApplyReplicated(sql string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cfg.Dir != "" {
-		return fmt.Errorf("server: ApplyReplicated is replica-only (engine has a data dir)")
-	}
-	stmt, err := query.Parse(sql)
-	if err != nil {
-		return fmt.Errorf("server: replicated statement unparseable: %w", err)
-	}
-	if _, err := e.db.Exec(sql); err != nil {
-		return err
-	}
-	e.bumpVersionLocked(stmt)
 	return nil
 }

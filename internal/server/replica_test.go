@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"probdb/internal/vfs"
+	"probdb/internal/wal"
 	"probdb/internal/wire"
 )
 
@@ -142,9 +145,12 @@ func TestReplicaServesLeaderState(t *testing.T) {
 	}
 }
 
-// TestReplicaCommitUnitGranularity proves an uncommitted transaction's
-// statements — durable in the leader's WAL but without a commit marker —
-// never become visible on the replica, while everything committed does.
+// TestReplicaCommitUnitGranularity: a transaction left open on the leader
+// is invisible on the replica while autocommit work committed after its
+// BEGIN arrives; once it commits, the replica applies it whole. (An open
+// transaction's statements stay in its session until COMMIT, so they never
+// reach the leader's log; the marker-less unit case lives in the wal
+// Reader tests and TestReplicaMatchesLeaderAfterTornTxn.)
 func TestReplicaCommitUnitGranularity(t *testing.T) {
 	leader := startLeader(t, t.TempDir())
 	defer leader.Shutdown(context.Background()) //nolint:errcheck
@@ -154,10 +160,9 @@ func TestReplicaCommitUnitGranularity(t *testing.T) {
 	mustQuery(t, addr, "INSERT INTO u (k) VALUES (1)")
 	mustQuery(t, addr, "CREATE TABLE other (k INT)")
 
-	// Open a transaction, write, and leave it hanging: its TxnStmt records
-	// group-commit to the log alongside later autocommit work. (The
-	// concurrent autocommit write goes to a different table so
-	// first-writer-wins does not abort the open transaction.)
+	// Open a transaction, write, and leave it hanging while autocommit work
+	// commits. (The concurrent autocommit write goes to a different table
+	// so first-writer-wins does not abort the open transaction.)
 	open, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +204,8 @@ func TestReplicaCommitUnitGranularity(t *testing.T) {
 
 // TestReplicaRestartResumes restarts a replica mid-stream and checks it
 // resumes from its local log's LSN rather than refetching from zero, and
-// that a buffered-but-uncommitted transaction survives the restart and
-// applies when its commit marker finally arrives.
+// that a transaction open on the leader across the replica's restart
+// reaches the restarted replica whole once it commits.
 func TestReplicaRestartResumes(t *testing.T) {
 	leader := startLeader(t, t.TempDir())
 	defer leader.Shutdown(context.Background()) //nolint:errcheck
@@ -246,6 +251,65 @@ func TestReplicaRestartResumes(t *testing.T) {
 	res := mustQuery(t, replica.Addr().String(), "SELECT * FROM r")
 	if len(res.Table.Rows) != 3 {
 		t.Fatalf("replica sees %d rows, want 3", len(res.Table.Rows))
+	}
+}
+
+// TestReplicaMatchesLeaderAfterTornTxn: a transaction torn by a crash (its
+// statement record durable, its commit marker not) is discarded by the
+// leader's recovery. After a checkpoint and a restart the leader's
+// transaction IDs start again at 1; a fresh replica must still never apply
+// the torn rows, even when the next transaction 1 commits.
+func TestReplicaMatchesLeaderAfterTornTxn(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	leader := startLeader(t, dir)
+	addr := leader.Addr().String()
+	mustQuery(t, addr, "CREATE TABLE o (k INT)")
+	mustQuery(t, addr, "INSERT INTO o (k) VALUES (1)")
+	if err := leader.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// The torn commit batch: one statement record, no marker.
+	m, err := readManifest(vfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := wal.Open(vfs.OS, filepath.Join(dir, walFile(m.Gen)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(wal.TypeTxnStmt, wal.EncodeTxn(1, "INSERT INTO o (k) VALUES (999)")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	leader = startLeader(t, dir)
+	mustQuery(t, leader.Addr().String(), "CHECKPOINT")
+	if err := leader.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	leader = startLeader(t, dir)
+	defer leader.Shutdown(ctx) //nolint:errcheck
+	addr = leader.Addr().String()
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"BEGIN", "INSERT INTO o (k) VALUES (2)", "COMMIT"} {
+		if _, err := c.Query(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	c.Close()
+
+	replica := startReplica(t, t.TempDir(), addr)
+	defer replica.Shutdown(ctx) //nolint:errcheck
+	waitCaughtUp(t, leader, replica)
+	lres := mustQuery(t, addr, "SELECT * FROM o")
+	rres := mustQuery(t, replica.Addr().String(), "SELECT * FROM o")
+	if len(lres.Table.Rows) != 2 || len(rres.Table.Rows) != len(lres.Table.Rows) {
+		t.Fatalf("leader has %d rows, replica %d; want 2 on both", len(lres.Table.Rows), len(rres.Table.Rows))
 	}
 }
 

@@ -3,14 +3,11 @@ package server
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"probdb/internal/core"
 	"probdb/internal/query"
-	"probdb/internal/txn"
-	"probdb/internal/wal"
 	"probdb/internal/wire"
 )
 
@@ -39,15 +36,12 @@ type Session struct {
 	tx *sessionTxn
 }
 
-// sessionTxn is one open transaction.
+// sessionTxn is one open transaction: the commit unit it buffers (its
+// mutations in execution order and the versions observed at BEGIN) and its
+// private overlay catalog.
 type sessionTxn struct {
-	id       uint64
-	db       *query.DB         // private overlay catalog
-	versions map[string]uint64 // commit versions observed at BEGIN
-	stmts    []string          // buffered mutations, in execution order
-	parsed   []query.Stmt
-	written  map[string]bool
-	affected int
+	commitUnit
+	db *query.DB
 	// aborted poisons the transaction after an in-transaction statement
 	// error: a failed statement ends the transaction's right to commit, so
 	// the only exits are ROLLBACK or a COMMIT that reports the abort and
@@ -140,7 +134,7 @@ func (s *Session) ExecuteStream(ctx context.Context, sql string, sink func(hdr *
 	case query.SelectStmt:
 		streamed = st.Agg == ""
 		if s.tx != nil {
-			res, err = s.selectInTxnLocked(ctx, sql, sink)
+			res, err = s.selectInTxnLocked(ctx, st, sink)
 		} else {
 			res, err = s.e.execSelectStream(ctx, st, sink)
 		}
@@ -177,7 +171,7 @@ func (s *Session) beginLocked() (*wire.Result, error) {
 	id := e.nextTxn
 	e.nextTxn++
 	e.mu.Unlock()
-	s.tx = &sessionTxn{id: id, db: odb, versions: versions, written: map[string]bool{}}
+	s.tx = &sessionTxn{commitUnit: commitUnit{txn: id, versions: versions}, db: odb}
 	return &wire.Result{
 		Message: fmt.Sprintf("transaction %d started", id),
 		InTxn:   true,
@@ -191,13 +185,13 @@ func (s *Session) rollbackLocked() (*wire.Result, error) {
 	if s.tx == nil {
 		return nil, fmt.Errorf("server: no transaction in progress")
 	}
-	id := s.tx.id
+	id := s.tx.txn
 	s.tx = nil
 	return &wire.Result{Message: fmt.Sprintf("transaction %d rolled back", id)}, nil
 }
 
 func (s *Session) abortedErrLocked() error {
-	return fmt.Errorf("server: transaction %d is aborted by an earlier error (%v); ROLLBACK to continue", s.tx.id, s.tx.aborted)
+	return fmt.Errorf("server: transaction %d is aborted by an earlier error (%v); ROLLBACK to continue", s.tx.txn, s.tx.aborted)
 }
 
 // txnResultLocked packages an in-transaction statement outcome (no engine
@@ -209,12 +203,16 @@ func (s *Session) txnResultLocked(start time.Time, qr *query.Result) *wire.Resul
 }
 
 // selectInTxnLocked runs a SELECT against the transaction's overlay.
-func (s *Session) selectInTxnLocked(ctx context.Context, sql string, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, error) {
+func (s *Session) selectInTxnLocked(ctx context.Context, st query.SelectStmt, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, error) {
 	if s.tx.aborted != nil {
 		return nil, s.abortedErrLocked()
 	}
 	start := time.Now()
-	qr, err := s.tx.db.ExecStream(ctx, sql, sink)
+	run, err := s.tx.db.PrepareSelect(st)
+	if err != nil {
+		return nil, err
+	}
+	qr, err := run(ctx, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -233,18 +231,14 @@ func (s *Session) execInTxnLocked(sql string, stmt query.Stmt) (*wire.Result, er
 		return nil, s.abortedErrLocked()
 	}
 	start := time.Now()
-	var table string
-	switch st := stmt.(type) {
+	switch stmt.(type) {
 	case query.Explain, query.ShowTables, query.Describe:
-		qr, err := t.db.Exec(sql)
+		qr, err := t.db.ExecStmt(stmt)
 		if err != nil {
 			return nil, err
 		}
 		return s.txnResultLocked(start, qr), nil
-	case query.Insert:
-		table = st.Table
-	case query.Delete:
-		table = st.Table
+	case query.Insert, query.Delete:
 	default:
 		return nil, fmt.Errorf("server: only INSERT, DELETE and SELECT are allowed inside a transaction (got %T); COMMIT or ROLLBACK first", stmt)
 	}
@@ -257,25 +251,25 @@ func (s *Session) execInTxnLocked(sql string, stmt query.Stmt) (*wire.Result, er
 	if err != nil {
 		return nil, err
 	}
-	qr, err := t.db.Exec(sql)
+	qr, err := t.db.ExecStmt(stmt)
 	if err != nil {
 		// A failed statement ends the transaction's right to commit:
 		// poison it, so COMMIT reports the error and rolls back.
 		t.aborted = err
-		return nil, fmt.Errorf("server: transaction %d aborted: %w", t.id, err)
+		return nil, fmt.Errorf("server: transaction %d aborted: %w", t.txn, err)
 	}
-	t.stmts = append(t.stmts, sql)
-	t.parsed = append(t.parsed, stmt)
-	t.written[table] = true
-	t.affected += qr.Affected
+	t.sqls = append(t.sqls, sql)
+	t.stmts = append(t.stmts, stmt)
 	return s.txnResultLocked(start, qr), nil
 }
 
-// commitLocked publishes the transaction. Under the engine mutex it
-// validates the written tables' versions (first-writer-wins), enqueues all
-// buffered statements plus the commit marker as ONE group-commit batch, and
-// re-executes the statements against the authoritative catalog; visibility
-// is immediate, but the client is acked only after the batch's fsync.
+// commitLocked publishes the transaction as one commit unit: publish
+// validates the written tables' versions (first-writer-wins) under the
+// engine mutex, enqueues all buffered statements plus the commit marker as
+// ONE group-commit batch, and re-executes the statements against the
+// authoritative catalog — the version check guarantees the same outcome
+// the overlay saw; visibility is immediate, but the client is acked only
+// after the batch's fsync.
 func (s *Session) commitLocked() (*wire.Result, error) {
 	t := s.tx
 	if t == nil {
@@ -283,88 +277,10 @@ func (s *Session) commitLocked() (*wire.Result, error) {
 	}
 	s.tx = nil
 	if t.aborted != nil {
-		return nil, fmt.Errorf("server: transaction %d was aborted by an earlier error (%v); rolled back", t.id, t.aborted)
+		return nil, fmt.Errorf("server: transaction %d was aborted by an earlier error (%v); rolled back", t.txn, t.aborted)
 	}
-	e := s.e
 	if len(t.stmts) == 0 {
-		return &wire.Result{Message: fmt.Sprintf("transaction %d committed (read-only)", t.id)}, nil
+		return &wire.Result{Message: fmt.Sprintf("transaction %d committed (read-only)", t.txn)}, nil
 	}
-
-	e.mu.Lock()
-	d := e.beginStatsLocked()
-	if e.cfg.Dir != "" && e.broken != nil {
-		err := fmt.Errorf("server: engine is read-only after a durability failure: %w", e.broken)
-		e.mu.Unlock()
-		return nil, err
-	}
-	if e.readOnly != nil {
-		err := e.readOnly
-		e.mu.Unlock()
-		return nil, err
-	}
-	names := make([]string, 0, len(t.written))
-	for n := range t.written {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if e.ver[name] != t.versions[name] {
-			e.conflicts.Add(1)
-			e.mu.Unlock()
-			return nil, &txn.ConflictError{Table: name}
-		}
-	}
-	var tk *txn.Ticket
-	if e.cfg.Dir != "" {
-		recs := make([]wal.Record, 0, len(t.stmts)+1)
-		for _, q := range t.stmts {
-			recs = append(recs, wal.Record{Type: wal.TypeTxnStmt, Data: wal.EncodeTxn(t.id, q)})
-		}
-		recs = append(recs, wal.Record{Type: wal.TypeTxnCommit, Data: wal.EncodeTxn(t.id, "")})
-		tk = e.gc.Enqueue(recs)
-	}
-	// Re-execute against the authoritative catalog. The version check
-	// guarantees the written tables are exactly as the overlay saw them at
-	// BEGIN, so these replays land the overlay's outcome. A failure here is
-	// a bug, but it is handled the way recovery replay handles it — log,
-	// keep going — so memory and a post-crash replay of this batch agree.
-	var applyErr error
-	for i, q := range t.stmts {
-		if _, err := e.applyLocked(q, t.parsed[i]); err != nil {
-			e.cfg.Logf("probserve: commit txn %d: statement %q failed unexpectedly: %v", t.id, q, err)
-			if applyErr == nil {
-				applyErr = err
-			}
-		}
-	}
-	e.verSeq++
-	for _, n := range names {
-		e.ver[n] = e.verSeq
-	}
-	if e.cfg.Dir != "" {
-		e.maybeCheckpointLocked()
-	}
-	qr := &query.Result{
-		Message:  fmt.Sprintf("transaction %d committed (%d statements)", t.id, len(t.stmts)),
-		Affected: t.affected,
-	}
-	res := e.finishStatsLocked(d, qr)
-	e.mu.Unlock()
-
-	if tk != nil {
-		ack, werr := tk.Wait()
-		if werr != nil {
-			e.latchBroken(werr)
-			return nil, fmt.Errorf("server: transaction %d not durable: %w", t.id, werr)
-		}
-		res.Stats.LatencyMicros = uint64(time.Since(d.start).Microseconds())
-		if ack.Led {
-			res.Stats.WALFsyncs = 1
-		}
-		res.Stats.WALGroupSize = uint64(ack.GroupSize)
-	}
-	if applyErr != nil {
-		return nil, fmt.Errorf("server: transaction %d commit applied with errors: %w", t.id, applyErr)
-	}
-	return res, nil
+	return s.e.publish(t.commitUnit)
 }

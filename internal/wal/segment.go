@@ -27,29 +27,18 @@ const HeaderLen = headerSize
 func (l *Log) StreamLen() int64 { return l.size - int64(headerSize) }
 
 // StreamSize returns the intact record-stream length of the log file at
-// path: the bytes of whole, checksummed records after the magic header.
-// For a cleanly rolled generation this is the file size minus the header;
-// a torn tail (crash during the final append of a generation) simply ends
-// the stream early, mirroring Open's truncation rule.
+// path: the bytes of whole commit units of checksummed records after the
+// magic header. For a cleanly rolled generation this is the file size minus
+// the header; a torn tail (crash during the final append of a generation)
+// simply ends the stream early, mirroring Open's truncation rule.
 func StreamSize(fsys vfs.FS, path string) (int64, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	raw := make([]byte, st.Size())
-	if _, err := readFullAt(f, raw, 0); err != nil {
-		return 0, fmt.Errorf("wal: read %s: %w", path, err)
-	}
-	if len(raw) < headerSize || string(raw[:headerSize]) != magic {
-		return 0, fmt.Errorf("%w: %s is not a WAL file", ErrBadMagic, path)
-	}
-	_, validLen := Decode(raw[headerSize:])
-	return validLen, nil
+	_, stream, _, err := readUnits(f, path)
+	return stream, err
 }
 
 // ReadSegment reads whole records from the log file at path, starting at

@@ -1,10 +1,11 @@
 // Package wal is the engine's write-ahead log: an append-only file of
 // length-prefixed, CRC32C-checksummed records, fsync'd on every append. The
-// engine logs each mutating statement here *before* applying it, so a crash
-// at any point leaves the log as the authoritative tail of history since the
-// last checkpoint: on startup the engine replays every intact record and a
-// torn or half-written tail record — the signature of a crash mid-append —
-// fails its checksum and is truncated away rather than interpreted.
+// engine enqueues each commit unit's records, applies the unit, and acks it
+// once a group-commit flush has fsync'd it here, so a crash at any point
+// leaves the log as the authoritative tail of history since the last
+// checkpoint: on startup the engine replays every whole unit, and a torn
+// tail — a record failing its checksum, or a unit lacking its commit
+// marker — is truncated away rather than interpreted (unit.go).
 //
 // On-disk layout:
 //
@@ -31,14 +32,15 @@ import (
 type Type byte
 
 const (
-	// TypeStatement is a mutating SQL statement, logged verbatim before it
-	// executes. Replay re-executes it against the reloaded catalog.
+	// TypeStatement is one autocommit statement, logged verbatim: a whole
+	// commit unit, enqueued, applied, and acked after the flush that fsyncs
+	// it. Replay re-executes it against the reloaded catalog.
 	TypeStatement Type = 1
 	// TypeTxnStmt is one mutating statement of an explicit transaction:
-	// a uvarint transaction ID followed by the SQL text. Replay buffers
-	// these and applies them only when the matching TypeTxnCommit record
-	// is seen — a transaction whose commit record is missing or torn was
-	// never acknowledged and is discarded whole.
+	// a uvarint transaction ID followed by the SQL text. Replay applies
+	// these only when the matching TypeTxnCommit record is seen — a
+	// transaction whose commit record is missing or torn was never
+	// acknowledged and is discarded whole.
 	TypeTxnStmt Type = 2
 	// TypeTxnCommit marks a transaction durable: a uvarint transaction ID
 	// and nothing else. It is always appended in the same batch as the
@@ -103,43 +105,32 @@ func Create(fsys vfs.FS, path string) (*Log, error) {
 	return l, nil
 }
 
-// Open reads an existing log, returning every intact record in order. A
-// torn tail — an incomplete header, a length past end-of-file, or a
-// checksum mismatch — marks the end of history: everything from the first
-// damaged byte on is truncated so subsequent appends extend a clean tail.
-// Records after a damaged one are unreachable by construction (the log is
-// strictly sequential), so truncation never discards an intact record that
+// Open reads an existing log, returning the records of its whole commit
+// units in order. A torn tail — an incomplete header, a length past
+// end-of-file, a checksum mismatch, or a trailing transaction without its
+// commit marker — marks the end of history: everything from there on is
+// truncated so subsequent appends extend a clean tail. Records after a
+// damaged one are unreachable by construction (the log is strictly
+// sequential), and a unit's records are written as one batch after which a
+// failed flush appends nothing, so truncation never discards a unit that
 // replay could have used.
 func Open(fsys vfs.FS, path string) (*Log, []Record, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := f.Stat()
+	recs, stream, fileSize, err := readUnits(f, path)
+	l := &Log{f: f, path: path, size: int64(headerSize) + stream}
+	if err == nil && l.size < fileSize {
+		if err = f.Truncate(l.size); err != nil {
+			err = fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
+		} else {
+			err = f.Sync()
+		}
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, err
-	}
-	raw := make([]byte, st.Size())
-	if _, err := readFullAt(f, raw, 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: read %s: %w", path, err)
-	}
-	if len(raw) < headerSize || string(raw[:headerSize]) != magic {
-		f.Close()
-		return nil, nil, fmt.Errorf("%w: %s is not a WAL file", ErrBadMagic, path)
-	}
-	recs, validLen := Decode(raw[headerSize:])
-	l := &Log{f: f, path: path, size: int64(headerSize) + validLen}
-	if l.size < st.Size() {
-		if err := f.Truncate(l.size); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
 	}
 	return l, recs, nil
 }
@@ -249,8 +240,8 @@ func EncodeTxn(txnID uint64, sql string) []byte {
 	return append(buf, sql...)
 }
 
-// DecodeTxn parses a TypeTxnStmt/TypeTxnCommit payload.
-func DecodeTxn(data []byte) (txnID uint64, sql string, err error) {
+// decodeTxn parses a TypeTxnStmt/TypeTxnCommit payload.
+func decodeTxn(data []byte) (txnID uint64, sql string, err error) {
 	id, n := binary.Uvarint(data)
 	if n <= 0 {
 		return 0, "", fmt.Errorf("wal: malformed transaction record")
