@@ -1,9 +1,10 @@
 // Command probserve runs the probabilistic database as a network server:
-// a TCP listener speaking the internal/wire protocol, a bounded worker pool
-// executing queries, and optional crash-safe persistence of base tables
-// under a data directory (write-ahead log + checksummed heap snapshots; see
-// docs/DURABILITY.md). On startup the server recovers the directory —
-// replaying any log records a crash left behind — before accepting clients.
+// a TCP listener speaking the internal/wire protocol, each connection's
+// statements executed on its own goroutine under a -workers cap, and
+// optional crash-safe persistence of base tables under a data directory
+// (write-ahead log + checksummed heap snapshots; see docs/DURABILITY.md).
+// On startup the server recovers the directory — replaying any log records
+// a crash left behind — before accepting clients.
 //
 // Usage:
 //
@@ -31,7 +32,7 @@ func main() {
 	addr := flag.String("addr", ":7432", "TCP listen address")
 	maxConns := flag.Int("max-conns", 64, "maximum concurrent client connections")
 	workers := flag.Int("workers", 4, "maximum concurrently executing queries")
-	queueDepth := flag.Int("queue-depth", 0, "queries queued behind the workers (default 4×workers)")
+	queueDepth := flag.Int("queue-depth", 0, "statements per admission class that may wait for a -workers slot (default 4×workers)")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-query budget: queue wait plus execution")
 	dataDir := flag.String("data-dir", "", "directory for WAL + table heap snapshots (empty: in-memory only)")
 	ckptBytes := flag.Int64("checkpoint-bytes", 1<<20,
@@ -52,7 +53,7 @@ func main() {
 		"serve WAL segments to replicas (leader side of replication; implies keeping segments a replica may still need)")
 	replicaOf := flag.String("replica-of", "",
 		"run as a read replica tailing this leader's WAL (host:port); the server is read-only")
-	replicaPoll := flag.Duration("replica-poll", 0, "replica poll interval when the leader has no new WAL (default 250ms)")
+	replicaPoll := flag.Duration("replica-poll", 0, "replica poll interval when the leader has no new WAL (default 100ms)")
 	flag.Parse()
 
 	if *dataDir != "" {

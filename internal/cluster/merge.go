@@ -205,7 +205,7 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 			b.Name, b.Cols = name, header
 		}
 		frame = wire.AppendRowBatch(frame[:0], b)
-		if !s.writeFrame(wire.FrameRowBatch, frame) {
+		if !s.c.WriteFrame(wire.FrameRowBatch, frame) {
 			return errClientGone
 		}
 		nextSeq++
@@ -265,7 +265,7 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 	// Stats stay cluster-wide sums: Rows is what the shards produced, not
 	// what the merge delivered (they differ when a LIMIT cut the tail) —
 	// it is how a client observes pushdown doing its job.
-	return s.writeFrame(wire.FrameResultEnd, wire.EncodeResultEnd(res))
+	return s.c.WriteFrame(wire.FrameResultEnd, wire.EncodeResultEnd(res))
 }
 
 // failStream reports a mid-stream shard failure. A ServerError passes

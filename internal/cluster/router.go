@@ -1,18 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"probdb/internal/core"
@@ -150,14 +146,7 @@ func (e *errShardUnavailable) Error() string {
 type Router struct {
 	cfg Config
 	man *Manifest
-	ln  net.Listener
-
-	quit   chan struct{}
-	grp    sync.WaitGroup
-	sessWG sync.WaitGroup
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
+	ln  *wire.Listener
 
 	// dml serializes every mutating statement and guards man + gseq.
 	dml sync.Mutex
@@ -188,11 +177,9 @@ func NewRouter(cfg Config) (*Router, error) {
 			man.Shards, len(cfg.Shards))
 	}
 	r := &Router{
-		cfg:   cfg,
-		man:   man,
-		quit:  make(chan struct{}),
-		conns: map[net.Conn]struct{}{},
-		gseq:  map[string]int64{},
+		cfg:  cfg,
+		man:  man,
+		gseq: map[string]int64{},
 	}
 	for _, spec := range cfg.Shards {
 		r.shards = append(r.shards, &shardState{spec: spec})
@@ -200,15 +187,20 @@ func NewRouter(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Start binds the listener and launches the accept loop.
+// Start binds the listener and starts serving connections.
 func (r *Router) Start() error {
-	ln, err := net.Listen("tcp", r.cfg.Addr)
+	ln, err := wire.Listen(wire.ListenConfig{
+		Addr:         r.cfg.Addr,
+		MaxConns:     r.cfg.MaxConns,
+		WriteTimeout: r.cfg.CallTimeout,
+		Name:         "router",
+		Logf:         func(format string, args ...any) { r.cfg.Logf("probrouter: "+format, args...) },
+		Open:         r.open,
+	})
 	if err != nil {
 		return err
 	}
 	r.ln = ln
-	r.grp.Add(1)
-	go r.acceptLoop()
 	r.cfg.Logf("probrouter: listening on %s (%d shards)", ln.Addr(), len(r.shards))
 	return nil
 }
@@ -219,75 +211,20 @@ func (r *Router) Addr() net.Addr { return r.ln.Addr() }
 // Shutdown stops accepting connections and waits for sessions to drain; if
 // ctx expires first, remaining connections are severed.
 func (r *Router) Shutdown(ctx context.Context) error {
-	close(r.quit)
-	r.ln.Close() //nolint:errcheck
-	r.mu.Lock()
-	for c := range r.conns {
-		c.SetReadDeadline(time.Now()) //nolint:errcheck
-	}
-	r.mu.Unlock()
-	drained := make(chan struct{})
-	go func() { r.sessWG.Wait(); close(drained) }()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		r.mu.Lock()
-		for c := range r.conns {
-			c.Close() //nolint:errcheck
-		}
-		r.mu.Unlock()
-		<-drained
-	}
-	r.grp.Wait()
+	r.ln.Shutdown(ctx)
 	r.cfg.Logf("probrouter: shut down")
 	return nil
 }
 
-func (r *Router) stopping() bool {
-	select {
-	case <-r.quit:
-		return true
-	default:
-		return false
-	}
-}
-
-func (r *Router) acceptLoop() {
-	defer r.grp.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			if r.stopping() {
-				return
-			}
-			r.cfg.Logf("probrouter: accept: %v", err)
-			return
-		}
-		r.mu.Lock()
-		if len(r.conns) >= r.cfg.MaxConns {
-			r.mu.Unlock()
-			conn.SetWriteDeadline(time.Now().Add(2 * time.Second))                         //nolint:errcheck
-			wire.WriteFrame(conn, wire.FrameError, []byte("router: too many connections")) //nolint:errcheck
-			conn.Close()                                                                   //nolint:errcheck
-			continue
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.sessWG.Add(1)
-		go r.session(conn)
-	}
-}
-
-// session is one client connection's state: the frame loop plus cached
-// shard connections. wire.Client is single-request, so each session owns
-// its own — concurrent sessions scatter over separate connections. cmu
-// guards the two maps: a scatter opens its shard streams from concurrent
-// goroutines (one per shard, so two goroutines never share a client, but
-// map headers still need the lock).
+// session is one client connection's state: its cached shard connections.
+// wire.Client is single-request, so each session owns its own — concurrent
+// sessions scatter over separate connections. cmu guards the two maps: a
+// scatter opens its shard streams from concurrent goroutines (one per
+// shard, so two goroutines never share a client, but map headers still
+// need the lock).
 type session struct {
 	r       *Router
-	conn    net.Conn
-	bw      *bufio.Writer
+	c       *wire.Conn
 	cmu     sync.Mutex
 	leader  map[int]*wire.Client
 	replica map[int]*wire.Client
@@ -305,69 +242,28 @@ func (s *session) cachedReplica(i int) *wire.Client {
 	return s.replica[i]
 }
 
-func (r *Router) session(conn net.Conn) {
-	defer r.sessWG.Done()
-	s := &session{
-		r: r, conn: conn, bw: bufio.NewWriter(conn),
-		leader: map[int]*wire.Client{}, replica: map[int]*wire.Client{},
-	}
-	defer func() {
-		s.cmu.Lock()
-		for _, c := range s.leader {
-			c.Close() //nolint:errcheck
-		}
-		for _, c := range s.replica {
-			c.Close() //nolint:errcheck
-		}
-		s.cmu.Unlock()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-		conn.Close() //nolint:errcheck
-	}()
-	defer func() {
-		if p := recover(); p != nil {
-			r.cfg.Logf("probrouter: session panicked: %v\n%s", p, debug.Stack())
-		}
-	}()
-	br := bufio.NewReader(conn)
-	for {
-		if r.stopping() {
-			return
-		}
-		ft, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			if !isDisconnect(err) && !r.stopping() {
-				s.writeFrame(wire.FrameError, []byte("protocol: "+err.Error()))
-			}
-			return
-		}
-		switch ft {
-		case wire.FramePing:
-			if !s.writeFrame(wire.FramePong, nil) {
-				return
-			}
-		case wire.FrameQuery:
-			if !s.handleQuery(string(payload)) {
-				return
-			}
-		default:
-			if !s.writeFrame(wire.FrameError,
-				[]byte(fmt.Sprintf("protocol: unexpected %v frame", ft))) {
-				return
-			}
-		}
-	}
+func (r *Router) open(c *wire.Conn) wire.Handler {
+	return &session{r: r, c: c, leader: map[int]*wire.Client{}, replica: map[int]*wire.Client{}}
 }
 
-// writeFrame writes one response frame under a write deadline; false means
-// the client is gone and the session should end.
-func (s *session) writeFrame(ft wire.FrameType, payload []byte) bool {
-	s.conn.SetWriteDeadline(time.Now().Add(s.r.cfg.CallTimeout)) //nolint:errcheck
-	if err := wire.WriteFrame(s.bw, ft, payload); err != nil {
-		return false
+// Frame serves Query frames and refuses every other client frame.
+func (s *session) Frame(ft wire.FrameType, payload []byte) bool {
+	if ft != wire.FrameQuery {
+		return s.c.Unexpected(ft)
 	}
-	return s.bw.Flush() == nil
+	return s.handleQuery(string(payload))
+}
+
+// Close closes the session's cached shard connections.
+func (s *session) Close() {
+	s.cmu.Lock()
+	defer s.cmu.Unlock()
+	for _, c := range s.leader {
+		c.Close() //nolint:errcheck
+	}
+	for _, c := range s.replica {
+		c.Close() //nolint:errcheck
+	}
 }
 
 // fail writes err as an Error frame: shard ServerErrors pass through with
@@ -380,29 +276,28 @@ func (s *session) fail(err error) bool {
 	)
 	switch {
 	case errors.As(err, &se):
-		return s.writeFrame(wire.FrameError, wire.EncodeError(se.Code, se.RetryAfter, se.Msg))
+		return s.c.WriteFrame(wire.FrameError, wire.EncodeError(se.Code, se.RetryAfter, se.Msg))
 	case errors.As(err, &su):
 		after := su.after
 		if after <= 0 {
 			after = s.r.cfg.RetryAfterHint
 		}
-		return s.writeFrame(wire.FrameError, wire.EncodeError(wire.ErrShardUnavailable, after, su.Error()))
+		return s.c.WriteFrame(wire.FrameError, wire.EncodeError(wire.ErrShardUnavailable, after, su.Error()))
 	}
-	return s.writeFrame(wire.FrameError, wire.EncodeError(wire.ErrGeneric, 0, err.Error()))
+	return s.c.WriteFrame(wire.FrameError, wire.EncodeError(wire.ErrGeneric, 0, err.Error()))
 }
 
 func (s *session) result(res *wire.Result) bool {
-	return s.writeFrame(wire.FrameResult, wire.EncodeResult(res))
+	return s.c.WriteFrame(wire.FrameResult, wire.EncodeResult(res))
 }
 
 // handleQuery routes one statement. It reports whether the session should
 // continue.
 func (s *session) handleQuery(sql string) bool {
-	trimmed := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
-	switch {
-	case strings.EqualFold(trimmed, "HEALTH"):
+	switch query.ParseCommand(sql) {
+	case query.CmdHealth:
 		return s.result(s.r.healthResult())
-	case strings.EqualFold(trimmed, "CHECKPOINT"):
+	case query.CmdCheckpoint:
 		res, err := s.fanoutWrite(nil, sql, "checkpointed")
 		if err != nil {
 			return s.fail(err)
@@ -943,15 +838,4 @@ func addStats(dst *wire.Stats, src wire.Stats) {
 	dst.QueueWaitMicros += src.QueueWaitMicros
 	dst.VecTuples += src.VecTuples
 	dst.ScalarTuples += src.ScalarTuples
-}
-
-func isDisconnect(err error) bool {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	return errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }

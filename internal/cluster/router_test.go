@@ -278,6 +278,47 @@ func TestClusterShardCountMismatch(t *testing.T) {
 	h.router = startRouter(t, h.dir, h.specs) // Cleanup expects a live router
 }
 
+// TestClusterMaxConns: the router's connection cap turns extra clients
+// away with an Error frame instead of hanging them.
+func TestClusterMaxConns(t *testing.T) {
+	shard := startShard(t, t.TempDir())
+	defer shard.Shutdown(context.Background()) //nolint:errcheck
+	r, err := cluster.NewRouter(cluster.Config{
+		Addr: "127.0.0.1:0", Dir: t.TempDir(), MaxConns: 2,
+		Shards: []cluster.ShardSpec{{Addr: shard.Addr().String()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown(context.Background()) //nolint:errcheck
+	addr := r.Addr().String()
+
+	for i := 0; i < 2; i++ {
+		c, err := wire.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close() //nolint:errcheck
+		// Prove the session is registered before the next dial.
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c3, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close() //nolint:errcheck
+	err = c3.Ping()
+	var se *wire.ServerError
+	if !errors.As(err, &se) || se.Msg != "router: too many connections" {
+		t.Fatalf("third connection past MaxConns=2: err = %v, want the router's refusal", err)
+	}
+}
+
 // TestClusterRefusals checks the router's statement surface: reserved
 // column, unknown table, transactions, joins, aggregates.
 func TestClusterRefusals(t *testing.T) {

@@ -94,12 +94,6 @@ func NewAdmission(read, write, txn int, hint time.Duration) *Admission {
 	return a
 }
 
-// Capacity returns the sum of all class limits — the worker-queue channel
-// needs at least this much buffer so an admitted send can never block.
-func (a *Admission) Capacity() int {
-	return a.limit[ClassRead] + a.limit[ClassWrite] + a.limit[ClassTxn]
-}
-
 // Acquire claims a slot for class c, or fails fast with *QueueFullError.
 // Every Acquire that returns nil must be paired with exactly one Release.
 func (a *Admission) Acquire(c Class) error {

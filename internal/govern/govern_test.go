@@ -165,9 +165,6 @@ func TestAdmission(t *testing.T) {
 	if d[ClassRead] != 2 || d[ClassWrite] != 1 || d[ClassTxn] != 0 {
 		t.Fatalf("depths = %v", d)
 	}
-	if a.Capacity() != 4 {
-		t.Fatalf("capacity = %d, want 4", a.Capacity())
-	}
 }
 
 func TestClassifySQL(t *testing.T) {

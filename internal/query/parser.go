@@ -10,6 +10,29 @@ import (
 	"probdb/internal/region"
 )
 
+// Command is an engine-level command: a statement outside the query
+// language that the server or router answers itself, before Parse.
+type Command uint8
+
+const (
+	NotCommand    Command = iota
+	CmdHealth             // HEALTH: the degradation report, answered even under overload
+	CmdCheckpoint         // CHECKPOINT: flush the catalog and truncate the WAL
+)
+
+// ParseCommand recognises HEALTH and CHECKPOINT in any case, with
+// surrounding space and an optional trailing semicolon.
+func ParseCommand(sql string) Command {
+	s := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
+	switch {
+	case strings.EqualFold(s, "HEALTH"):
+		return CmdHealth
+	case strings.EqualFold(s, "CHECKPOINT"):
+		return CmdCheckpoint
+	}
+	return NotCommand
+}
+
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
 	toks []token

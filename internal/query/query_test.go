@@ -313,6 +313,25 @@ func TestParserErrors(t *testing.T) {
 	}
 }
 
+func TestParseCommand(t *testing.T) {
+	cases := map[string]Command{
+		"HEALTH":          CmdHealth,
+		"  health ;  ":    CmdHealth,
+		"Checkpoint;":     CmdCheckpoint,
+		"\tCHECKPOINT\n":  CmdCheckpoint,
+		"HEALTH CHECK":    NotCommand,
+		"SELECT * FROM t": NotCommand,
+		"CHECKPOINT;;":    NotCommand,
+		"":                NotCommand,
+		"SELECT 'HEALTH'": NotCommand,
+	}
+	for sql, want := range cases {
+		if got := ParseCommand(sql); got != want {
+			t.Errorf("ParseCommand(%q) = %d, want %d", sql, got, want)
+		}
+	}
+}
+
 func TestExecErrors(t *testing.T) {
 	db := Open()
 	mustExec(t, db, "CREATE TABLE t (x FLOAT UNCERTAIN)")

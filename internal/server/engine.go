@@ -1,7 +1,7 @@
-// Package server is the network layer over the probabilistic engine: a TCP
-// listener speaking the internal/wire protocol, one session goroutine per
-// connection, and a bounded worker pool that admits a fixed number of
-// concurrently executing queries with queueing and per-query timeouts —
+// Package server is the network layer over the probabilistic engine: a
+// wire.Listener speaking the internal/wire protocol, one session goroutine
+// per connection that executes its own statements under a fixed number of
+// execution slots, with admission control and per-query timeouts —
 // the missing piece between the paper's embedded engine and a DBMS-shaped
 // deployment serving many clients.
 package server
@@ -14,7 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -484,14 +483,6 @@ func (e *Engine) closeLogLocked() {
 	if e.broken == nil {
 		e.broken = errors.New("server: engine closed")
 	}
-}
-
-// isCheckpointSQL recognizes the engine-level CHECKPOINT command (not part
-// of the query language: it has no effect on the catalog).
-func isCheckpointSQL(sql string) bool {
-	s := strings.TrimSpace(sql)
-	s = strings.TrimSuffix(s, ";")
-	return strings.EqualFold(strings.TrimSpace(s), "CHECKPOINT")
 }
 
 // Execute runs one statement on the engine's default session and packages

@@ -55,16 +55,6 @@ func (e *Engine) ClearReadOnly() {
 // disabled).
 func (e *Engine) Budget() *govern.Budget { return e.bud }
 
-// isHealthSQL recognizes the HEALTH statement. Like CHECKPOINT it is an
-// engine-level command, not part of the query language; the server answers
-// it without going through admission, so it works during overload — which
-// is exactly when an operator needs it.
-func isHealthSQL(sql string) bool {
-	s := strings.TrimSpace(sql)
-	s = strings.TrimSuffix(s, ";")
-	return strings.EqualFold(strings.TrimSpace(s), "HEALTH")
-}
-
 // EngineHealth is the engine's part of a HEALTH report.
 type EngineHealth struct {
 	Mode        string   // "read-write", "read-only (declared: ...)", "read-only (durability: ...)"
@@ -153,7 +143,7 @@ func renderEngineHealth(b *strings.Builder, h EngineHealth) {
 // healthResult composes the server's full HEALTH report: the engine state
 // plus admission-queue depths and rejection counters. Served from the
 // session goroutine, bypassing the admission queue, so it answers even
-// when every worker slot is occupied.
+// when every Workers slot is occupied.
 func (s *Server) healthResult() *wire.Result {
 	start := time.Now()
 	var b strings.Builder
@@ -164,17 +154,11 @@ func (s *Server) healthResult() *wire.Result {
 		depths[govern.ClassWrite], limits[govern.ClassWrite],
 		depths[govern.ClassTxn], limits[govern.ClassTxn],
 		s.adm.Rejections())
-	fmt.Fprintf(&b, "sessions: %d/%d", s.connCount(), s.cfg.MaxConns)
+	fmt.Fprintf(&b, "sessions: %d/%d", s.ln.Conns(), s.cfg.MaxConns)
 	return &wire.Result{
 		Message: b.String(),
 		Stats:   wire.Stats{LatencyMicros: uint64(time.Since(start).Microseconds())},
 	}
-}
-
-func (s *Server) connCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
 }
 
 // diskWatchdog polls free space under the data directory and flips the

@@ -109,14 +109,14 @@ func (s *Session) ExecuteStream(ctx context.Context, sql string, sink func(hdr *
 	if h := s.e.execHook; h != nil {
 		h(sql)
 	}
-	if isCheckpointSQL(sql) {
+	switch query.ParseCommand(sql) {
+	case query.CmdCheckpoint:
 		if s.tx != nil {
 			return nil, false, fmt.Errorf("server: CHECKPOINT is not allowed inside a transaction")
 		}
 		res, err = s.e.execCheckpoint()
 		return res, false, err
-	}
-	if isHealthSQL(sql) {
+	case query.CmdHealth:
 		res, err = s.e.execHealth()
 		return res, false, err
 	}

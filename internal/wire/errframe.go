@@ -80,9 +80,9 @@ func EncodeError(code ErrCode, retryAfter time.Duration, msg string) []byte {
 }
 
 // DecodeError parses an Error frame payload into a *ServerError. Payloads
-// without the magic byte — older servers, or refusals written before the
-// session layer (connection limit) — decode as a plain ErrGeneric with the
-// whole payload as the message, so this function never fails.
+// without the magic byte — pre-7 servers, or any peer that sends bare text —
+// decode as a plain ErrGeneric with the whole payload as the message, so
+// this function never fails.
 func DecodeError(payload []byte) *ServerError {
 	if len(payload) < 2 || payload[0] != errFrameMagic {
 		return &ServerError{Msg: string(payload)}

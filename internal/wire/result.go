@@ -49,8 +49,8 @@ const maxColumns = 1 << 12
 // Rejections is the server's cumulative admission-rejection count,
 // ShedBytes the cumulative memory the server budget reclaimed by cancelling
 // queries under pressure (both monotone server-wide gauges sampled at
-// statement end), and QueueWaitMicros how long this statement sat in the
-// admission queue before a worker picked it up.
+// statement end), and QueueWaitMicros how long this statement waited for
+// one of the server's execution slots.
 // The kernel pair (version 8) makes the execution strategy of the filter
 // kernels observable: VecTuples counts tuples the statement evaluated on
 // the vectorized columnar lanes, ScalarTuples those that took the scalar
