@@ -199,13 +199,16 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 		nextSeq uint64
 		frame   []byte // reused from batch to batch
 	)
-	flush := func() error {
+	// flush writes the merged rows as one RowBatch frame. Full batches go
+	// out at once; the tail stays buffered and leaves with the terminal
+	// frame, ResultEnd or Error, in one write.
+	flush := func(write func(wire.FrameType, []byte) bool) error {
 		b := &wire.RowBatch{Seq: nextSeq, Rows: out}
 		if nextSeq == 0 {
 			b.Name, b.Cols = name, header
 		}
 		frame = wire.AppendRowBatch(frame[:0], b)
-		if !s.c.WriteFrame(wire.FrameRowBatch, frame) {
+		if !write(wire.FrameRowBatch, frame) {
 			return errClientGone
 		}
 		nextSeq++
@@ -216,7 +219,7 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 		m.row.Cells = m.row.Cells[:len(userCols)]
 		out = append(out, m.row)
 		if len(out) >= mergeBatchRows {
-			return flush()
+			return flush(s.c.WriteFrame)
 		}
 		return nil
 	}
@@ -235,7 +238,7 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 	// Flush the tail — and always batch 0, so even an empty result carries
 	// its header, exactly like a single server's stream.
 	if len(out) > 0 || nextSeq == 0 {
-		if err := flush(); err != nil {
+		if err := flush(s.c.BufferFrame); err != nil {
 			return false
 		}
 	}

@@ -380,6 +380,41 @@ func TestEncodeAllocsDoNotScaleWithRuns(t *testing.T) {
 	}
 }
 
+// TestEvalGridAllocs: a grid run's masses memoize per dictionary slot in
+// one stack scratch lane — no allocation for a dictionary of up to 64 grids,
+// one beyond that — and equal the scalar path bit for bit either way.
+func TestEvalGridAllocs(t *testing.T) {
+	const n = 256
+	for _, c := range []struct {
+		grids  int
+		allocs float64
+	}{{3, 0}, {64, 0}, {100, 1}} {
+		shared := make([]dist.Dist, c.grids)
+		for g := range shared {
+			x := float64(g)
+			shared[g] = dist.NewHistogram([]float64{x, x + 1, x + 3}, []float64{0.4, 0.6})
+		}
+		ds := make([]dist.Dist, n)
+		for i := range ds {
+			ds[i] = shared[i%c.grids]
+		}
+		b := Encode(ds, 0, nil)
+		if b.NumRuns() != 1 || b.RunAt(0).Fam != FamGrid || len(b.RunAt(0).Grids) != c.grids {
+			t.Fatalf("%d grids: want one grid run over a %d-slot dictionary", c.grids, c.grids)
+		}
+		iv := region.Closed(10.5, 40)
+		out := make([]float64, n)
+		if got := testing.AllocsPerRun(20, func() { b.EvalInterval(0, n, iv, out, 0) }); got != c.allocs {
+			t.Errorf("%d grids: %v allocations per evaluation, want %v", c.grids, got, c.allocs)
+		}
+		for i, d := range ds {
+			if want := scalarMass(d, 0, iv); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Fatalf("%d grids: row %d mass %v, scalar %v", c.grids, i, out[i], want)
+			}
+		}
+	}
+}
+
 // encoded keeps BenchmarkEncode's result live.
 var encoded *Block
 

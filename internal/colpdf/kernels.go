@@ -279,15 +279,26 @@ func evalDiscrete(run *Run, lo, hi int, iv region.Interval, out []float64, off i
 
 // evalGrid asks each dictionary-shared grid for its own mass — the same
 // Grid.MassIn method the scalar path calls, so equality is by construction.
-// The box is hoisted once per call.
+// The box is hoisted once per call, and each slot is asked once: its mass is
+// memoized in one scratch lane, NaN until asked, which stays on the stack
+// for a dictionary of up to 64 grids. (A grid whose mass is NaN is asked
+// again on each row, for the same answer.)
 func evalGrid(run *Run, lo, hi int, iv region.Interval, out []float64, off int) {
 	box := region.Box{iv}
-	vals := make([]float64, len(run.Grids))
-	seen := make([]bool, len(run.Grids))
+	var stack [64]float64
+	var vals []float64
+	if n := len(run.Grids); n <= len(stack) {
+		vals = stack[:n]
+	} else {
+		vals = make([]float64, n)
+	}
+	for i := range vals {
+		vals[i] = math.NaN()
+	}
 	for i := lo; i < hi; i++ {
 		slot := run.DictIdx[i-run.Start]
-		if !seen[slot] {
-			vals[slot], seen[slot] = run.Grids[slot].MassIn(box), true
+		if math.IsNaN(vals[slot]) {
+			vals[slot] = run.Grids[slot].MassIn(box)
 		}
 		out[i-off] = vals[slot]
 	}

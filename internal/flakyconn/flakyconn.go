@@ -43,6 +43,7 @@ type Conn struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	ops     int
+	writes  int
 	written int64
 	dropped bool
 }
@@ -64,6 +65,15 @@ func (c *Conn) Dropped() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dropped
+}
+
+// Writes reports how many Write calls the connection has been asked to
+// serve — a server's socket writes, counted before any chunking splits
+// them.
+func (c *Conn) Writes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes
 }
 
 // maybeStall sleeps if this op lands on the stall cadence. Called with
@@ -91,6 +101,9 @@ func (c *Conn) Read(p []byte) (int, error) {
 }
 
 func (c *Conn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	c.mu.Unlock()
 	total := 0
 	for len(p) > 0 {
 		c.mu.Lock()

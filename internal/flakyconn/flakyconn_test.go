@@ -116,3 +116,24 @@ func readFull(c net.Conn, p []byte) (int, error) {
 	}
 	return n, nil
 }
+
+// TestWritesCountsCalls: Writes counts the Write calls asked of the
+// connection, not the chunks the fault schedule splits them into.
+func TestWritesCountsCalls(t *testing.T) {
+	c, peer := pipePair(t, Config{ChunkMax: 3, Seed: 7})
+	msg := bytes.Repeat([]byte("xy"), 20)
+	go func() {
+		for i := 0; i < 2; i++ {
+			if _, err := c.Write(msg); err != nil {
+				t.Errorf("write: %v", err)
+			}
+		}
+	}()
+	got := make([]byte, 2*len(msg))
+	if _, err := readFull(peer, got); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if n := c.Writes(); n != 2 {
+		t.Fatalf("Writes() = %d after two Write calls", n)
+	}
+}

@@ -41,8 +41,8 @@ const BatchSize = 256
 //   - Next returns the next batch: a non-empty slice, or nil when the
 //     stream is exhausted. Batches must not be mutated by callers, and a
 //     returned batch is valid only until the next Next or Close on that
-//     operator (filters reuse their output buffer): copy out what must
-//     outlive it.
+//     operator (filters and Project reuse their output buffer): copy out
+//     what must outlive it.
 //   - Close releases resources, closes children, and is idempotent.
 type Operator interface {
 	Header() *core.Table
@@ -891,20 +891,15 @@ func (s *Sort) Close() error {
 	return s.child.Close()
 }
 
-// Project applies a compiled projection kernel batch by batch. It hands out
-// full BatchSize batches, pulling input until that many are pending, as
-// EquiJoin does: a selective filter under it leaves a few rows per input
-// batch, and every batch a streamed SELECT emits costs its client a frame.
-// It holds at most two batches of row pointers, so it charges no budget.
+// Project applies a compiled projection kernel batch by batch: one output
+// batch per input batch, built into a buffer reused across Next calls. Run
+// refills the batches a selective filter below it thinned out. It holds one
+// batch of row pointers, so it charges no budget.
 type Project struct {
 	base
 	child Operator
 	k     *core.Projection
-
-	// pending[pos:] are the projected rows not yet handed out.
-	pending []*core.Tuple
-	pos     int
-	done    bool // the child is exhausted
+	out   []*core.Tuple // reused across Next calls
 }
 
 // NewProject wraps child with a projection kernel planned against its
@@ -921,30 +916,12 @@ func (p *Project) Open(ctx context.Context) error {
 }
 
 func (p *Project) Next() ([]*core.Tuple, error) {
-	for len(p.pending)-p.pos < BatchSize && !p.done {
-		if err := p.ctx.Err(); err != nil {
-			return nil, err
-		}
-		in, err := p.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if in == nil {
-			p.done = true
-			break
-		}
-		// The batch handed out last time is dead by now: reuse its space.
-		p.pending = p.pending[:copy(p.pending, p.pending[p.pos:])]
-		p.pos = 0
-		p.pending = p.k.AppendBatch(p.pending, in)
+	in, err := p.child.Next()
+	if err != nil || in == nil {
+		return nil, err
 	}
-	if p.pos == len(p.pending) {
-		return nil, nil
-	}
-	end := min(p.pos+BatchSize, len(p.pending))
-	out := p.pending[p.pos:end]
-	p.pos = end
-	return out, nil
+	p.out = p.k.AppendBatch(p.out[:0], in)
+	return p.out, nil
 }
 
 func (p *Project) Close() error {
@@ -953,9 +930,14 @@ func (p *Project) Close() error {
 }
 
 // Run opens the tree, pulls it to exhaustion, and calls emit for every
-// batch. Even an empty result produces one emit (with a nil batch) so
-// sinks always learn the header. The tree is closed on every path,
-// including cancellation and emit errors.
+// batch. It is the one place batches are filled: every batch it emits holds
+// exactly BatchSize tuples except the last, so a shorter batch — or the nil
+// batch an empty result emits, so that sinks always learn the header — is
+// known to end the stream, and a sink may hold it for its terminal frame.
+// A full batch is emitted before the tree is pulled again, so a slow scan
+// streams as it produces. An emitted batch is valid only for the duration
+// of the call. The tree is closed on every path, including cancellation
+// and emit errors.
 func Run(ctx context.Context, root Operator, emit func(hdr *core.Table, batch []*core.Tuple) error) error {
 	if err := root.Open(ctx); err != nil {
 		root.Close()
@@ -964,6 +946,9 @@ func Run(ctx context.Context, root Operator, emit func(hdr *core.Table, batch []
 	defer root.Close()
 	hdr := root.Header()
 	emitted := false
+	// pend is a short batch not yet emitted, copied into Run's own buffer:
+	// a child's batch dies at the next pull (a Filter reuses its slots).
+	var pend []*core.Tuple
 	for {
 		b, err := root.Next()
 		if err != nil {
@@ -972,16 +957,30 @@ func Run(ctx context.Context, root Operator, emit func(hdr *core.Table, batch []
 		if b == nil {
 			break
 		}
-		if len(b) == 0 {
-			continue
-		}
-		emitted = true
-		if err := emit(hdr, b); err != nil {
-			return err
+		for len(b) > 0 {
+			if len(pend) == 0 && len(b) >= BatchSize {
+				// A full child batch passes straight through.
+				emitted = true
+				if err := emit(hdr, b[:BatchSize]); err != nil {
+					return err
+				}
+				b = b[BatchSize:]
+				continue
+			}
+			n := min(BatchSize-len(pend), len(b))
+			pend = append(pend, b[:n]...)
+			b = b[n:]
+			if len(pend) == BatchSize {
+				emitted = true
+				if err := emit(hdr, pend); err != nil {
+					return err
+				}
+				pend = pend[:0]
+			}
 		}
 	}
-	if !emitted {
-		return emit(hdr, nil)
+	if len(pend) > 0 || !emitted {
+		return emit(hdr, pend) // nil when the result is empty
 	}
 	return nil
 }

@@ -154,25 +154,8 @@ func TestProbFilterMatchesThreshold(t *testing.T) {
 // Table.EquiJoin's pair order and content exactly.
 func TestEquiJoinMatchesLegacy(t *testing.T) {
 	reg := core.NewRegistry()
-	mk := func(name, prefix string, n int, seed int64) *core.Table {
-		r := rand.New(rand.NewSource(seed))
-		schema := core.MustSchema(
-			core.Column{Name: prefix + "k", Type: core.IntType},
-			core.Column{Name: prefix + "x", Type: core.FloatType, Uncertain: true},
-		)
-		tb := core.MustTable(name, schema, nil, reg)
-		for i := 0; i < n; i++ {
-			if err := tb.Insert(core.Row{
-				Values: map[string]core.Value{prefix + "k": core.Int(int64(r.Intn(8)))},
-				PDFs:   []core.PDF{{Attrs: []string{prefix + "x"}, Dist: dist.NewGaussian(r.Float64()*10, 1)}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tb
-	}
-	left := mk("l", "l_", 40, 4)
-	right := mk("r", "r_", 25, 5)
+	left := keyedTable(t, reg, "l", "l_", 40, 4)
+	right := keyedTable(t, reg, "r", "r_", 25, 5)
 	want, err := left.EquiJoin(right, "l_k", "r_k")
 	if err != nil {
 		t.Fatal(err)
@@ -191,17 +174,7 @@ func TestEquiJoinMatchesLegacy(t *testing.T) {
 // Table.CrossProduct's nested-loop order.
 func TestCrossJoinMatchesLegacy(t *testing.T) {
 	reg := core.NewRegistry()
-	mk := func(name, col string, n int) *core.Table {
-		schema := core.MustSchema(core.Column{Name: col, Type: core.IntType})
-		tb := core.MustTable(name, schema, nil, reg)
-		for i := 0; i < n; i++ {
-			if err := tb.Insert(core.Row{Values: map[string]core.Value{col: core.Int(int64(i))}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tb
-	}
-	left, right := mk("l", "a", 30), mk("r", "b", 17)
+	left, right := seqTable(t, reg, "l", "a", 30), seqTable(t, reg, "r", "b", 17)
 	want, err := left.CrossProduct(right)
 	if err != nil {
 		t.Fatal(err)
@@ -214,6 +187,40 @@ func TestCrossJoinMatchesLegacy(t *testing.T) {
 	sc.SetBatch(11)
 	got := mustDrain(t, NewCrossJoin(sc, NewScan(right), k))
 	assertRenderEqual(t, want, got)
+}
+
+// keyedTable builds a join side: a certain int key prefix+"k" in [0, 8) and
+// an uncertain Gaussian prefix+"x".
+func keyedTable(tb testing.TB, reg *core.Registry, name, prefix string, n int, seed int64) *core.Table {
+	tb.Helper()
+	r := rand.New(rand.NewSource(seed))
+	schema := core.MustSchema(
+		core.Column{Name: prefix + "k", Type: core.IntType},
+		core.Column{Name: prefix + "x", Type: core.FloatType, Uncertain: true},
+	)
+	t := core.MustTable(name, schema, nil, reg)
+	for i := 0; i < n; i++ {
+		if err := t.Insert(core.Row{
+			Values: map[string]core.Value{prefix + "k": core.Int(int64(r.Intn(8)))},
+			PDFs:   []core.PDF{{Attrs: []string{prefix + "x"}, Dist: dist.NewGaussian(r.Float64()*10, 1)}},
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return t
+}
+
+// seqTable builds a one-column table holding col = 0 .. n-1.
+func seqTable(tb testing.TB, reg *core.Registry, name, col string, n int) *core.Table {
+	tb.Helper()
+	schema := core.MustSchema(core.Column{Name: col, Type: core.IntType})
+	t := core.MustTable(name, schema, nil, reg)
+	for i := 0; i < n; i++ {
+		if err := t.Insert(core.Row{Values: map[string]core.Value{col: core.Int(int64(i))}}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return t
 }
 
 // orderTable has one certain column per key shape: rid (INT, NULL every 7th
@@ -446,8 +453,8 @@ func TestCancellationClosesTree(t *testing.T) {
 }
 
 // TestProjectMatchesLegacy: the streaming Project, drained, matches the
-// materializing path, phantom retention included — and hands out full
-// batches however few rows each filtered input batch kept.
+// materializing path, phantom retention included — and Run hands out full
+// batches of it however few rows each filtered input batch kept.
 func TestProjectMatchesLegacy(t *testing.T) {
 	tbl := testTable(t, 1500, 10)
 	atoms := []core.Atom{

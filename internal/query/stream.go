@@ -21,7 +21,9 @@ import (
 //	Scan(access path) → Filter(all comparison atoms, one kernel)
 //	                  → ProbFilter* (planner's residual order)
 //	                  → TopK(k) | Sort | Limit
-//	                  → Project (streams full batches, by column offset)
+//	                  → Project (by column offset)
+//
+// pipe.Run drives the root and hands the sink full batches except the last.
 //
 // Ownership: the tuples the tree produces share the base tables' pdf nodes,
 // which point at their base pdfs, so a result row keeps its history alive

@@ -31,7 +31,7 @@ func TestRegistryTracksLiveRows(t *testing.T) {
 	run := func(s *Session, sql string) {
 		t.Helper()
 		var frame []byte
-		if _, _, err := s.ExecuteStream(context.Background(), sql, batchSink(&frame, func([]byte) error { return nil })); err != nil {
+		if _, _, err := s.ExecuteStream(context.Background(), sql, batchSink(&frame, func([]byte, bool) error { return nil })); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestRegistryTracksLiveRows(t *testing.T) {
 			defer other.Close()
 			for _, q := range reads("plain") {
 				var frame []byte
-				if _, _, err := other.ExecuteStream(context.Background(), q, batchSink(&frame, func([]byte) error { return nil })); err != nil {
+				if _, _, err := other.ExecuteStream(context.Background(), q, batchSink(&frame, func([]byte, bool) error { return nil })); err != nil {
 					t.Errorf("%s: %v", q, err)
 				}
 			}

@@ -11,6 +11,7 @@ import (
 
 	"probdb/internal/core"
 	"probdb/internal/govern"
+	"probdb/internal/pipe"
 	"probdb/internal/query"
 	"probdb/internal/vfs"
 	"probdb/internal/wire"
@@ -364,7 +365,10 @@ func (h *conn) Close() {
 // straight to the client as the operator tree produces them. The terminal
 // frame follows once the slot is released — ResultEnd after a streamed
 // result, Result otherwise, Error on failure (legal even after batches
-// have gone out). It reports whether the session should continue.
+// have gone out). Full batches are flushed as they are produced; the last
+// batch is buffered and flushed with the terminal frame, so a one-batch
+// result costs one socket write. It reports whether the session should
+// continue.
 func (h *conn) handleQuery(sql string) bool {
 	s := h.s
 	// HEALTH bypasses admission and the slots: it must answer precisely
@@ -567,8 +571,15 @@ func (h *conn) execute(ctx context.Context, q *runningQuery, sql string) (res *w
 		}()
 	}
 	var frame []byte
-	sink := batchSink(&frame, func(payload []byte) error {
-		if !h.c.WriteFrame(wire.FrameRowBatch, payload) {
+	sink := batchSink(&frame, func(payload []byte, last bool) error {
+		// A full batch is flushed at once, so a long result streams; the
+		// last one waits in the buffer for the terminal frame
+		// handleQuery writes, and both leave in one write.
+		write := h.c.WriteFrame
+		if last {
+			write = h.c.BufferFrame
+		}
+		if !write(wire.FrameRowBatch, payload) {
 			return errClientGone
 		}
 		streamed = true
@@ -588,14 +599,15 @@ func (h *conn) execute(ctx context.Context, q *runningQuery, sql string) (res *w
 // batchSink is the sink a streamed SELECT's batches go through: each batch
 // is encoded as a RowBatch payload into *frame — one buffer per statement,
 // reused from batch to batch — and handed to write; the encoder resolves the
-// header's columns on the first batch.
-func batchSink(frame *[]byte, write func(payload []byte) error) func(hdr *core.Table, batch []*core.Tuple) error {
+// header's columns on the first batch. last reports a batch shorter than
+// pipe.BatchSize, which pipe.Run emits only to end the stream.
+func batchSink(frame *[]byte, write func(payload []byte, last bool) error) func(hdr *core.Table, batch []*core.Tuple) error {
 	var enc *wire.BatchEncoder
 	return func(hdr *core.Table, batch []*core.Tuple) error {
 		if enc == nil {
 			enc = wire.NewBatchEncoder(hdr)
 		}
 		*frame = enc.AppendNext((*frame)[:0], batch)
-		return write(*frame)
+		return write(*frame, len(batch) < pipe.BatchSize)
 	}
 }

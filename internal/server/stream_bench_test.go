@@ -105,7 +105,7 @@ func BenchmarkStreamShapes(b *testing.B) {
 			rows, bytes := 0, 0
 			for i := 0; i < b.N; i++ {
 				var frame []byte
-				sink := batchSink(&frame, func(p []byte) error {
+				sink := batchSink(&frame, func(p []byte, _ bool) error {
 					bytes += len(p)
 					return nil
 				})

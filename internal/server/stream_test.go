@@ -204,7 +204,8 @@ func TestServerStreamNonSelectUnchanged(t *testing.T) {
 
 // TestStreamFramesAreFull: a streamed result ships ⌈rows/256⌉ RowBatch
 // frames, every one but the last full, however few rows each scanned batch
-// kept — the projection coalesces what the filters thin out.
+// kept — pipe.Run coalesces what the filters thin out, under a projection
+// or with a filter as the root (SELECT *).
 func TestStreamFramesAreFull(t *testing.T) {
 	s := startServer(t, Config{Workers: 2})
 	defer shutdownServer(t, s)
@@ -218,6 +219,9 @@ func TestStreamFramesAreFull(t *testing.T) {
 		"SELECT k FROM t WHERE PROB(x IN [0, 20]) >= 0.5",
 		"SELECT k, x FROM t WHERE x < 10 AND k < 2900",
 		"SELECT x FROM t WHERE k >= 100 LIMIT 700",
+		"SELECT * FROM t WHERE PROB(x IN [0, 20]) >= 0.5",
+		"SELECT * FROM t WHERE x < 10 AND k < 2900",
+		"SELECT * FROM t WHERE k >= 100 LIMIT 700",
 	} {
 		st, err := c.QueryStream(q)
 		if err != nil {

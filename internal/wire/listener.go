@@ -59,11 +59,19 @@ type Listener struct {
 
 // Conn is the server side of one client connection. Its write side belongs
 // to the connection's goroutine: a Handler writes its responses through
-// WriteFrame from inside Frame.
+// WriteFrame and BufferFrame from inside Frame.
 type Conn struct {
 	conn    net.Conn
 	bw      *bufio.Writer
 	timeout time.Duration
+}
+
+// NewConn wraps the server side of a connection; each response frame's
+// write is bounded by timeout. The Listener builds one per accepted
+// connection, and a Handler runs the same over any other net.Conn, a
+// net.Pipe say.
+func NewConn(nc net.Conn, timeout time.Duration) *Conn {
+	return &Conn{conn: nc, bw: bufio.NewWriter(nc), timeout: timeout}
 }
 
 // Listen binds cfg.Addr and starts accepting connections.
@@ -149,7 +157,7 @@ func (l *Listener) acceptLoop() {
 			nc.Close()                                                                                  //nolint:errcheck
 			continue
 		}
-		c := &Conn{conn: nc, bw: bufio.NewWriter(nc), timeout: l.cfg.WriteTimeout}
+		c := NewConn(nc, l.cfg.WriteTimeout)
 		l.conns[c] = struct{}{}
 		l.mu.Unlock()
 		l.sessions.Add(1)
@@ -198,14 +206,21 @@ func (l *Listener) serve(c *Conn) {
 	}
 }
 
-// WriteFrame writes and flushes one response frame under the write
-// timeout; false means the client is gone and the session should end.
+// WriteFrame writes one response frame under the write timeout and flushes
+// it, together with any frame BufferFrame left pending, in one socket
+// write; false means the client is gone and the session should end.
 func (c *Conn) WriteFrame(ft FrameType, payload []byte) bool {
+	return c.BufferFrame(ft, payload) && c.bw.Flush() == nil
+}
+
+// BufferFrame writes one response frame under the write timeout without
+// flushing it: it reaches the client with the next WriteFrame. A handler
+// buffers a result's last RowBatch this way, so a short result costs one
+// write and one client wake-up; a frame that overflows the buffer is
+// written out early.
+func (c *Conn) BufferFrame(ft FrameType, payload []byte) bool {
 	c.conn.SetWriteDeadline(time.Now().Add(c.timeout)) //nolint:errcheck
-	if err := WriteFrame(c.bw, ft, payload); err != nil {
-		return false
-	}
-	return c.bw.Flush() == nil
+	return WriteFrame(c.bw, ft, payload) == nil
 }
 
 // Unexpected answers a frame the handler does not serve with a protocol

@@ -9,6 +9,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"probdb/internal/core"
+	"probdb/internal/flakyconn"
 )
 
 // echoHandler is a trivial Handler: a Query is answered with a Result
@@ -255,4 +258,47 @@ func TestListenerShutdownSevers(t *testing.T) {
 	<-f.closed
 	r.nc.Close()
 	checkNoLeak(t, before)
+}
+
+// TestConnBufferFrame: a buffered frame writes nothing; it leaves with the
+// next WriteFrame in one socket write — a result's last RowBatch with its
+// ResultEnd, or with the Error of a statement that failed after it.
+func TestConnBufferFrame(t *testing.T) {
+	srv, cli := net.Pipe()
+	defer srv.Close()
+	defer cli.Close()
+	fc := flakyconn.New(srv, flakyconn.Config{})
+	c := NewConn(fc, time.Minute)
+	br := bufio.NewReader(cli)
+	batch := EncodeRowBatch(&RowBatch{
+		Name: "t", Cols: []Column{{Name: "k", Type: core.IntType}},
+		Rows: []Row{{Exists: 1, Cells: []Cell{{Kind: CellValue, Value: core.Int(7)}}}},
+	})
+	for _, term := range []FrameType{FrameResultEnd, FrameError} {
+		before := fc.Writes()
+		if !c.BufferFrame(FrameRowBatch, batch) {
+			t.Fatal("BufferFrame failed")
+		}
+		if n := fc.Writes() - before; n != 0 {
+			t.Fatalf("BufferFrame wrote to the socket %d times", n)
+		}
+		payload := EncodeResultEnd(&Result{})
+		if term == FrameError {
+			payload = EncodeError(ErrGeneric, 0, "failed after its last batch")
+		}
+		sent := make(chan bool, 1)
+		go func() { sent <- c.WriteFrame(term, payload) }()
+		for _, want := range []FrameType{FrameRowBatch, term} {
+			ft, _, err := ReadFrame(br)
+			if err != nil || ft != want {
+				t.Fatalf("read %v (%v), want %v", ft, err, want)
+			}
+		}
+		if !<-sent {
+			t.Fatal("WriteFrame failed")
+		}
+		if n := fc.Writes() - before; n != 1 {
+			t.Fatalf("RowBatch then %v took %d socket writes, want 1", term, n)
+		}
+	}
 }
