@@ -19,9 +19,9 @@ const GseqCol = "_gseq"
 
 // SplitInsert partitions one INSERT across the shards. Each row's partition
 // key (its value for keyCol) is hashed to pick the owning shard, and the
-// row's original source text — sliced out by the parser's own lexer, since
-// pdf literals cannot be re-rendered — is forwarded verbatim with ", <seq>"
-// injected before its closing paren. Row i gets sequence nextSeq+i, so the
+// row's original source text — sliced out of sql by the span the parser
+// recorded, since pdf literals cannot be re-rendered — is forwarded verbatim
+// with ", <seq>" injected before its closing paren. st must be Parse(sql). Row i gets sequence nextSeq+i, so the
 // statement's row order is preserved in the global order. It returns the
 // per-shard statements (keyed by shard index) and the next unused sequence.
 func SplitInsert(sql string, st query.Insert, keyCol string, shards int, nextSeq int64) (map[int]string, int64, error) {
@@ -42,12 +42,9 @@ func SplitInsert(sql string, st query.Insert, keyCol string, shards int, nextSeq
 	if keyIdx < 0 {
 		return nil, 0, fmt.Errorf("cluster: INSERT INTO %s must assign the partition key %q", st.Table, keyCol)
 	}
-	spans, err := query.InsertRowSpans(sql)
-	if err != nil {
-		return nil, 0, err
-	}
+	spans := st.Spans
 	if len(spans) != len(st.Rows) {
-		return nil, 0, fmt.Errorf("cluster: sliced %d VALUES rows, parsed %d", len(spans), len(st.Rows))
+		return nil, 0, fmt.Errorf("cluster: %d VALUES row spans for %d rows", len(spans), len(st.Rows))
 	}
 
 	var prefix strings.Builder

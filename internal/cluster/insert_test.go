@@ -107,12 +107,12 @@ func TestSplitInsertRejections(t *testing.T) {
 	}
 }
 
+// TestInsertRowSpans: the parser records each VALUES row's source span —
+// strings and nested pdf parens inside a row do not end it — and the spans
+// of a statement in a script are offsets into the script.
 func TestInsertRowSpans(t *testing.T) {
 	sql := "INSERT INTO t (a, b) VALUES (1, 'x;(y'), (2, GAUSSIAN(0.0, 1.0)) ; "
-	spans, err := query.InsertRowSpans(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spans := parseInsert(t, sql).Spans
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans", len(spans))
 	}
@@ -122,10 +122,12 @@ func TestInsertRowSpans(t *testing.T) {
 	if got := sql[spans[1][0]:spans[1][1]]; got != "(2, GAUSSIAN(0.0, 1.0))" {
 		t.Fatalf("span 1 = %q", got)
 	}
-	if _, err := query.InsertRowSpans("INSERT INTO t (a) VALUES (1) garbage"); err == nil {
-		t.Fatal("trailing garbage accepted")
+	script := "SELECT a FROM t; " + sql
+	stmts, err := query.ParseScript(script)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := query.InsertRowSpans("SELECT 1"); err == nil {
-		t.Fatal("non-INSERT accepted")
+	if sp := stmts[1].(query.Insert).Spans[1]; script[sp[0]:sp[1]] != "(2, GAUSSIAN(0.0, 1.0))" {
+		t.Fatalf("span 1 in a script = %q", script[sp[0]:sp[1]])
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"probdb/internal/core"
 	"probdb/internal/pipe"
@@ -25,10 +24,13 @@ const (
 	ordProb                 // ORDER BY PROB(col): marginal pdf mass
 )
 
-// mrow is one shard row staged in the merge, with its sort key decoded up
-// front so the heap comparisons stay allocation-free.
+// mrow is one shard row staged in the merge: row i of a checked, still
+// encoded shard batch, with its sort key decoded up front so the heap
+// comparisons stay allocation-free. Only _gseq and the ORDER BY key are
+// ever decoded; the rest of the row crosses the merge as bytes.
 type mrow struct {
-	row  wire.Row
+	b    *wire.RawBatch
+	i    int
 	val  core.Value
 	prob float64
 	gseq int64
@@ -137,30 +139,15 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 	// shard's first frame, and for sort/top-k queries that is the whole
 	// per-shard execution — a sequential scatter would serialize the very
 	// work sharding exists to spread out.
-	type opened struct {
-		ss  *shardStream
-		err error
-	}
-	results := make([]opened, len(targets))
-	var wg sync.WaitGroup
-	for idx, i := range targets {
-		wg.Add(1)
-		go func(idx, i int) {
-			defer wg.Done()
-			ss, err := s.openStream(i, rendered)
-			results[idx] = opened{ss, err}
-		}(idx, i)
-	}
-	wg.Wait()
-	var openErr error
-	for _, o := range results {
-		if o.ss != nil {
-			streams = append(streams, o.ss)
-		}
-		if o.err != nil && openErr == nil {
-			openErr = o.err
+	opened := make([]*shardStream, len(targets))
+	errs := make([]error, len(targets))
+	each(len(targets), func(k int) { opened[k], errs[k] = s.openStream(targets[k], rendered) })
+	for _, ss := range opened {
+		if ss != nil {
+			streams = append(streams, ss)
 		}
 	}
+	openErr := firstErr(errs)
 	if openErr != nil {
 		return s.fail(openErr) // the deferred sweep discards the opened streams
 	}
@@ -195,7 +182,8 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 	}
 
 	var (
-		out     []wire.Row
+		rows    []byte // the encoded rows of the batch being filled
+		nrows   int
 		nextSeq uint64
 		frame   []byte // reused from batch to batch
 	)
@@ -203,22 +191,23 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 	// out at once; the tail stays buffered and leaves with the terminal
 	// frame, ResultEnd or Error, in one write.
 	flush := func(write func(wire.FrameType, []byte) bool) error {
-		b := &wire.RowBatch{Seq: nextSeq, Rows: out}
+		var cols []wire.Column
 		if nextSeq == 0 {
-			b.Name, b.Cols = name, header
+			cols = header
 		}
-		frame = wire.AppendRowBatch(frame[:0], b)
+		frame = wire.AppendRawBatch(frame[:0], nextSeq, name, cols, len(header), nrows, rows)
 		if !write(wire.FrameRowBatch, frame) {
 			return errClientGone
 		}
 		nextSeq++
-		out = out[:0]
+		rows, nrows = rows[:0], 0
 		return nil
 	}
+	// emit forwards a row's bytes up to the last user column: the hidden
+	// key and _gseq cells the rewrite appended are cut off undecoded.
 	emit := func(m mrow) error {
-		m.row.Cells = m.row.Cells[:len(userCols)]
-		out = append(out, m.row)
-		if len(out) >= mergeBatchRows {
+		rows = append(rows, m.b.Row(m.i, len(userCols))...)
+		if nrows++; nrows >= mergeBatchRows {
 			return flush(s.c.WriteFrame)
 		}
 		return nil
@@ -237,7 +226,7 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 	}
 	// Flush the tail — and always batch 0, so even an empty result carries
 	// its header, exactly like a single server's stream.
-	if len(out) > 0 || nextSeq == 0 {
+	if nrows > 0 || nextSeq == 0 {
 		if err := flush(s.c.BufferFrame); err != nil {
 			return false
 		}
@@ -248,7 +237,7 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 	res := &wire.Result{}
 	for _, ss := range streams {
 		for {
-			batch, err := ss.st.NextBatch()
+			batch, err := ss.st.NextRaw()
 			if err != nil {
 				se := &streamErr{ss: ss, err: err}
 				ss.done = true
@@ -337,58 +326,68 @@ func (s *session) openStream(i int, sql string) (*shardStream, error) {
 	return &shardStream{shard: i, replica: true, st: st}, nil
 }
 
-// rowCursor adapts one shard stream into a merge cursor, decoding each
-// row's sort key as it is pulled.
+// rowCursor adapts one shard stream into a merge cursor over its rows,
+// checked and left encoded, decoding each row's sort key as it is pulled.
 func (s *session) rowCursor(ss *shardStream, mode ordMode, keyIdx, gseqIdx int) pipe.Cursor[mrow] {
-	var buf []wire.Row
+	var (
+		b    *wire.RawBatch
+		next int
+	)
 	return func() (mrow, bool, error) {
-		if len(buf) == 0 {
-			batch, err := ss.st.NextBatch()
-			if err != nil {
+		if b == nil || next == b.Len() {
+			var err error
+			if b, err = ss.st.NextRaw(); err != nil {
 				return mrow{}, false, &streamErr{ss: ss, err: err}
 			}
-			if batch == nil {
+			if b == nil {
 				ss.done = true
 				return mrow{}, false, nil
 			}
-			buf = batch
+			if b.Width() <= gseqIdx {
+				return mrow{}, false, fmt.Errorf("cluster: shard %d returned a %d-cell row, expected %d", ss.shard, b.Width(), gseqIdx+1)
+			}
+			next = 0
 		}
-		r := buf[0]
-		buf = buf[1:]
-		m, err := makeMRow(ss.shard, r, mode, keyIdx, gseqIdx)
-		if err != nil {
-			return mrow{}, false, err
-		}
-		return m, true, nil
+		m, err := makeMRow(ss.shard, b, next, mode, keyIdx, gseqIdx)
+		next++
+		return m, err == nil, err
 	}
 }
 
-func makeMRow(shard int, r wire.Row, mode ordMode, keyIdx, gseqIdx int) (mrow, error) {
-	m := mrow{row: r}
-	if gseqIdx >= len(r.Cells) {
-		return m, fmt.Errorf("cluster: shard %d returned a %d-cell row, expected %d", shard, len(r.Cells), gseqIdx+1)
+// makeMRow stages row i of b, decoding its _gseq cell and, for an ORDER BY,
+// its key cell.
+func makeMRow(shard int, b *wire.RawBatch, i int, mode ordMode, keyIdx, gseqIdx int) (mrow, error) {
+	m := mrow{b: b, i: i}
+	g, err := b.Cell(i, gseqIdx)
+	if err != nil {
+		return m, err
 	}
-	g := r.Cells[gseqIdx]
 	if g.Kind != wire.CellValue || g.Value.Kind != core.IntValue {
 		return m, fmt.Errorf("cluster: shard %d returned a malformed %s cell", shard, GseqCol)
 	}
 	m.gseq = g.Value.I
+	if mode == ordGseq {
+		return m, nil
+	}
+	c, err := b.Cell(i, keyIdx)
+	if err != nil {
+		return m, err
+	}
 	switch mode {
 	case ordValue:
 		// The engine rejects ORDER BY over uncertain columns, so the key
 		// cell is a plain value; an absent value sorts as NULL, exactly as
 		// the single-node comparator sees it.
-		if c := r.Cells[keyIdx]; c.Kind == wire.CellValue {
+		m.val = core.Null
+		if c.Kind == wire.CellValue {
 			m.val = c.Value
-		} else {
-			m.val = core.Null
 		}
 	case ordProb:
 		// Key = the tuple's probability for the column: an uncertain
 		// cell's marginal mass; certain cells contribute 1, like the
 		// engine's Prob.
 		m.prob = 1
-		if c := r.Cells[keyIdx]; c.Kind == wire.CellPDF && c.PDF != nil {
+		if c.Kind == wire.CellPDF && c.PDF != nil {
 			m.prob = c.PDF.Mass()
 		}
 	}

@@ -517,11 +517,9 @@ func (s *session) writeShard(i int, sql string) (*wire.Result, error) {
 	return res, nil
 }
 
-// fanoutWrite runs one statement on every shard (or the given subset),
-// sequentially in shard order, under the router's DML lock. All target
-// shards must be reachable before anything executes — a known-dead shard
-// refuses the whole statement up front with a retryable error rather than
-// leaving the cluster half-applied.
+// fanoutWrite runs one statement on every shard (or the given subset)
+// under the router's DML lock; see writeLocked. A non-empty msg replaces the
+// shards' message.
 func (s *session) fanoutWrite(targets []int, sql, msg string) (*wire.Result, error) {
 	s.r.dml.Lock()
 	defer s.r.dml.Unlock()
@@ -534,17 +532,47 @@ func (s *session) fanoutWriteLocked(targets []int, sql, msg string) (*wire.Resul
 			targets = append(targets, i)
 		}
 	}
-	for _, i := range targets {
-		if err := s.ensureLeader(i); err != nil {
-			return nil, err
-		}
+	writes := make([]shardWrite, len(targets))
+	for k, i := range targets {
+		writes[k] = shardWrite{shard: i, sql: sql}
 	}
-	out := &wire.Result{Message: msg}
-	for _, i := range targets {
-		res, err := s.writeShard(i, sql)
-		if err != nil {
-			return nil, err
-		}
+	res, err := s.writeLocked(writes)
+	if err == nil && msg != "" {
+		res.Message = msg
+	}
+	return res, err
+}
+
+// shardWrite is one statement bound for one shard's leader.
+type shardWrite struct {
+	shard int
+	sql   string
+}
+
+// writeLocked runs each write, in shard order, on its shard's leader; the
+// caller holds the router's DML lock. Every target must be reachable before
+// anything executes: the leaders are acquired first — a cached connection
+// pinged, a missing one dialed — and a known-dead shard refuses the whole
+// statement up front with a retryable error rather than leaving the cluster
+// half-applied. Both phases run concurrently, one goroutine per shard, so a
+// multi-shard write waits for one shard round trip (and WAL fsync), not one
+// per shard. Affected counts and stats are summed, the message is the first
+// shard's that has one, and the first error in shard order is reported. A
+// multi-shard write is not atomic: when one shard fails, the others may
+// have applied their part.
+func (s *session) writeLocked(writes []shardWrite) (*wire.Result, error) {
+	errs := make([]error, len(writes))
+	each(len(writes), func(k int) { errs[k] = s.ensureLeader(writes[k].shard) })
+	if err := firstErr(errs); err != nil {
+		return nil, err
+	}
+	results := make([]*wire.Result, len(writes))
+	each(len(writes), func(k int) { results[k], errs[k] = s.writeShard(writes[k].shard, writes[k].sql) })
+	if err := firstErr(errs); err != nil {
+		return nil, err
+	}
+	out := &wire.Result{}
+	for _, res := range results {
 		out.Affected += res.Affected
 		addStats(&out.Stats, res.Stats)
 		if out.Message == "" {
@@ -552,6 +580,34 @@ func (s *session) fanoutWriteLocked(targets []int, sql, msg string) (*wire.Resul
 		}
 	}
 	return out, nil
+}
+
+// each runs f(0), …, f(n-1) concurrently, one goroutine each, and waits for
+// all of them; a single call runs on the caller's goroutine.
+func each(n int, f func(k int)) {
+	if n == 1 {
+		f(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for k := 0; k < n; k++ {
+		go func(k int) {
+			defer wg.Done()
+			f(k)
+		}(k)
+	}
+	wg.Wait()
+}
+
+// firstErr returns the first non-nil error of errs.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readAny runs one statement on the first reachable shard, degrading from
@@ -687,26 +743,20 @@ func (s *session) insert(sql string, st query.Insert) (*wire.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	targets := make([]int, 0, len(stmts))
-	for i := range stmts {
-		targets = append(targets, i)
-	}
-	sort.Ints(targets)
-	for _, i := range targets {
-		if err := s.ensureLeader(i); err != nil {
-			return nil, err
-		}
-	}
-	out := &wire.Result{}
-	for _, i := range targets {
-		res, err := s.writeShard(i, stmts[i])
-		if err != nil {
-			return nil, err
-		}
-		out.Affected += res.Affected
-		addStats(&out.Stats, res.Stats)
-	}
+	// Every sequence handed out is spent, whether or not the write lands:
+	// one shard may apply its rows while another refuses, and reissuing
+	// their numbers would break the merge's insertion-order tie-break.
+	// Gaps are harmless.
 	s.r.gseq[st.Table] = advanced
+	writes := make([]shardWrite, 0, len(stmts))
+	for i, sql := range stmts {
+		writes = append(writes, shardWrite{shard: i, sql: sql})
+	}
+	sort.Slice(writes, func(a, b int) bool { return writes[a].shard < writes[b].shard })
+	out, err := s.writeLocked(writes)
+	if err != nil {
+		return nil, err
+	}
 	out.Message = fmt.Sprintf("inserted %d", out.Affected)
 	return out, nil
 }

@@ -76,7 +76,7 @@ func (p *pipeRouterSession) query(sql string) (batches []int, term wire.FrameTyp
 	return batches, term, p.fc.Writes() - before, streamedBefore
 }
 
-func startTestRouter(t *testing.T, addrs ...string) *Router {
+func startTestRouter(t testing.TB, addrs ...string) *Router {
 	t.Helper()
 	var specs []ShardSpec
 	for _, a := range addrs {
@@ -146,6 +146,10 @@ func TestRouterResultWrites(t *testing.T) {
 		{"SELECT k FROM t WHERE k < 0", []int{0}, 1},
 		{"SELECT k, x FROM t WHERE k < 10", []int{10}, 1},
 		{"SELECT k FROM t WHERE k < 600", []int{256, 256, 88}, 3},
+		// Full batches of uncertain rows (8 KB with the Gaussian x, 12 KB
+		// floored) still take one write each.
+		{"SELECT k, x FROM t WHERE k < 600", []int{256, 256, 88}, 3},
+		{"SELECT k, x FROM t WHERE x < 30 AND k < 600", []int{256, 256, 88}, 3},
 	} {
 		batches, term, writes, streamed := p.query(tc.sql)
 		if term != wire.FrameResultEnd || fmt.Sprint(batches) != fmt.Sprint(tc.batches) {

@@ -213,11 +213,24 @@ func (d *decoder) uvarint() (uint64, error) {
 // of bytes consumed.
 func Decode(buf []byte) (Dist, int, error) {
 	d := &decoder{buf: buf}
-	dist, err := d.decode()
+	dist, err := d.decode(true)
 	if err != nil {
 		return nil, 0, err
 	}
 	return dist, d.off, nil
+}
+
+// Check validates the distribution encoded at the head of buf exactly as
+// Decode does and returns the number of bytes it spans, without building the
+// Dist: it runs Decode's own walk, so the two accept the same inputs. The
+// Gaussian, Uniform, Discrete and floored encodings are checked without
+// allocating; every other tag is decoded and dropped.
+func Check(buf []byte) (int, error) {
+	d := decoder{buf: buf}
+	if _, err := d.decode(false); err != nil {
+		return 0, err
+	}
+	return d.off, nil
 }
 
 // maxDecodeCount bounds repeated-element counts so a corrupted length prefix
@@ -235,15 +248,27 @@ func (d *decoder) count() (int, error) {
 	return int(v), nil
 }
 
-func (d *decoder) decode() (Dist, error) {
+// fits reports an error unless n elements of at least size bytes each can
+// still follow in the buffer — checked before a count sizes an allocation.
+func (d *decoder) fits(n, size int) error {
+	if n*size > len(d.buf)-d.off {
+		return d.err("unexpected end of buffer")
+	}
+	return nil
+}
+
+// decode reads one distribution. With build false it only checks: the
+// continuous models, Discrete and floored bodies are walked without
+// allocating and nil is returned; every other tag is built regardless.
+func (d *decoder) decode(build bool) (Dist, error) {
 	tag, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
 	switch tag {
 	case tagGaussian, tagUniform, tagExponential, tagTriangular:
-		m, err := d.contModel(tag)
-		if err != nil {
+		m, err := d.contModel(tag, build)
+		if err != nil || !build {
 			return nil, err
 		}
 		return symCont{m}, nil
@@ -301,15 +326,34 @@ func (d *decoder) decode() (Dist, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := d.contModel(mtag)
+		m, err := d.contModel(mtag, build)
 		if err != nil {
 			return nil, err
 		}
-		keep, err := d.regionSet()
+		n, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		return newFloored(m, keep), nil
+		if err := d.fits(n, 17); err != nil {
+			return nil, err
+		}
+		var ivs []region.Interval
+		if build {
+			ivs = make([]region.Interval, n)
+		}
+		for i := 0; i < n; i++ {
+			iv, err := d.interval()
+			if err != nil {
+				return nil, err
+			}
+			if build {
+				ivs[i] = iv
+			}
+		}
+		if !build {
+			return nil, nil
+		}
+		return newFloored(m, region.NewSet(ivs...)), nil
 	case tagDiscrete:
 		dim, err := d.count()
 		if err != nil {
@@ -322,23 +366,32 @@ func (d *decoder) decode() (Dist, error) {
 		if dim < 1 {
 			return nil, d.err("discrete dim %d", dim)
 		}
+		if err := d.fits(n, (dim+1)*8); err != nil {
+			return nil, err
+		}
 		// One coordinate block for every point, owned by the result: the
 		// points arrive sorted and merged (Encode wrote them that way), so
 		// newDiscrete validates them in place without copying or sorting.
-		if n*(dim+1)*8 > len(d.buf)-d.off {
-			return nil, d.err("unexpected end of buffer")
+		var (
+			xs  []float64
+			pts []Point
+		)
+		if build {
+			xs = make([]float64, n*dim)
+			pts = make([]Point, n)
 		}
-		xs := make([]float64, n*dim)
-		pts := make([]Point, n)
 		var mass float64
-		for i := range pts {
-			x := xs[i*dim : (i+1)*dim : (i+1)*dim]
-			for j := range x {
-				if x[j], err = d.float(); err != nil {
+		for i := 0; i < n; i++ {
+			for j := 0; j < dim; j++ {
+				x, err := d.float()
+				if err != nil {
 					return nil, err
 				}
-				if math.IsNaN(x[j]) || math.IsInf(x[j], 0) {
-					return nil, d.err("discrete point coordinate %v", x[j])
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return nil, d.err("discrete point coordinate %v", x)
+				}
+				if build {
+					xs[i*dim+j] = x
 				}
 			}
 			p, err := d.float()
@@ -349,12 +402,17 @@ func (d *decoder) decode() (Dist, error) {
 				return nil, d.err("discrete point probability %v", p)
 			}
 			mass += p
-			pts[i] = Point{X: x, P: p}
+			if build {
+				pts[i] = Point{X: xs[i*dim : (i+1)*dim : (i+1)*dim], P: p}
+			}
 		}
 		// Slightly tighter than the constructor's 1e-9 tolerance so that
 		// summation-order differences cannot slip through to its panic.
 		if mass > 1+1e-10 {
 			return nil, d.err("discrete mass %v exceeds 1", mass)
+		}
+		if !build {
+			return nil, nil
 		}
 		return newDiscrete(dim, pts), nil
 	case tagGrid:
@@ -365,6 +423,9 @@ func (d *decoder) decode() (Dist, error) {
 		if na < 1 {
 			return nil, d.err("grid axis count %d", na)
 		}
+		if err := d.fits(na, 2); err != nil {
+			return nil, err
+		}
 		axes := make([]Axis, na)
 		cells := 1
 		for i := range axes {
@@ -374,6 +435,9 @@ func (d *decoder) decode() (Dist, error) {
 			}
 			n, err := d.count()
 			if err != nil {
+				return nil, err
+			}
+			if err := d.fits(n, 8); err != nil {
 				return nil, err
 			}
 			vals := make([]float64, n)
@@ -396,6 +460,9 @@ func (d *decoder) decode() (Dist, error) {
 			if cells > maxDecodeCount {
 				return nil, d.err("grid cell count %d exceeds limit", cells)
 			}
+		}
+		if err := d.fits(cells, 8); err != nil {
+			return nil, err
 		}
 		w := make([]float64, cells)
 		var mass float64
@@ -455,9 +522,12 @@ func (d *decoder) decode() (Dist, error) {
 		if n < 1 {
 			return nil, d.err("product factor count %d", n)
 		}
+		if err := d.fits(n, 1); err != nil {
+			return nil, err
+		}
 		factors := make([]Dist, n)
 		for i := range factors {
-			if factors[i], err = d.decode(); err != nil {
+			if factors[i], err = d.decode(true); err != nil {
 				return nil, err
 			}
 		}
@@ -467,7 +537,9 @@ func (d *decoder) decode() (Dist, error) {
 	}
 }
 
-func (d *decoder) contModel(tag byte) (contModel, error) {
+// contModel reads the continuous model tag names and checks its
+// parameters; with build false it returns no model.
+func (d *decoder) contModel(tag byte, build bool) (contModel, error) {
 	switch tag {
 	case tagGaussian:
 		mu, err := d.float()
@@ -480,6 +552,9 @@ func (d *decoder) contModel(tag byte) (contModel, error) {
 		}
 		if !(sigma > 0) || math.IsInf(sigma, 0) || math.IsNaN(mu) || math.IsInf(mu, 0) {
 			return nil, d.err("gaussian params %v/%v", mu, sigma)
+		}
+		if !build {
+			return nil, nil
 		}
 		return Gaussian{Mu: mu, Sigma: sigma}, nil
 	case tagUniform:
@@ -494,6 +569,9 @@ func (d *decoder) contModel(tag byte) (contModel, error) {
 		if !(lo < hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 			return nil, d.err("uniform bounds %v..%v", lo, hi)
 		}
+		if !build {
+			return nil, nil
+		}
 		return Uniform{Lo: lo, Hi: hi}, nil
 	case tagExponential:
 		rate, err := d.float()
@@ -502,6 +580,9 @@ func (d *decoder) contModel(tag byte) (contModel, error) {
 		}
 		if !(rate > 0) || math.IsInf(rate, 0) {
 			return nil, d.err("exponential rate %v", rate)
+		}
+		if !build {
+			return nil, nil
 		}
 		return Exponential{Rate: rate}, nil
 	case tagTriangular:
@@ -520,37 +601,33 @@ func (d *decoder) contModel(tag byte) (contModel, error) {
 		if !(lo < hi && lo <= mode && mode <= hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 			return nil, d.err("triangular params %v/%v/%v", lo, mode, hi)
 		}
+		if !build {
+			return nil, nil
+		}
 		return Triangular{Lo: lo, Mode: mode, Hi: hi}, nil
 	default:
 		return nil, d.err("unknown continuous model tag %d", tag)
 	}
 }
 
-func (d *decoder) regionSet() (region.Set, error) {
-	n, err := d.count()
+// interval reads one kept interval of a floored encoding.
+func (d *decoder) interval() (region.Interval, error) {
+	lo, err := d.float()
 	if err != nil {
-		return region.Set{}, err
+		return region.Interval{}, err
 	}
-	ivs := make([]region.Interval, n)
-	for i := range ivs {
-		lo, err := d.float()
-		if err != nil {
-			return region.Set{}, err
-		}
-		hi, err := d.float()
-		if err != nil {
-			return region.Set{}, err
-		}
-		flags, err := d.byte()
-		if err != nil {
-			return region.Set{}, err
-		}
-		if math.IsNaN(lo) || math.IsNaN(hi) {
-			return region.Set{}, d.err("region bounds %v..%v", lo, hi)
-		}
-		ivs[i] = region.Interval{Lo: lo, Hi: hi, LoOpen: flags&1 != 0, HiOpen: flags&2 != 0}
+	hi, err := d.float()
+	if err != nil {
+		return region.Interval{}, err
 	}
-	return region.NewSet(ivs...), nil
+	flags, err := d.byte()
+	if err != nil {
+		return region.Interval{}, err
+	}
+	if math.IsNaN(lo) || math.IsNaN(hi) {
+		return region.Interval{}, d.err("region bounds %v..%v", lo, hi)
+	}
+	return region.Interval{Lo: lo, Hi: hi, LoOpen: flags&1 != 0, HiOpen: flags&2 != 0}, nil
 }
 
 // EncodedSize returns the number of bytes Encode(d) produces. It is the

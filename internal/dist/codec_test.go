@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"probdb/internal/region"
@@ -132,5 +133,23 @@ func TestDecodeHugeCountRejected(t *testing.T) {
 	buf = append(buf, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F) // dim = huge
 	if _, _, err := Decode(buf); err == nil {
 		t.Error("huge count should be rejected")
+	}
+	// Counts within the limit that the buffer cannot hold are refused
+	// before they size an allocation: kept intervals, a grid axis, product
+	// factors.
+	big := []byte{0xFF, 0xFF, 0xFF, 0x1F} // 1<<26 - 1
+	gauss := Encode(NewGaussian(0, 1))
+	for _, buf := range [][]byte{
+		append(append([]byte{tagFloored}, gauss...), big...),
+		append([]byte{tagGrid, 1, 0}, big...),
+		append([]byte{tagProduct, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F}, big...),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := Decode(buf)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; err == nil || n > 1<<16 {
+			t.Errorf("%x: err %v after allocating %d bytes, want a refusal before allocating", buf, err, n)
+		}
 	}
 }

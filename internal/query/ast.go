@@ -24,6 +24,12 @@ type Insert struct {
 	Table   string
 	Targets []InsertTarget
 	Rows    [][]Expr
+	// Spans holds each VALUES row's byte span [start, end) — its
+	// parenthesized text — in the source Parse was given. The cluster
+	// router splits an INSERT by partition key by forwarding each row's
+	// original text: pdf literals carry constructed distributions with no
+	// canonical SQL form (Render refuses them).
+	Spans [][2]int
 }
 
 // InsertTarget is one column or dependency-set group in an INSERT target

@@ -374,6 +374,7 @@ func (p *parser) insert() (Stmt, error) {
 		return nil, err
 	}
 	for {
+		start := p.peek().pos
 		if err := p.expectSym("("); err != nil {
 			return nil, err
 		}
@@ -388,6 +389,7 @@ func (p *parser) insert() (Stmt, error) {
 				break
 			}
 		}
+		end := p.peek().pos + 1
 		if err := p.expectSym(")"); err != nil {
 			return nil, err
 		}
@@ -395,6 +397,7 @@ func (p *parser) insert() (Stmt, error) {
 			return nil, p.errf("row has %d values, target list has %d", len(row), len(st.Targets))
 		}
 		st.Rows = append(st.Rows, row)
+		st.Spans = append(st.Spans, [2]int{start, end})
 		if !p.acceptSym(",") {
 			break
 		}

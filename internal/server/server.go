@@ -570,7 +570,10 @@ func (h *conn) execute(ctx context.Context, q *runningQuery, sql string) (res *w
 			}
 		}()
 	}
-	var frame []byte
+	var (
+		frame   []byte
+		writing time.Duration // spent in the sink's socket writes
+	)
 	sink := batchSink(&frame, func(payload []byte, last bool) error {
 		// A full batch is flushed at once, so a long result streams; the
 		// last one waits in the buffer for the terminal frame
@@ -579,13 +582,21 @@ func (h *conn) execute(ctx context.Context, q *runningQuery, sql string) (res *w
 		if last {
 			write = h.c.BufferFrame
 		}
-		if !write(wire.FrameRowBatch, payload) {
+		t0 := time.Now()
+		ok := write(wire.FrameRowBatch, payload)
+		writing += time.Since(t0)
+		if !ok {
 			return errClientGone
 		}
 		streamed = true
 		return nil
 	})
 	res, engStreamed, err := h.ses.ExecuteStream(ctx, sql, sink)
+	if res != nil {
+		// The statement's latency is its execution; a slow client's socket
+		// is wire time.
+		res.Stats.LatencyMicros -= min(res.Stats.LatencyMicros, uint64(writing.Microseconds()))
+	}
 	if err != nil && ctx.Err() != nil {
 		// The deadline timer and the shed hook cancel with a cause — the
 		// deadline, or the budget shortfall; surface it instead of a bare

@@ -101,6 +101,10 @@ func TestResultWrites(t *testing.T) {
 		{"SELECT k, x FROM t WHERE k < 10", []int{10}, 1},
 		{"SELECT * FROM t WHERE k < 10", []int{10}, 1},
 		{"SELECT k FROM t WHERE k < 600", []int{256, 256, 88}, 3},
+		// Full batches of uncertain rows (8 KB with the Gaussian x, 12 KB
+		// floored) still take one write each.
+		{"SELECT k, x FROM t WHERE k < 600", []int{256, 256, 88}, 3},
+		{"SELECT k, x FROM t WHERE x < 30 AND k < 600", []int{256, 256, 88}, 3},
 	} {
 		batches, term, writes, streamed := p.query(tc.sql)
 		if term != wire.FrameResultEnd || fmt.Sprint(batches) != fmt.Sprint(tc.batches) {
@@ -112,5 +116,57 @@ func TestResultWrites(t *testing.T) {
 		if want := len(tc.batches) - 1; streamed < want {
 			t.Errorf("%s: %d batches read before the statement ended, want %d", tc.sql, streamed, want)
 		}
+	}
+}
+
+// TestLatencyExcludesSocketWrites: a streamed statement's LatencyMicros is
+// its execution. The time its sink spends blocked writing full RowBatch
+// frames to a slow client — each write here stalls before it starts — is
+// not in it.
+func TestLatencyExcludesSocketWrites(t *testing.T) {
+	s := startServer(t, Config{Workers: 2})
+	defer shutdownServer(t, s)
+	c, err := wire.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fillTable(t, c, "t", 800)
+
+	const stall = 300 * time.Millisecond
+	srv, cli := net.Pipe()
+	defer cli.Close() //nolint:errcheck
+	defer srv.Close() //nolint:errcheck
+	h := s.open(wire.NewConn(flakyconn.New(srv, flakyconn.Config{StallEvery: 1, Stall: stall}), time.Minute))
+	defer h.Close()
+	done := make(chan bool, 1)
+	go func() { done <- h.Frame(wire.FrameQuery, []byte("SELECT k, x FROM t WHERE k < 600")) }()
+	br := bufio.NewReader(cli)
+	batches := 0
+	for {
+		ft, payload, err := wire.ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft == wire.FrameRowBatch {
+			batches++
+			continue
+		}
+		if ft != wire.FrameResultEnd {
+			t.Fatalf("%v frame after %d batches", ft, batches)
+		}
+		res, err := wire.DecodeResultEnd(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two full batches were written, each after a stall, while the
+		// statement ran.
+		if lat := time.Duration(res.Stats.LatencyMicros) * time.Microsecond; lat >= stall {
+			t.Errorf("latency %v includes the blocked socket writes (%d batches, %v stall each)", lat, batches, stall)
+		}
+		break
+	}
+	if !<-done {
+		t.Fatal("the session ended")
 	}
 }

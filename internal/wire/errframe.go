@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"math"
 	"time"
 )
 
@@ -95,6 +96,8 @@ func DecodeError(payload []byte) *ServerError {
 	if n <= 0 {
 		return &ServerError{Msg: string(payload)}
 	}
+	// A hint past what a Duration holds would wrap negative.
+	millis = min(millis, uint64(math.MaxInt64/int64(time.Millisecond)))
 	return &ServerError{
 		Msg:        string(payload[2+n:]),
 		Code:       code,

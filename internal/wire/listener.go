@@ -66,12 +66,19 @@ type Conn struct {
 	timeout time.Duration
 }
 
+// connWriteBuffer sizes a Conn's write buffer so a full 256-row RowBatch
+// of uncertain rows — 8 KB with a Gaussian column, 12 KB with a floored one
+// — leaves with its frame header, and with a buffered tail and terminal
+// frame, in one socket write. At bufio's 4 KiB default each such batch took
+// two.
+const connWriteBuffer = 64 << 10
+
 // NewConn wraps the server side of a connection; each response frame's
 // write is bounded by timeout. The Listener builds one per accepted
 // connection, and a Handler runs the same over any other net.Conn, a
 // net.Pipe say.
 func NewConn(nc net.Conn, timeout time.Duration) *Conn {
-	return &Conn{conn: nc, bw: bufio.NewWriter(nc), timeout: timeout}
+	return &Conn{conn: nc, bw: bufio.NewWriterSize(nc, connWriteBuffer), timeout: timeout}
 }
 
 // Listen binds cfg.Addr and starts accepting connections.

@@ -442,31 +442,50 @@ func (d *rdecoder) rows(nrows, ncols int) ([]Row, error) {
 	cells := make([]Cell, nrows*ncols)
 	for i := range rows {
 		lo, hi := i*ncols, (i+1)*ncols
-		if err := d.row(&rows[i], cells[lo:hi:hi]); err != nil {
+		rows[i].Cells = cells[lo:hi:hi]
+		var err error
+		if rows[i].Exists, err = d.row(ncols, rows[i].Cells, nil); err != nil {
 			return nil, err
 		}
 	}
 	return rows, nil
 }
 
-// row parses one row into row, its cells into cells.
-func (d *rdecoder) row(row *Row, cells []Cell) error {
-	row.Cells = cells
-	var err error
-	if row.Exists, err = d.float(); err != nil {
-		return err
+// row walks one row: its existence probability, then ncols tagged cells
+// (see cells). It returns the probability.
+func (d *rdecoder) row(ncols int, cells []Cell, offs []int32) (float64, error) {
+	exists, err := d.float()
+	if err != nil {
+		return 0, err
 	}
-	for i := range cells {
+	return exists, d.cells(ncols, cells, offs)
+}
+
+// cells walks n tagged cells, checking each as the codec requires.
+// Decoding, it fills out, whose cells must be zero; checking in place (out
+// nil), it records where each cell starts in offs instead, checks a pdf
+// with dist.Check rather than dist.Decode and copies no string.
+func (d *rdecoder) cells(n int, out []Cell, offs []int32) error {
+	for i := 0; i < n; i++ {
+		var c *Cell
+		if out != nil {
+			c = &out[i]
+		} else {
+			offs[i] = int32(d.off)
+		}
 		kind, err := d.byte()
 		if err != nil {
 			return err
 		}
 		switch CellKind(kind) {
 		case CellValue:
-			if cells[i].Value, err = d.value(); err != nil {
+			v, err := d.value(c != nil)
+			if err != nil {
 				return err
 			}
-			cells[i].Kind = CellValue
+			if c != nil {
+				c.Kind, c.Value = CellValue, v
+			}
 		case CellPDF:
 			n, err := d.count(MaxPayload)
 			if err != nil {
@@ -475,7 +494,14 @@ func (d *rdecoder) row(row *Row, cells []Cell) error {
 			if n > len(d.buf)-d.off {
 				return d.err("pdf length %d exceeds buffer", n)
 			}
-			pd, used, err := dist.Decode(d.buf[d.off : d.off+n])
+			enc := d.buf[d.off : d.off+n]
+			var used int
+			if c != nil {
+				c.Kind = CellPDF
+				c.PDF, used, err = dist.Decode(enc)
+			} else {
+				used, err = dist.Check(enc)
+			}
 			if err != nil {
 				return fmt.Errorf("wire: pdf: %w", err)
 			}
@@ -483,9 +509,10 @@ func (d *rdecoder) row(row *Row, cells []Cell) error {
 				return d.err("pdf has %d trailing bytes", n-used)
 			}
 			d.off += n
-			cells[i] = Cell{Kind: CellPDF, PDF: pd}
 		case CellNone:
-			cells[i].Kind = CellNone
+			if c != nil {
+				c.Kind = CellNone
+			}
 		default:
 			return d.err("unknown cell kind %d", kind)
 		}
@@ -582,20 +609,28 @@ func (d *rdecoder) count(limit int) (int, error) {
 	return int(v), nil
 }
 
-func (d *rdecoder) string() (string, error) {
+// bytes reads a length-prefixed string, aliasing the payload.
+func (d *rdecoder) bytes() ([]byte, error) {
 	n, err := d.count(MaxPayload)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > len(d.buf)-d.off {
-		return "", d.err("string length %d exceeds payload", n)
+		return nil, d.err("string length %d exceeds payload", n)
 	}
-	s := string(d.buf[d.off : d.off+n])
+	b := d.buf[d.off : d.off+n]
 	d.off += n
-	return s, nil
+	return b, nil
 }
 
-func (d *rdecoder) value() (core.Value, error) {
+func (d *rdecoder) string() (string, error) {
+	b, err := d.bytes()
+	return string(b), err
+}
+
+// value reads one tagged certain value; with keep false it only checks it
+// (a string value is then not copied out of the payload).
+func (d *rdecoder) value(keep bool) (core.Value, error) {
 	tag, err := d.byte()
 	if err != nil {
 		return core.Null, err
@@ -617,11 +652,11 @@ func (d *rdecoder) value() (core.Value, error) {
 		}
 		return core.Float(f), nil
 	case valString:
-		s, err := d.string()
-		if err != nil {
+		b, err := d.bytes()
+		if err != nil || !keep {
 			return core.Null, err
 		}
-		return core.Str(s), nil
+		return core.Str(string(b)), nil
 	case valBool:
 		b, err := d.byte()
 		if err != nil {

@@ -116,11 +116,44 @@ func (e *BatchEncoder) AppendNext(buf []byte, tups []*core.Tuple) []byte {
 	return buf
 }
 
+// AppendRawBatch appends a RowBatch payload whose nrows rows are already
+// encoded, back to back in rows — row bytes cut from RawBatches, say — behind
+// the head AppendRowBatch writes for the same batch: the header when cols is
+// non-nil, else the column count ncols.
+func AppendRawBatch(buf []byte, seq uint64, name string, cols []Column, ncols, nrows int, rows []byte) []byte {
+	buf = appendBatchHead(buf, seq, name, cols, ncols, nrows)
+	return append(buf, rows...)
+}
+
 // DecodeRowBatch parses a RowBatch frame payload. Like DecodeResult it
 // never panics on malformed input; sequencing and header-placement rules
 // are the BatchAssembler's job, not the codec's.
 func DecodeRowBatch(payload []byte) (*RowBatch, error) {
-	d := &rdecoder{buf: payload}
+	f, err := readBatchFrame(payload)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := f.rows()
+	if err != nil {
+		return nil, err
+	}
+	return &RowBatch{Seq: f.seq, Name: f.name, Cols: f.cols, Rows: rows}, nil
+}
+
+// batchFrame is a RowBatch payload whose head — seq, header or column
+// count, row count — has been read. Its rows are still to be walked: rows
+// decodes them, raw checks them in place.
+type batchFrame struct {
+	seq          uint64
+	name         string
+	cols         []Column
+	ncols, nrows int
+	d            rdecoder
+}
+
+func readBatchFrame(payload []byte) (*batchFrame, error) {
+	f := &batchFrame{d: rdecoder{buf: payload}}
+	d := &f.d
 	ver, err := d.byte()
 	if err != nil {
 		return nil, err
@@ -128,40 +161,100 @@ func DecodeRowBatch(payload []byte) (*RowBatch, error) {
 	if ver != resultVersion {
 		return nil, fmt.Errorf("wire: row batch version %d (want %d)", ver, resultVersion)
 	}
-	b := &RowBatch{}
-	if b.Seq, err = d.uvarint(); err != nil {
+	if f.seq, err = d.uvarint(); err != nil {
 		return nil, err
 	}
 	flags, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
-	var ncols int
 	if flags&batchHasHeader != 0 {
-		if b.Name, err = d.string(); err != nil {
+		if f.name, err = d.string(); err != nil {
 			return nil, err
 		}
-		if b.Cols, err = d.columns(); err != nil {
+		if f.cols, err = d.columns(); err != nil {
 			return nil, err
 		}
-		if b.Cols == nil {
-			b.Cols = []Column{} // zero columns still marks "header present"
+		if f.cols == nil {
+			f.cols = []Column{} // zero columns still marks "header present"
 		}
-		ncols = len(b.Cols)
-	} else if ncols, err = d.count(maxColumns); err != nil {
+		f.ncols = len(f.cols)
+	} else if f.ncols, err = d.count(maxColumns); err != nil {
 		return nil, err
 	}
-	nrows, err := d.rowCount(ncols)
+	if f.nrows, err = d.rowCount(f.ncols); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// rows decodes the frame's rows.
+func (f *batchFrame) rows() ([]Row, error) {
+	rows, err := f.d.rows(f.nrows, f.ncols)
 	if err != nil {
 		return nil, err
 	}
-	if b.Rows, err = d.rows(nrows, ncols); err != nil {
-		return nil, err
+	return rows, f.end()
+}
+
+// raw checks the frame's rows in place and records where each row and cell
+// starts.
+func (f *batchFrame) raw() (*RawBatch, error) {
+	d, w := &f.d, f.ncols+1
+	b := &RawBatch{ncols: f.ncols, buf: d.buf, offs: make([]int32, f.nrows*w+1)}
+	for i := 0; i < f.nrows; i++ {
+		b.offs[i*w] = int32(d.off)
+		if _, err := d.row(f.ncols, nil, b.offs[i*w+1:(i+1)*w]); err != nil {
+			return nil, err
+		}
 	}
-	if d.off != len(d.buf) {
-		return nil, d.err("%d trailing bytes", len(d.buf)-d.off)
+	b.offs[f.nrows*w] = int32(d.off)
+	return b, f.end()
+}
+
+func (f *batchFrame) end() error {
+	if f.d.off != len(f.d.buf) {
+		return f.d.err("%d trailing bytes", len(f.d.buf)-f.d.off)
 	}
-	return b, nil
+	return nil
+}
+
+// RawBatch is a RowBatch frame whose rows stay encoded, for a reader that
+// forwards rows rather than reads them: every cell has been checked exactly
+// as DecodeRowBatch checks it, pdfs by dist.Check, and where each row and
+// cell starts is recorded, so Cell decodes any one cell on demand and Row
+// cuts a row's bytes for re-emission.
+type RawBatch struct {
+	ncols int
+	buf   []byte
+	// offs holds, per row, where the row starts and then where each of its
+	// cells does; a last entry marks the end of the last row.
+	offs []int32
+}
+
+// Len is the number of rows.
+func (b *RawBatch) Len() int { return (len(b.offs) - 1) / (b.ncols + 1) }
+
+// Width is the number of cells in each row.
+func (b *RawBatch) Width() int { return b.ncols }
+
+// Row returns the encoding of row i's existence probability and its first
+// k cells — row i whole when k is Width — aliasing the frame's payload.
+func (b *RawBatch) Row(i, k int) []byte {
+	w := b.ncols + 1
+	end := b.offs[(i+1)*w]
+	if k < b.ncols {
+		end = b.offs[i*w+1+k]
+	}
+	return b.buf[b.offs[i*w]:end]
+}
+
+// Cell decodes cell j of row i.
+func (b *RawBatch) Cell(i, j int) (Cell, error) {
+	d := rdecoder{buf: b.buf, off: int(b.offs[i*(b.ncols+1)+1+j])}
+	var c [1]Cell
+	err := d.cells(1, c[:], nil)
+	return c[0], err
 }
 
 // EncodeResultEnd serializes a ResultEnd frame payload: a Result sans
@@ -243,16 +336,18 @@ func (a *BatchAssembler) Add(b *RowBatch) error {
 func (a *BatchAssembler) Table() *Table { return a.t }
 
 // Stream is an in-progress streamed query result. Obtain one with
-// Client.QueryStream, pull batches with NextBatch until it returns nil, then
-// read the trailing stats with Result. A Stream must be fully drained (or
-// the connection closed) before the Client is used again — the protocol is
-// synchronous and the remaining frames are still in flight.
+// Client.QueryStream, pull batches with NextBatch (decoded) or NextRaw
+// (checked, left encoded) until they return nil, then read the trailing
+// stats with Result. A Stream must be fully drained (or the connection
+// closed) before the Client is used again — the protocol is synchronous and
+// the remaining frames are still in flight.
 type Stream struct {
 	c        *Client
 	streamed bool // server chose batch delivery (vs one legacy Result frame)
 	name     string
 	cols     []Column
-	pending  []Row // rows already received but not yet handed out
+	head     *batchFrame // the first RowBatch, its rows not yet walked
+	pending  []Row       // a legacy Result's rows, not yet handed out
 	next     uint64
 	res      *Result
 	done     bool
@@ -263,7 +358,9 @@ type Stream struct {
 // the server answers with a single Result frame (a non-streamable
 // statement, or an older server), the Stream wraps it transparently: the
 // rows arrive as one batch. Server-side failures before the first row come
-// back as *ServerError.
+// back as *ServerError. Of a streamed result's first RowBatch only the
+// header is read here; its rows are walked by the first NextBatch or
+// NextRaw, whichever the caller asks for.
 //
 // Each frame is awaited under the client's call timeout — the deadline
 // bounds inter-frame gaps, not the whole (possibly long) stream.
@@ -295,17 +392,17 @@ func (c *Client) QueryStream(sql string) (*Stream, error) {
 		}
 		return s, nil
 	case FrameRowBatch:
-		b, err := DecodeRowBatch(payload)
+		f, err := readBatchFrame(payload)
 		if err != nil {
 			return nil, err
 		}
-		if b.Seq != 0 || b.Cols == nil {
-			return nil, fmt.Errorf("wire: stream opened with batch seq %d (header %v)", b.Seq, b.Cols != nil)
+		if f.seq != 0 || f.cols == nil {
+			return nil, fmt.Errorf("wire: stream opened with batch seq %d (header %v)", f.seq, f.cols != nil)
 		}
 		s.streamed = true
-		s.name = b.Name
-		s.cols = b.Cols
-		s.pending = b.Rows
+		s.name = f.name
+		s.cols = f.cols
+		s.head = f
 		s.next = 1
 		return s, nil
 	case FrameError:
@@ -326,56 +423,97 @@ func (s *Stream) Columns() []Column { return s.cols }
 // the connection is desynchronized and should be closed. A *ServerError
 // (the query failed mid-stream) leaves the connection reusable.
 func (s *Stream) NextBatch() ([]Row, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
 	if len(s.pending) > 0 {
 		rows := s.pending
 		s.pending = nil
 		return rows, nil
+	}
+	for {
+		f, err := s.nextFrame()
+		if f == nil {
+			return nil, err
+		}
+		rows, err := f.rows()
+		if err != nil {
+			return nil, s.fail(err)
+		}
+		if len(rows) > 0 {
+			return rows, nil
+		}
+	}
+}
+
+// NextRaw is NextBatch for a caller that forwards rows: it returns the next
+// non-empty batch with its rows checked but left encoded, or (nil, nil) once
+// the stream is exhausted. Errors are NextBatch's; a result that came as one
+// Result frame (no server streams a plain SELECT that way) is one too.
+func (s *Stream) NextRaw() (*RawBatch, error) {
+	if len(s.pending) > 0 {
+		return nil, s.fail(fmt.Errorf("wire: rows sent as one Result frame, not as row batches"))
+	}
+	for {
+		f, err := s.nextFrame()
+		if f == nil {
+			return nil, err
+		}
+		b, err := f.raw()
+		if err != nil {
+			return nil, s.fail(err)
+		}
+		if b.Len() > 0 {
+			return b, nil
+		}
+	}
+}
+
+// nextFrame returns the stream's next RowBatch with its head read, or nil
+// once the stream is exhausted or has failed.
+func (s *Stream) nextFrame() (*batchFrame, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	if f := s.head; f != nil {
+		s.head = nil
+		return f, nil
 	}
 	if s.done || !s.streamed {
 		// A wrapped single-Result stream is exhausted once its rows are out.
 		s.done = true
 		return nil, nil
 	}
-	for {
-		if err := s.c.begin(); err != nil {
-			return nil, s.fail(err)
-		}
-		t, payload, err := ReadFrame(s.c.r)
+	if err := s.c.begin(); err != nil {
+		return nil, s.fail(err)
+	}
+	t, payload, err := ReadFrame(s.c.r)
+	if err != nil {
+		return nil, s.fail(err)
+	}
+	switch t {
+	case FrameRowBatch:
+		f, err := readBatchFrame(payload)
 		if err != nil {
 			return nil, s.fail(err)
 		}
-		switch t {
-		case FrameRowBatch:
-			b, err := DecodeRowBatch(payload)
-			if err != nil {
-				return nil, s.fail(err)
-			}
-			if b.Seq != s.next || b.Cols != nil {
-				return nil, s.fail(fmt.Errorf("wire: row batch seq %d (want %d, no header)", b.Seq, s.next))
-			}
-			s.next++
-			if len(b.Rows) > 0 {
-				return b.Rows, nil
-			}
-		case FrameResultEnd:
-			r, err := DecodeResultEnd(payload)
-			if err != nil {
-				return nil, s.fail(err)
-			}
-			s.res = r
-			s.done = true
-			return nil, nil
-		case FrameError:
-			// Clean protocol-level abort: don't poison the connection.
-			s.done = true
-			s.err = DecodeError(payload)
-			return nil, s.err
-		default:
-			return nil, s.fail(fmt.Errorf("wire: unexpected %v frame mid-stream", t))
+		if f.seq != s.next || f.cols != nil {
+			return nil, s.fail(fmt.Errorf("wire: row batch seq %d (want %d, no header)", f.seq, s.next))
 		}
+		s.next++
+		return f, nil
+	case FrameResultEnd:
+		r, err := DecodeResultEnd(payload)
+		if err != nil {
+			return nil, s.fail(err)
+		}
+		s.res = r
+		s.done = true
+		return nil, nil
+	case FrameError:
+		// Clean protocol-level abort: don't poison the connection.
+		s.done = true
+		s.err = DecodeError(payload)
+		return nil, s.err
+	default:
+		return nil, s.fail(fmt.Errorf("wire: unexpected %v frame mid-stream", t))
 	}
 }
 
