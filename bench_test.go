@@ -5,7 +5,6 @@
 package main_test
 
 import (
-	"fmt"
 	"testing"
 
 	"probdb/internal/bench"
@@ -29,35 +28,31 @@ func BenchmarkFig4AccuracyVsSampleSize(b *testing.B) {
 }
 
 // BenchmarkFig5DiscretizedPDFs regenerates Fig. 5 at one sweep point per
-// representation: cold range-query scans over heap files, at parallelism 1
-// (the original sequential loop) and 0 (one worker per CPU).
+// representation: cold range-query scans over heap files.
 func BenchmarkFig5DiscretizedPDFs(b *testing.B) {
 	for _, repr := range []bench.Repr{bench.ReprDiscrete25, bench.ReprHist5, bench.ReprSymbolic} {
-		for _, par := range []int{1, 0} {
-			b.Run(fmt.Sprintf("%s/par%d", repr, par), func(b *testing.B) {
-				cfg := bench.Fig5Config{
-					Sizes:       []int{20_000},
-					Reprs:       []bench.Repr{repr},
-					Queries:     1,
-					PoolPages:   16,
-					Threshold:   0.5,
-					Seed:        2,
-					Dir:         b.TempDir(),
-					Parallelism: par,
+		b.Run(string(repr), func(b *testing.B) {
+			cfg := bench.Fig5Config{
+				Sizes:     []int{20_000},
+				Reprs:     []bench.Repr{repr},
+				Queries:   1,
+				PoolPages: 16,
+				Threshold: 0.5,
+				Seed:      2,
+				Dir:       b.TempDir(),
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, err := bench.Fig5(cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rows, err := bench.Fig5(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						b.ReportMetric(float64(rows[0].PageReads), "pageReads")
-						b.ReportMetric(rows[0].BytesPerTuple, "B/tuple")
-					}
+				if i == 0 {
+					b.ReportMetric(float64(rows[0].PageReads), "pageReads")
+					b.ReportMetric(rows[0].BytesPerTuple, "B/tuple")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -37,8 +37,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for WAL + table heap snapshots (empty: in-memory only)")
 	ckptBytes := flag.Int64("checkpoint-bytes", 1<<20,
 		"checkpoint (fold the WAL into heap snapshots) when the log exceeds this many bytes; <0 disables auto-checkpointing")
-	parallelism := flag.Int("parallelism", 0,
-		"degree of parallelism inside each query's operators (0: one worker per CPU, 1: sequential)")
 	memBudget := flag.Int64("mem-budget", 0,
 		"server-wide memory budget in bytes for operator buffers, caches and snapshots (0: accounting off)")
 	sessionMem := flag.Int64("session-mem", 0, "per-connection memory cap in bytes (0: unlimited within -mem-budget)")
@@ -67,7 +65,6 @@ func main() {
 		QueryTimeout:    *queryTimeout,
 		DataDir:         *dataDir,
 		CheckpointBytes: *ckptBytes,
-		Parallelism:     *parallelism,
 		Logf:            log.Printf,
 		MemBudget:       *memBudget,
 		SessionMem:      *sessionMem,

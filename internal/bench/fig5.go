@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"probdb/internal/dist"
-	"probdb/internal/exec"
 	"probdb/internal/storage"
 	"probdb/internal/workload"
 )
@@ -55,10 +53,6 @@ type Fig5Config struct {
 	Threshold float64
 	Dir       string // working directory for page files ("" = temp)
 	Seed      int64
-	// Parallelism is the degree of parallelism for the per-record decode
-	// and mass evaluation during the scan (0 = one worker per CPU,
-	// 1 = the original sequential loop). The scan I/O stays sequential.
-	Parallelism int
 }
 
 // DefaultFig5 scales the paper's 0.5M–3M tuples down to laptop-friendly
@@ -161,21 +155,16 @@ func fig5One(cfg Fig5Config, dir string, n int, rp Repr) (Fig5Row, error) {
 			pool.ResetStats()
 			start := time.Now()
 			matches = 0
-			var err error
-			if par := exec.Resolve(cfg.Parallelism); par > 1 {
-				matches, err = scanParallel(heap, par, q, cfg.Threshold)
-			} else {
-				err = heap.Scan(func(_ storage.RID, rec []byte) error {
-					d, err := workload.DecodeReadingValue(rec)
-					if err != nil {
-						return err
-					}
-					if dist.MassInterval(d, q.Lo, q.Hi) >= cfg.Threshold {
-						matches++
-					}
-					return nil
-				})
-			}
+			err := heap.Scan(func(_ storage.RID, rec []byte) error {
+				d, err := workload.DecodeReadingValue(rec)
+				if err != nil {
+					return err
+				}
+				if dist.MassInterval(d, q.Lo, q.Hi) >= cfg.Threshold {
+					matches++
+				}
+				return nil
+			})
 			if err != nil {
 				return Fig5Row{}, err
 			}
@@ -199,53 +188,6 @@ func fig5One(cfg Fig5Config, dir string, n int, rp Repr) (Fig5Row, error) {
 		PageReads:     totalReads / uint64(nq),
 		Matches:       matches,
 	}, nil
-}
-
-// scanParallel is the morsel-parallel decode/evaluate path of fig5One: the
-// heap scan itself stays sequential (one reader per file), but records are
-// buffered in batches whose decode + mass-interval evaluation fan out over
-// the worker pool. Matches are summed, so the count equals the sequential
-// scan's exactly.
-func scanParallel(heap *storage.Heap, par int, q workload.RangeQuery, threshold float64) (int, error) {
-	const batchSize = 4096
-	matches := 0
-	recs := make([][]byte, 0, batchSize)
-	flush := func() error {
-		if len(recs) == 0 {
-			return nil
-		}
-		var nm int64
-		err := exec.For(par, len(recs), func(lo, hi int) error {
-			local := int64(0)
-			for i := lo; i < hi; i++ {
-				d, err := workload.DecodeReadingValue(recs[i])
-				if err != nil {
-					return err
-				}
-				if dist.MassInterval(d, q.Lo, q.Hi) >= threshold {
-					local++
-				}
-			}
-			atomic.AddInt64(&nm, local)
-			return nil
-		})
-		matches += int(nm)
-		recs = recs[:0]
-		return err
-	}
-	err := heap.Scan(func(_ storage.RID, rec []byte) error {
-		// The record slice aliases the page buffer, which the sequential
-		// scan may recycle before the batch evaluates; copy it out.
-		recs = append(recs, append([]byte(nil), rec...))
-		if len(recs) == batchSize {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return matches, err
-	}
-	return matches, flush()
 }
 
 // FormatFig5 renders rows as the table behind Fig. 5.

@@ -17,7 +17,7 @@ func startReplica(t *testing.T, dir, leaderAddr string) *server.Server {
 	t.Helper()
 	s, err := server.New(server.Config{
 		Addr: "127.0.0.1:0", DataDir: dir, ReplicaOf: leaderAddr,
-		ReplicaPoll: 5 * time.Millisecond, Parallelism: 1,
+		ReplicaPoll: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func newHarnessVia(t *testing.T, nshards int, route func(i int, addr string) str
 func startShard(t *testing.T, dir string) *server.Server {
 	t.Helper()
 	s, err := server.New(server.Config{
-		Addr: "127.0.0.1:0", DataDir: dir, ShipWAL: true, Parallelism: 1,
+		Addr: "127.0.0.1:0", DataDir: dir, ShipWAL: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -103,7 +103,7 @@ func startTestRouter(t testing.TB, addrs ...string) *Router {
 func TestRouterResultWrites(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		s, err := server.New(server.Config{Addr: "127.0.0.1:0", DataDir: t.TempDir(), Parallelism: 1})
+		s, err := server.New(server.Config{Addr: "127.0.0.1:0", DataDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}

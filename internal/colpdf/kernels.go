@@ -53,9 +53,8 @@ func (b *Block) MassVec(from, to int, out []float64) {
 }
 
 // RunRange returns the half-open run index range [r0, r1) overlapping the
-// tuple range [from, to) — the unit the morsel pool parallelizes over. The
-// first run is found by binary search: a morsel is a few rows of a block
-// that may hold a hundred short runs.
+// tuple range [from, to). The first run is found by binary search: a range
+// may be a few rows of a block that holds a hundred short runs.
 func (b *Block) RunRange(from, to int) (r0, r1 int) {
 	for hi := len(b.runs); r0 < hi; {
 		m := int(uint(r0+hi) >> 1)
@@ -73,17 +72,13 @@ func (b *Block) RunRange(from, to int) (r0, r1 int) {
 }
 
 // EvalIntervalRun evaluates one run's tuples restricted to [from, to),
-// writing Pr(X ∈ iv) into out[i-off] for tuple i. Disjoint runs write
-// disjoint out regions, so workers evaluate runs concurrently without
-// synchronization.
+// writing Pr(X ∈ iv) into out[i-off] for tuple i.
 func (b *Block) EvalIntervalRun(r, from, to int, iv region.Interval, out []float64, off int) {
 	b.evalRun(r, from, to, iv, math.Inf(-1), out, off)
 }
 
 // EvalInterval evaluates Pr(X ∈ iv) for every tuple in [from, to), writing
-// into out[i-off] for tuple i. Overlapping runs evaluate sequentially;
-// morsel workers hand each other disjoint [from, to) ranges, so the same
-// call serves both the serial and the parallel drivers.
+// into out[i-off] for tuple i, run by run.
 func (b *Block) EvalInterval(from, to int, iv region.Interval, out []float64, off int) {
 	b.EvalIntervalBounded(from, to, iv, math.Inf(-1), out, off)
 }

@@ -5,7 +5,6 @@ import (
 
 	"probdb/internal/colpdf"
 	"probdb/internal/dist"
-	"probdb/internal/exec"
 )
 
 // This file routes the filter kernels through the columnar batch
@@ -30,12 +29,12 @@ const colBatchSize = 256
 // them in one slice makes a new batch's slot one allocation.
 //
 // Rows are only ever appended to a slot's batch, so every table value that
-// shares the slot — the table, its Freeze and WithParallelism snapshots —
-// agrees on the batch's first n rows, and an encoding serves a batch exactly
-// when it covers len(batch) rows. DML keeps this true: store gives each new
-// batch a slot, Delete gives fresh slots from the batch of the first removed
-// row on, and Clone gives a partial last batch a fresh slot, since the
-// original and the clone may append different rows to it.
+// shares the slot — the table, its Freeze snapshots and their Renamed
+// views — agrees on the batch's first n rows, and an encoding serves a batch
+// exactly when it covers len(batch) rows. DML keeps this true: store gives
+// each new batch a slot, Delete gives fresh slots from the batch of the
+// first removed row on, and Clone gives a partial last batch a fresh slot,
+// since the original and the clone may append different rows to it.
 type encSlot []struct {
 	block atomic.Pointer[colpdf.Block]
 	lane  atomic.Pointer[colpdf.Lane]
@@ -171,24 +170,16 @@ func (s *kernelStats) report(name string) KernelReport {
 }
 
 // forColBatches splits [0, n) into colBatchSize-aligned batches and runs fn
-// over them on the morsel pool — the vectorized whole-table drivers' outer
-// loop. Alignment to colBatchSize lets those drivers and the executor's
-// scans share the batch slots regardless of parallelism.
-func forColBatches(par, n int, fn func(from, to int) error) error {
-	nb := (n + colBatchSize - 1) / colBatchSize
-	return exec.For(par, nb, func(lo, hi int) error {
-		for bi := lo; bi < hi; bi++ {
-			from := bi * colBatchSize
-			to := from + colBatchSize
-			if to > n {
-				to = n
-			}
-			if err := fn(from, to); err != nil {
-				return err
-			}
+// over them in order — the outer loop of RunSelection and RunProbSelection.
+// Alignment to colBatchSize lets those whole-table runs and the executor's
+// scans share the batch slots.
+func forColBatches(n int, fn func(from, to int) error) error {
+	for from := 0; from < n; from += colBatchSize {
+		if err := fn(from, min(from+colBatchSize, n)); err != nil {
+			return err
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // batchAt verifies that in is exactly t.tuples[at : at+len(in)] — the

@@ -101,7 +101,7 @@ func TestPipelinedDMLMidScanDifferential(t *testing.T) {
 			break
 		}
 		keep := make([]bool, len(batch))
-		if err := sel.KeepBatch(batch, 1, keep, make([]float64, len(batch))); err != nil {
+		if err := sel.KeepBatch(batch, keep, make([]float64, len(batch))); err != nil {
 			t.Fatal(err)
 		}
 		for i, tup := range batch {

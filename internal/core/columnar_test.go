@@ -60,19 +60,18 @@ func mixedColTable(t testing.TB, n int) *Table {
 	return tbl
 }
 
-// diffRun evaluates f twice — vectorized and scalar reference — at the given
-// parallelism and requires identical outcomes: same error (by message), and
-// for tables the exact same kept length.
-func diffRun(t *testing.T, tbl *Table, par int, f func() (*Table, error)) (vec, scalar *Table) {
+// diffRun evaluates f twice — vectorized and scalar reference — and requires
+// identical outcomes: same error (by message), and for tables the exact same
+// kept length.
+func diffRun(t *testing.T, f func() (*Table, error)) (vec, scalar *Table) {
 	t.Helper()
-	tbl.SetParallelism(par)
 	SetVectorizedKernels(true)
 	vec, vecErr := f()
 	SetVectorizedKernels(false)
 	scalar, scErr := f()
 	SetVectorizedKernels(true)
 	if (vecErr == nil) != (scErr == nil) || (vecErr != nil && vecErr.Error() != scErr.Error()) {
-		t.Fatalf("par %d: vec err %v, scalar err %v", par, vecErr, scErr)
+		t.Fatalf("vec err %v, scalar err %v", vecErr, scErr)
 	}
 	return vec, scalar
 }
@@ -133,34 +132,32 @@ func TestPassThroughSharesTuples(t *testing.T) {
 	for _, tup := range tbl.tuples {
 		base[tup] = true
 	}
-	for _, par := range []int{1, 8} {
-		vec, scalar := diffRun(t, tbl, par, func() (*Table, error) {
-			return tbl.Select(Cmp(Col("id"), region.GE, LitI(57)), Cmp(LitI(489), region.GT, Col("id")))
-		})
-		sameKeptTuples(t, "σ(id)", vec, scalar)
-		sameKeptTuples(t, "σ(id) vs base", vec, &Table{tuples: tbl.tuples[57:489]})
+	vec, scalar := diffRun(t, func() (*Table, error) {
+		return tbl.Select(Cmp(Col("id"), region.GE, LitI(57)), Cmp(LitI(489), region.GT, Col("id")))
+	})
+	sameKeptTuples(t, "σ(id)", vec, scalar)
+	sameKeptTuples(t, "σ(id) vs base", vec, &Table{tuples: tbl.tuples[57:489]})
 
-		sub := tbl.View("sub", tbl.tuples[100:300])
-		vec, scalar = diffRun(t, sub, par, func() (*Table, error) {
-			return sub.Select(Cmp(Col("id"), region.LT, LitI(200)))
-		})
-		sameKeptTuples(t, "σ(sub)", vec, scalar)
-		sameKeptTuples(t, "σ(sub) vs base", vec, &Table{tuples: tbl.tuples[100:200]})
+	sub := tbl.View("sub", tbl.tuples[100:300])
+	vec, scalar = diffRun(t, func() (*Table, error) {
+		return sub.Select(Cmp(Col("id"), region.LT, LitI(200)))
+	})
+	sameKeptTuples(t, "σ(sub)", vec, scalar)
+	sameKeptTuples(t, "σ(sub) vs base", vec, &Table{tuples: tbl.tuples[100:200]})
 
-		vec, scalar = diffRun(t, tbl, par, func() (*Table, error) {
-			return tbl.Select(Cmp(Col("id"), region.LT, LitI(300)), Cmp(Col("x"), region.LT, LitF(6)))
-		})
-		if vec.Render() != scalar.Render() {
-			t.Fatalf("par %d: floored selection differs between the vectorized and scalar paths", par)
+	vec, scalar = diffRun(t, func() (*Table, error) {
+		return tbl.Select(Cmp(Col("id"), region.LT, LitI(300)), Cmp(Col("x"), region.LT, LitF(6)))
+	})
+	if vec.Render() != scalar.Render() {
+		t.Fatal("floored selection differs between the vectorized and scalar paths")
+	}
+	for _, out := range []*Table{vec, scalar} {
+		if len(out.tuples) == 0 {
+			t.Fatal("the floored selection kept nothing")
 		}
-		for _, out := range []*Table{vec, scalar} {
-			if len(out.tuples) == 0 {
-				t.Fatal("the floored selection kept nothing")
-			}
-			for i, tup := range out.tuples {
-				if base[tup] {
-					t.Fatalf("par %d: floored tuple %d is a base-table tuple", par, i)
-				}
+		for i, tup := range out.tuples {
+			if base[tup] {
+				t.Fatalf("floored tuple %d is a base-table tuple", i)
 			}
 		}
 	}
@@ -171,14 +168,12 @@ func TestPassThroughSharesTuples(t *testing.T) {
 
 func TestSelectDifferential(t *testing.T) {
 	tbl := mixedColTable(t, 600)
-	for _, par := range []int{1, 8} {
-		vec, scalar := diffRun(t, tbl, par, func() (*Table, error) {
-			return tbl.Select(Cmp(Col("id"), region.GE, LitI(57)), Cmp(Col("id"), region.LT, LitI(489)))
-		})
-		sameBuiltTuples(t, "σ(id)", vec, scalar)
-		if len(vec.tuples) != 489-57 {
-			t.Fatalf("kept %d, want %d", len(vec.tuples), 489-57)
-		}
+	vec, scalar := diffRun(t, func() (*Table, error) {
+		return tbl.Select(Cmp(Col("id"), region.GE, LitI(57)), Cmp(Col("id"), region.LT, LitI(489)))
+	})
+	sameBuiltTuples(t, "σ(id)", vec, scalar)
+	if len(vec.tuples) != 489-57 {
+		t.Fatalf("kept %d, want %d", len(vec.tuples), 489-57)
 	}
 }
 
@@ -193,15 +188,13 @@ func TestProbSelectDifferential(t *testing.T) {
 		{region.LT, 1},
 		{region.LE, 0.25},
 	}
-	for _, par := range []int{1, 8} {
-		for _, c := range cases {
-			vec, scalar := diffRun(t, tbl, par, func() (*Table, error) {
-				return tbl.SelectWhereProb([]string{"x"}, c.op, c.p)
-			})
-			sameKeptTuples(t, "σPr", vec, scalar)
-			if c.op == region.LT && c.p == 1 && len(vec.tuples) == 0 {
-				t.Fatal("floored rows should have mass < 1")
-			}
+	for _, c := range cases {
+		vec, scalar := diffRun(t, func() (*Table, error) {
+			return tbl.SelectWhereProb([]string{"x"}, c.op, c.p)
+		})
+		sameKeptTuples(t, "σPr", vec, scalar)
+		if c.op == region.LT && c.p == 1 && len(vec.tuples) == 0 {
+			t.Fatal("floored rows should have mass < 1")
 		}
 	}
 }
@@ -220,13 +213,11 @@ func TestRangeThresholdDifferential(t *testing.T) {
 		{18, inf, region.GE, 0.1},
 		{7, 2, region.LE, 0}, // reversed interval: Pr = 0 everywhere
 	}
-	for _, par := range []int{1, 8} {
-		for _, c := range cases {
-			vec, scalar := diffRun(t, tbl, par, func() (*Table, error) {
-				return tbl.SelectRangeThreshold("x", c.lo, c.hi, c.op, c.p)
-			})
-			sameKeptTuples(t, "σPr∈", vec, scalar)
-		}
+	for _, c := range cases {
+		vec, scalar := diffRun(t, func() (*Table, error) {
+			return tbl.SelectRangeThreshold("x", c.lo, c.hi, c.op, c.p)
+		})
+		sameKeptTuples(t, "σPr∈", vec, scalar)
 	}
 }
 
@@ -236,13 +227,13 @@ func TestRangeThresholdDifferential(t *testing.T) {
 // reproduced verbatim.
 func TestResolveErrorDifferential(t *testing.T) {
 	tbl := mixedColTable(t, 8)
-	diffRun(t, tbl, 1, func() (*Table, error) {
+	diffRun(t, func() (*Table, error) {
 		return tbl.SelectWhereProb([]string{"nope"}, region.GT, 0.5)
 	})
-	diffRun(t, tbl, 1, func() (*Table, error) {
+	diffRun(t, func() (*Table, error) {
 		return tbl.SelectRangeThreshold("id", 0, 1, region.GT, 0.5)
 	})
-	diffRun(t, tbl, 1, func() (*Table, error) {
+	diffRun(t, func() (*Table, error) {
 		return tbl.SelectRangeThreshold("zz", 0, 1, region.GT, 0.5)
 	})
 }
@@ -259,16 +250,14 @@ func TestDerivedTableDifferential(t *testing.T) {
 	if der.enc != nil {
 		t.Fatalf("derived table has %d batch slots", len(der.enc))
 	}
-	for _, par := range []int{1, 8} {
-		vec, scalar := diffRun(t, der, par, func() (*Table, error) {
-			return der.SelectWhereProb([]string{"x"}, region.GT, 0.3)
-		})
-		sameKeptTuples(t, "derived σPr", vec, scalar)
-		vec, scalar = diffRun(t, der, par, func() (*Table, error) {
-			return der.SelectRangeThreshold("x", 1, 6, region.GE, 0.2)
-		})
-		sameKeptTuples(t, "derived σPr∈", vec, scalar)
-	}
+	vec, scalar := diffRun(t, func() (*Table, error) {
+		return der.SelectWhereProb([]string{"x"}, region.GT, 0.3)
+	})
+	sameKeptTuples(t, "derived σPr", vec, scalar)
+	vec, scalar = diffRun(t, func() (*Table, error) {
+		return der.SelectRangeThreshold("x", 1, 6, region.GE, 0.2)
+	})
+	sameKeptTuples(t, "derived σPr∈", vec, scalar)
 }
 
 // TestJointMarginalDifferential: a multi-attribute dependency set evaluates
@@ -296,12 +285,10 @@ func TestJointMarginalDifferential(t *testing.T) {
 		}
 	}
 	for _, attr := range []string{"x", "y"} {
-		for _, par := range []int{1, 8} {
-			vec, scalar := diffRun(t, tbl, par, func() (*Table, error) {
-				return tbl.SelectRangeThreshold(attr, 2, 7, region.GE, 0.4)
-			})
-			sameKeptTuples(t, "joint "+attr, vec, scalar)
-		}
+		vec, scalar := diffRun(t, func() (*Table, error) {
+			return tbl.SelectRangeThreshold(attr, 2, 7, region.GE, 0.4)
+		})
+		sameKeptTuples(t, "joint "+attr, vec, scalar)
 	}
 }
 
@@ -312,7 +299,7 @@ func TestDMLInvalidationDifferential(t *testing.T) {
 	tbl := mixedColTable(t, 300)
 	q := func() (*Table, error) { return tbl.SelectRangeThreshold("x", 2, 9, region.GE, 0.3) }
 
-	vec, scalar := diffRun(t, tbl, 4, q)
+	vec, scalar := diffRun(t, q)
 	sameKeptTuples(t, "pre-DML", vec, scalar)
 	if tbl.EncodedBytes() == 0 {
 		t.Fatal("vectorized run did not encode the table's batches")
@@ -333,7 +320,7 @@ func TestDMLInvalidationDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vec, scalar = diffRun(t, tbl, 4, q)
+	vec, scalar = diffRun(t, q)
 	sameKeptTuples(t, "post-DML", vec, scalar)
 }
 
@@ -343,11 +330,11 @@ func TestDMLInvalidationDifferential(t *testing.T) {
 func TestFallbackBoundaryDifferential(t *testing.T) {
 	for _, n := range []int{1, 7, 255, 256, 257, 511, 513} {
 		tbl := mixedColTable(t, n)
-		vec, scalar := diffRun(t, tbl, 8, func() (*Table, error) {
+		vec, scalar := diffRun(t, func() (*Table, error) {
 			return tbl.SelectRangeThreshold("x", 1, 8, region.GT, 0.2)
 		})
 		sameKeptTuples(t, "boundary", vec, scalar)
-		vec, scalar = diffRun(t, tbl, 8, func() (*Table, error) {
+		vec, scalar = diffRun(t, func() (*Table, error) {
 			return tbl.SelectWhereProb([]string{"x"}, region.LE, 0.95)
 		})
 		sameKeptTuples(t, "boundary mass", vec, scalar)

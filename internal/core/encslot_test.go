@@ -57,17 +57,15 @@ func TestDivergentAppendDifferential(t *testing.T) {
 	ov := base.Clone()
 	tables := []*Table{base, snap, ov}
 	for round := 0; round < 5; round++ {
-		for _, par := range []int{1, 4} {
-			for k := range tables {
-				// Alternate which table reads first, so each builds into a
-				// slot the others may read next.
-				tbl := tables[(k+round)%len(tables)]
-				for name, q := range slotQueries(tbl) {
-					vec, scalar := diffRun(t, tbl, par, q)
-					label := fmt.Sprintf("round %d par %d table %d %s", round, par, (k+round)%len(tables), name)
-					if err := sameRows(vec, scalar); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
+		for k := range tables {
+			// Alternate which table reads first, so each builds into a
+			// slot the others may read next.
+			tbl := tables[(k+round)%len(tables)]
+			for name, q := range slotQueries(tbl) {
+				vec, scalar := diffRun(t, q)
+				label := fmt.Sprintf("round %d table %d %s", round, (k+round)%len(tables), name)
+				if err := sameRows(vec, scalar); err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
 			}
 		}
@@ -89,7 +87,7 @@ func TestSlotSurvivalDifferential(t *testing.T) {
 	misses := func(label string, tbl *Table, want uint64) {
 		t.Helper()
 		_, before := tbl.reg.colenc.Counters()
-		vec, scalar := diffRun(t, tbl, 4, func() (*Table, error) {
+		vec, scalar := diffRun(t, func() (*Table, error) {
 			return tbl.SelectRangeThreshold("x", 2, 9, region.GE, 0.3)
 		})
 		sameKeptTuples(t, label, vec, scalar)
@@ -153,7 +151,7 @@ func TestSharedSlotStressDifferential(t *testing.T) {
 				default:
 				}
 				mu.Lock()
-				tbl := base.WithParallelism(1 + w%2)
+				tbl := base.Freeze()
 				if w%2 == 1 {
 					tbl = base.Clone()
 				}

@@ -128,7 +128,6 @@ func (t *Table) PlanSelect(atoms ...Atom) (*Selection, error) {
 		ids:          t.ids,
 		reg:          t.reg,
 		trackHistory: t.trackHistory,
-		par:          t.par,
 	}
 	oldToNew := make([]int, len(t.deps))
 	for si, d := range t.deps {
@@ -278,36 +277,43 @@ func (s *Selection) MassesFirst() bool { return VectorizedKernels() && s.filters
 // EvalBatch evaluates one streamed batch, writing the produced tuple (or
 // nil for a filtered one) into slots[i] for in[i]. p is the caller's
 // scratch, reused across batches.
-func (s *Selection) EvalBatch(in []*Tuple, par int, p *Pending, slots []*Tuple) error {
-	return s.evalBatchAt(in, s.in.slotOf(&s.cursor, in), par, p, slots)
+func (s *Selection) EvalBatch(in []*Tuple, p *Pending, slots []*Tuple) error {
+	return s.evalBatchAt(in, s.in.slotOf(&s.cursor, in), p, slots)
 }
 
 // evalBatchAt is the batch body shared by EvalBatch and the whole-table
 // driver RunSelection, which passes the batch's slot explicitly (nil: no
 // slot, encode scratch): pending masses, then the survivors built, or Eval
 // per tuple when the masses cannot come first.
-func (s *Selection) evalBatchAt(in []*Tuple, slot encSlot, par int, p *Pending, slots []*Tuple) error {
-	n := len(in)
-	if n == 0 {
+func (s *Selection) evalBatchAt(in []*Tuple, slot encSlot, p *Pending, slots []*Tuple) error {
+	if len(in) == 0 {
 		return nil
 	}
 	if !s.MassesFirst() {
-		s.stats.scalar.Add(uint64(n))
-		return exec.For(par, n, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				nt, err := s.Eval(in[i])
-				if err != nil {
-					return err
-				}
-				slots[i] = nt
-			}
-			return nil
-		})
+		return s.evalTuples(in, slots)
 	}
-	if err := s.evalPendingAt(in, slot, par, p); err != nil {
+	if err := s.evalPendingAt(in, slot, p); err != nil {
 		return err
 	}
-	return s.build(in, p, par, slots)
+	return s.build(in, p, slots)
+}
+
+// evalTuples runs Eval over every tuple of in into slots[i] — the path of a
+// selection that is not MassesFirst, such as a join's cross-attribute floor.
+// Each row builds its floored or merged pdfs, the work a second core pays
+// for, so the loop runs in morsels.
+func (s *Selection) evalTuples(in []*Tuple, slots []*Tuple) error {
+	s.stats.scalar.Add(uint64(len(in)))
+	return exec.For(len(in), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			nt, err := s.Eval(in[i])
+			if err != nil {
+				return err
+			}
+			slots[i] = nt
+		}
+		return nil
+	})
 }
 
 // probKind distinguishes the two probability-value selections: a tuple
@@ -450,30 +456,20 @@ func (p *ProbSelection) Report() KernelReport { return p.stats.report(p.out.Name
 // batches arrive in table order, so a sequential cursor locates their slots
 // in the input table; a batch that is not a verified slice of a base table
 // still vectorizes, with a scratch encoding.
-func (p *ProbSelection) KeepBatch(in []*Tuple, par int, keep []bool, vals []float64) error {
-	return p.keepBatchAt(in, p.in.slotOf(&p.cursor, in), par, keep, vals)
+func (p *ProbSelection) KeepBatch(in []*Tuple, keep []bool, vals []float64) error {
+	return p.keepBatchAt(in, p.in.slotOf(&p.cursor, in), keep, vals)
 }
 
 // keepBatchAt is the batch body shared by KeepBatch and the whole-table
 // driver RunProbSelection, which passes the batch's slot explicitly (nil:
 // no slot, evaluate with a scratch encoding).
-func (p *ProbSelection) keepBatchAt(in []*Tuple, slot encSlot, par int, keep []bool, vals []float64) error {
+func (p *ProbSelection) keepBatchAt(in []*Tuple, slot encSlot, keep []bool, vals []float64) error {
 	n := len(in)
 	if n == 0 {
 		return nil
 	}
 	if !VectorizedKernels() || p.resolveErr != nil {
-		p.stats.scalar.Add(uint64(n))
-		return exec.For(par, n, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				k, err := p.Keep(in[i])
-				if err != nil {
-					return err
-				}
-				keep[i] = k
-			}
-			return nil
-		})
+		return p.keepTuples(in, keep)
 	}
 	vals = vals[:n]
 	if p.kind == probMass {
@@ -493,17 +489,26 @@ func (p *ProbSelection) keepBatchAt(in []*Tuple, slot encSlot, par int, keep []b
 		}
 	} else {
 		b := p.in.colBlockFor(p.dep, p.dim, slot, in)
-		iv := region.Closed(p.lo, p.hi)
-		if err := exec.For(par, n, func(lo, hi int) error {
-			b.EvalIntervalBounded(lo, hi, iv, p.z, vals[lo:hi], lo)
-			return nil
-		}); err != nil {
-			return err
-		}
+		b.EvalIntervalBounded(0, n, region.Closed(p.lo, p.hi), p.z, vals, 0)
 		p.stats.note(b.StatsIn(0, n), false)
 	}
 	for i := 0; i < n; i++ {
 		keep[i] = p.op.Eval(vals[i], p.p)
+	}
+	return nil
+}
+
+// keepTuples decides every tuple of in through Keep: the scalar reference,
+// and the path of a threshold that does not resolve, whose error Keep
+// reports per tuple. It runs inline, like the vectorized loop.
+func (p *ProbSelection) keepTuples(in []*Tuple, keep []bool) error {
+	p.stats.scalar.Add(uint64(len(in)))
+	for i, tup := range in {
+		k, err := p.Keep(tup)
+		if err != nil {
+			return err
+		}
+		keep[i] = k
 	}
 	return nil
 }
@@ -544,7 +549,6 @@ func (t *Table) PlanProject(names ...string) (*Projection, error) {
 		ids:          ids,
 		reg:          t.reg,
 		trackHistory: t.trackHistory,
-		par:          t.par,
 	}
 	if !t.trackHistory {
 		p.marg = make([][]int, len(t.deps))
@@ -686,7 +690,6 @@ func (t *Table) PlanCross(o *Table) (*CrossKernel, error) {
 		ids:          append(append([]AttrID(nil), t.ids...), oIDs...),
 		reg:          t.reg,
 		trackHistory: t.trackHistory && o.trackHistory,
-		par:          t.par,
 	}
 	out.deps = append(append([]*depSet(nil), t.deps...), o.deps...)
 	return &CrossKernel{out: out}, nil

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"probdb/internal/dist"
-	"probdb/internal/exec"
 	"probdb/internal/region"
 )
 
@@ -42,28 +41,20 @@ func (t *Table) RunSelection(sel *Selection) (*Table, error) {
 	var err error
 	out := sel.Out()
 
-	// Morsel-parallel evaluation into index-aligned slots, then in-order
-	// assembly of the survivors: parallel output is byte-identical to
-	// sequential output (same tuples, same floats, same order). The
-	// pending-mass driver morsels over encoding-aligned batches so workers
-	// read the table's batch slots; the scalar reference walks tuples.
+	// Evaluation into index-aligned slots, then in-order assembly of the
+	// survivors: the morsel loops inside (pdf floors and builds, per-tuple
+	// Eval) fill disjoint slots, so the output is the same tuples, floats
+	// and order on any number of processors. The pending-mass path walks
+	// encoding-aligned batches so it reads the table's batch slots; the
+	// scalar reference walks tuples.
 	slots := make([]*Tuple, len(t.tuples))
 	if sel.MassesFirst() {
-		err = forColBatches(t.par, len(t.tuples), func(from, to int) error {
-			return sel.evalBatchAt(t.tuples[from:to], t.slotAt(from, to-from), 1, &Pending{}, slots[from:to])
+		var p Pending
+		err = forColBatches(len(t.tuples), func(from, to int) error {
+			return sel.evalBatchAt(t.tuples[from:to], t.slotAt(from, to-from), &p, slots[from:to])
 		})
 	} else {
-		sel.stats.scalar.Add(uint64(len(t.tuples)))
-		err = exec.For(t.par, len(t.tuples), func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				nt, serr := sel.Eval(t.tuples[i])
-				if serr != nil {
-					return serr
-				}
-				slots[i] = nt
-			}
-			return nil
-		})
+		err = sel.evalTuples(t.tuples, slots)
 	}
 	if err != nil {
 		return nil, err
@@ -205,20 +196,15 @@ func (t *Table) CrossProduct(o *Table) (*Table, error) {
 		return nil, err
 	}
 	out := k.Out()
-	// Pair materialization is morsel-parallel over the left tuples; the
-	// (i, j) slot layout reproduces the sequential nested-loop order.
-	na, nb := len(t.tuples), len(o.tuples)
-	if na > 0 && nb > 0 {
-		pairs := make([]*Tuple, na*nb)
-		_ = exec.For(t.par, na, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				a := t.tuples[i]
-				for j, b := range o.tuples {
-					pairs[i*nb+j] = k.Pair(a, b)
-				}
+	// Pairs come out in the nested-loop order: left tuples in order, each
+	// paired with the right tuples in order.
+	if len(t.tuples) > 0 && len(o.tuples) > 0 {
+		pairs := make([]*Tuple, 0, len(t.tuples)*len(o.tuples))
+		for _, a := range t.tuples {
+			for _, b := range o.tuples {
+				pairs = append(pairs, k.Pair(a, b))
 			}
-			return nil
-		})
+		}
 		out.tuples = pairs
 	}
 	return out, nil
@@ -241,7 +227,7 @@ func (t *Table) Join(o *Table, atoms ...Atom) (*Table, error) {
 // Renamed returns a table with columns renamed per mapping (old name → new
 // name). Attribute identities are preserved, so histories keep working
 // across the rename. It is a read-only view sharing the receiver's tuples,
-// registry and batch encodings, like WithParallelism.
+// registry and batch encodings, like Freeze.
 func (t *Table) Renamed(mapping map[string]string) (*Table, error) {
 	cols := append([]Column(nil), t.schema.Columns()...)
 	for i, c := range cols {
@@ -311,28 +297,18 @@ func (t *Table) SelectWhereProb(attrs []string, op region.Op, p float64) (*Table
 }
 
 // RunProbSelection applies a compiled probability-threshold selection over
-// the whole table: morsel-parallel keep/drop decisions, in-order assembly.
+// the whole table: keep/drop decisions batch by batch, in-order assembly.
 func (t *Table) RunProbSelection(sel *ProbSelection) (*Table, error) {
 	out := sel.Out()
 	keep := make([]bool, len(t.tuples))
 	var err error
 	if VectorizedKernels() && sel.resolveErr == nil {
 		vals := make([]float64, len(t.tuples))
-		err = forColBatches(t.par, len(t.tuples), func(from, to int) error {
-			return sel.keepBatchAt(t.tuples[from:to], t.slotAt(from, to-from), 1, keep[from:to], vals[from:to])
+		err = forColBatches(len(t.tuples), func(from, to int) error {
+			return sel.keepBatchAt(t.tuples[from:to], t.slotAt(from, to-from), keep[from:to], vals[from:to])
 		})
 	} else {
-		sel.stats.scalar.Add(uint64(len(t.tuples)))
-		err = exec.For(t.par, len(t.tuples), func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				k, err := sel.Keep(t.tuples[i])
-				if err != nil {
-					return err
-				}
-				keep[i] = k
-			}
-			return nil
-		})
+		err = sel.keepTuples(t.tuples, keep)
 	}
 	if err != nil {
 		return nil, err

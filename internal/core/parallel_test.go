@@ -3,16 +3,18 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"probdb/internal/dist"
 	"probdb/internal/region"
 )
 
-// randomKeyedTable is randomMixedTable with a caller-controlled name and
-// registry, so two tables can be crossed/joined (cross ops require a shared
-// registry).
-func randomKeyedTable(r *rand.Rand, name string, reg *Registry) *Table {
+// randomKeyedTable is randomMixedTable with a caller-controlled name,
+// registry and row count, so two tables can be crossed/joined (cross ops
+// require a shared registry) and a table can be large enough for the
+// kernels' morsel loops to fan out.
+func randomKeyedTable(r *rand.Rand, name string, reg *Registry, n int) *Table {
 	schema := MustSchema(
 		Column{Name: "k", Type: IntType},
 		Column{Name: "x", Type: FloatType, Uncertain: true},
@@ -20,7 +22,6 @@ func randomKeyedTable(r *rand.Rand, name string, reg *Registry) *Table {
 		Column{Name: "b", Type: IntType, Uncertain: true},
 	)
 	tbl := MustTable(name, schema, [][]string{{"a", "b"}}, reg)
-	n := 1 + r.Intn(4)
 	for i := 0; i < n; i++ {
 		np := 1 + r.Intn(3)
 		pts := make([]dist.Point, np)
@@ -69,120 +70,69 @@ func assertTablesIdentical(t *testing.T, seq, par *Table) {
 	}
 }
 
-// TestParallelSelectDifferential: Select at parallelism 8 is byte-identical
-// to parallelism 1 across the property-test corpus.
+// procsIdentical runs f at GOMAXPROCS 1 and 8 — the kernels' morsel loops
+// run inline at 1 and fan out at 8 — and demands byte-identical results.
+func procsIdentical(t *testing.T, f func() (*Table, error)) {
+	t.Helper()
+	at := func(procs int) *Table {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out, err := f()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	seq := at(1)
+	assertTablesIdentical(t, seq, at(8))
+}
+
+// TestParallelSelectDifferential: Select at GOMAXPROCS 8 is byte-identical
+// to GOMAXPROCS 1, over tables of up to 300 rows (a few 256-row batches,
+// well past the morsel loops' sequential threshold).
 func TestParallelSelectDifferential(t *testing.T) {
-	r := rand.New(rand.NewSource(201)) // the properties_test.go corpus seed
+	r := rand.New(rand.NewSource(201))
 	for trial := 0; trial < 60; trial++ {
-		tbl := randomMixedTable(r)
+		tbl := randomKeyedTable(r, "R", nil, 1+r.Intn(300))
 		atoms := []Atom{randomAtom(r)}
 		if r.Intn(2) == 0 {
 			atoms = append(atoms, randomAtom(r))
 		}
-		seq, err := tbl.WithParallelism(1).Select(atoms...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := tbl.WithParallelism(8).Select(atoms...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTablesIdentical(t, seq, par)
+		procsIdentical(t, func() (*Table, error) { return tbl.Select(atoms...) })
 	}
 }
 
 // TestParallelJoinDifferential: Join and EquiJoin (hash pairing, merge,
-// cross-attribute floors) at parallelism 8 equal parallelism 1.
+// cross-attribute floors, which take the per-tuple Eval morsel loop) at
+// GOMAXPROCS 8 equal GOMAXPROCS 1.
 func TestParallelJoinDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 25; trial++ {
 		reg := NewRegistry()
-		la, err := randomKeyedTable(r, "L", reg).Prefixed("l.")
+		la, err := randomKeyedTable(r, "L", reg, 1+r.Intn(60)).Prefixed("l.")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := randomKeyedTable(r, "R", reg).Prefixed("r.")
+		rb, err := randomKeyedTable(r, "R", reg, 1+r.Intn(60)).Prefixed("r.")
 		if err != nil {
 			t.Fatal(err)
 		}
 		atom := Cmp(Col("l.x"), region.LT, Col("r.x"))
-
-		seq, err := la.WithParallelism(1).EquiJoin(rb, "l.k", "r.k", atom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := la.WithParallelism(8).EquiJoin(rb, "l.k", "r.k", atom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTablesIdentical(t, seq, par)
-
-		seqJ, err := la.WithParallelism(1).Join(rb, Cmp(Col("l.k"), region.EQ, Col("r.k")), atom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parJ, err := la.WithParallelism(8).Join(rb, Cmp(Col("l.k"), region.EQ, Col("r.k")), atom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTablesIdentical(t, seqJ, parJ)
-	}
-}
-
-// TestParallelCrossProductDifferential: pair order of the parallel
-// materialization matches the sequential nested loop.
-func TestParallelCrossProductDifferential(t *testing.T) {
-	r := rand.New(rand.NewSource(203))
-	for trial := 0; trial < 25; trial++ {
-		reg := NewRegistry()
-		la, err := randomKeyedTable(r, "L", reg).Prefixed("l.")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := randomKeyedTable(r, "R", reg).Prefixed("r.")
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := la.WithParallelism(1).CrossProduct(rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := la.WithParallelism(8).CrossProduct(rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTablesIdentical(t, seq, par)
+		procsIdentical(t, func() (*Table, error) { return la.EquiJoin(rb, "l.k", "r.k", atom) })
+		procsIdentical(t, func() (*Table, error) { return la.Join(rb, Cmp(Col("l.k"), region.EQ, Col("r.k")), atom) })
 	}
 }
 
 // TestParallelThresholdDifferential: the probability-value selections
-// (§III-E) are identical across parallelism.
+// (§III-E) are identical at GOMAXPROCS 1 and 8.
 func TestParallelThresholdDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(204))
 	for trial := 0; trial < 40; trial++ {
-		tbl := randomMixedTable(r)
+		tbl := randomKeyedTable(r, "R", nil, 1+r.Intn(300))
 		lo := r.Float64() * 50
 		hi := lo + r.Float64()*50
 		p := r.Float64()
-
-		seq, err := tbl.WithParallelism(1).SelectRangeThreshold("x", lo, hi, region.GE, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := tbl.WithParallelism(8).SelectRangeThreshold("x", lo, hi, region.GE, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTablesIdentical(t, seq, par)
-
-		seqP, err := tbl.WithParallelism(1).SelectWhereProb([]string{"a"}, region.LE, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parP, err := tbl.WithParallelism(8).SelectWhereProb([]string{"a"}, region.LE, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTablesIdentical(t, seqP, parP)
+		procsIdentical(t, func() (*Table, error) { return tbl.SelectRangeThreshold("x", lo, hi, region.GE, p) })
+		procsIdentical(t, func() (*Table, error) { return tbl.SelectWhereProb([]string{"a"}, region.LE, p) })
 	}
 }

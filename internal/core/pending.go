@@ -71,8 +71,8 @@ func (p *Pending) reset(n, deps int) {
 
 // EvalPending evaluates one streamed batch to pending masses into p. The
 // selection must be MassesFirst.
-func (s *Selection) EvalPending(in []*Tuple, par int, p *Pending) error {
-	return s.evalPendingAt(in, s.in.slotOf(&s.cursor, in), par, p)
+func (s *Selection) EvalPending(in []*Tuple, p *Pending) error {
+	return s.evalPendingAt(in, s.in.slotOf(&s.cursor, in), p)
 }
 
 // evalPendingAt evaluates a batch of the input table whose slot is slot
@@ -90,7 +90,7 @@ func (s *Selection) EvalPending(in []*Tuple, par int, p *Pending) error {
 // floor. A row survives when it passes the certain
 // filters and every set keeps positive mass, exactly when Eval returns a
 // tuple.
-func (s *Selection) evalPendingAt(in []*Tuple, slot encSlot, par int, p *Pending) error {
+func (s *Selection) evalPendingAt(in []*Tuple, slot encSlot, p *Pending) error {
 	n := len(in)
 	t := s.in
 	p.reset(n, len(t.deps))
@@ -141,14 +141,14 @@ func (s *Selection) evalPendingAt(in []*Tuple, slot encSlot, par int, p *Pending
 					p.keptRows(run.Start, run.Start+run.N)
 				}
 			}
-			if err := s.floorMasses(in, p, di, par); err != nil {
+			if err := s.floorMasses(in, p, di); err != nil {
 				return err
 			}
 			rs := b.StatsIn(0, n)
 			s.stats.note(colpdf.RangeStats{Vec: n - len(p.rows), Fallback: len(p.rows), Runs: rs.Runs, FamMask: rs.FamMask}, false)
 		default:
 			p.keptRows(0, n)
-			if err := s.floorMasses(in, p, di, par); err != nil {
+			if err := s.floorMasses(in, p, di); err != nil {
 				return err
 			}
 			s.stats.scalar.Add(uint64(n))
@@ -230,15 +230,16 @@ func (p *Pending) keptRows(lo, hi int) {
 
 // floorMasses fills the pending mass of set di for the rows p.rows lists,
 // through dist.FloorMass: the set's floors but the last are built (as Eval
-// builds them, in written order), the last is not.
-func (s *Selection) floorMasses(in []*Tuple, p *Pending, di, par int) error {
+// builds them, in written order), the last is not. Each row floors a pdf,
+// so the loop runs in morsels; every row writes only its own mass.
+func (s *Selection) floorMasses(in []*Tuple, p *Pending, di int) error {
 	fl := s.depFloors[di]
 	last := s.floors[fl[len(fl)-1]]
 	m, rows := p.mass[di], p.rows
 	if len(rows) == 0 {
 		return nil
 	}
-	return exec.For(par, len(rows), func(a, b int) error {
+	return exec.For(len(rows), func(a, b int) error {
 		for _, i := range rows[a:b] {
 			d := in[i].nodes[di].Dist
 			for _, fi := range fl[:len(fl)-1] {
@@ -258,8 +259,9 @@ func (s *Selection) floorMasses(in []*Tuple, p *Pending, di, par int) error {
 // per batch (their tuples, node pointers and floored nodes), so a batch costs
 // three allocations plus one floored pdf per floored set per survivor. A
 // slab lives as long as any of its rows: operators that keep a few rows of a
-// batch past the batch (Limit, TopK) copy them out with Detach.
-func (s *Selection) build(in []*Tuple, p *Pending, par int, slots []*Tuple) error {
+// batch past the batch (Limit, TopK) copy them out with Detach. The
+// survivors are built in morsels, each into its own slab entries.
+func (s *Selection) build(in []*Tuple, p *Pending, slots []*Tuple) error {
 	p.idx = p.idx[:0]
 	for i, tup := range in {
 		slots[i] = nil
@@ -278,7 +280,7 @@ func (s *Selection) build(in []*Tuple, p *Pending, par int, slots []*Tuple) erro
 	tups := make([]Tuple, m)
 	ptrs := make([]*PDFNode, m*d)
 	nodes := make([]PDFNode, m*fd)
-	return exec.For(par, m, func(lo, hi int) error {
+	return exec.For(m, func(lo, hi int) error {
 		for j := lo; j < hi; j++ {
 			tup := in[p.idx[j]]
 			np := ptrs[j*d : (j+1)*d : (j+1)*d]

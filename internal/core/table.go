@@ -89,11 +89,6 @@ type Table struct {
 	// incorrect-but-cheaper baseline of Fig. 3/Fig. 6: all products are
 	// treated as independent.
 	trackHistory bool
-	// par is the degree of parallelism the operators use for per-tuple
-	// work: 0 means one worker per logical CPU, 1 forces sequential
-	// execution. Derived tables inherit it. Parallel and sequential
-	// execution are byte-identical — tuple order and floats included.
-	par int
 	// enc holds the columnar encodings of a base table, one slot per
 	// colBatchSize-row batch (columnar.go). It is nil for derived tables,
 	// whose batches encode into per-batch scratch, and non-nil — even when
@@ -218,25 +213,6 @@ func (t *Table) SetTrackHistory(on bool) { t.trackHistory = on }
 
 // TrackHistory reports whether history maintenance is enabled.
 func (t *Table) TrackHistory() bool { return t.trackHistory }
-
-// SetParallelism sets the degree of parallelism for the table's operators:
-// 0 (the default) means one worker per logical CPU, 1 forces sequential
-// execution. Derived tables inherit the setting. Results are identical at
-// every setting; only wall-clock time changes.
-func (t *Table) SetParallelism(n int) { t.par = n }
-
-// Parallelism reports the table's degree-of-parallelism setting (0 =
-// hardware default).
-func (t *Table) Parallelism() int { return t.par }
-
-// WithParallelism returns a frozen copy of the table (see Freeze) whose
-// operators run at the given degree of parallelism. Like any snapshot it
-// reads the tuples present at the call, however the receiver mutates after.
-func (t *Table) WithParallelism(n int) *Table {
-	c := t.Freeze()
-	c.par = n
-	return c
-}
 
 // DepSets returns the dependency information Δ as attribute-name groups,
 // including phantom attributes.
@@ -549,7 +525,6 @@ func (t *Table) shallowDerived(name string) *Table {
 		ids:          t.ids,
 		reg:          t.reg,
 		trackHistory: t.trackHistory,
-		par:          t.par,
 	}
 	d.deps = make([]*depSet, len(t.deps))
 	copy(d.deps, t.deps)

@@ -74,7 +74,7 @@ func keepBatches(t *testing.T, sel *ProbSelection, in []*Tuple, vec bool) []bool
 	vals := make([]float64, len(in))
 	for from := 0; from < len(in); from += 256 {
 		to := min(from+256, len(in))
-		if err := sel.KeepBatch(in[from:to], 4, keep[from:to], vals[from:to]); err != nil {
+		if err := sel.KeepBatch(in[from:to], keep[from:to], vals[from:to]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,21 +135,19 @@ func TestThresholdPruneDifferential(t *testing.T) {
 			cand = append(cand, tbl.tuples[i])
 		}
 		for _, op := range ops {
-			for _, par := range []int{1, 8} {
-				vec, scalar := diffRun(t, tbl, par, func() (*Table, error) {
-					return tbl.SelectRangeThreshold("x", lo, hi, op, p)
-				})
-				sameKeptTuples(t, "cached", vec, scalar)
-				vec, scalar = diffRun(t, overlay, par, func() (*Table, error) {
-					return overlay.SelectRangeThreshold("x", lo, hi, op, p)
-				})
-				sameKeptTuples(t, "overlay", vec, scalar)
-			}
+			vec, scalar := diffRun(t, func() (*Table, error) {
+				return tbl.SelectRangeThreshold("x", lo, hi, op, p)
+			})
+			sameKeptTuples(t, "cached", vec, scalar)
+			vec, scalar = diffRun(t, func() (*Table, error) {
+				return overlay.SelectRangeThreshold("x", lo, hi, op, p)
+			})
+			sameKeptTuples(t, "overlay", vec, scalar)
 			sel := tbl.PlanRangeThreshold("x", lo, hi, op, p)
-			vec, scalar := keepBatches(t, sel, cand, true), keepBatches(t, sel, cand, false)
-			for i := range vec {
-				if vec[i] != scalar[i] {
-					t.Fatalf("p=%v %v candidate %d: vec %v, scalar %v", p, op, i, vec[i], scalar[i])
+			vk, sk := keepBatches(t, sel, cand, true), keepBatches(t, sel, cand, false)
+			for i := range vk {
+				if vk[i] != sk[i] {
+					t.Fatalf("p=%v %v candidate %d: vec %v, scalar %v", p, op, i, vk[i], sk[i])
 				}
 			}
 		}

@@ -1,29 +1,38 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
+// withProcs runs the rest of the test at GOMAXPROCS n — For's worker count —
+// and restores the previous setting when the test ends.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestForCoversRangeExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 31, 32, 33, 1000, 4096} {
-		for _, par := range []int{0, 1, 2, 4, 7} {
+	for _, procs := range []int{1, 2, 4, 7} {
+		withProcs(t, procs)
+		for _, n := range []int{0, 1, 31, 32, 33, 1000, 4096} {
 			seen := make([]int32, n)
-			err := For(par, n, func(lo, hi int) error {
+			err := For(n, func(lo, hi int) error {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&seen[i], 1)
 				}
 				return nil
 			})
 			if err != nil {
-				t.Fatalf("n=%d par=%d: %v", n, par, err)
+				t.Fatalf("n=%d procs=%d: %v", n, procs, err)
 			}
 			for i, c := range seen {
 				if c != 1 {
-					t.Fatalf("n=%d par=%d: index %d visited %d times", n, par, i, c)
+					t.Fatalf("n=%d procs=%d: index %d visited %d times", n, procs, i, c)
 				}
 			}
 		}
@@ -32,9 +41,10 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 
 func TestForDeterministicOutput(t *testing.T) {
 	const n = 10_000
-	run := func(par int) []float64 {
+	run := func(procs int) []float64 {
+		withProcs(t, procs)
 		out := make([]float64, n)
-		if err := For(par, n, func(lo, hi int) error {
+		if err := For(n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				out[i] = float64(i) * 1.0000001
 			}
@@ -45,11 +55,11 @@ func TestForDeterministicOutput(t *testing.T) {
 		return out
 	}
 	seq := run(1)
-	for _, par := range []int{2, 4, 8} {
-		got := run(par)
+	for _, procs := range []int{2, 4, 8} {
+		got := run(procs)
 		for i := range seq {
 			if got[i] != seq[i] {
-				t.Fatalf("par=%d: slot %d differs", par, i)
+				t.Fatalf("procs=%d: slot %d differs", procs, i)
 			}
 		}
 	}
@@ -58,9 +68,10 @@ func TestForDeterministicOutput(t *testing.T) {
 // TestForFirstErrorWins: the reported error is always the lowest-indexed
 // failing morsel's, regardless of scheduling.
 func TestForFirstErrorWins(t *testing.T) {
+	withProcs(t, 8)
 	const n = 4096
 	for trial := 0; trial < 20; trial++ {
-		err := For(8, n, func(lo, hi int) error {
+		err := For(n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if i%97 == 0 { // many failing morsels
 					return fmt.Errorf("item %d", lo)
@@ -75,9 +86,10 @@ func TestForFirstErrorWins(t *testing.T) {
 }
 
 func TestForStopsClaimingAfterError(t *testing.T) {
+	withProcs(t, 2)
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	err := For(2, 1<<20, func(lo, hi int) error {
+	err := For(1<<20, func(lo, hi int) error {
 		calls.Add(1)
 		return boom
 	})
@@ -87,23 +99,5 @@ func TestForStopsClaimingAfterError(t *testing.T) {
 	// With cancellation, far fewer morsels run than exist.
 	if c := calls.Load(); c > 64 {
 		t.Fatalf("ran %d morsels after first error", c)
-	}
-}
-
-func TestForCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := ForCtx(ctx, 4, 1000, func(lo, hi int) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestResolve(t *testing.T) {
-	if Resolve(3) != 3 {
-		t.Fatal("explicit parallelism not honored")
-	}
-	if Resolve(0) < 1 || Resolve(-1) < 1 {
-		t.Fatal("default parallelism must be at least 1")
 	}
 }

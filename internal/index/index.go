@@ -60,15 +60,15 @@ type Index struct {
 }
 
 // Build constructs the index. Items' distributions must be 1-dimensional.
-// The entries' x-bounds, most of a build's cost, are computed in parallel:
-// each item fills its own slot, so the index is identical at any degree of
-// parallelism.
+// The entries' x-bounds, most of a build's cost, are computed in morsels:
+// each item fills its own slot, so the index is identical on any number of
+// processors.
 func Build(items []Item) *Index {
 	for _, it := range items {
 		checkDim(it)
 	}
 	es := make([]entry, len(items))
-	_ = exec.For(0, len(items), func(lo, hi int) error {
+	_ = exec.For(len(items), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			es[i] = makeEntry(items[i])
 		}

@@ -22,20 +22,12 @@ import (
 // Filter/JoinWorlds/Collapse machinery.
 //
 // Every world has its own RNG stream derived deterministically from (seed,
-// world index), so the sampled worlds are identical at any degree of
-// parallelism. SampleWorlds runs at the hardware default; SampleWorldsPar
-// exposes the knob.
+// world index), so the worlds, drawn in morsels, are identical on any
+// number of processors.
 //
 // Base tuples must be independent (Definition 2); do not sample derived
 // tables whose tuples share history.
 func SampleWorlds(t *core.Table, n int, seed int64, keyCols ...string) []pws.World {
-	return SampleWorldsPar(t, n, seed, 0, keyCols...)
-}
-
-// SampleWorldsPar is SampleWorlds with an explicit degree of parallelism
-// (0 = one worker per logical CPU, 1 = sequential). The output is
-// byte-identical across settings.
-func SampleWorldsPar(t *core.Table, n int, seed int64, par int, keyCols ...string) []pws.World {
 	deps := t.DepSets()
 	tuples := t.Tuples()
 	nattrs := 0
@@ -52,7 +44,7 @@ func SampleWorldsPar(t *core.Table, n int, seed int64, par int, keyCols ...strin
 	}
 	worlds := make([]pws.World, n)
 	w := 1 / float64(n)
-	_ = exec.For(par, n, func(lo, hi int) error {
+	_ = exec.For(n, func(lo, hi int) error {
 		for wi := lo; wi < hi; wi++ {
 			r := rand.New(rand.NewSource(worldSeed(seed, wi)))
 			rows := make([]pws.Row, 0, len(tuples))

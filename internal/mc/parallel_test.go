@@ -2,11 +2,13 @@ package mc_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"probdb/internal/core"
 	"probdb/internal/dist"
 	"probdb/internal/mc"
+	"probdb/internal/pws"
 )
 
 func sampleTable(t *testing.T) *core.Table {
@@ -35,14 +37,17 @@ func sampleTable(t *testing.T) *core.Table {
 	return tbl
 }
 
-// TestSampleWorldsParallelDifferential: the worlds drawn at parallelism 1
-// and parallelism 4 are identical — keys, values (bitwise), existence
-// pattern, and order.
+// TestSampleWorldsParallelDifferential: the worlds drawn at GOMAXPROCS 1
+// (one inline loop) and GOMAXPROCS 8 (morsels) are identical — keys, values
+// (bitwise), existence pattern, and order.
 func TestSampleWorldsParallelDifferential(t *testing.T) {
 	tbl := sampleTable(t)
 	const n = 200
-	seq := mc.SampleWorldsPar(tbl, n, 42, 1, "k")
-	par := mc.SampleWorldsPar(tbl, n, 42, 4, "k")
+	at := func(procs int) []pws.World {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return mc.SampleWorlds(tbl, n, 42, "k")
+	}
+	seq, par := at(1), at(8)
 	if len(seq) != len(par) {
 		t.Fatalf("world counts differ: %d vs %d", len(seq), len(par))
 	}
@@ -103,7 +108,7 @@ func BenchmarkSampleWorlds(b *testing.B) {
 	tbl := sampleTableB(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		mc.SampleWorldsPar(tbl, 100, 7, 1, "k")
+		mc.SampleWorlds(tbl, 100, 7, "k")
 	}
 }
 

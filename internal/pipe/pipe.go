@@ -26,9 +26,10 @@ import (
 )
 
 // BatchSize is the default number of tuples per batch: large enough that
-// exec.For parallelizes within a batch (its sequential threshold is 32) and
-// per-batch overhead vanishes, small enough that a selective LIMIT query
-// touches a few hundred rows, not the table.
+// per-batch overhead vanishes and that the kernels which build or floor a
+// pdf per row can split a batch into morsels (exec.For runs ranges below 32
+// inline), small enough that a selective LIMIT query touches a few hundred
+// rows, not the table.
 const BatchSize = 256
 
 // Operator is one node of a physical plan. The contract:
@@ -158,21 +159,20 @@ func (s *Scan) Close() error {
 
 // Filter applies a compiled Selection kernel batch by batch: pending masses,
 // then the survivors built (core/pending.go). Within a batch the evaluation
-// is morsel-parallel into index-aligned slots, compacted in order — the same
-// discipline Table.Select uses over the whole table, so the surviving tuples
-// and their floats are bitwise identical.
+// writes index-aligned slots, compacted in order — the same discipline
+// Table.Select uses over the whole table, so the surviving tuples and their
+// floats are bitwise identical.
 type Filter struct {
 	base
 	child Operator
 	sel   *core.Selection
-	par   int
 	pend  core.Pending  // reused across Next calls
 	slots []*core.Tuple // reused across Next calls; compacted into the output
 }
 
 // NewFilter wraps child with a selection kernel planned against its header.
 func NewFilter(child Operator, sel *core.Selection) *Filter {
-	return &Filter{child: child, sel: sel, par: sel.Out().Parallelism()}
+	return &Filter{child: child, sel: sel}
 }
 
 func (f *Filter) Header() *core.Table { return f.sel.Out() }
@@ -198,7 +198,7 @@ func (f *Filter) Next() ([]*core.Tuple, error) {
 			f.slots = make([]*core.Tuple, len(in))
 		}
 		slots := f.slots[:len(in)]
-		if err := f.sel.EvalBatch(in, f.par, &f.pend, slots); err != nil {
+		if err := f.sel.EvalBatch(in, &f.pend, slots); err != nil {
 			return nil, err
 		}
 		out := slots[:0]
@@ -224,7 +224,7 @@ func (f *Filter) nextPending() ([]*core.Tuple, *core.Pending, error) {
 	if err != nil || in == nil {
 		return nil, nil, err
 	}
-	if err := f.sel.EvalPending(in, f.par, &f.pend); err != nil {
+	if err := f.sel.EvalPending(in, &f.pend); err != nil {
 		return nil, nil, err
 	}
 	return in, &f.pend, nil
@@ -242,7 +242,6 @@ type ProbFilter struct {
 	base
 	child Operator
 	sel   *core.ProbSelection
-	par   int
 	keep  []bool        // reused across Next calls
 	vals  []float64     // reused across Next calls: the batch's probabilities
 	out   []*core.Tuple // reused across Next calls
@@ -251,7 +250,7 @@ type ProbFilter struct {
 // NewProbFilter wraps child with a threshold kernel planned against its
 // header.
 func NewProbFilter(child Operator, sel *core.ProbSelection) *ProbFilter {
-	return &ProbFilter{child: child, sel: sel, par: sel.Out().Parallelism()}
+	return &ProbFilter{child: child, sel: sel}
 }
 
 func (f *ProbFilter) Header() *core.Table { return f.sel.Out() }
@@ -278,7 +277,7 @@ func (f *ProbFilter) Next() ([]*core.Tuple, error) {
 			f.vals = make([]float64, len(in))
 		}
 		keep := f.keep[:len(in)]
-		if err := f.sel.KeepBatch(in, f.par, keep, f.vals[:len(in)]); err != nil {
+		if err := f.sel.KeepBatch(in, keep, f.vals[:len(in)]); err != nil {
 			return nil, err
 		}
 		f.out = f.out[:0]

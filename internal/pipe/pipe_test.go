@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"probdb/internal/core"
@@ -494,5 +495,41 @@ func TestProjectMatchesLegacy(t *testing.T) {
 	}
 	if nb := (want.Len() + BatchSize - 1) / BatchSize; len(sizes) != nb || nb < 2 {
 		t.Fatalf("%d batches for %d rows, want %d", len(sizes), want.Len(), nb)
+	}
+}
+
+// repeatBatch is a source that hands out the same batch on every Next.
+type repeatBatch struct {
+	hdr   *core.Table
+	batch []*core.Tuple
+}
+
+func (r *repeatBatch) Header() *core.Table          { return r.hdr }
+func (r *repeatBatch) Open(context.Context) error   { return nil }
+func (r *repeatBatch) Next() ([]*core.Tuple, error) { return r.batch, nil }
+func (r *repeatBatch) Close() error                 { return nil }
+
+// TestProbFilterBatchAllocs: a vectorized range threshold over a full
+// batch of Gaussian rows reads one interval probability per row and builds
+// nothing, so it runs inline — no morsel fan-out, no allocation — even with
+// processors to spare.
+func TestProbFilterBatchAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tbl := testTable(t, BatchSize, 21)
+	f := NewProbFilter(&repeatBatch{hdr: tbl, batch: tbl.Tuples()}, tbl.PlanRangeThreshold("value", 20, 80, region.GE, 0.5))
+	if err := f.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	out, err := f.Next() // encodes the batch's slot and sizes the filter's buffers
+	if err != nil || len(out) == 0 || len(out) == BatchSize {
+		t.Fatalf("first batch kept %d rows (%v); want some but not all", len(out), err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := f.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a %d-row ProbFilter batch allocates %v times, want 0", BatchSize, n)
 	}
 }

@@ -186,7 +186,7 @@ func TestCertainLaneDifferential(t *testing.T) {
 			break
 		}
 		slots := make([]*core.Tuple, len(batch))
-		if err := sel.EvalBatch(batch, 1, &pend, slots); err != nil {
+		if err := sel.EvalBatch(batch, &pend, slots); err != nil {
 			t.Fatal(err)
 		}
 		for i, tup := range batch {

@@ -10,7 +10,6 @@ import (
 
 	"probdb/internal/core"
 	"probdb/internal/dist"
-	"probdb/internal/exec"
 	"probdb/internal/pipe"
 	"probdb/internal/plan"
 )
@@ -27,7 +26,6 @@ type DB struct {
 	mu     sync.RWMutex
 	reg    *core.Registry
 	tables map[string]*core.Table
-	par    int // degree of parallelism for operators (0 = one worker per CPU)
 
 	// Planner state (see planner.go): ANALYZE statistics and index sets per
 	// table, maintained under the same write lock as the DML that changes
@@ -107,23 +105,6 @@ func (db *DB) TableNames() []string {
 
 // Registry returns the database-wide base-pdf registry.
 func (db *DB) Registry() *core.Registry { return db.reg }
-
-// SetParallelism fixes the degree of parallelism used by per-tuple operator
-// loops (Select, Join, threshold selections): 0 means one worker per logical
-// CPU, 1 forces sequential execution. Results are byte-identical at every
-// setting; the knob trades cores for latency only.
-func (db *DB) SetParallelism(n int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.par = n
-}
-
-// Parallelism reports the configured degree of parallelism (0 = auto).
-func (db *DB) Parallelism() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.par
-}
 
 // Exec parses and executes a single statement.
 func (db *DB) Exec(sql string) (*Result, error) {
@@ -294,10 +275,9 @@ func insertRow(t *core.Table, s Insert) func(int) (core.Row, error) {
 // execExplain reports the chosen physical plan: the operator chain (the
 // derived table name spells out the applied operators), the access path
 // with estimated vs actual cardinality and index probe/prune counters, the
-// dependency information after closure, phantom attributes, the degree of
-// parallelism, and the columnar-cache traffic. It drains the same filter
-// tree a SELECT runs (the actual cardinality and the kernel counters require
-// it) and its projection — the dependency/phantom shape is the projected
+// dependency information after closure, phantom attributes, and the
+// columnar-cache traffic. It drains the same filter tree a SELECT runs (the
+// actual cardinality and the kernel counters require it) and its projection — the dependency/phantom shape is the projected
 // view's, which drops the phantom sets no surviving row needs — but no
 // ordering, no aggregation and no rendering, into a view of the rows.
 func (db *DB) execExplain(s Explain) (*Result, error) {
@@ -317,8 +297,7 @@ func (db *DB) execExplain(s Explain) (*Result, error) {
 	}
 	pr.harvestKernels()
 	colHits, colMisses := db.reg.ColCache().Counters()
-	footer := fmt.Sprintf("parallelism: %d\ncol cache: %d hits, %d misses",
-		exec.Resolve(db.par), colHits-colHitsBefore, colMisses-colMissesBefore)
+	footer := fmt.Sprintf("col cache: %d hits, %d misses", colHits-colHitsBefore, colMisses-colMissesBefore)
 
 	msg := fmt.Sprintf("plan: %s\n%s", shape.Name, describePlan(pr))
 	if s.Query.Agg != "" {
@@ -369,15 +348,14 @@ func sqrt(v float64) float64 {
 	return math.Sqrt(v)
 }
 
-// resolveRef looks up one FROM entry as a frozen copy at the catalog's
-// parallelism, with (for multi-table FROM lists) the "<alias-or-name>."
-// column prefix.
+// resolveRef looks up one FROM entry as a frozen copy, with (for
+// multi-table FROM lists) the "<alias-or-name>." column prefix.
 func (db *DB) resolveRef(ref TableRef, qualify bool) (*core.Table, error) {
 	t, ok := db.tables[ref.Name]
 	if !ok {
 		return nil, fmt.Errorf("query: no table %q", ref.Name)
 	}
-	t = t.WithParallelism(db.par)
+	t = t.Freeze()
 	if !qualify {
 		return t, nil
 	}

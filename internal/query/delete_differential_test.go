@@ -16,10 +16,9 @@ import (
 // UNCERTAIN) through the core API, so f can hold NaN and ±Inf beside NULL,
 // with a btree on rid and a PTI on value. rid is unique but arrives
 // shuffled, so rid order is not table order.
-func deleteDB(t *testing.T, rng *rand.Rand, n, par int) *DB {
+func deleteDB(t *testing.T, rng *rand.Rand, n int) *DB {
 	t.Helper()
 	db := Open()
-	db.SetParallelism(par)
 	mustExec(t, db, `CREATE TABLE d (rid INT, i INT, f FLOAT, s TEXT, value FLOAT UNCERTAIN)`)
 	tbl, _ := db.Table("d")
 	floats := []core.Value{core.Null, core.Float(math.NaN()), core.Float(math.Inf(1)), core.Float(math.Inf(-1))}
@@ -145,12 +144,11 @@ func TestDeleteMatchesSelectDifferential(t *testing.T) {
 				t.Run(fmt.Sprintf("seed=%d/scan=%v/vec=%v", seed, forceScan, vec), func(t *testing.T) {
 					core.SetVectorizedKernels(vec)
 					rng := rand.New(rand.NewSource(seed))
-					par := []int{1, 4}[seed%2]
 					var db *DB
 					probes := uint64(0)
 					for q := 0; q < 80; q++ {
 						if db == nil || len(rids(t, db)) < n/2 {
-							db = deleteDB(t, rng, n, par)
+							db = deleteDB(t, rng, n)
 							db.SetForceScan(forceScan)
 						}
 						del, sel, holds := deleteWhere(rng, n)

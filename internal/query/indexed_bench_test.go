@@ -27,12 +27,11 @@ func indexedRow(i int) string {
 	return fmt.Sprintf("(%d, %d, GAUSSIAN(%g, 4), %d.5)", i, i%97, mean, i%1000)
 }
 
-// loadReadings creates readings(cols) at parallelism 1 and loads n rows,
+// loadReadings creates readings(cols) and loads n rows,
 // row(i) rendering the i-th VALUES tuple, in 500-row INSERTs.
 func loadReadings(tb testing.TB, n int, cols, targets string, row func(i int) string) *DB {
 	tb.Helper()
 	db := Open()
-	db.SetParallelism(1)
 	mustExec(tb, db, `CREATE TABLE readings (`+cols+`)`)
 	for i := 0; i < n; {
 		var b strings.Builder

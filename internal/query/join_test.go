@@ -100,8 +100,8 @@ func TestJoinPushdownMatchesReference(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			atProcs(t, par)
 			db := Open()
-			db.SetParallelism(par)
 			pushdownFixture(t, db)
 			for _, q := range queries {
 				want := renderSansName(referenceSelect(t, db, q))

@@ -183,7 +183,7 @@ func (pr *pipelineResult) harvestKernels() {
 // copied — and the plan record with the probe counters filled in.
 func (db *DB) planAccess(s SelectStmt, base *core.Table) (*core.Table, *pipelineResult) {
 	name := s.From[0].Name
-	t := base.WithParallelism(db.par)
+	t := base.Freeze()
 	conj := db.planConjuncts(t, s.Where)
 	stats := db.stats[name]
 	ix := db.indexes[name]

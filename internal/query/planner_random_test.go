@@ -65,7 +65,6 @@ func TestPlannerDifferentialRandomDML(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			db := Open()
-			db.SetParallelism([]int{1, 4}[seed%2])
 			mustExec(t, db, `CREATE TABLE m (k INT, g INT, x FLOAT UNCERTAIN)`)
 			mustExec(t, db, randomInsert(rng, 200))
 			mustExec(t, db, `CREATE INDEX ON m (k)`)

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -72,14 +73,23 @@ var differentialQueries = []string{
 	`SELECT sid FROM sensors WHERE sid >= 59.5 AND sid <= 60.5`,
 }
 
+// atProcs runs the rest of the (sub)test at GOMAXPROCS n — the worker count
+// of the kernels' morsel loops, which run inline at 1 — and restores the
+// previous setting when it ends. The par=N subtests of the differentials
+// run at GOMAXPROCS N.
+func atProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestPlannerDifferential asserts that planner-chosen plans (stats +
-// indexes on) return byte-identical rows to the forced-full-scan path, at
-// both sequential and parallel execution.
+// indexes on) return byte-identical rows to the forced-full-scan path, with
+// the morsel loops inline (par=1) and fanned out (par=4).
 func TestPlannerDifferential(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			atProcs(t, par)
 			db := Open()
-			db.SetParallelism(par)
 			plannerFixture(t, db)
 			mustExec(t, db, `ANALYZE sensors`)
 			mustExec(t, db, `CREATE INDEX ON sensors (temp)`)
@@ -109,7 +119,6 @@ func TestPlannerDifferential(t *testing.T) {
 // maintenance end to end.
 func TestPlannerDifferentialUnderDML(t *testing.T) {
 	db := Open()
-	db.SetParallelism(1)
 	plannerFixture(t, db)
 	mustExec(t, db, `CREATE INDEX ON sensors (temp)`)
 	mustExec(t, db, `CREATE INDEX ON sensors (sid)`)
@@ -260,46 +269,43 @@ func TestExplainUsesIndexWithoutMaterializing(t *testing.T) {
 // stage failing mid-drain closes every operator.
 func TestExplainRunsPipelinedTree(t *testing.T) {
 	queries := append(append([]string{}, differentialQueries...), streamDifferentialQueries...)
-	for _, par := range []int{1, 4} {
-		for _, indexed := range []bool{false, true} {
-			db := Open()
-			db.SetParallelism(par)
-			plannerFixture(t, db)
-			if indexed {
-				mustExec(t, db, `ANALYZE sensors`)
-				mustExec(t, db, `CREATE INDEX ON sensors (temp)`)
-				mustExec(t, db, `CREATE INDEX ON sensors (sid)`)
+	for _, indexed := range []bool{false, true} {
+		db := Open()
+		plannerFixture(t, db)
+		if indexed {
+			mustExec(t, db, `ANALYZE sensors`)
+			mustExec(t, db, `CREATE INDEX ON sensors (temp)`)
+			mustExec(t, db, `CREATE INDEX ON sensors (sid)`)
+		}
+		for _, q := range queries {
+			stmt, err := Parse(q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, q := range queries {
-				stmt, err := Parse(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := stmt.(SelectStmt)
-				s.OrderCol, s.Limit, s.Agg, s.Star = "", nil, "", true // the filter stages alone
-				want, err := db.ExecStmt(s)
-				if err != nil {
-					t.Fatalf("%s: %v", q, err)
-				}
-				got := mustExec(t, db, `EXPLAIN `+q)
-				if !strings.Contains(got.Message, fmt.Sprintf("\nrows: %d\n", want.Affected)) {
-					t.Errorf("par=%d indexed=%v EXPLAIN %s: want rows: %d in\n%s", par, indexed, q, want.Affected, got.Message)
-				}
-				if got.Planner != want.Planner {
-					t.Errorf("par=%d indexed=%v EXPLAIN %s: counters %+v, statement's %+v", par, indexed, q, got.Planner, want.Planner)
-				}
+			s := stmt.(SelectStmt)
+			s.OrderCol, s.Limit, s.Agg, s.Star = "", nil, "", true // the filter stages alone
+			want, err := db.ExecStmt(s)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
 			}
-			for _, q := range []string{
-				`EXPLAIN SELECT * FROM sensors WHERE sid < 90 AND PROB(sid IN [0, 1]) > 0.5`, // threshold over a certain column
-				`EXPLAIN SELECT sid FROM sensors WHERE PROB(temp) > 0.1 AND PROB(nope) > 0.5`,
-			} {
-				if _, err := db.Exec(q); err == nil {
-					t.Errorf("%s: expected the threshold to fail mid-drain", q)
-				}
+			got := mustExec(t, db, `EXPLAIN `+q)
+			if !strings.Contains(got.Message, fmt.Sprintf("\nrows: %d\n", want.Affected)) {
+				t.Errorf("indexed=%v EXPLAIN %s: want rows: %d in\n%s", indexed, q, want.Affected, got.Message)
 			}
-			if n := pipe.OpenOperators(); n != 0 {
-				t.Fatalf("par=%d indexed=%v: pipe.OpenOperators() = %d", par, indexed, n)
+			if got.Planner != want.Planner {
+				t.Errorf("indexed=%v EXPLAIN %s: counters %+v, statement's %+v", indexed, q, got.Planner, want.Planner)
 			}
+		}
+		for _, q := range []string{
+			`EXPLAIN SELECT * FROM sensors WHERE sid < 90 AND PROB(sid IN [0, 1]) > 0.5`, // threshold over a certain column
+			`EXPLAIN SELECT sid FROM sensors WHERE PROB(temp) > 0.1 AND PROB(nope) > 0.5`,
+		} {
+			if _, err := db.Exec(q); err == nil {
+				t.Errorf("%s: expected the threshold to fail mid-drain", q)
+			}
+		}
+		if n := pipe.OpenOperators(); n != 0 {
+			t.Fatalf("indexed=%v: pipe.OpenOperators() = %d", indexed, n)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func joinSQL(i int) string {
 // BenchmarkScanShapes times the six whole-table statement shapes of the
 // end-to-end benchmark — point_read's topk and scan_analytic's aggregate,
 // threshold scan, most-probable top-k, floored stream and join — over
-// 25 000 rows at parallelism 1.
+// 25 000 rows.
 func BenchmarkScanShapes(b *testing.B) {
 	benchShapes(b, scanReadings(b, 25000), []stmtShape{
 		{"topk", func(i int) string {

@@ -31,7 +31,7 @@ import (
 
 // PrepareSelect is the build step of a SELECT, and the one place a SELECT
 // is planned. Under the catalog read lock it resolves every FROM table to a
-// frozen copy (core.Table.WithParallelism), chooses the access paths, probes
+// frozen copy (core.Table.Freeze), chooses the access paths, probes
 // the indexes and builds the operator tree; the run func it returns is the
 // run step and takes no lock.
 //

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -54,16 +55,17 @@ var streamDifferentialQueries = []string{
 
 // TestPipelinedMatchesReferenceDifferential: every query in the planner
 // corpus plus the ordering/limit battery, executed by the pipelined operator
-// tree, must render byte-identically to referenceSelect's full scan — at
-// sequential and parallel execution, and with indexes on (where only the
-// derived-table name, which spells the access path, may differ).
+// tree, must render byte-identically to referenceSelect's full scan — with
+// the morsel loops inline (par=1, GOMAXPROCS 1) and fanned out (par=4), and
+// with indexes on (where only the derived-table name, which spells the
+// access path, may differ).
 func TestPipelinedMatchesReferenceDifferential(t *testing.T) {
 	queries := append(append([]string{}, differentialQueries...), streamDifferentialQueries...)
 	for _, par := range []int{1, 4} {
 		for _, indexed := range []bool{false, true} {
 			t.Run(fmt.Sprintf("par=%d,indexed=%v", par, indexed), func(t *testing.T) {
+				atProcs(t, par)
 				db := Open()
-				db.SetParallelism(par)
 				plannerFixture(t, db)
 				if indexed {
 					mustExec(t, db, `ANALYZE sensors`)
@@ -85,6 +87,37 @@ func TestPipelinedMatchesReferenceDifferential(t *testing.T) {
 					t.Fatalf("pipe.OpenOperators() = %d after differential run", n)
 				}
 			})
+		}
+	}
+	t.Run("gomaxprocs=1v8", pipelinedProcsIdentical)
+}
+
+// pipelinedProcsIdentical: the queries whose rows each build or floor a pdf
+// — a floor_stream-shaped scan that floors every row, and a join-shaped
+// statement whose cross-attribute floor runs Eval per pair — render the
+// same bytes at GOMAXPROCS 1, where the morsel loops run inline, and at
+// GOMAXPROCS 8, where they fan out over batches of more than 32 rows.
+func pipelinedProcsIdentical(t *testing.T) {
+	db := Open()
+	plannerFixture(t, db)
+	pushdownFixture(t, db)
+	queries := []string{
+		`SELECT sid, temp FROM sensors WHERE temp < 30`,
+		`SELECT sid, temp, hum FROM sensors WHERE temp < 40 AND hum >= 45`,
+		`SELECT r.rid, s.sid FROM r, s WHERE r.k = s.sid AND r.x < s.y AND r.score < 80`,
+		`SELECT * FROM r, s WHERE r.x < s.y`,
+	}
+	for _, q := range queries {
+		run := func(procs int) string {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return renderFull(mustExec(t, db, q))
+		}
+		seq, par := run(1), run(8)
+		if seq != par {
+			t.Errorf("%s:\nGOMAXPROCS 1:\n%s\nGOMAXPROCS 8:\n%s", q, seq, par)
+		}
+		if want := renderSansName(referenceSelect(t, db, q)); renderSansName(mustExec(t, db, q)) != want {
+			t.Errorf("%s: pipelined rows differ from the reference", q)
 		}
 	}
 }
@@ -129,8 +162,8 @@ func TestPipelinedJoinsDifferential(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			atProcs(t, par)
 			db := Open()
-			db.SetParallelism(par)
 			joinFixture(t, db)
 			for _, q := range queries {
 				want := renderSansName(referenceSelect(t, db, q))

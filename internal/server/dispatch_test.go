@@ -63,7 +63,7 @@ func TestOneDispatchTwoDrivers(t *testing.T) {
 			}
 			steps = append(steps, rest...)
 			run := func(stream bool) []string {
-				cfg := EngineConfig{Parallelism: 1, CheckpointBytes: -1}
+				cfg := EngineConfig{CheckpointBytes: -1}
 				if mode != "ephemeral" {
 					cfg.Dir = t.TempDir()
 				}

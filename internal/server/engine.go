@@ -76,10 +76,6 @@ type EngineConfig struct {
 	// CheckpointBytes auto-checkpoints when the WAL grows past this many
 	// bytes. Default 1 MiB; negative disables auto-checkpointing.
 	CheckpointBytes int64
-	// Parallelism is the degree of parallelism for operator execution:
-	// 0 = one worker per logical CPU, 1 = sequential. Results are identical
-	// at every setting.
-	Parallelism int
 	// FS is the filesystem the persistence path runs on. Default the real
 	// OS; tests substitute a fault-injecting implementation.
 	FS vfs.FS
@@ -216,7 +212,6 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 		nextTxn:    1,
 	}
 	e.sess = &Session{e: e}
-	e.db.SetParallelism(cfg.Parallelism)
 	e.bud = cfg.Budget
 	if cfg.Dir == "" {
 		return e, nil

@@ -33,10 +33,9 @@ type ReplicaConfig struct {
 	Poll time.Duration
 	// MaxFetch bounds one pull's record bytes. Default 1 MiB.
 	MaxFetch uint64
-	// Parallelism, FS, Logf mirror EngineConfig.
-	Parallelism int
-	FS          vfs.FS
-	Logf        func(format string, args ...any)
+	// FS, Logf mirror EngineConfig.
+	FS   vfs.FS
+	Logf func(format string, args ...any)
 }
 
 func (c *ReplicaConfig) fill() {
@@ -88,7 +87,7 @@ func OpenReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err := cfg.FS.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: replica dir: %w", err)
 	}
-	eng, err := OpenEngine(EngineConfig{Parallelism: cfg.Parallelism, Logf: cfg.Logf})
+	eng, err := OpenEngine(EngineConfig{Logf: cfg.Logf})
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 // startLeader boots a ship-wal leader over dir on an ephemeral port.
 func startLeader(t *testing.T, dir string) *Server {
 	t.Helper()
-	s, err := New(Config{Addr: "127.0.0.1:0", DataDir: dir, ShipWAL: true, Parallelism: 1})
+	s, err := New(Config{Addr: "127.0.0.1:0", DataDir: dir, ShipWAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func startReplica(t *testing.T, dir, leaderAddr string) *Server {
 	t.Helper()
 	s, err := New(Config{
 		Addr: "127.0.0.1:0", DataDir: dir, ReplicaOf: leaderAddr,
-		ReplicaPoll: 5 * time.Millisecond, Parallelism: 1,
+		ReplicaPoll: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestReplicaMatchesLeaderAfterTornTxn(t *testing.T) {
 // TestFetchWALRefusedWithoutShipping: a leader without ship-wal answers
 // WALFetch with an error frame, not a hang or a truncated segment.
 func TestFetchWALRefusedWithoutShipping(t *testing.T) {
-	s, err := New(Config{Addr: "127.0.0.1:0", DataDir: t.TempDir(), Parallelism: 1})
+	s, err := New(Config{Addr: "127.0.0.1:0", DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestShipWALRequiresFullChain(t *testing.T) {
 	dir := t.TempDir()
 	// Boot without shipping and force a generation roll: gen 0's log is
 	// deleted by the checkpoint GC.
-	e, err := OpenEngine(EngineConfig{Dir: dir, Parallelism: 1})
+	e, err := OpenEngine(EngineConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestShipWALRequiresFullChain(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenEngine(EngineConfig{Dir: dir, Parallelism: 1, ShipWAL: true}); err == nil {
+	if _, err := OpenEngine(EngineConfig{Dir: dir, ShipWAL: true}); err == nil {
 		t.Fatal("ship-wal opened over a truncated generation chain")
 	}
 }

@@ -65,7 +65,7 @@ func TestSelectRoutes(t *testing.T) {
 	for _, state := range []string{"ephemeral", "dirty", "clean", "reopened"} {
 		for _, indexed := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/indexed=%v", state, indexed), func(t *testing.T) {
-				cfg := EngineConfig{Parallelism: 1, CheckpointBytes: -1}
+				cfg := EngineConfig{CheckpointBytes: -1}
 				if state != "ephemeral" {
 					cfg.Dir = t.TempDir()
 				}
@@ -242,7 +242,7 @@ func TestEngineHoldsNoHeapFiles(t *testing.T) {
 // BenchmarkSelectAtRest: a filtered scan of a checkpointed, unindexed table —
 // the state of every table after a restart.
 func BenchmarkSelectAtRest(b *testing.B) {
-	e, err := OpenEngine(EngineConfig{Dir: b.TempDir(), Parallelism: 1, CheckpointBytes: -1})
+	e, err := OpenEngine(EngineConfig{Dir: b.TempDir(), CheckpointBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -43,8 +43,11 @@ type Config struct {
 	// CheckpointBytes auto-checkpoints when the WAL exceeds this size.
 	// Default 1 MiB; negative disables auto-checkpointing.
 	CheckpointBytes int64
-	// Parallelism is the degree of parallelism for operator execution
-	// inside each query: 0 = one worker per logical CPU, 1 = sequential.
+	// Deprecated: Parallelism is ignored. A statement's operators no longer
+	// take a degree of parallelism: the kernels that build or floor a pdf
+	// per row split a batch over runtime.GOMAXPROCS(0) workers, every other
+	// loop runs inline, and Workers alone bounds how many statements run
+	// at once. The field stays so existing Config literals still compile.
 	Parallelism int
 	// FS overrides the filesystem the engine persists through (tests).
 	FS vfs.FS
@@ -201,12 +204,11 @@ func New(cfg Config) (*Server, error) {
 	)
 	if cfg.ReplicaOf != "" {
 		rep, err = OpenReplica(ReplicaConfig{
-			Dir:         cfg.DataDir,
-			Leader:      cfg.ReplicaOf,
-			Poll:        cfg.ReplicaPoll,
-			Parallelism: cfg.Parallelism,
-			FS:          cfg.FS,
-			Logf:        cfg.Logf,
+			Dir:    cfg.DataDir,
+			Leader: cfg.ReplicaOf,
+			Poll:   cfg.ReplicaPoll,
+			FS:     cfg.FS,
+			Logf:   cfg.Logf,
 		})
 		if err != nil {
 			return nil, err
@@ -216,7 +218,6 @@ func New(cfg Config) (*Server, error) {
 		eng, err = OpenEngine(EngineConfig{
 			Dir:             cfg.DataDir,
 			CheckpointBytes: cfg.CheckpointBytes,
-			Parallelism:     cfg.Parallelism,
 			FS:              cfg.FS,
 			Logf:            cfg.Logf,
 			Budget:          bud,

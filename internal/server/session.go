@@ -158,7 +158,6 @@ func (s *Session) beginLocked() (*wire.Result, error) {
 	start := time.Now()
 	e.mu.Lock()
 	odb := query.OpenWith(e.db.Registry())
-	odb.SetParallelism(e.cfg.Parallelism)
 	for _, name := range e.db.TableNames() {
 		if t, ok := e.db.Table(name); ok {
 			odb.Attach(t.Clone()) //nolint:errcheck // names are unique

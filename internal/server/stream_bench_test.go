@@ -28,7 +28,7 @@ func streamPDF(i int) string {
 // value, analyzed — and its 500-row sensors table.
 func streamReadings(b *testing.B, n int) *Engine {
 	b.Helper()
-	e, err := OpenEngine(EngineConfig{Parallelism: 1})
+	e, err := OpenEngine(EngineConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

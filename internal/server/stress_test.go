@@ -176,7 +176,7 @@ func snapshotIsolationStress(t *testing.T, indexed bool) {
 // sink and rolling the transaction back must tear down the whole operator
 // tree — repeated cycles leave no goroutines behind.
 func TestRollbackMidStreamNoLeak(t *testing.T) {
-	e, err := OpenEngine(EngineConfig{Parallelism: 4})
+	e, err := OpenEngine(EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
