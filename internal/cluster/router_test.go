@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"probdb/internal/cluster"
+	"probdb/internal/core"
 	"probdb/internal/server"
 	"probdb/internal/wire"
 )
@@ -192,15 +193,32 @@ var diffQueries = []string{
 	`SELECT site, score FROM readings ORDER BY score`,
 }
 
+// checkExistence streams one SELECT on each node's engine — the reference
+// and every shard — and fails the test unless every result tuple records
+// the product of its nodes' masses as its existence probability.
+func (h *harness) checkExistence(sql string) {
+	h.t.Helper()
+	for _, s := range append([]*server.Server{h.ref}, h.shards...) {
+		_, _, err := s.Engine().ExecuteStream(context.Background(), sql, func(_ *core.Table, b []*core.Tuple) error {
+			return core.CheckExistence(b)
+		})
+		if err != nil {
+			h.t.Fatalf("%s on %s: %v", sql, s.Addr(), err)
+		}
+	}
+}
+
 // TestClusterDifferential is the tentpole acceptance test: every supported
 // SELECT shape — plain scans, filters, PROB floors, ORDER BY ... LIMIT in
 // both directions, partition-key pruning — must come back from a 3-shard
-// scatter-gather byte-identical to a single node fed the same DML.
+// scatter-gather byte-identical to a single node fed the same DML, from
+// tuples whose existence probabilities are their nodes' mass products.
 func TestClusterDifferential(t *testing.T) {
 	h := newHarness(t, 3)
 	h.seed()
 	for _, q := range diffQueries {
 		h.diff(q)
+		h.checkExistence(q)
 	}
 }
 

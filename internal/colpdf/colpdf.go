@@ -136,7 +136,7 @@ type Block struct {
 	off    []int32
 	px, pp []float64
 	runs   []Run
-	// stats is StatsIn over the whole block, computed once when the block is
+	// stats is the block's RangeStats, computed once when the block is
 	// built: the filter kernels report it for every batch they evaluate.
 	stats RangeStats
 	// massPos records, once when the block is built, that every mass in the
@@ -322,53 +322,36 @@ func Encode(dists []dist.Dist, dim int, mass []float64) *Block {
 	return b
 }
 
-// finish computes what a block records once it is built: its whole-range
-// statistics and whether its masses are all positive.
+// finish computes what a block records once it is built: its statistics
+// and whether its masses are all positive.
 func (b *Block) finish() {
-	b.stats = b.rangeStats(0, b.n)
+	for i := range b.runs {
+		r := &b.runs[i]
+		b.stats.Runs++
+		b.stats.FamMask |= 1 << r.Fam
+		if r.Fam == FamFallback {
+			b.stats.Fallback += r.N
+		} else {
+			b.stats.Vec += r.N
+		}
+	}
 	b.massPos = true
 	for _, m := range b.mass {
 		b.massPos = b.massPos && m > 0
 	}
 }
 
-// RangeStats summarizes how a tuple range [from, to) would evaluate:
-// vectorized vs fallback tuple counts, the runs touched, and a bitmask of
-// the families involved. EXPLAIN renders it as the kernel strategy.
+// RangeStats summarizes how a block's tuples evaluate: vectorized vs
+// fallback tuple counts, the runs, and a bitmask of the families involved.
+// EXPLAIN renders it as the kernel strategy.
 type RangeStats struct {
 	Vec, Fallback int
 	Runs          int
 	FamMask       uint16
 }
 
-// StatsIn returns RangeStats for the tuple range [from, to). The whole block
-// is answered from the stats computed when it was built.
-func (b *Block) StatsIn(from, to int) RangeStats {
-	if from == 0 && to == b.n {
-		return b.stats
-	}
-	return b.rangeStats(from, to)
-}
-
-// rangeStats walks the runs overlapping [from, to).
-func (b *Block) rangeStats(from, to int) RangeStats {
-	var s RangeStats
-	for i := range b.runs {
-		r := &b.runs[i]
-		lo, hi := max(from, r.Start), min(to, r.Start+r.N)
-		if lo >= hi {
-			continue
-		}
-		s.Runs++
-		s.FamMask |= 1 << r.Fam
-		if r.Fam == FamFallback {
-			s.Fallback += hi - lo
-		} else {
-			s.Vec += hi - lo
-		}
-	}
-	return s
-}
+// Stats returns the block's RangeStats, computed when it was built.
+func (b *Block) Stats() RangeStats { return b.stats }
 
 // FamilyNames expands a RangeStats family bitmask into sorted names.
 func FamilyNames(mask uint16) []string {

@@ -127,7 +127,7 @@ func TestKernelDifferentialScalar(t *testing.T) {
 	n := len(ds)
 	for _, iv := range cornerIntervals() {
 		out := make([]float64, n)
-		b.EvalInterval(0, n, iv, out, 0)
+		b.EvalInterval(iv, out)
 		for i, d := range ds {
 			want := scalarMass(d, 0, iv)
 			if math.Float64bits(out[i]) != math.Float64bits(want) {
@@ -137,21 +137,22 @@ func TestKernelDifferentialScalar(t *testing.T) {
 	}
 }
 
-// TestKernelDifferentialSplits proves any morsel split is bit-identical to
-// the whole-range evaluation: per-element results must not depend on where
-// range boundaries fall (memo reuse included).
+// TestKernelDifferentialSplits proves that MassIntervalVec over any split of
+// the block is bit-identical to the whole-block evaluation: per-element
+// results must not depend on where range boundaries fall (memo reuse
+// included).
 func TestKernelDifferentialSplits(t *testing.T) {
 	ds := mixedDists()
 	b := Encode(ds, 0, nil)
 	n := len(ds)
 	iv := region.Closed(0.5, 5)
 	whole := make([]float64, n)
-	b.EvalInterval(0, n, iv, whole, 0)
+	b.EvalInterval(iv, whole)
 	for _, step := range []int{1, 2, 3, 5, n} {
 		got := make([]float64, n)
 		for from := 0; from < n; from += step {
 			to := min(from+step, n)
-			b.EvalInterval(from, to, iv, got[from:to], from)
+			b.MassIntervalVec(from, to, iv.Lo, iv.Hi, got[from:to])
 		}
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(whole[i]) {
@@ -159,15 +160,11 @@ func TestKernelDifferentialSplits(t *testing.T) {
 			}
 		}
 	}
-	// Per-run evaluation through RunRange covers the same contract for the
-	// run-parallel driver.
+	// Per-run evaluation covers the same contract for the pending-mass
+	// driver, which evaluates the runs of some families only.
 	got := make([]float64, n)
-	r0, r1 := b.RunRange(0, n)
-	if r0 != 0 || r1 != b.NumRuns() {
-		t.Fatalf("RunRange(0, n) = [%d, %d), want [0, %d)", r0, r1, b.NumRuns())
-	}
-	for r := r0; r < r1; r++ {
-		b.EvalIntervalRun(r, 0, n, iv, got, 0)
+	for r := 0; r < b.NumRuns(); r++ {
+		b.EvalIntervalRun(r, iv, got)
 	}
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(whole[i]) {
@@ -190,7 +187,7 @@ func TestBatchFormsMatchScalar(t *testing.T) {
 		}
 	}
 
-	b.CDFVec(0, n, 2.5, out)
+	b.CDFVec(2.5, out)
 	for i, d := range ds {
 		want := scalarMass(d, 0, region.Below(2.5, false))
 		if math.Float64bits(out[i]) != math.Float64bits(want) {
@@ -232,7 +229,7 @@ func TestFallbackMarginalReduction(t *testing.T) {
 		}
 		iv := region.Closed(0, 4)
 		out := make([]float64, 2)
-		b.EvalInterval(0, 2, iv, out, 0)
+		b.EvalInterval(iv, out)
 		want := scalarMass(mg, dim, iv)
 		for i := range out {
 			if math.Float64bits(out[i]) != math.Float64bits(want) {
@@ -242,10 +239,10 @@ func TestFallbackMarginalReduction(t *testing.T) {
 	}
 }
 
-func TestStatsInAndFamilyNames(t *testing.T) {
+func TestStatsAndFamilyNames(t *testing.T) {
 	ds := mixedDists()
 	b := Encode(ds, 0, nil)
-	s := b.StatsIn(0, b.Len())
+	s := b.Stats()
 	if s.Fallback != 2 {
 		t.Errorf("Fallback = %d, want 2", s.Fallback)
 	}
@@ -265,21 +262,12 @@ func TestStatsInAndFamilyNames(t *testing.T) {
 			t.Fatalf("FamilyNames = %v, want %v", names, want)
 		}
 	}
-	// A sub-range touching only the Gaussian run.
-	s = b.StatsIn(0, 3)
+	// A block of the Gaussian run's rows only.
+	s = Encode(ds[:3], 0, nil).Stats()
 	if s.Vec != 3 || s.Fallback != 0 || s.Runs != 1 || s.FamMask != 1<<FamGaussian {
-		t.Errorf("gaussian sub-range stats = %+v", s)
+		t.Errorf("gaussian block stats = %+v", s)
 	}
-	// An empty range.
-	if s = b.StatsIn(5, 5); s != (RangeStats{}) {
-		t.Errorf("empty range stats = %+v", s)
-	}
-	// The whole block is answered from the stats Encode computed, which
-	// equal a fresh walk of the runs.
-	if whole, walked := b.StatsIn(0, b.Len()), b.rangeStats(0, b.Len()); whole != walked {
-		t.Errorf("whole-block stats %+v, run walk %+v", whole, walked)
-	}
-	if got := Encode(nil, 0, nil).StatsIn(0, 0); got != (RangeStats{}) {
+	if got := Encode(nil, 0, nil).Stats(); got != (RangeStats{}) {
 		t.Errorf("empty block stats = %+v", got)
 	}
 }
@@ -302,7 +290,7 @@ func TestEncodeOverflowParamsStayScalar(t *testing.T) {
 	}
 	iv := region.Closed(0, 1e5)
 	out := make([]float64, len(ds))
-	b.EvalInterval(0, len(ds), iv, out, 0)
+	b.EvalInterval(iv, out)
 	for i, d := range ds {
 		want := scalarMass(d, 0, iv)
 		if math.Float64bits(out[i]) != math.Float64bits(want) {
@@ -404,7 +392,7 @@ func TestEvalGridAllocs(t *testing.T) {
 		}
 		iv := region.Closed(10.5, 40)
 		out := make([]float64, n)
-		if got := testing.AllocsPerRun(20, func() { b.EvalInterval(0, n, iv, out, 0) }); got != c.allocs {
+		if got := testing.AllocsPerRun(20, func() { b.EvalInterval(iv, out) }); got != c.allocs {
 			t.Errorf("%d grids: %v allocations per evaluation, want %v", c.grids, got, c.allocs)
 		}
 		for i, d := range ds {

@@ -83,7 +83,7 @@ func laneIntervals() []region.Interval {
 // full, partial, single-point, over negative and ±0 values — land in the
 // point lane, never in a fallback run, and the kernels reproduce the scalar
 // path bit for bit: EvalInterval equals Discrete.MassIn over closed, open,
-// point, empty, NaN and ±Inf intervals, also when a morsel split cuts a run,
+// point, empty, NaN and ±Inf intervals, also when a range split cuts a run,
 // and over the interval of one comparison it equals dist.FloorMass, the
 // pending mass of a floor, for <, <=, > and >= — for the discrete,
 // dictionary and Gaussian rows alike, as the pending lanes use all three.
@@ -104,7 +104,7 @@ func TestDiscreteLaneDifferential(t *testing.T) {
 	whole := make([]float64, n)
 	split := make([]float64, n)
 	for _, iv := range laneIntervals() {
-		b.EvalInterval(0, n, iv, whole, 0)
+		b.EvalInterval(iv, whole)
 		for i, d := range ds {
 			if want := d.MassIn(region.Box{iv}); math.Float64bits(whole[i]) != math.Float64bits(want) {
 				t.Fatalf("iv %+v row %d (%s): lane %v, MassIn %v", iv, i, d, whole[i], want)
@@ -113,7 +113,7 @@ func TestDiscreteLaneDifferential(t *testing.T) {
 		for _, step := range []int{1, 3, 7, 64} {
 			for from := 0; from < n; from += step {
 				to := min(from+step, n)
-				b.EvalInterval(from, to, iv, split[from:to], from)
+				b.MassInBoxVec(from, to, region.Box{iv}, split[from:to])
 			}
 			for i := range split {
 				if math.Float64bits(split[i]) != math.Float64bits(whole[i]) {
@@ -128,7 +128,7 @@ func TestDiscreteLaneDifferential(t *testing.T) {
 			if len(keep.Intervals()) != 1 {
 				continue
 			}
-			b.EvalInterval(0, n, keep.Intervals()[0], whole, 0)
+			b.EvalInterval(keep.Intervals()[0], whole)
 			for i, d := range ds {
 				if want := dist.FloorMass(d, 0, keep); math.Float64bits(whole[i]) != math.Float64bits(want) {
 					t.Fatalf("%v %v row %d (%s): lane %v, FloorMass %v", op, c, i, d, whole[i], want)

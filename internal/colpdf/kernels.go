@@ -27,13 +27,13 @@ import (
 // MassIntervalVec writes Pr(X ∈ [lo, hi]) for each tuple in [from, to) into
 // out (out[i-from] for tuple i). It is the batch form of dist.MassInterval.
 func (b *Block) MassIntervalVec(from, to int, lo, hi float64, out []float64) {
-	b.EvalInterval(from, to, region.Closed(lo, hi), out, from)
+	b.evalRange(from, to, region.Closed(lo, hi), math.Inf(-1), out)
 }
 
-// CDFVec writes Pr(X ≤ x) for each tuple in [from, to) into out. It is the
-// batch form of dist.CDF.
-func (b *Block) CDFVec(from, to int, x float64, out []float64) {
-	b.EvalInterval(from, to, region.Below(x, false), out, from)
+// CDFVec writes Pr(X ≤ x) for each of the block's tuples into out. It is
+// the batch form of dist.CDF.
+func (b *Block) CDFVec(x float64, out []float64) {
+	b.EvalInterval(region.Below(x, false), out)
 }
 
 // MassInBoxVec writes the mass inside a one-dimensional box for each tuple
@@ -43,7 +43,7 @@ func (b *Block) MassInBoxVec(from, to int, box region.Box, out []float64) {
 	if len(box) != 1 {
 		panic("colpdf: MassInBoxVec box dimensionality mismatch")
 	}
-	b.EvalInterval(from, to, box[0], out, from)
+	b.evalRange(from, to, box[0], math.Inf(-1), out)
 }
 
 // MassVec copies the per-tuple existence masses for [from, to) into out —
@@ -52,35 +52,24 @@ func (b *Block) MassVec(from, to int, out []float64) {
 	copy(out, b.mass[from:to])
 }
 
-// RunRange returns the half-open run index range [r0, r1) overlapping the
-// tuple range [from, to). The first run is found by binary search: a range
-// may be a few rows of a block that holds a hundred short runs.
-func (b *Block) RunRange(from, to int) (r0, r1 int) {
-	for hi := len(b.runs); r0 < hi; {
-		m := int(uint(r0+hi) >> 1)
-		if b.runs[m].Start+b.runs[m].N <= from {
-			r0 = m + 1
-		} else {
-			hi = m
-		}
+// evalRange evaluates Pr(X ∈ iv) with tail bound z (-Inf: none) for the
+// tuples in [from, to), writing into out[i-from] for tuple i, run by run.
+func (b *Block) evalRange(from, to int, iv region.Interval, z float64, out []float64) {
+	for r := range b.runs {
+		b.evalRun(r, from, to, iv, z, out, from)
 	}
-	r1 = r0
-	for r1 < len(b.runs) && b.runs[r1].Start < to {
-		r1++
-	}
-	return r0, r1
 }
 
-// EvalIntervalRun evaluates one run's tuples restricted to [from, to),
-// writing Pr(X ∈ iv) into out[i-off] for tuple i.
-func (b *Block) EvalIntervalRun(r, from, to int, iv region.Interval, out []float64, off int) {
-	b.evalRun(r, from, to, iv, math.Inf(-1), out, off)
+// EvalIntervalRun evaluates one run's tuples, writing Pr(X ∈ iv) into
+// out[i] for tuple i; out holds one entry per tuple of the block.
+func (b *Block) EvalIntervalRun(r int, iv region.Interval, out []float64) {
+	b.evalRun(r, 0, b.n, iv, math.Inf(-1), out[:b.n], 0)
 }
 
-// EvalInterval evaluates Pr(X ∈ iv) for every tuple in [from, to), writing
-// into out[i-off] for tuple i, run by run.
-func (b *Block) EvalInterval(from, to int, iv region.Interval, out []float64, off int) {
-	b.EvalIntervalBounded(from, to, iv, math.Inf(-1), out, off)
+// EvalInterval evaluates Pr(X ∈ iv) for every tuple of the block, writing
+// into out[i] for tuple i, run by run.
+func (b *Block) EvalInterval(iv region.Interval, out []float64) {
+	b.EvalIntervalBounded(iv, math.Inf(-1), out)
 }
 
 // EvalIntervalBounded is EvalInterval for a caller that only compares each
@@ -88,11 +77,8 @@ func (b *Block) EvalInterval(from, to int, iv region.Interval, out []float64, of
 // with iv.Hi−µ < zσ or µ−iv.Lo < zσ has mass at most min(Φ(z_hi), 1−Φ(z_lo))
 // < p, and reads 0 without a CDF: a comparison with p decides 0 as it
 // decides any mass below p. Every other row is evaluated exactly.
-func (b *Block) EvalIntervalBounded(from, to int, iv region.Interval, z float64, out []float64, off int) {
-	r0, r1 := b.RunRange(from, to)
-	for r := r0; r < r1; r++ {
-		b.evalRun(r, from, to, iv, z, out, off)
-	}
+func (b *Block) EvalIntervalBounded(iv region.Interval, z float64, out []float64) {
+	b.evalRange(0, b.n, iv, z, out[:b.n])
 }
 
 // ThresholdZ returns the tail bound EvalIntervalBounded takes for a

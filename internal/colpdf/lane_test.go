@@ -9,49 +9,6 @@ import (
 	"probdb/internal/region"
 )
 
-// linearRunRange is RunRange as a walk from run 0: the reference the binary
-// search must reproduce.
-func linearRunRange(b *Block, from, to int) (r0, r1 int) {
-	for r0 < len(b.runs) && b.runs[r0].Start+b.runs[r0].N <= from {
-		r0++
-	}
-	r1 = r0
-	for r1 < len(b.runs) && b.runs[r1].Start < to {
-		r1++
-	}
-	return r0, r1
-}
-
-// TestRunRangeMatchesLinearWalk compares RunRange with the linear walk on
-// random run layouts — single runs, many one-row runs, long and short runs
-// mixed — over every range a morsel or a batch can ask for, empty and
-// out-of-block ones included.
-func TestRunRangeMatchesLinearWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for layout := 0; layout < 300; layout++ {
-		b := &Block{}
-		maxRun := 1 + rng.Intn(1+layout%40)
-		for nr := rng.Intn(120); len(b.runs) < nr || b.n == 0; {
-			n := 1 + rng.Intn(maxRun)
-			b.runs = append(b.runs, Run{Start: b.n, N: n})
-			b.n += n
-		}
-		for q := 0; q < 200; q++ {
-			from := rng.Intn(b.n+3) - 1
-			to := from + rng.Intn(40)
-			if q%10 == 0 {
-				from, to = 0, b.n
-			}
-			g0, g1 := b.RunRange(from, to)
-			w0, w1 := linearRunRange(b, from, to)
-			if g0 != w0 || g1 != w1 {
-				t.Fatalf("layout %d (%d runs over %d rows): RunRange(%d, %d) = [%d, %d), linear walk [%d, %d)",
-					layout, len(b.runs), b.n, from, to, g0, g1, w0, w1)
-			}
-		}
-	}
-}
-
 // TestLaneKeepMatchesScalar: KeepConst and KeepLane decide every numeric row
 // exactly as holds does, on NaN, ±0, ±Inf and huge values, leave the rows
 // outside the mask and the rows already dropped as they were, and record

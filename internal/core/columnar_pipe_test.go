@@ -43,9 +43,10 @@ func pipeColTable(t testing.TB, n int) *core.Table {
 	return tbl
 }
 
-// TestPipelinedDifferential drains a scan→filter→prob-filter tree with a
-// batch size misaligned to the 256-tuple encoding granularity, vectorized
-// vs scalar, and requires identical results.
+// TestPipelinedDifferential drains a scan→filter→prob-filter→project tree
+// with a batch size misaligned to the 256-tuple encoding granularity,
+// vectorized vs scalar, and requires identical results, each tuple
+// recording the product of its nodes' masses as its existence probability.
 func TestPipelinedDifferential(t *testing.T) {
 	tbl := pipeColTable(t, 700)
 	run := func(vec bool, batch int) *core.Table {
@@ -60,8 +61,15 @@ func TestPipelinedDifferential(t *testing.T) {
 		sc.SetBatch(batch)
 		var root pipe.Operator = pipe.NewFilter(sc, sel)
 		root = pipe.NewProbFilter(root, tbl.PlanRangeThreshold("x", 1, 7, region.GT, 0.25))
-		out, err := pipe.Drain(context.Background(), root)
+		proj, err := root.Header().PlanProject("x", "id")
 		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := pipe.Drain(context.Background(), pipe.NewProject(root, proj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.CheckExistence(out.Tuples()); err != nil {
 			t.Fatal(err)
 		}
 		return out

@@ -126,6 +126,7 @@ func (t *Table) PlanSelect(atoms ...Atom) (*Selection, error) {
 		Name:         fmt.Sprintf("σ(%s)", t.Name),
 		schema:       newSchema,
 		ids:          t.ids,
+		cert:         t.cert,
 		reg:          t.reg,
 		trackHistory: t.trackHistory,
 	}
@@ -211,7 +212,7 @@ func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 	// satisfy no predicate: the tuple is filtered, matching SQL's
 	// three-valued logic collapsed to false.
 	for ci := range s.promotedCols {
-		if _, numeric := tup.certain[ci].AsFloat(); !numeric {
+		if _, numeric := tup.certain[t.CertainOffset(ci)].AsFloat(); !numeric {
 			return nil, nil
 		}
 	}
@@ -250,10 +251,11 @@ func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 	if len(s.promotedCols) > 0 {
 		certain = append([]Value(nil), tup.certain...)
 		for ci := range s.promotedCols {
-			certain[ci] = Null
+			certain[t.CertainOffset(ci)] = Null
 		}
 	}
-	return &Tuple{certain: certain, nodes: nodes}, nil
+	nt := makeTuple(certain, nodes)
+	return &nt, nil
 }
 
 // Report returns the kernel's evaluation summary for EXPLAIN and stats.
@@ -482,15 +484,15 @@ func (p *ProbSelection) keepBatchAt(in []*Tuple, slot encSlot, keep []bool, vals
 			for i := 0; i < n; i++ {
 				vals[i] *= m[i]
 			}
-			p.stats.note(b.StatsIn(0, n), true)
+			p.stats.note(b.Stats(), true)
 		}
 		if len(p.deps) == 0 {
 			p.stats.vec.Add(uint64(n)) // Pr over certain columns is 1
 		}
 	} else {
 		b := p.in.colBlockFor(p.dep, p.dim, slot, in)
-		b.EvalIntervalBounded(0, n, region.Closed(p.lo, p.hi), p.z, vals, 0)
-		p.stats.note(b.StatsIn(0, n), false)
+		b.EvalIntervalBounded(region.Closed(p.lo, p.hi), p.z, vals)
+		p.stats.note(b.Stats(), false)
 	}
 	for i := 0; i < n; i++ {
 		keep[i] = p.op.Eval(vals[i], p.p)
@@ -513,17 +515,16 @@ func (p *ProbSelection) keepTuples(in []*Tuple, keep []bool) error {
 	return nil
 }
 
-// Projection is a compiled Project (§III-B): the derived shape and, per
-// output column, the input offset its certain value comes from. With history
-// tracking on, every dependency set is kept whole — the projected-out
-// attributes of an overlapping set, and every attribute of an invisible one,
-// become phantoms with fresh identities — so a projected tuple shares its
-// input's pdf nodes and only the visible certain values are copied. With
-// tracking off, overlapping sets are marginalized onto the visible
-// attributes per tuple and invisible ones dropped (Fig. 6's baseline).
+// Projection is a compiled Project (§III-B). With history tracking on,
+// every dependency set is kept whole — the projected-out attributes of an
+// overlapping set, and every attribute of an invisible one, become phantoms
+// with fresh identities — so a projected tuple is its input tuple: the
+// derived table differs only in its header, whose certain-offset map picks
+// the visible values out of the input's. With tracking off, overlapping sets
+// are marginalized onto the visible attributes per tuple and invisible ones
+// dropped (Fig. 6's baseline); the certain values are still shared.
 type Projection struct {
-	out  *Table
-	cols []int // input schema offset of each output column
+	out *Table
 	// marg is nil with tracking on; otherwise marg[si] lists the visible
 	// dimensions input set si is marginalized onto (nil: the set is dropped).
 	marg [][]int
@@ -535,18 +536,20 @@ func (t *Table) PlanProject(names ...string) (*Projection, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Projection{cols: make([]int, len(names))}
+	p := &Projection{}
 	ids := make([]AttrID, len(names))
+	cert := make([]int, len(names))
 	visible := map[AttrID]bool{}
 	for i, n := range names {
-		p.cols[i] = t.schema.Index(n)
-		ids[i] = t.ids[p.cols[i]]
+		col := t.schema.Index(n)
+		ids[i], cert[i] = t.ids[col], t.CertainOffset(col)
 		visible[ids[i]] = true
 	}
 	p.out = &Table{
 		Name:         fmt.Sprintf("π(%s)", t.Name),
 		schema:       schema,
 		ids:          ids,
+		cert:         cert,
 		reg:          t.reg,
 		trackHistory: t.trackHistory,
 	}
@@ -588,23 +591,17 @@ func (t *Table) PlanProject(names ...string) (*Projection, error) {
 func (p *Projection) Out() *Table { return p.out }
 
 // AppendBatch appends the projections of in to dst and returns the extended
-// slice. With tracking on it allocates twice per call however many tuples
-// there are — the output tuples, and their certain values, each as one
-// block. Safe to call concurrently: it reads only planning state and the
-// input tuples.
+// slice. With tracking on they are the input tuples themselves, and nothing
+// is allocated beyond dst's growth; with tracking off each tuple gets its
+// marginalized nodes, sharing its certain values. Safe to call concurrently:
+// it reads only planning state and the input tuples.
 func (p *Projection) AppendBatch(dst, in []*Tuple) []*Tuple {
-	k := len(p.cols)
+	if p.marg == nil {
+		return append(dst, in...)
+	}
 	tups := make([]Tuple, len(in))
-	vals := make([]Value, len(in)*k)
 	for i, tup := range in {
-		certain := vals[i*k : (i+1)*k : (i+1)*k]
-		for j, c := range p.cols {
-			certain[j] = tup.certain[c]
-		}
-		tups[i] = Tuple{certain: certain, nodes: tup.nodes}
-		if p.marg != nil {
-			tups[i].nodes = p.marginalize(tup)
-		}
+		tups[i] = makeTuple(tup.certain, p.marginalize(tup))
 		dst = append(dst, &tups[i])
 	}
 	return dst
@@ -636,7 +633,7 @@ func (p *Projection) marginalize(tup *Tuple) []*PDFNode {
 // once, with the identity-collision analysis of §III-D) and a pair function
 // concatenating one left and one right tuple.
 type CrossKernel struct {
-	out *Table
+	out, l, r *Table
 }
 
 // PlanCross compiles t × o: registry and identity checks, the concatenated
@@ -692,18 +689,19 @@ func (t *Table) PlanCross(o *Table) (*CrossKernel, error) {
 		trackHistory: t.trackHistory && o.trackHistory,
 	}
 	out.deps = append(append([]*depSet(nil), t.deps...), o.deps...)
-	return &CrossKernel{out: out}, nil
+	return &CrossKernel{out: out, l: t, r: o}, nil
 }
 
 // Out returns the (empty) product table.
 func (k *CrossKernel) Out() *Table { return k.out }
 
-// Pair concatenates one left and one right tuple into a product tuple.
+// Pair concatenates one left and one right tuple into a product tuple:
+// each side's visible certain values in schema order, then its nodes.
 func (k *CrossKernel) Pair(a, b *Tuple) *Tuple {
-	return &Tuple{
-		certain: append(append([]Value(nil), a.certain...), b.certain...),
-		nodes:   append(append([]*PDFNode(nil), a.nodes...), b.nodes...),
-	}
+	certain := k.r.appendCertain(k.l.appendCertain(make([]Value, 0, k.out.schema.Len()), a), b)
+	nodes := append(append(make([]*PDFNode, 0, len(a.nodes)+len(b.nodes)), a.nodes...), b.nodes...)
+	tup := makeTuple(certain, nodes)
+	return &tup
 }
 
 // EquiJoinKernel is a compiled hash equi-join: the product table's shape and
@@ -742,8 +740,8 @@ func (t *Table) PlanEquiJoin(o *Table, leftKey, rightKey string) (*EquiJoinKerne
 		cross: cross,
 		out:   cross.out,
 		index: map[OrderKey][]*Tuple{},
-		li:    t.schema.Index(leftKey),
-		ri:    o.schema.Index(rightKey),
+		li:    t.CertainOffset(t.schema.Index(leftKey)),
+		ri:    o.CertainOffset(o.schema.Index(rightKey)),
 	}, nil
 }
 

@@ -91,7 +91,7 @@ func (t *Table) mergeTupleNodes(plan *mergePlan, tup *Tuple) (*PDFNode, error) {
 	}
 	promotedVals := make([]float64, len(plan.promoted))
 	for i, ci := range plan.promoted {
-		v := tup.certain[ci]
+		v := tup.certain[t.CertainOffset(ci)]
 		f, ok := v.AsFloat()
 		if !ok {
 			return nil, fmt.Errorf("core: cannot merge NULL/non-numeric value of column %q into a joint pdf",

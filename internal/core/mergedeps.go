@@ -66,8 +66,8 @@ func (t *Table) MergeDeps(names ...string) (*Table, error) {
 			return nil, err
 		}
 		nodes[mergedAt] = n
-		nt := &Tuple{certain: tup.certain, nodes: nodes}
-		out.tuples = append(out.tuples, nt)
+		nt := makeTuple(tup.certain, nodes)
+		out.tuples = append(out.tuples, &nt)
 	}
 	return out, nil
 }

@@ -43,8 +43,8 @@ func FloatKey(f float64) OrderKey { return OrderKey{kind: IntValue, f: f} }
 // computed number).
 func (k OrderKey) Number() (float64, bool) { return k.f, k.kind == IntValue }
 
-// OrderKey returns the ordering key of the certain column at schema offset
-// col.
+// OrderKey returns the ordering key of the certain value at offset col
+// (Table.CertainOffset of the column).
 func (tup *Tuple) OrderKey(col int) OrderKey {
 	v := &tup.certain[col]
 	if f, ok := v.AsFloat(); ok {

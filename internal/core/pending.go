@@ -38,10 +38,11 @@ func (p *Pending) Kept(i int) bool { return p.keep[i] }
 // after the floors: the Dist.Mass() of the node Eval would build.
 func (p *Pending) Mass(dep, i int) float64 { return p.mass[dep][i] }
 
-// Lane returns the value lane of certain column col over the batch in last
-// evaluated into p, or nil when the column is not numeric or the batch has
-// no slot — it is no slice of a base table or of a transaction overlay (an
-// index probe's candidates, a derived table).
+// Lane returns the value lane of the certain column at certain-value offset
+// col over the batch in last evaluated into p, or nil when the column is not
+// numeric or the batch has no slot — it is no slice of a base table or of a
+// transaction overlay (an index probe's candidates, a derived table). Only a
+// base table has slots, and there the offset is the schema position.
 func (p *Pending) Lane(col int, in []*Tuple) *colpdf.Lane {
 	if p.slot == nil || !p.src.schema.Columns()[col].Type.Numeric() {
 		return nil
@@ -121,7 +122,7 @@ func (s *Selection) evalPendingAt(in []*Tuple, slot encSlot, p *Pending) error {
 			b := t.colBlockFor(di, 0, slot, in)
 			copy(m, b.Mass()[:n])
 			p.pos[di] = b.MassPositive()
-			s.stats.note(b.StatsIn(0, n), true)
+			s.stats.note(b.Stats(), true)
 		case len(fl) == 0:
 			for i, tup := range in {
 				m[i] = tup.nodes[di].Dist.Mass()
@@ -136,7 +137,7 @@ func (s *Selection) evalPendingAt(in []*Tuple, slot encSlot, p *Pending) error {
 				switch run.Fam {
 				case colpdf.FamGaussian, colpdf.FamUniform, colpdf.FamExponential,
 					colpdf.FamDiscrete, colpdf.FamPoisson, colpdf.FamGeometric:
-					b.EvalIntervalRun(r, 0, n, iv, m, 0)
+					b.EvalIntervalRun(r, iv, m)
 				default:
 					p.keptRows(run.Start, run.Start+run.N)
 				}
@@ -144,7 +145,7 @@ func (s *Selection) evalPendingAt(in []*Tuple, slot encSlot, p *Pending) error {
 			if err := s.floorMasses(in, p, di); err != nil {
 				return err
 			}
-			rs := b.StatsIn(0, n)
+			rs := b.Stats()
 			s.stats.note(colpdf.RangeStats{Vec: n - len(p.rows), Fallback: len(p.rows), Runs: rs.Runs, FamMask: rs.FamMask}, false)
 		default:
 			p.keptRows(0, n)
@@ -299,7 +300,7 @@ func (s *Selection) build(in []*Tuple, p *Pending, slots []*Tuple) error {
 				nodes[j*fd+k] = PDFNode{Dist: pd, Anc: src.Anc, vars: src.vars}
 				np[di] = &nodes[j*fd+k]
 			}
-			tups[j] = Tuple{certain: tup.certain, nodes: np}
+			tups[j] = makeTuple(tup.certain, np)
 			slots[p.idx[j]] = &tups[j]
 		}
 		return nil
@@ -329,7 +330,7 @@ func Detach(tups []*Tuple) []*Tuple {
 			np[j] = &nodes[k+j]
 		}
 		k += len(tup.nodes)
-		ts[i] = Tuple{certain: tup.certain, nodes: np}
+		ts[i] = Tuple{certain: tup.certain, nodes: np, exists: tup.exists}
 		out[i] = &ts[i]
 	}
 	return out

@@ -137,9 +137,9 @@ func (t *Table) operandInfo(o Operand) (string, bool, error) {
 }
 
 // certainCmp is a comparison over certain values compiled against a table's
-// schema: each side is a column offset, or (col < 0) a literal. Evaluating it
-// indexes tup.certain and compares in place — no name lookup and no Value
-// copy per row.
+// schema: each side is a column's certain-value offset (CertainOffset), or
+// (col < 0) a literal. Evaluating it indexes tup.certain and compares in
+// place — no name lookup and no Value copy per row.
 type certainCmp struct {
 	op         region.Op
 	lcol, rcol int
@@ -155,10 +155,10 @@ type certainCmp struct {
 func (t *Table) compileCertain(a Atom) certainCmp {
 	c := certainCmp{op: a.Op, lcol: -1, rcol: -1, llit: a.Left.lit, rlit: a.Right.lit}
 	if a.Left.isCol {
-		c.lcol = t.schema.Index(a.Left.attr)
+		c.lcol = t.CertainOffset(t.schema.Index(a.Left.attr))
 	}
 	if a.Right.isCol {
-		c.rcol = t.schema.Index(a.Right.attr)
+		c.rcol = t.CertainOffset(t.schema.Index(a.Right.attr))
 	}
 	c.lanes = (c.lcol >= 0 || c.rcol >= 0) && t.numericOperand(a.Left) && t.numericOperand(a.Right)
 	return c

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -64,12 +65,27 @@ type PDFNode struct {
 	pristine bool
 }
 
-// Tuple is one probabilistic tuple: certain values for the visible columns
-// (positions holding uncertain columns are Null) and one PDFNode per
-// dependency set of the owning table.
+// Tuple is one probabilistic tuple: certain values (positions holding
+// uncertain columns are Null), one PDFNode per dependency set of the owning
+// table, and the tuple's existence probability. A table reads its visible
+// columns' values through its certain-offset map, so a projection's tuples
+// are its input's tuples. Tuples are immutable once built.
 type Tuple struct {
 	certain []Value
 	nodes   []*PDFNode
+	// exists is the product of the nodes' masses in node order (§II-B),
+	// fixed when the nodes are: ExistenceProb returns it.
+	exists float64
+}
+
+// makeTuple builds a tuple of certain values and nodes — the one place a
+// tuple's existence probability is computed.
+func makeTuple(certain []Value, nodes []*PDFNode) Tuple {
+	p := 1.0
+	for _, n := range nodes {
+		p *= n.Dist.Mass()
+	}
+	return Tuple{certain: certain, nodes: nodes, exists: p}
 }
 
 // Table is a probabilistic relation: a visible schema Σ, dependency
@@ -85,6 +101,11 @@ type Table struct {
 	deps   []*depSet
 	reg    *Registry
 	tuples []*Tuple
+	// cert maps each visible column to its offset in a tuple's certain
+	// values; nil is the identity, which every base table keeps. A
+	// projection composes it from its input's map and shares the input's
+	// tuples.
+	cert []int
 	// trackHistory enables Λ maintenance. Disabling it reproduces the
 	// incorrect-but-cheaper baseline of Fig. 3/Fig. 6: all products are
 	// treated as independent.
@@ -398,7 +419,8 @@ func (t *Table) store(certain []Value, pdfs []dist.Dist) {
 	for di, d := range pdfs {
 		nodes[di] = t.reg.registerNode(d)
 	}
-	t.tuples = append(t.tuples, &Tuple{certain: certain, nodes: nodes})
+	tup := makeTuple(certain, nodes)
+	t.tuples = append(t.tuples, &tup)
 	if t.enc != nil && len(t.enc)*colBatchSize < len(t.tuples) {
 		t.enc = append(t.enc, t.newSlot())
 	}
@@ -432,7 +454,29 @@ func (t *Table) Value(tup *Tuple, name string) (Value, bool) {
 	if i < 0 || t.schema.Columns()[i].Uncertain {
 		return Null, false
 	}
-	return tup.certain[i], true
+	return tup.certain[t.CertainOffset(i)], true
+}
+
+// CertainOffset returns the offset in a tuple's certain values of visible
+// column col — the offset Tuple.OrderKey takes. Every schema position reads
+// a certain value through it.
+func (t *Table) CertainOffset(col int) int {
+	if t.cert == nil {
+		return col
+	}
+	return t.cert[col]
+}
+
+// appendCertain appends the tuple's visible certain values, in schema
+// order, to dst.
+func (t *Table) appendCertain(dst []Value, tup *Tuple) []Value {
+	if t.cert == nil {
+		return append(dst, tup.certain...)
+	}
+	for _, c := range t.cert {
+		dst = append(dst, tup.certain[c])
+	}
+	return dst
 }
 
 // DistOf returns the marginal distribution of the named uncertain column in
@@ -462,7 +506,7 @@ type Locator struct {
 func (t *Table) Locators() []Locator {
 	locs := make([]Locator, len(t.ids))
 	for i, id := range t.ids {
-		locs[i] = Locator{col: i, dep: -1}
+		locs[i] = Locator{col: t.CertainOffset(i), dep: -1}
 		if di := t.depOf(id); di >= 0 {
 			locs[i].dep, locs[i].dim = di, t.deps[di].dimOf(id)
 		}
@@ -506,14 +550,25 @@ func (t *Table) NodeOf(tup *Tuple, name string) (*PDFNode, error) {
 func (t *Table) DepDist(tup *Tuple, i int) dist.Dist { return tup.nodes[i].Dist }
 
 // ExistenceProb returns the probability that the tuple exists: the product
-// of its dependency sets' masses (partial pdfs, §II-B). A freshly inserted
-// tuple with complete pdfs has existence probability 1.
-func (t *Table) ExistenceProb(tup *Tuple) float64 {
-	p := 1.0
-	for _, n := range tup.nodes {
-		p *= n.Dist.Mass()
+// of its dependency sets' masses (partial pdfs, §II-B), computed when the
+// tuple was built. A freshly inserted tuple with complete pdfs has existence
+// probability 1.
+func (t *Table) ExistenceProb(tup *Tuple) float64 { return tup.exists }
+
+// CheckExistence reports the first of tups whose existence probability is
+// not, bit for bit, the product of its nodes' masses in node order — what
+// every tuple constructor must record. Tests call it on operator outputs.
+func CheckExistence(tups []*Tuple) error {
+	for i, tup := range tups {
+		p := 1.0
+		for _, n := range tup.nodes {
+			p *= n.Dist.Mass()
+		}
+		if math.Float64bits(p) != math.Float64bits(tup.exists) {
+			return fmt.Errorf("core: tuple %d records existence %v, its nodes' masses multiply to %v", i, tup.exists, p)
+		}
 	}
-	return p
+	return nil
 }
 
 // shallowDerived returns a new empty table sharing schema identity,
@@ -523,6 +578,7 @@ func (t *Table) shallowDerived(name string) *Table {
 		Name:         name,
 		schema:       t.schema,
 		ids:          t.ids,
+		cert:         t.cert,
 		reg:          t.reg,
 		trackHistory: t.trackHistory,
 	}
@@ -580,7 +636,7 @@ func (t *Table) settle() {
 				nodes = append(nodes, n)
 			}
 		}
-		tups[i] = Tuple{certain: tup.certain, nodes: nodes[at:len(nodes):len(nodes)]}
+		tups[i] = makeTuple(tup.certain, nodes[at:len(nodes):len(nodes)])
 		ptrs[i] = &tups[i]
 	}
 	t.tuples, t.deps = ptrs, deps

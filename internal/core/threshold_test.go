@@ -112,8 +112,8 @@ func TestThresholdPruneDifferential(t *testing.T) {
 			b := tbl.colBlockFor(0, 0, tbl.slotAt(0, n), tbl.tuples[:n])
 			iv := region.Closed(lo, hi)
 			exact, bounded := make([]float64, n), make([]float64, n)
-			b.EvalInterval(0, n, iv, exact, 0)
-			b.EvalIntervalBounded(0, n, iv, z, bounded, 0)
+			b.EvalInterval(iv, exact)
+			b.EvalIntervalBounded(iv, z, bounded)
 			decided := 0
 			for i := range exact {
 				if bounded[i] != exact[i] {

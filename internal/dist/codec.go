@@ -353,7 +353,13 @@ func (d *decoder) decode(build bool) (Dist, error) {
 		if !build {
 			return nil, nil
 		}
-		return newFloored(m, region.NewSet(ivs...)), nil
+		// Encode writes a normalized set, which the decoder keeps as is;
+		// anything else is normalized, as NewSet would for any caller.
+		keep, ok := region.SetOf(ivs)
+		if !ok {
+			keep = region.NewSet(ivs...)
+		}
+		return newFloored(m, keep), nil
 	case tagDiscrete:
 		dim, err := d.count()
 		if err != nil {

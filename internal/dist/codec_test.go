@@ -2,8 +2,11 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"probdb/internal/region"
@@ -150,6 +153,48 @@ func TestDecodeHugeCountRejected(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; err == nil || n > 1<<16 {
 			t.Errorf("%x: err %v after allocating %d bytes, want a refusal before allocating", buf, err, n)
+		}
+	}
+}
+
+// TestDecodeUnnormalizedFloor: a floored encoding whose kept intervals are
+// unsorted, overlapping, touching or empty — which Encode never writes, but
+// a peer may send — decodes exactly as its region.NewSet normalization,
+// while Encode's own normalized sets round-trip unchanged.
+func TestDecodeUnnormalizedFloor(t *testing.T) {
+	m := NewGaussian(10, 4).(symCont).m
+	cases := [][]region.Interval{
+		{region.Closed(5, 8), region.Closed(0, 6)},                   // unsorted, overlapping
+		{region.Closed(6, 9), region.Closed(0, 3)},                   // unsorted, disjoint
+		{region.Closed(0, 3), {Lo: 3, Hi: 7, LoOpen: true}},          // touching at a closed point
+		{region.Closed(0, 3), {Lo: 5, Hi: 4}, region.Closed(8, 9)},   // an empty interval
+		{region.Closed(0, 3), region.Closed(0, 3)},                   // a duplicate
+		{{Lo: 0, Hi: 3, HiOpen: true}, {Lo: 3, Hi: 7, LoOpen: true}}, // normalized: a gap at 3
+		{region.Below(2, false), region.Closed(4, 4.5)},              // normalized
+	}
+	for _, ivs := range cases {
+		buf := appendContModel([]byte{tagFloored}, m)
+		buf = binary.AppendUvarint(buf, uint64(len(ivs)))
+		for _, iv := range ivs {
+			buf = appendFloat(appendFloat(buf, iv.Lo), iv.Hi)
+			var flags byte
+			if iv.LoOpen {
+				flags |= 1
+			}
+			if iv.HiOpen {
+				flags |= 2
+			}
+			buf = append(buf, flags)
+		}
+		checkAgrees(t, buf)
+		got, n, err := Decode(buf)
+		if err != nil || n != len(buf) {
+			t.Fatalf("%v: Decode = %d, %v", ivs, n, err)
+		}
+		want := newFloored(m, region.NewSet(ivs...))
+		if got.String() != want.String() || math.Float64bits(got.Mass()) != math.Float64bits(want.Mass()) ||
+			!slices.Equal(got.(Floored).Keep().Intervals(), want.(Floored).Keep().Intervals()) {
+			t.Errorf("%v: decoded %v (mass %v), NewSet gives %v (mass %v)", ivs, got, got.Mass(), want, want.Mass())
 		}
 	}
 }

@@ -617,7 +617,8 @@ type TopK struct {
 	// probCols are the PROB(...) arguments when the order is by
 	// probability (NewProbTopK), nil otherwise.
 	probCols []string
-	// col is the schema offset of the certain column the order is by
+	// col is the certain-value offset (Table.CertainOffset) of the column
+	// the order is by
 	// (NewColumnTopK), -1 otherwise.
 	col int
 
@@ -632,14 +633,15 @@ func NewTopK(child Operator, k int, key func(*core.Tuple) (core.OrderKey, error)
 }
 
 // NewColumnTopK wraps child with a bounded top-k heap ordered by the certain
-// column at schema offset col.
+// column at certain-value offset col (Table.CertainOffset).
 func NewColumnTopK(child Operator, k, col int, desc bool) *TopK {
 	t := NewTopK(child, k, ColumnKey(col), desc)
 	t.col = col
 	return t
 }
 
-// ColumnKey is the ORDER BY key of the certain column at schema offset col.
+// ColumnKey is the ORDER BY key of the certain column at certain-value
+// offset col (Table.CertainOffset).
 func ColumnKey(col int) func(*core.Tuple) (core.OrderKey, error) {
 	return func(tup *core.Tuple) (core.OrderKey, error) { return tup.OrderKey(col), nil }
 }

@@ -509,6 +509,46 @@ func (r *repeatBatch) Open(context.Context) error   { return nil }
 func (r *repeatBatch) Next() ([]*core.Tuple, error) { return r.batch, nil }
 func (r *repeatBatch) Close() error                 { return nil }
 
+// TestProjectPassesTuplesThrough: under history tracking a projection is a
+// header over its input's tuples — over a full batch it returns the input
+// tuples themselves and allocates nothing, and its header reads the
+// reordered columns through the tuples' certain values.
+func TestProjectPassesTuplesThrough(t *testing.T) {
+	tbl := testTable(t, BatchSize, 21)
+	k, err := tbl.PlanProject("value", "grp", "rid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProject(&repeatBatch{hdr: tbl, batch: tbl.Tuples()}, k)
+	if err := p.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	out, err := p.Next()
+	if err != nil || len(out) != BatchSize {
+		t.Fatalf("first batch: %d rows, %v", len(out), err)
+	}
+	for i, tup := range out {
+		if tup != tbl.Tuples()[i] {
+			t.Fatalf("row %d is a new tuple, want the input's", i)
+		}
+		for _, c := range []string{"grp", "rid"} {
+			got, _ := p.Header().Value(tup, c)
+			want, _ := tbl.Value(tup, c)
+			if got.Render() != want.Render() {
+				t.Fatalf("row %d column %s: %s through the projection, %s in the table", i, c, got.Render(), want.Render())
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := p.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a %d-row Project batch allocates %v times, want 0", BatchSize, n)
+	}
+}
+
 // TestProbFilterBatchAllocs: a vectorized range threshold over a full
 // batch of Gaussian rows reads one interval probability per row and builds
 // nothing, so it runs inline — no morsel fan-out, no allocation — even with

@@ -191,12 +191,14 @@ func TestCertainScanAllocsDoNotScale(t *testing.T) {
 }
 
 // TestStreamedProjectionAllocsDoNotScale: a streamed SELECT rid ... WHERE
-// PROB(...), encoded the way the server ships it, allocates per batch and
-// not per row — at 10 000 survivors at most eight allocations per extra
-// batch more than at 1 000 (five today: the threshold kernel's lane and
-// worker closure, the projection's two blocks, the filter's output). A
-// projection that rebuilds every tuple, a copy of every row or a
-// wire.Row per row shows up here as thousands.
+// PROB(...), encoded the way the server ships it, allocates per statement
+// and neither per batch nor per row — at 10 000 survivors (36 batches more)
+// at most four allocations more than at 1 000, and none today: the
+// threshold kernel reads the batch's cached encoding, the filter and the
+// encoder reuse their buffers, and the projection passes its input's tuples
+// through. A projection that builds tuples or value blocks per batch shows
+// up here as dozens; one that rebuilds every tuple, a copy of every row or
+// a wire.Row per row as thousands.
 func TestStreamedProjectionAllocsDoNotScale(t *testing.T) {
 	const sql = `SELECT rid FROM readings WHERE PROB(value IN [0, 100]) >= 0.5`
 	allocs := func(n int) float64 {
@@ -219,8 +221,7 @@ func TestStreamedProjectionAllocsDoNotScale(t *testing.T) {
 		})
 	}
 	small, big := allocs(1000), allocs(10000)
-	extra := float64((10000+255)/256 - (1000+255)/256)
-	if d := big - small; d > 8*extra || d < -8*extra {
-		t.Errorf("streamed projection: %v allocs at 1 000 survivors, %v at 10 000 (%v more batches)", small, big, extra)
+	if d := big - small; d > 4 || d < -4 {
+		t.Errorf("streamed projection: %v allocs at 1 000 survivors, %v at 10 000 (36 more batches)", small, big)
 	}
 }

@@ -412,7 +412,8 @@ func addOrderStages(root pipe.Operator, s SelectStmt) (pipe.Operator, error) {
 		if s.Limit != nil && s.OrderProb {
 			root = pipe.NewProbTopK(root, *s.Limit, []string{s.OrderCol}, s.OrderDesc)
 		} else if s.Limit != nil {
-			root = pipe.NewColumnTopK(root, *s.Limit, root.Header().Schema().Index(s.OrderCol), s.OrderDesc)
+			hdr := root.Header()
+			root = pipe.NewColumnTopK(root, *s.Limit, hdr.CertainOffset(hdr.Schema().Index(s.OrderCol)), s.OrderDesc)
 		} else {
 			root = pipe.NewSort(root, key, s.OrderDesc)
 		}
@@ -435,7 +436,7 @@ func addProjection(root pipe.Operator, cols []string) (pipe.Operator, error) {
 }
 
 // orderKey builds the ORDER BY key extractor — a certain column, resolved
-// to its offset here, or Pr(column), the classic most-probable-tuples
+// to its certain-value offset here, or Pr(column), the classic most-probable-tuples
 // ranking. The breakers call it once per arriving tuple and compare the
 // keys (NULLs after all values in both directions, ties in arrival order),
 // so ORDER BY PROB(col) computes each probability exactly once and fails the
@@ -451,5 +452,5 @@ func orderKey(t *core.Table, s SelectStmt) (func(*core.Tuple) (core.OrderKey, er
 	if col.Uncertain {
 		return nil, fmt.Errorf("query: ORDER BY uncertain column %q needs PROB(...)", s.OrderCol)
 	}
-	return pipe.ColumnKey(t.Schema().Index(s.OrderCol)), nil
+	return pipe.ColumnKey(t.CertainOffset(t.Schema().Index(s.OrderCol))), nil
 }

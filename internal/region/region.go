@@ -148,6 +148,22 @@ func NewSet(ivs ...Interval) Set {
 	return Set{ivs: norm}
 }
 
+// SetOf returns the set of ivs, taking the slice over without a copy, when
+// ivs is already in NewSet's normal form: every interval non-empty, and no
+// interval mergeable with the one before it — which also puts them in
+// NewSet's order. ok is false otherwise, and NewSet(ivs...) builds the set.
+func SetOf(ivs []Interval) (s Set, ok bool) {
+	for i, iv := range ivs {
+		if iv.Empty() || i > 0 && mergeable(ivs[i-1], iv) {
+			return Set{}, false
+		}
+	}
+	if len(ivs) == 0 {
+		return Set{}, true
+	}
+	return Set{ivs: ivs}, true
+}
+
 // mergeable reports whether two intervals with a.Lo <= b.Lo union to a single
 // interval (overlap or touch with at least one closed endpoint).
 func mergeable(a, b Interval) bool {

@@ -3,6 +3,7 @@ package region
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -249,5 +250,28 @@ func TestSetString(t *testing.T) {
 	s := NewSet(Closed(1, 2), Open(3, 4)).String()
 	if s != "[1, 2] ∪ (3, 4)" {
 		t.Errorf("unexpected rendering %q", s)
+	}
+}
+
+// TestSetOfMatchesNewSet: SetOf accepts exactly the interval lists NewSet
+// leaves as they are — every normalized set's intervals among them — and
+// then gives NewSet's set.
+func TestSetOfMatchesNewSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ends := []float64{math.Inf(-1), -1, 0, 0.5, 1, 2, 3, math.Inf(1)}
+	for i := 0; i < 5000; i++ {
+		ivs := make([]Interval, rng.Intn(4))
+		for j := range ivs {
+			ivs[j] = Interval{Lo: ends[rng.Intn(len(ends))], Hi: ends[rng.Intn(len(ends))], LoOpen: rng.Intn(2) == 0, HiOpen: rng.Intn(2) == 0}
+		}
+		want := NewSet(ivs...)
+		if got, ok := SetOf(append([]Interval(nil), ivs...)); ok && !reflect.DeepEqual(got, want) {
+			t.Fatalf("SetOf(%v) = %v, NewSet gives %v", ivs, got, want)
+		} else if !ok && reflect.DeepEqual(want.Intervals(), ivs) {
+			t.Fatalf("SetOf(%v) refused a normalized list", ivs)
+		}
+		if got, ok := SetOf(append([]Interval(nil), want.Intervals()...)); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("SetOf(%v) = %v, %v on NewSet's own intervals", want.Intervals(), got, ok)
+		}
 	}
 }

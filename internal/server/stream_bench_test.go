@@ -23,8 +23,8 @@ func streamPDF(i int) string {
 	return fmt.Sprintf("GAUSSIAN(%g, 4)", c)
 }
 
-// streamReadings opens an in-memory engine at parallelism 1 holding the
-// end-to-end benchmark's readings table — n rows, btree on rid, PTI on
+// streamReadings opens an in-memory engine holding the end-to-end
+// benchmark's readings table — n rows, btree on rid, PTI on
 // value, analyzed — and its 500-row sensors table.
 func streamReadings(b *testing.B, n int) *Engine {
 	b.Helper()
@@ -66,11 +66,12 @@ func streamReadings(b *testing.B, n int) *Engine {
 }
 
 // BenchmarkStreamShapes times the five statement classes of the end-to-end
-// benchmark's scan_analytic workload the way a server runs them:
-// Engine.ExecuteStream into the server's sink, which encodes every batch as
-// a RowBatch payload (the socket write aside) — the path BenchmarkScanShapes,
-// which materializes db.Exec's result table, does not measure. 25 000
-// readings at parallelism 1; rows and payload bytes per statement reported.
+// benchmark's scan_analytic workload, and point_read's PTI range-threshold
+// probe (ptirange), the way a server runs them: Engine.ExecuteStream into
+// the server's sink, which encodes every batch as a RowBatch payload (the
+// socket write aside) — the path BenchmarkScanShapes and
+// BenchmarkIndexedSelect, which materialize db.Exec's result table, do not
+// measure. 25 000 readings; rows and payload bytes per statement reported.
 func BenchmarkStreamShapes(b *testing.B) {
 	e := streamReadings(b, 25000)
 	defer e.Close()
@@ -94,6 +95,10 @@ func BenchmarkStreamShapes(b *testing.B) {
 			}
 			lo := 25 + float64(i*37%4000)/100
 			return fmt.Sprintf(`SELECT COUNT(*) FROM readings WHERE PROB(temp IN [%g, %g]) >= 0.6`, lo, lo+12)
+		}},
+		{"ptirange", func(i int) string {
+			lo := 25 + float64(i*37%4000)/100
+			return fmt.Sprintf(`SELECT rid FROM readings WHERE PROB(value IN [%g, %g]) >= 0.9`, lo, lo+8)
 		}},
 		{"join", func(i int) string {
 			return fmt.Sprintf(`SELECT r.rid, s.sid FROM readings AS r, sensors AS s WHERE r.sensor = s.sid AND r.value < s.drift AND r.score < %g`, 10+float64(i*37%1500)/100)
