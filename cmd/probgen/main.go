@@ -28,8 +28,8 @@ import (
 	"time"
 
 	"probdb/internal/bench"
+	"probdb/internal/bench/pages"
 	"probdb/internal/govern"
-	"probdb/internal/storage"
 	"probdb/internal/wire"
 	"probdb/internal/workload"
 )
@@ -67,12 +67,12 @@ func main() {
 	if err := os.Remove(*out); err != nil && !os.IsNotExist(err) {
 		fatal(err)
 	}
-	fp, err := storage.OpenFile(*out)
+	fp, err := pages.OpenFile(*out)
 	if err != nil {
 		fatal(err)
 	}
-	pool := storage.NewPool(fp, 64)
-	heap := storage.NewHeap(pool)
+	pool := pages.NewPool(fp, 64)
+	heap := pages.NewHeap(pool)
 	gen := workload.NewGen(*seed)
 	var bytes int64
 	for i := 0; i < *n; i++ {

@@ -2,7 +2,7 @@
 // a TCP listener speaking the internal/wire protocol, each connection's
 // statements executed on its own goroutine under a -workers cap, and
 // optional crash-safe persistence of base tables under a data directory
-// (write-ahead log + checksummed heap snapshots; see docs/DURABILITY.md).
+// (write-ahead log + checksummed snapshots; see docs/DURABILITY.md).
 // On startup the server recovers the directory — replaying any log records
 // a crash left behind — before accepting clients.
 //
@@ -34,9 +34,9 @@ func main() {
 	workers := flag.Int("workers", 4, "maximum concurrently executing queries")
 	queueDepth := flag.Int("queue-depth", 0, "statements per admission class that may wait for a -workers slot (default 4×workers)")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-query budget: queue wait plus execution")
-	dataDir := flag.String("data-dir", "", "directory for WAL + table heap snapshots (empty: in-memory only)")
+	dataDir := flag.String("data-dir", "", "directory for WAL + table snapshots (empty: in-memory only)")
 	ckptBytes := flag.Int64("checkpoint-bytes", 1<<20,
-		"checkpoint (fold the WAL into heap snapshots) when the log exceeds this many bytes; <0 disables auto-checkpointing")
+		"checkpoint (fold the WAL into snapshots) when the log exceeds this many bytes; <0 disables auto-checkpointing")
 	memBudget := flag.Int64("mem-budget", 0,
 		"server-wide memory budget in bytes for operator buffers, caches and snapshots (0: accounting off)")
 	sessionMem := flag.Int64("session-mem", 0, "per-connection memory cap in bytes (0: unlimited within -mem-budget)")

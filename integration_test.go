@@ -13,11 +13,12 @@ import (
 	"probdb/internal/query"
 	"probdb/internal/region"
 	"probdb/internal/storage"
+	"probdb/internal/vfs"
 	"probdb/internal/workload"
 )
 
 // TestSQLPersistReloadQuery drives the full stack: create and fill a table
-// through SQL, persist it to a page file, reload into a fresh database, and
+// through SQL, persist it to a snapshot file, reload into a fresh database, and
 // check that queries agree before and after the round trip.
 func TestSQLPersistReloadQuery(t *testing.T) {
 	db := query.Open()
@@ -36,27 +37,13 @@ func TestSQLPersistReloadQuery(t *testing.T) {
 	if !ok {
 		t.Fatal("table missing")
 	}
-	path := filepath.Join(t.TempDir(), "readings.pages")
-	fp, err := storage.OpenFile(path)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "readings.snap")
+	if err := storage.SaveTable(vfs.OS, path, tbl); err != nil {
 		t.Fatal(err)
 	}
-	heap := storage.NewHeap(storage.NewPool(fp, 32))
-	if err := storage.SaveTable(tbl, heap); err != nil {
-		t.Fatal(err)
-	}
-	if err := fp.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	fp.Close()
 
 	// Reload into a fresh world.
-	fp2, err := storage.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fp2.Close()
-	loaded, err := storage.LoadTable(storage.NewHeap(storage.NewPool(fp2, 32)), nil)
+	loaded, err := storage.LoadTable(vfs.OS, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,10 @@ import (
 	"math"
 	"time"
 
+	"probdb/internal/bench/pages"
 	"probdb/internal/core"
 	"probdb/internal/dist"
 	"probdb/internal/region"
-	"probdb/internal/storage"
 	"probdb/internal/workload"
 )
 
@@ -234,15 +234,15 @@ func AblationBufferPool(nTuples int, poolSizes []int, seed int64) ([]AblationPoo
 	}
 	var rows []AblationPoolRow
 	for _, pp := range poolSizes {
-		pool := storage.NewPool(storage.NewMemPager(), pp)
-		heap := storage.NewHeap(pool)
+		pool := pages.NewPool(pages.NewMemPager(), pp)
+		heap := pages.NewHeap(pool)
 		for _, rec := range recs {
 			if _, err := heap.Append(rec); err != nil {
 				return nil, err
 			}
 		}
 		scan := func() error {
-			return heap.Scan(func(_ storage.RID, rec []byte) error {
+			return heap.Scan(func(_ pages.RID, rec []byte) error {
 				d, err := workload.DecodeReadingValue(rec)
 				if err != nil {
 					return err

@@ -6,8 +6,8 @@ import (
 	"path/filepath"
 	"time"
 
+	"probdb/internal/bench/pages"
 	"probdb/internal/dist"
-	"probdb/internal/storage"
 	"probdb/internal/workload"
 )
 
@@ -112,7 +112,7 @@ func Fig5(cfg Fig5Config) ([]Fig5Row, error) {
 
 func fig5One(cfg Fig5Config, dir string, n int, rp Repr) (Fig5Row, error) {
 	path := filepath.Join(dir, fmt.Sprintf("readings-%s-%d.pages", rp, n))
-	fp, err := storage.OpenFile(path)
+	fp, err := pages.OpenFile(path)
 	if err != nil {
 		return Fig5Row{}, err
 	}
@@ -120,8 +120,8 @@ func fig5One(cfg Fig5Config, dir string, n int, rp Repr) (Fig5Row, error) {
 		fp.Close()
 		os.Remove(path)
 	}()
-	pool := storage.NewPool(fp, cfg.PoolPages)
-	heap := storage.NewHeap(pool)
+	pool := pages.NewPool(fp, cfg.PoolPages)
+	heap := pages.NewHeap(pool)
 
 	gen := workload.NewGen(cfg.Seed)
 	buildStart := time.Now()
@@ -155,7 +155,7 @@ func fig5One(cfg Fig5Config, dir string, n int, rp Repr) (Fig5Row, error) {
 			pool.ResetStats()
 			start := time.Now()
 			matches = 0
-			err := heap.Scan(func(_ storage.RID, rec []byte) error {
+			err := heap.Scan(func(_ pages.RID, rec []byte) error {
 				d, err := workload.DecodeReadingValue(rec)
 				if err != nil {
 					return err

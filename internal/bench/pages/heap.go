@@ -1,4 +1,4 @@
-package storage
+package pages
 
 import (
 	"fmt"
@@ -34,9 +34,6 @@ func NewHeap(pool *Pool) *Heap {
 	}
 	return h
 }
-
-// Pool returns the underlying buffer pool (for stats).
-func (h *Heap) Pool() *Pool { return h.pool }
 
 // NumPages returns the number of pages in the heap.
 func (h *Heap) NumPages() PageID { return h.pool.pager.NumPages() }

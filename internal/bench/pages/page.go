@@ -1,11 +1,12 @@
-// Package storage is the page-based storage engine under the benchmarks: a
-// disk pager, an LRU buffer pool with read/write accounting, and slotted
-// heap files. The paper ran inside PostgreSQL; the cost separation its
-// Fig. 5 reports comes from tuple size → pages touched → buffer misses, and
-// this package reproduces exactly that mechanism. All I/O flows through the
-// pool and is counted, so benchmarks can report both wall time and the page
-// reads that drive it.
-package storage
+// Package pages is the page-based storage engine under the Fig. 5
+// benchmarks (internal/bench, cmd/probgen): a disk pager, an LRU buffer
+// pool with read/write accounting, and slotted heap files. The paper ran
+// inside PostgreSQL; the cost separation its Fig. 5 reports comes from tuple
+// size → pages touched → buffer misses, and this package reproduces exactly
+// that mechanism. All I/O flows through the pool and is counted, so
+// benchmarks can report both wall time and the page reads that drive it.
+// Every type here serves one goroutine.
+package pages
 
 import (
 	"encoding/binary"

@@ -1,4 +1,4 @@
-package storage
+package pages
 
 import (
 	"encoding/binary"
@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sync"
-
-	"probdb/internal/vfs"
 )
 
 // Pager reads and writes fixed-size pages by ID. Implementations: FilePager
@@ -28,8 +25,7 @@ type Pager interface {
 
 // ErrCorruptPage reports that a page's on-disk bytes fail their checksum —
 // a torn write, bit rot, or outside interference. Errors from ReadPage wrap
-// it (errors.Is) with the file and page identified, so the engine can
-// quarantine the damaged table instead of dying.
+// it (errors.Is) with the file and page identified.
 var ErrCorruptPage = errors.New("storage: corrupt page")
 
 // diskPageSize is a page's on-disk footprint: the 8 KiB image followed by a
@@ -41,36 +37,20 @@ const diskPageSize = PageSize + 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// FilePager stores checksummed pages in an operating-system file.
+// FilePager stores checksummed pages in an operating-system file. Like the
+// pool over it, it serves one goroutine.
 type FilePager struct {
-	f      vfs.File
+	f      *os.File
 	path   string
 	npages PageID
 
-	// scratch assembles image+trailer for one write; the mutex covers it
-	// and npages for pagers shared by several pools.
-	mu      sync.Mutex
+	// scratch assembles image+trailer for one write.
 	scratch [diskPageSize]byte
 }
 
-// OpenFile opens (or creates) a page file at path on the real filesystem.
+// OpenFile opens (or creates) a page file at path.
 func OpenFile(path string) (*FilePager, error) {
-	return OpenFileFS(vfs.OS, path)
-}
-
-// OpenFileFS opens (or creates) a page file at path on fsys.
-func OpenFileFS(fsys vfs.FS, path string) (*FilePager, error) {
-	return openFS(fsys, path, os.O_RDWR|os.O_CREATE)
-}
-
-// CreateFileFS creates an empty page file at path on fsys, truncating any
-// existing contents — the checkpoint writer's entry point.
-func CreateFileFS(fsys vfs.FS, path string) (*FilePager, error) {
-	return openFS(fsys, path, os.O_RDWR|os.O_CREATE|os.O_TRUNC)
-}
-
-func openFS(fsys vfs.FS, path string, flag int) (*FilePager, error) {
-	f, err := fsys.OpenFile(path, flag, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
@@ -90,8 +70,6 @@ func openFS(fsys vfs.FS, path string, flag int) (*FilePager, error) {
 // ReadPage implements Pager, verifying the page's checksum. A mismatch
 // returns an error wrapping ErrCorruptPage.
 func (fp *FilePager) ReadPage(id PageID, buf *Page) error {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
 	if id >= fp.npages {
 		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, fp.npages)
 	}
@@ -109,8 +87,6 @@ func (fp *FilePager) ReadPage(id PageID, buf *Page) error {
 
 // WritePage implements Pager, stamping the page's checksum.
 func (fp *FilePager) WritePage(id PageID, buf *Page) error {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
 	if id > fp.npages {
 		return fmt.Errorf("storage: write would leave a hole at page %d (have %d)", id, fp.npages)
 	}
@@ -126,11 +102,7 @@ func (fp *FilePager) WritePage(id PageID, buf *Page) error {
 }
 
 // NumPages implements Pager.
-func (fp *FilePager) NumPages() PageID {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	return fp.npages
-}
+func (fp *FilePager) NumPages() PageID { return fp.npages }
 
 // Sync flushes the file to stable storage.
 func (fp *FilePager) Sync() error { return fp.f.Sync() }

@@ -1,10 +1,8 @@
-package storage
+package pages
 
 import (
 	"container/list"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 // Stats counts the buffer pool's traffic. PageReads is the number of pages
@@ -17,24 +15,6 @@ type Stats struct {
 	Hits       uint64
 }
 
-// Add returns the sum of two stat snapshots (for aggregating across pools).
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		PageReads:  s.PageReads + o.PageReads,
-		PageWrites: s.PageWrites + o.PageWrites,
-		Hits:       s.Hits + o.Hits,
-	}
-}
-
-// Sub returns the difference s−o, the traffic between two snapshots.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		PageReads:  s.PageReads - o.PageReads,
-		PageWrites: s.PageWrites - o.PageWrites,
-		Hits:       s.Hits - o.Hits,
-	}
-}
-
 type frame struct {
 	id    PageID
 	page  Page
@@ -43,24 +23,14 @@ type frame struct {
 	lru   *list.Element
 }
 
-// Pool is an LRU buffer pool in front of a Pager. It is safe for concurrent
-// use: frame and LRU bookkeeping run under a mutex (the single-session fast
-// path takes one uncontended lock and allocates nothing), and the traffic
-// counters are atomics so Stats can be sampled without blocking scans.
-//
-// Pinned pages may be shared between sessions; the *Page contents alias pool
-// memory, so concurrent writers to the same page must coordinate above the
-// pool (the heap layer's appenders do).
+// Pool is an LRU buffer pool in front of a Pager, used by one goroutine.
+// A pinned *Page aliases pool memory.
 type Pool struct {
-	mu       sync.Mutex
 	pager    Pager
 	capacity int
 	frames   map[PageID]*frame
 	lru      *list.List // of PageID, front = most recent
-
-	reads  atomic.Uint64
-	writes atomic.Uint64
-	hits   atomic.Uint64
+	stats    Stats
 }
 
 // NewPool creates a buffer pool of the given capacity (pages) over a pager.
@@ -76,38 +46,17 @@ func NewPool(pager Pager, capacity int) *Pool {
 	}
 }
 
-// Stats returns a snapshot of the accumulated counters. It does not block
-// in-flight pins; each counter is individually consistent.
-func (p *Pool) Stats() Stats {
-	return Stats{
-		PageReads:  p.reads.Load(),
-		PageWrites: p.writes.Load(),
-		Hits:       p.hits.Load(),
-	}
-}
+// Stats returns the accumulated counters.
+func (p *Pool) Stats() Stats { return p.stats }
 
-// ResetStats zeroes the counters (between benchmark phases). The reset is
-// atomic with respect to the counters: it takes the pool mutex, so no pin
-// can increment between the counter read and the zeroing — a reset during
-// an active scan cannot lose that scan's in-flight page read.
-func (p *Pool) ResetStats() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.reads.Store(0)
-	p.writes.Store(0)
-	p.hits.Store(0)
-}
-
-// Capacity returns the pool capacity in pages.
-func (p *Pool) Capacity() int { return p.capacity }
+// ResetStats zeroes the counters (between benchmark phases).
+func (p *Pool) ResetStats() { p.stats = Stats{} }
 
 // Pin fetches the page into the pool and pins it. Every Pin must be paired
 // with an Unpin. The returned *Page aliases pool memory.
 func (p *Pool) Pin(id PageID) (*Page, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if fr, ok := p.frames[id]; ok {
-		p.hits.Add(1)
+		p.stats.Hits++
 		fr.pins++
 		p.lru.MoveToFront(fr.lru)
 		return &fr.page, nil
@@ -120,7 +69,7 @@ func (p *Pool) Pin(id PageID) (*Page, error) {
 		p.dropFrame(fr)
 		return nil, err
 	}
-	p.reads.Add(1)
+	p.stats.PageReads++
 	fr.pins = 1
 	return &fr.page, nil
 }
@@ -128,8 +77,6 @@ func (p *Pool) Pin(id PageID) (*Page, error) {
 // PinNew allocates a brand-new page at the end of the file, zeroed and
 // pinned. The caller must initialize and Unpin it (dirty).
 func (p *Pool) PinNew() (PageID, *Page, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	id := p.pager.NumPages()
 	// Materialize the page in the file so subsequent reads succeed.
 	var empty Page
@@ -137,7 +84,7 @@ func (p *Pool) PinNew() (PageID, *Page, error) {
 	if err := p.pager.WritePage(id, &empty); err != nil {
 		return 0, nil, err
 	}
-	p.writes.Add(1)
+	p.stats.PageWrites++
 	fr, err := p.allocFrame(id)
 	if err != nil {
 		return 0, nil, err
@@ -149,8 +96,6 @@ func (p *Pool) PinNew() (PageID, *Page, error) {
 
 // Unpin releases a pin, marking the page dirty if it was modified.
 func (p *Pool) Unpin(id PageID, dirty bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	fr, ok := p.frames[id]
 	if !ok || fr.pins == 0 {
 		return fmt.Errorf("storage: unpin of unpinned page %d", id)
@@ -164,18 +109,12 @@ func (p *Pool) Unpin(id PageID, dirty bool) error {
 
 // Flush writes all dirty pages back to the pager.
 func (p *Pool) Flush() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flushLocked()
-}
-
-func (p *Pool) flushLocked() error {
 	for _, fr := range p.frames {
 		if fr.dirty {
 			if err := p.pager.WritePage(fr.id, &fr.page); err != nil {
 				return err
 			}
-			p.writes.Add(1)
+			p.stats.PageWrites++
 			fr.dirty = false
 		}
 	}
@@ -186,9 +125,7 @@ func (p *Pool) flushLocked() error {
 // the next accesses hit the pager again — used to cold-start benchmark
 // phases.
 func (p *Pool) Invalidate() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.flushLocked(); err != nil {
+	if err := p.Flush(); err != nil {
 		return err
 	}
 	for id, fr := range p.frames {
@@ -228,7 +165,7 @@ func (p *Pool) evict() error {
 			if err := p.pager.WritePage(fr.id, &fr.page); err != nil {
 				return err
 			}
-			p.writes.Add(1)
+			p.stats.PageWrites++
 		}
 		p.dropFrame(fr)
 		return nil

@@ -8,12 +8,9 @@ package server
 
 import (
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -21,9 +18,7 @@ import (
 
 	"probdb/internal/core"
 	"probdb/internal/govern"
-	"probdb/internal/plan"
 	"probdb/internal/query"
-	"probdb/internal/storage"
 	"probdb/internal/txn"
 	"probdb/internal/vfs"
 	"probdb/internal/wal"
@@ -45,22 +40,22 @@ func (e *QuarantinedTableError) Error() string {
 
 func (e *QuarantinedTableError) Unwrap() error { return e.Cause }
 
-// heapExt is the filename suffix of one table's heap file in the data dir.
-const heapExt = ".heap"
+// snapExt is the filename suffix of one table's snapshot file in the data
+// dir; heapExt is the page file of the previous snapshot format, which
+// recovery still reads (storage.LoadHeapFile) and its checkpoint replaces.
+const (
+	snapExt = ".snap"
+	heapExt = ".heap"
+)
 
 // walFile names the write-ahead log belonging to checkpoint generation gen.
 // The generation is baked into the name so a log can never be mistaken for
 // the tail of a different checkpoint's history: after a crash anywhere in
 // the checkpoint protocol, the manifest's generation selects exactly the
-// log whose records are not yet folded into the heap snapshots.
+// log whose records are not yet folded into the snapshots.
 func walFile(gen uint64) string { return fmt.Sprintf("wal.%d.log", gen) }
 
-// poolPages is the capacity of the buffer pool a heap file is read or
-// written through. A pool only ever serves one sequential load (recovery) or
-// one sequential save (checkpoint), so there is nothing to tune.
-const poolPages = 64
-
-// quarantined is the health record of a table whose heap file failed to
+// quarantined is the health record of a table whose snapshot file failed to
 // load at recovery — a checksum mismatch or any other load error. The table
 // stays out of the catalog but its file and manifest entry are kept
 // (evidence, and a possible manual salvage); only DROP TABLE discards it.
@@ -111,24 +106,24 @@ func (c *EngineConfig) fill() {
 // catalog (query.DB) persisted under a data directory with full crash
 // safety. Every write is one commit unit (publish): under the engine mutex
 // it is enqueued to a checksummed write-ahead log and applied, and it is
-// acknowledged only after a group-commit flush has fsync'd it. Heap files
-// hold checkpointed snapshots and are replaced atomically (fresh
+// acknowledged only after a group-commit flush has fsync'd it. Snapshot
+// files hold checkpointed tables and are replaced atomically (fresh
 // generation-named file, then an fsync'd manifest rename), never modified
 // in place. Recovery therefore reduces to: load the snapshots the manifest
 // names, replay the WAL's whole units on top, and checkpoint — a restart
 // after a crash at any point converges to exactly the committed statements.
-// Heap pages carry CRC32C checksums; a page found corrupt at load
+// Snapshot records carry CRC32C checksums; a snapshot found corrupt at load
 // quarantines its table instead of killing the server.
 //
-// Heap files are touched only by recovery (one sequential load each) and by
-// checkpoints (one sequential write each); the engine holds none open in
-// between, and a running server never reads one. SELECTs read memory by one
+// Snapshot files are touched only by recovery (one sequential load each)
+// and by checkpoints (one sequential write each); the engine holds none
+// open in between, and a running server never reads one. SELECTs read memory by one
 // route: planned under the engine mutex against frozen copies of the tables
 // (index probes included), then streamed with no lock held (see
 // execSelectStream).
 //
 // With an empty data dir path the engine is ephemeral: nothing is logged or
-// checkpointed and the I/O counters stay zero.
+// checkpointed.
 type Engine struct {
 	mu  sync.Mutex
 	cfg EngineConfig
@@ -151,10 +146,6 @@ type Engine struct {
 	readOnly *ReadOnlyError
 	// bud is the server-wide memory budget (nil = accounting disabled).
 	bud *govern.Budget
-
-	// io is the running page-I/O total: every recovery load and checkpoint
-	// save adds its pool's counters.
-	io storage.Stats
 
 	// execHook, when non-nil (tests), runs at the top of every Execute —
 	// the seam fault and panic injection use.
@@ -226,198 +217,6 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// recoverLocked brings the engine to the committed state of the data dir.
-func (e *Engine) recoverLocked() error {
-	fsys, dir := e.cfg.FS, e.cfg.Dir
-	m, err := readManifest(fsys, dir)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// No manifest: either a fresh directory or a pre-WAL (v1) layout.
-		heaps, gerr := fsys.Glob(filepath.Join(dir, "*"+heapExt))
-		if gerr != nil {
-			return gerr
-		}
-		if len(heaps) > 0 {
-			return fmt.Errorf("server: %s holds heap files but no MANIFEST: "+
-				"the directory predates the write-ahead-log layout; re-import its tables", dir)
-		}
-		m = &manifest{Gen: 0}
-		if werr := writeManifest(fsys, dir, m); werr != nil {
-			return werr
-		}
-	case err != nil:
-		return err
-	}
-	e.gen = m.Gen
-
-	for _, ent := range m.Tables {
-		if lerr := e.loadTableLocked(ent); lerr != nil {
-			e.quarantine[ent.Name] = &quarantined{file: ent.File, err: lerr}
-			e.cfg.Logf("probserve: quarantined table %q (%s): %v", ent.Name, ent.File, lerr)
-		}
-	}
-	e.restorePlannerLocked(m)
-
-	// Open (or create) this generation's WAL and replay its intact records.
-	wpath := filepath.Join(dir, walFile(e.gen))
-	var recs []wal.Record
-	if _, serr := fsys.Stat(wpath); errors.Is(serr, os.ErrNotExist) {
-		// A crash after the manifest commit but before the new WAL was
-		// created: the snapshots already contain everything.
-		if e.wal, err = wal.Create(fsys, wpath); err != nil {
-			return err
-		}
-		if err := fsys.SyncDir(dir); err != nil {
-			return err
-		}
-	} else {
-		e.wal, recs, err = wal.Open(fsys, wpath)
-		if errors.Is(err, wal.ErrBadMagic) {
-			// A crash between the checkpoint's manifest commit and the new
-			// WAL's header write (or mid-write) leaves a log whose magic
-			// never became durable — and by the WAL's contract such a log
-			// holds no committed records. Recreate it empty.
-			e.cfg.Logf("probserve: recovery: %v; recreating empty log", err)
-			if e.wal, err = wal.Create(fsys, wpath); err != nil {
-				return err
-			}
-			if err = fsys.SyncDir(dir); err != nil {
-				return err
-			}
-		} else if err != nil {
-			return err
-		}
-	}
-	e.gc = txn.NewGroupCommitter(e.wal)
-	if e.cfg.ShipWAL {
-		if err := e.buildShipChainLocked(); err != nil {
-			return err
-		}
-	}
-
-	// Replay the log's whole units (Open cut a torn tail unit); the reader
-	// discards a marker-less unit mid-log, which was never acknowledged.
-	var rd wal.Reader
-	replayed := e.replay(&rd, recs)
-	if rd.Discarded > 0 {
-		e.cfg.Logf("probserve: recovery: discarded %d uncommitted transaction(s)", rd.Discarded)
-	}
-	e.gcLocked(m)
-	if replayed > 0 || len(e.dirty) > 0 {
-		e.cfg.Logf("probserve: recovery: replayed %d WAL statement(s) at generation %d", replayed, e.gen)
-		if cerr := e.checkpointLocked(); cerr != nil {
-			// Not fatal: the WAL still holds the tail durably.
-			e.cfg.Logf("probserve: recovery checkpoint failed: %v", cerr)
-		}
-	}
-	return nil
-}
-
-// restorePlannerLocked reinstalls the planner catalog the manifest recorded
-// at the last checkpoint: statistics decode straight back, index definitions
-// rebuild their structures from the reloaded tables. Runs before WAL replay
-// so replayed DML maintains the indexes incrementally, exactly as the live
-// execution did. Every failure degrades — the table plans as an unanalyzed,
-// unindexed full scan — because a planner without state is merely slower,
-// never wrong.
-func (e *Engine) restorePlannerLocked(m *manifest) {
-	for _, se := range m.Stats {
-		if _, ok := e.db.Table(se.Table); !ok {
-			continue // quarantined or vanished: stats die with the table
-		}
-		raw, err := base64.StdEncoding.DecodeString(se.Data)
-		if err == nil {
-			var ts *plan.TableStats
-			if ts, err = plan.DecodeStats(raw); err == nil {
-				e.db.InstallStats(se.Table, ts)
-				continue
-			}
-		}
-		e.cfg.Logf("probserve: recovery: dropping stats for %q (re-run ANALYZE): %v", se.Table, err)
-	}
-	for _, ie := range m.Indexes {
-		if _, ok := e.db.Table(ie.Table); !ok {
-			continue
-		}
-		if _, err := e.db.Exec(fmt.Sprintf("CREATE INDEX ON %s (%s)", ie.Table, ie.Col)); err != nil {
-			e.cfg.Logf("probserve: recovery: dropping index on %s(%s) (re-run CREATE INDEX): %v",
-				ie.Table, ie.Col, err)
-		}
-	}
-}
-
-// loadTableLocked reads one manifest entry's snapshot into the catalog. It is
-// the only reader of heap files: recovery loads each once and closes it.
-func (e *Engine) loadTableLocked(ent manifestEntry) error {
-	path := filepath.Join(e.cfg.Dir, ent.File)
-	pager, err := storage.OpenFileFS(e.cfg.FS, path)
-	if err != nil {
-		return err
-	}
-	defer pager.Close() //nolint:errcheck // only read
-	pool := storage.NewPool(pager, poolPages)
-	t, err := storage.LoadTable(storage.NewHeap(pool), e.db.Registry())
-	e.io = e.io.Add(pool.Stats())
-	if err != nil {
-		return err
-	}
-	if t.Name != ent.Name {
-		return fmt.Errorf("server: %s holds table %q, want %q", path, t.Name, ent.Name)
-	}
-	if err := e.db.Attach(t); err != nil {
-		return err
-	}
-	e.tables[ent.Name] = ent.File
-	return nil
-}
-
-// saveTableLocked writes t's current state to a fresh heap file at path and
-// makes it durable: create, save, fsync, close.
-func (e *Engine) saveTableLocked(t *core.Table, path string) error {
-	pager, err := storage.CreateFileFS(e.cfg.FS, path)
-	if err != nil {
-		return err
-	}
-	pool := storage.NewPool(pager, poolPages)
-	err = storage.SaveTable(t, storage.NewHeap(pool))
-	e.io = e.io.Add(pool.Stats())
-	if err == nil {
-		err = pager.Sync()
-	}
-	if cerr := pager.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// gcLocked removes files the manifest does not reference: snapshots and
-// logs left behind by a crashed checkpoint, and stale manifest temp files.
-// Best-effort — a leftover file is wasted space, never incorrectness.
-func (e *Engine) gcLocked(m *manifest) {
-	fsys, dir := e.cfg.FS, e.cfg.Dir
-	live := m.files()
-	if heaps, err := fsys.Glob(filepath.Join(dir, "*"+heapExt)); err == nil {
-		for _, p := range heaps {
-			if !live[filepath.Base(p)] {
-				fsys.Remove(p) //nolint:errcheck
-			}
-		}
-	}
-	// With shipping enabled every rolled generation is part of the LSN
-	// space a replica may still be behind in, so none may be deleted.
-	if !e.cfg.ShipWAL {
-		cur := walFile(e.gen)
-		if logs, err := fsys.Glob(filepath.Join(dir, "wal.*.log")); err == nil {
-			for _, p := range logs {
-				if filepath.Base(p) != cur {
-					fsys.Remove(p) //nolint:errcheck
-				}
-			}
-		}
-	}
-	fsys.Remove(filepath.Join(dir, manifestName+".tmp")) //nolint:errcheck
-}
-
 // validTableName gates the table-name → filename mapping: the SQL lexer
 // only produces identifiers, but defense in depth costs one loop.
 func validTableName(name string) bool {
@@ -481,7 +280,7 @@ func (e *Engine) closeLogLocked() {
 }
 
 // Execute runs one statement on the engine's default session and packages
-// its outcome, including latency, buffer-pool traffic, and WAL bytes, as a
+// its outcome, including latency and WAL bytes, as a
 // wire Result (see Session.Execute). Network connections each hold their own
 // Session (giving them independent transactions); Execute exists for tests
 // and embedded callers.
@@ -706,7 +505,7 @@ func (e *Engine) maybeCheckpointLocked() {
 // and runs — the sink (and a slow client behind it) never blocks writers,
 // and a commit's statements are applied whole before or after the build.
 //
-// A SELECT does no page I/O, appends no WAL and raises no conflict, so its
+// A SELECT appends no WAL and raises no conflict, so its
 // Result carries none of the engine-wide deltas finishStatsLocked computes:
 // with the lock released those would be other sessions' work.
 func (e *Engine) execSelectStream(ctx context.Context, s query.SelectStmt, sink func(hdr *core.Table, batch []*core.Tuple) error) (*wire.Result, error) {
@@ -734,7 +533,6 @@ func (e *Engine) execSelectStream(ctx context.Context, s query.SelectStmt, sink 
 // finishStatsLocked turns them into the per-statement deltas of the Result.
 type statMarks struct {
 	start     time.Time
-	io        storage.Stats
 	wal       int64
 	conflicts uint64
 }
@@ -742,7 +540,6 @@ type statMarks struct {
 func (e *Engine) beginStatsLocked() statMarks {
 	return statMarks{
 		start:     time.Now(),
-		io:        e.io,
 		wal:       e.walSizeLocked(),
 		conflicts: e.conflicts.Load(),
 	}
@@ -770,7 +567,6 @@ func statementResult(start time.Time, qr *query.Result) *wire.Result {
 // counters' deltas since d as a wire Result. Its callers hold e.mu from the
 // marks to here, so the deltas are the statement's own work.
 func (e *Engine) finishStatsLocked(d statMarks, qr *query.Result) *wire.Result {
-	delta := e.io.Sub(d.io)
 	// A checkpoint during the statement rolls the WAL and shrinks it below
 	// the starting size; clamp so the per-statement delta never underflows.
 	walDelta := e.walSizeLocked() - d.wal
@@ -778,9 +574,6 @@ func (e *Engine) finishStatsLocked(d statMarks, qr *query.Result) *wire.Result {
 		walDelta = 0
 	}
 	res := statementResult(d.start, qr)
-	res.Stats.PageReads = delta.PageReads
-	res.Stats.PageHits = delta.Hits
-	res.Stats.PageWrites = delta.PageWrites
 	res.Stats.WALBytes = uint64(walDelta)
 	res.Stats.TxnConflicts = e.conflicts.Load() - d.conflicts
 	return res
@@ -799,7 +592,7 @@ func (e *Engine) walSizeLocked() int64 {
 
 // precheckLocked rejects statements that must not run: any statement on a
 // quarantined table (its disk state is unknown) — except the DROP that
-// discards it — and table names that cannot map to a heap file.
+// discards it — and table names that cannot map to a snapshot file.
 func (e *Engine) precheckLocked(stmt query.Stmt) error {
 	names := e.writtenTablesLocked(stmt)
 	switch s := stmt.(type) {
@@ -854,181 +647,6 @@ func (e *Engine) applyLocked(stmt query.Stmt) (*query.Result, error) {
 		delete(e.tables, s.Name)
 	}
 	return qr, nil
-}
-
-// replay feeds recs through rd and applies every unit it completes through
-// applyLocked, stamping its tables as publish does: recovery's and the
-// replica's one apply path. It returns how many statements the units held.
-// A statement that fails here failed identically when first executed, so
-// it is logged, not fatal (and kept for ReplayErrors if quarantined).
-func (e *Engine) replay(rd *wal.Reader, recs []wal.Record) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	replayed := 0
-	for _, rec := range recs {
-		unit, err := rd.Next(rec)
-		if err != nil {
-			e.cfg.Logf("probserve: replay: %v", err)
-		}
-		if len(unit) == 0 {
-			continue
-		}
-		var written []string
-		for _, sql := range unit {
-			stmt, err := query.Parse(sql)
-			if err == nil {
-				err = e.precheckLocked(stmt)
-			}
-			if err == nil {
-				_, err = e.applyLocked(stmt)
-			}
-			if err != nil {
-				var qe *QuarantinedTableError
-				if errors.As(err, &qe) {
-					e.replayErrs = append(e.replayErrs, qe)
-				}
-				e.cfg.Logf("probserve: replay: statement %q failed (as it may have originally): %v", sql, err)
-				continue
-			}
-			written = append(written, e.writtenTablesLocked(stmt)...)
-		}
-		e.stampLocked(written)
-		replayed += len(unit)
-	}
-	return replayed
-}
-
-// checkpointLocked folds the WAL into fresh heap snapshots:
-//
-//  1. every dirty table's current state is written to a new
-//     generation-named heap file and fsync'd (existing snapshots are never
-//     touched);
-//  2. the manifest is atomically replaced — the commit point;
-//  3. a fresh WAL for the new generation is created and the old one,
-//     whose records the snapshots now subsume, is deleted with any
-//     unreferenced snapshot files.
-//
-// A crash before step 2 leaves the old manifest + old WAL authoritative; a
-// crash after it leaves the new snapshots authoritative with an empty or
-// absent WAL. Both replay to the same committed state.
-func (e *Engine) checkpointLocked() error {
-	if e.cfg.Dir == "" {
-		return nil
-	}
-	if e.broken != nil {
-		return e.broken
-	}
-	// Drain the group-commit queue first: every enqueued record must be in
-	// the old log before it is folded away and rolled (their sessions may
-	// still be in Wait — the flush completes their tickets). After Flush no
-	// writer touches e.wal, because Enqueue requires e.mu.
-	if e.gc != nil {
-		if err := e.gc.Flush(); err != nil {
-			return fmt.Errorf("server: checkpoint: WAL flush: %w", err)
-		}
-	}
-	if len(e.dirty) == 0 && e.wal.Empty() {
-		return nil
-	}
-	fsys, dir := e.cfg.FS, e.cfg.Dir
-	gen := e.gen + 1
-
-	newFiles := map[string]string{} // rewritten table → its fresh snapshot file
-	fail := func(err error) error {
-		for _, file := range newFiles {
-			fsys.Remove(filepath.Join(dir, file)) //nolint:errcheck
-		}
-		return err
-	}
-	for name := range e.dirty {
-		t, ok := e.db.Table(name)
-		if !ok {
-			continue // created then dropped within one WAL window
-		}
-		file := fmt.Sprintf("%s.%d%s", name, gen, heapExt)
-		newFiles[name] = file
-		if err := e.saveTableLocked(t, filepath.Join(dir, file)); err != nil {
-			return fail(fmt.Errorf("server: checkpoint %s: %w", name, err))
-		}
-	}
-	// Make the new files' directory entries durable before referencing them.
-	if err := fsys.SyncDir(dir); err != nil {
-		return fail(err)
-	}
-
-	m := &manifest{Gen: gen}
-	for name, file := range e.tables {
-		if _, rewritten := newFiles[name]; !rewritten {
-			m.Tables = append(m.Tables, manifestEntry{Name: name, File: file})
-		}
-	}
-	for name, file := range newFiles {
-		m.Tables = append(m.Tables, manifestEntry{Name: name, File: file})
-	}
-	for name, q := range e.quarantine {
-		m.Tables = append(m.Tables, manifestEntry{Name: name, File: q.file})
-	}
-	// Planner catalog: every surviving table's current stats and index
-	// definitions ride along in the manifest (quarantined tables have none —
-	// their planner state was discarded with the catalog entry).
-	for _, ent := range m.Tables {
-		if ts := e.db.TableStats(ent.Name); ts != nil {
-			raw, err := ts.Encode()
-			if err != nil {
-				return fail(fmt.Errorf("server: checkpoint stats %s: %w", ent.Name, err))
-			}
-			m.Stats = append(m.Stats, statsEntry{Table: ent.Name, Data: base64.StdEncoding.EncodeToString(raw)})
-		}
-		cols := make([]string, 0, 2)
-		for col := range e.db.IndexedCols(ent.Name) {
-			cols = append(cols, col)
-		}
-		sort.Strings(cols)
-		for _, col := range cols {
-			m.Indexes = append(m.Indexes, indexEntry{Table: ent.Name, Col: col})
-		}
-	}
-	if err := writeManifest(fsys, dir, m); err != nil {
-		return fail(err)
-	}
-
-	// Committed. Swap in the new snapshots and the new generation's WAL.
-	e.gen = gen
-	for name, file := range newFiles {
-		e.tables[name] = file
-	}
-	e.dirty = map[string]bool{}
-
-	oldWal := e.wal
-	nw, err := wal.Create(fsys, filepath.Join(dir, walFile(gen)))
-	if err != nil {
-		// The manifest already references the new generation; without its
-		// WAL no further write can be made durable. Latch read-only.
-		e.broken = fmt.Errorf("server: checkpoint committed but WAL creation failed: %w", err)
-		return e.broken
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		nw.Close() //nolint:errcheck
-		e.broken = fmt.Errorf("server: checkpoint committed but WAL creation failed: %w", err)
-		return e.broken
-	}
-	e.wal = nw
-	if e.gc != nil {
-		e.gc.SetLog(nw)
-	}
-	if oldWal != nil {
-		if e.cfg.ShipWAL {
-			// The just-rolled generation is drained (Flush above) and will
-			// never be appended to again: freeze its stream length into the
-			// shipping chain before the new generation starts at chainBase.
-			g := shipGen{path: oldWal.Path(), size: oldWal.StreamLen()}
-			e.chain = append(e.chain, g)
-			e.chainBase += g.size
-		}
-		oldWal.Close() //nolint:errcheck
-	}
-	e.gcLocked(m)
-	return nil
 }
 
 // ReplayErrors returns the typed errors the last recovery skipped past

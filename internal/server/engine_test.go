@@ -32,7 +32,7 @@ func TestEngineEphemeral(t *testing.T) {
 	if res.Table == nil || len(res.Table.Rows) != 1 {
 		t.Fatalf("rows: %+v", res.Table)
 	}
-	if res.Stats.PageReads != 0 || res.Stats.PageWrites != 0 || res.Stats.WALBytes != 0 {
+	if res.Stats.WALBytes != 0 {
 		t.Fatalf("ephemeral engine reported I/O: %+v", res.Stats)
 	}
 }
@@ -95,25 +95,12 @@ func TestEnginePersistAndReload(t *testing.T) {
 		t.Fatalf("insert reported no WAL bytes: %+v", res.Stats)
 	}
 
-	// While the table is dirty (uncheckpointed WAL tail) the SELECT reads
-	// memory and does no page I/O.
+	// A checkpoint changes nothing for readers: the clean table is still
+	// answered from memory, never by re-reading its snapshot file.
+	mustExecute(t, e, "CHECKPOINT")
 	res, err := e.Execute("SELECT rid FROM readings WHERE value < 20 AND PROB(value) > 0.4")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Stats.PageReads != 0 {
-		t.Fatalf("dirty-table SELECT did page I/O instead of the snapshot: %+v", res.Stats)
-	}
-
-	// A checkpoint changes nothing for readers: the clean table is still
-	// answered from memory, never by re-reading its heap file.
-	mustExecute(t, e, "CHECKPOINT")
-	res, err = e.Execute("SELECT rid FROM readings WHERE value < 20 AND PROB(value) > 0.4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PageReads != 0 {
-		t.Fatalf("checkpointed-table SELECT read heap pages: %+v", res.Stats)
 	}
 	if got := len(res.Table.Rows); got != 2 {
 		t.Fatalf("rows: %d, want 2\n%s", got, res.Table.Render())
@@ -152,38 +139,38 @@ func TestEnginePersistAndReload(t *testing.T) {
 	// DROP removes the table's snapshot no later than the next checkpoint.
 	mustExecute(t, e2, "DROP TABLE readings")
 	mustExecute(t, e2, "CHECKPOINT")
-	heaps, err := filepath.Glob(filepath.Join(dir, "readings.*"+heapExt))
+	snaps, err := filepath.Glob(filepath.Join(dir, "readings.*"+snapExt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(heaps) != 0 {
-		t.Fatalf("heap files survive DROP+CHECKPOINT: %v", heaps)
+	if len(snaps) != 0 {
+		t.Fatalf("snapshot files survive DROP+CHECKPOINT: %v", snaps)
 	}
 }
 
-// TestEngineStatsMonotone: retiring pools (checkpoint rewrites, drops) must
-// never make a later query's I/O delta underflow.
+// TestEngineStatsMonotone: a checkpoint rolls the WAL and shrinks it below
+// a statement's starting size, which must never make that statement's WAL
+// delta underflow.
 func TestEngineStatsMonotone(t *testing.T) {
-	e, err := OpenEngine(EngineConfig{Dir: t.TempDir()})
+	e, err := OpenEngine(EngineConfig{Dir: t.TempDir(), CheckpointBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	mustExecute(t, e, "CREATE TABLE t (k INT, x FLOAT UNCERTAIN)")
-	for i := 0; i < 20; i++ {
-		mustExecute(t, e, "INSERT INTO t (k, x) VALUES (1, GAUSSIAN(10, 2))")
+	for i := 0; i < 40; i++ {
+		sql := "INSERT INTO t (k, x) VALUES (1, GAUSSIAN(10, 2))" // crosses the auto-checkpoint threshold
 		if i%5 == 0 {
-			mustExecute(t, e, "CHECKPOINT") // force pool retirement churn
+			sql = "CHECKPOINT"
 		}
-	}
-	mustExecute(t, e, "DELETE FROM t WHERE k = 1")
-	res, err := e.Execute("SELECT COUNT(*) FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An underflow would show up as a delta near 2^64.
-	if res.Stats.PageReads > 1<<40 || res.Stats.PageWrites > 1<<40 {
-		t.Fatalf("stats delta underflowed: %+v", res.Stats)
+		res, err := e.Execute(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An underflow would show up as a delta near 2^64.
+		if res.Stats.WALBytes > 1<<20 {
+			t.Fatalf("%s: WAL delta underflowed: %+v", sql, res.Stats)
+		}
 	}
 }
 
@@ -251,7 +238,7 @@ func TestEngineCheckpointLifecycle(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "wal.0.log")); !os.IsNotExist(err) {
 		t.Fatalf("old WAL not collected: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "s.1.heap")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "s.1.snap")); err != nil {
 		t.Fatalf("checkpoint snapshot missing: %v", err)
 	}
 	// An idle checkpoint (nothing dirty, empty WAL) is a no-op.

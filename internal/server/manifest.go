@@ -12,11 +12,11 @@ import (
 )
 
 // The manifest is the data directory's commit record: a tiny text file
-// naming the current checkpoint generation and the heap file that holds
-// each table's checkpointed snapshot. It is replaced atomically (write to
+// naming the current checkpoint generation and the snapshot file that holds
+// each table's checkpointed state. It is replaced atomically (write to
 // MANIFEST.tmp, fsync, rename, fsync dir), so at every instant exactly one
-// complete manifest is visible — the checkpoint's commit point. Heap files
-// are immutable once referenced: a checkpoint writes a table's new snapshot
+// complete manifest is visible — the checkpoint's commit point. Snapshot
+// files are immutable once referenced: a checkpoint writes a table's new snapshot
 // under a fresh generation-suffixed name and only then flips the manifest,
 // which is what makes a crash at any point during a checkpoint harmless.
 //
@@ -25,25 +25,31 @@ import (
 // (base64 JSON — Sscanf-safe, single token) and one `index` line per
 // CREATE INDEX definition. Indexes persist as definitions only; recovery
 // rebuilds the structures from the reloaded tables. Both are additive line
-// kinds within the v1 format: pre-planner manifests simply have none.
+// kinds: pre-planner manifests simply have none.
 //
 // Format (line-oriented, CRC32C of the preceding lines in the trailer):
 //
-//	probdb-manifest v1
+//	probdb-manifest v2
 //	gen 7
-//	table readings readings.7.heap
-//	table sensors sensors.3.heap
+//	table readings readings.7.snap
+//	table sensors sensors.3.snap
 //	stats readings eyJSb3dzIjo...
 //	index readings temp
 //	crc 89ab12cd
+//
+// Version 2 names snapshot streams (internal/storage). A v1 manifest, the
+// previous format, names page files (.heap); it is still read, and the
+// recovery checkpoint replaces it with a v2 one. A binary that knows only v1
+// refuses a v2 directory at open rather than misreading its snapshots.
 const (
 	manifestName   = "MANIFEST"
-	manifestHeader = "probdb-manifest v1"
+	manifestHeader = "probdb-manifest v2"
+	manifestV1     = "probdb-manifest v1"
 )
 
 type manifestEntry struct {
 	Name string // table name
-	File string // heap file basename within the data dir
+	File string // snapshot file basename within the data dir
 }
 
 // statsEntry is one table's ANALYZE statistics, serialized opaquely.
@@ -65,7 +71,7 @@ type manifest struct {
 	Indexes []indexEntry
 }
 
-// files returns the set of heap file basenames the manifest references.
+// files returns the set of snapshot file basenames the manifest references.
 func (m *manifest) files() map[string]bool {
 	s := make(map[string]bool, len(m.Tables))
 	for _, e := range m.Tables {
@@ -117,7 +123,7 @@ func decodeManifest(raw []byte) (*manifest, error) {
 		return nil, fmt.Errorf("server: manifest checksum mismatch (stored %08x, computed %08x)", sum, got)
 	}
 	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
-	if len(lines) < 2 || lines[0] != manifestHeader {
+	if len(lines) < 2 || lines[0] != manifestHeader && lines[0] != manifestV1 {
 		return nil, fmt.Errorf("server: manifest header %q unsupported", lines[0])
 	}
 	m := &manifest{}

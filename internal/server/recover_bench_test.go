@@ -71,10 +71,10 @@ func recoverDir(b *testing.B, n int, indexCols ...string) string {
 }
 
 // BenchmarkRecover times what a restart costs over a checkpointed data dir:
-// load the heap, rebuild the indexes the manifest names, replay an empty
+// load the snapshot, rebuild the indexes the manifest names, replay an empty
 // WAL. pti is the benchmark's readings table (btree on rid, PTI on value);
 // btree is the same shape with only the btree; load has no index, so its
-// time is the heap scan and the per-row insert path alone — what a table
+// time is the snapshot read and the per-row insert path alone — what a table
 // that only grows, like cluster_mix's cm_load, costs a restart per row.
 func BenchmarkRecover(b *testing.B) {
 	for _, bc := range []struct {

@@ -259,7 +259,7 @@ func TestRecoveryAfterFailedMultiRowInsert(t *testing.T) {
 	}
 }
 
-// TestQuarantineCorruptTable: flipping bytes in one table's heap file must
+// TestQuarantineCorruptTable: flipping bytes in one table's snapshot file must
 // quarantine that table on the next load — the sibling table keeps serving,
 // writes to the damaged table are refused, and DROP discards it.
 func TestQuarantineCorruptTable(t *testing.T) {
@@ -276,9 +276,9 @@ func TestQuarantineCorruptTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	heaps, err := filepath.Glob(filepath.Join(dir, "bad.*"+heapExt))
+	heaps, err := filepath.Glob(filepath.Join(dir, "bad.*"+snapExt))
 	if err != nil || len(heaps) != 1 {
-		t.Fatalf("bad heap files: %v (%v)", heaps, err)
+		t.Fatalf("bad snapshot files: %v (%v)", heaps, err)
 	}
 	raw, err := os.ReadFile(heaps[0])
 	if err != nil {
@@ -320,7 +320,7 @@ func TestQuarantineCorruptTable(t *testing.T) {
 		t.Fatalf("quarantine survives DROP: %v", q)
 	}
 	if _, err := os.Stat(heaps[0]); !os.IsNotExist(err) {
-		t.Fatalf("quarantined heap file survives DROP: %v", err)
+		t.Fatalf("quarantined snapshot file survives DROP: %v", err)
 	}
 	mustExecute(t, re, "CREATE TABLE bad (k INT)")
 	mustExecute(t, re, "INSERT INTO bad (k) VALUES (5)")
@@ -329,7 +329,7 @@ func TestQuarantineCorruptTable(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotAtRest: a running engine never reads a heap file, so
+// TestCorruptSnapshotAtRest: a running engine never reads a snapshot file, so
 // corruption that appears in one after a clean load costs nothing while the
 // server is up — SELECTs answer from memory and nothing is quarantined — and
 // a table's next checkpoint heals it by writing a fresh generation. Only a
@@ -345,9 +345,9 @@ func TestCorruptSnapshotAtRest(t *testing.T) {
 		mustExecute(t, e, "INSERT INTO "+name+" (k, x) VALUES (1, GAUSSIAN(10, 2))")
 	}
 	mustExecute(t, e, "CHECKPOINT") // snapshots on disk, nothing dirty
-	heaps, err := filepath.Glob(filepath.Join(dir, "*"+heapExt))
+	heaps, err := filepath.Glob(filepath.Join(dir, "*"+snapExt))
 	if err != nil || len(heaps) != 2 {
-		t.Fatalf("heap files: %v (%v)", heaps, err)
+		t.Fatalf("snapshot files: %v (%v)", heaps, err)
 	}
 	for _, path := range heaps {
 		raw, err := os.ReadFile(path)
@@ -388,7 +388,7 @@ func TestCorruptSnapshotAtRest(t *testing.T) {
 }
 
 // TestWALReplayQuarantinedTable: when recovery quarantines a table whose
-// heap file is corrupt, WAL records for that table — autocommit and
+// snapshot file is corrupt, WAL records for that table — autocommit and
 // transactional alike — are skipped with a typed *QuarantinedTableError the
 // caller can enumerate, while the rest of the log replays normally.
 func TestWALReplayQuarantinedTable(t *testing.T) {
@@ -400,7 +400,7 @@ func TestWALReplayQuarantinedTable(t *testing.T) {
 	mustExecute(t, e, "CREATE TABLE good (k INT, x FLOAT UNCERTAIN)")
 	mustExecute(t, e, "CREATE TABLE bad (k INT, x FLOAT UNCERTAIN)")
 	mustExecute(t, e, "INSERT INTO bad (k, x) VALUES (1, GAUSSIAN(10, 2))")
-	mustExecute(t, e, "CHECKPOINT") // bad's heap file exists; WAL now empty
+	mustExecute(t, e, "CHECKPOINT") // bad's snapshot file exists; WAL now empty
 	// Tail the WAL with records touching both tables, autocommit and txn.
 	mustExecute(t, e, "INSERT INTO bad (k, x) VALUES (2, GAUSSIAN(20, 2))")
 	mustExecute(t, e, "INSERT INTO good (k, x) VALUES (5, GAUSSIAN(50, 2))")
@@ -417,9 +417,9 @@ func TestWALReplayQuarantinedTable(t *testing.T) {
 	s.Close()
 	e.Abort()
 
-	heaps, err := filepath.Glob(filepath.Join(dir, "bad.*"+heapExt))
+	heaps, err := filepath.Glob(filepath.Join(dir, "bad.*"+snapExt))
 	if err != nil || len(heaps) != 1 {
-		t.Fatalf("bad heap files: %v (%v)", heaps, err)
+		t.Fatalf("bad snapshot files: %v (%v)", heaps, err)
 	}
 	raw, err := os.ReadFile(heaps[0])
 	if err != nil {

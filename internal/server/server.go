@@ -38,7 +38,7 @@ type Config struct {
 	// SELECT is cancelled between batches (its operator tree aborts); a
 	// non-streamable statement runs to completion. Default 30s.
 	QueryTimeout time.Duration
-	// DataDir persists base tables as heap files; empty means ephemeral.
+	// DataDir persists base tables as snapshot files; empty means ephemeral.
 	DataDir string
 	// CheckpointBytes auto-checkpoints when the WAL exceeds this size.
 	// Default 1 MiB; negative disables auto-checkpointing.
@@ -94,7 +94,7 @@ type Config struct {
 	// ReplicaOf, when set, runs this server as a read replica of the given
 	// leader address: the engine is ephemeral and read-only, fed by a tail
 	// loop that pulls the leader's WAL and stores it durably in DataDir
-	// (which then holds replica.wal instead of heaps and manifests).
+	// (which then holds replica.wal instead of snapshots and manifests).
 	ReplicaOf string
 	// ReplicaPoll is the replica's idle fetch cadence. Default 100ms.
 	ReplicaPoll time.Duration

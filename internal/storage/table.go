@@ -1,293 +1,368 @@
-package storage
-
-// This file persists base probabilistic tables into heap files and loads
-// them back: the bridge between the model layer (internal/core) and the
-// pages. The on-disk layout is a schema record followed by one record per
-// tuple, with pdfs in the dist wire format — so a table of symbolic
-// Gaussians costs 17 bytes per pdf on disk, exactly the representation
-// economics the paper's Fig. 5 builds on.
+// Package storage persists base probabilistic tables as checkpoint
+// snapshots and loads them back: the bridge between the model layer
+// (internal/core) and the files of a data directory. A snapshot is written
+// once, sequentially, and read once, sequentially, at recovery, so it is one
+// stream of checksummed records:
+//
+//	| 8-byte magic "probsnp1" |
+//	| schema record | row record | ... | row record | end record |
+//
+// Every record is framed as a write-ahead-log record (wal.AppendRecord: u32
+// length, u32 CRC32C, type byte, data). The schema record holds the table's
+// name, columns and dependency sets; each row record holds up to
+// rowsPerRecord tuple records back to back, fewer once the record passes
+// recordBytes; the end record holds the row count. A tuple record is a
+// format byte, the certain values (core.AppendValue) and one pdf per
+// dependency set in the dist wire format — so a table of symbolic Gaussians
+// costs 17 bytes per pdf on disk, the representation economics the paper's
+// Fig. 5 builds on.
 //
 // Persistence covers *base* tables: the paper's model derives everything
 // else with operators, and derived tables (with phantom attributes and
 // cross-table histories) are recomputed, not stored. SaveTable rejects
 // tables with phantom attributes.
+package storage
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
+	"io"
+	"os"
 
 	"probdb/internal/core"
 	"probdb/internal/dist"
+	"probdb/internal/vfs"
+	"probdb/internal/wal"
 )
 
-// formatVersion guards the record layout.
+// ErrCorruptSnapshot reports a snapshot whose bytes do not decode: a bad
+// magic, a record failing its checksum, a missing end record, a row count
+// that disagrees with the rows, trailing bytes, or a record that is not in
+// the writer's canonical form. Load errors wrap it (errors.Is), so the
+// engine can quarantine the table instead of dying.
+var ErrCorruptSnapshot = errors.New("storage: corrupt snapshot")
+
+const magic = "probsnp1"
+
+// Snapshot record types, in the record framing's type byte.
+const (
+	recSchema wal.Type = 1
+	recRows   wal.Type = 2
+	recEnd    wal.Type = 3
+)
+
+// A row record is closed after rowsPerRecord tuples, or as soon as it
+// reaches recordBytes, whichever comes first.
+const (
+	rowsPerRecord = 256
+	recordBytes   = 64 << 10
+)
+
+// formatVersion leads every schema and tuple record.
 const formatVersion = 1
 
-// SaveTable writes the table into the heap. The heap must be empty.
-func SaveTable(t *core.Table, heap *Heap) error {
-	if heap.NumPages() != 0 {
-		return fmt.Errorf("storage: target heap is not empty")
+// SaveTable writes t as a snapshot file at path on fsys, replacing any file
+// there, and makes it durable: create, write, fsync, close.
+func SaveTable(fsys vfs.FS, path string, t *core.Table) error {
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("storage: create %s: %w", path, err)
 	}
+	err = WriteTable(&fileWriter{f: f}, t)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// fileWriter appends to a vfs.File, which offers only positioned writes.
+type fileWriter struct {
+	f   vfs.File
+	off int64
+}
+
+func (w *fileWriter) Write(p []byte) (int, error) {
+	n, err := w.f.WriteAt(p, w.off)
+	w.off += int64(n)
+	return n, err
+}
+
+// WriteTable writes t to w as one snapshot stream, one write per row
+// record.
+func WriteTable(w io.Writer, t *core.Table) error {
 	if ph := t.PhantomAttrs(); len(ph) > 0 {
 		return fmt.Errorf("storage: cannot persist derived table with phantom attributes %v", ph)
 	}
-	hdr, err := encodeSchema(t)
-	if err != nil {
-		return err
-	}
-	if _, err := heap.Append(hdr); err != nil {
-		return err
-	}
+	buf := wal.AppendRecord([]byte(magic), recSchema, encodeSchema(t))
 	deps := t.DepSets()
 	locs := t.Locators()
-	// One buffer serves every record: the heap copies each into its page.
-	var rec []byte
+	var rows []byte
+	n := 0
+	flush := func() error {
+		buf = wal.AppendRecord(buf, recRows, rows)
+		_, err := w.Write(buf)
+		buf, rows, n = buf[:0], rows[:0], 0
+		return err
+	}
 	for _, tup := range t.Tuples() {
-		rec = append(rec[:0], formatVersion)
+		rows = append(rows, formatVersion)
 		for _, l := range locs {
 			if !l.Uncertain() {
-				rec = appendValue(rec, l.Value(tup))
+				rows = core.AppendValue(rows, l.Value(tup))
 			}
 		}
 		for i := range deps {
-			rec = dist.AppendEncode(rec, t.DepDist(tup, i))
+			rows = dist.AppendEncode(rows, t.DepDist(tup, i))
 		}
-		if _, err := heap.Append(rec); err != nil {
-			return fmt.Errorf("storage: tuple record: %w", err)
-		}
-	}
-	return heap.Pool().Flush()
-}
-
-// LoadTable reads a table previously written by SaveTable. The loaded
-// pdfs are re-registered as fresh base pdfs in reg (pass nil for a new
-// registry): on-disk tables are base tables, so histories restart from
-// them (Definition 2).
-func LoadTable(heap *Heap, reg *core.Registry) (*core.Table, error) {
-	var t *core.Table
-	var deps [][]string
-	var certainCols []core.Column
-	first := true
-	// One row layout serves every record: InsertValues copies the values
-	// and keeps only the pdfs, so both slices are refilled, not reallocated.
-	var certain []core.Value
-	var at []int // schema offset of each certain column
-	var pdfs []dist.Dist
-	err := heap.Scan(func(_ RID, rec []byte) error {
-		if first {
-			first = false
-			var err error
-			if t, deps, certainCols, err = decodeSchema(rec, reg); err != nil {
+		if n++; n == rowsPerRecord || len(rows) >= recordBytes {
+			if err := flush(); err != nil {
 				return err
 			}
-			certain = make([]core.Value, t.Schema().Len())
-			for _, c := range certainCols {
-				at = append(at, t.Schema().Index(c.Name))
-			}
-			pdfs = make([]dist.Dist, len(deps))
-			return nil
 		}
-		if len(rec) < 1 || rec[0] != formatVersion {
-			return fmt.Errorf("storage: bad tuple record version")
+	}
+	if n > 0 {
+		if err := flush(); err != nil {
+			return err
 		}
-		rec = rec[1:]
-		for i, c := range certainCols {
-			v, n, err := decodeValue(rec)
-			if err != nil {
-				return fmt.Errorf("storage: column %s: %w", c.Name, err)
-			}
-			rec = rec[n:]
-			certain[at[i]] = v
-		}
-		for i, set := range deps {
-			d, n, err := dist.Decode(rec)
-			if err != nil {
-				return fmt.Errorf("storage: pdf of %v: %w", set, err)
-			}
-			rec = rec[n:]
-			pdfs[i] = d
-		}
-		if len(rec) != 0 {
-			return fmt.Errorf("storage: %d trailing bytes in tuple record", len(rec))
-		}
-		return t.InsertValues(certain, pdfs)
-	})
+	}
+	buf = wal.AppendRecord(buf, recEnd, binary.AppendUvarint(nil, uint64(t.Len())))
+	_, err := w.Write(buf)
+	return err
+}
+
+// LoadTable reads the snapshot file at path on fsys. The loaded pdfs are
+// re-registered as fresh base pdfs in reg (pass nil for a new registry):
+// on-disk tables are base tables, so histories restart from them
+// (Definition 2).
+func LoadTable(fsys vfs.FS, path string, reg *core.Registry) (*core.Table, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
-	if t == nil {
-		return nil, fmt.Errorf("storage: empty heap (no schema record)")
+	defer f.Close() //nolint:errcheck // only read
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	t, err := ReadTable(io.NewSectionReader(f, 0, st.Size()), reg)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return t, nil
 }
 
-func encodeSchema(t *core.Table) ([]byte, error) {
-	buf := []byte{formatVersion}
-	buf = appendString(buf, t.Name)
-	cols := t.Schema().Columns()
-	buf = binary.AppendUvarint(buf, uint64(len(cols)))
-	for _, c := range cols {
-		buf = appendString(buf, c.Name)
-		buf = append(buf, byte(c.Type))
-		if c.Uncertain {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+// ReadTable reads one snapshot stream from r, which must end with it. It
+// accepts only what WriteTable writes: any input it accepts re-encodes to
+// the same bytes.
+func ReadTable(r io.Reader, reg *core.Registry) (*core.Table, error) {
+	var head [len(magic)]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil || string(head[:]) != magic {
+		return nil, corrupt("bad magic")
+	}
+	rec, buf, err := wal.ReadRecord(r, nil)
+	if err != nil {
+		return nil, corrupt("schema record: %v", err)
+	}
+	if rec.Type != recSchema {
+		return nil, corrupt("record type %d where the schema belongs", rec.Type)
+	}
+	d, err := newRowDecoder(rec.Data, reg)
+	if err != nil {
+		return nil, err
+	}
+	rows, short := 0, false
+	for {
+		rec, buf, err = wal.ReadRecord(r, buf)
+		if err == io.EOF {
+			return nil, corrupt("no end record after %d rows", rows)
+		}
+		if err != nil {
+			return nil, corrupt("after %d rows: %v", rows, err)
+		}
+		switch rec.Type {
+		case recRows:
+			// Only the last row record may stop short of the writer's limits.
+			if short {
+				return nil, corrupt("short row record before row %d", rows)
+			}
+			n := 0
+			for off := 0; off < len(rec.Data); n++ {
+				// The writer closes a record at either limit.
+				if n == rowsPerRecord || n > 0 && off >= recordBytes {
+					return nil, corrupt("row record past its limits at row %d", rows+n)
+				}
+				used, err := d.tuple(rec.Data[off:])
+				if err != nil {
+					return nil, err
+				}
+				off += used
+			}
+			if n == 0 {
+				return nil, corrupt("empty row record after row %d", rows)
+			}
+			rows += n
+			short = n < rowsPerRecord && len(rec.Data) < recordBytes
+		case recEnd:
+			want, used := binary.Uvarint(rec.Data)
+			if used <= 0 || used != len(rec.Data) || !bytes.Equal(rec.Data, binary.AppendUvarint(nil, want)) {
+				return nil, corrupt("bad end record")
+			}
+			if want != uint64(rows) {
+				return nil, corrupt("end record counts %d rows, stream holds %d", want, rows)
+			}
+			if n, _ := r.Read(head[:1]); n != 0 {
+				return nil, corrupt("trailing bytes after the end record")
+			}
+			return d.t, nil
+		default:
+			return nil, corrupt("unknown record type %d after row %d", rec.Type, rows)
 		}
 	}
+}
+
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrCorruptSnapshot, fmt.Sprintf(format, args...))
+}
+
+// rowDecoder turns a table's schema record and tuple records back into the
+// table. It is the one record decoder: the snapshot stream and the page
+// files of the previous format (heapfile.go) both feed it.
+type rowDecoder struct {
+	t    *core.Table
+	deps int
+	at   []int // schema offset of each certain column, in record order
+	// One row layout serves every record: InsertValues copies the values
+	// and keeps only the pdfs, so both slices are refilled, not
+	// reallocated.
+	certain []core.Value
+	pdfs    []dist.Dist
+	enc     []byte // the decoded row re-encoded, to hold records canonical
+}
+
+func newRowDecoder(rec []byte, reg *core.Registry) (*rowDecoder, error) {
+	t, err := decodeSchema(rec, reg)
+	if err != nil {
+		return nil, corrupt("schema: %v", err)
+	}
+	if !bytes.Equal(encodeSchema(t), rec) {
+		return nil, corrupt("schema record not in canonical form")
+	}
+	d := &rowDecoder{t: t, deps: len(t.DepSets()), certain: make([]core.Value, t.Schema().Len())}
+	for i, c := range t.Schema().Columns() {
+		if !c.Uncertain {
+			d.at = append(d.at, i)
+		}
+	}
+	d.pdfs = make([]dist.Dist, d.deps)
+	return d, nil
+}
+
+// tuple decodes the tuple record at the head of rec into the table and
+// returns its length.
+func (d *rowDecoder) tuple(rec []byte) (int, error) {
+	if len(rec) < 1 || rec[0] != formatVersion {
+		return 0, corrupt("bad tuple record version")
+	}
+	off := 1
+	d.enc = append(d.enc[:0], formatVersion)
+	for _, at := range d.at {
+		v, n, err := core.DecodeValue(rec[off:], true)
+		if err != nil {
+			return 0, corrupt("column %s: %v", d.t.Schema().Columns()[at].Name, err)
+		}
+		off += n
+		d.certain[at] = v
+		d.enc = core.AppendValue(d.enc, v)
+	}
+	for i := range d.pdfs {
+		p, n, err := dist.Decode(rec[off:])
+		if err != nil {
+			return 0, corrupt("pdf of %v: %v", d.t.DepSets()[i], err)
+		}
+		off += n
+		d.pdfs[i] = p
+		d.enc = dist.AppendEncode(d.enc, p)
+	}
+	if !bytes.Equal(d.enc, rec[:off]) {
+		return 0, corrupt("tuple record not in canonical form")
+	}
+	if err := d.t.InsertValues(d.certain, d.pdfs); err != nil {
+		return 0, corrupt("%v", err)
+	}
+	return off, nil
+}
+
+func encodeSchema(t *core.Table) []byte {
+	buf := []byte{formatVersion}
+	buf = core.AppendString(buf, t.Name)
+	buf = core.AppendColumns(buf, t.Schema().Columns())
 	deps := t.DepSets()
 	buf = binary.AppendUvarint(buf, uint64(len(deps)))
 	for _, set := range deps {
 		buf = binary.AppendUvarint(buf, uint64(len(set)))
 		for _, a := range set {
-			buf = appendString(buf, a)
+			buf = core.AppendString(buf, a)
 		}
 	}
-	return buf, nil
+	return buf
 }
 
-func decodeSchema(rec []byte, reg *core.Registry) (*core.Table, [][]string, []core.Column, error) {
+// maxCount bounds the column, dependency-set and set-size counts of a
+// schema record.
+const maxCount = 1 << 16
+
+func decodeSchema(rec []byte, reg *core.Registry) (*core.Table, error) {
 	if len(rec) < 1 || rec[0] != formatVersion {
-		return nil, nil, nil, fmt.Errorf("storage: bad schema record version")
+		return nil, fmt.Errorf("bad schema record version")
 	}
-	rec = rec[1:]
-	name, n, err := decodeString(rec)
+	off := 1
+	name, n, err := core.DecodeString(rec[off:])
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	rec = rec[n:]
-	ncols, n := binary.Uvarint(rec)
-	if n <= 0 || ncols > 1<<16 {
-		return nil, nil, nil, fmt.Errorf("storage: bad column count")
+	off += n
+	cols, n, err := core.DecodeColumns(rec[off:], maxCount)
+	if err != nil {
+		return nil, err
 	}
-	rec = rec[n:]
-	cols := make([]core.Column, ncols)
-	var certain []core.Column
-	for i := range cols {
-		cname, n, err := decodeString(rec)
-		if err != nil {
-			return nil, nil, nil, err
+	off += n
+	count := func() (int, error) {
+		v, n := binary.Uvarint(rec[off:])
+		if n <= 0 || v > maxCount {
+			return 0, fmt.Errorf("bad dependency count")
 		}
-		rec = rec[n:]
-		if len(rec) < 2 {
-			return nil, nil, nil, fmt.Errorf("storage: truncated column descriptor")
-		}
-		cols[i] = core.Column{Name: cname, Type: core.AttrType(rec[0]), Uncertain: rec[1] == 1}
-		rec = rec[2:]
-		if !cols[i].Uncertain {
-			certain = append(certain, cols[i])
-		}
+		off += n
+		return int(v), nil
 	}
-	ndeps, n := binary.Uvarint(rec)
-	if n <= 0 || ndeps > 1<<16 {
-		return nil, nil, nil, fmt.Errorf("storage: bad dependency count")
+	ndeps, err := count()
+	if err != nil {
+		return nil, err
 	}
-	rec = rec[n:]
 	deps := make([][]string, ndeps)
 	for i := range deps {
-		na, n := binary.Uvarint(rec)
-		if n <= 0 || na > 1<<16 {
-			return nil, nil, nil, fmt.Errorf("storage: bad dependency set size")
+		na, err := count()
+		if err != nil {
+			return nil, err
 		}
-		rec = rec[n:]
-		set := make([]string, na)
-		for j := range set {
-			a, n, err := decodeString(rec)
-			if err != nil {
-				return nil, nil, nil, err
+		deps[i] = make([]string, na)
+		for j := range deps[i] {
+			if deps[i][j], n, err = core.DecodeString(rec[off:]); err != nil {
+				return nil, err
 			}
-			rec = rec[n:]
-			set[j] = a
+			off += n
 		}
-		deps[i] = set
+	}
+	if off != len(rec) {
+		return nil, fmt.Errorf("%d trailing bytes in schema record", len(rec)-off)
 	}
 	schema, err := core.NewSchema(cols)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	t, err := core.NewTable(name, schema, deps, reg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// NewTable may append singleton sets; use its canonical ordering.
-	return t, t.DepSets(), certain, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func decodeString(rec []byte) (string, int, error) {
-	l, n := binary.Uvarint(rec)
-	if n <= 0 || int(l) > len(rec)-n {
-		return "", 0, fmt.Errorf("storage: bad string")
-	}
-	return string(rec[n : n+int(l)]), n + int(l), nil
-}
-
-// Value wire tags.
-const (
-	valNull byte = iota
-	valInt
-	valFloat
-	valString
-	valBool
-)
-
-func appendValue(buf []byte, v core.Value) []byte {
-	switch v.Kind {
-	case core.NullValue:
-		return append(buf, valNull)
-	case core.IntValue:
-		buf = append(buf, valInt)
-		return binary.AppendVarint(buf, v.I)
-	case core.FloatValue:
-		buf = append(buf, valFloat)
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-	case core.StringValue:
-		buf = append(buf, valString)
-		return appendString(buf, v.S)
-	case core.BoolValue:
-		buf = append(buf, valBool)
-		if v.B {
-			return append(buf, 1)
-		}
-		return append(buf, 0)
-	}
-	panic(fmt.Sprintf("storage: unknown value kind %d", v.Kind))
-}
-
-func decodeValue(rec []byte) (core.Value, int, error) {
-	if len(rec) == 0 {
-		return core.Null, 0, fmt.Errorf("storage: truncated value")
-	}
-	switch rec[0] {
-	case valNull:
-		return core.Null, 1, nil
-	case valInt:
-		i, n := binary.Varint(rec[1:])
-		if n <= 0 {
-			return core.Null, 0, fmt.Errorf("storage: bad int")
-		}
-		return core.Int(i), 1 + n, nil
-	case valFloat:
-		if len(rec) < 9 {
-			return core.Null, 0, fmt.Errorf("storage: bad float")
-		}
-		return core.Float(math.Float64frombits(binary.LittleEndian.Uint64(rec[1:]))), 9, nil
-	case valString:
-		s, n, err := decodeString(rec[1:])
-		if err != nil {
-			return core.Null, 0, err
-		}
-		return core.Str(s), 1 + n, nil
-	case valBool:
-		if len(rec) < 2 {
-			return core.Null, 0, fmt.Errorf("storage: bad bool")
-		}
-		return core.Bool(rec[1] == 1), 2, nil
-	}
-	return core.Null, 0, fmt.Errorf("storage: unknown value tag %d", rec[0])
+	return core.NewTable(name, schema, deps, reg)
 }

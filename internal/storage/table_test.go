@@ -1,16 +1,21 @@
 package storage
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"probdb/internal/core"
 	"probdb/internal/dist"
 	"probdb/internal/region"
+	"probdb/internal/vfs"
 )
 
-func buildSample(t *testing.T) *core.Table {
+func buildSample(t testing.TB) *core.Table {
 	t.Helper()
 	schema := core.MustSchema(
 		core.Column{Name: "id", Type: core.IntType},
@@ -43,6 +48,16 @@ func buildSample(t *testing.T) *core.Table {
 				{Attrs: []string{"x"}, Dist: dist.ToHistogram(dist.NewGaussian(5, 1), 5)},
 			},
 		},
+		{
+			// One pdf larger than the 8 KiB pages of the previous format.
+			Values: map[string]core.Value{"id": core.Int(3), "tag": core.Str("wide")},
+			PDFs: []core.PDF{
+				{Attrs: []string{"a", "b"}, Dist: dist.NewDiscreteJoint(2, []dist.Point{
+					{X: []float64{9, 1}, P: 1},
+				})},
+				{Attrs: []string{"x"}, Dist: widePDF(600)},
+			},
+		},
 	}
 	for _, r := range rows {
 		if err := tbl.Insert(r); err != nil {
@@ -52,17 +67,35 @@ func buildSample(t *testing.T) *core.Table {
 	return tbl
 }
 
-func memHeap() *Heap {
-	return NewHeap(NewPool(NewMemPager(), 16))
+// widePDF is an n-point DISCRETE: 16 bytes a point on disk.
+func widePDF(n int) dist.Dist {
+	pts := make([]dist.Point, n)
+	for i := range pts {
+		pts[i] = dist.Point{X: []float64{float64(i)}, P: 1 / float64(n)}
+	}
+	return dist.NewDiscreteJoint(1, pts)
+}
+
+func encode(t *testing.T, tbl *core.Table) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, tbl); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func decode(b []byte, reg *core.Registry) (*core.Table, error) {
+	return ReadTable(bytes.NewReader(b), reg)
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tbl := buildSample(t)
-	heap := memHeap()
-	if err := SaveTable(tbl, heap); err != nil {
-		t.Fatal(err)
+	raw := encode(t, tbl)
+	if dist.EncodedSize(widePDF(600)) <= 8192 {
+		t.Fatal("the wide pdf fits a page")
 	}
-	back, err := LoadTable(heap, nil)
+	back, err := decode(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,6 +129,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Errorf("tuple %d existence differs", i)
 		}
 	}
+	if again := encode(t, back); !bytes.Equal(again, raw) {
+		t.Error("a loaded table re-encodes to different bytes")
+	}
 	// Loaded tables are usable base tables: operators work and histories
 	// restart from fresh base pdfs.
 	sel, err := back.Select(core.Cmp(core.Col("a"), region.LT, core.Col("b")))
@@ -108,31 +144,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestSaveLoadOnDisk(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sample.pages")
-	fp, err := OpenFile(path)
+	path := filepath.Join(t.TempDir(), "sample.snap")
+	if err := SaveTable(vfs.OS, path, buildSample(t)); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadTable(vfs.OS, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap := NewHeap(NewPool(fp, 8))
-	tbl := buildSample(t)
-	if err := SaveTable(tbl, heap); err != nil {
-		t.Fatal(err)
-	}
-	if err := fp.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	fp.Close()
-
-	fp2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fp2.Close()
-	back, err := LoadTable(NewHeap(NewPool(fp2, 8)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 2 {
+	if back.Len() != 3 {
 		t.Errorf("tuples = %d", back.Len())
 	}
 }
@@ -147,51 +167,44 @@ func TestSaveRejectsPhantoms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveTable(proj, memHeap()); err == nil {
+	if err := WriteTable(io.Discard, proj); err == nil {
 		t.Error("saving a table with phantom attributes should fail")
 	}
 }
 
-func TestSaveRejectsNonEmptyHeap(t *testing.T) {
-	heap := memHeap()
-	if _, err := heap.Append([]byte("junk")); err != nil {
+// TestSaveReplacesExistingFile: SaveTable truncates what was at its path,
+// so a shorter snapshot never inherits the old file's tail.
+func TestSaveReplacesExistingFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.snap")
+	if err := os.WriteFile(path, bytes.Repeat([]byte{0xee}, 1<<16), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveTable(buildSample(t), heap); err == nil {
-		t.Error("non-empty heap should be rejected")
+	if err := SaveTable(vfs.OS, path, buildSample(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadTable(vfs.OS, path, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
-	// Empty heap.
-	if _, err := LoadTable(memHeap(), nil); err == nil {
-		t.Error("empty heap should fail")
-	}
-	// Corrupted schema record.
-	heap := memHeap()
-	heap.Append([]byte{99})
-	if _, err := LoadTable(heap, nil); err == nil {
-		t.Error("bad version should fail")
-	}
-	// Truncated tuple record.
-	heap2 := memHeap()
-	tbl := buildSample(t)
-	if err := SaveTable(tbl, heap2); err != nil {
-		t.Fatal(err)
-	}
-	heap2.Append([]byte{1, 2}) // bogus extra tuple
-	if _, err := LoadTable(heap2, nil); err == nil {
-		t.Error("corrupt tuple record should fail")
+	raw := encode(t, buildSample(t))
+	for name, b := range map[string][]byte{
+		"empty":          nil,
+		"bad magic":      append([]byte("probsnp0"), raw[8:]...),
+		"no end record":  raw[:len(raw)-10],
+		"trailing bytes": append(append([]byte(nil), raw...), 0),
+		"schema only":    raw[:8+8+len(encodeSchema(buildSample(t)))+1],
+	} {
+		if _, err := decode(b, nil); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("%s: %v, want ErrCorruptSnapshot", name, err)
+		}
 	}
 }
 
 func TestLoadSharesRegistry(t *testing.T) {
-	heap := memHeap()
-	if err := SaveTable(buildSample(t), heap); err != nil {
-		t.Fatal(err)
-	}
 	reg := core.NewRegistry()
-	a, err := LoadTable(heap, reg)
+	a, err := decode(encode(t, buildSample(t)), reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // performs — file I/O, renames, directory fsyncs — behind a small interface
 // so the crash-safety layer can be exercised against a fault-injecting
 // implementation (internal/vfs/faultfs) as well as the real OS. Every
-// durability-relevant operation the engine, WAL, and pager perform flows
+// durability-relevant operation the engine, WAL, and snapshot files perform flows
 // through an FS, which is what makes the fault-injection recovery suite's
 // crash-point enumeration exhaustive rather than best-effort.
 package vfs

@@ -27,7 +27,7 @@ func readAll(r *Reader, recs []Record) (applied []string, errs []error) {
 func encodeStream(recs []Record) []byte {
 	var b []byte
 	for _, r := range recs {
-		b = encodeRecord(b, r.Type, r.Data)
+		b = AppendRecord(b, r.Type, r.Data)
 	}
 	return b
 }

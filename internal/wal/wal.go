@@ -13,8 +13,9 @@
 //	| u32 LE payload length | u32 LE CRC32C(payload) | payload | ...
 //
 // where payload is one type byte followed by the record data. The CRC uses
-// the Castagnoli polynomial (the checksum iSCSI and ext4 use), matching the
-// page checksums in internal/storage.
+// the Castagnoli polynomial (the checksum iSCSI and ext4 use). The record
+// framing is exported (AppendRecord, ReadRecord): checkpoint snapshots
+// (internal/storage) are written in it too.
 package wal
 
 import (
@@ -160,8 +161,10 @@ func Decode(b []byte) (recs []Record, validLen int64) {
 	}
 }
 
-// encodeRecord appends the wire form of one record to buf.
-func encodeRecord(buf []byte, t Type, data []byte) []byte {
+// AppendRecord appends the framed form of one record to buf: the u32
+// payload length, the u32 CRC32C of the payload, then the payload — the
+// type byte and data.
+func AppendRecord(buf []byte, t Type, data []byte) []byte {
 	off := len(buf)
 	buf = append(buf, make([]byte, recHdrSize)...)
 	binary.LittleEndian.PutUint32(buf[off:off+4], uint32(1+len(data)))
@@ -169,6 +172,36 @@ func encodeRecord(buf []byte, t Type, data []byte) []byte {
 	buf = append(buf, data...)
 	binary.LittleEndian.PutUint32(buf[off+4:off+8], crc32.Checksum(buf[off+recHdrSize:], castagnoli))
 	return buf
+}
+
+// ReadRecord reads the next record in AppendRecord's framing from r. The
+// payload is read into buf, grown if it is too small, and the record's Data
+// aliases it; the buffer is returned for the next call. At a clean end of
+// input it returns io.EOF; a record cut short returns io.ErrUnexpectedEOF,
+// and a bad length or checksum an error naming it.
+func ReadRecord(r io.Reader, buf []byte) (Record, []byte, error) {
+	var hdr [recHdrSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Record{}, buf, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	if n < 1 || n > MaxRecord {
+		return Record{}, buf, fmt.Errorf("wal: bad record length %d", n)
+	}
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Record{}, buf, err
+	}
+	if sum := binary.LittleEndian.Uint32(hdr[4:]); crc32.Checksum(buf, castagnoli) != sum {
+		return Record{}, buf, fmt.Errorf("wal: record checksum mismatch (stored %08x)", sum)
+	}
+	return Record{Type: Type(buf[0]), Data: buf[1:]}, buf, nil
 }
 
 // EncodedSize returns the on-disk size of one record with the given payload
@@ -203,7 +236,7 @@ func (l *Log) AppendBatch(recs []Record) error {
 		if len(r.Data)+1 > MaxRecord {
 			return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(r.Data), MaxRecord)
 		}
-		buf = encodeRecord(buf, r.Type, r.Data)
+		buf = AppendRecord(buf, r.Type, r.Data)
 	}
 	if _, err := l.f.WriteAt(buf, l.size); err != nil {
 		l.rollback()

@@ -93,12 +93,10 @@ type Result struct {
 	InTxn    bool
 }
 
-// Column describes one visible result column.
-type Column struct {
-	Name      string
-	Type      core.AttrType
-	Uncertain bool
-}
+// Column describes one visible result column: the core descriptor, so a
+// result header and a snapshot's schema share one codec
+// (core.AppendColumns).
+type Column = core.Column
 
 // Table is a result relation: certain cells as values, uncertain cells as
 // the column's marginal pdf (decoded back into a live dist.Dist on the
@@ -200,12 +198,7 @@ func FromTable(t *core.Table) *Table {
 // ColumnsOf lists a core table's visible columns in wire form — the header
 // a streamed result ships once, ahead of its first row batch.
 func ColumnsOf(t *core.Table) []Column {
-	cols := t.Schema().Columns()
-	out := make([]Column, len(cols))
-	for i, c := range cols {
-		out[i] = Column{Name: c.Name, Type: c.Type, Uncertain: c.Uncertain}
-	}
-	return out
+	return append([]Column(nil), t.Schema().Columns()...)
 }
 
 // RowsOf converts a batch of tuples from t into wire rows, resolving where
@@ -273,7 +266,7 @@ func EncodeResult(r *Result) []byte {
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, r.Affected)
-	buf = appendString(buf, r.Message)
+	buf = core.AppendString(buf, r.Message)
 	buf = binary.AppendUvarint(buf, r.Stats.Rows)
 	buf = binary.AppendUvarint(buf, r.Stats.LatencyMicros)
 	buf = binary.AppendUvarint(buf, r.Stats.PageReads)
@@ -297,27 +290,11 @@ func EncodeResult(r *Result) []byte {
 		return buf
 	}
 	t := r.Table
-	buf = appendString(buf, t.Name)
-	buf = appendColumns(buf, t.Cols)
+	buf = core.AppendString(buf, t.Name)
+	buf = core.AppendColumns(buf, t.Cols)
 	buf = binary.AppendUvarint(buf, uint64(len(t.Rows)))
 	for _, row := range t.Rows {
 		buf = appendRow(buf, row)
-	}
-	return buf
-}
-
-// appendColumns serializes a column list (count-prefixed), shared by Result
-// and RowBatch header frames.
-func appendColumns(buf []byte, cols []Column) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(cols)))
-	for _, c := range cols {
-		buf = appendString(buf, c.Name)
-		buf = append(buf, byte(c.Type))
-		if c.Uncertain {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
 	}
 	return buf
 }
@@ -331,7 +308,7 @@ func appendRow(buf []byte, row Row) []byte {
 		buf = append(buf, byte(cell.Kind))
 		switch cell.Kind {
 		case CellValue:
-			buf = appendValue(buf, cell.Value)
+			buf = core.AppendValue(buf, cell.Value)
 		case CellPDF:
 			buf = appendDist(buf, cell.PDF)
 		}
@@ -394,26 +371,11 @@ func DecodeResult(payload []byte) (*Result, error) {
 
 // columns parses a count-prefixed column list.
 func (d *rdecoder) columns() ([]Column, error) {
-	ncols, err := d.count(maxColumns)
+	cols, n, err := core.DecodeColumns(d.buf[d.off:], maxColumns)
 	if err != nil {
-		return nil, err
+		return nil, d.err("columns: %v", err)
 	}
-	cols := make([]Column, ncols)
-	for i := range cols {
-		if cols[i].Name, err = d.string(); err != nil {
-			return nil, err
-		}
-		ty, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		u, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		cols[i].Type = core.AttrType(ty)
-		cols[i].Uncertain = u == 1
-	}
+	d.off += n
 	return cols, nil
 }
 
@@ -520,43 +482,6 @@ func (d *rdecoder) cells(n int, out []Cell, offs []int32) error {
 	return nil
 }
 
-// Value wire tags (certain cells).
-const (
-	valNull byte = iota
-	valInt
-	valFloat
-	valString
-	valBool
-)
-
-func appendValue(buf []byte, v core.Value) []byte {
-	switch v.Kind {
-	case core.NullValue:
-		return append(buf, valNull)
-	case core.IntValue:
-		buf = append(buf, valInt)
-		return binary.AppendVarint(buf, v.I)
-	case core.FloatValue:
-		buf = append(buf, valFloat)
-		return appendFloat(buf, v.F)
-	case core.StringValue:
-		buf = append(buf, valString)
-		return appendString(buf, v.S)
-	case core.BoolValue:
-		buf = append(buf, valBool)
-		if v.B {
-			return append(buf, 1)
-		}
-		return append(buf, 0)
-	}
-	return append(buf, valNull)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 func appendFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
@@ -631,38 +556,10 @@ func (d *rdecoder) string() (string, error) {
 // value reads one tagged certain value; with keep false it only checks it
 // (a string value is then not copied out of the payload).
 func (d *rdecoder) value(keep bool) (core.Value, error) {
-	tag, err := d.byte()
+	v, n, err := core.DecodeValue(d.buf[d.off:], keep)
 	if err != nil {
-		return core.Null, err
+		return core.Null, d.err("value: %v", err)
 	}
-	switch tag {
-	case valNull:
-		return core.Null, nil
-	case valInt:
-		v, n := binary.Varint(d.buf[d.off:])
-		if n <= 0 {
-			return core.Null, d.err("bad int")
-		}
-		d.off += n
-		return core.Int(v), nil
-	case valFloat:
-		f, err := d.float()
-		if err != nil {
-			return core.Null, err
-		}
-		return core.Float(f), nil
-	case valString:
-		b, err := d.bytes()
-		if err != nil || !keep {
-			return core.Null, err
-		}
-		return core.Str(string(b)), nil
-	case valBool:
-		b, err := d.byte()
-		if err != nil {
-			return core.Null, err
-		}
-		return core.Bool(b == 1), nil
-	}
-	return core.Null, d.err("unknown value tag %d", tag)
+	d.off += n
+	return v, nil
 }

@@ -70,8 +70,8 @@ func appendBatchHead(buf []byte, seq uint64, name string, cols []Column, ncols, 
 	buf = binary.AppendUvarint(buf, seq)
 	if cols != nil {
 		buf = append(buf, batchHasHeader)
-		buf = appendString(buf, name)
-		buf = appendColumns(buf, cols)
+		buf = core.AppendString(buf, name)
+		buf = core.AppendColumns(buf, cols)
 	} else {
 		buf = append(buf, 0)
 		buf = binary.AppendUvarint(buf, uint64(ncols))
