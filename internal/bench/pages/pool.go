@@ -98,12 +98,10 @@ func (p *Pool) PinNew() (PageID, *Page, error) {
 func (p *Pool) Unpin(id PageID, dirty bool) error {
 	fr, ok := p.frames[id]
 	if !ok || fr.pins == 0 {
-		return fmt.Errorf("storage: unpin of unpinned page %d", id)
+		return fmt.Errorf("pages: unpin of unpinned page %d", id)
 	}
 	fr.pins--
-	if dirty {
-		fr.dirty = true
-	}
+	fr.dirty = fr.dirty || dirty
 	return nil
 }
 
@@ -128,10 +126,9 @@ func (p *Pool) Invalidate() error {
 	if err := p.Flush(); err != nil {
 		return err
 	}
-	for id, fr := range p.frames {
+	for _, fr := range p.frames {
 		if fr.pins == 0 {
-			p.lru.Remove(fr.lru)
-			delete(p.frames, id)
+			p.dropFrame(fr)
 		}
 	}
 	return nil
@@ -170,5 +167,5 @@ func (p *Pool) evict() error {
 		p.dropFrame(fr)
 		return nil
 	}
-	return fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", p.capacity)
+	return fmt.Errorf("pages: buffer pool exhausted (%d pages, all pinned)", p.capacity)
 }

@@ -117,10 +117,10 @@ func (c *EngineConfig) fill() {
 //
 // Snapshot files are touched only by recovery (one sequential load each)
 // and by checkpoints (one sequential write each); the engine holds none
-// open in between, and a running server never reads one. SELECTs read memory by one
-// route: planned under the engine mutex against frozen copies of the tables
-// (index probes included), then streamed with no lock held (see
-// execSelectStream).
+// open in between, and a running server never reads one. SELECTs read
+// memory by one route: planned under the engine mutex against frozen copies
+// of the tables (index probes included), then streamed with no lock held
+// (see execSelectStream).
 //
 // With an empty data dir path the engine is ephemeral: nothing is logged or
 // checkpointed.

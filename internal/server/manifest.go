@@ -16,9 +16,10 @@ import (
 // each table's checkpointed state. It is replaced atomically (write to
 // MANIFEST.tmp, fsync, rename, fsync dir), so at every instant exactly one
 // complete manifest is visible — the checkpoint's commit point. Snapshot
-// files are immutable once referenced: a checkpoint writes a table's new snapshot
-// under a fresh generation-suffixed name and only then flips the manifest,
-// which is what makes a crash at any point during a checkpoint harmless.
+// files are immutable once referenced: a checkpoint writes a table's new
+// snapshot under a fresh generation-suffixed name and only then flips the
+// manifest, which is what makes a crash at any point during a checkpoint
+// harmless.
 //
 // Besides the table snapshots the manifest also carries the planner's
 // catalog state at checkpoint time: one `stats` line per ANALYZE'd table

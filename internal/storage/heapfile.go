@@ -2,25 +2,19 @@ package storage
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
-	"os"
+	"io"
 
 	"probdb/internal/core"
 	"probdb/internal/vfs"
 )
 
-// The previous snapshot format stored a table as a page file: 8 KiB slotted
-// pages, each followed on disk by a CRC32C of its image, holding the same
-// schema and tuple records one per slot. Data directories written in that
-// format are read once, here, and rewritten as snapshot streams by the
-// next checkpoint; nothing writes pages any more.
-//
-// A page's slotted layout:
-//
-//	[0:2)    slot count n (u16 LE)
-//	[2:4)    free-space offset
-//	[4:4+4n) slots: record offset u16 LE, record length u16 LE
+// The previous snapshot format stored a table as a page file of 8 KiB
+// slotted pages, each followed on disk by the CRC32C of its image, holding
+// the same schema and tuple records one per slot. A page begins with its
+// slot count (u16 LE) and free-space offset; slot i, at 4+4i, is the
+// record's offset and length (u16 LE each). Such files are read once, here,
+// and rewritten as snapshot streams by the next checkpoint.
 const (
 	heapPageSize = 8192
 	heapDiskPage = heapPageSize + 4 // image + CRC32C trailer
@@ -32,31 +26,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // format, checking each page's checksum and walking its slots in order.
 // Damage returns an error wrapping ErrCorruptSnapshot.
 func LoadHeapFile(fsys vfs.FS, path string, reg *core.Registry) (*core.Table, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //nolint:errcheck // only read
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if st.Size()%heapDiskPage != 0 {
-		return nil, fmt.Errorf("%s: %w", path, corrupt("size %d is not a whole number of %d-byte pages", st.Size(), heapDiskPage))
-	}
-	t, err := walkPages(f, st.Size()/heapDiskPage, reg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return t, nil
+	return loadFile(fsys, path, reg, walkPages)
 }
 
-func walkPages(f vfs.File, npages int64, reg *core.Registry) (*core.Table, error) {
+func walkPages(r io.Reader, reg *core.Registry) (*core.Table, error) {
 	var page [heapDiskPage]byte
 	var d *rowDecoder
-	for id := int64(0); id < npages; id++ {
-		if _, err := f.ReadAt(page[:], id*heapDiskPage); err != nil {
-			return nil, fmt.Errorf("page %d: %w", id, err)
+	for id := 0; ; id++ {
+		if _, err := io.ReadFull(r, page[:]); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, corrupt("page %d: %v", id, err)
 		}
 		img := page[:heapPageSize]
 		if sum := binary.LittleEndian.Uint32(page[heapPageSize:]); crc32.Checksum(img, castagnoli) != sum {

@@ -1,26 +1,22 @@
-// Package storage persists base probabilistic tables as checkpoint
-// snapshots and loads them back: the bridge between the model layer
-// (internal/core) and the files of a data directory. A snapshot is written
-// once, sequentially, and read once, sequentially, at recovery, so it is one
-// stream of checksummed records:
+// Package storage persists base tables as checkpoint snapshots and loads
+// them back: the bridge between the model layer (internal/core) and the
+// files of a data directory. A snapshot is written once and read once, both
+// sequentially, so it is one stream of checksummed records:
 //
 //	| 8-byte magic "probsnp1" |
 //	| schema record | row record | ... | row record | end record |
 //
-// Every record is framed as a write-ahead-log record (wal.AppendRecord: u32
-// length, u32 CRC32C, type byte, data). The schema record holds the table's
-// name, columns and dependency sets; each row record holds up to
-// rowsPerRecord tuple records back to back, fewer once the record passes
-// recordBytes; the end record holds the row count. A tuple record is a
-// format byte, the certain values (core.AppendValue) and one pdf per
-// dependency set in the dist wire format — so a table of symbolic Gaussians
-// costs 17 bytes per pdf on disk, the representation economics the paper's
-// Fig. 5 builds on.
+// Every record is framed as a write-ahead-log record (wal.AppendRecord). The
+// schema record holds the table's name, columns and dependency sets; a row
+// record holds up to rowsPerRecord tuple records back to back, fewer once
+// it passes recordBytes; the end record holds the row count. A tuple record
+// is a format byte, the certain values (core.AppendValue) and one pdf per
+// dependency set in the dist wire format — so a symbolic Gaussian costs 17
+// bytes on disk, the representation economics the paper's Fig. 5 builds on.
 //
-// Persistence covers *base* tables: the paper's model derives everything
-// else with operators, and derived tables (with phantom attributes and
-// cross-table histories) are recomputed, not stored. SaveTable rejects
-// tables with phantom attributes.
+// Persistence covers *base* tables: derived tables (with phantom attributes
+// and cross-table histories) are recomputed, not stored, and SaveTable
+// rejects them.
 package storage
 
 import (
@@ -29,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"probdb/internal/core"
@@ -44,24 +41,19 @@ import (
 // engine can quarantine the table instead of dying.
 var ErrCorruptSnapshot = errors.New("storage: corrupt snapshot")
 
-const magic = "probsnp1"
-
-// Snapshot record types, in the record framing's type byte.
 const (
+	magic = "probsnp1"
+	// formatVersion leads every schema and tuple record.
+	formatVersion = 1
+	// Snapshot record types, in the record framing's type byte.
 	recSchema wal.Type = 1
 	recRows   wal.Type = 2
 	recEnd    wal.Type = 3
-)
-
-// A row record is closed after rowsPerRecord tuples, or as soon as it
-// reaches recordBytes, whichever comes first.
-const (
+	// A row record is closed after rowsPerRecord tuples, or as soon as it
+	// reaches recordBytes, whichever comes first.
 	rowsPerRecord = 256
 	recordBytes   = 64 << 10
 )
-
-// formatVersion leads every schema and tuple record.
-const formatVersion = 1
 
 // SaveTable writes t as a snapshot file at path on fsys, replacing any file
 // there, and makes it durable: create, write, fsync, close.
@@ -70,7 +62,7 @@ func SaveTable(fsys vfs.FS, path string, t *core.Table) error {
 	if err != nil {
 		return fmt.Errorf("storage: create %s: %w", path, err)
 	}
-	err = WriteTable(&fileWriter{f: f}, t)
+	err = WriteTable(io.NewOffsetWriter(f, 0), t)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -78,18 +70,6 @@ func SaveTable(fsys vfs.FS, path string, t *core.Table) error {
 		err = cerr
 	}
 	return err
-}
-
-// fileWriter appends to a vfs.File, which offers only positioned writes.
-type fileWriter struct {
-	f   vfs.File
-	off int64
-}
-
-func (w *fileWriter) Write(p []byte) (int, error) {
-	n, err := w.f.WriteAt(p, w.off)
-	w.off += int64(n)
-	return n, err
 }
 
 // WriteTable writes t to w as one snapshot stream, one write per row
@@ -140,16 +120,17 @@ func WriteTable(w io.Writer, t *core.Table) error {
 // on-disk tables are base tables, so histories restart from them
 // (Definition 2).
 func LoadTable(fsys vfs.FS, path string, reg *core.Registry) (*core.Table, error) {
+	return loadFile(fsys, path, reg, ReadTable)
+}
+
+// loadFile reads one table from the file at path on fsys with read.
+func loadFile(fsys vfs.FS, path string, reg *core.Registry, read func(io.Reader, *core.Registry) (*core.Table, error)) (*core.Table, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close() //nolint:errcheck // only read
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	t, err := ReadTable(io.NewSectionReader(f, 0, st.Size()), reg)
+	t, err := read(io.NewSectionReader(f, 0, math.MaxInt64), reg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -208,12 +189,8 @@ func ReadTable(r io.Reader, reg *core.Registry) (*core.Table, error) {
 			rows += n
 			short = n < rowsPerRecord && len(rec.Data) < recordBytes
 		case recEnd:
-			want, used := binary.Uvarint(rec.Data)
-			if used <= 0 || used != len(rec.Data) || !bytes.Equal(rec.Data, binary.AppendUvarint(nil, want)) {
-				return nil, corrupt("bad end record")
-			}
-			if want != uint64(rows) {
-				return nil, corrupt("end record counts %d rows, stream holds %d", want, rows)
+			if !bytes.Equal(rec.Data, binary.AppendUvarint(nil, uint64(rows))) {
+				return nil, corrupt("end record does not count the stream's %d rows", rows)
 			}
 			if n, _ := r.Read(head[:1]); n != 0 {
 				return nil, corrupt("trailing bytes after the end record")
@@ -233,9 +210,8 @@ func corrupt(format string, args ...any) error {
 // table. It is the one record decoder: the snapshot stream and the page
 // files of the previous format (heapfile.go) both feed it.
 type rowDecoder struct {
-	t    *core.Table
-	deps int
-	at   []int // schema offset of each certain column, in record order
+	t  *core.Table
+	at []int // schema offset of each certain column, in record order
 	// One row layout serves every record: InsertValues copies the values
 	// and keeps only the pdfs, so both slices are refilled, not
 	// reallocated.
@@ -252,13 +228,12 @@ func newRowDecoder(rec []byte, reg *core.Registry) (*rowDecoder, error) {
 	if !bytes.Equal(encodeSchema(t), rec) {
 		return nil, corrupt("schema record not in canonical form")
 	}
-	d := &rowDecoder{t: t, deps: len(t.DepSets()), certain: make([]core.Value, t.Schema().Len())}
+	d := &rowDecoder{t: t, certain: make([]core.Value, t.Schema().Len()), pdfs: make([]dist.Dist, len(t.DepSets()))}
 	for i, c := range t.Schema().Columns() {
 		if !c.Uncertain {
 			d.at = append(d.at, i)
 		}
 	}
-	d.pdfs = make([]dist.Dist, d.deps)
 	return d, nil
 }
 
@@ -273,7 +248,7 @@ func (d *rowDecoder) tuple(rec []byte) (int, error) {
 	for _, at := range d.at {
 		v, n, err := core.DecodeValue(rec[off:], true)
 		if err != nil {
-			return 0, corrupt("column %s: %v", d.t.Schema().Columns()[at].Name, err)
+			return 0, corrupt("tuple value: %v", err)
 		}
 		off += n
 		d.certain[at] = v
@@ -282,7 +257,7 @@ func (d *rowDecoder) tuple(rec []byte) (int, error) {
 	for i := range d.pdfs {
 		p, n, err := dist.Decode(rec[off:])
 		if err != nil {
-			return 0, corrupt("pdf of %v: %v", d.t.DepSets()[i], err)
+			return 0, corrupt("tuple pdf: %v", err)
 		}
 		off += n
 		d.pdfs[i] = p
@@ -356,9 +331,6 @@ func decodeSchema(rec []byte, reg *core.Registry) (*core.Table, error) {
 			}
 			off += n
 		}
-	}
-	if off != len(rec) {
-		return nil, fmt.Errorf("%d trailing bytes in schema record", len(rec)-off)
 	}
 	schema, err := core.NewSchema(cols)
 	if err != nil {

@@ -29,10 +29,12 @@ const resultVersion = 8
 const maxColumns = 1 << 12
 
 // Stats is the per-query execution accounting carried in every Result
-// frame: result cardinality, wall latency, and the buffer-pool traffic the
-// statement caused (storage.Stats deltas) — the Fig. 5 quantities — plus
-// the bytes the statement appended to the write-ahead log (the durability
-// cost of a mutation; zero for reads and for checkpointed-away windows).
+// frame: result cardinality, wall latency and the bytes the statement
+// appended to the write-ahead log (the durability cost of a mutation; zero
+// for reads and for checkpointed-away windows). PageReads, PageHits and
+// PageWrites are always 0: the server keeps no buffer pool, and the
+// positional layout keeps their slots so existing clients still decode the
+// frame.
 // The planner trio accounts for the statement's use of access paths:
 // IndexProbes is how many index lookups answered part of the WHERE clause,
 // IndexPruned how many tuples those probes excluded without evaluating
