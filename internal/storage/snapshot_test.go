@@ -183,14 +183,14 @@ func FuzzLoadSnapshot(f *testing.F) {
 		core.MustTable("e", core.MustSchema(core.Column{Name: "k", Type: core.IntType}), nil, nil),
 	} {
 		buf.Reset()
-		if err := WriteTable(&buf, tbl); err != nil {
+		if err := writeTable(&buf, tbl); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(append([]byte(nil), buf.Bytes()...))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, in := range [][]byte{b, reframe(b)} {
-			tbl, err := ReadTable(bytes.NewReader(in), nil)
+			tbl, err := readTable(bytes.NewReader(in), nil)
 			if err != nil {
 				if !errors.Is(err, ErrCorruptSnapshot) {
 					t.Fatalf("refusal without ErrCorruptSnapshot: %v", err)
@@ -198,7 +198,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 				continue
 			}
 			var out bytes.Buffer
-			if err := WriteTable(&out, tbl); err != nil {
+			if err := writeTable(&out, tbl); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(out.Bytes(), in) {

@@ -62,7 +62,7 @@ func SaveTable(fsys vfs.FS, path string, t *core.Table) error {
 	if err != nil {
 		return fmt.Errorf("storage: create %s: %w", path, err)
 	}
-	err = WriteTable(io.NewOffsetWriter(f, 0), t)
+	err = writeTable(io.NewOffsetWriter(f, 0), t)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -72,9 +72,9 @@ func SaveTable(fsys vfs.FS, path string, t *core.Table) error {
 	return err
 }
 
-// WriteTable writes t to w as one snapshot stream, one write per row
+// writeTable writes t to w as one snapshot stream, one write per row
 // record.
-func WriteTable(w io.Writer, t *core.Table) error {
+func writeTable(w io.Writer, t *core.Table) error {
 	if ph := t.PhantomAttrs(); len(ph) > 0 {
 		return fmt.Errorf("storage: cannot persist derived table with phantom attributes %v", ph)
 	}
@@ -120,7 +120,7 @@ func WriteTable(w io.Writer, t *core.Table) error {
 // on-disk tables are base tables, so histories restart from them
 // (Definition 2).
 func LoadTable(fsys vfs.FS, path string, reg *core.Registry) (*core.Table, error) {
-	return loadFile(fsys, path, reg, ReadTable)
+	return loadFile(fsys, path, reg, readTable)
 }
 
 // loadFile reads one table from the file at path on fsys with read.
@@ -137,10 +137,10 @@ func loadFile(fsys vfs.FS, path string, reg *core.Registry, read func(io.Reader,
 	return t, nil
 }
 
-// ReadTable reads one snapshot stream from r, which must end with it. It
-// accepts only what WriteTable writes: any input it accepts re-encodes to
+// readTable reads one snapshot stream from r, which must end with it. It
+// accepts only what writeTable writes: any input it accepts re-encodes to
 // the same bytes.
-func ReadTable(r io.Reader, reg *core.Registry) (*core.Table, error) {
+func readTable(r io.Reader, reg *core.Registry) (*core.Table, error) {
 	var head [len(magic)]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil || string(head[:]) != magic {
 		return nil, corrupt("bad magic")

@@ -79,14 +79,14 @@ func widePDF(n int) dist.Dist {
 func encode(t *testing.T, tbl *core.Table) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tbl); err != nil {
+	if err := writeTable(&buf, tbl); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 func decode(b []byte, reg *core.Registry) (*core.Table, error) {
-	return ReadTable(bytes.NewReader(b), reg)
+	return readTable(bytes.NewReader(b), reg)
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -167,7 +167,7 @@ func TestSaveRejectsPhantoms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTable(io.Discard, proj); err == nil {
+	if err := writeTable(io.Discard, proj); err == nil {
 		t.Error("saving a table with phantom attributes should fail")
 	}
 }
