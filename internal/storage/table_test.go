@@ -15,7 +15,7 @@ import (
 	"probdb/internal/vfs"
 )
 
-func buildSample(t testing.TB) *core.Table {
+func buildSample(t *testing.T) *core.Table {
 	t.Helper()
 	schema := core.MustSchema(
 		core.Column{Name: "id", Type: core.IntType},
