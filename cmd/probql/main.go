@@ -19,7 +19,7 @@
 // In remote mode tabular results stream: rows print as the server's
 // RowBatch frames arrive, so the first rows of a large scan appear before
 // the scan finishes. Each result is followed by the server's per-query
-// stats (rows, latency, buffer-pool page reads/hits/writes).
+// stats (rows, latency, WAL bytes).
 package main
 
 import (
@@ -205,7 +205,7 @@ func (r *remoteExec) execScript(sql string) error {
 			fmt.Println()
 		} else {
 			// Command result (INSERT, CREATE, ...): a message, no rows.
-			if res, err = st.Drain(); err != nil {
+			if res, err = st.Result(); err != nil {
 				return err
 			}
 			fmt.Println(res)
@@ -213,8 +213,7 @@ func (r *remoteExec) execScript(sql string) error {
 		r.inTxn = res.InTxn
 		if r.stats {
 			s := res.Stats
-			fmt.Printf("-- %d rows, %dµs, %d page reads, %d hits, %d writes, %d WAL bytes\n",
-				s.Rows, s.LatencyMicros, s.PageReads, s.PageHits, s.PageWrites, s.WALBytes)
+			fmt.Printf("-- %d rows, %dµs, %d WAL bytes\n", s.Rows, s.LatencyMicros, s.WALBytes)
 			fmt.Printf("-- planner: %d index probes, %d pruned, %d fallbacks\n",
 				s.IndexProbes, s.IndexPruned, s.PlannerFallbacks)
 			if s.VecTuples > 0 || s.ScalarTuples > 0 {

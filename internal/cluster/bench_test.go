@@ -32,7 +32,7 @@ func (s *cannedShard) Frame(_ wire.FrameType, payload []byte) bool {
 			return false
 		}
 	}
-	return s.c.WriteFrame(wire.FrameResultEnd, wire.EncodeResultEnd(&wire.Result{}))
+	return s.c.WriteFrame(wire.FrameResult, wire.EncodeResult(&wire.Result{}))
 }
 
 func (s *cannedShard) Close() {}

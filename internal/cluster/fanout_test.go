@@ -221,7 +221,7 @@ func (s *corruptShard) Frame(_ wire.FrameType, payload []byte) bool {
 	sigma := len(frame) - 3 - 8
 	copy(frame[sigma:sigma+8], make([]byte, 8))
 	s.c.BufferFrame(wire.FrameRowBatch, frame)
-	return s.c.WriteFrame(wire.FrameResultEnd, wire.EncodeResultEnd(&wire.Result{}))
+	return s.c.WriteFrame(wire.FrameResult, wire.EncodeResult(&wire.Result{}))
 }
 
 func (s *corruptShard) Close() {}

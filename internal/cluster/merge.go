@@ -153,13 +153,15 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 	}
 
 	// All shards run the same rewritten query, so any header describes the
-	// merged stream; the appended key/_gseq columns are cut off.
-	full := streams[0].st.Columns()
-	if len(full) != len(fwd.Cols) {
-		return s.fail(fmt.Errorf("cluster: shard %d returned %d columns, expected %d",
-			streams[0].shard, len(full), len(fwd.Cols)))
+	// merged stream; the appended key/_gseq columns are cut off. Each
+	// shard's header width is checked here once: its Stream holds every
+	// batch with rows to that width.
+	for _, ss := range streams {
+		if n := len(ss.st.Columns()); n != len(fwd.Cols) {
+			return s.fail(fmt.Errorf("cluster: shard %d returned %d columns, expected %d", ss.shard, n, len(fwd.Cols)))
+		}
 	}
-	header := full[:len(userCols)]
+	header := streams[0].st.Columns()[:len(userCols)]
 	name := streams[0].st.Name()
 	if sel.Star {
 		// SELECT * runs with no projection on a single node, but the
@@ -188,8 +190,8 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 		frame   []byte // reused from batch to batch
 	)
 	// flush writes the merged rows as one RowBatch frame. Full batches go
-	// out at once; the tail stays buffered and leaves with the terminal
-	// frame, ResultEnd or Error, in one write.
+	// out at once; the tail stays buffered and leaves with the Result or
+	// Error in one write.
 	flush := func(write func(wire.FrameType, []byte) bool) error {
 		var cols []wire.Column
 		if nextSeq == 0 {
@@ -257,7 +259,7 @@ func (s *session) scatterSelect(sel query.SelectStmt) bool {
 	// Stats stay cluster-wide sums: Rows is what the shards produced, not
 	// what the merge delivered (they differ when a LIMIT cut the tail) —
 	// it is how a client observes pushdown doing its job.
-	return s.c.WriteFrame(wire.FrameResultEnd, wire.EncodeResultEnd(res))
+	return s.result(res)
 }
 
 // failStream reports a mid-stream shard failure. A ServerError passes
@@ -342,9 +344,6 @@ func (s *session) rowCursor(ss *shardStream, mode ordMode, keyIdx, gseqIdx int) 
 			if b == nil {
 				ss.done = true
 				return mrow{}, false, nil
-			}
-			if b.Width() <= gseqIdx {
-				return mrow{}, false, fmt.Errorf("cluster: shard %d returned a %d-cell row, expected %d", ss.shard, b.Width(), gseqIdx+1)
 			}
 			next = 0
 		}

@@ -873,9 +873,6 @@ func (r *Router) healthResult() *wire.Result {
 func addStats(dst *wire.Stats, src wire.Stats) {
 	dst.Rows += src.Rows
 	dst.LatencyMicros += src.LatencyMicros
-	dst.PageReads += src.PageReads
-	dst.PageHits += src.PageHits
-	dst.PageWrites += src.PageWrites
 	dst.WALBytes += src.WALBytes
 	dst.IndexProbes += src.IndexProbes
 	dst.IndexPruned += src.IndexPruned

@@ -98,8 +98,8 @@ func startTestRouter(t testing.TB, addrs ...string) *Router {
 
 // TestRouterResultWrites: through the router, a result of one merged batch
 // reaches the client in one socket write, its RowBatch together with its
-// ResultEnd; a longer result flushes each full batch as the merge fills it,
-// and its short tail leaves with the ResultEnd.
+// Result; a longer result flushes each full batch as the merge fills it,
+// and its short tail leaves with the Result.
 func TestRouterResultWrites(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
@@ -152,8 +152,8 @@ func TestRouterResultWrites(t *testing.T) {
 		{"SELECT k, x FROM t WHERE x < 30 AND k < 600", []int{256, 256, 88}, 3},
 	} {
 		batches, term, writes, streamed := p.query(tc.sql)
-		if term != wire.FrameResultEnd || fmt.Sprint(batches) != fmt.Sprint(tc.batches) {
-			t.Fatalf("%s: batches %v then %v, want %v then ResultEnd", tc.sql, batches, term, tc.batches)
+		if term != wire.FrameResult || fmt.Sprint(batches) != fmt.Sprint(tc.batches) {
+			t.Fatalf("%s: batches %v then %v, want %v then Result", tc.sql, batches, term, tc.batches)
 		}
 		if writes != tc.writes {
 			t.Errorf("%s: %d socket writes, want %d", tc.sql, writes, tc.writes)
@@ -165,12 +165,13 @@ func TestRouterResultWrites(t *testing.T) {
 }
 
 // scriptedShard answers CREATE with a Result and a SELECT with one RowBatch
-// of (k, _gseq) rows, then fail's Error frame or, when fail is empty, a
-// ResultEnd.
+// of (k, _gseq) rows — of k alone when narrow — then fail's Error frame or,
+// when fail is empty, a Result.
 type scriptedShard struct {
-	c    *wire.Conn
-	gseq []int64
-	fail string
+	c      *wire.Conn
+	gseq   []int64
+	fail   string
+	narrow bool
 }
 
 func (s *scriptedShard) Frame(ft wire.FrameType, payload []byte) bool {
@@ -178,27 +179,29 @@ func (s *scriptedShard) Frame(ft wire.FrameType, payload []byte) bool {
 		return s.c.WriteFrame(wire.FrameResult, wire.EncodeResult(&wire.Result{Message: "ok"}))
 	}
 	b := &wire.RowBatch{Name: "t", Cols: []wire.Column{{Name: "k", Type: core.IntType}, {Name: GseqCol, Type: core.IntType}}}
+	if s.narrow {
+		b.Cols = b.Cols[:1]
+	}
 	for _, g := range s.gseq {
 		b.Rows = append(b.Rows, wire.Row{Exists: 1, Cells: []wire.Cell{
 			{Kind: wire.CellValue, Value: core.Int(g)}, {Kind: wire.CellValue, Value: core.Int(g)},
-		}})
+		}[:len(b.Cols)]})
 	}
 	s.c.BufferFrame(wire.FrameRowBatch, wire.EncodeRowBatch(b))
 	if s.fail != "" {
 		return s.c.WriteFrame(wire.FrameError, wire.EncodeError(wire.ErrGeneric, 0, s.fail))
 	}
-	return s.c.WriteFrame(wire.FrameResultEnd, wire.EncodeResultEnd(&wire.Result{}))
+	return s.c.WriteFrame(wire.FrameResult, wire.EncodeResult(&wire.Result{}))
 }
 
 func (s *scriptedShard) Close() {}
 
-// TestRouterErrorAfterBufferedTail: a shard that fails while the router
-// drains what a LIMIT cut off fails the statement after its merged tail
-// batch was buffered; the client still reads that batch, then the shard's
-// Error, in one socket write.
-func TestRouterErrorAfterBufferedTail(t *testing.T) {
+// startScriptedCluster starts one listener per scripted shard and a router
+// over them.
+func startScriptedCluster(t *testing.T, shards ...scriptedShard) *Router {
+	t.Helper()
 	var addrs []string
-	for _, sh := range []scriptedShard{{gseq: []int64{1, 2, 3}}, {gseq: []int64{10, 11}, fail: "shard failed late"}} {
+	for _, sh := range shards {
 		l, err := wire.Listen(wire.ListenConfig{
 			Addr: "127.0.0.1:0", MaxConns: 4, WriteTimeout: time.Minute, Name: "shard", Logf: t.Logf,
 			Open: func(c *wire.Conn) wire.Handler { h := sh; h.c = c; return &h },
@@ -209,7 +212,15 @@ func TestRouterErrorAfterBufferedTail(t *testing.T) {
 		t.Cleanup(func() { l.Shutdown(context.Background()) })
 		addrs = append(addrs, l.Addr().String())
 	}
-	p := newPipeRouterSession(t, startTestRouter(t, addrs...))
+	return startTestRouter(t, addrs...)
+}
+
+// TestRouterErrorAfterBufferedTail: a shard that fails while the router
+// drains what a LIMIT cut off fails the statement after its merged tail
+// batch was buffered; the client still reads that batch, then the shard's
+// Error, in one socket write.
+func TestRouterErrorAfterBufferedTail(t *testing.T) {
+	p := newPipeRouterSession(t, startScriptedCluster(t, scriptedShard{gseq: []int64{1, 2, 3}}, scriptedShard{gseq: []int64{10, 11}, fail: "shard failed late"}))
 	if _, term, _, _ := p.query("CREATE TABLE t (k INT)"); term != wire.FrameResult {
 		t.Fatalf("CREATE answered %v", term)
 	}

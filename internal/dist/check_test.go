@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -60,6 +61,34 @@ func TestCheckMatchesDecode(t *testing.T) {
 	}
 }
 
+// TestIntervalFlagsRefused: a floored encoding whose interval flag byte
+// sets a bit appendRegionSet never writes is refused by Decode and Check
+// alike, so no accepted pdf re-encodes to other bytes; the two defined
+// bits are accepted in every combination and round-trip.
+func TestIntervalFlagsRefused(t *testing.T) {
+	m := NewGaussian(0, 1).(symCont).m
+	for flags := 0; flags < 256; flags++ {
+		buf := appendContModel([]byte{tagFloored}, m)
+		buf = append(buf, 1) // one kept interval
+		buf = appendFloat(appendFloat(buf, 0), 1)
+		buf = append(buf, byte(flags))
+		checkAgrees(t, buf)
+		d, _, err := Decode(buf)
+		if flags&^3 != 0 {
+			if err == nil {
+				t.Errorf("flags %#x accepted", flags)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("flags %#x: %v", flags, err)
+		}
+		if got := Encode(d); !bytes.Equal(got, buf) {
+			t.Errorf("flags %#x: re-encodes to %x, want %x", flags, got, buf)
+		}
+	}
+}
+
 // TestCheckAllocs: Check validates the Gaussian, Uniform, Discrete and
 // floored encodings — the shapes a scattered result carries — without
 // allocating.
@@ -95,6 +124,11 @@ func FuzzCheckMatchesDecode(f *testing.F) {
 			m[r.Intn(len(m))] ^= byte(1 << r.Intn(8))
 			f.Add(m)
 		}
+	}
+	for _, flags := range []byte{0x04, 0x80} {
+		buf := Encode(NewGaussian(0, 1).Floor(0, region.NewSet(region.Closed(0, 1))))
+		buf[len(buf)-1] |= flags
+		f.Add(buf)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		checkAgrees(t, buf)

@@ -616,7 +616,9 @@ func (d *decoder) contModel(tag byte, build bool) (contModel, error) {
 	}
 }
 
-// interval reads one kept interval of a floored encoding.
+// interval reads one kept interval of a floored encoding. Its flag byte
+// may set only the two bits appendRegionSet writes (open low, open high
+// end), so every accepted interval re-encodes to the bytes it came from.
 func (d *decoder) interval() (region.Interval, error) {
 	lo, err := d.float()
 	if err != nil {
@@ -632,6 +634,9 @@ func (d *decoder) interval() (region.Interval, error) {
 	}
 	if math.IsNaN(lo) || math.IsNaN(hi) {
 		return region.Interval{}, d.err("region bounds %v..%v", lo, hi)
+	}
+	if flags&^3 != 0 {
+		return region.Interval{}, d.err("interval flags %#x", flags)
 	}
 	return region.Interval{Lo: lo, Hi: hi, LoOpen: flags&1 != 0, HiOpen: flags&2 != 0}, nil
 }

@@ -363,13 +363,11 @@ func (h *conn) Close() {
 
 // handleQuery runs one statement on the connection's goroutine: admission,
 // then a Workers slot, then execution, which streams RowBatch frames
-// straight to the client as the operator tree produces them. The terminal
-// frame follows once the slot is released — ResultEnd after a streamed
-// result, Result otherwise, Error on failure (legal even after batches
-// have gone out). Full batches are flushed as they are produced; the last
-// batch is buffered and flushed with the terminal frame, so a one-batch
-// result costs one socket write. It reports whether the session should
-// continue.
+// straight to the client as the operator tree produces them. The Result
+// (or Error — legal even after batches have gone out) follows once the slot
+// is released. Full batches are flushed as they are produced; the last
+// batch is buffered and flushed with the Result, so a one-batch result
+// costs one socket write. It reports whether the session should continue.
 func (h *conn) handleQuery(sql string) bool {
 	s := h.s
 	// HEALTH bypasses admission and the slots: it must answer precisely
@@ -391,7 +389,7 @@ func (h *conn) handleQuery(sql string) bool {
 		return h.c.WriteFrame(wire.FrameError, s.errorPayload(errQueueDeadline))
 	}
 	wait := time.Since(enq)
-	res, streamed, err := h.execute(ctx, q, sql)
+	res, err := h.execute(ctx, q, sql)
 	<-s.slots
 
 	if err != nil {
@@ -410,9 +408,6 @@ func (h *conn) handleQuery(sql string) bool {
 	res.Stats.QueueWaitMicros = uint64(wait.Microseconds())
 	res.Stats.Rejections = s.adm.Rejections()
 	res.Stats.ShedBytes = uint64(s.bud.ShedBytes())
-	if streamed {
-		return h.c.WriteFrame(wire.FrameResultEnd, wire.EncodeResultEnd(res))
-	}
 	return h.c.WriteFrame(wire.FrameResult, wire.EncodeResult(res))
 }
 
@@ -539,9 +534,8 @@ func (p *panicError) Error() string {
 // execute runs one statement through the streaming engine entry point,
 // writing each result batch to the connection as the operator tree
 // produces it, and converting a panic anywhere under the engine into a
-// *panicError instead of crashing the process. streamed reports whether any
-// RowBatch frame went out — after that only ResultEnd or Error may follow.
-func (h *conn) execute(ctx context.Context, q *runningQuery, sql string) (res *wire.Result, streamed bool, err error) {
+// *panicError instead of crashing the process.
+func (h *conn) execute(ctx context.Context, q *runningQuery, sql string) (res *wire.Result, err error) {
 	s := h.s
 	defer func() {
 		if r := recover(); r != nil {
@@ -577,7 +571,7 @@ func (h *conn) execute(ctx context.Context, q *runningQuery, sql string) (res *w
 	)
 	sink := batchSink(&frame, func(payload []byte, last bool) error {
 		// A full batch is flushed at once, so a long result streams; the
-		// last one waits in the buffer for the terminal frame
+		// last one waits in the buffer for the Result or Error
 		// handleQuery writes, and both leave in one write.
 		write := h.c.WriteFrame
 		if last {
@@ -589,10 +583,9 @@ func (h *conn) execute(ctx context.Context, q *runningQuery, sql string) (res *w
 		if !ok {
 			return errClientGone
 		}
-		streamed = true
 		return nil
 	})
-	res, engStreamed, err := h.ses.ExecuteStream(ctx, sql, sink)
+	res, _, err = h.ses.ExecuteStream(ctx, sql, sink)
 	if res != nil {
 		// The statement's latency is its execution; a slow client's socket
 		// is wire time.
@@ -604,8 +597,7 @@ func (h *conn) execute(ctx context.Context, q *runningQuery, sql string) (res *w
 		// "context canceled".
 		err = context.Cause(ctx)
 	}
-	streamed = streamed || (engStreamed && err == nil)
-	return res, streamed, err
+	return res, err
 }
 
 // batchSink is the sink a streamed SELECT's batches go through: each batch

@@ -36,7 +36,7 @@ func fillTable(t *testing.T, c *wire.Client, table string, n int) {
 
 // TestServerStreamsSelect: a SELECT over many rows arrives as multiple
 // RowBatch frames — the first one before the result is complete — followed
-// by a ResultEnd whose stats cover the whole query.
+// by a Result whose stats cover the whole query.
 func TestServerStreamsSelect(t *testing.T) {
 	s := startServer(t, Config{Workers: 2})
 	defer func() {

@@ -74,9 +74,9 @@ func (p *pipeSession) query(sql string) (batches []int, term wire.FrameType, wri
 
 // TestResultWrites: a result of one batch — a point SELECT, an empty
 // SELECT, ten rows — reaches the client in one socket write, its RowBatch
-// together with its ResultEnd. A longer result flushes each full batch the
+// together with its Result. A longer result flushes each full batch the
 // moment it is produced, so the client reads them while the statement still
-// runs, and its short last batch leaves with the ResultEnd.
+// runs, and its short last batch leaves with the Result.
 func TestResultWrites(t *testing.T) {
 	s := startServer(t, Config{Workers: 2})
 	defer shutdownServer(t, s)
@@ -107,8 +107,8 @@ func TestResultWrites(t *testing.T) {
 		{"SELECT k, x FROM t WHERE x < 30 AND k < 600", []int{256, 256, 88}, 3},
 	} {
 		batches, term, writes, streamed := p.query(tc.sql)
-		if term != wire.FrameResultEnd || fmt.Sprint(batches) != fmt.Sprint(tc.batches) {
-			t.Fatalf("%s: batches %v then %v, want %v then ResultEnd", tc.sql, batches, term, tc.batches)
+		if term != wire.FrameResult || fmt.Sprint(batches) != fmt.Sprint(tc.batches) {
+			t.Fatalf("%s: batches %v then %v, want %v then Result", tc.sql, batches, term, tc.batches)
 		}
 		if writes != tc.writes {
 			t.Errorf("%s: %d socket writes, want %d", tc.sql, writes, tc.writes)
@@ -152,10 +152,10 @@ func TestLatencyExcludesSocketWrites(t *testing.T) {
 			batches++
 			continue
 		}
-		if ft != wire.FrameResultEnd {
+		if ft != wire.FrameResult {
 			t.Fatalf("%v frame after %d batches", ft, batches)
 		}
-		res, err := wire.DecodeResultEnd(payload)
+		res, err := wire.DecodeResult(payload)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,11 +124,10 @@ func (c *Client) begin() error {
 	return c.conn.SetDeadline(time.Now().Add(c.timeout))
 }
 
-// Query sends one statement and waits for its complete Result, draining a
-// streamed response (RowBatch… ResultEnd) into one Table when the server
-// chooses batch delivery. Server-side query failures come back as
-// *ServerError; transport failures (including a deadline expiry, which for
-// streamed results bounds each frame rather than the whole response) as
+// Query sends one statement and waits for its complete Result, draining
+// the answer's RowBatch frames into its Table. Server-side query failures
+// come back as *ServerError; transport failures (including a deadline
+// expiry, which bounds each frame rather than the whole answer) as
 // ordinary errors. For incremental consumption use QueryStream directly.
 func (c *Client) Query(sql string) (*Result, error) {
 	st, err := c.QueryStream(sql)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -24,8 +25,6 @@ func decodeAnyFrame(data []byte) {
 		_, _ = DecodeResult(payload) //nolint:errcheck // errors are the expected outcome
 	case FrameRowBatch:
 		_, _ = DecodeRowBatch(payload) //nolint:errcheck
-	case FrameResultEnd:
-		_, _ = DecodeResultEnd(payload) //nolint:errcheck
 	case FrameError:
 		_ = DecodeError(payload)
 	case FrameWALFetch:
@@ -38,8 +37,8 @@ func decodeAnyFrame(data []byte) {
 }
 
 // FuzzDecodeFrame mirrors internal/query's fuzz contract for the network
-// surface. Seeds cover every frame type, a structurally valid Result with
-// pdf cells, and a batch of mutated valid payloads.
+// surface. Seeds cover every frame type, a Result with every counter set,
+// a header RowBatch with pdf cells, and mutations of both.
 func FuzzDecodeFrame(f *testing.F) {
 	frame := func(t FrameType, payload []byte) []byte {
 		var buf bytes.Buffer
@@ -53,40 +52,44 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frame(FrameQuery, []byte("SELECT * FROM t WHERE PROB(x) > 0.5")))
 	f.Add(frame(FrameError, []byte("boom")))
 	f.Add(frame(FramePong, nil))
-	rich := EncodeResult(&Result{
+	// Deterministic mutations of the valid frames, so `go test` (which only
+	// runs the seed corpus) already exercises the malformed paths.
+	r := rand.New(rand.NewSource(7))
+	mutate := func(valid []byte, n int) {
+		f.Add(valid)
+		for i := 0; i < n; i++ {
+			m := append([]byte{}, valid...)
+			for k := 0; k <= r.Intn(4); k++ {
+				m[r.Intn(len(m))] ^= byte(1 << r.Intn(8))
+			}
+			f.Add(m)
+		}
+	}
+	mutate(frame(FrameResult, EncodeResult(&Result{
 		Message:  "ok",
 		Affected: 2,
-		Stats:    Stats{Rows: 2, LatencyMicros: 99, PageReads: 3, PageHits: 8, PageWrites: 1},
-		Table: &Table{
-			Name: "t",
-			Cols: []Column{
-				{Name: "k", Type: core.IntType},
-				{Name: "x", Type: core.FloatType, Uncertain: true},
-			},
-			Rows: []Row{
-				{Exists: 1, Cells: []Cell{
-					{Kind: CellValue, Value: core.Int(1)},
-					{Kind: CellPDF, PDF: dist.NewGaussian(20, 5)},
-				}},
-				{Exists: 0.25, Cells: []Cell{
-					{Kind: CellValue, Value: core.Str("s")},
-					{Kind: CellNone},
-				}},
-			},
+		InTxn:    true,
+		Stats: Stats{Rows: 2, LatencyMicros: 99, WALBytes: 3, IndexProbes: 1, IndexPruned: 8,
+			PlannerFallbacks: 1, WALFsyncs: 1, WALGroupSize: 4, TxnConflicts: 1, Rejections: 5,
+			ShedBytes: 6, QueueWaitMicros: 7, VecTuples: 300, ScalarTuples: 2},
+	})), 64)
+	mutate(frame(FrameRowBatch, EncodeRowBatch(&RowBatch{
+		Name: "t",
+		Cols: []Column{
+			{Name: "k", Type: core.IntType},
+			{Name: "x", Type: core.FloatType, Uncertain: true},
 		},
-	})
-	f.Add(frame(FrameResult, rich))
-	// Deterministic mutations of the valid Result frame, so `go test` (which
-	// only runs the seed corpus) already exercises the malformed paths.
-	r := rand.New(rand.NewSource(7))
-	valid := frame(FrameResult, rich)
-	for i := 0; i < 64; i++ {
-		m := append([]byte{}, valid...)
-		for k := 0; k <= r.Intn(4); k++ {
-			m[r.Intn(len(m))] ^= byte(1 << r.Intn(8))
-		}
-		f.Add(m)
-	}
+		Rows: []Row{
+			{Exists: 1, Cells: []Cell{
+				{Kind: CellValue, Value: core.Int(1)},
+				{Kind: CellPDF, PDF: dist.NewGaussian(20, 5)},
+			}},
+			{Exists: 0.25, Cells: []Cell{
+				{Kind: CellValue, Value: core.Str("s")},
+				{Kind: CellNone},
+			}},
+		},
+	})), 32)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeAnyFrame(data)
@@ -138,41 +141,53 @@ func FuzzDecodeError(f *testing.F) {
 	})
 }
 
-// reassembleFrames is the fuzzed streaming surface: read a frame sequence
-// off untrusted bytes and reassemble RowBatch frames through the same
-// BatchAssembler the client's Query drain uses, stopping at the first
-// framing/decode/sequencing error or at ResultEnd — exactly what a client
-// facing a hostile or corrupted server does.
-func reassembleFrames(data []byte) {
-	r := bytes.NewReader(data)
-	var asm BatchAssembler
-	for {
-		t, payload, err := ReadFrame(r)
-		if err != nil {
-			return
+// byteConn is a connection whose peer's bytes are fixed up front: reads
+// come from them, writes and deadlines are accepted and dropped.
+type byteConn struct {
+	net.Conn
+	r *bytes.Reader
+}
+
+func (c byteConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
+func (c byteConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (c byteConn) SetDeadline(time.Time) error      { return nil }
+func (c byteConn) Close() error                     { return nil }
+func (c byteConn) SetReadDeadline(time.Time) error  { return nil }
+func (c byteConn) SetWriteDeadline(time.Time) error { return nil }
+func (c byteConn) RemoteAddr() net.Addr             { return nil }
+func (c byteConn) LocalAddr() net.Addr              { return nil }
+
+// reassembleFrames is the fuzzed answer surface: a Client reads data as a
+// server's answer to one Query, twice — drained by Query, and read with
+// NextRaw — exactly what a client or the router facing a hostile or
+// corrupted server does. Whatever Query accepts must render: every row is
+// as wide as the header.
+func reassembleFrames(t *testing.T, data []byte) {
+	res, err := NewClient(byteConn{r: bytes.NewReader(data)}).Query("SELECT * FROM t")
+	if err == nil && res.Table != nil {
+		for _, row := range res.Table.Rows {
+			if len(row.Cells) != len(res.Table.Cols) {
+				t.Fatalf("Query accepted a %d-cell row under a %d-column header", len(row.Cells), len(res.Table.Cols))
+			}
 		}
-		switch t {
-		case FrameRowBatch:
-			b, err := DecodeRowBatch(payload)
-			if err != nil {
-				return
-			}
-			if asm.Add(b) != nil {
-				return
-			}
-		case FrameResultEnd:
-			_, _ = DecodeResultEnd(payload) //nolint:errcheck
-			return
-		default:
-			return
+		_ = res.Table.Render()
+	}
+	st, err := NewClient(byteConn{r: bytes.NewReader(data)}).QueryStream("SELECT * FROM t")
+	for err == nil {
+		var b *RawBatch
+		if b, err = st.NextRaw(); b == nil {
+			break
+		}
+		if b.Width() != len(st.Columns()) {
+			t.Fatalf("NextRaw accepted a %d-cell batch under a %d-column header", b.Width(), len(st.Columns()))
 		}
 	}
 }
 
-// FuzzRowBatchReassembly fuzzes multi-frame stream reassembly: decode plus
-// the assembler's sequencing/header/width invariants must reject, never
-// panic on, arbitrary frame sequences. Seeds include a full valid stream
-// and deterministic mutations of it.
+// FuzzRowBatchReassembly fuzzes the client's answer reader: framing,
+// decode and Stream's grammar — sequence, header placement, row width, one
+// terminal frame — must reject, never panic on, arbitrary frame sequences.
+// Seeds include a full valid answer and deterministic mutations of it.
 func FuzzRowBatchReassembly(f *testing.F) {
 	cols := []Column{
 		{Name: "k", Type: core.IntType},
@@ -193,7 +208,7 @@ func FuzzRowBatchReassembly(f *testing.F) {
 			f.Fatalf("seq %d: %v", seq, err)
 		}
 	}
-	if err := WriteFrame(&stream, FrameResultEnd, EncodeResultEnd(&Result{Affected: 3})); err != nil {
+	if err := WriteFrame(&stream, FrameResult, EncodeResult(&Result{Affected: 3})); err != nil {
 		f.Fatal(err)
 	}
 	valid := stream.Bytes()
@@ -210,7 +225,7 @@ func FuzzRowBatchReassembly(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reassembleFrames(data)
+		reassembleFrames(t, data)
 	})
 }
 
@@ -228,7 +243,7 @@ func TestReassembleFrameSoup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := WriteFrame(&stream, FrameResultEnd, EncodeResultEnd(&Result{Affected: 2})); err != nil {
+	if err := WriteFrame(&stream, FrameResult, EncodeResult(&Result{Affected: 2})); err != nil {
 		t.Fatal(err)
 	}
 	valid := stream.Bytes()
@@ -253,7 +268,7 @@ func TestReassembleFrameSoup(t *testing.T) {
 					t.Fatalf("panic on %x: %v", data, rec)
 				}
 			}()
-			reassembleFrames(data)
+			reassembleFrames(t, data)
 		}()
 	}
 }
@@ -264,14 +279,14 @@ func TestReassembleFrameSoup(t *testing.T) {
 func TestDecodeFrameSoup(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameResult, EncodeResult(&Result{
-		Message: "ok",
-		Table: &Table{
-			Name: "t",
-			Cols: []Column{{Name: "x", Type: core.FloatType, Uncertain: true}},
-			Rows: []Row{{Exists: 1, Cells: []Cell{{Kind: CellPDF, PDF: dist.NewGaussian(0, 1)}}}},
-		},
+	if err := WriteFrame(&buf, FrameRowBatch, EncodeRowBatch(&RowBatch{
+		Name: "t",
+		Cols: []Column{{Name: "x", Type: core.FloatType, Uncertain: true}},
+		Rows: []Row{{Exists: 1, Cells: []Cell{{Kind: CellPDF, PDF: dist.NewGaussian(0, 1)}}}},
 	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(&buf, FrameResult, EncodeResult(&Result{Message: "ok"})); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()

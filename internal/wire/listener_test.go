@@ -167,8 +167,8 @@ func TestListenerFrames(t *testing.T) {
 		t.Fatalf("Query result %+v, %v", res, err)
 	}
 
-	r.send(FrameResultEnd, nil)
-	if se := r.recvError(); se.Code != ErrGeneric || se.Msg != "protocol: unexpected ResultEnd frame" {
+	r.send(FrameRowBatch, nil)
+	if se := r.recvError(); se.Code != ErrGeneric || se.Msg != "protocol: unexpected RowBatch frame" {
 		t.Fatalf("unexpected frame refused with %+v", se)
 	}
 	r.send(FramePing, nil)
@@ -262,7 +262,7 @@ func TestListenerShutdownSevers(t *testing.T) {
 
 // TestConnBufferFrame: a buffered frame writes nothing; it leaves with the
 // next WriteFrame in one socket write — a result's last RowBatch with its
-// ResultEnd, or with the Error of a statement that failed after it.
+// Result, or with the Error of a statement that failed after it.
 func TestConnBufferFrame(t *testing.T) {
 	srv, cli := net.Pipe()
 	defer srv.Close()
@@ -274,7 +274,7 @@ func TestConnBufferFrame(t *testing.T) {
 		Name: "t", Cols: []Column{{Name: "k", Type: core.IntType}},
 		Rows: []Row{{Exists: 1, Cells: []Cell{{Kind: CellValue, Value: core.Int(7)}}}},
 	})
-	for _, term := range []FrameType{FrameResultEnd, FrameError} {
+	for _, term := range []FrameType{FrameResult, FrameError} {
 		before := fc.Writes()
 		if !c.BufferFrame(FrameRowBatch, batch) {
 			t.Fatal("BufferFrame failed")
@@ -282,7 +282,7 @@ func TestConnBufferFrame(t *testing.T) {
 		if n := fc.Writes() - before; n != 0 {
 			t.Fatalf("BufferFrame wrote to the socket %d times", n)
 		}
-		payload := EncodeResultEnd(&Result{})
+		payload := EncodeResult(&Result{})
 		if term == FrameError {
 			payload = EncodeError(ErrGeneric, 0, "failed after its last batch")
 		}

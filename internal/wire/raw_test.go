@@ -152,8 +152,8 @@ func FuzzRawBatchMatchesDecode(f *testing.F) {
 }
 
 // TestStreamNextRaw: a streamed result read with NextRaw yields the rows
-// sent, its empty batches skipped; a result sent as one Result frame is an
-// error.
+// sent, its empty batches skipped; an answer that is one Result frame has
+// no header and no rows.
 func TestStreamNextRaw(t *testing.T) {
 	cols := []Column{{Name: "k", Type: core.IntType}, {Name: "x", Type: core.FloatType, Uncertain: true}}
 	row := func(i int) Row {
@@ -187,7 +187,7 @@ func TestStreamNextRaw(t *testing.T) {
 		batch(&RowBatch{Seq: 0, Name: "t", Cols: cols, Rows: []Row{row(1), row(2)}}),
 		batch(&RowBatch{Seq: 1}),
 		batch(&RowBatch{Seq: 2, Rows: []Row{row(3)}}),
-		func(w *bytes.Buffer) { WriteFrame(w, FrameResultEnd, EncodeResultEnd(&Result{Affected: 3})) }, //nolint:errcheck
+		func(w *bytes.Buffer) { WriteFrame(w, FrameResult, EncodeResult(&Result{Affected: 3})) }, //nolint:errcheck
 	)
 	var got []Row
 	for {
@@ -218,9 +218,12 @@ func TestStreamNextRaw(t *testing.T) {
 	}
 
 	st = open(func(w *bytes.Buffer) {
-		WriteFrame(w, FrameResult, EncodeResult(&Result{Table: &Table{Name: "t", Cols: cols, Rows: []Row{row(1)}}})) //nolint:errcheck
+		WriteFrame(w, FrameResult, EncodeResult(&Result{Message: "inserted 1", Affected: 1})) //nolint:errcheck
 	})
-	if b, err := st.NextRaw(); err == nil {
-		t.Errorf("NextRaw over a Result frame returned %v, want an error", b)
+	if b, err := st.NextRaw(); b != nil || err != nil || st.Columns() != nil {
+		t.Errorf("NextRaw over a lone Result frame returned %v, %v (header %v), want nothing", b, err, st.Columns())
+	}
+	if res, err := st.Result(); err != nil || res.Message != "inserted 1" {
+		t.Errorf("Result() = %+v, %v", res, err)
 	}
 }

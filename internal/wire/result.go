@@ -10,19 +10,23 @@ import (
 	"probdb/internal/dist"
 )
 
-// resultVersion guards the Result payload layout. Version 2 appended the
-// WALBytes counter to the stats block; version 3 appended the pdf-mass
-// cache hit/miss counters; version 4 appended the planner counters (index
-// probes, index-pruned tuples, planner fallbacks); version 5 introduced
-// streamed result delivery (RowBatch/ResultEnd frames, which reuse this
+// resultVersion guards the Result and RowBatch payload layouts. Version 2
+// appended the WALBytes counter to the stats block; version 3 appended the
+// pdf-mass cache hit/miss counters; version 4 appended the planner counters
+// (index probes, index-pruned tuples, planner fallbacks); version 5
+// introduced streamed result delivery (RowBatch frames, which reuse this
 // version and the column/row codec below); version 6 appended the
 // group-commit/transaction counters (WAL fsyncs, group size, conflicts)
 // and the in-transaction flag bit; version 7 introduced structured Error
 // frames (ErrCode + RetryAfter, see errframe.go) and appended the
 // governance counters (admission rejections, shed bytes, queue wait);
 // version 8 appended the kernel counters (tuples evaluated on the
-// vectorized columnar lanes vs the scalar reference path).
-const resultVersion = 8
+// vectorized columnar lanes vs the scalar reference path). Version 9 gave
+// every answer one shape: rows travel only in RowBatch frames, a Result
+// carries no table and ends every answer (version 8's ResultEnd frame is
+// gone), and the five stats slots that always read 0 (page reads, hits and
+// writes, mass-cache hits and misses) left the payload.
+const resultVersion = 9
 
 // maxColumns bounds a decoded column count — far above any real schema,
 // low enough that a hostile count cannot drive a large allocation.
@@ -31,10 +35,10 @@ const maxColumns = 1 << 12
 // Stats is the per-query execution accounting carried in every Result
 // frame: result cardinality, wall latency and the bytes the statement
 // appended to the write-ahead log (the durability cost of a mutation; zero
-// for reads and for checkpointed-away windows). PageReads, PageHits and
-// PageWrites are always 0: the server keeps no buffer pool, and the
-// positional layout keeps their slots so existing clients still decode the
-// frame.
+// for reads and for checkpointed-away windows). PageReads, PageHits,
+// PageWrites, MassCacheHits and MassCacheMiss are always 0 and never cross
+// the wire: the server keeps no buffer pool and no pdf-mass cache. The
+// fields stay for the callers that still read them.
 // The planner trio accounts for the statement's use of access paths:
 // IndexProbes is how many index lookups answered part of the WHERE clause,
 // IndexPruned how many tuples those probes excluded without evaluating
@@ -65,9 +69,7 @@ type Stats struct {
 	PageHits      uint64
 	PageWrites    uint64
 	WALBytes      uint64
-	// MassCacheHits and MassCacheMiss are always 0: the pdf-mass cache they
-	// counted is gone, and the positional layout keeps their slots so
-	// existing clients still decode the frame.
+	// MassCacheHits and MassCacheMiss are always 0, like the page counters.
 	MassCacheHits    uint64
 	MassCacheMiss    uint64
 	IndexProbes      uint64
@@ -83,10 +85,12 @@ type Stats struct {
 	ScalarTuples     uint64
 }
 
-// Result is one statement's outcome as shipped to the client: a message
-// and affected count for commands, a Table for queries, and Stats always.
-// InTxn reports whether the session is inside an explicit transaction after
-// this statement — shells use it for a prompt indicator.
+// Result is one statement's outcome: a message and affected count, Stats
+// always, and for a SELECT the Table its RowBatch frames carried. The
+// Result frame itself carries no rows — EncodeResult ignores Table, which
+// Stream.Drain and Session.Execute fill from the batches. InTxn reports
+// whether the session is inside an explicit transaction after this
+// statement — shells use it for a prompt indicator.
 type Result struct {
 	Message  string
 	Affected uint64
@@ -256,49 +260,32 @@ func appendEncoded(buf []byte, d dist.Dist) (out []byte) {
 	return dist.AppendEncode(buf, d)
 }
 
-// EncodeResult serializes a Result frame payload.
+// resultInTxn is the Result flags bit marking an open transaction; no other
+// bit is defined.
+const resultInTxn byte = 2
+
+// EncodeResult serializes a Result frame payload: flags, affected count,
+// message and stats. A Table on r is not encoded.
 func EncodeResult(r *Result) []byte {
 	buf := []byte{resultVersion}
 	var flags byte
-	if r.Table != nil {
-		flags |= 1
-	}
 	if r.InTxn {
-		flags |= 2
+		flags |= resultInTxn
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, r.Affected)
 	buf = core.AppendString(buf, r.Message)
-	buf = binary.AppendUvarint(buf, r.Stats.Rows)
-	buf = binary.AppendUvarint(buf, r.Stats.LatencyMicros)
-	buf = binary.AppendUvarint(buf, r.Stats.PageReads)
-	buf = binary.AppendUvarint(buf, r.Stats.PageHits)
-	buf = binary.AppendUvarint(buf, r.Stats.PageWrites)
-	buf = binary.AppendUvarint(buf, r.Stats.WALBytes)
-	buf = binary.AppendUvarint(buf, r.Stats.MassCacheHits)
-	buf = binary.AppendUvarint(buf, r.Stats.MassCacheMiss)
-	buf = binary.AppendUvarint(buf, r.Stats.IndexProbes)
-	buf = binary.AppendUvarint(buf, r.Stats.IndexPruned)
-	buf = binary.AppendUvarint(buf, r.Stats.PlannerFallbacks)
-	buf = binary.AppendUvarint(buf, r.Stats.WALFsyncs)
-	buf = binary.AppendUvarint(buf, r.Stats.WALGroupSize)
-	buf = binary.AppendUvarint(buf, r.Stats.TxnConflicts)
-	buf = binary.AppendUvarint(buf, r.Stats.Rejections)
-	buf = binary.AppendUvarint(buf, r.Stats.ShedBytes)
-	buf = binary.AppendUvarint(buf, r.Stats.QueueWaitMicros)
-	buf = binary.AppendUvarint(buf, r.Stats.VecTuples)
-	buf = binary.AppendUvarint(buf, r.Stats.ScalarTuples)
-	if r.Table == nil {
-		return buf
-	}
-	t := r.Table
-	buf = core.AppendString(buf, t.Name)
-	buf = core.AppendColumns(buf, t.Cols)
-	buf = binary.AppendUvarint(buf, uint64(len(t.Rows)))
-	for _, row := range t.Rows {
-		buf = appendRow(buf, row)
+	for _, v := range r.Stats.onWire() {
+		buf = binary.AppendUvarint(buf, *v)
 	}
 	return buf
+}
+
+// onWire lists the counters a Result payload carries, in payload order.
+func (s *Stats) onWire() [14]*uint64 {
+	return [...]*uint64{&s.Rows, &s.LatencyMicros, &s.WALBytes, &s.IndexProbes, &s.IndexPruned,
+		&s.PlannerFallbacks, &s.WALFsyncs, &s.WALGroupSize, &s.TxnConflicts, &s.Rejections,
+		&s.ShedBytes, &s.QueueWaitMicros, &s.VecTuples, &s.ScalarTuples}
 }
 
 // appendRow serializes one row: the existence probability then one tagged
@@ -319,8 +306,7 @@ func appendRow(buf []byte, row Row) []byte {
 }
 
 // DecodeResult parses a Result frame payload. It never panics on malformed
-// input: every length is bounds-checked against the remaining buffer and
-// pdf payloads go through dist.Decode's validated path.
+// input, and refuses unknown flag bits and trailing bytes.
 func DecodeResult(payload []byte) (*Result, error) {
 	d := &rdecoder{buf: payload}
 	ver, err := d.byte()
@@ -334,40 +320,24 @@ func DecodeResult(payload []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Result{}
+	if flags&^resultInTxn != 0 {
+		return nil, d.err("unknown result flags %#x", flags)
+	}
+	r := &Result{InTxn: flags&resultInTxn != 0}
 	if r.Affected, err = d.uvarint(); err != nil {
 		return nil, err
 	}
 	if r.Message, err = d.string(); err != nil {
 		return nil, err
 	}
-	for _, p := range []*uint64{&r.Stats.Rows, &r.Stats.LatencyMicros, &r.Stats.PageReads, &r.Stats.PageHits, &r.Stats.PageWrites, &r.Stats.WALBytes, &r.Stats.MassCacheHits, &r.Stats.MassCacheMiss, &r.Stats.IndexProbes, &r.Stats.IndexPruned, &r.Stats.PlannerFallbacks, &r.Stats.WALFsyncs, &r.Stats.WALGroupSize, &r.Stats.TxnConflicts, &r.Stats.Rejections, &r.Stats.ShedBytes, &r.Stats.QueueWaitMicros, &r.Stats.VecTuples, &r.Stats.ScalarTuples} {
+	for _, p := range r.Stats.onWire() {
 		if *p, err = d.uvarint(); err != nil {
 			return nil, err
 		}
 	}
-	r.InTxn = flags&2 != 0
-	if flags&1 == 0 {
-		return r, nil
-	}
-	t := &Table{}
-	if t.Name, err = d.string(); err != nil {
-		return nil, err
-	}
-	if t.Cols, err = d.columns(); err != nil {
-		return nil, err
-	}
-	nrows, err := d.rowCount(len(t.Cols))
-	if err != nil {
-		return nil, err
-	}
-	if t.Rows, err = d.rows(nrows, len(t.Cols)); err != nil {
-		return nil, err
-	}
 	if d.off != len(d.buf) {
 		return nil, d.err("%d trailing bytes", len(d.buf)-d.off)
 	}
-	r.Table = t
 	return r, nil
 }
 

@@ -7,22 +7,23 @@ import (
 	"probdb/internal/core"
 )
 
-// This file is the streamed-result half of the protocol. A server executing
-// a streamable SELECT answers a Query frame not with one Result but with a
-// sequence
+// This file is the answer half of the protocol. Every answer to a Query
+// frame has one grammar:
 //
-//	RowBatch(seq 0, header + rows) RowBatch(seq 1, rows) … ResultEnd(stats)
+//	RowBatch(seq 0, header + rows) RowBatch(seq 1, rows) … Result(stats)
+//	RowBatch(seq 0, header + rows) RowBatch(seq 1, rows) … Error
 //
-// so the client sees the first rows before the server's scan has finished,
-// and neither side ever materializes the whole relation for the transport.
-// The stats ride in the trailing ResultEnd because latency and page-I/O
-// counters are only known once the last row has been produced. A query that
-// fails mid-stream ends with an Error frame instead of ResultEnd — by then
+// with zero or more RowBatch frames. A SELECT always sends batch 0, so even
+// an empty result carries its header; every other statement answers with
+// its Result or Error alone. The client sees the first rows before the
+// server's scan has finished, and neither side ever materializes the whole
+// relation for the transport. The stats ride in the trailing Result because
+// latency and the row counters are only known once the last row has been
+// produced. A query that fails mid-stream ends with an Error frame — by then
 // some batches may already have been delivered; the client surfaces the
-// error and discards them.
+// error and discards them. Stream is the one reader of this grammar.
 //
-// RowBatch payload layout (sharing resultVersion and the column/row codec
-// with Result frames):
+// RowBatch payload layout (sharing resultVersion with Result frames):
 //
 //	u8 version | uvarint seq | u8 flags | [name, columns]  (flags bit0)
 //	          | uvarint ncols (only when no header) | uvarint nrows | rows
@@ -126,8 +127,8 @@ func AppendRawBatch(buf []byte, seq uint64, name string, cols []Column, ncols, n
 }
 
 // DecodeRowBatch parses a RowBatch frame payload. Like DecodeResult it
-// never panics on malformed input; sequencing and header-placement rules
-// are the BatchAssembler's job, not the codec's.
+// never panics on malformed input; the sequence, header-placement and
+// row-width rules are Stream's job, not the codec's.
 func DecodeRowBatch(payload []byte) (*RowBatch, error) {
 	f, err := readBatchFrame(payload)
 	if err != nil {
@@ -257,110 +258,34 @@ func (b *RawBatch) Cell(i, j int) (Cell, error) {
 	return c[0], err
 }
 
-// EncodeResultEnd serializes a ResultEnd frame payload: a Result sans
-// table (the rows already went out as batches). Any Table on r is ignored.
-func EncodeResultEnd(r *Result) []byte {
-	end := *r
-	end.Table = nil
-	return EncodeResult(&end)
-}
-
-// DecodeResultEnd parses a ResultEnd frame payload.
-func DecodeResultEnd(payload []byte) (*Result, error) {
-	r, err := DecodeResult(payload)
-	if err != nil {
-		return nil, err
-	}
-	if r.Table != nil {
-		return nil, fmt.Errorf("wire: ResultEnd frame carries a table")
-	}
-	return r, nil
-}
-
-// ProtocolError is a violation of the streamed-result invariants: a batch
-// whose seq duplicates, skips, or rewinds the expected sequence (e.g. a
-// reconnect splicing a stale stream into a fresh one), a missing or
-// repeated header, or a row wider than the header. It is typed — rather
-// than a bare formatted error — so callers can distinguish "this peer is
-// speaking the protocol wrong" (close the connection, never reorder or
-// dedup silently) from transport failures they might retry.
-type ProtocolError struct {
-	// Seq and Want are the offending and expected batch sequence numbers
-	// (equal when the violation is not a sequencing one).
-	Seq, Want uint64
-	Msg       string
-}
-
-// Error implements error.
-func (e *ProtocolError) Error() string { return e.Msg }
-
-// BatchAssembler reassembles a RowBatch sequence into one Table, enforcing
-// the stream invariants: batches arrive in sequence starting at 0, the
-// header appears on batch 0 and never again, and every row is as wide as
-// the header. The client's Query drain and the reassembly fuzz target share
-// it, so the fuzzer exercises exactly the code a hostile server would hit.
-// All violations surface as *ProtocolError.
-type BatchAssembler struct {
-	t    *Table
-	next uint64
-}
-
-// Add ingests one batch.
-func (a *BatchAssembler) Add(b *RowBatch) error {
-	if b.Seq != a.next {
-		return &ProtocolError{Seq: b.Seq, Want: a.next,
-			Msg: fmt.Sprintf("wire: row batch seq %d, want %d", b.Seq, a.next)}
-	}
-	if b.Seq == 0 {
-		if b.Cols == nil {
-			return &ProtocolError{Msg: "wire: first row batch has no header"}
-		}
-		a.t = &Table{Name: b.Name, Cols: b.Cols}
-	} else if b.Cols != nil {
-		return &ProtocolError{Seq: b.Seq, Want: b.Seq,
-			Msg: fmt.Sprintf("wire: row batch %d repeats the header", b.Seq)}
-	}
-	for _, row := range b.Rows {
-		if len(row.Cells) != len(a.t.Cols) {
-			return &ProtocolError{Seq: b.Seq, Want: b.Seq,
-				Msg: fmt.Sprintf("wire: row batch %d row has %d cells, header has %d columns",
-					b.Seq, len(row.Cells), len(a.t.Cols))}
-		}
-		a.t.Rows = append(a.t.Rows, row)
-	}
-	a.next++
-	return nil
-}
-
-// Table returns the relation assembled so far (nil before the first batch).
-func (a *BatchAssembler) Table() *Table { return a.t }
-
-// Stream is an in-progress streamed query result. Obtain one with
-// Client.QueryStream, pull batches with NextBatch (decoded) or NextRaw
-// (checked, left encoded) until they return nil, then read the trailing
-// stats with Result. A Stream must be fully drained (or the connection
-// closed) before the Client is used again — the protocol is synchronous and
-// the remaining frames are still in flight.
+// Stream is one answer being read. Obtain one with Client.QueryStream,
+// pull batches with NextBatch (decoded) or NextRaw (checked, left encoded)
+// until they return nil, then read the trailing stats with Result. A Stream
+// must be fully drained (or the connection closed) before the Client is
+// used again — the protocol is synchronous and the remaining frames are
+// still in flight.
+//
+// Stream enforces the answer grammar: batches count up from seq 0, batch 0
+// and no other carries the header, every batch with rows is as wide as the
+// header, and a Result or Error ends the answer. A peer that breaks a rule
+// poisons the stream with an error, and its connection should be closed;
+// nothing is reordered or deduplicated.
 type Stream struct {
-	c        *Client
-	streamed bool // server chose batch delivery (vs one legacy Result frame)
-	name     string
-	cols     []Column
-	head     *batchFrame // the first RowBatch, its rows not yet walked
-	pending  []Row       // a legacy Result's rows, not yet handed out
-	next     uint64
-	res      *Result
-	done     bool
-	err      error
+	c    *Client
+	name string
+	cols []Column
+	head *batchFrame // the first RowBatch, its rows not yet walked
+	next uint64
+	res  *Result
+	done bool
+	err  error
 }
 
-// QueryStream sends one statement and returns a Stream over its result. If
-// the server answers with a single Result frame (a non-streamable
-// statement, or an older server), the Stream wraps it transparently: the
-// rows arrive as one batch. Server-side failures before the first row come
-// back as *ServerError. Of a streamed result's first RowBatch only the
-// header is read here; its rows are walked by the first NextBatch or
-// NextRaw, whichever the caller asks for.
+// QueryStream sends one statement and returns a Stream over its answer.
+// Server-side failures before the first row come back as *ServerError. Of
+// a SELECT's first RowBatch only the header is read here; its rows are
+// walked by the first NextBatch or NextRaw, whichever the caller asks for.
+// An answer without rows is complete on return: its Result is ready.
 //
 // Each frame is awaited under the client's call timeout — the deadline
 // bounds inter-frame gaps, not the whole (possibly long) stream.
@@ -371,63 +296,28 @@ func (c *Client) QueryStream(sql string) (*Stream, error) {
 	if err := c.send(FrameQuery, []byte(sql)); err != nil {
 		return nil, err
 	}
-	t, payload, err := ReadFrame(c.r)
+	s := &Stream{c: c}
+	f, err := s.read()
 	if err != nil {
 		return nil, err
 	}
-	s := &Stream{c: c}
-	switch t {
-	case FrameResult:
-		r, err := DecodeResult(payload)
-		if err != nil {
-			return nil, err
-		}
-		s.res = r
-		if r.Table != nil {
-			s.name = r.Table.Name
-			s.cols = r.Table.Cols
-			s.pending = r.Table.Rows
-		} else {
-			s.done = true
-		}
-		return s, nil
-	case FrameRowBatch:
-		f, err := readBatchFrame(payload)
-		if err != nil {
-			return nil, err
-		}
-		if f.seq != 0 || f.cols == nil {
-			return nil, fmt.Errorf("wire: stream opened with batch seq %d (header %v)", f.seq, f.cols != nil)
-		}
-		s.streamed = true
-		s.name = f.name
-		s.cols = f.cols
-		s.head = f
-		s.next = 1
-		return s, nil
-	case FrameError:
-		return nil, DecodeError(payload)
-	default:
-		return nil, fmt.Errorf("wire: unexpected %v frame in response to Query", t)
-	}
+	s.head = f
+	return s, nil
 }
 
 // Name is the result relation's name (valid immediately after QueryStream).
 func (s *Stream) Name() string { return s.name }
 
-// Columns is the result header (nil for row-less command results).
+// Columns is the result header: nil for an answer without rows, non-nil
+// for every SELECT.
 func (s *Stream) Columns() []Column { return s.cols }
 
 // NextBatch returns the next non-empty batch of rows, or (nil, nil) once
-// the stream is exhausted. A transport or decode error poisons the stream:
-// the connection is desynchronized and should be closed. A *ServerError
-// (the query failed mid-stream) leaves the connection reusable.
+// the stream is exhausted. A transport, decode or grammar error poisons the
+// stream: the connection is desynchronized and should be closed. A
+// *ServerError (the query failed mid-stream) leaves the connection
+// reusable.
 func (s *Stream) NextBatch() ([]Row, error) {
-	if len(s.pending) > 0 {
-		rows := s.pending
-		s.pending = nil
-		return rows, nil
-	}
 	for {
 		f, err := s.nextFrame()
 		if f == nil {
@@ -445,12 +335,8 @@ func (s *Stream) NextBatch() ([]Row, error) {
 
 // NextRaw is NextBatch for a caller that forwards rows: it returns the next
 // non-empty batch with its rows checked but left encoded, or (nil, nil) once
-// the stream is exhausted. Errors are NextBatch's; a result that came as one
-// Result frame (no server streams a plain SELECT that way) is one too.
+// the stream is exhausted. Errors are NextBatch's.
 func (s *Stream) NextRaw() (*RawBatch, error) {
-	if len(s.pending) > 0 {
-		return nil, s.fail(fmt.Errorf("wire: rows sent as one Result frame, not as row batches"))
-	}
 	for {
 		f, err := s.nextFrame()
 		if f == nil {
@@ -469,21 +355,23 @@ func (s *Stream) NextRaw() (*RawBatch, error) {
 // nextFrame returns the stream's next RowBatch with its head read, or nil
 // once the stream is exhausted or has failed.
 func (s *Stream) nextFrame() (*batchFrame, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
 	if f := s.head; f != nil {
 		s.head = nil
 		return f, nil
 	}
-	if s.done || !s.streamed {
-		// A wrapped single-Result stream is exhausted once its rows are out.
-		s.done = true
-		return nil, nil
+	if s.done {
+		return nil, s.err
 	}
 	if err := s.c.begin(); err != nil {
 		return nil, s.fail(err)
 	}
+	return s.read()
+}
+
+// read reads the answer's next frame and holds it to the grammar. It
+// returns the frame if it is a RowBatch, with its head read, and nil once
+// the answer has ended.
+func (s *Stream) read() (*batchFrame, error) {
 	t, payload, err := ReadFrame(s.c.r)
 	if err != nil {
 		return nil, s.fail(err)
@@ -494,13 +382,12 @@ func (s *Stream) nextFrame() (*batchFrame, error) {
 		if err != nil {
 			return nil, s.fail(err)
 		}
-		if f.seq != s.next || f.cols != nil {
-			return nil, s.fail(fmt.Errorf("wire: row batch seq %d (want %d, no header)", f.seq, s.next))
+		if err := s.admit(f); err != nil {
+			return nil, s.fail(err)
 		}
-		s.next++
 		return f, nil
-	case FrameResultEnd:
-		r, err := DecodeResultEnd(payload)
+	case FrameResult:
+		r, err := DecodeResult(payload)
 		if err != nil {
 			return nil, s.fail(err)
 		}
@@ -508,13 +395,28 @@ func (s *Stream) nextFrame() (*batchFrame, error) {
 		s.done = true
 		return nil, nil
 	case FrameError:
-		// Clean protocol-level abort: don't poison the connection.
+		// A clean end of the answer: the connection stays usable.
 		s.done = true
 		s.err = DecodeError(payload)
 		return nil, s.err
-	default:
-		return nil, s.fail(fmt.Errorf("wire: unexpected %v frame mid-stream", t))
 	}
+	return nil, s.fail(fmt.Errorf("wire: unexpected %v frame in an answer", t))
+}
+
+// admit checks a RowBatch's place in the answer: its seq is the next one,
+// it carries the header exactly when it is batch 0, and if it has rows they
+// are as wide as the header.
+func (s *Stream) admit(f *batchFrame) error {
+	if f.seq != s.next || (f.cols != nil) != (f.seq == 0) {
+		return fmt.Errorf("wire: row batch seq %d (header %v), want seq %d", f.seq, f.cols != nil, s.next)
+	}
+	if f.seq == 0 {
+		s.name, s.cols = f.name, f.cols
+	} else if f.nrows > 0 && f.ncols != len(s.cols) {
+		return fmt.Errorf("wire: row batch %d has %d columns, header has %d", f.seq, f.ncols, len(s.cols))
+	}
+	s.next++
+	return nil
 }
 
 func (s *Stream) fail(err error) error {
@@ -524,8 +426,7 @@ func (s *Stream) fail(err error) error {
 }
 
 // Result returns the query's stats and message, available once NextBatch
-// has returned nil. For a streamed result its Table is nil — the rows went
-// through NextBatch.
+// has returned nil. Its Table is nil — the rows went through NextBatch.
 func (s *Stream) Result() (*Result, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -536,10 +437,9 @@ func (s *Stream) Result() (*Result, error) {
 	return s.res, nil
 }
 
-// Drain consumes the rest of the stream and assembles the full Result —
-// batches reassembled into a Table for streamed delivery, the server's own
-// Table passed through for legacy delivery. It is how Client.Query is
-// implemented.
+// Drain consumes the rest of the stream and returns its Result, with the
+// batches assembled into its Table when the answer had a header. It is how
+// Client.Query is implemented.
 func (s *Stream) Drain() (*Result, error) {
 	var rows []Row
 	for {
@@ -556,10 +456,8 @@ func (s *Stream) Drain() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.streamed {
-		r := *res
-		r.Table = &Table{Name: s.name, Cols: s.cols, Rows: rows}
-		return &r, nil
+	if s.cols != nil {
+		res.Table = &Table{Name: s.name, Cols: s.cols, Rows: rows}
 	}
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"probdb/internal/core"
@@ -69,123 +70,9 @@ func TestRowBatchDecodeRejectsTruncations(t *testing.T) {
 	}
 }
 
-// TestResultEndRoundTrip: stats and message survive; any table is stripped.
-func TestResultEndRoundTrip(t *testing.T) {
-	in := &Result{Message: "9 rows", Affected: 9,
-		Stats: Stats{Rows: 9, LatencyMicros: 420, PageReads: 3, IndexProbes: 1}}
-	out, err := DecodeResultEnd(EncodeResultEnd(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Message != in.Message || out.Affected != in.Affected || out.Stats != in.Stats || out.Table != nil {
-		t.Fatalf("round trip: %+v", out)
-	}
-	// A table on the input is dropped, not encoded.
-	withTable := *in
-	withTable.Table = &Table{Name: "t"}
-	if _, err := DecodeResultEnd(EncodeResultEnd(&withTable)); err != nil {
-		t.Fatal(err)
-	}
-	// A raw Result payload with a table must be rejected as a ResultEnd.
-	if _, err := DecodeResultEnd(EncodeResult(&withTable)); err == nil {
-		t.Fatal("ResultEnd with table accepted")
-	}
-}
-
-// TestBatchAssembler checks the stream invariants the assembler enforces.
-func TestBatchAssembler(t *testing.T) {
-	name, cols := testHeader()
-	var a BatchAssembler
-	if err := a.Add(&RowBatch{Seq: 0, Name: name, Cols: cols, Rows: []Row{testRow(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add(&RowBatch{Seq: 1, Rows: []Row{testRow(2), testRow(3)}}); err != nil {
-		t.Fatal(err)
-	}
-	if tb := a.Table(); tb.Name != name || len(tb.Rows) != 3 {
-		t.Fatalf("assembled: %+v", tb)
-	}
-
-	for _, tc := range []struct {
-		name string
-		b    *RowBatch
-	}{
-		{"seq skip", &RowBatch{Seq: 3, Rows: []Row{testRow(4)}}},
-		{"repeated header", &RowBatch{Seq: 2, Name: name, Cols: cols}},
-		{"width mismatch", &RowBatch{Seq: 2, Rows: []Row{{Exists: 1, Cells: []Cell{{Kind: CellNone}}}}}},
-	} {
-		if err := a.Add(tc.b); err == nil {
-			t.Fatalf("%s accepted", tc.name)
-		}
-	}
-
-	var fresh BatchAssembler
-	if err := fresh.Add(&RowBatch{Seq: 0, Rows: []Row{testRow(1)}}); err == nil {
-		t.Fatal("headerless first batch accepted")
-	}
-}
-
-// TestBatchAssemblerReconnectSeq models the reconnect hazard: a client
-// assembled part of a stream, the connection dropped, and the resumed
-// stream replays a batch it already delivered (duplicate seq) or resumes
-// past the gap (out-of-order seq). Both must surface as a typed
-// *ProtocolError naming the offending and expected sequence numbers — never
-// silent reordering or deduplication — and must not mutate the assembled
-// rows.
-func TestBatchAssemblerReconnectSeq(t *testing.T) {
-	name, cols := testHeader()
-	var a BatchAssembler
-	for seq, b := range []*RowBatch{
-		{Seq: 0, Name: name, Cols: cols, Rows: []Row{testRow(1)}},
-		{Seq: 1, Rows: []Row{testRow(2)}},
-	} {
-		if err := a.Add(b); err != nil {
-			t.Fatalf("seq %d: %v", seq, err)
-		}
-	}
-	rowsBefore := len(a.Table().Rows)
-
-	for _, tc := range []struct {
-		name string
-		b    *RowBatch
-		want uint64
-	}{
-		// The peer re-sends the last batch it believes was unacked.
-		{"duplicate seq after reconnect", &RowBatch{Seq: 1, Rows: []Row{testRow(2)}}, 2},
-		// The peer resumes beyond the drop point, skipping seq 2.
-		{"out-of-order seq after reconnect", &RowBatch{Seq: 3, Rows: []Row{testRow(9)}}, 2},
-		// A stale pre-reconnect frame from the old stream's start.
-		{"rewound seq after reconnect", &RowBatch{Seq: 0, Name: name, Cols: cols}, 2},
-	} {
-		err := a.Add(tc.b)
-		if err == nil {
-			t.Fatalf("%s: accepted", tc.name)
-		}
-		var pe *ProtocolError
-		if !errors.As(err, &pe) {
-			t.Fatalf("%s: error %T (%v) is not a *ProtocolError", tc.name, err, err)
-		}
-		if pe.Seq != tc.b.Seq || pe.Want != tc.want {
-			t.Fatalf("%s: ProtocolError{Seq: %d, Want: %d}, want {%d, %d}",
-				tc.name, pe.Seq, pe.Want, tc.b.Seq, tc.want)
-		}
-		if got := len(a.Table().Rows); got != rowsBefore {
-			t.Fatalf("%s: assembled rows changed %d -> %d", tc.name, rowsBefore, got)
-		}
-	}
-
-	// The assembler still accepts the correct continuation afterwards.
-	if err := a.Add(&RowBatch{Seq: 2, Rows: []Row{testRow(3)}}); err != nil {
-		t.Fatalf("valid continuation rejected: %v", err)
-	}
-}
-
 // serveFrames runs a one-shot fake server on the other end of a pipe: it
 // reads the Query frame, then writes the scripted response frames.
-func serveFrames(t *testing.T, conn net.Conn, frames []struct {
-	t FrameType
-	p []byte
-}) {
+func serveFrames(t *testing.T, conn net.Conn, frames scripted) {
 	t.Helper()
 	go func() {
 		defer conn.Close()
@@ -200,9 +87,204 @@ func serveFrames(t *testing.T, conn net.Conn, frames []struct {
 	}()
 }
 
-type scripted = []struct {
+type scriptedFrame = struct {
 	t FrameType
 	p []byte
+}
+
+type scripted = []scriptedFrame
+
+// openScripted runs QueryStream against a fake server that answers with
+// frames.
+func openScripted(t *testing.T, frames scripted) (*Stream, error) {
+	t.Helper()
+	cli, srv := net.Pipe()
+	t.Cleanup(func() { cli.Close() }) //nolint:errcheck
+	serveFrames(t, srv, frames)
+	return NewClient(cli).QueryStream(`SELECT * FROM readings`)
+}
+
+// readEachWay reads one scripted answer three ways — Client.Query (which
+// also renders the table it assembled), a NextBatch loop and a NextRaw
+// loop — and returns each reader's error by name.
+func readEachWay(t *testing.T, frames scripted) map[string]error {
+	t.Helper()
+	errs := map[string]error{}
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	serveFrames(t, srv, frames)
+	res, err := NewClient(cli).Query(`SELECT * FROM readings`)
+	if err == nil {
+		_ = res.String() // must not panic on anything Query accepted
+	}
+	errs["Query"] = err
+	for _, way := range []string{"NextBatch", "NextRaw"} {
+		st, err := openScripted(t, frames)
+		for err == nil {
+			if way == "NextBatch" {
+				var rows []Row
+				if rows, err = st.NextBatch(); rows == nil {
+					break
+				}
+				for _, row := range rows {
+					_ = RenderRow(st.Columns(), row)
+				}
+			} else if b, e := st.NextRaw(); b == nil {
+				err = e
+				break
+			}
+		}
+		if err == nil {
+			_, err = st.Result()
+		}
+		errs[way] = err
+	}
+	return errs
+}
+
+func rowBatchFrame(b *RowBatch) scriptedFrame {
+	return scriptedFrame{FrameRowBatch, EncodeRowBatch(b)}
+}
+
+var resultFrame = scriptedFrame{FrameResult, EncodeResult(&Result{Affected: 3, Stats: Stats{Rows: 3}})}
+
+// TestStreamRowWidth: a batch whose rows are narrower or wider than the
+// header is refused by every reader, so Query never hands out a table that
+// cannot be rendered. Only a batch without rows may name another width.
+func TestStreamRowWidth(t *testing.T) {
+	name, cols := testHeader()
+	one := Row{Exists: 1, Cells: []Cell{{Kind: CellValue, Value: core.Int(1)}}}
+	three := testRow(3)
+	three.Cells = append(three.Cells, Cell{Kind: CellNone})
+	for _, tc := range []struct {
+		name string
+		bad  *RowBatch
+	}{
+		{"narrow", &RowBatch{Seq: 1, Rows: []Row{one}}},
+		{"wide", &RowBatch{Seq: 1, Rows: []Row{three}}},
+	} {
+		errs := readEachWay(t, scripted{
+			rowBatchFrame(&RowBatch{Seq: 0, Name: name, Cols: cols, Rows: []Row{testRow(1)}}),
+			rowBatchFrame(tc.bad),
+			resultFrame,
+		})
+		for way, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "header has 2") {
+				t.Errorf("%s row through %s: err = %v, want a width refusal", tc.name, way, err)
+			}
+		}
+	}
+	empty := AppendRawBatch(nil, 1, "", nil, 5, 0, nil)
+	errs := readEachWay(t, scripted{
+		rowBatchFrame(&RowBatch{Seq: 0, Name: name, Cols: cols, Rows: []Row{testRow(1)}}),
+		{FrameRowBatch, empty},
+		resultFrame,
+	})
+	for way, err := range errs {
+		if err != nil {
+			t.Errorf("empty batch of another width through %s: %v", way, err)
+		}
+	}
+}
+
+// TestStreamGrammar: Stream accepts RowBatch(seq 0, header) RowBatch* then
+// Result or Error, and a lone Result or Error, and refuses every other
+// shape through every reader.
+func TestStreamGrammar(t *testing.T) {
+	name, cols := testHeader()
+	b0 := rowBatchFrame(&RowBatch{Seq: 0, Name: name, Cols: cols, Rows: []Row{testRow(1)}})
+	b1 := rowBatchFrame(&RowBatch{Seq: 1, Rows: []Row{testRow(2), testRow(3)}})
+	for _, tc := range []struct {
+		name   string
+		frames scripted
+		ok     bool
+	}{
+		{"rows then Result", scripted{b0, b1, rowBatchFrame(&RowBatch{Seq: 2}), resultFrame}, true},
+		{"header only", scripted{rowBatchFrame(&RowBatch{Seq: 0, Name: name, Cols: cols}), resultFrame}, true},
+		{"lone Result", scripted{resultFrame}, true},
+		{"seq skip", scripted{b0, rowBatchFrame(&RowBatch{Seq: 2, Rows: []Row{testRow(2)}}), resultFrame}, false},
+		{"repeated header", scripted{b0, rowBatchFrame(&RowBatch{Seq: 1, Name: name, Cols: cols}), resultFrame}, false},
+		{"headerless first batch", scripted{rowBatchFrame(&RowBatch{Seq: 0, Rows: []Row{testRow(1)}}), resultFrame}, false},
+		{"first batch not seq 0", scripted{rowBatchFrame(&RowBatch{Seq: 1, Name: name, Cols: cols}), resultFrame}, false},
+		{"Pong in an answer", scripted{b0, {FramePong, nil}}, false},
+		{"Query in an answer", scripted{{FrameQuery, []byte("SELECT 1")}}, false},
+		{"Result with trailing bytes", scripted{b0, {FrameResult, append(EncodeResult(&Result{}), 0)}}, false},
+		{"error mid-stream", scripted{b0, b1, {FrameError, EncodeError(ErrGeneric, 0, "boom")}}, false},
+		{"lone error", scripted{{FrameError, EncodeError(ErrGeneric, 0, "boom")}}, false},
+	} {
+		for way, err := range readEachWay(t, tc.frames) {
+			if (err == nil) != tc.ok {
+				t.Errorf("%s through %s: err = %v, want ok = %v", tc.name, way, err, tc.ok)
+			}
+		}
+	}
+
+	// A mid-stream Error is the server's: a *ServerError, sticky, and the
+	// Result never becomes available.
+	st, err := openScripted(t, scripted{b0, {FrameError, EncodeError(ErrGeneric, 0, "boom")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := st.NextBatch(); err != nil || len(rows) != 1 {
+		t.Fatalf("first batch: %d rows, %v", len(rows), err)
+	}
+	var se *ServerError
+	if _, err := st.NextBatch(); !errors.As(err, &se) {
+		t.Fatalf("err = %v, want *ServerError", err)
+	}
+	if _, err := st.NextBatch(); !errors.As(err, &se) {
+		t.Fatalf("error not sticky: %v", err)
+	}
+	if _, err := st.Result(); err == nil {
+		t.Fatal("Result() after a mid-stream Error")
+	}
+}
+
+// TestStreamReconnectSeq models the reconnect hazard: a client read part of
+// an answer, the connection dropped, and the resumed stream replays a batch
+// it already delivered (duplicate seq), resumes past the gap, or restarts
+// from a stale batch 0. Each is refused with an error naming the offending
+// and expected sequence numbers — never silently reordered or deduplicated
+// — after exactly the rows of the batches before it were handed out, and
+// the stream stays poisoned.
+func TestStreamReconnectSeq(t *testing.T) {
+	name, cols := testHeader()
+	b0 := rowBatchFrame(&RowBatch{Seq: 0, Name: name, Cols: cols, Rows: []Row{testRow(1)}})
+	b1 := rowBatchFrame(&RowBatch{Seq: 1, Rows: []Row{testRow(2)}})
+	for _, tc := range []struct {
+		name string
+		bad  *RowBatch
+		want string
+	}{
+		{"duplicate seq after reconnect", &RowBatch{Seq: 1, Rows: []Row{testRow(2)}}, "seq 1 (header false), want seq 2"},
+		{"out-of-order seq after reconnect", &RowBatch{Seq: 3, Rows: []Row{testRow(9)}}, "seq 3 (header false), want seq 2"},
+		{"rewound seq after reconnect", &RowBatch{Seq: 0, Name: name, Cols: cols}, "seq 0 (header true), want seq 2"},
+	} {
+		st, err := openScripted(t, scripted{b0, b1, rowBatchFrame(tc.bad), resultFrame})
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered := 0
+		for {
+			rows, err := st.NextBatch()
+			if err != nil {
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: err = %v, want it to name %q", tc.name, err, tc.want)
+				}
+				break
+			}
+			if rows == nil {
+				t.Fatalf("%s: accepted", tc.name)
+			}
+			delivered += len(rows)
+		}
+		if delivered != 2 {
+			t.Errorf("%s: %d rows delivered before the refusal, want 2", tc.name, delivered)
+		}
+		if rows, err := st.NextBatch(); rows != nil || err == nil {
+			t.Errorf("%s: poisoned stream went on: %d rows, %v", tc.name, len(rows), err)
+		}
+	}
 }
 
 // TestQueryStreamBatches drives a Stream over a scripted batch sequence:
@@ -216,7 +298,7 @@ func TestQueryStreamBatches(t *testing.T) {
 		{FrameRowBatch, EncodeRowBatch(&RowBatch{Seq: 0, Name: name, Cols: cols, Rows: []Row{testRow(1), testRow(2)}})},
 		{FrameRowBatch, EncodeRowBatch(&RowBatch{Seq: 1})}, // empty interior batch
 		{FrameRowBatch, EncodeRowBatch(&RowBatch{Seq: 2, Rows: []Row{testRow(3)}})},
-		{FrameResultEnd, EncodeResultEnd(&Result{Affected: 3, Stats: Stats{Rows: 3, LatencyMicros: 7}})},
+		{FrameResult, EncodeResult(&Result{Affected: 3, Stats: Stats{Rows: 3, LatencyMicros: 7}})},
 	})
 	st, err := NewClient(cli).QueryStream(`SELECT * FROM readings`)
 	if err != nil {
@@ -248,11 +330,12 @@ func TestQueryStreamBatches(t *testing.T) {
 	}
 }
 
-// TestQueryDrainsStreamedResult: Query over a streamed response assembles
-// the same Result a legacy single-frame response would deliver.
+// TestQueryDrainsStreamedResult: Query assembles an answer's batches into
+// one Table, which renders exactly as the rows sent, beside the stats and
+// message of its Result.
 func TestQueryDrainsStreamedResult(t *testing.T) {
 	name, cols := testHeader()
-	full := &Result{Affected: 3, Stats: Stats{Rows: 3},
+	full := &Result{Message: "3 rows", Affected: 3, Stats: Stats{Rows: 3, LatencyMicros: 9},
 		Table: &Table{Name: name, Cols: cols, Rows: []Row{testRow(1), testRow(2), testRow(3)}}}
 
 	cli, srv := net.Pipe()
@@ -260,26 +343,17 @@ func TestQueryDrainsStreamedResult(t *testing.T) {
 	serveFrames(t, srv, scripted{
 		{FrameRowBatch, EncodeRowBatch(&RowBatch{Seq: 0, Name: name, Cols: cols, Rows: full.Table.Rows[:2]})},
 		{FrameRowBatch, EncodeRowBatch(&RowBatch{Seq: 1, Rows: full.Table.Rows[2:]})},
-		{FrameResultEnd, EncodeResultEnd(full)},
+		{FrameResult, EncodeResult(full)},
 	})
-	streamed, err := NewClient(cli).Query(`SELECT * FROM readings`)
+	got, err := NewClient(cli).Query(`SELECT * FROM readings`)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cli2, srv2 := net.Pipe()
-	defer cli2.Close()
-	serveFrames(t, srv2, scripted{{FrameResult, EncodeResult(full)}})
-	legacy, err := NewClient(cli2).Query(`SELECT * FROM readings`)
-	if err != nil {
-		t.Fatal(err)
+	if got.Table == nil || got.Table.Render() != full.Table.Render() {
+		t.Fatalf("assembled table:\n%v\nwant:\n%s", got.Table, full.Table.Render())
 	}
-
-	if got, want := streamed.Table.Render(), legacy.Table.Render(); got != want {
-		t.Fatalf("streamed render:\n%s\nlegacy render:\n%s", got, want)
-	}
-	if streamed.Affected != legacy.Affected || streamed.Stats != legacy.Stats {
-		t.Fatalf("streamed %+v vs legacy %+v", streamed, legacy)
+	if got.Message != full.Message || got.Affected != full.Affected || got.Stats != full.Stats {
+		t.Fatalf("got %+v, want %+v", got, full)
 	}
 }
 

@@ -1,13 +1,14 @@
 // Package wire is the client/server protocol of the probabilistic database:
-// a small length-prefixed binary framing with Query, Result, Error,
-// Ping/Pong and streaming RowBatch/ResultEnd frames (see stream.go for the
-// streamed-result exchange). Result frames carry rendered-free structured
-// data —
+// a small length-prefixed binary framing with Query, RowBatch, Result,
+// Error and Ping/Pong frames. Every answer to a Query has one shape,
+//
+//	RowBatch* Result  |  RowBatch* Error
+//
+// (see stream.go). RowBatch frames carry rendered-free structured rows —
 // certain values in a compact tag encoding and pdfs in internal/dist's wire
 // codec (the same representation economics the storage layer uses: a
-// symbolic Gaussian crosses the network in 17 bytes) — plus the per-query
-// execution stats (rows, latency, buffer-pool page reads/hits) so the
-// paper's Fig. 5 I/O accounting survives the network boundary.
+// symbolic Gaussian crosses the network in 17 bytes); the Result frame
+// carries the message, affected count and per-query execution stats.
 //
 // Framing:
 //
@@ -30,9 +31,8 @@ const MaxPayload = 16 << 20
 type FrameType byte
 
 // The protocol's frame types. Clients send Query and Ping; servers answer
-// with Result or Error, and Pong — or, for streamed SELECTs, a sequence of
-// RowBatch frames terminated by one ResultEnd carrying the stats (which are
-// only known once the last row has been produced).
+// a Query with zero or more RowBatch frames (a SELECT's header and rows)
+// ended by one Result or Error, and a Ping with Pong.
 const (
 	FrameQuery FrameType = iota + 1
 	FrameResult
@@ -40,7 +40,10 @@ const (
 	FramePing
 	FramePong
 	FrameRowBatch
-	FrameResultEnd
+	// frameRetired (7) was resultVersion 8's ResultEnd. It stays unused so
+	// WALFetch and WALSegment keep their values between a leader and a
+	// replica of different versions.
+	frameRetired
 	// WAL shipping (replication): a replica sends WALFetch(fromLSN,
 	// maxBytes) and the leader answers with one WALSegment carrying raw,
 	// record-aligned WAL bytes starting at that LSN (see walship.go).
@@ -63,8 +66,6 @@ func (t FrameType) String() string {
 		return "Pong"
 	case FrameRowBatch:
 		return "RowBatch"
-	case FrameResultEnd:
-		return "ResultEnd"
 	case FrameWALFetch:
 		return "WALFetch"
 	case FrameWALSegment:
@@ -73,7 +74,9 @@ func (t FrameType) String() string {
 	return fmt.Sprintf("FrameType(%d)", byte(t))
 }
 
-func validFrameType(t FrameType) bool { return t >= FrameQuery && t <= FrameWALSegment }
+func validFrameType(t FrameType) bool {
+	return t >= FrameQuery && t <= FrameWALSegment && t != frameRetired
+}
 
 // WriteFrame writes one frame.
 func WriteFrame(w io.Writer, t FrameType, payload []byte) error {

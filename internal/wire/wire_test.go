@@ -19,6 +19,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}{
 		{FrameQuery, []byte("SELECT rid FROM readings WHERE PROB(value) > 0.5")},
 		{FrameResult, EncodeResult(&Result{Message: "ok", Affected: 3})},
+		{FrameRowBatch, EncodeRowBatch(&RowBatch{Name: "t", Cols: []Column{{Name: "k", Type: core.IntType}}})},
 		{FrameError, []byte("query: no table \"nope\"")},
 		{FramePing, nil},
 		{FramePong, nil},
@@ -51,9 +52,15 @@ func TestFrameRejectsMalformedHeader(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, byte(FramePing)})); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	// Unknown frame type.
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 1, 99})); err == nil {
-		t.Fatal("unknown frame type accepted")
+	// Unknown frame types, the retired ResultEnd (7) among them; the WAL
+	// shipping frames keep their values across the retirement.
+	for _, ft := range []byte{0, 7, 10, 99} {
+		if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 1, ft})); err == nil {
+			t.Fatalf("unknown frame type %d accepted", ft)
+		}
+	}
+	if FrameWALFetch != 8 || FrameWALSegment != 9 {
+		t.Fatalf("WALFetch = %d, WALSegment = %d, want 8 and 9", FrameWALFetch, FrameWALSegment)
 	}
 	// Truncated payload.
 	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 5, byte(FrameQuery), 'S'})); err == nil {
@@ -61,9 +68,10 @@ func TestFrameRejectsMalformedHeader(t *testing.T) {
 	}
 }
 
-// TestResultRoundTrip encodes and decodes a Result with every cell variant:
-// all value kinds, a symbolic pdf, a floored pdf, a discrete pdf, and a
-// missing cell, plus full stats.
+// TestResultRoundTrip encodes and decodes an answer with every cell
+// variant — all value kinds, a symbolic pdf, a floored pdf, a discrete pdf
+// and a missing cell — in its header batch, and every stats counter in its
+// Result. The always-0 counters and the Table do not cross in a Result.
 func TestResultRoundTrip(t *testing.T) {
 	gauss := dist.NewGaussian(20, 5)
 	floored := gauss.Floor(0, region.NewSet(region.Below(25, true)))
@@ -71,10 +79,13 @@ func TestResultRoundTrip(t *testing.T) {
 	in := &Result{
 		Message:  "3 rows",
 		Affected: 3,
+		InTxn:    true,
 		Stats: Stats{
-			Rows: 3, LatencyMicros: 1234,
-			PageReads: 7, PageHits: 40, PageWrites: 2,
+			Rows: 3, LatencyMicros: 1234, WALBytes: 5,
 			IndexProbes: 1, IndexPruned: 88, PlannerFallbacks: 1,
+			WALFsyncs: 1, WALGroupSize: 9, TxnConflicts: 2,
+			Rejections: 11, ShedBytes: 12, QueueWaitMicros: 13,
+			VecTuples: 14, ScalarTuples: 15,
 		},
 		Table: &Table{
 			Name: "σ(readings)",
@@ -107,15 +118,26 @@ func TestResultRoundTrip(t *testing.T) {
 		},
 	}
 
-	payload := EncodeResult(in)
-	out, err := DecodeResult(payload)
+	out, err := DecodeResult(EncodeResult(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Message != in.Message || out.Affected != in.Affected || out.Stats != in.Stats {
+	if out.Message != in.Message || out.Affected != in.Affected || out.Stats != in.Stats || !out.InTxn || out.Table != nil {
 		t.Fatalf("scalar fields: %+v vs %+v", out, in)
 	}
-	if out.Table == nil || out.Table.Name != in.Table.Name {
+	dead := *in
+	dead.Stats.PageReads, dead.Stats.PageHits, dead.Stats.PageWrites = 7, 40, 2
+	dead.Stats.MassCacheHits, dead.Stats.MassCacheMiss = 3, 4
+	if !bytes.Equal(EncodeResult(&dead), EncodeResult(in)) {
+		t.Fatal("an always-0 counter reached the Result payload")
+	}
+
+	b, err := DecodeRowBatch(EncodeRowBatch(&RowBatch{Name: in.Table.Name, Cols: in.Table.Cols, Rows: in.Table.Rows}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Table = &Table{Name: b.Name, Cols: b.Cols, Rows: b.Rows}
+	if out.Table.Name != in.Table.Name {
 		t.Fatalf("table name lost: %+v", out.Table)
 	}
 	if !reflect.DeepEqual(out.Table.Cols, in.Table.Cols) {
@@ -170,7 +192,7 @@ func TestResultRoundTrip(t *testing.T) {
 // TestResultMessageOnly round-trips a table-less command result.
 func TestResultMessageOnly(t *testing.T) {
 	in := &Result{Message: "created readings (rid INT, value FLOAT UNCERTAIN)", Affected: 0,
-		Stats: Stats{LatencyMicros: 55, PageWrites: 1}}
+		Stats: Stats{LatencyMicros: 55, WALBytes: 1}}
 	out, err := DecodeResult(EncodeResult(in))
 	if err != nil {
 		t.Fatal(err)
@@ -184,16 +206,11 @@ func TestResultMessageOnly(t *testing.T) {
 }
 
 // TestResultDecodeRejectsTruncations truncates a valid payload at every
-// byte offset: each prefix must error, never panic.
+// byte offset: each prefix must error, never panic. A trailing byte and an
+// undefined flag bit (bit 0 marked an embedded table up to version 8) are
+// refused too.
 func TestResultDecodeRejectsTruncations(t *testing.T) {
-	payload := EncodeResult(&Result{
-		Message: "m",
-		Table: &Table{
-			Name: "t",
-			Cols: []Column{{Name: "x", Type: core.FloatType, Uncertain: true}},
-			Rows: []Row{{Exists: 1, Cells: []Cell{{Kind: CellPDF, PDF: dist.NewGaussian(0, 1)}}}},
-		},
-	})
+	payload := EncodeResult(&Result{Message: "m", Affected: 300, Stats: Stats{Rows: 300, LatencyMicros: 1 << 20}})
 	for cut := 0; cut < len(payload); cut++ {
 		if _, err := DecodeResult(payload[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(payload))
@@ -202,9 +219,17 @@ func TestResultDecodeRejectsTruncations(t *testing.T) {
 	if _, err := DecodeResult(append(append([]byte{}, payload...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
+	for _, bit := range []byte{1, 4, 0x80} {
+		flagged := append([]byte{}, payload...)
+		flagged[1] |= bit
+		if _, err := DecodeResult(flagged); err == nil {
+			t.Fatalf("flag bit %#x accepted", bit)
+		}
+	}
 }
 
-// TestFromTable converts an executed query result into wire form and back.
+// TestFromTable converts an executed query result into wire form and back
+// through its header batch.
 func TestFromTable(t *testing.T) {
 	schema := core.MustSchema(
 		core.Column{Name: "rid", Type: core.IntType},
@@ -218,14 +243,14 @@ func TestFromTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	wt := FromTable(tb)
-	out, err := DecodeResult(EncodeResult(&Result{Table: wt}))
+	out, err := DecodeRowBatch(EncodeRowBatch(&RowBatch{Name: wt.Name, Cols: wt.Cols, Rows: wt.Rows}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Table.Rows) != 1 {
-		t.Fatalf("rows: %d", len(out.Table.Rows))
+	if len(out.Rows) != 1 {
+		t.Fatalf("rows: %d", len(out.Rows))
 	}
-	row := out.Table.Rows[0]
+	row := out.Rows[0]
 	if !row.Cells[0].Value.Equal(core.Int(7)) {
 		t.Fatalf("rid cell: %+v", row.Cells[0])
 	}
