@@ -250,7 +250,7 @@ func TestRouterGatesCorruptShardFrame(t *testing.T) {
 	}
 	_, err = c.Query("SELECT k, x FROM t")
 	var se *wire.ServerError
-	if !errors.As(err, &se) || se.Code != wire.ErrShardUnavailable || !strings.Contains(se.Msg, "gaussian") {
+	if !errors.As(err, &se) || se.Code != wire.ErrShardUnavailable || !strings.Contains(se.Msg, "GAUSSIAN") {
 		t.Fatalf("SELECT over a corrupt shard frame answered %v, want shard-unavailable naming the bad pdf", err)
 	}
 	if !r.shards[0].down() {

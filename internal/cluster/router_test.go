@@ -357,6 +357,8 @@ func TestClusterRefusals(t *testing.T) {
 		{`SELECT SUM(v) FROM t`, "aggregates"},
 		{`SELECT * FROM t, t`, "joins"},
 		{`EXPLAIN SELECT * FROM t`, "EXPLAIN"},
+		// Refused at the router's own parse: the literal never reaches a shard.
+		{`INSERT INTO t (id, v) VALUES (1, GEOMETRIC(1e-9))`, "dist: GEOMETRIC p 1e-09 needs more than 65536 points"},
 	}
 	for _, tc := range cases {
 		_, err := c.Query(tc.sql)
@@ -365,8 +367,8 @@ func TestClusterRefusals(t *testing.T) {
 		}
 	}
 	// The session must still be usable after every refusal.
-	if _, err := c.Query(`SELECT * FROM t`); err != nil {
-		t.Fatalf("session dead after refusals: %v", err)
+	if res, err := c.Query(`SELECT * FROM t`); err != nil || len(res.Table.Rows) != 0 {
+		t.Fatalf("session after refusals: %v, %v; want no rows", res, err)
 	}
 	// HEALTH through the router reports the shard map, not an engine.
 	res, err := c.Query(`HEALTH`)

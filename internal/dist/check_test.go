@@ -89,13 +89,18 @@ func TestIntervalFlagsRefused(t *testing.T) {
 	}
 }
 
-// TestCheckAllocs: Check validates the Gaussian, Uniform, Discrete and
-// floored encodings — the shapes a scattered result carries — without
-// allocating.
+// TestCheckAllocs: Check validates the symbolic, Discrete and floored
+// encodings — the shapes a scattered result carries — without allocating.
 func TestCheckAllocs(t *testing.T) {
 	for _, d := range []Dist{
 		NewGaussian(20, 5),
 		NewUniform(-1, 3),
+		NewExponential(0.25),
+		NewTriangular(0, 2, 7),
+		NewBernoulli(0.4),
+		NewBinomial(12, 0.3),
+		NewPoisson(6),
+		NewGeometric(0.2),
 		NewDiscrete([]float64{0, 1, 4}, []float64{0.1, 0.6, 0.3}),
 		NewGaussian(5, 1).Floor(0, region.NewSet(region.Closed(-2, -1), region.Open(1, 2))),
 		NewUniform(0, 4).Floor(0, region.Compare(region.LT, 3)),

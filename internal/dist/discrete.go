@@ -34,7 +34,8 @@ var _ Dist = (*Discrete)(nil)
 
 // NewDiscrete builds a 1-D discrete distribution from parallel value and
 // probability slices. Probabilities must be non-negative and sum to at most
-// 1 (partial pdfs are allowed); values must be finite.
+// 1 (partial pdfs are allowed); values must be finite. It panics on
+// malformed input.
 func NewDiscrete(values, probs []float64) *Discrete {
 	if len(values) != len(probs) {
 		panic("dist: NewDiscrete length mismatch")
@@ -44,22 +45,28 @@ func NewDiscrete(values, probs []float64) *Discrete {
 	for i := range pts {
 		pts[i] = Point{X: xs[i : i+1 : i+1], P: probs[i]}
 	}
-	return newDiscrete(1, pts)
+	return must(newDiscrete(1, pts))
 }
 
 // NewDiscreteJoint builds a dim-dimensional discrete distribution from
-// points. It panics on malformed input: wrong dimensionality, non-finite
-// values, negative probabilities, or total mass beyond 1 (modulo float
-// slack).
+// points. It panics with a *ParamError where BuildDiscreteJoint returns one.
 func NewDiscreteJoint(dim int, points []Point) *Discrete {
+	return must(BuildDiscreteJoint(dim, points))
+}
+
+// BuildDiscreteJoint builds a dim-dimensional discrete distribution from
+// points, or returns a *ParamError on malformed input: wrong
+// dimensionality, non-finite values, negative probabilities, or total mass
+// beyond 1 + massTol.
+func BuildDiscreteJoint(dim int, points []Point) (*Discrete, error) {
 	if dim <= 0 {
-		panic("dist: NewDiscreteJoint requires dim >= 1")
+		return nil, &ParamError{"DISCRETE", "dimension", float64(dim), "must be at least 1"}
 	}
 	xs := make([]float64, 0, dim*len(points))
 	pts := make([]Point, len(points))
 	for i, p := range points {
 		if len(p.X) != dim {
-			panic(fmt.Sprintf("dist: point has %d coordinates, want %d", len(p.X), dim))
+			return nil, &ParamError{"DISCRETE", "dimension", float64(len(p.X)), fmt.Sprintf("must match the first point's %d", dim)}
 		}
 		xs = append(xs, p.X...)
 		pts[i] = Point{X: xs[len(xs)-dim : len(xs) : len(xs)], P: p.P}
@@ -67,24 +74,24 @@ func NewDiscreteJoint(dim int, points []Point) *Discrete {
 	return newDiscrete(dim, pts)
 }
 
-// newDiscrete is NewDiscreteJoint over points the caller hands over: pts
+// newDiscrete is BuildDiscreteJoint over points the caller hands over: pts
 // and the coordinate slices it references are owned by the result and
-// nothing else may hold them. Every point is validated; zero-probability
+// nothing else may hold them. Every point is checked; zero-probability
 // points are dropped and the rest sorted (skipped when already in order, as
 // the codec's are) and merged in place.
-func newDiscrete(dim int, pts []Point) *Discrete {
+func newDiscrete(dim int, pts []Point) (*Discrete, error) {
 	kept := pts[:0]
 	for _, p := range pts {
 		if len(p.X) != dim {
 			panic(fmt.Sprintf("dist: point has %d coordinates, want %d", len(p.X), dim))
 		}
 		for _, v := range p.X {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				panic("dist: discrete point coordinates must be finite")
+			if err := checkCoord(v); err != nil {
+				return nil, err
 			}
 		}
-		if p.P < 0 {
-			panic("dist: negative point probability")
+		if err := checkProb("DISCRETE", p.P); err != nil {
+			return nil, err
 		}
 		if p.P != 0 {
 			kept = append(kept, p)
@@ -110,10 +117,10 @@ func newDiscrete(dim int, pts []Point) *Discrete {
 		cum[i] = mass.Value()
 	}
 	total := mass.Value()
-	if total > 1+1e-9 {
-		panic(fmt.Sprintf("dist: discrete mass %v exceeds 1", total))
+	if err := checkMass("DISCRETE", total); err != nil {
+		return nil, err
 	}
-	return &Discrete{dim: dim, pts: merged, cum: cum, mass: numeric.Clamp01(total)}
+	return &Discrete{dim: dim, pts: merged, cum: cum, mass: numeric.Clamp01(total)}, nil
 }
 
 // Unit returns the identity pdf f0 of §III-C case 2(b): a point mass of

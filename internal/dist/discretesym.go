@@ -15,6 +15,7 @@ import (
 // form is retained for display and compact on-disk storage.
 type discModel interface {
 	enumerate() []Point
+	check() error // the family's parameter rule
 	String() string
 }
 
@@ -31,7 +32,7 @@ type symDisc struct {
 var _ Dist = symDisc{}
 
 func newSymDisc(m discModel) symDisc {
-	return symDisc{m: m, backing: NewDiscreteJoint(1, m.enumerate())}
+	return symDisc{m: m, backing: must(newDiscrete(1, m.enumerate()))}
 }
 
 func (s symDisc) Dim() int                                 { return 1 }
@@ -51,20 +52,52 @@ func (s symDisc) Variance(dim int) float64                 { return s.backing.Va
 func (s symDisc) Sample(r *rand.Rand) []float64            { return s.backing.Sample(r) }
 func (s symDisc) String() string                           { return s.m.String() }
 
+// maxEnumerate bounds the points a symbolic discrete pdf enumerates, so
+// that no literal or encoding makes a constructor allocate without limit:
+// at most about 3 MB while they are built. enumTail is the tail mass at
+// which Poisson and Geometric stop enumerating their unbounded supports.
+const (
+	maxEnumerate = 1 << 16
+	enumTail     = 1e-15
+)
+
+// checkEnum is the size rule every symbolic discrete family shares: n is
+// the family's enumeration length.
+func checkEnum(family, param string, v, n float64) error {
+	if !(n <= maxEnumerate) {
+		return &ParamError{family, param, v, fmt.Sprintf("needs more than %d points", maxEnumerate)}
+	}
+	return nil
+}
+
+// buildDisc returns m as a Dist once it passes its family's rule.
+func buildDisc[M discModel](m M) (Dist, error) {
+	if err := m.check(); err != nil {
+		return nil, err
+	}
+	return newSymDisc(m), nil
+}
+
+func checkUnitProb(family string, p float64) error {
+	if !(p >= 0 && p <= 1) {
+		return &ParamError{family, "p", p, "must be in [0, 1]"}
+	}
+	return nil
+}
+
 // Bernoulli is the distribution taking value 1 with probability P and 0
 // otherwise.
 type Bernoulli struct {
 	P float64
 }
 
-// NewBernoulli returns a symbolic Bernoulli(p) distribution. It panics
-// unless 0 <= p <= 1.
-func NewBernoulli(p float64) Dist {
-	if !(p >= 0 && p <= 1) {
-		panic("dist: NewBernoulli requires p in [0,1]")
-	}
-	return newSymDisc(Bernoulli{P: p})
-}
+// NewBernoulli returns Bernoulli(p); BuildBernoulli returns it or the
+// *ParamError of the BERNOULLI rule, which NewBernoulli panics with.
+func NewBernoulli(p float64) Dist { return must(BuildBernoulli(p)) }
+
+func BuildBernoulli(p float64) (Dist, error) { return buildDisc(Bernoulli{P: p}) }
+
+func (b Bernoulli) check() error { return checkUnitProb("BERNOULLI", b.P) }
 
 func (b Bernoulli) enumerate() []Point {
 	return []Point{{X: []float64{0}, P: 1 - b.P}, {X: []float64{1}, P: b.P}}
@@ -79,13 +112,28 @@ type Binomial struct {
 	P float64
 }
 
-// NewBinomial returns a symbolic Binomial(n, p) distribution. It panics
-// unless n >= 0 and 0 <= p <= 1.
-func NewBinomial(n int, p float64) Dist {
-	if n < 0 || !(p >= 0 && p <= 1) {
-		panic("dist: NewBinomial requires n >= 0 and p in [0,1]")
+// NewBinomial returns Binomial(n, p); BuildBinomial returns it or the
+// *ParamError of the BINOMIAL rule, which NewBinomial panics with.
+func NewBinomial(n int, p float64) Dist { return must(BuildBinomial(float64(n), p)) }
+
+func BuildBinomial(n, p float64) (Dist, error) {
+	if err := checkBinomial(n, p); err != nil {
+		return nil, err
 	}
-	return newSymDisc(Binomial{N: n, P: p})
+	return newSymDisc(Binomial{N: int(n), P: p}), nil
+}
+
+func (b Binomial) check() error { return checkBinomial(float64(b.N), b.P) }
+
+// checkBinomial is the BINOMIAL rule.
+func checkBinomial(n, p float64) error {
+	if !(n >= 0 && n == math.Trunc(n)) {
+		return &ParamError{"BINOMIAL", "n", n, "must be a non-negative integer"}
+	}
+	if err := checkEnum("BINOMIAL", "n", n, n+1); err != nil {
+		return err
+	}
+	return checkUnitProb("BINOMIAL", p)
 }
 
 func (b Binomial) enumerate() []Point {
@@ -105,29 +153,34 @@ type Poisson struct {
 	Lambda float64
 }
 
-// NewPoisson returns a symbolic Poisson(lambda) distribution. It panics
-// unless lambda >= 0. The unbounded support is truncated where the remaining
-// tail mass drops below 1e-15.
-func NewPoisson(lambda float64) Dist {
-	if !(lambda >= 0) {
-		panic("dist: NewPoisson requires lambda >= 0")
+// NewPoisson returns Poisson(lambda); BuildPoisson returns it or the
+// *ParamError of the POISSON rule, which NewPoisson panics with.
+func NewPoisson(lambda float64) Dist { return must(BuildPoisson(lambda)) }
+
+func BuildPoisson(lambda float64) (Dist, error) { return buildDisc(Poisson{Lambda: lambda}) }
+
+func (p Poisson) check() error {
+	if !(p.Lambda >= 0) {
+		return &ParamError{"POISSON", "lambda", p.Lambda, "must be at least 0"}
 	}
-	return newSymDisc(Poisson{Lambda: lambda})
+	return checkEnum("POISSON", "lambda", p.Lambda, p.enumLen())
 }
 
+// enumLen bounds the points enumerate visits: mean + 12·sqrt(mean) + 30
+// comfortably covers mass 1 − enumTail.
+func (p Poisson) enumLen() float64 { return math.Trunc(p.Lambda+12*math.Sqrt(p.Lambda)) + 31 }
+
 func (p Poisson) enumerate() []Point {
-	const tail = 1e-15
 	var pts []Point
 	var cum numeric.KahanSum
-	// Upper bound: mean + 12*sqrt(mean) + 30 comfortably covers mass 1-1e-15.
-	limit := int(p.Lambda+12*math.Sqrt(p.Lambda)) + 30
-	for k := 0; k <= limit; k++ {
+	n := int(p.enumLen())
+	for k := 0; k < n; k++ {
 		pm := numeric.PoissonPMF(k, p.Lambda)
 		if pm > 0 {
 			pts = append(pts, Point{X: []float64{float64(k)}, P: pm})
 		}
 		cum.Add(pm)
-		if float64(k) > p.Lambda && 1-cum.Value() < tail {
+		if float64(k) > p.Lambda && 1-cum.Value() < enumTail {
 			break
 		}
 	}
@@ -142,24 +195,26 @@ type Geometric struct {
 	P float64
 }
 
-// NewGeometric returns a symbolic Geometric(p) distribution. It panics
-// unless 0 < p <= 1. The unbounded support is truncated where the remaining
-// tail mass drops below 1e-15.
-func NewGeometric(p float64) Dist {
-	if !(p > 0 && p <= 1) {
-		panic("dist: NewGeometric requires p in (0,1]")
+// NewGeometric returns Geometric(p); BuildGeometric returns it or the
+// *ParamError of the GEOMETRIC rule, which NewGeometric panics with.
+func NewGeometric(p float64) Dist { return must(BuildGeometric(p)) }
+
+func BuildGeometric(p float64) (Dist, error) { return buildDisc(Geometric{P: p}) }
+
+func (g Geometric) check() error {
+	if !(g.P > 0 && g.P <= 1) {
+		return &ParamError{"GEOMETRIC", "p", g.P, "must be in (0, 1]"}
 	}
-	return newSymDisc(Geometric{P: p})
+	return checkEnum("GEOMETRIC", "p", g.P, g.enumLen())
 }
 
+// enumLen is the number of points before the tail drops below enumTail.
+func (g Geometric) enumLen() float64 { return math.Ceil(math.Log(enumTail)/math.Log1p(-g.P)) + 1 }
+
 func (g Geometric) enumerate() []Point {
-	const tail = 1e-15
-	limit := int(math.Ceil(math.Log(tail)/math.Log1p(-g.P))) + 1
-	if g.P == 1 {
-		limit = 1
-	}
-	pts := make([]Point, 0, limit)
-	for k := 0; k < limit; k++ {
+	n := int(g.enumLen())
+	pts := make([]Point, 0, n)
+	for k := 0; k < n; k++ {
 		if pm := numeric.GeometricPMF(k, g.P); pm > 0 {
 			pts = append(pts, Point{X: []float64{float64(k)}, P: pm})
 		}

@@ -26,7 +26,8 @@ type MultiGaussian struct {
 var _ Dist = (*MultiGaussian)(nil)
 
 // NewMultiGaussian builds N(mean, cov). cov must be symmetric positive
-// definite with len(cov) == len(mean).
+// definite with len(cov) == len(mean), and every marginal must pass the
+// GAUSSIAN rule (a *ParamError names the failing one).
 func NewMultiGaussian(mean []float64, cov [][]float64) (*MultiGaussian, error) {
 	k := len(mean)
 	if k == 0 {
@@ -39,7 +40,13 @@ func NewMultiGaussian(mean []float64, cov [][]float64) (*MultiGaussian, error) {
 		if len(cov[i]) != k {
 			return nil, fmt.Errorf("dist: covariance row %d has %d entries, want %d", i, len(cov[i]), k)
 		}
+		if err := (Gaussian{Mu: mean[i], Sigma: math.Sqrt(cov[i][i])}).rule("MVN", cov[i][i]); err != nil {
+			return nil, err
+		}
 		for j := range cov[i] {
+			if !finite(cov[i][j]) {
+				return nil, &ParamError{"MVN", "covariance", cov[i][j], "must be finite"}
+			}
 			if math.Abs(cov[i][j]-cov[j][i]) > 1e-9*(1+math.Abs(cov[i][j])) {
 				return nil, fmt.Errorf("dist: covariance is not symmetric at (%d,%d)", i, j)
 			}
@@ -64,11 +71,7 @@ func NewMultiGaussian(mean []float64, cov [][]float64) (*MultiGaussian, error) {
 
 // MustMultiGaussian is NewMultiGaussian that panics on error.
 func MustMultiGaussian(mean []float64, cov [][]float64) *MultiGaussian {
-	g, err := NewMultiGaussian(mean, cov)
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return must(NewMultiGaussian(mean, cov))
 }
 
 // Cov returns the covariance entry (i, j).

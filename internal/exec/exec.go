@@ -14,7 +14,9 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -29,11 +31,23 @@ const morselsPerWorker = 8
 // spawning workers for a handful of items costs more than it saves.
 const seqThreshold = 32
 
+// PanicError is a panic in fn on one of For's workers, recovered there and
+// returned as that morsel's error: no goroutine above the worker could
+// recover it, so it would end the process.
+type PanicError struct {
+	Value any    // the value passed to panic
+	Stack []byte // the worker's stack where it panicked
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("exec: morsel panicked: %v", e.Value) }
+
 // For splits [0, n) into morsels and runs fn(lo, hi) over them on up to
 // runtime.GOMAXPROCS(0) workers. It returns the error of the lowest-indexed
 // failing morsel — deterministic no matter how the workers interleave — and
-// stops claiming morsels once any morsel fails. fn must be safe to call
-// concurrently on disjoint ranges.
+// stops claiming morsels once any morsel fails; a morsel that panics fails
+// with a *PanicError. fn must be safe to call concurrently on disjoint
+// ranges. A range small enough to run inline runs on the caller's goroutine,
+// where a panic propagates as usual.
 func For(n int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -60,8 +74,15 @@ func For(n int, fn func(lo, hi int) error) error {
 	for w := 0; w < par; w++ {
 		go func() {
 			defer wg.Done()
+			m := 0
+			defer func() {
+				if r := recover(); r != nil {
+					errs[m] = &PanicError{Value: r, Stack: debug.Stack()}
+					failed.Store(true)
+				}
+			}()
 			for !failed.Load() {
-				m := int(next.Add(1)) - 1
+				m = int(next.Add(1)) - 1
 				if m >= morsels {
 					return
 				}

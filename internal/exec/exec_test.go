@@ -101,3 +101,20 @@ func TestForStopsClaimingAfterError(t *testing.T) {
 		t.Fatalf("ran %d morsels after first error", c)
 	}
 }
+
+// TestForWorkerPanicIsMorselError: a panic in fn on a worker goroutine
+// fails For with a *PanicError carrying the value and the worker's stack,
+// instead of ending the process.
+func TestForWorkerPanicIsMorselError(t *testing.T) {
+	withProcs(t, 2)
+	err := For(64, func(lo, hi int) error {
+		if lo <= 40 && 40 < hi {
+			panic("boom at 40")
+		}
+		return nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom at 40" || len(pe.Stack) == 0 {
+		t.Fatalf("For = %v, want a *PanicError for the morsel holding 40", err)
+	}
+}

@@ -68,12 +68,15 @@ func Build(items []Item) *Index {
 		checkDim(it)
 	}
 	es := make([]entry, len(items))
-	_ = exec.For(len(items), func(lo, hi int) error {
+	err := exec.For(len(items), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			es[i] = makeEntry(items[i])
 		}
 		return nil
 	})
+	if err != nil {
+		panic(err) // a worker's *exec.PanicError, raised again where the caller can recover it
+	}
 	return buildFrom(es)
 }
 

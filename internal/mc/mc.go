@@ -44,7 +44,7 @@ func SampleWorlds(t *core.Table, n int, seed int64, keyCols ...string) []pws.Wor
 	}
 	worlds := make([]pws.World, n)
 	w := 1 / float64(n)
-	_ = exec.For(n, func(lo, hi int) error {
+	err := exec.For(n, func(lo, hi int) error {
 		for wi := lo; wi < hi; wi++ {
 			r := rand.New(rand.NewSource(worldSeed(seed, wi)))
 			rows := make([]pws.Row, 0, len(tuples))
@@ -59,6 +59,9 @@ func SampleWorlds(t *core.Table, n int, seed int64, keyCols ...string) []pws.Wor
 		}
 		return nil
 	})
+	if err != nil {
+		panic(err) // a worker's *exec.PanicError, raised again where the caller can recover it
+	}
 	return worlds
 }
 

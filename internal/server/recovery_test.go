@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +16,7 @@ import (
 
 	"probdb/internal/vfs"
 	"probdb/internal/vfs/faultfs"
+	"probdb/internal/wal"
 )
 
 // crashStep is one workload statement plus its effect on the logical model
@@ -510,5 +515,94 @@ func TestConcurrentInsertsWithCheckpoints(t *testing.T) {
 	}
 	if got := len(res.Table.Rows); got != writers*perWriter {
 		t.Fatalf("recovered %d rows, want %d", got, writers*perWriter)
+	}
+}
+
+// TestRestartWithOutOfBoundPdfs: a WAL statement or a snapshot record that
+// holds a pdf the parameter bounds refuse — as a binary from before the
+// bounds could write — does not stop a restart. Replay logs the statement
+// and skips it, as it skips any statement that fails; the snapshot's table
+// is quarantined, as for any record that fails to decode.
+func TestRestartWithOutOfBoundPdfs(t *testing.T) {
+	dir := t.TempDir()
+	e, err := OpenEngine(EngineConfig{Dir: dir, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExecute(t, e, "CREATE TABLE good (k INT, x FLOAT UNCERTAIN)")
+	mustExecute(t, e, "CREATE TABLE bad (k INT, x FLOAT UNCERTAIN)")
+	mustExecute(t, e, "INSERT INTO bad (k, x) VALUES (1, GAUSSIAN(10, 4))")
+	mustExecute(t, e, "CHECKPOINT")
+	mustExecute(t, e, "INSERT INTO good (k, x) VALUES (1, GAUSSIAN(50, 2))")
+	e.Abort()
+
+	logs, err := filepath.Glob(filepath.Join(dir, "wal.*.log"))
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("WAL files: %v (%v)", logs, err)
+	}
+	f, err := os.OpenFile(logs[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := "INSERT INTO good (k, x) VALUES (2, GAUSSIAN(1e200, 1))"
+	if _, err := f.Write(wal.AppendRecord(nil, wal.TypeStatement, []byte(refused))); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// bad's snapshot: Gaus(10, 4) becomes Gaus(1e200, 4), every record
+	// framed and checksummed anew.
+	snaps, err := filepath.Glob(filepath.Join(dir, "bad.*"+snapExt))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("bad snapshot files: %v (%v)", snaps, err)
+	}
+	raw, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	f64 := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	out := append([]byte(nil), raw[:8]...) // the magic
+	r := bytes.NewReader(raw[8:])
+	for {
+		rec, _, err := wal.ReadRecord(r, nil)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = wal.AppendRecord(out, rec.Type, bytes.Replace(rec.Data, f64(10), f64(1e200), 1))
+	}
+	if bytes.Equal(out, raw) {
+		t.Fatal("no snapshot record holds the Gaussian's mean")
+	}
+	if err := os.WriteFile(snaps[0], out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged strings.Builder
+	var mu sync.Mutex
+	re, err := OpenEngine(EngineConfig{Dir: dir, CheckpointBytes: -1, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(&logged, format+"\n", args...)
+	}})
+	if err != nil {
+		t.Fatalf("restart over out-of-bound pdfs: %v", err)
+	}
+	defer re.Close()
+	mu.Lock()
+	log := logged.String()
+	mu.Unlock()
+	if !strings.Contains(log, refused) || !strings.Contains(log, "GAUSSIAN mean") {
+		t.Errorf("replay did not log the refused statement:\n%s", log)
+	}
+	if res, err := re.Execute("SELECT k FROM good"); err != nil || len(res.Table.Rows) != 1 {
+		t.Fatalf("good after replay: %v %v, want its one valid row", res, err)
+	}
+	if _, err := re.Execute("SELECT k FROM bad"); err == nil || !strings.Contains(err.Error(), "GAUSSIAN mean") {
+		t.Fatalf("select on bad: %v, want a quarantine naming the refused pdf", err)
 	}
 }

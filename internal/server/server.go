@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"probdb/internal/core"
+	"probdb/internal/exec"
 	"probdb/internal/govern"
 	"probdb/internal/pipe"
 	"probdb/internal/query"
@@ -533,16 +534,20 @@ func (p *panicError) Error() string {
 
 // execute runs one statement through the streaming engine entry point,
 // writing each result batch to the connection as the operator tree
-// produces it, and converting a panic anywhere under the engine into a
-// *panicError instead of crashing the process.
+// produces it, and converting a panic anywhere under the engine — on this
+// goroutine, or on a kernel's exec.For worker, which returns it as an
+// *exec.PanicError — into a *panicError instead of crashing the process.
 func (h *conn) execute(ctx context.Context, q *runningQuery, sql string) (res *wire.Result, err error) {
 	s := h.s
 	defer func() {
+		var we *exec.PanicError
 		if r := recover(); r != nil {
-			pe := &panicError{val: r, stack: debug.Stack()}
-			s.cfg.Logf("probserve: query %q panicked: %v\n%s", sql, r, pe.stack)
-			res, err = nil, pe
+			we = &exec.PanicError{Value: r, Stack: debug.Stack()}
+		} else if !errors.As(err, &we) {
+			return
 		}
+		s.cfg.Logf("probserve: query %q panicked: %v\n%s", sql, we.Value, we.Stack)
+		res, err = nil, &panicError{val: we.Value, stack: we.Stack}
 	}()
 	if h.bud != nil {
 		// The query's own budget rides the context down to the operators;

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"net"
 	"testing"
@@ -44,6 +45,17 @@ func rawSeedBatches() [][]byte {
 		EncodeRowBatch(&RowBatch{Seq: 0, Name: "t", Cols: cols}),
 		EncodeRowBatch(&RowBatch{Seq: 1}),
 	}
+}
+
+// badExistsBatches are one-row RowBatch payloads whose existence
+// probability lies outside [0, 1], which every decoding walk refuses.
+func badExistsBatches() [][]byte {
+	var out [][]byte
+	for _, p := range []float64{math.NaN(), -0.5, 1.5} {
+		out = append(out, EncodeRowBatch(&RowBatch{Seq: 0, Name: "t", Cols: []Column{{Name: "k", Type: core.IntType}},
+			Rows: []Row{{Exists: p, Cells: []Cell{{Kind: CellValue, Value: core.Int(1)}}}}}))
+	}
+	return out
 }
 
 // decodeRawBatch parses a RowBatch payload as NextRaw does, returning its
@@ -121,6 +133,12 @@ func checkRawMatchesDecode(t *testing.T, payload []byte) {
 // TestRawBatchMatchesDecode runs the raw-vs-decoded contract over the seed
 // batches, each of their truncations and deterministic bit flips.
 func TestRawBatchMatchesDecode(t *testing.T) {
+	for _, p := range badExistsBatches() {
+		if _, err := DecodeRowBatch(p); err == nil {
+			t.Errorf("%x: a row's existence probability outside [0, 1] decoded", p)
+		}
+		checkRawMatchesDecode(t, p)
+	}
 	r := rand.New(rand.NewSource(5))
 	for _, p := range rawSeedBatches() {
 		if _, _, err := decodeRawBatch(p); err != nil {
@@ -143,7 +161,7 @@ func TestRawBatchMatchesDecode(t *testing.T) {
 // DecodeRowBatch accepts, and re-emitting every row's bytes reproduces the
 // rows.
 func FuzzRawBatchMatchesDecode(f *testing.F) {
-	for _, p := range rawSeedBatches() {
+	for _, p := range append(rawSeedBatches(), badExistsBatches()...) {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -195,12 +195,6 @@ func RenderRow(cols []Column, row Row) string {
 	return fmt.Sprintf("  [%s]", strings.Join(cells, ", "))
 }
 
-// FromTable converts an executed core.Table into its wire form: certain
-// columns by value, uncertain columns by their marginal pdf.
-func FromTable(t *core.Table) *Table {
-	return &Table{Name: t.Name, Cols: ColumnsOf(t), Rows: RowsOf(t, t.Tuples())}
-}
-
 // ColumnsOf lists a core table's visible columns in wire form — the header
 // a streamed result ships once, ahead of its first row batch.
 func ColumnsOf(t *core.Table) []Column {
@@ -385,12 +379,15 @@ func (d *rdecoder) rows(nrows, ncols int) ([]Row, error) {
 	return rows, nil
 }
 
-// row walks one row: its existence probability, then ncols tagged cells
-// (see cells). It returns the probability.
+// row walks one row: its existence probability, which must lie in [0, 1],
+// then ncols tagged cells (see cells). It returns the probability.
 func (d *rdecoder) row(ncols int, cells []Cell, offs []int32) (float64, error) {
 	exists, err := d.float()
 	if err != nil {
 		return 0, err
+	}
+	if !(exists >= 0 && exists <= 1) {
+		return 0, d.err("existence probability %v outside [0, 1]", exists)
 	}
 	return exists, d.cells(ncols, cells, offs)
 }

@@ -228,9 +228,9 @@ func TestResultDecodeRejectsTruncations(t *testing.T) {
 	}
 }
 
-// TestFromTable converts an executed query result into wire form and back
-// through its header batch.
-func TestFromTable(t *testing.T) {
+// TestRowsOfTable converts an executed query result into wire form with
+// ColumnsOf and RowsOf, and back through its header batch.
+func TestRowsOfTable(t *testing.T) {
 	schema := core.MustSchema(
 		core.Column{Name: "rid", Type: core.IntType},
 		core.Column{Name: "value", Type: core.FloatType, Uncertain: true},
@@ -242,8 +242,7 @@ func TestFromTable(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	wt := FromTable(tb)
-	out, err := DecodeRowBatch(EncodeRowBatch(&RowBatch{Name: wt.Name, Cols: wt.Cols, Rows: wt.Rows}))
+	out, err := DecodeRowBatch(EncodeRowBatch(&RowBatch{Name: tb.Name, Cols: ColumnsOf(tb), Rows: RowsOf(tb, tb.Tuples())}))
 	if err != nil {
 		t.Fatal(err)
 	}
