@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"probdb/internal/numeric"
 	"probdb/internal/region"
 )
 
@@ -34,6 +35,19 @@ func TestGaussianVarMatchesPaperNotation(t *testing.T) {
 	g := NewGaussianVar(20, 5)
 	if !almostEqual(g.Variance(0), 5, 1e-12) {
 		t.Errorf("variance = %v, want 5", g.Variance(0))
+	}
+}
+
+// TestGaussianTailQuantileExact: the cached tail quantiles give the bits
+// numeric.NormalQuantile gives, so truncated supports, and the grids cut
+// from them, are what they would be without the cache.
+func TestGaussianTailQuantileExact(t *testing.T) {
+	for _, g := range []Gaussian{{0, 1}, {20, math.Sqrt(5)}, {-3e150, 7e140}, {1e8, 1e-2}} {
+		for _, p := range []float64{tailEps, 1 - tailEps} {
+			if got, want := g.quantile(p), numeric.NormalQuantile(p, g.Mu, g.Sigma); got != want {
+				t.Errorf("%v: quantile(%v) = %v, want %v", g, p, got, want)
+			}
+		}
 	}
 }
 
